@@ -36,7 +36,9 @@ def test_ablation_sqpoll(benchmark, scale):
         out = {}
         for sqpoll in (True, False):
             rep, system = run_config(scale, sqpoll=sqpoll)
-            out[sqpoll] = (rep, system.wal_ring.counters["enter_syscalls"])
+            out[sqpoll] = (
+                rep, system.obs.total("uring_enter_syscalls_total",
+                                      ring="wal-path"))
             system.stop()
         return out
 

@@ -57,8 +57,9 @@ def act_1_torn_writes():
         survived = [i for i in range(4)
                     if device.peek(i)  # slimlint: ignore[SLIM001]
                     == payload[i * page:(i + 1) * page]]
+        torn_pages = faulty.obs.total("faults_torn_pages_total")
         print(f"   torn={torn:7s}: pages {survived} persisted, "
-              f"{int(faulty.counters['torn_pages'])} torn away "
+              f"{int(torn_pages)} torn away "
               f"(host never saw a completion)")
     print()
 
@@ -72,6 +73,9 @@ def act_2_retries():
     account = CpuAccount(env, "faults-tour")
     page = device.lba_size
 
+    def count(name):
+        return int(ring.obs.total(f"uring_{name}_total"))
+
     faulty.force_errors(0, 1, count=2, opcode="write")   # transient
     faulty.force_errors(8, 9, count=99, opcode="write")  # hopeless
 
@@ -79,20 +83,20 @@ def act_2_retries():
         yield from ring.submit_and_wait(
             WriteCmd(lba=0, nlb=1, data=b"A" * page), account)
         print(f"   lba 0: durable after 2 injected errors "
-              f"({int(ring.counters['retries'])} retries, "
+              f"({count('retries')} retries, "
               f"t={env.now * 1e6:.0f} us of backoff+latency)")
         try:
             yield from ring.submit_and_wait(
                 WriteCmd(lba=8, nlb=1, data=b"B" * page), account)
         except NvmeError as exc:
             print(f"   lba 8: gave up after "
-                  f"{int(ring.counters['nvme_errors'] - 2)} failed attempts "
+                  f"{count('nvme_errors') - 2} failed attempts "
                   f"-> {type(exc).__name__} surfaced to the host")
 
     env.run(until=env.process(proc()))
-    print(f"   ring counters: {int(ring.counters['nvme_errors'])} errors, "
-          f"{int(ring.counters['retries'])} retries, "
-          f"{int(ring.counters['retry_giveups'])} giveup(s)\n")
+    print(f"   ring counters: {count('nvme_errors')} errors, "
+          f"{count('retries')} retries, "
+          f"{count('retry_giveups')} giveup(s)\n")
 
 
 def act_3_crash_matrix():

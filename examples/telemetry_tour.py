@@ -3,8 +3,8 @@
 
 Runs one redis-benchmark-shaped workload (with a mid-run snapshot and a
 final recovery) against the baseline kernel path and against SlimIO,
-with a :class:`repro.obs.MetricsRegistry` attached to every layer.
-Each run is then exported three ways:
+and exports the :class:`repro.obs.MetricsRegistry` every layer of a
+built system books into (``system.obs``) three ways:
 
 * ``<name>.jsonl``       — the full record stream (spans, events,
   instruments); feed it to ``python -m repro.obs summarize``
@@ -30,7 +30,7 @@ from repro.workloads import RedisBenchWorkload
 
 def run(name, builder, scale, outdir):
     system = builder(config=scale.system_config(gc_pressure=False))
-    registry = system.attach_obs()
+    registry = system.obs
 
     workload = RedisBenchWorkload(
         clients=16, total_ops=6000, key_count=400, value_size=4096,

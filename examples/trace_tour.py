@@ -43,7 +43,6 @@ def main() -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     system = build_slimio(config=SystemConfig(policy=LoggingPolicy.ALWAYS))
-    system.attach_obs()
     tracer = attach_tracer(system, sample_every=8, keep_slowest=12)
 
     workload = RedisBenchWorkload(

@@ -126,10 +126,10 @@ _PID_KEYWORDS = {
     "ondemand_snapshot_pid",
 }
 #: read-only FTL surface callable from any layer (SLIM006);
-#: ``rtrace`` is the request-tracer attach point — observation only,
-#: same contract as ``attach_obs``
+#: ``obs`` is the registry the FTL books into and ``rtrace`` the
+#: request-tracer attach point — observation only
 _FTL_PUBLIC = {"stats", "stream_stats", "waf_for_streams", "stream_ids",
-               "attach_obs", "num_lpns", "rtrace"}
+               "obs", "num_lpns", "rtrace"}
 #: attributes of the LBA state machine (SLIM008)
 _STATE_ATTRS = {"roles", "gen_start", "head", "prev_start"}
 _STATE_RECEIVERS = {"slots", "wal"}

@@ -33,19 +33,6 @@ MB = 1024 * 1024
 # helpers
 # --------------------------------------------------------------------------
 
-def _build(builder, config):
-    """Stand up a system with a telemetry registry attached, so every
-    experiment row can carry a counter/WAF snapshot of its run."""
-    system = builder(config=config)
-    system.attach_obs()
-    return system
-
-
-def _telemetry(system) -> dict:
-    """Final instrument snapshot of a (possibly stopped) system."""
-    return system.obs.snapshot() if system.obs is not None else {}
-
-
 def _fill_store(system, n_keys: int, value_size: int) -> None:
     """Dataset setup through the server (pays sim time, builds WAL)."""
     env = system.env
@@ -103,13 +90,13 @@ def table1(scale: Scale = BENCH_SCALE) -> ExperimentResult:
         ),
     )
     for fs in ("ext4", "f2fs"):
-        system = _build(
-            build_baseline, scale.system_config(gc_pressure=False, fs=fs)
+        system = build_baseline(
+            config=scale.system_config(gc_pressure=False, fs=fs)
         )
         workload = scale.redis_bench(snapshot_at_fraction=0.45)
         rep = workload.run(system)
         system.stop()
-        result.telemetry[fs] = _telemetry(system)
+        result.telemetry[fs] = system.obs.snapshot()
         result.add_row(fs, "WAL only", rep.rps_wal_only,
                        _mbps(rep.steady_memory))
         result.add_row(fs, "Snapshot&WAL", rep.rps_wal_snapshot,
@@ -148,10 +135,9 @@ def table2(scale: Scale = BENCH_SCALE) -> ExperimentResult:
     shares = {}
     for scenario, concurrent in (("Snapshot Only", False),
                                  ("Snapshot&WAL", True)):
-        system = _build(
-            build_baseline,
-            scale.system_config(gc_pressure=False, fs="f2fs",
-                                trigger=False),
+        system = build_baseline(
+            config=scale.system_config(gc_pressure=False, fs="f2fs",
+                                       trigger=False),
         )
         _fill_store(system, scale.redis_keys, scale.redis_value)
         _quiesce(system)
@@ -165,7 +151,7 @@ def table2(scale: Scale = BENCH_SCALE) -> ExperimentResult:
         else:
             stats = _snapshot_stats(system)
         system.stop()
-        result.telemetry[scenario] = _telemetry(system)
+        result.telemetry[scenario] = system.obs.snapshot()
         fs_time = sum(stats.breakdown.get(k, 0.0) for k in
                       ("fs", "fs_lock_wait", "syscall", "pagecache"))
         cpu_time = sum(v for k, v in stats.breakdown.items()
@@ -195,32 +181,32 @@ def _fig2_scenarios(scale: Scale):
     out = {}
     telemetry = {}
     # (1) Snapshot Only: quiescent server, large device
-    system = _build(
-        build_baseline, scale.system_config(gc_pressure=False, trigger=False))
+    system = build_baseline(
+        config=scale.system_config(gc_pressure=False, trigger=False))
     _fill_store(system, scale.redis_keys, scale.redis_value)
     _quiesce(system)
     out["Snapshot Only"] = _snapshot_stats(system)
-    telemetry["Snapshot Only"] = _telemetry(system)
+    telemetry["Snapshot Only"] = system.obs.snapshot()
     system.stop()
     # (2) Snapshot & WAL: concurrent clients, large device
-    system = _build(
-        build_baseline, scale.system_config(gc_pressure=False, trigger=False))
+    system = build_baseline(
+        config=scale.system_config(gc_pressure=False, trigger=False))
     workload = scale.redis_bench(snapshot_at_fraction=0.3)
     workload.run(system)
     out["Snapshot & WAL"] = system.metrics.snapshots[0]
-    telemetry["Snapshot & WAL"] = _telemetry(system)
+    telemetry["Snapshot & WAL"] = system.obs.snapshot()
     system.stop()
     # (3) Snapshot & WAL (under GC): small device + churn warmup; the
     # WAL-snapshot trigger stays on so the log rotates (it is also what
     # creates the short-lived/long-lived mix on the device)
-    system = _build(
-        build_baseline, scale.system_config(gc_pressure=True, trigger=True))
+    system = build_baseline(
+        config=scale.system_config(gc_pressure=True, trigger=True))
     workload = scale.redis_bench(snapshot_at_fraction=0.6)
     workload.run(system, warmup_ops=scale.warmup_ops)
     snaps = system.metrics.snapshots
     out["Snapshot & WAL (under GC)"] = max(snaps, key=lambda s: s.duration)
     out["_gc_erased"] = system.device.ftl.stats.segments_erased
-    telemetry["Snapshot & WAL (under GC)"] = _telemetry(system)
+    telemetry["Snapshot & WAL (under GC)"] = system.obs.snapshot()
     system.stop()
     out["_telemetry"] = telemetry
     return out
@@ -320,7 +306,7 @@ def _overall_rows(scale: Scale, workload_factory, gc_pressure: bool,
                                   ("SlimIO", build_slimio)):
             cfg = scale.system_config(gc_pressure=gc_pressure,
                                       policy=policy)
-            system = _build(builder, cfg)
+            system = builder(config=cfg)
             workload = workload_factory()
             rep = workload.run(
                 system,
@@ -328,7 +314,7 @@ def _overall_rows(scale: Scale, workload_factory, gc_pressure: bool,
             )
             system.stop()
             reports[(policy, sys_name)] = rep
-            telemetry[f"{policy.value}/{sys_name}"] = _telemetry(system)
+            telemetry[f"{policy.value}/{sys_name}"] = system.obs.snapshot()
             row = [policy.value, sys_name,
                    rep.rps_wal_only, _mbps(rep.steady_memory),
                    rep.rps_wal_snapshot, _mbps(rep.peak_memory),
@@ -470,8 +456,8 @@ def table5(scale: Scale = BENCH_SCALE) -> ExperimentResult:
     outcomes = {}
     for name, builder in (("Baseline", build_baseline),
                           ("SlimIO", build_slimio)):
-        system = _build(
-            builder, scale.system_config(gc_pressure=False, trigger=False))
+        system = builder(
+            config=scale.system_config(gc_pressure=False, trigger=False))
         _fill_store(system, scale.redis_keys, scale.redis_value)
         _quiesce(system)
         stats = _snapshot_stats(system, SnapshotKind.ON_DEMAND)
@@ -482,7 +468,7 @@ def table5(scale: Scale = BENCH_SCALE) -> ExperimentResult:
                 system.recover(SnapshotKind.ON_DEMAND))
         )
         system.stop()
-        result.telemetry[name] = _telemetry(system)
+        result.telemetry[name] = system.obs.snapshot()
         if result_rec.snapshot_entries != scale.redis_keys:
             raise AssertionError("recovery did not restore every entry")
         outcomes[name] = result_rec
@@ -517,13 +503,13 @@ def _timeline_run(scale: Scale, builder, **config_overrides):
                               policy=LoggingPolicy.PERIODICAL,
                               **config_overrides)
     scale = heavy
-    system = _build(builder, cfg)
+    system = builder(config=cfg)
     workload = scale.redis_bench(
         total_ops=scale.redis_ops, snapshot_at_fraction=None)
     rep = workload.run(system, warmup_ops=scale.warmup_ops)
     gc_runs = system.device.ftl.stats.segments_erased
     system.stop()
-    return rep, gc_runs, _telemetry(system)
+    return rep, gc_runs, system.obs.snapshot()
 
 
 def _dip_metrics(timeline):
@@ -693,7 +679,6 @@ def _cluster_run(scale: Scale, design: str, num_shards: int):
     from repro.workloads import ClusterWorkload
 
     cl = build_cluster(config=_cluster_config(scale, design, num_shards))
-    cl.attach_obs()
     # 2x the single-instance op count: the whole cluster shares one
     # device, so the write volume must wrap it even when split N ways.
     # The early On-Demand backup plants a long-lived image per shard —
@@ -752,7 +737,7 @@ def cluster(scale: Scale = BENCH_SCALE) -> ExperimentResult:
                 for name, shard_rep in zip(rep.shard_names, rep.per_shard):
                     result.add_row(f"  {name}", "", "", shard_rep.rps,
                                    shard_rep.set_p999 * 1e6, shard_rep.waf)
-            result.telemetry[f"{design}-{n}"] = _telemetry_cluster(cl)
+            result.telemetry[f"{design}-{n}"] = cl.obs.snapshot()
             agg[(design, n)] = rep
 
     for design in ("baseline", "slimio"):
@@ -823,10 +808,6 @@ def cluster(scale: Scale = BENCH_SCALE) -> ExperimentResult:
     return result
 
 
-def _telemetry_cluster(cl) -> dict:
-    return cl.obs.snapshot() if cl.obs is not None else {}
-
-
 # --------------------------------------------------------------------------
 # Tail trace — per-request causal blame for tail latency
 # --------------------------------------------------------------------------
@@ -856,7 +837,6 @@ def _tailtrace_run(scale: Scale, num_shards: int):
     cfg = replace(cfg, system=replace(cfg.system,
                                       policy=LoggingPolicy.ALWAYS))
     cl = build_cluster(config=cfg)
-    cl.attach_obs()
     tracer = cl.attach_tracer(sample_every=16,
                               keep_slowest=_TAILTRACE_TOPK)
     workload = ClusterWorkload(scale.ycsb_a(
@@ -1087,8 +1067,8 @@ def _openloop_run(scale: Scale, rate: float, *, policy="block",
     )
     from repro.obs.wiring import attach_tracer
 
-    system = _build(build_slimio,
-                    scale.system_config(gc_pressure=False, trigger=False))
+    system = build_slimio(
+        config=scale.system_config(gc_pressure=False, trigger=False))
     tracer = None
     if trace:
         tracer = attach_tracer(system, sample_every=4, keep_slowest=64)

@@ -29,6 +29,7 @@ from repro.core.engine import (
 )
 from repro.core.placement import PlacementPolicy
 from repro.nvme import LbaPartition, NvmeDevice, partition_evenly
+from repro.obs.registry import MetricsRegistry
 from repro.sim import Environment
 
 __all__ = ["ClusterConfig", "ShardHandle", "SlimIOCluster", "build_cluster"]
@@ -85,8 +86,6 @@ class SlimIOCluster:
     constant.
     """
 
-    #: optional telemetry registry (``None`` = instrumentation disabled)
-    obs = None
     #: optional request tracer (``None`` = tracing disabled)
     rtrace = None
 
@@ -95,11 +94,16 @@ class SlimIOCluster:
         self.config = config
         slimio = config.design == "slimio"
         cfg = config.system
+        #: one registry, one view per shard: every shard-side instrument
+        #: and span carries a ``shard=`` label; the shared FTL books
+        #: unlabeled (its GC belongs to the device, not to any tenant)
+        self.obs = MetricsRegistry(env, name=f"cluster-{config.design}")
         self.device = NvmeDevice(
             env, cfg.geometry, cfg.nand, cfg.ftl,
             fdp=slimio and cfg.fdp,
             num_pids=config.num_pids,
             batched=cfg.batched,
+            obs=self.obs,
         )
         partitions = partition_evenly(self.device, config.num_shards)
         self.allocator: PidAllocator | None = None
@@ -113,11 +117,14 @@ class SlimIOCluster:
         self.shards: list[ShardHandle] = []
         for i, part in enumerate(partitions):
             name = f"shard{i}"
+            view = self.obs.labeled(shard=name)
             if slimio:
                 shard_cfg = replace(cfg, placement=policies[i])
-                system = SlimIOSystem(env, shard_cfg, device=part, name=name)
+                system = SlimIOSystem(env, shard_cfg, device=part, name=name,
+                                      obs=view)
             else:
-                system = BaselineSystem(env, cfg, device=part, name=name)
+                system = BaselineSystem(env, cfg, device=part, name=name,
+                                        obs=view)
             self.shards.append(
                 ShardHandle(i, name, system, part, policies[i])
             )
@@ -159,26 +166,10 @@ class SlimIOCluster:
         return self.allocator.describe(self.config.num_shards)
 
     # ------------------------------------------------------------ telemetry
-    def attach_obs(self, registry=None):
-        """One registry, one view per shard: every shard-side
-        instrument and span carries a ``shard=`` label; the shared FTL
-        is wired unlabeled (its GC belongs to the device, not to any
-        single tenant). Returns the base registry."""
-        from repro.obs.registry import MetricsRegistry
-        from repro.obs.wiring import attach_registry
-
-        if registry is None:
-            registry = MetricsRegistry(
-                self.env, name=f"cluster-{self.config.design}"
-            )
-        self.obs = registry
-        for shard in self.shards:
-            attach_registry(
-                shard.system, registry.labeled(shard=shard.name),
-                include_device=False,
-            )
-        self.device.ftl.attach_obs(registry)
-        return registry
+    def attach_obs(self) -> MetricsRegistry:
+        """The cluster's base registry (wired at construction; this
+        spelling survives for callers of the old two-phase API)."""
+        return self.obs
 
     def attach_tracer(self, tracer=None, **tracer_kw):
         """One shared request tracer across every shard (traces carry

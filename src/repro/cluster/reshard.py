@@ -88,9 +88,8 @@ def migrate_slots(
 
     report = MigrationReport(slot_lo=slot_lo, slot_hi=slot_hi,
                              src=src, dst=dst)
-    if cluster.obs is not None:
-        cluster.obs.event("reshard_begin", src=source.name, dst=target.name,
-                          slot_lo=slot_lo, slot_hi=slot_hi)
+    cluster.obs.event("reshard_begin", src=source.name, dst=target.name,
+                      slot_lo=slot_lo, slot_hi=slot_hi)
 
     # 1) transfer + forward (the slot map still routes writes to the
     #    source; the sync tap relays the in-range ones)
@@ -114,10 +113,9 @@ def migrate_slots(
             report.keys_retired += 1
 
     report.duration = env.now - t0
-    if cluster.obs is not None:
-        cluster.obs.event(
-            "reshard_end", src=source.name, dst=target.name,
-            slots=report.slots_moved, keys=report.keys_migrated,
-            forwarded=report.keys_forwarded,
-        )
+    cluster.obs.event(
+        "reshard_end", src=source.name, dst=target.name,
+        slots=report.slots_moved, keys=report.keys_migrated,
+        forwarded=report.keys_forwarded,
+    )
     return report

@@ -40,6 +40,7 @@ from repro.kernel import (
     PassthruQueuePair,
 )
 from repro.nvme import NvmeDevice
+from repro.obs.registry import MetricsRegistry
 from repro.persist import LoggingPolicy, SnapshotKind, WalManager, recover_store
 from repro.persist.compress import CompressionModel, Compressor
 from repro.persist.file_backends import (
@@ -139,18 +140,13 @@ class _SystemBase:
     device: NvmeDevice
     server: Server
     config: SystemConfig
-    #: optional telemetry registry (``None`` = instrumentation disabled)
-    obs = None
+    #: the registry every layer of this system books into
+    obs: MetricsRegistry
 
-    def attach_obs(self, registry=None):
-        """Attach a :class:`repro.obs.MetricsRegistry` to every layer.
-
-        Creates one named after the server when ``registry`` is None.
-        Returns the registry so callers can export/summarize it later.
-        """
-        from repro.obs.wiring import attach_registry
-
-        return attach_registry(self, registry)
+    def attach_obs(self) -> MetricsRegistry:
+        """The system's registry (every layer is built with it; this
+        spelling survives for callers of the old two-phase API)."""
+        return self.obs
 
     @property
     def metrics(self):
@@ -170,38 +166,43 @@ class BaselineSystem(_SystemBase):
     ``device`` lets multi-tenant deployments (``repro.cluster``) hand
     in a pre-built device or :class:`~repro.nvme.LbaPartition`; when
     None, a private conventional device is built from the config.
+    ``obs`` is the registry every layer books into (default: a new one
+    named after the system).
     """
 
     def __init__(self, env: Environment, config: SystemConfig,
-                 device=None, name: str = "baseline"):
+                 device=None, name: str = "baseline", obs=None):
         self.env = env
         self.config = config
         self.name = name
+        self.obs = obs = obs or MetricsRegistry(env, name=name)
         if device is None:
             device = NvmeDevice(env, config.geometry, config.nand,
                                 config.ftl, fdp=False,
-                                batched=config.batched)
+                                batched=config.batched, obs=obs)
         self.device = device
         self.block = BlockLayer(env, self.device, config.costs,
-                                scheduler=config.scheduler)
+                                scheduler=config.scheduler, obs=obs)
         self.cache = PageCache(env, self.block, config.costs,
                                page_size=self.device.lba_size,
-                               dirty_limit_bytes=config.dirty_limit_bytes)
+                               dirty_limit_bytes=config.dirty_limit_bytes,
+                               obs=obs)
         fs_cls = Ext4 if config.fs == "ext4" else F2fs
         self.fs = fs_cls(env, self.block, self.cache, config.costs,
-                         extent_pages=config.fs_extent_pages)
+                         extent_pages=config.fs_extent_pages, obs=obs)
         self.main_account = CpuAccount(env, f"{name}-main")
         compressor = Compressor(level=config.compression_level,
                                 model=config.compression)
         self.wal = WalManager(
             env, FileAppendSink(self.fs), self.main_account,
             policy=config.policy, flush_interval=config.wal_flush_interval,
-            buffer_limit_bytes=config.wal_buffer_limit_bytes,
+            buffer_limit_bytes=config.wal_buffer_limit_bytes, obs=obs,
         )
         self.server = Server(
             env, KVStore(page_size=self.device.lba_size), self.wal,
             lambda kind: FileSnapshotSink(self.fs, f"{kind.value}.rdb"),
             config.server, compressor, config.compression, name=name,
+            obs=obs,
         )
 
     def snapshot_source(self, kind: SnapshotKind = SnapshotKind.WAL_TRIGGERED,
@@ -238,13 +239,16 @@ class SlimIOSystem(_SystemBase):
     device is built from the config. Either way the placement policy
     is validated against the device's PID count at build time — an
     over-range PID would otherwise fall back to stream 0 silently.
+    ``obs`` is the registry every layer books into (default: a new one
+    named after the system).
     """
 
     def __init__(self, env: Environment, config: SystemConfig,
-                 device=None, name: str = "slimio"):
+                 device=None, name: str = "slimio", obs=None):
         self.env = env
         self.config = config
         self.name = name
+        self.obs = obs = obs or MetricsRegistry(env, name=name)
         if device is None:
             num_pids = config.num_pids
             if num_pids is None:
@@ -252,7 +256,7 @@ class SlimIOSystem(_SystemBase):
             device = NvmeDevice(
                 env, config.geometry, config.nand, config.ftl,
                 fdp=config.fdp, num_pids=num_pids,
-                batched=config.batched,
+                batched=config.batched, obs=obs,
             )
         self.device = device
         if self.device.fdp:
@@ -264,7 +268,8 @@ class SlimIOSystem(_SystemBase):
             from repro.faults import ErrorSpec, FaultyDevice
 
             self.fault_injector = FaultyDevice(
-                self.device, errors=ErrorSpec.light(config.fault_seed)
+                self.device, errors=ErrorSpec.light(config.fault_seed),
+                obs=obs,
             )
             self.device = self.fault_injector
         self.sanitizer = None
@@ -284,27 +289,27 @@ class SlimIOSystem(_SystemBase):
         # the WAL-Path ring lives in the main process (§4.1)
         self.wal_ring = PassthruQueuePair(
             env, self.device, config.costs, sqpoll=config.sqpoll,
-            name="wal-path",
+            name="wal-path", obs=obs,
         )
         self.meta_store = MetadataStore(
             self.wal_ring, self.space.layout, config.placement.metadata_pid
         )
         self.wal_path = WalPath(
             env, self.wal_ring, self.space, self.meta_store,
-            self.main_account, config.placement,
+            self.main_account, config.placement, obs=obs,
         )
         compressor = Compressor(level=config.compression_level,
                                 model=config.compression)
         self.wal = WalManager(
             env, self.wal_path, self.main_account,
             policy=config.policy, flush_interval=config.wal_flush_interval,
-            buffer_limit_bytes=config.wal_buffer_limit_bytes,
+            buffer_limit_bytes=config.wal_buffer_limit_bytes, obs=obs,
         )
         self._snap_rings: dict[SnapshotKind, PassthruQueuePair] = {}
         self.server = Server(
             env, KVStore(page_size=self.device.lba_size), self.wal,
             self._make_snapshot_sink, config.server, compressor,
-            config.compression, name=name,
+            config.compression, name=name, obs=obs,
         )
         if self.sanitizer is not None:
             self.sanitizer.watch_server(self.server)
@@ -317,29 +322,22 @@ class SlimIOSystem(_SystemBase):
             ring = PassthruQueuePair(
                 self.env, self.device, self.config.costs,
                 sqpoll=self.config.sqpoll, name=f"snapshot-path-{kind.value}",
+                obs=self.obs,
             )
         self._snap_rings[kind] = ring
-        path = SnapshotPath(
+        return SnapshotPath(
             self.env, ring, self.space, self.meta_store, kind,
-            self.config.placement,
+            self.config.placement, obs=self.obs,
         )
-        if self.obs is not None:
-            # ring may be the shared WAL ring (ablation) — already wired
-            if ring is not self.wal_ring:
-                ring.attach_obs(self.obs)
-            path.attach_obs(self.obs)
-        return path
 
     def snapshot_source(self, kind: SnapshotKind = SnapshotKind.WAL_TRIGGERED,
                         ring: PassthruQueuePair | None = None,
                         ) -> SlimIOSnapshotSource:
-        source = SlimIOSnapshotSource(
+        return SlimIOSnapshotSource(
             ring or self.wal_ring, self.space, kind,
             readahead_pages=self.config.recovery_readahead_pages,
+            obs=self.obs,
         )
-        if self.obs is not None:
-            source.attach_obs(self.obs)
-        return source
 
     def recover(self, kind: SnapshotKind = SnapshotKind.WAL_TRIGGERED,
                 account: CpuAccount | None = None,

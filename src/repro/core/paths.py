@@ -34,6 +34,7 @@ from repro.core.readahead import ReadAheadBuffer
 from repro.kernel.accounting import CpuAccount
 from repro.kernel.iouring import PassthruQueuePair
 from repro.nvme import ReadCmd, WriteCmd
+from repro.obs.registry import MetricsRegistry
 from repro.persist.encoding import AofCodec
 from repro.persist.interfaces import AppendSink, SnapshotSink, SnapshotSource
 from repro.persist.snapshot import SnapshotKind
@@ -78,6 +79,7 @@ class WalPath(AppendSink):
         meta_store: MetadataStore,
         account: CpuAccount,
         placement: PlacementPolicy | None = None,
+        obs=None,
     ):
         self.env = env
         self.ring = ring
@@ -97,7 +99,10 @@ class WalPath(AppendSink):
         self._flush_lock = Resource(env, capacity=1)
         self._gen_bytes = 0
         self._meta_inflight: Event | None = None
-        self.obs = None
+        self.obs = obs or MetricsRegistry(env)
+        self._obs_flush_bytes = self.obs.histogram("walpath_flush_bytes")
+        self._obs_flush_pages = self.obs.counter("walpath_flush_pages_total")
+        self._obs_meta_writes = self.obs.counter("walpath_meta_writes_total")
 
     @property
     def _prev_gen_bytes(self) -> int:
@@ -108,13 +113,6 @@ class WalPath(AppendSink):
     @_prev_gen_bytes.setter
     def _prev_gen_bytes(self, value: int) -> None:
         self.space.wal.prev_bytes = value
-
-    def attach_obs(self, registry) -> None:
-        """Register instruments: flush sizes and device page traffic."""
-        self.obs = registry
-        self._obs_flush_bytes = registry.histogram("walpath_flush_bytes")
-        self._obs_flush_pages = registry.counter("walpath_flush_pages_total")
-        self._obs_meta_writes = registry.counter("walpath_meta_writes_total")
 
     # ------------------------------------------------------------------ sink API
     @property
@@ -179,9 +177,8 @@ class WalPath(AppendSink):
             vpn += n
         for ev in events:
             yield from self.ring.wait(ev, account)
-        if self.obs is not None:
-            self._obs_flush_bytes.observe(float(len(data)))
-            self._obs_flush_pages.inc(needed)
+        self._obs_flush_bytes.observe(float(len(data)))
+        self._obs_flush_pages.inc(needed)
 
         if rem:
             self._tail = data[full_pages * page :]
@@ -211,8 +208,7 @@ class WalPath(AppendSink):
 
         self.env.process(_writer(), name="wal-meta")
         self._meta_inflight = done
-        if self.obs is not None:
-            self._obs_meta_writes.inc()
+        self._obs_meta_writes.inc()
         return
         yield  # pragma: no cover
 
@@ -407,6 +403,7 @@ class SnapshotPath(SnapshotSink):
         placement: PlacementPolicy | None = None,
         write_batch_pages: int = 8,
         max_inflight_batches: int = 16,
+        obs=None,
     ):
         if write_batch_pages < 1 or max_inflight_batches < 1:
             raise ValueError("batch/window must be >= 1")
@@ -423,15 +420,11 @@ class SnapshotPath(SnapshotSink):
         self._pages_written = 0
         self._bytes = 0
         self._inflight: list[Event] = []
-        self.obs = None
-
-    def attach_obs(self, registry) -> None:
-        """Register instruments: streamed pages + in-flight window."""
-        self.obs = registry
-        self._obs_pages = registry.counter("snapshot_path_pages_total",
-                                           kind=self.kind.value)
-        self._obs_window = registry.gauge("snapshot_path_inflight_batches",
-                                          kind=self.kind.value)
+        self.obs = obs or MetricsRegistry(env)
+        self._obs_pages = self.obs.counter("snapshot_path_pages_total",
+                                           kind=kind.value)
+        self._obs_window = self.obs.gauge("snapshot_path_inflight_batches",
+                                          kind=kind.value)
         self._obs_window.set(0.0)
 
     @property
@@ -480,16 +473,14 @@ class SnapshotPath(SnapshotSink):
         )
         self._pages_written += npages
         self._inflight.append(ev)
-        if self.obs is not None:
-            self._obs_pages.inc(npages)
-            self._obs_window.set(float(len(self._inflight)))
+        self._obs_pages.inc(npages)
+        self._obs_window.set(float(len(self._inflight)))
         # bounded window: the CQ handler keeps up, the submitter only
         # stalls when the device is genuinely behind
         while len(self._inflight) > self.max_inflight:
             oldest = self._inflight.pop(0)
             yield from self.ring.wait(oldest, account)
-        if self.obs is not None:
-            self._obs_window.set(float(len(self._inflight)))
+        self._obs_window.set(float(len(self._inflight)))
 
     def finalize(self, account: CpuAccount) -> Generator:
         slot = self._ensure_slot()
@@ -549,6 +540,7 @@ class SlimIOSnapshotSource(SnapshotSource):
         space: LbaSpaceManager,
         kind: SnapshotKind,
         readahead_pages: int = 64,
+        obs=None,
     ):
         role = SlotRole.for_kind(kind)
         slot = space.slots.slot_of(role)
@@ -559,11 +551,9 @@ class SlimIOSnapshotSource(SnapshotSource):
         page = ring.device.lba_size
         npages = min(cap, -(-self._size // page)) if self._size else 0
         self._buffer = ReadAheadBuffer(
-            ring, base, max(npages, 1), window_pages=readahead_pages
+            ring, base, max(npages, 1), window_pages=readahead_pages,
+            obs=obs,
         )
-
-    def attach_obs(self, registry) -> None:
-        self._buffer.attach_obs(registry)
 
     @property
     def size(self) -> int:

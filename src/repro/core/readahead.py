@@ -15,6 +15,7 @@ from collections.abc import Generator
 from repro.kernel.accounting import CpuAccount
 from repro.kernel.iouring import PassthruQueuePair
 from repro.nvme import ReadCmd
+from repro.obs.registry import MetricsRegistry
 from repro.sim import Event
 
 __all__ = ["ReadAheadBuffer"]
@@ -30,6 +31,7 @@ class ReadAheadBuffer:
         npages: int,
         window_pages: int = 64,
         batch_pages: int = 16,
+        obs=None,
     ):
         if window_pages < 1 or batch_pages < 1:
             raise ValueError("window/batch must be >= 1")
@@ -41,20 +43,14 @@ class ReadAheadBuffer:
         self._pages: dict[int, bytes] = {}  # page_idx -> data
         self._inflight: dict[int, Event] = {}  # first page idx -> completion
         self._next_prefetch = 0
-        self.obs = None
-
-    def attach_obs(self, registry) -> None:
-        """Register instruments: per-page prefetch outcome counts.
-
-        hit = page already buffered when requested; wait = in flight
-        (the pipeline is keeping up but not ahead); random_miss =
-        outside the prefetch stream entirely. The hit rate is
-        hits / (hits + waits + random_misses).
-        """
-        self.obs = registry
-        self._obs_hits = registry.counter("readahead_hits_total")
-        self._obs_waits = registry.counter("readahead_waits_total")
-        self._obs_misses = registry.counter("readahead_random_misses_total")
+        # Per-page prefetch outcome counts: hit = page already buffered
+        # when requested; wait = in flight (the pipeline is keeping up
+        # but not ahead); random_miss = outside the prefetch stream
+        # entirely. The hit rate is hits / (hits + waits + random_misses).
+        self.obs = obs or MetricsRegistry(ring.env)
+        self._obs_hits = self.obs.counter("readahead_hits_total")
+        self._obs_waits = self.obs.counter("readahead_waits_total")
+        self._obs_misses = self.obs.counter("readahead_random_misses_total")
 
     @property
     def page_size(self) -> int:
@@ -105,13 +101,12 @@ class ReadAheadBuffer:
         last = (offset + length - 1) // ps if length else first
         yield from self._prefetch(account)
         for idx in range(first, last + 1):
-            if self.obs is not None:
-                if idx in self._pages:
-                    self._obs_hits.inc()
-                elif self._find_inflight_for(idx) is not None:
-                    self._obs_waits.inc()
-                else:
-                    self._obs_misses.inc()
+            if idx in self._pages:
+                self._obs_hits.inc()
+            elif self._find_inflight_for(idx) is not None:
+                self._obs_waits.inc()
+            else:
+                self._obs_misses.inc()
             while idx not in self._pages:
                 ev = self._find_inflight_for(idx)
                 if ev is None:

@@ -498,9 +498,8 @@ def run_error_lane(cfg: CrashMatrixConfig | None = None,
         progress["acked"] == len(ops)
         and system.server.store.as_dict() == states[-1]
     )
-    rings = [system.wal_ring, *system._snap_rings.values()]
-    retries = sum(r.counters.get("retries") for r in rings)
-    giveups = sum(r.counters.get("retry_giveups") for r in rings)
+    retries = system.obs.total("uring_retries_total")
+    giveups = system.obs.total("uring_retry_giveups_total")
     image = injector.inner.image()
     try:
         # recover on a fault-free config: the campaign under test is the
@@ -513,8 +512,8 @@ def run_error_lane(cfg: CrashMatrixConfig | None = None,
     return ErrorLaneResult(
         retries=retries,
         giveups=giveups,
-        errors_injected=injector.counters.get("errors_injected"),
-        timeouts_injected=injector.counters.get("timeouts_injected"),
+        errors_injected=system.obs.total("faults_errors_injected_total"),
+        timeouts_injected=system.obs.total("faults_timeouts_injected_total"),
         final_state_ok=final_ok,
         recovered_state_ok=recovered_ok,
     )

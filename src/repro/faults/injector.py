@@ -45,8 +45,8 @@ from repro.nvme import (
     ReadCmd,
     WriteCmd,
 )
+from repro.obs.registry import MetricsRegistry
 from repro.sim import Event
-from repro.sim.stats import Counter
 
 __all__ = ["PowerCutSpec", "ErrorSpec", "TraceEntry", "FaultyDevice"]
 
@@ -135,12 +135,19 @@ class FaultyDevice:
         power: PowerCutSpec | None = None,
         errors: ErrorSpec | None = None,
         trace: bool = False,
+        obs=None,
     ):
         self.inner = inner
         self.env = inner.env
         self.power = power
         self.errors = errors
-        self.counters = Counter()
+        self.obs = obs or MetricsRegistry(inner.env)
+        self._obs_counters = {
+            name: self.obs.counter(f"faults_{name}_total")
+            for name in ("power_cuts", "torn_write_cmds", "torn_pages",
+                         "errors_injected", "timeouts_injected",
+                         "commands_after_cut")
+        }
         self.trace: list[TraceEntry] | None = [] if trace else None
         self.cut_event: Event = inner.env.event()
         self.pages_seen = 0
@@ -152,8 +159,6 @@ class FaultyDevice:
         self._inflight_next = 0
         self._fail_counts: dict[int, int] = {}
         self._forced: list[list] = []  # [lo, hi, remaining, kind, opcode]
-        self.obs = None
-        self._obs_counters: dict[str, object] = {}
         if power is not None and power.at_time is not None:
             self.env.process(self._watch(power.at_time), name="power-cut")
 
@@ -165,22 +170,8 @@ class FaultyDevice:
     def power_lost(self) -> bool:
         return self._lost
 
-    # ------------------------------------------------------------------ obs
-    def attach_obs(self, registry) -> None:
-        self.obs = registry
-        for name in ("faults_power_cuts_total",
-                     "faults_torn_write_cmds_total",
-                     "faults_torn_pages_total",
-                     "faults_errors_injected_total",
-                     "faults_timeouts_injected_total",
-                     "faults_commands_after_cut_total"):
-            self._obs_counters[name] = registry.counter(name)
-
     def _count(self, name: str, amount: float = 1.0) -> None:
-        self.counters.add(name, amount)
-        inst = self._obs_counters.get(f"faults_{name}_total")
-        if inst is not None:
-            inst.inc(amount)
+        self._obs_counters[name].inc(amount)
 
     # ------------------------------------------------------------------ control
     def force_errors(

@@ -33,9 +33,8 @@ import numpy as np
 from repro.flash.geometry import FlashGeometry, NandTiming
 from repro.flash.l2p import IntVec, L2PMap
 from repro.flash.nand import NandArray
-from repro.obs.spans import maybe_span
+from repro.obs.registry import MetricsRegistry
 from repro.sim import Environment, Event
-from repro.sim.stats import Counter
 
 __all__ = ["FtlConfig", "FtlStats", "FlashTranslationLayer"]
 
@@ -134,11 +133,14 @@ class FlashTranslationLayer:
         config: FtlConfig | None = None,
         nand: NandArray | None = None,
         batched: bool = True,
+        obs=None,
     ):
         self.env = env
         self.geometry = geometry
         self.config = config or FtlConfig()
-        self.nand = nand or NandArray(env, geometry, timing, batched=batched)
+        self.obs = obs or MetricsRegistry(env)
+        self.nand = nand or NandArray(env, geometry, timing, batched=batched,
+                                      obs=self.obs)
         g = geometry
         if self.config.gc_stop_segments >= g.segments:
             raise ValueError(
@@ -171,8 +173,23 @@ class FlashTranslationLayer:
 
         self._streams: dict[int, _Stream] = {}
         self.stats = FtlStats()
-        self.counters = Counter()
-        self.obs = None
+        # The WAF gauge is callback-bound to FtlStats.waf, so its
+        # exported value is the live ratio at read time; the
+        # free-segment gauge's low watermark records how close the
+        # device came to GC starvation.
+        self.obs.gauge("ftl_waf", fn=lambda: self.stats.waf)
+        self._obs_free = self.obs.gauge("ftl_free_segments")
+        self._obs_free.set(float(len(self._free)))
+        self._obs_erased = self.obs.counter("ftl_segments_erased_total")
+        self._obs_stalls = self.obs.counter("ftl_alloc_stalls_total")
+        self._obs_gc_copies: dict[int, object] = {}
+        self._obs_deallocated = self.obs.counter(
+            "ftl_deallocated_pages_total"
+        )
+        self._obs_forced_closes = self.obs.counter("ftl_forced_closes_total")
+        self._obs_bg_reclaims = self.obs.counter(
+            "ftl_background_reclaims_total"
+        )
         #: request tracer (None = tracing off); host writes carrying a
         #: trace scope record alloc-stall and NAND-program leaf spans
         self.rtrace = None
@@ -181,23 +198,6 @@ class FlashTranslationLayer:
         self._bg_wake: Event | None = None
         self._invalidation: Event | None = None
         self._gc_proc = env.process(self._gc_loop(), name="ftl-gc")
-
-    # ------------------------------------------------------------------ telemetry
-    def attach_obs(self, registry) -> None:
-        """Register instruments on a :class:`repro.obs.MetricsRegistry`.
-
-        The WAF gauge is callback-bound to :attr:`FtlStats.waf`, so its
-        exported value is the live ratio at read time; the free-segment
-        gauge's low watermark records how close the device came to GC
-        starvation.
-        """
-        self.obs = registry
-        self._obs_waf = registry.gauge("ftl_waf", fn=lambda: self.stats.waf)
-        self._obs_free = registry.gauge("ftl_free_segments")
-        self._obs_free.set(float(len(self._free)))
-        self._obs_erased = registry.counter("ftl_segments_erased_total")
-        self._obs_stalls = registry.counter("ftl_alloc_stalls_total")
-        self._obs_gc_copies: dict[int, object] = {}
 
     # ------------------------------------------------------------------ streams
     def register_stream(self, stream_id: int) -> None:
@@ -373,7 +373,7 @@ class FlashTranslationLayer:
             self._p2l[live] = -1
             np.subtract.at(self._seg_valid, segs, 1)
             self._l2p[lpns] = -1
-        self.counters.add("deallocated_pages", int(live.size))
+        self._obs_deallocated.inc(int(live.size))
         if live.size:
             self._on_invalidation()
         self._maybe_kick_gc()
@@ -420,15 +420,12 @@ class FlashTranslationLayer:
                 seg = self._free.popleft()
                 self._seg_state_mv[seg] = SEG_OPEN
                 self._seg_stream_mv[seg] = stream_id
-                if self.obs is not None:
-                    self._obs_free.set(float(len(self._free)))
+                self._obs_free.set(float(len(self._free)))
                 return seg
             # out of space for this caller: wait for GC to reclaim
             waiter = self.env.event()
             self._space_waiters.append(waiter)
-            self.counters.add("alloc_stalls")
-            if self.obs is not None:
-                self._obs_stalls.inc()
+            self._obs_stalls.inc()
             yield waiter
 
     def _place_chunked(
@@ -539,7 +536,7 @@ class FlashTranslationLayer:
                     self._seg_state_mv[seg] = SEG_FULL
                     stream.open_segment[role] = None
                     stream.write_ptr[role] = 0
-                    self.counters.add("forced_closes")
+                    self._obs_forced_closes.inc()
 
     def _on_invalidation(self) -> None:
         if self._invalidation is not None and not self._invalidation.triggered:
@@ -564,7 +561,7 @@ class FlashTranslationLayer:
                 dead = self._pick_dead()
                 if dead is not None:
                     yield from self._reclaim(dead)
-                    self.counters.add("background_reclaims")
+                    self._obs_bg_reclaims.inc()
                     # pace background erases so they interleave with
                     # host I/O instead of forming a blackout train
                     yield self.env.timeout(self.config.bg_reclaim_pause)
@@ -601,8 +598,8 @@ class FlashTranslationLayer:
         g = self.geometry
         base = g.first_page_of_segment(victim)
         stream_id = self._seg_stream_mv[victim]
-        with maybe_span(self.obs, "gc_reclaim", track="gc",
-                        stream=stream_id) as gc_span:
+        with self.obs.span("gc_reclaim", track="gc",
+                           stream=stream_id) as gc_span:
             copied = 0
             window: list[tuple[int, int]] = []
             for off in range(g.pages_per_segment):
@@ -619,10 +616,9 @@ class FlashTranslationLayer:
                 yield from self._copy_window(window, stream_id)
             if copied == 0:
                 self.stats.copyfree_erases += 1
-            if self.obs is not None:
-                # labels are recorded at span exit, so blame analysis
-                # can tell copying reclaims from copy-free erases
-                gc_span.labels["copied"] = copied
+            # labels are recorded at span exit, so blame analysis
+            # can tell copying reclaims from copy-free erases
+            gc_span.labels["copied"] = copied
             yield from self.nand.erase_segment(victim)
         self._seg_state_mv[victim] = SEG_FREE
         self._seg_stream_mv[victim] = -1
@@ -630,9 +626,8 @@ class FlashTranslationLayer:
         self._seg_erase_mv[victim] += 1
         self._free.append(victim)
         self.stats.segments_erased += 1
-        if self.obs is not None:
-            self._obs_erased.inc()
-            self._obs_free.set(float(len(self._free)))
+        self._obs_erased.inc()
+        self._obs_free.set(float(len(self._free)))
         waiters, self._space_waiters = self._space_waiters, []
         for w in waiters:
             w.succeed()
@@ -662,13 +657,12 @@ class FlashTranslationLayer:
         n = len(live)
         self.stats.gc_pages_copied += n
         self._streams[stream_id].gc_pages_copied += n
-        if self.obs is not None:
-            c = self._obs_gc_copies.get(stream_id)
-            if c is None:
-                c = self.obs.counter("ftl_gc_pages_copied_total",
-                                     stream=stream_id)
-                self._obs_gc_copies[stream_id] = c
-            c.inc(n)
+        c = self._obs_gc_copies.get(stream_id)
+        if c is None:
+            c = self.obs.counter("ftl_gc_pages_copied_total",
+                                 stream=stream_id)
+            self._obs_gc_copies[stream_id] = c
+        c.inc(n)
 
     # ------------------------------------------------------------------ invariants
     def check_invariants(self) -> None:

@@ -35,8 +35,8 @@ from array import array
 from collections.abc import Generator, Sequence
 
 from repro.flash.geometry import FlashGeometry, NandTiming
+from repro.obs.registry import MetricsRegistry
 from repro.sim import Environment, Event, Resource
-from repro.sim.stats import Counter
 
 __all__ = ["NandArray"]
 
@@ -50,14 +50,21 @@ class NandArray:
         geometry: FlashGeometry,
         timing: NandTiming | None = None,
         batched: bool = True,
+        obs=None,
     ):
         self.env = env
         self.geometry = geometry
         self.timing = timing or NandTiming()
         self.batched = batched
+        self.obs = obs or MetricsRegistry(env)
         self._dies = [Resource(env, capacity=1) for _ in range(geometry.total_dies)]
         self._channels = [Resource(env, capacity=1) for _ in range(geometry.channels)]
-        self.counters = Counter()
+        self._obs_programs = self.obs.counter("nand_page_programs_total")
+        self._obs_reads = self.obs.counter("nand_page_reads_total")
+        self._obs_segment_erases = self.obs.counter(
+            "nand_segment_erases_total"
+        )
+        self._obs_block_erases = self.obs.counter("nand_block_erases_total")
         #: accumulated busy time per die, preallocated; summed on the
         #: (rare) reporting reads, bumped per operation on the hot path
         self._die_busy = memoryview(array("d", [0.0]) * geometry.total_dies)
@@ -192,7 +199,7 @@ class NandArray:
             def on_done(_e) -> None:
                 resource.release(dreq)
                 self._die_busy[die] += t_prog
-                self.counters.add("page_programs")
+                self._obs_programs.inc()
                 state[0] -= 1
                 if not state[0]:
                     done.succeed()
@@ -243,7 +250,7 @@ class NandArray:
 
                 def on_done(_e) -> None:
                     channel.release(_creq)
-                    self.counters.add("page_reads", len(pages))
+                    self._obs_reads.inc(len(pages))
                     state[0] -= len(pages)
                     if not state[0]:
                         done.succeed()
@@ -327,8 +334,8 @@ class NandArray:
                 self._die_busy[die] += t_erase
                 state[0] -= 1
                 if not state[0]:
-                    self.counters.add("segment_erases")
-                    self.counters.add("block_erases", self.geometry.total_dies)
+                    self._obs_segment_erases.inc()
+                    self._obs_block_erases.inc(self.geometry.total_dies)
                     done.succeed()
 
             fin.callbacks.append(on_done)

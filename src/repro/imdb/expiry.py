@@ -26,8 +26,8 @@ import heapq
 from dataclasses import dataclass
 from collections.abc import Generator
 
+from repro.obs.registry import MetricsRegistry
 from repro.sim import Environment
-from repro.sim.stats import Counter
 
 __all__ = ["ExpiryTable", "ExpiryConfig"]
 
@@ -49,12 +49,16 @@ class ExpiryConfig:
 class ExpiryTable:
     """TTL deadlines with a heap for the active cycle."""
 
-    def __init__(self, env: Environment, config: ExpiryConfig | None = None):
+    def __init__(self, env: Environment, config: ExpiryConfig | None = None,
+                 obs=None):
         self.env = env
         self.config = config or ExpiryConfig()
         self._deadline: dict[bytes, float] = {}
         self._heap: list[tuple[float, bytes]] = []
-        self.counters = Counter()
+        self.obs = obs or MetricsRegistry(env)
+        self._obs_active = self.obs.counter("expiry_active_evictions_total")
+        self._obs_lazy = self.obs.counter("expiry_lazy_evictions_total")
+        self._obs_cycles = self.obs.counter("expiry_cycles_total")
 
     def __len__(self) -> int:
         return len(self._deadline)
@@ -104,14 +108,14 @@ class ExpiryTable:
                 continue  # stale entry
             del self._deadline[key]
             out.append(key)
-            self.counters.add("active_evictions")
+            self._obs_active.inc()
         return out
 
     def lazy_check(self, key: bytes) -> bool:
         """True if the key just expired (caller must delete + log DEL)."""
         if self.is_expired(key):
             del self._deadline[key]
-            self.counters.add("lazy_evictions")
+            self._obs_lazy.inc()
             return True
         return False
 
@@ -128,7 +132,7 @@ class ExpiryTable:
             yield kick
             for key in self.due_keys(self.config.max_evictions_per_cycle):
                 yield from evict(key)
-            self.counters.add("cycles")
+            self._obs_cycles.inc()
 
     def stop(self) -> None:
         self._running = False

@@ -29,7 +29,7 @@ from repro.imdb.expiry import ExpiryConfig, ExpiryTable
 from repro.imdb.memory import CowMemory, ForkModel
 from repro.imdb.store import KVStore
 from repro.kernel.accounting import CpuAccount
-from repro.obs.spans import maybe_span
+from repro.obs.registry import MetricsRegistry
 from repro.persist.compress import CompressionModel, Compressor
 from repro.persist.encoding import AofRecord, OP_DEL, OP_SET
 from repro.persist.interfaces import SnapshotSink
@@ -159,6 +159,7 @@ class Server:
         compressor: Compressor | None = None,
         compression_model: CompressionModel | None = None,
         name: str = "imdb",
+        obs=None,
     ):
         self.env = env
         self.store = store
@@ -171,45 +172,40 @@ class Server:
         self.cpu = Resource(env, capacity=1)
         self.account = wal.account if wal is not None else CpuAccount(env, name)
         self.cow = CowMemory(env, self.config.fork_model, store.page_size)
-        self.expiry = ExpiryTable(env)
+        self.obs = obs or MetricsRegistry(env)
+        self.expiry = ExpiryTable(env, obs=self.obs)
         self._expiry_proc = None
         self.metrics = ServerMetrics(env)
         self._sinks: dict[SnapshotKind, SnapshotSink] = {}
         self._snapshot_proc = None
         self._snapshot_pending = False
         self._stopped = False
-        self.obs = None
+        self._obs_latency = {
+            op: self.obs.histogram("server_command_latency_seconds",
+                                   op=op, server=name)
+            for op in ("SET", "GET", "DEL")
+        }
+        self._obs_commands = {
+            op: self.obs.counter("server_commands_total",
+                                 op=op, server=name)
+            for op in ("SET", "GET", "DEL")
+        }
+        self._obs_stalls = self.obs.counter(
+            "server_wal_buffer_stalls_total", server=name
+        )
+        self._obs_stall_time = self.obs.histogram(
+            "server_wal_buffer_stall_seconds", server=name
+        )
+        self.obs.gauge(
+            "server_resident_bytes",
+            fn=lambda: float(self.store.used_bytes + self.cow.extra_bytes),
+            server=name,
+        )
         #: request tracer (:class:`repro.obs.trace.RequestTracer`);
         #: ``None`` = tracing off, the hot path does no trace work
         self.rtrace = None
         #: tenant name stamped on traces (cluster shard name)
         self.trace_tenant = ""
-
-    def attach_obs(self, registry) -> None:
-        """Register instruments: per-command latency, WAL-buffer
-        stalls, and a callback gauge on resident memory."""
-        self.obs = registry
-        self._obs_latency = {
-            op: registry.histogram("server_command_latency_seconds",
-                                   op=op, server=self.name)
-            for op in ("SET", "GET", "DEL")
-        }
-        self._obs_commands = {
-            op: registry.counter("server_commands_total",
-                                 op=op, server=self.name)
-            for op in ("SET", "GET", "DEL")
-        }
-        self._obs_stalls = registry.counter(
-            "server_wal_buffer_stalls_total", server=self.name
-        )
-        self._obs_stall_time = registry.histogram(
-            "server_wal_buffer_stall_seconds", server=self.name
-        )
-        registry.gauge(
-            "server_resident_bytes",
-            fn=lambda: float(self.store.used_bytes + self.cow.extra_bytes),
-            server=self.name,
-        )
 
     # ------------------------------------------------------------------ queries
     def execute(self, op: ClientOp) -> Generator:
@@ -272,18 +268,16 @@ class Server:
                 finally:
                     if rt is not None:
                         rt.close_span(sp_wal)
-                if self.obs is not None:
-                    self._obs_stalls.inc()
-                    self._obs_stall_time.observe(self.env.now - t_stall)
+                self._obs_stalls.inc()
+                self._obs_stall_time.observe(self.env.now - t_stall)
             ok = True
         finally:
             if ctx is not None and owns_ctx:
                 rt.finish_request(ctx, ok=ok)
         latency = self.env.now - t_arrive
         self.metrics.record_op(op.op, latency)
-        if self.obs is not None:
-            self._obs_latency[op.op].observe(latency)
-            self._obs_commands[op.op].inc()
+        self._obs_latency[op.op].observe(latency)
+        self._obs_commands[op.op].inc()
         self._sample_memory()
         self._maybe_trigger_wal_snapshot()
         if self.wal is not None:
@@ -416,8 +410,8 @@ class Server:
         t0 = self.env.now
         # the span covers fork through durable publication; the child's
         # own snapshot_write span nests inside it on the same track
-        with maybe_span(self.obs, "snapshot", track="snapshot",
-                        kind=kind.value):
+        with self.obs.span("snapshot", track="snapshot",
+                           kind=kind.value):
             try:
                 # the fork instant: capture + share pages + switch the
                 # WAL generation, all before any later command can run

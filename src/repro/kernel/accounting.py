@@ -11,7 +11,6 @@ component label ("syscall", "copy", "fs", "pagecache", "block",
 from __future__ import annotations
 
 from repro.sim import Environment
-from repro.sim.stats import Counter
 
 __all__ = ["CpuAccount"]
 
@@ -22,7 +21,9 @@ class CpuAccount:
     def __init__(self, env: Environment, name: str):
         self.env = env
         self.name = name
-        self._components = Counter()
+        #: seconds per component — model state the reports read
+        #: (Table 2, Figure 2a), not telemetry
+        self._components: dict[str, float] = {}
         self._started_at = env.now
 
     def charge(self, component: str, dt: float):
@@ -41,7 +42,7 @@ class CpuAccount:
         """
         if dt < 0:
             raise ValueError("negative charge")
-        self._components.add(component, dt)
+        self._components[component] = self._components.get(component, 0.0) + dt
         if dt > 0:
             env = self.env
             if env.ff_advance(dt):
@@ -57,16 +58,16 @@ class CpuAccount:
         """
         if dt < 0:
             raise ValueError("negative note")
-        self._components.add(component, dt)
+        self._components[component] = self._components.get(component, 0.0) + dt
 
     def time_in(self, component: str) -> float:
-        return self._components.get(component)
+        return self._components.get(component, 0.0)
 
     def total_charged(self) -> float:
-        return sum(self._components.as_dict().values())
+        return sum(self._components.values())
 
     def breakdown(self) -> dict[str, float]:
-        return self._components.as_dict()
+        return dict(self._components)
 
     def share_of(self, component: str, wall_time: float) -> float:
         """Fraction of ``wall_time`` spent in ``component`` (Table 2)."""

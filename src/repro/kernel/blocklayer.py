@@ -20,8 +20,9 @@ from collections.abc import Generator
 
 from repro.kernel.costs import KernelCosts
 from repro.nvme import NvmeCommand, NvmeDevice
+from repro.obs.registry import MetricsRegistry
 from repro.sim import Environment, PriorityResource, Resource
-from repro.sim.stats import Counter, LatencyRecorder
+from repro.sim.stats import LatencyRecorder
 
 __all__ = ["BlockLayer", "SCHED_NONE", "SCHED_SYNC_PRIORITY", "SCHED_DEADLINE"]
 
@@ -47,6 +48,7 @@ class BlockLayer:
         scheduler: str = SCHED_NONE,
         inflight_limit: int = 32,
         write_deadline: float = 5e-3,
+        obs=None,
     ):
         if scheduler not in (SCHED_NONE, SCHED_SYNC_PRIORITY, SCHED_DEADLINE):
             raise ValueError(f"unknown scheduler {scheduler!r}")
@@ -63,20 +65,18 @@ class BlockLayer:
             self._slots: Resource = PriorityResource(env, capacity=inflight_limit)
         else:
             self._slots = Resource(env, capacity=inflight_limit)
-        self.counters = Counter()
         self.queue_latency = LatencyRecorder("blk-queue")
-        self.obs = None
-
-    def attach_obs(self, registry) -> None:
-        """Register instruments: queue-wait histogram + command split."""
-        self.obs = registry
-        self._obs_queue_wait = registry.histogram(
+        self.obs = obs or MetricsRegistry(env)
+        self._obs_queue_wait = self.obs.histogram(
             "block_queue_wait_seconds", sched=self.scheduler
         )
         self._obs_cmds = {
-            True: registry.counter("block_cmds_total", sync="true"),
-            False: registry.counter("block_cmds_total", sync="false"),
+            True: self.obs.counter("block_cmds_total", sync="true"),
+            False: self.obs.counter("block_cmds_total", sync="false"),
         }
+        self._obs_promotions = self.obs.counter(
+            "block_deadline_promotions_total"
+        )
 
     def _priority(self, cmd: NvmeCommand, sync: bool) -> float:
         if self.scheduler == SCHED_SYNC_PRIORITY:
@@ -110,15 +110,13 @@ class BlockLayer:
             if not req.triggered:
                 req.cancel()
                 req = self._slots.request(priority=0.0)
-                self.counters.add("deadline_promotions")
+                self._obs_promotions.inc()
                 yield req
         else:
             yield req
         self.queue_latency.record(self.env.now - t_q)
-        self.counters.add("sync_cmds" if sync else "async_cmds")
-        if self.obs is not None:
-            self._obs_queue_wait.observe(self.env.now - t_q)
-            self._obs_cmds[sync].inc()
+        self._obs_queue_wait.observe(self.env.now - t_q)
+        self._obs_cmds[sync].inc()
         try:
             result = yield from self.device.submit(cmd)
         finally:

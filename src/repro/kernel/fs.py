@@ -33,8 +33,8 @@ from repro.kernel.blocklayer import BlockLayer
 from repro.kernel.costs import KernelCosts
 from repro.kernel.pagecache import PageCache
 from repro.nvme import DeallocateCmd
+from repro.obs.registry import MetricsRegistry
 from repro.sim import Environment, Lock
-from repro.sim.stats import Counter
 
 __all__ = ["Filesystem", "Ext4", "F2fs", "PosixFile", "Inode"]
 
@@ -123,11 +123,14 @@ class Filesystem:
         pagecache: PageCache | None = None,
         costs: KernelCosts | None = None,
         extent_pages: int = 1024,
+        obs=None,
     ):
         self.env = env
         self.block = block_layer
         self.costs = costs or KernelCosts()
-        self.cache = pagecache or PageCache(env, block_layer, self.costs)
+        self.obs = obs or MetricsRegistry(env)
+        self.cache = pagecache or PageCache(env, block_layer, self.costs,
+                                            obs=self.obs)
         self.extent_pages = extent_pages
         self.page_size = block_layer.device.lba_size
         self.commit_lock = Lock(env)
@@ -140,26 +143,25 @@ class Filesystem:
         self._alloc = _ExtentAllocator(0, self._journal_base)
         self._files: dict[str, Inode] = {}
         self._next_id = 1
-        self.counters = Counter()
-        self.obs = None
-
-    def attach_obs(self, registry) -> None:
-        """Register instruments: commit-lock wait + journal traffic.
-
-        The lock-wait histogram includes uncontended (zero-wait)
-        commits, so its mean is the true per-commit tax and its p99
-        exposes the §3.1.2 contention tail.
-        """
-        self.obs = registry
-        self._obs_lock_wait = registry.histogram(
+        # The lock-wait histogram includes uncontended (zero-wait)
+        # commits, so its mean is the true per-commit tax and its p99
+        # exposes the §3.1.2 contention tail.
+        self._obs_lock_wait = self.obs.histogram(
             "fs_commit_lock_wait_seconds", fs=self.fs_name
         )
-        self._obs_commits = registry.counter(
+        self._obs_journal_commits = self.obs.counter(
             "fs_journal_commits_total", fs=self.fs_name
         )
-        self._obs_journal_pages = registry.counter(
+        self._obs_journal_pages = self.obs.counter(
             "fs_journal_pages_total", fs=self.fs_name
         )
+        self._obs_commits = self.obs.counter("fs_commits_total")
+        self._obs_discarded = self.obs.counter("fs_discarded_pages_total")
+        self._obs_extent_allocs = self.obs.counter("fs_extent_allocs_total")
+        self._obs_write_calls = self.obs.counter("fs_write_calls_total")
+        self._obs_bytes_written = self.obs.counter("fs_bytes_written_total")
+        self._obs_read_calls = self.obs.counter("fs_read_calls_total")
+        self._obs_fsync_calls = self.obs.counter("fs_fsync_calls_total")
 
     # ------------------------------------------------------------------ namespace
     def create(self, name: str) -> PosixFile:
@@ -210,7 +212,7 @@ class Filesystem:
 
     def _discard(self, lba: int, npages: int) -> Generator:
         yield from self.block.submit(DeallocateCmd(lba=lba, nlb=npages))
-        self.counters.add("discarded_pages", npages)
+        self._obs_discarded.inc(npages)
 
     def file_size(self, name: str) -> int:
         inode = self._files.get(name)
@@ -231,13 +233,12 @@ class Filesystem:
         wait = self.env.now - t0
         if wait > 0:
             account.note("fs_lock_wait", wait)
-        if self.obs is not None:
-            self._obs_lock_wait.observe(wait)
+        self._obs_lock_wait.observe(wait)
         _cpu_ev = account.charge("fs", self.commit_hold_time)
         if _cpu_ev is not None:
             yield _cpu_ev
         self.commit_lock.release(req)
-        self.counters.add("commits")
+        self._obs_commits.inc()
 
     def _commit_io(self, account: CpuAccount) -> Generator:
         """A journaled commit with its device writes (fsync path)."""
@@ -247,8 +248,7 @@ class Filesystem:
         wait = self.env.now - t0
         if wait > 0:
             account.note("fs_lock_wait", wait)
-        if self.obs is not None:
-            self._obs_lock_wait.observe(wait)
+        self._obs_lock_wait.observe(wait)
         try:
             _cpu_ev = account.charge("fs", self.commit_hold_time)
             if _cpu_ev is not None:
@@ -267,11 +267,8 @@ class Filesystem:
                 account.note("ssd_wait", self.env.now - t_io)
         finally:
             self.commit_lock.release(req)
-        self.counters.add("journal_commits")
-        self.counters.add("journal_pages", self.journal_io_pages)
-        if self.obs is not None:
-            self._obs_commits.inc()
-            self._obs_journal_pages.inc(self.journal_io_pages)
+        self._obs_journal_commits.inc()
+        self._obs_journal_pages.inc(self.journal_io_pages)
 
     def _ensure_allocated(self, inode: Inode, upto_bytes: int,
                           account: CpuAccount) -> Generator:
@@ -285,7 +282,7 @@ class Filesystem:
             _cpu_ev = account.charge("fs", self.write_path_cpu)
             if _cpu_ev is not None:
                 yield _cpu_ev
-            self.counters.add("extent_allocs")
+            self._obs_extent_allocs.inc()
 
 
 class Ext4(Filesystem):
@@ -352,8 +349,8 @@ class PosixFile:
             yield _cpu_ev
         yield from fs.cache.write(self.inode.file_id, offset, data, account)
         self.inode.size = max(self.inode.size, offset + len(data))
-        fs.counters.add("write_calls")
-        fs.counters.add("bytes_written", len(data))
+        fs._obs_write_calls.inc()
+        fs._obs_bytes_written.inc(len(data))
 
     def read(
         self,
@@ -375,7 +372,7 @@ class PosixFile:
         data = yield from fs.cache.read(
             self.inode.file_id, offset, length, account, readahead=readahead
         )
-        fs.counters.add("read_calls")
+        fs._obs_read_calls.inc()
         return data
 
     def fsync(self, account: CpuAccount) -> Generator:
@@ -385,7 +382,7 @@ class PosixFile:
             yield _cpu_ev
         yield from fs.cache.fsync(self.inode.file_id, account)
         yield from fs._commit_io(account)
-        fs.counters.add("fsync_calls")
+        fs._obs_fsync_calls.inc()
 
     def seek_end(self) -> int:
         self._append_pos = self.inode.size

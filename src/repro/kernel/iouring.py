@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from repro.kernel.accounting import CpuAccount
 from repro.kernel.costs import KernelCosts
-from repro.obs.spans import maybe_span
+from repro.obs.registry import MetricsRegistry
 from repro.nvme import (
     DeallocateCmd,
     NvmeCommand,
@@ -33,7 +33,7 @@ from repro.nvme import (
     WriteCmd,
 )
 from repro.sim import Environment, Event, Resource
-from repro.sim.stats import Counter, LatencyRecorder
+from repro.sim.stats import LatencyRecorder
 
 __all__ = ["IoUringRing", "PassthruQueuePair", "RetryPolicy"]
 
@@ -85,6 +85,7 @@ class IoUringRing:
         depth: int = 128,
         name: str = "ring",
         retry: RetryPolicy | None = RetryPolicy(),
+        obs=None,
     ):
         if depth < 1:
             raise ValueError("ring depth must be >= 1")
@@ -95,38 +96,34 @@ class IoUringRing:
         self.name = name
         self.retry = retry
         self._slots = Resource(env, capacity=depth)
-        self.counters = Counter()
         self.completion_latency = LatencyRecorder(f"{name}-completion")
-        self.obs = None
+        # Per-ring instruments (labelled by ring name).
+        # uring_enter_syscalls_total vs uring_sqpoll_pickups_total is
+        # the passthru-vs-syscall submission split the paper's §4.1
+        # argues about: in SQPOLL mode the former stays at zero.
+        self.obs = obs or MetricsRegistry(env)
+        self._obs_submitted = self.obs.counter("uring_submitted_total",
+                                               ring=name)
+        self._obs_enters = self.obs.counter("uring_enter_syscalls_total",
+                                            ring=name)
+        self._obs_sqpoll = self.obs.counter("uring_sqpoll_pickups_total",
+                                            ring=name)
+        self._obs_latency = self.obs.histogram(
+            "uring_completion_seconds", ring=name
+        )
+        self._obs_depth = self.obs.gauge("uring_inflight", ring=name)
+        self._obs_depth.set(0.0)
+        self._obs_retries = self.obs.counter("uring_retries_total",
+                                             ring=name)
+        self._obs_giveups = self.obs.counter("uring_retry_giveups_total",
+                                             ring=name)
+        self._obs_errors = self.obs.counter("uring_nvme_errors_total",
+                                            ring=name)
         #: request tracer (None = tracing off). ``submit`` captures the
         #: caller's scope onto the command; the service process adopts
         #: it across the process handoff.
         self.rtrace = None
         self._cmd_seq = 0
-
-    def attach_obs(self, registry) -> None:
-        """Register per-ring instruments (labelled by ring name).
-
-        ``uring_enter_syscalls_total`` vs ``uring_sqpoll_pickups_total``
-        is the passthru-vs-syscall submission split the paper's §4.1
-        argues about: in SQPOLL mode the former stays at zero.
-        """
-        self.obs = registry
-        self._obs_submitted = registry.counter("uring_submitted_total",
-                                               ring=self.name)
-        self._obs_enters = registry.counter("uring_enter_syscalls_total",
-                                            ring=self.name)
-        self._obs_sqpoll = registry.counter("uring_sqpoll_pickups_total",
-                                            ring=self.name)
-        self._obs_latency = registry.histogram(
-            "uring_completion_seconds", ring=self.name
-        )
-        self._obs_depth = registry.gauge("uring_inflight", ring=self.name)
-        self._obs_depth.set(0.0)
-        self._obs_retries = registry.counter("uring_retries_total",
-                                             ring=self.name)
-        self._obs_giveups = registry.counter("uring_retry_giveups_total",
-                                             ring=self.name)
 
     def submit(self, cmd: NvmeCommand, account: CpuAccount) -> Generator:
         """Submit one command; returns the completion :class:`Event`.
@@ -144,10 +141,8 @@ class IoUringRing:
             _cpu_ev = account.charge("syscall", self.costs.uring_enter_cost)
             if _cpu_ev is not None:
                 yield _cpu_ev
-            self.counters.add("enter_syscalls")
-            if self.obs is not None:
-                self._obs_enters.inc()
-        elif self.obs is not None:
+            self._obs_enters.inc()
+        else:
             self._obs_sqpoll.inc()
         self._cmd_seq += 1
         cmd.uring_id = f"{self.name}-{self._cmd_seq}"
@@ -160,9 +155,7 @@ class IoUringRing:
                 cmd.trace_handoff = handoff
         done = self.env.event()
         self.env.process(self._service(cmd, done), name=f"{self.name}-svc")
-        self.counters.add("submitted")
-        if self.obs is not None:
-            self._obs_submitted.inc()
+        self._obs_submitted.inc()
         return done
 
     def _service(self, cmd: NvmeCommand, done: Event) -> Generator:
@@ -184,8 +177,7 @@ class IoUringRing:
                 yield self.env.timeout(self.costs.sqpoll_pickup)
             req = self._slots.request()
             yield req
-            if self.obs is not None:
-                self._obs_depth.set(float(self._slots.count))
+            self._obs_depth.set(float(self._slots.count))
             attempts = 0
             while True:
                 try:
@@ -196,25 +188,21 @@ class IoUringRing:
                     # bounded backoff, holding the command slot like a real
                     # driver holds the request tag across retries.
                     attempts += 1
-                    self.counters.add("nvme_errors")
+                    self._obs_errors.inc()
                     if self.retry is None or attempts >= self.retry.max_attempts:
-                        self.counters.add("retry_giveups")
-                        if self.obs is not None:
-                            self._obs_giveups.inc()
+                        self._obs_giveups.inc()
                         self._slots.release(req)
                         done.fail(exc)
                         return
-                    self.counters.add("retries")
-                    if self.obs is not None:
-                        self._obs_retries.inc()
+                    self._obs_retries.inc()
                     t_retry = self.env.now
                     # the retry span names the failing command, so an
                     # injected-error report reads straight back to the
                     # I/O that absorbed it
-                    with maybe_span(self.obs, "uring_retry", track="ring",
-                                    ring=self.name, cmd=cmd.uring_id,
-                                    attempt=attempts,
-                                    err=type(exc).__name__):
+                    with self.obs.span("uring_retry", track="ring",
+                                       ring=self.name, cmd=cmd.uring_id,
+                                       attempt=attempts,
+                                       err=type(exc).__name__):
                         yield self.env.timeout(self.retry.backoff(attempts))
                     if rt is not None and handoff is not None:
                         rt.add_span("uring_retry", "nvme", t_retry,
@@ -227,10 +215,8 @@ class IoUringRing:
             self._slots.release(req)
             ok = True
             self.completion_latency.record(self.env.now - t0)
-            self.counters.add("completed")
-            if self.obs is not None:
-                self._obs_latency.observe(self.env.now - t0)
-                self._obs_depth.set(float(self._slots.count))
+            self._obs_latency.observe(self.env.now - t0)
+            self._obs_depth.set(float(self._slots.count))
             done.succeed(result)
         finally:
             if rt is not None and handoff is not None:

@@ -19,8 +19,8 @@ from repro.kernel.accounting import CpuAccount
 from repro.kernel.blocklayer import BlockLayer
 from repro.kernel.costs import KernelCosts
 from repro.nvme import ReadCmd, WriteCmd
+from repro.obs.registry import MetricsRegistry
 from repro.sim import Environment, Event
-from repro.sim.stats import Counter
 
 __all__ = ["PageCache"]
 
@@ -43,6 +43,7 @@ class PageCache:
         writeback_batch_pages: int = 256,
         writeback_run_pages: int = 32,
         readahead_pages: int = 32,
+        obs=None,
     ):
         if dirty_limit_bytes < page_size:
             raise ValueError("dirty_limit_bytes smaller than one page")
@@ -66,28 +67,29 @@ class PageCache:
         self._resolvers: dict[int, Resolver] = {}
         self._throttled: list[Event] = []
         self._wb_kick: Event | None = None
-        self.counters = Counter()
-        self.obs = None
+        self.obs = obs or MetricsRegistry(env)
+        self._obs_dirty = self.obs.gauge("pagecache_dirty_bytes")
+        self._obs_dirty.set(0.0)
+        self._obs_throttles = self.obs.counter(
+            "pagecache_throttle_events_total"
+        )
+        self._obs_throttle_wait = self.obs.histogram(
+            "pagecache_throttle_wait_seconds"
+        )
+        self._obs_wb_pages = self.obs.counter(
+            "pagecache_writeback_pages_total"
+        )
+        self._obs_buffered_writes = self.obs.counter(
+            "pagecache_buffered_writes_total"
+        )
+        self._obs_hits = self.obs.counter("pagecache_cache_hits_total")
+        self._obs_misses = self.obs.counter("pagecache_cache_misses_total")
+        self._obs_fsyncs = self.obs.counter("pagecache_fsyncs_total")
         #: request tracer (None = tracing off); writeback runs record a
         #: background span linked to the requests that dirtied the pages
         self.rtrace = None
         self._trace_dirty: list[int] = []
         env.process(self._writeback_loop(), name="writeback")
-
-    def attach_obs(self, registry) -> None:
-        """Register instruments: dirty-page gauge + throttle pressure."""
-        self.obs = registry
-        self._obs_dirty = registry.gauge("pagecache_dirty_bytes")
-        self._obs_dirty.set(float(self.dirty_bytes))
-        self._obs_throttles = registry.counter(
-            "pagecache_throttle_events_total"
-        )
-        self._obs_throttle_wait = registry.histogram(
-            "pagecache_throttle_wait_seconds"
-        )
-        self._obs_wb_pages = registry.counter(
-            "pagecache_writeback_pages_total"
-        )
 
     # ------------------------------------------------------------------ setup
     def register_file(self, file_id: int, resolver: Resolver) -> None:
@@ -185,9 +187,8 @@ class PageCache:
         )
         if _cpu_ev is not None:
             yield _cpu_ev
-        self.counters.add("buffered_writes")
-        if self.obs is not None:
-            self._obs_dirty.set(float(self.dirty_bytes))
+        self._obs_buffered_writes.inc()
+        self._obs_dirty.set(float(self.dirty_bytes))
         self._kick_writeback()
 
         if self.dirty_bytes > self.dirty_limit:
@@ -206,10 +207,8 @@ class PageCache:
                 except ValueError:
                     pass
             account.note("dirty_throttle", self.env.now - t0)
-            self.counters.add("throttle_events")
-            if self.obs is not None:
-                self._obs_throttles.inc()
-                self._obs_throttle_wait.observe(self.env.now - t0)
+            self._obs_throttles.inc()
+            self._obs_throttle_wait.observe(self.env.now - t0)
         if rt is not None and rt.current() is not None:
             rt.add_span("pagecache_write", "pagecache", t_entry,
                         self.env.now, nbytes=len(data))
@@ -237,7 +236,7 @@ class PageCache:
         idx = first
         while idx <= last:
             if self.is_cached(file_id, idx):
-                self.counters.add("cache_hits")
+                self._obs_hits.inc()
                 idx += 1
                 continue
             run_start = idx
@@ -266,7 +265,7 @@ class PageCache:
                     buf = self._page(file_id, sub_start + j)
                     buf[:] = data[j * ps : (j + 1) * ps]
             account.note("ssd_wait", self.env.now - t0)
-            self.counters.add("cache_misses", run_len)
+            self._obs_misses.inc(run_len)
         # copy to user
         _cpu_ev = account.charge("copy", self.costs.copy_time(length))
         if _cpu_ev is not None:
@@ -394,13 +393,11 @@ class PageCache:
             )
             flushed += k
             i += k
-        self.counters.add("writeback_pages", flushed)
         if rt is not None:
             rt.close_span(wb_span, pages=flushed)
             rt.finish_background(bg)
-        if self.obs is not None:
-            self._obs_wb_pages.inc(flushed)
-            self._obs_dirty.set(float(self.dirty_bytes))
+        self._obs_wb_pages.inc(flushed)
+        self._obs_dirty.set(float(self.dirty_bytes))
 
     def fsync(self, file_id: int, account: CpuAccount) -> Generator:
         """Synchronously flush a file's dirty pages (sync priority)."""
@@ -416,7 +413,7 @@ class PageCache:
             yield self.env.all_of(procs)
         account.note("ssd_wait", self.env.now - t0)
         self._release_throttled()
-        self.counters.add("fsyncs")
+        self._obs_fsyncs.inc()
 
     def _release_throttled(self) -> None:
         if self.dirty_bytes <= self.background_limit and self._throttled:

@@ -22,7 +22,7 @@ from collections.abc import Generator
 from repro.flash import FlashGeometry, FlashTranslationLayer, FtlConfig, NandTiming
 from repro.nvme.commands import DeallocateCmd, NvmeCommand, ReadCmd, WriteCmd
 from repro.sim import Environment
-from repro.sim.stats import Counter, LatencyRecorder
+from repro.sim.stats import LatencyRecorder
 
 __all__ = ["NvmeDevice", "DeviceStats"]
 
@@ -60,13 +60,14 @@ class NvmeDevice:
         fdp: bool = False,
         num_pids: int = 8,
         batched: bool = True,
+        obs=None,
     ):
         self.env = env
         self.geometry = geometry or FlashGeometry()
         self.fdp = fdp
         self.num_pids = num_pids
         self.ftl = FlashTranslationLayer(
-            env, self.geometry, timing, ftl_config, batched=batched
+            env, self.geometry, timing, ftl_config, batched=batched, obs=obs
         )
         if fdp:
             for pid in range(num_pids):
@@ -75,7 +76,6 @@ class NvmeDevice:
             self.ftl.register_stream(0)
         self._data: dict[int, bytes] = {}
         self.stats = DeviceStats()
-        self.counters = Counter()
         self.write_latency = LatencyRecorder("nvme-write")
         self.read_latency = LatencyRecorder("nvme-read")
 

@@ -1,15 +1,15 @@
 """Unified telemetry: metrics registry, spans, and run exporters.
 
 One :class:`MetricsRegistry` per system captures counters, gauges,
-histograms, spans, and an event log; ``attach_registry`` wires it
-through every layer of a built system; the exporters serialize a run
-to JSONL, Prometheus text, or a Chrome trace. See
+histograms, spans, and an event log; every layer of a built system is
+constructed with it (``system.obs``); the exporters serialize a run to
+JSONL, Prometheus text, or a Chrome trace. See
 ``docs/OBSERVABILITY.md`` for the naming scheme and span hierarchy.
 
-Instrumented components hold ``obs = None`` until attached and guard
-every telemetry touch with ``if self.obs is not None`` — an
-uninstrumented run does zero extra work and is event-for-event
-identical to one that never imported this package.
+The registry is the only place an occurrence is booked. Components
+take ``obs=`` at construction (their own private registry when none is
+passed) and fetch their instruments in ``__init__``; booking is always
+on and never schedules a simulated event, so it cannot move a run.
 """
 
 from repro.obs.export import (
@@ -30,7 +30,7 @@ from repro.obs.registry import (
     ObsHistogram,
     render_metric_name,
 )
-from repro.obs.spans import NULL_SPAN, Span, SpanRecord, maybe_span
+from repro.obs.spans import Span, SpanRecord
 from repro.obs.trace import (
     RequestTracer,
     TraceContext,
@@ -46,7 +46,7 @@ from repro.obs.trace import (
     validate_trace,
     write_trace_jsonl,
 )
-from repro.obs.wiring import attach_registry, attach_tracer
+from repro.obs.wiring import attach_tracer
 
 __all__ = [
     "MetricsRegistry",
@@ -57,9 +57,6 @@ __all__ = [
     "render_metric_name",
     "Span",
     "SpanRecord",
-    "NULL_SPAN",
-    "maybe_span",
-    "attach_registry",
     "attach_tracer",
     "RequestTracer",
     "TraceContext",

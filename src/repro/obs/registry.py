@@ -7,23 +7,24 @@ reservoirs, each keyed by ``(name, labels)``. It also owns the span
 log (see :mod:`repro.obs.spans`) and a timestamped event log, so one
 object captures everything an exporter needs.
 
-Instruments are get-or-create: ``registry.counter("wal_flushes",
+Instruments are get-or-create: ``registry.counter("wal_flushes_total",
 path="wal")`` returns the same object every time, so components fetch
-their handles once at attach time and hot paths touch only plain
-attribute math. Components that were never attached skip all of it —
-the instrumentation contract is *zero work without a registry*.
+their handles once in ``__init__`` and hot paths touch only plain
+attribute math. Every component always has a registry (its own when
+none is passed), so the contract is *always booked, never schedules an
+event*: telemetry reads the simulation clock and never advances it.
 """
 
 from __future__ import annotations
 
 import zlib
 from array import array
+from collections import deque
 
 import numpy as np
 
 from repro.obs.spans import Span, SpanRecord
 from repro.sim.engine import Environment
-from repro.sim.tracing import Tracer
 
 __all__ = ["ObsCounter", "ObsGauge", "ObsHistogram", "MetricsRegistry",
            "LabeledRegistry", "render_metric_name"]
@@ -191,15 +192,12 @@ class MetricsRegistry:
     """All telemetry of one system: instruments + spans + events."""
 
     def __init__(self, env: Environment, name: str = "run",
-                 trace_capacity: int = 65536,
                  span_capacity: int = 1 << 20):
         self.env = env
         self.name = name
-        #: span begin/end chronology, ring-buffered (oldest evicted)
-        self.tracer = Tracer(env, capacity=trace_capacity)
         self._instruments: dict[tuple, object] = {}
-        self._spans: list[SpanRecord] = []
-        self._span_capacity = span_capacity
+        #: completed spans, ring-buffered (oldest evicted)
+        self._spans: deque[SpanRecord] = deque(maxlen=span_capacity)
         self.spans_dropped = 0
         self._events: list[dict] = []
 
@@ -220,14 +218,7 @@ class MetricsRegistry:
         return self._get(ObsCounter, name, labels)
 
     def gauge(self, name: str, fn=None, **labels) -> ObsGauge:
-        key = (name, _label_key(labels))
-        inst = self._instruments.get(key)
-        if inst is None:
-            inst = ObsGauge(name, labels, fn=fn)
-            self._instruments[key] = inst
-        elif not isinstance(inst, ObsGauge):
-            raise TypeError(f"{name}{labels} already registered as {inst.kind}")
-        return inst
+        return self._get(ObsGauge, name, labels, fn=fn)
 
     def histogram(self, name: str, reservoir: int = 512,
                   **labels) -> ObsHistogram:
@@ -236,6 +227,25 @@ class MetricsRegistry:
     def instruments(self):
         """All instruments in registration order."""
         return list(self._instruments.values())
+
+    def total(self, name: str, **labels) -> float:
+        """Sum of the counters called ``name`` whose labels include
+        ``labels`` (all rings, both block-command classes, ...).
+
+        The read side for reports and tests: unlike ``counter()`` it
+        never creates an instrument, so a misspelt name raises
+        ``KeyError`` instead of reading a silent zero.
+        """
+        want = set(_label_key(labels))
+        found = [
+            inst for (n, key), inst in self._instruments.items()
+            if n == name and want <= set(key)
+        ]
+        if not found:
+            raise KeyError(f"no instrument {name}{labels or ''}")
+        if any(inst.kind != "counter" for inst in found):
+            raise TypeError(f"{name} is not a counter")
+        return sum(inst.value for inst in found)
 
     def labeled(self, **labels) -> LabeledRegistry:
         """A view of this registry that stamps ``labels`` on everything.
@@ -251,14 +261,14 @@ class MetricsRegistry:
         return Span(self, name, track, labels)
 
     def _record_span(self, record: SpanRecord) -> None:
-        if len(self._spans) >= self._span_capacity:
-            self._spans.pop(0)
-            self.spans_dropped += 1
+        if len(self._spans) == self._spans.maxlen:
+            self.spans_dropped += 1  # the append below evicts the oldest
         self._spans.append(record)
 
     @property
     def spans(self) -> list[SpanRecord]:
-        return self._spans
+        """Retained spans in completion order (a copy)."""
+        return list(self._spans)
 
     def spans_named(self, name: str) -> list[SpanRecord]:
         return [s for s in self._spans if s.name == name]
@@ -314,10 +324,6 @@ class LabeledRegistry:
         return self.base.name
 
     @property
-    def tracer(self) -> Tracer:
-        return self.base.tracer
-
-    @property
     def spans(self) -> list[SpanRecord]:
         return self.base.spans
 
@@ -351,6 +357,9 @@ class LabeledRegistry:
                   **labels) -> ObsHistogram:
         return self.base.histogram(name, reservoir=reservoir,
                                    **self._merge(labels))
+
+    def total(self, name: str, **labels) -> float:
+        return self.base.total(name, **self._merge(labels))
 
     def span(self, name: str, track: str = "main", **labels) -> Span:
         return self.base.span(name, track=track, **self._merge(labels))

@@ -5,16 +5,12 @@ snapshot write, GC reclaim, recovery replay — recording its start/end
 on the simulation clock. Spans are context managers, so they compose
 naturally with generator-based processes::
 
-    with obs.span("wal_flush", track="wal", policy="periodical"):
+    with self.obs.span("wal_flush", track="wal", policy="periodical"):
         yield from self._drain_locked(fsync=False)
 
-Each completed span lands in the owning registry's span log and emits
-begin/end records into the registry's :class:`~repro.sim.tracing.Tracer`
-(so the merged chronology and the span timeline stay in lockstep).
-
-``maybe_span`` is the zero-cost entry point for instrumented
-components: when no registry is attached it returns a shared no-op
-context manager and touches nothing else.
+Each completed span lands in the owning registry's span log. A span
+reads the clock twice and appends one record; it never schedules an
+event, so bracketing a region cannot move the simulation.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.registry import MetricsRegistry
 
-__all__ = ["SpanRecord", "Span", "NULL_SPAN", "maybe_span"]
+__all__ = ["SpanRecord", "Span"]
 
 
 @dataclass(frozen=True)
@@ -60,42 +56,12 @@ class Span:
 
     def __enter__(self) -> Span:
         self.t0 = self.registry.env.now
-        self.registry.tracer.emit(self.track, f"{self.name}:begin",
-                                  self.labels or None)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.t1 = self.registry.env.now
-        ok = exc_type is None
-        self.registry.tracer.emit(
-            self.track, f"{self.name}:end" if ok else f"{self.name}:error",
-            self.labels or None,
-        )
         self.registry._record_span(
             SpanRecord(self.name, self.track, self.t0, self.t1,
-                       self.labels, ok)
+                       self.labels, exc_type is None)
         )
         return False  # never swallow exceptions
-
-
-class _NullSpan:
-    """Shared no-op span used when no registry is attached."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> _NullSpan:
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-NULL_SPAN = _NullSpan()
-
-
-def maybe_span(registry: MetricsRegistry | None, name: str,
-               track: str = "main", **labels):
-    """A span on ``registry``, or a no-op when none is attached."""
-    if registry is None:
-        return NULL_SPAN
-    return registry.span(name, track=track, **labels)

@@ -1,27 +1,20 @@
-"""Attach one registry across every layer of a built system.
+"""Attach one request tracer across every layer of a built system.
 
-``attach_registry`` walks a :class:`~repro.core.engine.BaselineSystem`
+``attach_tracer`` walks a :class:`~repro.core.engine.BaselineSystem`
 or :class:`~repro.core.engine.SlimIOSystem` handle (duck-typed — any
-object with the same attribute names works) and calls each component's
-``attach_obs``. Components created after attachment (the per-kind
-snapshot rings and paths, recovery read-ahead buffers) are wired at
-their creation sites via ``getattr(system, "obs", None)``.
-
-``attach_tracer`` does the same for request-level causal tracing: it
-plants one :class:`~repro.obs.trace.RequestTracer` on every component
-that knows how to feed it (``rtrace`` attribute).
+object with the same attribute names works) and plants one
+:class:`~repro.obs.trace.RequestTracer` on every component that knows
+how to feed it (``rtrace`` attribute). Tracing is a mode a run selects;
+the metrics registry is not — every component is built with one.
 """
 
 from __future__ import annotations
 
-
-from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import RequestTracer
 
-__all__ = ["attach_registry", "attach_tracer"]
+__all__ = ["attach_tracer"]
 
-#: system attributes probed for an ``attach_obs`` method, in wiring
-#: order (server first so its gauges register before kernel noise)
+#: system attributes probed for an ``rtrace`` attribute
 _COMPONENT_ATTRS = (
     "server",
     "wal",
@@ -33,41 +26,6 @@ _COMPONENT_ATTRS = (
 )
 
 
-def attach_registry(system, registry: MetricsRegistry | None = None,
-                    include_device: bool = True) -> MetricsRegistry:
-    """Wire a registry through ``system``; returns the registry.
-
-    Creates one (named after the server) when none is passed. Safe to
-    call once per system; instruments are get-or-create so re-wiring
-    the same registry is harmless. ``include_device=False`` skips the
-    FTL — multi-tenant deployments share one device across systems and
-    wire it separately (unlabeled) so shared GC is not mis-attributed
-    to whichever tenant attached last.
-    """
-    if registry is None:
-        registry = MetricsRegistry(system.env, name=system.server.name)
-    system.obs = registry
-    for attr in _COMPONENT_ATTRS:
-        comp = getattr(system, attr, None)
-        if comp is not None and hasattr(comp, "attach_obs"):
-            comp.attach_obs(registry)
-    device = getattr(system, "device", None)
-    if include_device and device is not None:
-        device.ftl.attach_obs(registry)
-    # fault injector (a device proxy): surfaces injected-error/cut
-    # counters as faults_* metrics alongside the ring's retry counters
-    injector = getattr(system, "fault_injector", None)
-    if injector is not None:
-        injector.attach_obs(registry)
-    # snapshot rings/paths that already exist (late ones self-wire)
-    for ring in getattr(system, "_snap_rings", {}).values():
-        ring.attach_obs(registry)
-    for sink in getattr(system.server, "_sinks", {}).values():
-        if hasattr(sink, "attach_obs"):
-            sink.attach_obs(registry)
-    return registry
-
-
 def attach_tracer(system, tracer: RequestTracer | None = None,
                   include_device: bool = True, tenant: str | None = None,
                   **tracer_kw) -> RequestTracer:
@@ -76,9 +34,8 @@ def attach_tracer(system, tracer: RequestTracer | None = None,
     Creates one when none is passed (``tracer_kw`` forwards to
     :class:`~repro.obs.trace.RequestTracer`). ``tenant`` names this
     system on every trace (cluster shard attribution); defaults to the
-    server name. As with ``attach_registry``, pass
-    ``include_device=False`` for shared-device deployments and wire the
-    device's FTL once, separately.
+    server name. Pass ``include_device=False`` for shared-device
+    deployments and wire the device's FTL once, separately.
     """
     if tracer is None:
         tracer = RequestTracer(system.env, **tracer_kw)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from collections.abc import Generator
 
 from repro.kernel.accounting import CpuAccount
-from repro.obs.spans import maybe_span
+from repro.obs.registry import MetricsRegistry
 from repro.persist.compress import CompressionModel, Compressor
 from repro.persist.encoding import AofCodec, OP_DEL, OP_SET, RdbReader
 from repro.persist.interfaces import AppendSink, SnapshotSource
@@ -69,10 +69,11 @@ def recover_store(
     """Rebuild the keyspace; returns :class:`RecoveryResult`.
 
     ``source`` may be None (no snapshot yet: WAL-only recovery);
-    ``wal_sink`` may be None (snapshot-only restore). ``obs`` is an
-    optional :class:`repro.obs.MetricsRegistry`: when attached, the two
-    phases become ``snapshot_load`` and ``recovery_replay`` spans on
-    the ``recovery`` track, with per-chunk progress in the event log.
+    ``wal_sink`` may be None (snapshot-only restore). The two phases
+    are booked on ``obs`` (a :class:`repro.obs.MetricsRegistry`; a
+    private one when None) as ``snapshot_load`` and ``recovery_replay``
+    spans on the ``recovery`` track, with per-chunk progress in the
+    event log.
 
     ``strict_wal=True`` raises :class:`CorruptionError` on interior WAL
     corruption instead of replaying the valid prefix and reporting the
@@ -84,11 +85,12 @@ def recover_store(
         raise ValueError("read_chunk_bytes must be >= 1")
     comp = compressor or Compressor()
     model = compression_model or comp.model
+    obs = obs or MetricsRegistry(env)
     t0 = env.now
     result = RecoveryResult()
 
     if source is not None and source.size > 0:
-        with maybe_span(obs, "snapshot_load", track="recovery"):
+        with obs.span("snapshot_load", track="recovery"):
             blob = bytearray()
             offset = 0
             total = source.size
@@ -97,9 +99,8 @@ def recover_store(
                 piece = yield from source.read(offset, n, account)
                 blob.extend(piece)
                 offset += n
-                if obs is not None:
-                    obs.event("recovery_progress", phase="snapshot",
-                              read=offset, total=total)
+                obs.event("recovery_progress", phase="snapshot",
+                          read=offset, total=total)
             entries = RdbReader(comp).read_all(bytes(blob))
             raw_bytes = sum(len(k) + len(v) for k, v in entries)
             _cpu_ev = account.charge(
@@ -117,12 +118,11 @@ def recover_store(
                 result.data[k] = v
             result.snapshot_entries = len(entries)
             result.snapshot_bytes = total
-        if obs is not None:
-            obs.counter("recovery_snapshot_bytes_total").inc(total)
-            obs.counter("recovery_snapshot_entries_total").inc(len(entries))
+        obs.counter("recovery_snapshot_bytes_total").inc(total)
+        obs.counter("recovery_snapshot_entries_total").inc(len(entries))
 
     if wal_sink is not None:
-        with maybe_span(obs, "recovery_replay", track="recovery"):
+        with obs.span("recovery_replay", track="recovery"):
             raw = yield from wal_sink.read_all(account)
             scan = AofCodec.scan(raw, strict=strict_wal)
             records = scan.records
@@ -140,16 +140,15 @@ def recover_store(
             result.wal_truncated_at = scan.truncated_at
             result.wal_tail = scan.tail_kind
             result.wal_corrupt_records = scan.trailing_records
-        if obs is not None:
-            obs.counter("recovery_wal_records_total").inc(len(records))
-            if scan.truncated_at is not None:
-                obs.counter("recovery_wal_truncations_total").inc()
-            if scan.trailing_records:
-                obs.counter("recovery_wal_corrupt_records_total").inc(
-                    scan.trailing_records
-                )
-            obs.event("recovery_progress", phase="replay",
-                      records=len(records), tail=scan.tail_kind)
+        obs.counter("recovery_wal_records_total").inc(len(records))
+        if scan.truncated_at is not None:
+            obs.counter("recovery_wal_truncations_total").inc()
+        if scan.trailing_records:
+            obs.counter("recovery_wal_corrupt_records_total").inc(
+                scan.trailing_records
+            )
+        obs.event("recovery_progress", phase="replay",
+                  records=len(records), tail=scan.tail_kind)
 
     result.duration = env.now - t0
     return result

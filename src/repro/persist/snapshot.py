@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from collections.abc import Generator, Sequence
 
 from repro.kernel.accounting import CpuAccount
-from repro.obs.spans import maybe_span
+from repro.obs.registry import MetricsRegistry
 from repro.persist.compress import CompressionModel, Compressor
 from repro.persist.encoding import RdbWriter
 from repro.persist.interfaces import SnapshotSink
@@ -122,7 +122,7 @@ class SnapshotWriterProcess:
         )
         self.chunk_entries = chunk_entries
         self.account = account or CpuAccount(env, "snapshot-child")
-        self.obs = obs
+        self.obs = obs or MetricsRegistry(env)
         self.stats = SnapshotStats(kind=kind, started_at=env.now)
 
     def run(self) -> Generator:
@@ -135,8 +135,8 @@ class SnapshotWriterProcess:
         acct = self.account
         writer = RdbWriter(self.compressor)
         try:
-            with maybe_span(self.obs, "snapshot_write", track="snapshot",
-                            kind=self.kind.value):
+            with self.obs.span("snapshot_write", track="snapshot",
+                               kind=self.kind.value):
                 yield from self.sink.write(writer.header(), acct)
                 for start in range(0, len(self.items), self.chunk_entries):
                     batch = self.items[start : start + self.chunk_entries]

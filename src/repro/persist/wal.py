@@ -30,11 +30,10 @@ import enum
 from collections.abc import Generator
 
 from repro.kernel.accounting import CpuAccount
-from repro.obs.spans import maybe_span
+from repro.obs.registry import MetricsRegistry
 from repro.persist.encoding import AofCodec, AofRecord
 from repro.persist.interfaces import AppendSink
 from repro.sim import Environment, Event, Resource
-from repro.sim.stats import Counter
 
 __all__ = ["LoggingPolicy", "WalManager"]
 
@@ -55,6 +54,7 @@ class WalManager:
         policy: LoggingPolicy = LoggingPolicy.PERIODICAL,
         flush_interval: float = 1.0,
         buffer_limit_bytes: int = 32 * 1024 * 1024,
+        obs=None,
     ):
         if flush_interval <= 0:
             raise ValueError("flush_interval must be positive")
@@ -77,33 +77,34 @@ class WalManager:
         self._flush_kick: Event | None = None
         self._capacity_waiters: list[Event] = []
         self._closing = False
-        self.counters = Counter()
-        self.obs = None
+        # Spans: every wal_flush/wal_fsync on track "wal" runs under
+        # the sink lock, so they never overlap; the everysec fsync that
+        # deliberately runs outside the lock gets its own "wal-sync"
+        # track.
+        self.obs = obs or MetricsRegistry(env)
+        self._obs_flush_bytes = self.obs.histogram(
+            "wal_flush_bytes", policy=policy.value
+        )
+        self._obs_buffered = self.obs.gauge("wal_buffered_bytes")
+        self._obs_buffered.set(0.0)
+        self._obs_group_commits = self.obs.counter("wal_group_commits_total")
+        self._obs_backpressure = self.obs.counter(
+            "wal_backpressure_waits_total"
+        )
+        self._obs_records = self.obs.counter("wal_records_total")
+        self._obs_sync_flushes = self.obs.counter("wal_sync_flushes_total")
+        self._obs_periodic_flushes = self.obs.counter(
+            "wal_periodic_flushes_total"
+        )
+        self._obs_idle_writes = self.obs.counter("wal_idle_writes_total")
+        self._obs_rotations = self.obs.counter("wal_rotations_total")
+        self._obs_retirements = self.obs.counter("wal_retirements_total")
         #: request tracer (None = tracing off); drains record a
         #: ``wal_flush`` span whose ``links`` name every trace id the
         #: group commit makes durable
         self.rtrace = None
         if policy is LoggingPolicy.PERIODICAL:
             env.process(self._flusher(), name="wal-flusher")
-
-    def attach_obs(self, registry) -> None:
-        """Register instruments: flush sizes, buffer level, commits.
-
-        Spans: every ``wal_flush``/``wal_fsync`` on track ``wal`` runs
-        under the sink lock, so they never overlap; the everysec fsync
-        that deliberately runs outside the lock gets its own
-        ``wal-sync`` track.
-        """
-        self.obs = registry
-        self._obs_flush_bytes = registry.histogram(
-            "wal_flush_bytes", policy=self.policy.value
-        )
-        self._obs_buffered = registry.gauge("wal_buffered_bytes")
-        self._obs_buffered.set(0.0)
-        self._obs_group_commits = registry.counter("wal_group_commits_total")
-        self._obs_backpressure = registry.counter(
-            "wal_backpressure_waits_total"
-        )
 
     # ------------------------------------------------------------------ staging
     def stage(self, record: AofRecord) -> int:
@@ -113,11 +114,10 @@ class WalManager:
         self._buffer_bytes += len(data)
         self._logged_bytes += len(data)
         self._staged_seq += 1
-        self.counters.add("records")
+        self._obs_records.inc()
         if self.rtrace is not None:
             self.rtrace.note_wal_stage(self._staged_seq)
-        if self.obs is not None:
-            self._obs_buffered.set(float(self._buffer_bytes))
+        self._obs_buffered.set(float(self._buffer_bytes))
         if self._buffer_bytes >= self.buffer_limit:
             self._kick()
         return self._staged_seq
@@ -146,9 +146,7 @@ class WalManager:
             waiter = self.env.event()
             self._capacity_waiters.append(waiter)
             yield waiter
-            self.counters.add("backpressure_waits")
-            if self.obs is not None:
-                self._obs_backpressure.inc()
+            self._obs_backpressure.inc()
 
     @property
     def size(self) -> int:
@@ -172,9 +170,7 @@ class WalManager:
                 yield from self._drain_locked(fsync=True)
             finally:
                 self._sink_lock.release(req)
-            self.counters.add("group_commits")
-            if self.obs is not None:
-                self._obs_group_commits.inc()
+            self._obs_group_commits.inc()
 
     def flush_now(self) -> Generator:
         """Drain, then make everything appended so far durable.
@@ -202,7 +198,7 @@ class WalManager:
         if rt is not None:
             tsp = rt.open_span("wal_fsync", "wal")
         try:
-            with maybe_span(self.obs, "wal_fsync", track="wal-sync"):
+            with self.obs.span("wal_fsync", track="wal-sync"):
                 yield from self.sink.flush(self.account)
         finally:
             if rt is not None:
@@ -210,7 +206,7 @@ class WalManager:
                 if bg is not None:
                     rt.finish_background(bg)
         self._durable_seq = max(self._durable_seq, top)
-        self.counters.add("sync_flushes")
+        self._obs_sync_flushes.inc()
 
     # ------------------------------------------------------------------ idle drain
     def idle_drain(self, cpu: Resource):
@@ -246,7 +242,7 @@ class WalManager:
                 yield from self._drain_locked(fsync=False)
             finally:
                 cpu.release(cpu_req)
-            self.counters.add("idle_writes")
+            self._obs_idle_writes.inc()
         finally:
             self._sink_lock.release(req)
             self._idle_drain_active = False
@@ -288,17 +284,14 @@ class WalManager:
                                        policy=self.policy.value,
                                        nbytes=len(data))
                 try:
-                    with maybe_span(self.obs, "wal_flush", track="wal",
-                                    policy=self.policy.value):
+                    with self.obs.span("wal_flush", track="wal",
+                                       policy=self.policy.value):
                         yield from self.sink.append(data, self.account)
                 finally:
                     if rt is not None:
                         rt.close_span(tsp)
-                self.counters.add("drains")
-                self.counters.add("drained_bytes", len(data))
-                if self.obs is not None:
-                    self._obs_flush_bytes.observe(float(len(data)))
-                    self._obs_buffered.set(float(self._buffer_bytes))
+                self._obs_flush_bytes.observe(float(len(data)))
+                self._obs_buffered.set(float(self._buffer_bytes))
                 if self._capacity_waiters and self._buffer_bytes < self.buffer_limit:
                     waiters, self._capacity_waiters = self._capacity_waiters, []
                     for w in waiters:
@@ -307,13 +300,13 @@ class WalManager:
                 tsp = rt.open_span("wal_fsync", "wal") \
                     if rt is not None else None
                 try:
-                    with maybe_span(self.obs, "wal_fsync", track="wal"):
+                    with self.obs.span("wal_fsync", track="wal"):
                         yield from self.sink.flush(self.account)
                 finally:
                     if rt is not None:
                         rt.close_span(tsp)
                 self._durable_seq = max(self._durable_seq, top)
-                self.counters.add("sync_flushes")
+                self._obs_sync_flushes.inc()
         finally:
             if bg is not None:
                 rt.finish_background(bg)
@@ -357,7 +350,7 @@ class WalManager:
             if self._closing:
                 return
             yield from self.flush_now()
-            self.counters.add("periodic_flushes")
+            self._obs_periodic_flushes.inc()
             if env.fast_forward and self._ff_quiescent():
                 # Quiescence fast-forward: replay the following run of
                 # provably idle ticks in closed form. Each absorbed tick
@@ -366,8 +359,8 @@ class WalManager:
                 # the k-th instant (idle wal_fsync spans are elided).
                 k, wake = env.ff_absorb_ticks(self.flush_interval)
                 if k:
-                    self.counters.add("sync_flushes", k)
-                    self.counters.add("periodic_flushes", k)
+                    self._obs_sync_flushes.inc(k)
+                    self._obs_periodic_flushes.inc(k)
                     # per idle tick the classic lane dispatches the tick
                     # timeout and the AnyOf condition, plus an immediate
                     # event for the sink-lock grant when inline resume
@@ -399,7 +392,7 @@ class WalManager:
         self._buffer_bytes = 0
         self._boundary_pending += 1
         self._logged_bytes = 0
-        self.counters.add("rotations")
+        self._obs_rotations.inc()
         self._kick()
 
     def retire_previous(self) -> Generator:
@@ -411,7 +404,7 @@ class WalManager:
             yield from self.sink.retire_previous(self.account)
         finally:
             self._sink_lock.release(req)
-        self.counters.add("retirements")
+        self._obs_retirements.inc()
 
     # ------------------------------------------------------------------ recovery
     def read_records(self, account: CpuAccount) -> Generator:

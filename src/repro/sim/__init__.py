@@ -31,12 +31,9 @@ from repro.sim.engine import (
     Timeout,
 )
 from repro.sim.resources import Lock, PriorityResource, Resource, Store
-from repro.sim.tracing import TraceRecord, Tracer
 from repro.sim.stats import (
-    Counter,
     IntervalRate,
     LatencyRecorder,
-    TimeSeries,
     TimeWeighted,
     percentile,
 )
@@ -54,12 +51,8 @@ __all__ = [
     "PriorityResource",
     "Resource",
     "Store",
-    "Counter",
     "IntervalRate",
     "LatencyRecorder",
-    "TimeSeries",
     "TimeWeighted",
     "percentile",
-    "Tracer",
-    "TraceRecord",
 ]

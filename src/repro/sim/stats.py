@@ -1,4 +1,4 @@
-"""Measurement primitives: counters, latencies, time series.
+"""Measurement primitives: exact latency samples and rate timelines.
 
 All heavy aggregation (percentiles, binned rates) is vectorized with
 numpy per the HPC guides — samples are appended to plain lists during
@@ -13,9 +13,7 @@ import numpy as np
 
 __all__ = [
     "percentile",
-    "Counter",
     "LatencyRecorder",
-    "TimeSeries",
     "TimeWeighted",
     "IntervalRate",
 ]
@@ -32,28 +30,6 @@ def percentile(samples: Sequence[float], q: float) -> float:
     return float(
         np.percentile(np.asarray(samples, dtype=np.float64), q, method="higher")
     )
-
-
-class Counter:
-    """Named monotonically increasing counters (dict with ergonomics)."""
-
-    def __init__(self) -> None:
-        self._counts: dict[str, float] = {}
-
-    def add(self, name: str, amount: float = 1.0) -> None:
-        self._counts[name] = self._counts.get(name, 0.0) + amount
-
-    def get(self, name: str) -> float:
-        return self._counts.get(name, 0.0)
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(self._counts)
-
-    def __getitem__(self, name: str) -> float:
-        return self.get(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._counts
 
 
 class LatencyRecorder:
@@ -98,38 +74,6 @@ class LatencyRecorder:
             "p999": self.p(99.9),
             "max": self.max(),
         }
-
-
-class TimeSeries:
-    """(time, value) samples, e.g. instantaneous queue depth, memory."""
-
-    def __init__(self, name: str = "series"):
-        self.name = name
-        self._t: list[float] = []
-        self._v: list[float] = []
-
-    def record(self, t: float, value: float) -> None:
-        if self._t and t < self._t[-1]:
-            raise ValueError("TimeSeries timestamps must be non-decreasing")
-        self._t.append(t)
-        self._v.append(value)
-
-    def __len__(self) -> int:
-        return len(self._t)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.asarray(self._t, dtype=np.float64)
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.asarray(self._v, dtype=np.float64)
-
-    def last(self) -> float:
-        return self._v[-1] if self._v else float("nan")
-
-    def max(self) -> float:
-        return float(np.max(self.values)) if self._v else float("nan")
 
 
 class TimeWeighted:

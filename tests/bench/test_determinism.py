@@ -15,7 +15,9 @@ absolute op counts.
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +37,13 @@ TINY = replace(
     gc_heavy_trigger_bytes=2 * 1024 * 1024,
 )
 
+#: sha256 of every experiment's TINY report with all lanes on, pinned
+#: once at the commit before the telemetry paths were merged: the
+#: committed oracle that a refactor changes no report
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden_digests.json").read_text()
+)
+
 
 def _digest(name: str, *, batched: bool, fast_sim: bool,
             fast_forward: bool = True) -> str:
@@ -46,12 +55,16 @@ def _digest(name: str, *, batched: bool, fast_sim: bool,
 
 @pytest.mark.parametrize("name", list(EXPERIMENTS))
 def test_batched_fast_path_is_result_invariant(name):
-    """All fast lanes on vs fully off: byte-identical reports."""
+    """All fast lanes on vs fully off: byte-identical reports, and
+    identical to the committed golden digest."""
     fast = _digest(name, batched=True, fast_sim=True, fast_forward=True)
     slow = _digest(name, batched=False, fast_sim=False,
                    fast_forward=False)
     assert fast == slow, (
         f"{name}: optimized report diverged from the reference path"
+    )
+    assert fast == GOLDEN[name], (
+        f"{name}: report diverged from tests/bench/golden_digests.json"
     )
 
 

@@ -134,7 +134,7 @@ def test_wal_generation_switch_and_retire(world):
     assert [r.key for r in recs] == [b"new"]
     assert wal.size > 0
     # old generation pages were TRIMmed (white-box FTL assertion)
-    assert dev.ftl.counters["deallocated_pages"] >= 2  # slimlint: ignore[SLIM006]
+    assert dev.ftl.obs.total("ftl_deallocated_pages_total") >= 2
 
 
 def test_wal_writes_carry_wal_pid(world):

@@ -46,9 +46,9 @@ def test_torn_prefix_keeps_first_pages(env, device):
     stored = device.peek(8, 4)
     assert stored[: 2 * page] == payload[: 2 * page]
     assert not any(stored[2 * page:])  # torn pages keep their old content
-    assert faulty.counters["power_cuts"] == 1
-    assert faulty.counters["torn_write_cmds"] == 1
-    assert faulty.counters["torn_pages"] == 2
+    assert faulty.obs.total("faults_power_cuts_total") == 1
+    assert faulty.obs.total("faults_torn_write_cmds_total") == 1
+    assert faulty.obs.total("faults_torn_pages_total") == 2
 
 
 def test_torn_shuffle_is_a_seeded_subset():
@@ -101,7 +101,7 @@ def test_commands_after_cut_hang_forever(env, device):
     p2 = env.process(faulty.submit(ReadCmd(lba=0, nlb=1)))
     env.run(until=env.now + 1.0)
     assert p1.is_alive and p2.is_alive
-    assert faulty.counters["commands_after_cut"] == 1
+    assert faulty.obs.total("faults_commands_after_cut_total") == 1
 
 
 def test_cut_now_after_quiesce_keeps_completed_writes(env, device):
@@ -166,8 +166,8 @@ def test_force_errors_targets_lba_ranges(env, device):
 
     assert drive(env, proc()) == [("error", "write", 10), "ok",
                                   "read-timeout"]
-    assert faulty.counters["errors_injected"] == 1
-    assert faulty.counters["timeouts_injected"] == 1
+    assert faulty.obs.total("faults_errors_injected_total") == 1
+    assert faulty.obs.total("faults_timeouts_injected_total") == 1
 
 
 def test_seeded_errors_are_reproducible():
@@ -199,9 +199,8 @@ def test_seeded_errors_are_reproducible():
 
 def test_attach_obs_mirrors_counters(env, device):
     page = device.lba_size
-    faulty = FaultyDevice(device)
     registry = MetricsRegistry(env, name="faults-test")
-    faulty.attach_obs(registry)
+    faulty = FaultyDevice(device, obs=registry)
     faulty.force_errors(0, 1, count=1, opcode="write")
 
     def proc():

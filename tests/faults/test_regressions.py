@@ -159,7 +159,7 @@ def test_failed_promotion_rolls_back_and_retries_cleanly():
         env.run(until=proc)
     assert system.space.slots.roles == roles_before
     assert system.space.slots.slot_of(SlotRole.ONDEMAND_SNAPSHOT) is None
-    assert system.wal_ring.counters["retry_giveups"] == 1
+    assert system.wal_ring.obs.total("uring_retry_giveups_total") == 1
 
     # the fault budget is exhausted: the next attempt publishes cleanly
     env.run(until=system.server.start_snapshot(SnapshotKind.ON_DEMAND))

@@ -17,6 +17,11 @@ from repro.obs import MetricsRegistry
 from tests.faults.conftest import drive
 
 
+def _completed(ring) -> int:
+    return ring.obs.histogram("uring_completion_seconds",
+                              ring=ring.name).count
+
+
 def test_backoff_schedule():
     p = RetryPolicy()  # base 50us, doubling, capped at 2ms
     assert p.backoff(1) == pytest.approx(50e-6)
@@ -46,10 +51,10 @@ def test_transient_errors_absorbed_by_retries(env, device, account):
             WriteCmd(lba=0, nlb=1, data=b"r" * page), account)
 
     drive(env, proc())
-    assert ring.counters["nvme_errors"] == 2
-    assert ring.counters["retries"] == 2
-    assert ring.counters["retry_giveups"] == 0
-    assert ring.counters["completed"] == 1
+    assert ring.obs.total("uring_nvme_errors_total") == 2
+    assert ring.obs.total("uring_retries_total") == 2
+    assert ring.obs.total("uring_retry_giveups_total") == 0
+    assert _completed(ring) == 1
     assert device.peek(0) == b"r" * page
     # both backoffs elapsed (50 + 100 us) on top of the error latency
     assert env.now >= 150e-6
@@ -71,10 +76,11 @@ def test_bounded_giveup_fails_the_completion(env, device, account):
 
     exc = drive(env, proc())
     assert isinstance(exc, NvmeError)
-    assert ring.counters["nvme_errors"] == 4  # all four attempts failed
-    assert ring.counters["retries"] == 3
-    assert ring.counters["retry_giveups"] == 1
-    assert ring.counters.get("completed") == 0
+    # all four attempts failed
+    assert ring.obs.total("uring_nvme_errors_total") == 4
+    assert ring.obs.total("uring_retries_total") == 3
+    assert ring.obs.total("uring_retry_giveups_total") == 1
+    assert _completed(ring) == 0
     assert ring.inflight == 0  # the slot was released on giveup
 
 
@@ -93,8 +99,8 @@ def test_max_attempts_one_disables_retries(env, device, account):
             return "failed"
 
     assert drive(env, proc()) == "failed"
-    assert ring.counters["retries"] == 0
-    assert ring.counters["retry_giveups"] == 1
+    assert ring.obs.total("uring_retries_total") == 0
+    assert ring.obs.total("uring_retry_giveups_total") == 1
 
 
 def test_retry_none_surfaces_the_first_error(env, device, account):
@@ -111,16 +117,16 @@ def test_retry_none_surfaces_the_first_error(env, device, account):
             return "failed"
 
     assert drive(env, proc()) == "failed"
-    assert ring.counters["retries"] == 0
-    assert ring.counters["retry_giveups"] == 1
+    assert ring.obs.total("uring_retries_total") == 0
+    assert ring.obs.total("uring_retry_giveups_total") == 1
 
 
 def test_retry_counters_reach_obs(env, device, account):
     page = device.lba_size
     faulty = FaultyDevice(device)
-    ring = PassthruQueuePair(env, faulty, KernelCosts(), name="test-ring")
     registry = MetricsRegistry(env, name="retry-test")
-    ring.attach_obs(registry)
+    ring = PassthruQueuePair(env, faulty, KernelCosts(), name="test-ring",
+                             obs=registry)
     faulty.force_errors(0, 1, count=1, opcode="write")
 
     def proc():

@@ -206,7 +206,7 @@ def test_host_stall_time_under_pressure():
     lpns = list(range(pages_per_seg)) * 16
     run_writes(env, ftl, lpns)
     # with only 8 segments the writer must have waited for GC at least once
-    assert ftl.counters["alloc_stalls"] > 0
+    assert ftl.obs.total("ftl_alloc_stalls_total") > 0
     assert ftl.stats.host_stall_time > 0
 
 

@@ -21,7 +21,7 @@ def test_single_program_latency():
     p = env.process(proc())
     env.run(until=p)
     assert env.now == pytest.approx(200e-6)
-    assert nand.counters["page_programs"] == 1
+    assert nand.obs.total("nand_page_programs_total") == 1
 
 
 def test_single_read_latency():
@@ -95,8 +95,8 @@ def test_erase_segment_parallel_across_dies():
     p = env.process(proc())
     env.run(until=p)
     assert env.now == pytest.approx(2e-3)  # one erase latency, all dies parallel
-    assert nand.counters["segment_erases"] == 1
-    assert nand.counters["block_erases"] == g.total_dies
+    assert nand.obs.total("nand_segment_erases_total") == 1
+    assert nand.obs.total("nand_block_erases_total") == g.total_dies
 
 
 def test_utilization_accounting():

@@ -131,7 +131,7 @@ def test_active_cycle_evicts_without_access():
     run(env, proc())
     assert len(system.server.store) == 1
     assert system.server.store.get(b"stay") == b"v"
-    assert system.server.expiry.counters["active_evictions"] == 8
+    assert system.server.expiry.obs.total("expiry_active_evictions_total") == 8
     system.stop()
 
 

@@ -185,7 +185,7 @@ def test_wal_snapshot_trigger_fires_and_rotates():
     drive(env, proc())
     kinds = [s.kind for s in server.metrics.snapshots]
     assert SnapshotKind.WAL_TRIGGERED in kinds
-    assert server.wal.counters["rotations"] >= 1
+    assert server.wal.obs.total("wal_rotations_total") >= 1
     # WAL was rotated: its current generation is smaller than the trigger
     assert server.wal.size < 4000 * 2
     server.stop()

@@ -53,7 +53,7 @@ def test_slimio_no_sqpoll_variant_roundtrips():
     system = build_slimio(
         config=TEST_SCALE.system_config(gc_pressure=False, sqpoll=False))
     small_workload().run(system)
-    assert system.wal_ring.counters["enter_syscalls"] > 0
+    assert system.wal_ring.obs.total("uring_enter_syscalls_total") > 0
     system.stop()
 
 

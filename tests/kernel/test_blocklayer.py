@@ -16,7 +16,7 @@ def test_submit_roundtrip(env, block, device):
 
     drive(env, proc())
     assert device.stats.write_cmds == 1
-    assert block.counters["async_cmds"] == 1
+    assert block.obs.total("block_cmds_total", sync="false") == 1
 
 
 def test_sync_flag_counted(env, block, device):
@@ -26,7 +26,7 @@ def test_sync_flag_counted(env, block, device):
         )
 
     drive(env, proc())
-    assert block.counters["sync_cmds"] == 1
+    assert block.obs.total("block_cmds_total", sync="true") == 1
 
 
 def test_inflight_limit_queues(env, device, costs):
@@ -162,7 +162,7 @@ def test_deadline_scheduler_bounds_write_starvation(env, device, costs):
     env.run()
     # without promotion the write would wait for all 200 reads
     assert done["write"] < 150 * 2e-6 * 200
-    assert blk.counters["deadline_promotions"] >= 1
+    assert blk.obs.total("block_deadline_promotions_total") >= 1
 
 
 def test_deadline_validation(env, device, costs):

@@ -79,7 +79,7 @@ def test_extent_allocation_grows_file(env, fs, account):
 
     drive(env, proc())
     assert f.inode.allocated_pages() >= 10
-    assert fs.counters["extent_allocs"] >= 2
+    assert fs.obs.total("fs_extent_allocs_total") >= 2
 
 
 def test_out_of_space_raises(env, fs, account):
@@ -107,7 +107,7 @@ def test_unlink_frees_space_and_trims(env, fs, account, device):
     fs.unlink("temp")
     env.run()  # let the discard process finish
     assert fs.free_bytes == free0
-    assert fs.counters["discarded_pages"] >= 8
+    assert fs.obs.total("fs_discarded_pages_total") >= 8
     assert not fs.exists("temp")
 
 

@@ -51,7 +51,7 @@ def test_journal_cursor_wraps(env, fs, account):
     drive(env, proc())
     # wrapped: cursor stayed within the journal area
     assert 0 <= fs._journal_cursor < fs._journal_pages
-    assert fs.counters["journal_commits"] == fs._journal_pages + 5
+    assert fs.obs.total("fs_journal_commits_total") == fs._journal_pages + 5
 
 
 def test_journal_area_excluded_from_allocation(env, fs, account):
@@ -91,7 +91,7 @@ def test_ext4_journal_writes_more_than_f2fs(env, device, costs):
 
         p = env2.process(proc())
         env2.run(until=p)
-        return fs.counters["journal_pages"]
+        return fs.obs.total("fs_journal_pages_total")
 
     assert journal_pages(Ext4) > journal_pages(F2fs)
 

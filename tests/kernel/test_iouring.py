@@ -8,6 +8,11 @@ from repro.nvme import ReadCmd, WriteCmd
 from tests.kernel.conftest import drive
 
 
+def _completed(ring) -> int:
+    return ring.obs.histogram("uring_completion_seconds",
+                              ring=ring.name).count
+
+
 def test_submit_and_wait_roundtrip(env, device, costs, account):
     ring = PassthruQueuePair(env, device, costs)
     page = device.lba_size
@@ -20,8 +25,8 @@ def test_submit_and_wait_roundtrip(env, device, costs, account):
         return data
 
     assert drive(env, proc()) == payload
-    assert ring.counters["submitted"] == 2
-    assert ring.counters["completed"] == 2
+    assert ring.obs.total("uring_submitted_total") == 2
+    assert _completed(ring) == 2
 
 
 def test_sqpoll_mode_no_syscalls(env, device, costs, account):
@@ -32,7 +37,7 @@ def test_sqpoll_mode_no_syscalls(env, device, costs, account):
             WriteCmd(lba=0, nlb=1, data=bytes(device.lba_size)), account)
 
     drive(env, proc())
-    assert ring.counters["enter_syscalls"] == 0
+    assert ring.obs.total("uring_enter_syscalls_total") == 0
     assert account.time_in("syscall") == 0
 
 
@@ -44,7 +49,7 @@ def test_non_sqpoll_pays_enter_syscall(env, device, costs, account):
             WriteCmd(lba=0, nlb=1, data=bytes(device.lba_size)), account)
 
     drive(env, proc())
-    assert ring.counters["enter_syscalls"] == 1
+    assert ring.obs.total("uring_enter_syscalls_total") == 1
     assert account.time_in("syscall") > 0
 
 
@@ -79,7 +84,7 @@ def test_ring_depth_backpressure(env, device, costs, account):
             yield from ring.wait(ev, account)
 
     drive(env, proc())
-    assert ring.counters["completed"] == 3
+    assert _completed(ring) == 3
 
 
 def test_write_pages_requires_alignment(env, device, costs, account):

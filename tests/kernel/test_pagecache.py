@@ -21,7 +21,7 @@ def test_write_read_through_cache(env, cache, account):
         return data
 
     assert drive(env, proc()) == b"hello world"
-    assert cache.counters["cache_hits"] > 0
+    assert cache.obs.total("pagecache_cache_hits_total") > 0
 
 
 def test_write_unregistered_file_rejected(env, cache, account):
@@ -82,7 +82,7 @@ def test_dirty_throttle_blocks_writer(env, block, costs, device):
             yield from cache.write(1, i * 4096, bytes(4096), account)
 
     drive(env, proc())
-    assert cache.counters["throttle_events"] > 0
+    assert cache.obs.total("pagecache_throttle_events_total") > 0
     assert account.time_in("dirty_throttle") > 0
 
 
@@ -125,7 +125,7 @@ def test_read_miss_fetches_from_device(env, cache, account, device, block):
         return data
 
     assert drive(env, proc()) == payload
-    assert cache.counters["cache_misses"] > 0
+    assert cache.obs.total("pagecache_cache_misses_total") > 0
     assert account.time_in("ssd_wait") > 0
 
 
@@ -171,7 +171,7 @@ def test_fsync_on_clean_file_is_cheap(env, cache, account):
         yield from cache.fsync(1, account)
 
     drive(env, proc())
-    assert cache.counters["fsyncs"] == 1
+    assert cache.obs.total("pagecache_fsyncs_total") == 1
 
 
 def test_invalid_configs(env, block, costs):

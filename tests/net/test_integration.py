@@ -111,7 +111,7 @@ def test_power_cut_with_queued_connections_keeps_acked_prefix():
     env.run(until=1.0)  # the cut leaves hung dispatchers; just move on
 
     issued = fe.issued
-    assert faulty.counters["power_cuts"] == 1
+    assert faulty.obs.total("faults_power_cuts_total") == 1
     assert 0 < len(acked) < issued  # queued commands died with the cut
 
     result = _recover(config, faulty.inner.image())

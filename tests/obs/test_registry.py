@@ -36,6 +36,24 @@ def test_kind_mismatch_raises(reg):
         reg.histogram("x")
 
 
+def test_total_sums_over_labels_and_never_creates(reg):
+    reg.counter("cmds_total", ring="a", shard="s0").inc(2)
+    reg.counter("cmds_total", ring="b", shard="s0").inc(3)
+    reg.counter("cmds_total", ring="a", shard="s1").inc(5)
+    assert reg.total("cmds_total") == 10
+    assert reg.total("cmds_total", ring="a") == 7
+    assert reg.labeled(shard="s0").total("cmds_total") == 5
+    before = len(reg.instruments())
+    with pytest.raises(KeyError):
+        reg.total("cmd_total")  # a misspelt name must not read 0
+    with pytest.raises(KeyError):
+        reg.total("cmds_total", ring="c")
+    assert len(reg.instruments()) == before
+    reg.gauge("depth").set(4.0)
+    with pytest.raises(TypeError):
+        reg.total("depth")
+
+
 def test_gauge_watermarks(reg):
     g = reg.gauge("depth")
     g.set(5)

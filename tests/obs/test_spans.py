@@ -2,15 +2,8 @@
 
 import pytest
 
-from repro.obs import NULL_SPAN, MetricsRegistry, maybe_span
+from repro.obs import MetricsRegistry
 from repro.sim import Environment
-
-
-def test_maybe_span_without_registry_is_shared_noop():
-    s = maybe_span(None, "anything", track="t", k="v")
-    assert s is NULL_SPAN
-    with s:
-        pass  # no-op, no state
 
 
 def test_span_records_sim_time():
@@ -19,7 +12,7 @@ def test_span_records_sim_time():
 
     def proc():
         yield env.timeout(1.0)
-        with maybe_span(reg, "work", track="io", kind="x"):
+        with reg.span("work", track="io", kind="x"):
             yield env.timeout(2.5)
 
     env.run(until=env.process(proc()))
@@ -31,13 +24,19 @@ def test_span_records_sim_time():
     assert rec.ok
 
 
-def test_span_emits_into_tracer():
+def test_span_log_is_in_completion_order():
     env = Environment()
     reg = MetricsRegistry(env)
-    with reg.span("flush", track="wal"):
-        pass
-    events = [r.event for r in reg.tracer.records("wal")]
-    assert events == ["flush:begin", "flush:end"]
+
+    def proc():
+        with reg.span("flush", track="wal"):
+            yield env.timeout(1.0)
+            with reg.span("fsync", track="wal"):
+                yield env.timeout(1.0)
+
+    env.run(until=env.process(proc()))
+    assert [(s.name, s.t0, s.t1) for s in reg.spans] == \
+        [("fsync", 1.0, 2.0), ("flush", 0.0, 2.0)]
 
 
 def test_span_exception_propagates_and_marks_not_ok():
@@ -46,9 +45,8 @@ def test_span_exception_propagates_and_marks_not_ok():
         with reg.span("bad"):
             raise RuntimeError("boom")
     (rec,) = reg.spans
-    assert not rec.ok
-    assert [r.event for r in reg.tracer.records("main")] == \
-        ["bad:begin", "bad:error"]
+    assert (rec.name, rec.track, rec.ok) == ("bad", "main", False)
+    assert rec.t0 <= rec.t1
 
 
 def test_spans_named_filter():

@@ -64,8 +64,8 @@ def test_group_commit_batches_concurrent_writers():
     for p in procs:
         env.run(until=p)
     # far fewer sink flushes than records: the leader covered followers
-    assert wal.counters["sync_flushes"] < 20
-    assert wal.counters["records"] == 20
+    assert wal.obs.total("wal_sync_flushes_total") < 20
+    assert wal.obs.total("wal_records_total") == 20
     wal.close()
 
 
@@ -113,7 +113,7 @@ def test_backpressure_blocks_then_releases():
         assert not wal.over_buffer_limit
 
     env.run(until=env.process(proc()))
-    assert wal.counters["backpressure_waits"] >= 1
+    assert wal.obs.total("wal_backpressure_waits_total") >= 1
     wal.close()
 
 

@@ -61,7 +61,7 @@ def test_always_log_each_record_durable(world):
     records = drive(env, wal.read_records(acct))
     # read after crash misses cache but hits device
     assert [(r.key, r.value) for r in records] == [(b"k1", b"v1"), (b"k2", b"v2")]
-    assert wal.counters["sync_flushes"] == 2
+    assert wal.obs.total("wal_sync_flushes_total") == 2
 
 
 def test_periodical_log_buffers_then_flushes(world):
@@ -80,7 +80,7 @@ def test_periodical_log_buffers_then_flushes(world):
 
     drive(env, proc())
     assert wal.buffered_bytes == 0
-    assert wal.counters["periodic_flushes"] >= 1
+    assert wal.obs.total("wal_periodic_flushes_total") >= 1
     records = drive(env, wal.read_records(acct))
     assert len(records) == 10
     wal.close()
@@ -99,7 +99,7 @@ def test_periodical_log_buffer_pressure_forces_flush(world):
         yield env.timeout(0.1)
 
     drive(env, proc())
-    assert wal.counters["periodic_flushes"] >= 1
+    assert wal.obs.total("wal_periodic_flushes_total") >= 1
     wal.close()
 
 

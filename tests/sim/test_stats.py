@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.sim import Counter, IntervalRate, LatencyRecorder, TimeSeries, TimeWeighted, percentile
+from repro.sim import IntervalRate, LatencyRecorder, TimeWeighted, percentile
 
 
 def test_percentile_empty_is_nan():
@@ -18,16 +18,6 @@ def test_percentile_single_value():
 
 def test_percentile_median():
     assert percentile([1, 2, 3, 4, 5], 50) == 3
-
-
-def test_counter_add_get():
-    c = Counter()
-    c.add("writes")
-    c.add("writes", 2)
-    assert c.get("writes") == 3
-    assert c["missing"] == 0
-    assert "writes" in c and "missing" not in c
-    assert c.as_dict() == {"writes": 3}
 
 
 def test_latency_recorder_summary():
@@ -52,23 +42,6 @@ def test_latency_p999_tail_sensitivity():
     rec.extend([1.0] * 999 + [100.0])
     assert rec.p(50) == 1.0
     assert rec.p(99.9) > 50.0
-
-
-def test_timeseries_monotonic_times_enforced():
-    ts = TimeSeries()
-    ts.record(1, 10)
-    with pytest.raises(ValueError):
-        ts.record(0.5, 20)
-
-
-def test_timeseries_arrays_and_extrema():
-    ts = TimeSeries()
-    for t, v in [(0, 1), (1, 5), (2, 3)]:
-        ts.record(t, v)
-    assert len(ts) == 3
-    assert ts.max() == 5
-    assert ts.last() == 3
-    np.testing.assert_array_equal(ts.times, [0, 1, 2])
 
 
 def test_timeweighted_mean_and_peak():

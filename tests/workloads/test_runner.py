@@ -193,4 +193,4 @@ def test_always_log_policy_through_runner():
     system.stop()
     assert rep.ops == 200
     # group commits happened
-    assert system.wal.counters["group_commits"] > 0
+    assert system.wal.obs.total("wal_group_commits_total") > 0
