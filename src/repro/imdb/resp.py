@@ -116,10 +116,6 @@ class RespParser:
             return True, value
 
     # -- internals ---------------------------------------------------------
-    def _line_end(self, pos: int) -> int | None:
-        idx = self._buf.find(CRLF, pos)
-        return None if idx < 0 else idx
-
     def _parse_at(self, pos: int) -> tuple[RespValue, int] | None:
         if pos >= len(self._buf):
             return None
@@ -154,8 +150,10 @@ class RespParser:
             if not words:
                 return _SKIP, nl + 1  # whitespace-only line
             return words, nl + 1
-        eol = self._line_end(pos + 1)
-        if eol is None:
+        if kind == b"$":
+            return self._bulk_at(pos)
+        eol = self._buf.find(CRLF, pos + 1)
+        if eol < 0:
             return None
         header = bytes(self._buf[pos + 1:eol])
         body_start = eol + 2
@@ -168,43 +166,54 @@ class RespParser:
                 return int(header), body_start
             except ValueError as exc:
                 raise ProtocolError(f"bad integer {header!r}") from exc
-        if kind == b"$":
-            try:
-                n = int(header)
-            except ValueError as exc:
-                raise ProtocolError(f"bad bulk length {header!r}") from exc
-            if n == -1:
-                return None, body_start  # null bulk
-            if n < 0:
-                raise ProtocolError("negative bulk length")
-            end = body_start + n + 2
-            if len(self._buf) < end:
+        # kind == b"*"
+        try:
+            n = int(header)
+        except ValueError as exc:
+            raise ProtocolError(f"bad array length {header!r}") from exc
+        if n == -1:
+            return None, body_start  # null array
+        if n < 0:
+            raise ProtocolError("negative array length")
+        buf = self._buf
+        items: list[RespValue] = []
+        cursor = body_start
+        while len(items) < n:
+            # a command is an array of bulk strings: frame those here,
+            # in one pass, and recurse only for anything else
+            if buf[cursor:cursor + 1] == b"$":
+                got = self._bulk_at(cursor)
+            else:
+                got = self._parse_at(cursor)
+            if got is None:
                 return None
-            if bytes(self._buf[body_start + n:end]) != CRLF:
-                raise ProtocolError("bulk string not CRLF-terminated")
-            return bytes(self._buf[body_start:body_start + n]), end
-        if kind == b"*":
-            try:
-                n = int(header)
-            except ValueError as exc:
-                raise ProtocolError(f"bad array length {header!r}") from exc
-            if n == -1:
-                return None, body_start  # null array
-            if n < 0:
-                raise ProtocolError("negative array length")
-            items = []
-            cursor = body_start
-            for _ in range(n):
-                while True:  # tolerate stray blank lines between items
-                    got = self._parse_at(cursor)
-                    if got is None:
-                        return None
-                    item, cursor = got
-                    if item is not _SKIP:
-                        break
+            item, cursor = got
+            if item is not _SKIP:  # tolerate stray blank lines
                 items.append(item)
-            return items, cursor
-        raise ProtocolError(f"unreachable kind {kind!r}")
+        return items, cursor
+
+    def _bulk_at(self, pos: int) -> tuple[RespValue, int] | None:
+        """The bulk string whose ``$`` sits at ``pos``."""
+        buf = self._buf
+        eol = buf.find(CRLF, pos + 1)
+        if eol < 0:
+            return None
+        header = bytes(buf[pos + 1:eol])
+        body_start = eol + 2
+        try:
+            n = int(header)
+        except ValueError as exc:
+            raise ProtocolError(f"bad bulk length {header!r}") from exc
+        if n == -1:
+            return None, body_start  # null bulk
+        if n < 0:
+            raise ProtocolError("negative bulk length")
+        end = body_start + n + 2
+        if len(buf) < end:
+            return None
+        if buf[body_start + n:end] != CRLF:
+            raise ProtocolError("bulk string not CRLF-terminated")
+        return bytes(buf[body_start:body_start + n]), end
 
 
 def decode(data: bytes) -> RespValue:
@@ -226,13 +235,20 @@ def decode(data: bytes) -> RespValue:
 def encode_command(op: ClientOp) -> bytes:
     """A ClientOp as the RESP array a client would send."""
     if op.op == "SET":
-        parts: list[RespValue] = [b"SET", op.key, op.value]
+        words: list[RespValue] = [b"SET", op.key, op.value]
         if op.ttl is not None:
-            parts += [b"PX", str(int(round(op.ttl * 1000))).encode()]
-        return encode(parts)
-    if op.op == "GET":
-        return encode([b"GET", op.key])
-    return encode([b"DEL", op.key])
+            words += [b"PX", str(int(round(op.ttl * 1000))).encode()]
+    elif op.op == "GET":
+        words = [b"GET", op.key]
+    else:
+        words = [b"DEL", op.key]
+    parts = [b"*%d\r\n" % len(words)]
+    for w in words:
+        if type(w) is bytes:
+            parts += (b"$%d\r\n" % len(w), w, CRLF)
+        else:
+            parts.append(encode(w))
+    return b"".join(parts)
 
 
 def decode_command(data: bytes) -> ClientOp:

@@ -1,9 +1,10 @@
 """Per-connection state machines: framing, queues, backpressure.
 
 A :class:`Connection` is one simulated TCP connection.  The client side
-writes RESP2-encoded command bytes into the connection's inbox (in
-fragments, paced by client bandwidth — slow clients trickle); the
-server side runs two processes:
+writes RESP2-encoded commands into the connection's inbox, each
+arriving when the last of its ``fragment_bytes`` fragments would have
+(paced by client bandwidth — slow clients trickle); the server side
+runs two processes:
 
 * a **reader** that feeds arriving chunks through a streaming
   :class:`~repro.imdb.resp.RespParser`, maps each complete frame to a
@@ -47,7 +48,7 @@ from repro.imdb.resp import (
     op_from_command,
     RespParser,
 )
-from repro.sim import Environment, Event, Store
+from repro.sim import Environment, Event, Interrupt, Process, Store
 
 __all__ = ["BackpressurePolicy", "NetConfig", "Connection"]
 
@@ -74,7 +75,10 @@ class NetConfig:
     policy: BackpressurePolicy = BackpressurePolicy.BLOCK
     #: client-side pipelining window (commands in flight per connection)
     pipeline_depth: int = 1
-    #: client writes are fragmented into chunks of this size
+    #: wire fragment size: a command's delivery instant is the running
+    #: sum of its fragments' ``len / bandwidth`` delays, and a sender
+    #: notices a close at the next fragment boundary.  The inbox holds
+    #: whole commands, not fragments.
     fragment_bytes: int = 512
     #: client -> server path, bytes/s
     client_bandwidth: float = 100e6
@@ -131,6 +135,9 @@ class Connection:
         self.replies: list[bytes] = []
         self._outstanding = 0
         self._window_ev: Event | None = None
+        #: (sender process, fragment boundary instants) while a
+        #: command is on the wire
+        self._train: tuple[Process, list[float]] | None = None
         self._reader = env.process(self._read_loop(),
                                    name=f"conn{conn_id}-rd")
         self._dispatcher = env.process(self._dispatch_loop(),
@@ -158,15 +165,26 @@ class Connection:
             self._outstanding += 1
             self._meta.append(t_intended)
             self.fe.issued += 1
+            # the fragment train in closed form: boundaries accumulate
+            # fragment by fragment (the float arithmetic a chain of
+            # per-fragment timeouts performs), one event delivers
             bw = self._bandwidth(self.cfg.client_bandwidth)
             frag = self.cfg.fragment_bytes
+            t = self.env.now
+            bounds = []
             for i in range(0, len(data), frag):
-                chunk = data[i:i + frag]
-                yield self.env.timeout(len(chunk) / bw)
-                if self.closed:
-                    self.fe.unsent += len(group) - sent - 1
-                    return sent
-                yield self.inbox.put(chunk)
+                t = t + min(frag, len(data) - i) / bw
+                bounds.append(t)
+            self._train = (self.env.active_process, bounds)
+            try:
+                yield self.env.at(t)
+            except Interrupt:
+                pass  # closed mid-train: woken at a fragment boundary
+            self._train = None
+            if self.closed:
+                self.fe.unsent += len(group) - sent - 1
+                return sent
+            yield self.inbox.put(data)
             sent += 1
         return sent
 
@@ -196,6 +214,18 @@ class Connection:
             self._window_ev = None
             ev.succeed()
 
+    def _mark_closed(self) -> None:
+        """Set ``closed``.  A sender mid-train observes it at the first
+        fragment boundary at or after this instant: the delivery event
+        already covers the last boundary, an earlier one needs a wake."""
+        self.closed = True
+        if self._train is not None:
+            sender, bounds = self._train
+            t = next(b for b in bounds if b >= self.env.now)
+            if t < bounds[-1]:
+                self.env.at(t).callbacks.append(
+                    lambda _ev: sender.interrupt())
+
     def _pay_write(self, nbytes: int) -> Generator:
         yield self.env.timeout(nbytes / self._bandwidth(
             self.cfg.server_bandwidth))
@@ -210,7 +240,7 @@ class Connection:
                 # graceful close: the dispatcher drains what's queued,
                 # then exits on the sentinel
                 if not self.closed:
-                    self.closed = True
+                    self._mark_closed()
                     yield self.queue.put(_CLOSE)
                 self._wake_window()
                 return
@@ -279,7 +309,7 @@ class Connection:
         # commands on the wire but never parsed are lost too
         fe.dropped_cmds += len(self._meta)
         self._meta.clear()
-        self.closed = True
+        self._mark_closed()
         self.dropped = True
         fe.dropped_conns += 1
         self.queue.put(_CLOSE)  # room guaranteed: queue just cleared

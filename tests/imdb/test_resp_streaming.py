@@ -197,6 +197,87 @@ def test_malformed_frames_raise(raw):
         p.parse()
 
 
+# Byte streams (valid, malformed and mixed) with the transcript the
+# parser produced before the bulk-string branch became ``_bulk_at`` and
+# arrays stopped recursing for ``$`` items: values popped in order, then
+# the ProtocolError message that ended the stream (None: ran dry).
+PINNED_STREAMS = [
+    (b"*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$1\r\nv\r\n",
+     ([[b"SET", b"k", b"v"]], None)),
+    (b"*5\r\n$3\r\nSET\r\n$1\r\nk\r\n$4\r\na\r\nb\r\n"
+     b"$2\r\nPX\r\n$3\r\n250\r\n",
+     ([[b"SET", b"k", b"a\r\nb", b"PX", b"250"]], None)),
+    (b"*2\r\n$3\r\nGET\r\n$-1\r\n",            # null bulk as an item
+     ([[b"GET", None]], None)),
+    (b"*2\r\n\r\n$1\r\na\r\n\n:5\r\n",          # blank lines between items
+     ([[b"a", 5]], None)),
+    (b"*2\r\n*1\r\n$1\r\na\r\n+x\r\n",           # nested array, then simple
+     ([[[b"a"], "x"]], None)),
+    (b"*2\r\n$3\r\nGET\r\nfoo bar\r\n",          # inline line as an item
+     ([[b"GET", [b"foo", b"bar"]]], None)),
+    (b"*0\r\n+after\r\n",
+     ([[], "after"], None)),
+    (b"*-1\r\n$-1\r\n",                          # null array, null bulk
+     ([None, None], None)),
+    (b"+OK\r\n*1\r\n$4\r\nPING\r\nGET k\n\r\n$2\r\nhi\r\n",
+     (["OK", [b"PING"], [b"GET", b"k"], b"hi"], None)),
+    (b"  \r\n*1\r\n$1\r\na\r\n",                  # whitespace-only line first
+     ([[b"a"]], None)),
+    (b"*1\r\n$x\r\n",
+     ([], "bad bulk length b'x'")),
+    (b"*1\r\n$-2\r\n",
+     ([], "negative bulk length")),
+    (b"*2\r\n$1\r\na\r\n$1\r\nab\r\n",
+     ([], "bulk string not CRLF-terminated")),
+    (b"*1\r\n:zz\r\n",
+     ([], "bad integer b'zz'")),
+    (b"*1\r\n*-2\r\n",
+     ([], "negative array length")),
+    (b"*x\r\n",
+     ([], "bad array length b'x'")),
+    (b"*-2\r\n",
+     ([], "negative array length")),
+    (b"$x\r\n",
+     ([], "bad bulk length b'x'")),
+    (b"$-2\r\n",
+     ([], "negative bulk length")),
+    (b"$3\r\nabcXY",
+     ([], "bulk string not CRLF-terminated")),
+    (b":notanint\r\n",
+     ([], "bad integer b'notanint'")),
+    (b"+ok\r\n\rX",
+     (["ok"], "bare CR in inline command")),
+    (b"*2\r\n$1\r\na\r\n\rX",
+     ([], "bare CR in inline command")),
+]
+
+
+def _transcript(chunks):
+    p = RespParser()
+    values = []
+    for chunk in chunks:
+        p.feed(chunk)
+        try:
+            while True:
+                ok, v = p.parse()
+                if not ok:
+                    break
+                values.append(v)
+        except ProtocolError as exc:
+            return values, str(exc)
+    return values, None
+
+
+@pytest.mark.parametrize("raw,expected", PINNED_STREAMS,
+                         ids=[repr(raw) for raw, _ in PINNED_STREAMS])
+def test_pinned_transcript_at_every_split(raw, expected):
+    """Wherever the stream is cut — and byte by byte — the same values
+    come out in the same order and the same error ends it."""
+    for head, tail in _pairwise_splits(raw):
+        assert _transcript([head, tail]) == expected
+    assert _transcript([raw[i:i + 1] for i in range(len(raw))]) == expected
+
+
 def test_trailing_bytes_rejected_by_decode():
     with pytest.raises(ProtocolError):
         decode(encode(1) + b"x")
@@ -211,6 +292,20 @@ OPS = [
     ClientOp("GET", b"key"),
     ClientOp("DEL", b"key"),
 ]
+
+
+def test_command_wire_bytes_are_pinned():
+    """The frames ``encode_command`` builds, byte for byte."""
+    assert [encode_command(op) for op in OPS] == [
+        b"*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$1\r\nv\r\n",
+        b"*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$16\r\n" + b"\r\n" * 9,
+        b"*5\r\n$3\r\nSET\r\n$1\r\nk\r\n$1\r\nv\r\n"
+        b"$2\r\nPX\r\n$3\r\n250\r\n",
+        b"*2\r\n$3\r\nGET\r\n$3\r\nkey\r\n",
+        b"*2\r\n$3\r\nDEL\r\n$3\r\nkey\r\n",
+    ]
+    assert encode_command(ClientOp("SET", b"", b"")) \
+        == b"*3\r\n$3\r\nSET\r\n$0\r\n\r\n$0\r\n\r\n"
 
 
 @pytest.mark.parametrize("op", OPS, ids=lambda o: o.op)

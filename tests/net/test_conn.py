@@ -197,3 +197,27 @@ def test_net_spans_cover_queue_residency():
     names = {s.name for ctx in kept for s in ctx.spans}
     assert "conn_queue" in names or "client_backlog" in names
     assert "reply_write" in names
+
+
+def test_dispatches_per_command_are_pinned():
+    """A command costs the same heap dispatches whatever its size: one
+    delivery event, not a timeout + hand-back + reader wake-up for each
+    512-byte fragment (a 2 KiB SET used to cost 23).  Counted, not
+    timed, so a per-fragment cost that creeps back in fails exactly."""
+    def dispatches(op):
+        env = Environment()
+        fe = NetFrontend(env, FakeBackend(env), NetConfig())
+        conn = _connect(env, fe)
+        before = env.events_processed
+
+        def client():
+            yield from conn.send((op,), env.now)
+            yield from conn.drain()
+
+        env.run(until=env.process(client(), name="client"))
+        env.run()
+        assert fe.completed == 1
+        return env.events_processed - before
+
+    assert dispatches(ClientOp("GET", b"k")) == 11
+    assert dispatches(ClientOp("SET", b"k", b"v" * 2048)) == 11
