@@ -1004,8 +1004,6 @@ def crashmatrix(scale: Scale = BENCH_SCALE) -> ExperimentResult:
             max_cuts=24 if small else 64,
             torn=torn,
             sanitize=scale.sanitize,
-            batched=scale.batched,
-            fast_sim=scale.fast_sim,
         )
         report = run_crash_matrix(cfg)
         s = report.summary()
@@ -1017,7 +1015,6 @@ def crashmatrix(scale: Scale = BENCH_SCALE) -> ExperimentResult:
         result.telemetry[f"matrix_{torn}"] = s
     lane = run_error_lane(CrashMatrixConfig(
         ops=24 if small else 48, sanitize=scale.sanitize,
-        batched=scale.batched, fast_sim=scale.fast_sim,
     ))
     result.add_row(
         "nvme-errors", int(lane.errors_injected + lane.timeouts_injected),

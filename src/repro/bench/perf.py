@@ -1,9 +1,7 @@
 """Perf regression harness: measure the simulator, record the trajectory.
 
-``python -m repro.bench perf`` runs the full experiment suite twice at
-one scale — once on the optimized fast lanes (``batched=True,
-fast_sim=True``) and once on the per-page reference path — and writes a
-JSON record with, per experiment:
+``python -m repro.bench perf`` runs the full experiment suite at one
+scale and writes a JSON record with, per experiment:
 
 * wall seconds (machine- and load-dependent; interleave comparisons),
 * simulated events dispatched (deterministic: same code + scale →
@@ -24,10 +22,11 @@ a committed one and **fails** (exit 1) on a regression:
 ``::warning`` annotation and the exit stays 0. CI wires it to a PR
 label so intentional model growth can land, visibly.
 
-The repo-root ``BENCH_perf.json`` is the committed trajectory. A
-``seed_baseline`` section (the pre-fast-lane tree measured interleaved
-on the same machine) is carried forward verbatim on regeneration so
-the before/after record survives any number of refreshes, and every
+The repo-root ``BENCH_perf.json`` is the committed trajectory. Rows
+this tree can no longer measure — ``seed_baseline`` (the pre-fast-lane
+tree) and ``reference`` (the per-page, schedule-everything realization
+deleted in PR 15) — are carried forward verbatim on regeneration so the
+before/after record survives any number of refreshes, and every
 regeneration appends one row to a ``trajectory`` list so the perf
 history reads straight out of the committed record.
 """
@@ -38,7 +37,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from repro.bench.experiments import EXPERIMENTS
@@ -74,9 +72,7 @@ def measure_suite(scale) -> dict:
 
     return {
         "scale": scale.name,
-        "config": {"batched": scale.batched, "fast_sim": scale.fast_sim,
-                   "fast_forward": scale.fast_forward,
-                   "engine_backend": engine_backend()},
+        "config": {"engine_backend": engine_backend()},
         "experiments": experiments,
         "total_wall_s": round(total_wall, 2),
         "total_sim_events": total_events,
@@ -105,36 +101,25 @@ def append_trajectory(previous: dict, optimized: dict) -> list[dict]:
     return rows
 
 
-def _measure(scale_name: str, out_path: str, skip_reference: bool) -> int:
+def _measure(scale_name: str, out_path: str) -> int:
     scale = get_scale(scale_name)
-    print(f"measuring optimized suite at scale '{scale.name}' ...",
-          file=sys.stderr)
-    optimized = measure_suite(
-        replace(scale, batched=True, fast_sim=True, fast_forward=True))
+    print(f"measuring suite at scale '{scale.name}' ...", file=sys.stderr)
+    optimized = measure_suite(scale)
     payload = {
         "description": "SlimIO reproduction perf trajectory "
                        "(see docs/PERFORMANCE.md)",
         "optimized": optimized,
     }
-    if not skip_reference:
-        print("measuring per-page reference path ...", file=sys.stderr)
-        reference = measure_suite(
-            replace(scale, batched=False, fast_sim=False,
-                    fast_forward=False))
-        payload["reference"] = reference
-        if reference["total_wall_s"]:
-            payload["speedup_vs_reference"] = round(
-                reference["total_wall_s"] / optimized["total_wall_s"], 2)
 
     out = Path(out_path)
-    # the seed baseline was measured once on the pre-fast-lane tree and
-    # cannot be regenerated from this tree — carry it forward verbatim
+    # rows measured once on trees that no longer exist cannot be
+    # regenerated from this one — carry them forward verbatim
     try:
         previous = json.loads(out.read_text())
     except (OSError, ValueError):
         previous = {}
-    for carried in ("seed_baseline", "speedup_vs_seed_interleaved",
-                    "notes"):
+    for carried in ("reference", "speedup_vs_reference", "seed_baseline",
+                    "speedup_vs_seed_interleaved", "notes"):
         if carried in previous:
             payload[carried] = previous[carried]
     if "seed_baseline" in payload:
@@ -202,19 +187,38 @@ def compare_records(base: dict, curr: dict, *, warn_factor: float = 2.0,
     return warnings, failures
 
 
+def _load_record(path: str) -> dict:
+    """A perf record ``compare_records`` can grade. Raises ``OSError``
+    (unreadable), ``ValueError`` (not JSON, truncated) or
+    ``KeyError``/``TypeError`` (no ``optimized`` suite with a wall
+    total and at least one experiment)."""
+    record = json.loads(Path(path).read_text())
+    suite = record["optimized"]
+    if not (suite["total_wall_s"] and suite["experiments"]):
+        raise ValueError(f"{path}: the optimized suite is empty")
+    return record
+
+
 def _compare(base_path: str, curr_path: str, warn_factor: float,
              fail_factor: float, event_factor: float,
              warn_only: bool) -> int:
+    unusable = (OSError, ValueError, KeyError, TypeError)
     try:
-        base = json.loads(Path(base_path).read_text())
-        curr = json.loads(Path(curr_path).read_text())
-        warnings, failures = compare_records(
-            base, curr, warn_factor=warn_factor, fail_factor=fail_factor,
-            event_factor=event_factor)
-    except (OSError, ValueError, KeyError) as exc:
-        # a missing/unreadable record is not a perf regression
-        print(f"perf compare skipped: {exc}", file=sys.stderr)
+        base = _load_record(base_path)
+    except unusable as exc:
+        # nothing to grade against is not a perf regression
+        print(f"perf compare skipped: no baseline: {exc!r}", file=sys.stderr)
         return 0
+    try:
+        curr = _load_record(curr_path)
+    except unusable as exc:
+        # the measurement that was supposed to be graded is missing or
+        # cut short: that is a failed gate, never a pass
+        print(f"::error ::perf-smoke: current record unusable: {exc!r}")
+        return 1
+    warnings, failures = compare_records(
+        base, curr, warn_factor=warn_factor, fail_factor=fail_factor,
+        event_factor=event_factor)
     for msg in warnings:
         print(f"::warning ::perf-smoke: {msg}")
     if failures and warn_only:
@@ -237,9 +241,6 @@ def main(argv=None) -> int:
                         help="scale preset to measure (default: test)")
     parser.add_argument("--out", default="BENCH_perf.json",
                         help="output JSON path (default: BENCH_perf.json)")
-    parser.add_argument("--skip-reference", action="store_true",
-                        help="skip the slow per-page reference "
-                             "measurement (optimized lanes only)")
     parser.add_argument("--compare", nargs=2,
                         metavar=("BASELINE", "CURRENT"),
                         help="compare two perf records instead of "
@@ -263,7 +264,7 @@ def main(argv=None) -> int:
     if args.compare:
         return _compare(args.compare[0], args.compare[1], args.warn_factor,
                         args.fail_factor, args.event_factor, args.warn_only)
-    return _measure(args.scale, args.out, args.skip_reference)
+    return _measure(args.scale, args.out)
 
 
 if __name__ == "__main__":

@@ -63,10 +63,6 @@ class Scale:
     #: and absorbed by the ring's RetryPolicy, and the flag is part of
     #: the cache key, so default reports are never perturbed
     faults: bool = False
-    #: simulator fast lanes (result-invariant; see SystemConfig)
-    batched: bool = True
-    fast_sim: bool = True
-    fast_forward: bool = True
 
     # ------------------------------------------------------------------ configs
     def _geometry(self, mb: int) -> FlashGeometry:
@@ -116,9 +112,6 @@ class Scale:
             fs_extent_pages=64,
             sanitize=self.sanitize,
             faults=self.faults,
-            batched=self.batched,
-            fast_sim=self.fast_sim,
-            fast_forward=self.fast_forward,
         )
         if overrides:
             cfg = replace(cfg, **overrides)
@@ -212,8 +205,8 @@ BENCH_SCALE = Scale(
 #: ``PROD_SCALE`` pushes toward the paper's scale along the axes the
 #: lightweight-path phenomena care about: 4x the operation counts and
 #: a 50% larger device, so runs spend long stretches in the steady
-#: periodic-flush regime where the quiescence fast-forward lane and
-#: the array-backed hot state pay off. Still laptop-sized: a full
+#: periodic-flush regime where quiescence fast-forward and the
+#: array-backed hot state pay off. Still laptop-sized: a full
 #: suite completes in minutes, not hours.
 PROD_SCALE = Scale(
     name="prod",

@@ -102,7 +102,6 @@ class SlimIOCluster:
             env, cfg.geometry, cfg.nand, cfg.ftl,
             fdp=slimio and cfg.fdp,
             num_pids=config.num_pids,
-            batched=cfg.batched,
             obs=self.obs,
         )
         partitions = partition_evenly(self.device, config.num_shards)
@@ -212,8 +211,4 @@ def build_cluster(env: Environment | None = None,
     cfg = config or ClusterConfig()
     if overrides:
         cfg = replace(cfg, **overrides)
-    return SlimIOCluster(
-        env or Environment(fast_resume=cfg.system.fast_sim,
-                           fast_forward=cfg.system.fast_forward),
-        cfg,
-    )
+    return SlimIOCluster(env or Environment(), cfg)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from collections.abc import Generator
+from typing import ClassVar
 
 from repro.core.lba import LbaSpaceManager, SlotRole
 from repro.core.metadata import MetadataStore
@@ -110,17 +111,11 @@ class SystemConfig:
     faults: bool = False
     fault_seed: int = 20260807
 
-    # simulator performance knobs — all are result-invariant: any
-    # combination produces byte-identical reports (pinned by
-    # tests/bench/test_determinism.py); they only trade heap events
-    # for wall-clock time.
-    #: closed-form NAND burst realization (False = per-page events)
-    batched: bool = True
-    #: engine inline-resume / timeout-recycling fast paths
-    fast_sim: bool = True
-    #: quiescence fast-forward lane: closed-form absorption of pure
-    #: delays, idle WAL flush ticks, and idle poll loops
-    fast_forward: bool = True
+    # constants, not fields: the simulator has one engine path. Read by
+    # benchmarks/slimbench/worker.py::provenance, which may not change.
+    batched: ClassVar[bool] = True
+    fast_sim: ClassVar[bool] = True
+    fast_forward: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         if self.num_pids is not None and self.num_pids < 1:
@@ -178,8 +173,7 @@ class BaselineSystem(_SystemBase):
         self.obs = obs = obs or MetricsRegistry(env, name=name)
         if device is None:
             device = NvmeDevice(env, config.geometry, config.nand,
-                                config.ftl, fdp=False,
-                                batched=config.batched, obs=obs)
+                                config.ftl, fdp=False, obs=obs)
         self.device = device
         self.block = BlockLayer(env, self.device, config.costs,
                                 scheduler=config.scheduler, obs=obs)
@@ -255,8 +249,7 @@ class SlimIOSystem(_SystemBase):
                 num_pids = max(8, config.placement.max_pid + 1)
             device = NvmeDevice(
                 env, config.geometry, config.nand, config.ftl,
-                fdp=config.fdp, num_pids=num_pids,
-                batched=config.batched, obs=obs,
+                fdp=config.fdp, num_pids=num_pids, obs=obs,
             )
         self.device = device
         if self.device.fdp:
@@ -402,11 +395,7 @@ def build_baseline(env: Environment | None = None,
     cfg = config or SystemConfig()
     if overrides:
         cfg = replace(cfg, **overrides)
-    return BaselineSystem(
-        env or Environment(fast_resume=cfg.fast_sim,
-                           fast_forward=cfg.fast_forward),
-        cfg,
-    )
+    return BaselineSystem(env or Environment(), cfg)
 
 
 def build_slimio(env: Environment | None = None,
@@ -416,8 +405,4 @@ def build_slimio(env: Environment | None = None,
     cfg = config or SystemConfig()
     if overrides:
         cfg = replace(cfg, **overrides)
-    return SlimIOSystem(
-        env or Environment(fast_resume=cfg.fast_sim,
-                           fast_forward=cfg.fast_forward),
-        cfg,
-    )
+    return SlimIOSystem(env or Environment(), cfg)

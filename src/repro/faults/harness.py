@@ -76,8 +76,6 @@ class CrashMatrixConfig:
     #: sim-time settle window after the last op (drains async metadata)
     settle: float = 0.01
     device_mb: int = 4
-    batched: bool = True
-    fast_sim: bool = True
     sanitize: bool = False
     #: causal tracing on every cut run: each kept trace is validated
     #: post-cut (well-formed even when truncated mid-WAL-append)
@@ -100,8 +98,6 @@ class CrashMatrixConfig:
             ),
             snapshot_fraction=0.30,
             sanitize=self.sanitize,
-            batched=self.batched,
-            fast_sim=self.fast_sim,
         )
 
 
@@ -212,7 +208,7 @@ def _make_device(env: Environment, cfg: SystemConfig) -> NvmeDevice:
     if num_pids is None:
         num_pids = max(8, cfg.placement.max_pid + 1)
     return NvmeDevice(env, cfg.geometry, cfg.nand, cfg.ftl,
-                      fdp=cfg.fdp, num_pids=num_pids, batched=cfg.batched)
+                      fdp=cfg.fdp, num_pids=num_pids)
 
 
 def _driver(system: SlimIOSystem, ops: list[ClientOp],
@@ -278,8 +274,7 @@ def select_cut_points(trace, total_pages: int,
 def _golden_run(cfg: CrashMatrixConfig, sys_cfg: SystemConfig,
                 ops: list[ClientOp]):
     """Trace the workload's page writes; returns (trace, total_pages)."""
-    env = Environment(fast_resume=sys_cfg.fast_sim,
-                      fast_forward=sys_cfg.fast_forward)
+    env = Environment()
     faulty = FaultyDevice(_make_device(env, sys_cfg), trace=True)
     system = SlimIOSystem(env, sys_cfg, device=faulty)
     progress: dict[str, int] = {"started": 0, "acked": 0}
@@ -297,8 +292,7 @@ def _golden_run(cfg: CrashMatrixConfig, sys_cfg: SystemConfig,
 def _recover_image(image: dict[int, bytes], sys_cfg: SystemConfig):
     """Boot a fresh system on a crash image; returns
     (system, RecoveryResult)."""
-    env = Environment(fast_resume=sys_cfg.fast_sim,
-                      fast_forward=sys_cfg.fast_forward)
+    env = Environment()
     device = _make_device(env, sys_cfg)
     device.load_image(image)
     system = SlimIOSystem(env, sys_cfg, device=device)
@@ -323,8 +317,7 @@ def _run_one_cut(cfg: CrashMatrixConfig, sys_cfg: SystemConfig,
                  ops: list[ClientOp],
                  states: list[dict[bytes, bytes]],
                  cut_page: int) -> CutOutcome:
-    env = Environment(fast_resume=sys_cfg.fast_sim,
-                      fast_forward=sys_cfg.fast_forward)
+    env = Environment()
     spec = PowerCutSpec(at_page_write=cut_page, torn=cfg.torn,
                         seed=cfg.seed + cut_page)
     faulty = FaultyDevice(_make_device(env, sys_cfg), power=spec)
@@ -479,8 +472,7 @@ def run_error_lane(cfg: CrashMatrixConfig | None = None,
                                read_error_rate=0.02)
     sys_cfg = replace(cfg.system_config(), faults=True,
                       fault_seed=cfg.seed)
-    env = Environment(fast_resume=sys_cfg.fast_sim,
-                      fast_forward=sys_cfg.fast_forward)
+    env = Environment()
     system = SlimIOSystem(env, sys_cfg)
     injector = system.fault_injector
     injector.errors = error_spec  # FaultyDevice spec is swappable

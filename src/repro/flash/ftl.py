@@ -132,15 +132,13 @@ class FlashTranslationLayer:
         timing: NandTiming | None = None,
         config: FtlConfig | None = None,
         nand: NandArray | None = None,
-        batched: bool = True,
         obs=None,
     ):
         self.env = env
         self.geometry = geometry
         self.config = config or FtlConfig()
         self.obs = obs or MetricsRegistry(env)
-        self.nand = nand or NandArray(env, geometry, timing, batched=batched,
-                                      obs=self.obs)
+        self.nand = nand or NandArray(env, geometry, timing, obs=self.obs)
         g = geometry
         if self.config.gc_stop_segments >= g.segments:
             raise ValueError(

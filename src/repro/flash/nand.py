@@ -6,8 +6,8 @@ contend for the same dies — this contention is the physical mechanism
 behind the paper's "Snapshot & WAL (under GC)" degradation (§3.1.4)
 and the RPS nosedives of Figure 4.
 
-Batched bursts
---------------
+Bursts
+------
 
 Multi-page operations (:meth:`NandArray.program_pages`,
 :meth:`NandArray.read_pages`) are the hot path: an N-page burst is
@@ -19,14 +19,10 @@ matters — but grants, releases, and completions are scheduled at
 *absolute* instants (:meth:`Environment.at`), so the realized schedule
 is a pure function of grant times.
 
-``batched=False`` keeps the exact same side-effect schedule (the same
-requests, releases, and completion instants, computed by the same
-shared arithmetic) but additionally realizes per-page granularity:
-one pacing process plus chopped per-page timeouts per page, the event
-load a page-at-a-time model pays. Because the side-effect graph is
-shared, batched and unbatched runs are identical by construction —
-``batched`` only changes how many inert events the heap carries, which
-is exactly what the perf harness measures.
+The page-at-a-time model this arithmetic stands in for (a process per
+page, a chained timeout per transfer) lives in
+``tests/flash/test_nand_oracle.py``, which requires bit-identical
+completion instants and per-die busy time on seeded random bursts.
 """
 
 from __future__ import annotations
@@ -49,13 +45,11 @@ class NandArray:
         env: Environment,
         geometry: FlashGeometry,
         timing: NandTiming | None = None,
-        batched: bool = True,
         obs=None,
     ):
         self.env = env
         self.geometry = geometry
         self.timing = timing or NandTiming()
-        self.batched = batched
         self.obs = obs or MetricsRegistry(env)
         self._dies = [Resource(env, capacity=1) for _ in range(geometry.total_dies)]
         self._channels = [Resource(env, capacity=1) for _ in range(geometry.channels)]
@@ -104,19 +98,6 @@ class NandArray:
         if cur:
             runs.append((cur_ch, cur))
         return runs
-
-    def _pace(self, instants: list[float]) -> Generator:
-        """Inert per-page pacing for the unbatched realization.
-
-        Yields one heap event per chopped instant — the grant, done,
-        and release round-trips a page-at-a-time model dispatches per
-        step. Touches no shared state, so it cannot perturb the
-        simulated schedule.
-        """
-        env = self.env
-        for when in instants:
-            if when >= env.now:
-                yield env.at(when)
 
     @staticmethod
     def _on_grant(request, fn) -> None:
@@ -171,14 +152,6 @@ class NandArray:
                 arrivals.append(arrival)
             rel = env.at(arrivals[-1])
             rel.callbacks.append(lambda _e: channel.release(_creq))
-            if not self.batched:
-                # per page: transfer grant+done, program grant+done —
-                # the four dispatch points of the chopped realization
-                for a in arrivals:
-                    env.process(
-                        self._pace([a, a, a + t_prog, a + t_prog]),
-                        name="nand-pace",
-                    )
             for (_ppn, die), a in zip(pages, arrivals):
                 self._program_on_die(die, a, t_prog, state, done)
 
@@ -260,23 +233,17 @@ class NandArray:
             self._on_grant(creq, on_channel)
 
         for _ppn, die in pages:
-            self._read_on_die(die, t_read, t_tr, senses, after_senses)
+            self._read_on_die(die, t_read, senses, after_senses)
 
     def _read_on_die(
-        self, die: int, t_read: float, t_tr: float, senses: list[int], after_senses
+        self, die: int, t_read: float, senses: list[int], after_senses
     ) -> None:
         env = self.env
         resource = self._dies[die]
         dreq = resource.request()
 
         def on_die(_ev) -> None:
-            sensed = env.now + t_read
-            fin = env.at(sensed)
-            if not self.batched:
-                env.process(
-                    self._pace([sensed, sensed, sensed + t_tr, sensed + t_tr]),
-                    name="nand-pace",
-                )
+            fin = env.at(env.now + t_read)
 
             def on_sense(_e) -> None:
                 resource.release(dreq)
@@ -324,10 +291,6 @@ class NandArray:
 
         def on_die(_ev) -> None:
             fin = env.at(env.now + t_erase)
-            if not self.batched:
-                env.process(
-                    self._pace([env.now + t_erase] * 2), name="nand-pace"
-                )
 
             def on_done(_e) -> None:
                 resource.release(dreq)

@@ -31,14 +31,14 @@ class CpuAccount:
 
         Returns the timeout event to ``yield`` on, or ``None`` when the
         charge is free — or when the environment's quiescence
-        fast-forward lane absorbed the delay in closed form (the clock
-        has already advanced; there is nothing left to wait for).
+        fast-forward absorbed the delay in closed form (the clock has
+        already advanced; there is nothing left to wait for).
         Returning the event directly instead of delegating through a
         one-yield generator keeps the hot path (one charge per op per
         layer) free of a trampoline per call; callers MUST use the
         guarded pattern ``ev = acct.charge(...); if ev is not None:
         yield ev`` — a bare ``yield acct.charge(...)`` would yield
-        ``None`` whenever the fast-forward lane fires.
+        ``None`` whenever the delay is absorbed.
         """
         if dt < 0:
             raise ValueError("negative charge")

@@ -59,7 +59,6 @@ class NvmeDevice:
         ftl_config: FtlConfig | None = None,
         fdp: bool = False,
         num_pids: int = 8,
-        batched: bool = True,
         obs=None,
     ):
         self.env = env
@@ -67,7 +66,7 @@ class NvmeDevice:
         self.fdp = fdp
         self.num_pids = num_pids
         self.ftl = FlashTranslationLayer(
-            env, self.geometry, timing, ftl_config, batched=batched, obs=obs
+            env, self.geometry, timing, ftl_config, obs=obs
         )
         if fdp:
             for pid in range(num_pids):

@@ -12,8 +12,8 @@ Three problems make this harder than thread-local context:
   generator processes on one OS thread, so "current request" must be
   tracked per :class:`~repro.sim.engine.Process`.  The engine sets
   ``env.active_process`` on *every* resume path (including the
-  ``fast_resume`` inline path), so a plain dict keyed by the active
-  process is exact in all lanes.
+  inline resume), so a plain dict keyed by the active process is
+  exact.
 * **Cross-process handoffs.**  ``ring.submit()`` runs in the caller's
   process but the command is serviced by a fresh ``-svc`` process.
   The caller :meth:`RequestTracer.capture`\\ s its scope and the service
@@ -27,8 +27,8 @@ Three problems make this harder than thread-local context:
   process served no (kept) request of its own.
 
 Retention is head sampling (1-in-N) plus an always-keep-slowest
-reservoir, so ``fast_sim`` lanes stay fast and the p999 stories are
-never sampled away.  Tracing off (``rtrace is None`` everywhere) does
+reservoir, so traced runs stay cheap and the p999 stories are never
+sampled away.  Tracing off (``rtrace is None`` everywhere) does
 no work and creates zero simulator events.
 """
 

@@ -351,7 +351,7 @@ class WalManager:
                 return
             yield from self.flush_now()
             self._obs_periodic_flushes.inc()
-            if env.fast_forward and self._ff_quiescent():
+            if self._ff_quiescent():
                 # Quiescence fast-forward: replay the following run of
                 # provably idle ticks in closed form. Each absorbed tick
                 # is exactly the flush we just ran — counters bump, no
@@ -361,12 +361,10 @@ class WalManager:
                 if k:
                     self._obs_sync_flushes.inc(k)
                     self._obs_periodic_flushes.inc(k)
-                    # per idle tick the classic lane dispatches the tick
-                    # timeout and the AnyOf condition, plus an immediate
-                    # event for the sink-lock grant when inline resume
-                    # is off; the wake-up event itself pays for one
-                    per_tick = 2 if env._fast_resume else 3
-                    env.ff_credit(k * per_tick - 1)
+                    # an idle tick dispatches the tick timeout and the
+                    # AnyOf condition (the sink-lock grant resumes
+                    # inline); the wake-up event itself pays for one
+                    env.ff_credit(2 * k - 1)
                     yield wake
 
     def close(self) -> None:

@@ -31,17 +31,15 @@ ordering:
   scheduling a synthetic wake-up event — but only when that is
   provably order-identical to the heap round-trip: the resume must be
   the last callback of the firing event and no other event may be
-  scheduled at the current instant (``fast_resume=True``, the
-  default; ``fast_resume=False`` keeps the classic round-trip as the
-  determinism reference).
+  scheduled at the current instant. Otherwise the wake-up goes through
+  the heap. ``tests/sim/test_engine.py`` pins the order in both cases.
 
 Quiescence fast-forward
 -----------------------
 
-``fast_forward=True`` arms a second, stricter closed-form lane on top
-of the fast path: pure delays are *absorbed* — the clock advances
-immediately and the waiting code continues inline — whenever the
-engine can prove the heap round-trip would have been a no-op:
+Pure delays are *absorbed* — the clock advances immediately and the
+waiting code continues inline — whenever the engine can prove the heap
+round-trip would have been a no-op:
 
 * the caller is running in the last callback of the current dispatch
   (``_cb_last``, the same gate the inline resume uses), so no sibling
@@ -49,16 +47,19 @@ engine can prove the heap round-trip would have been a no-op:
 * no event is scheduled at or before the target instant, so nothing
   else could have run in between; and
 * the target instant does not overrun the active ``run(until=t)``
-  bound, so a time-bounded run still parks exactly where the classic
-  lane would.
+  bound, so a time-bounded run parks exactly where a dispatched
+  timeout would have left it.
 
-Every absorbed delay is counted in :attr:`Environment.events_absorbed`
+Every absorbed delay is counted in :attr:`Environment.events_absorbed`,
 so ``events_processed + events_absorbed`` — the *logical* event total
-reported by :func:`tracked_event_total` — is invariant across the
-fast-forward axis. :meth:`Environment.idle_wait` extends the same
-contract to periodic polling loops: consecutive idle poll ticks whose
-predicate provably cannot change (no dispatch can occur before the
-next foreign event) collapse into one scheduled wake-up.
+reported by :func:`tracked_event_total` — is what a loop that
+dispatched every delay would have counted.
+:meth:`Environment.idle_wait` extends the same contract to periodic
+polling loops: consecutive idle poll ticks whose predicate provably
+cannot change (no dispatch can occur before the next foreign event)
+collapse into one scheduled wake-up. ``tests/sim/test_fast_forward.py``
+runs whole systems on a subclass that never absorbs and requires the
+same keyspace, counters and logical event total.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def track_environments(enable: bool) -> None:
 def tracked_event_total() -> int:
     """Total logical events executed by environments created while
     tracking: heap dispatches plus closed-form absorptions, so the
-    figure is invariant across the fast-forward axis."""
+    figure does not move with how much of a run was absorbed."""
     return sum(
         env.events_processed + env.events_absorbed
         for env in _tracked_envs or ()
@@ -358,10 +359,8 @@ class Process(Event):
                 # only when that wake-up would have been the very next
                 # thing to run: we are the firing event's last callback
                 # and nothing else is scheduled at this instant.
-                if (
-                    env._fast_resume
-                    and env._cb_last
-                    and (not env._heap or env._heap[0][0] > env._now)
+                if env._cb_last and (
+                    not env._heap or env._heap[0][0] > env._now
                 ):
                     event = next_ev
                     continue
@@ -473,44 +472,23 @@ _TIMEOUT_POOL_MAX = 4096
 
 
 class Environment:
-    """The simulation clock and event heap.
+    """The simulation clock and event heap."""
 
-    ``fast_resume=True`` (default) enables the order-exact inline
-    resume and timeout-recycling fast paths (see module docstring);
-    ``fast_resume=False`` runs the classic schedule-everything loop
-    and serves as the determinism reference in tests.
-    ``fast_forward=True`` additionally arms the quiescence
-    fast-forward lane (closed-form delay absorption, see module
-    docstring); it composes with either ``fast_resume`` setting.
-    """
-
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        fast_resume: bool = True,
-        fast_forward: bool = False,
-    ):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._active: Process | None = None
-        self._fast_resume = fast_resume
-        self._ff = fast_forward
         self._cb_last = True
         self._until = float("inf")
         self._timeout_pool: list[Timeout] = []
         #: number of heap events dispatched so far (perf accounting)
         self.events_processed = 0
-        #: number of events the fast-forward lane absorbed in closed
-        #: form (each one a heap dispatch the classic lane would pay)
+        #: number of delays absorbed in closed form (each one a heap
+        #: dispatch a timeout would have cost)
         self.events_absorbed = 0
         if _tracked_envs is not None:
             _tracked_envs.append(self)
-
-    @property
-    def fast_forward(self) -> bool:
-        """Whether the quiescence fast-forward lane is armed."""
-        return self._ff
 
     # -- clock -------------------------------------------------------------
     @property
@@ -548,9 +526,9 @@ class Environment:
         given instead of being recomputed as ``now + delay`` — so two
         code paths that schedule from different "now"s still fire at
         bit-identical instants when they compute ``when`` with the same
-        arithmetic. The batched NAND model relies on this to keep its
-        closed-form completions byte-identical to the per-page
-        realization.
+        arithmetic. The NAND burst model relies on this to keep its
+        closed-form completions bit-identical to a page-at-a-time
+        chain of timeouts.
         """
         if when < self._now:
             raise ValueError(f"at({when}) is in the past (now={self._now})")
@@ -573,9 +551,9 @@ class Environment:
         first), and the target stays within the active ``run(until=t)``
         bound. On success the absorbed dispatch is credited to
         :attr:`events_absorbed`, keeping the logical event total
-        lane-invariant.
+        what it would have been.
         """
-        if not self._ff or not self._cb_last or dt <= 0:
+        if not self._cb_last or dt <= 0:
             return False
         t = self._now + dt
         if t > self._until:
@@ -631,23 +609,19 @@ class Environment:
         Drop-in for ``timeout(interval)`` inside state-polling loops of
         the form ``while pred(): yield env.idle_wait(dt)`` where
         ``pred`` reads only simulation state (never ``env.now``): when
-        fast-forward is armed and k consecutive wake-ups would land
-        strictly before the next scheduled event, the predicate cannot
-        change in between (state only moves on dispatches), so the loop
-        wakes once at the k-th tick instead.
+        k consecutive wake-ups would land strictly before the next
+        scheduled event, the predicate cannot change in between (state
+        only moves on dispatches), so the loop wakes once at the k-th
+        tick instead.
         """
         if interval <= 0:
             raise ValueError(f"non-positive poll interval {interval}")
-        if not self._ff:
-            return self.timeout(interval)
         k, ev = self.ff_absorb_ticks(interval)
-        if k > 1:
-            # one dispatch (the returned event) stands in for k ticks
-            self.events_absorbed += k - 1
-            return ev
-        if k == 1:
-            return ev  # type: ignore[return-value]
-        return self.timeout(interval)
+        if ev is None:
+            return self.timeout(interval)
+        # one dispatch (the returned event) stands in for k ticks
+        self.events_absorbed += k - 1
+        return ev
 
     def process(self, generator: Generator, name: str | None = None) -> Process:
         return Process(self, generator, name=name)
@@ -748,9 +722,9 @@ class Environment:
                 raise ValueError(
                     f"until={stop_at} is in the past (now={self._now})"
                 )
-            # the fast-forward lane must not absorb a delay (or replay a
-            # periodic tick) past the run bound: the classic lane would
-            # have parked there with the wait still pending
+            # fast-forward must not absorb a delay (or replay a periodic
+            # tick) past the run bound: a dispatched timeout would have
+            # left the run parked there with the wait still pending
             prev_until = self._until
             self._until = stop_at
             try:

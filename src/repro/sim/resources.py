@@ -35,10 +35,8 @@ class Request(Event):
     An uncontended request is granted *at birth*: it comes back already
     processed (yielding it resumes the process straight away) without a
     trip through the event heap. Contended requests queue and fire when
-    a slot frees, exactly as before. Birth grants are unconditional
-    (not gated on ``fast_resume``): burst code in the NAND layer runs
-    grant continuations synchronously at creation time, and the grant
-    instant must not depend on engine tuning flags.
+    a slot frees. Burst code in the NAND layer relies on the birth
+    grant: it runs grant continuations synchronously at creation time.
     """
 
     __slots__ = ("resource", "priority", "_key")

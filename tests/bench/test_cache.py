@@ -13,10 +13,10 @@ def test_key_is_stable_and_input_sensitive():
     assert k1 == cache.cache_key("table3", TEST_SCALE)
     assert k1 != cache.cache_key("table4", TEST_SCALE)
     assert k1 != cache.cache_key("table3", BENCH_SCALE)
-    # any scale-field change must miss — fast lanes included, since
-    # they are part of what a cached result claims to represent
+    # any scale-field change must miss: every field is part of what
+    # a cached result claims to represent
     assert k1 != cache.cache_key("table3",
-                                 replace(TEST_SCALE, batched=False))
+                                 replace(TEST_SCALE, sanitize=True))
 
 
 def test_key_params_prevent_sweep_point_collisions():

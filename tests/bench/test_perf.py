@@ -83,6 +83,32 @@ class TestCompareCli:
         curr = self._write(tmp_path, "curr.json", _record())
         assert main(["--compare", str(tmp_path / "nope.json"), curr]) == 0
 
+    def test_unusable_current_fails_the_gate(self, tmp_path, capsys):
+        """Regression: a missing, truncated or hollow CURRENT record was
+        swallowed together with a missing baseline and exited 0, so a
+        measurement step that crashed passed the CI perf gate."""
+        base = self._write(tmp_path, "base.json", _record())
+        good = json.dumps(_record())
+        hollow = _record()
+        hollow["optimized"]["experiments"] = {}
+        cases = {
+            "missing.json": None,
+            "truncated.json": good[: len(good) // 2],
+            "empty.json": "",
+            "no_suite.json": json.dumps({"description": "x"}),
+            "not_a_record.json": "[]",
+            "hollow.json": json.dumps(hollow),
+        }
+        for name, text in cases.items():
+            path = tmp_path / name
+            if text is not None:
+                path.write_text(text)
+            assert main(["--compare", base, str(path)]) == 1, name
+            assert "current record unusable" in capsys.readouterr().out
+            # --warn-only exempts a graded breach, not a missing grade
+            assert main(["--compare", base, str(path),
+                         "--warn-only"]) == 1, name
+
 
 def test_append_trajectory_accumulates():
     first = append_trajectory({}, _record()["optimized"])

@@ -1,9 +1,8 @@
 """Crash-matrix harness regression lanes.
 
 Small deterministic campaigns that must stay green: every power cut
-recovers to an acked prefix (both torn models, batched and event-exact
-simulator lanes), and the transient-error lane shows real retries with
-zero giveups and zero data loss.
+recovers to an acked prefix (both torn models), and the transient-error
+lane shows real retries with zero giveups and zero data loss.
 """
 
 import pytest
@@ -63,16 +62,6 @@ def test_crash_matrix_small_campaign_passes(torn):
     # serial Always-Log driver: durability leads the ack by at most the
     # single in-flight op
     assert s["max_durability_lead"] <= 1
-
-
-@pytest.mark.parametrize("batched,fast_sim",
-                         [(False, True), (True, False), (False, False)])
-def test_crash_matrix_simulator_lanes(batched, fast_sim):
-    cfg = CrashMatrixConfig(ops=12, keys=5, snapshot_at=4, max_cuts=6,
-                            aftershock_ops=0, batched=batched,
-                            fast_sim=fast_sim)
-    report = run_crash_matrix(cfg)
-    assert report.ok, [o.issues for o in report.failures]
 
 
 def test_crash_matrix_sanitized_lane():
@@ -136,7 +125,7 @@ def test_power_cut_mid_wal_append_yields_truncated_trace():
     writes = [e for e in trace if e.kind == "write"]
     cut = writes[len(writes) // 2].first_page
 
-    env = Environment(fast_resume=sys_cfg.fast_sim)
+    env = Environment()
     faulty = FaultyDevice(
         _make_device(env, sys_cfg),
         power=PowerCutSpec(at_page_write=cut, torn="prefix",

@@ -39,7 +39,7 @@ def _build_on_faulty(cfg):
     env = Environment()
     num_pids = cfg.num_pids or max(8, cfg.placement.max_pid + 1)
     inner = NvmeDevice(env, cfg.geometry, cfg.nand, cfg.ftl, fdp=cfg.fdp,
-                       num_pids=num_pids, batched=cfg.batched)
+                       num_pids=num_pids)
     faulty = FaultyDevice(inner)
     return SlimIOSystem(env, cfg, device=faulty), faulty
 
@@ -50,7 +50,7 @@ def _reboot(system, cfg):
     env = Environment()
     num_pids = cfg.num_pids or max(8, cfg.placement.max_pid + 1)
     device = NvmeDevice(env, cfg.geometry, cfg.nand, cfg.ftl, fdp=cfg.fdp,
-                        num_pids=num_pids, batched=cfg.batched)
+                        num_pids=num_pids)
     device.load_image(image)
     return SlimIOSystem(env, cfg, device=device)
 

@@ -389,3 +389,99 @@ def test_many_processes_determinism():
         return order
 
     assert build() == build()
+
+
+# -- the inline-resume gate ---------------------------------------------------
+# A process that yields an already-processed event continues inline only
+# when the classic wake-up event would have been the very next dispatch:
+# its resume is the firing event's last callback and nothing else is due
+# at this instant. These pin both halves of that proof condition; there
+# is no switch that turns the inline path off, so the order below is the
+# only oracle for it.
+
+def _spent(env):
+    """An event whose callbacks have already run."""
+    ev = env.event().succeed()
+    env.run()
+    assert ev.processed
+    return ev
+
+
+def _wakes_then_yields_spent(first, spent, order):
+    yield first
+    order.append("woke")
+    yield spent
+    order.append("continued")
+
+
+def test_inline_resume_on_a_quiet_heap():
+    env = Environment()
+    spent = _spent(env)
+    before = env.events_processed
+    order = []
+
+    def proc():
+        yield env.timeout(1.0)
+        order.append("woke")
+        yield spent
+        yield spent
+        order.append("continued")
+
+    env.process(proc())
+    env.run()
+    assert order == ["woke", "continued"]
+    # Initialize + the timeout + the process's own completion: neither
+    # yield of the spent event went through the heap
+    assert env.events_processed - before == 3
+
+
+def test_resume_yields_to_a_pending_sibling_callback():
+    env = Environment()
+    spent = _spent(env)
+    gate = env.event()
+    order = []
+
+    env.process(_wakes_then_yields_spent(gate, spent, order))
+    env.run()  # parks proc on the gate
+    gate.callbacks.append(lambda _ev: order.append("sibling"))
+    before = env.events_processed
+    gate.succeed()
+    env.run()
+    # the resume was not the gate's last callback: the heap round-trip
+    # wins, so the sibling sees the world before proc moves on
+    assert order == ["woke", "sibling", "continued"]
+    # the gate + the wake-up event + the process's completion
+    assert env.events_processed - before == 3
+
+
+def test_resume_as_last_of_several_callbacks_is_inline():
+    env = Environment()
+    spent = _spent(env)
+    gate = env.event()
+    gate.callbacks.append(lambda _ev: order.append("sibling"))
+    order = []
+
+    env.process(_wakes_then_yields_spent(gate, spent, order))
+    env.run()
+    before = env.events_processed
+    gate.succeed()
+    env.run()
+    assert order == ["sibling", "woke", "continued"]
+    assert env.events_processed - before == 2  # no wake-up event
+
+
+def test_resume_yields_to_another_event_due_at_the_same_instant():
+    env = Environment()
+    spent = _spent(env)
+    order = []
+
+    def rival():
+        yield env.timeout(1.0)
+        order.append("rival")
+
+    env.process(_wakes_then_yields_spent(env.timeout(1.0), spent, order))
+    env.process(rival())
+    env.run()
+    # rival's timeout was scheduled before proc's wake-up could be:
+    # FIFO at one instant puts it first
+    assert order == ["woke", "rival", "continued"]

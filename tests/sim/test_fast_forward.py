@@ -1,22 +1,43 @@
-"""Unit tests for the quiescence fast-forward lane (engine level).
+"""Quiescence fast-forward: the primitives, and the loop they replace.
 
-The experiment-level byte-identity proof lives in
-tests/bench/test_determinism.py; these tests pin the primitive
-contracts: when ``ff_advance`` may absorb, how ``idle_wait`` collapses
-poll ticks, and that absorbed events keep the logical event total
-(``events_processed + events_absorbed``) lane-invariant.
+Fast-forward has no off switch, so nothing under ``src/`` can serve as
+its reference. Two things here do instead:
+
+* the primitive contracts — when ``ff_advance`` may absorb, how
+  ``idle_wait`` collapses poll ticks — checked against hand-written
+  ``timeout`` loops;
+* :class:`ClassicEnvironment`, a test-side engine that never absorbs
+  anything: whole systems run on both engines and must end with the
+  same keyspace, the same counters and the same logical event total
+  (``events_processed + events_absorbed``).
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro import SnapshotKind, build_baseline, build_slimio
+from repro.bench.scales import TEST_SCALE
 from repro.kernel.accounting import CpuAccount
 from repro.sim import Environment
+from repro.sim.compiled import engine_backend
+
+
+class ClassicEnvironment(Environment):
+    """The loop fast-forward stands in for: every delay, every idle
+    flusher tick and every poll tick goes through the heap."""
+
+    def ff_advance(self, dt):
+        return False
+
+    def ff_absorb_ticks(self, interval, max_ticks=4096):
+        return 0, None
 
 
 def test_ff_advance_absorbs_pure_delay():
-    env = Environment(fast_forward=True)
+    env = Environment()
     seen = []
 
     def proc():
@@ -32,7 +53,7 @@ def test_ff_advance_absorbs_pure_delay():
 
 
 def test_ff_advance_refuses_earlier_or_equal_event():
-    env = Environment(fast_forward=True)
+    env = Environment()
 
     def other():
         yield env.timeout(3.0)
@@ -51,7 +72,7 @@ def test_ff_advance_refuses_earlier_or_equal_event():
 
 
 def test_ff_advance_respects_run_until_bound():
-    env = Environment(fast_forward=True)
+    env = Environment()
 
     def proc():
         assert not env.ff_advance(5.0)  # would overrun run(until=4)
@@ -63,22 +84,10 @@ def test_ff_advance_respects_run_until_bound():
     assert env.now == 4.0
 
 
-def test_ff_disabled_never_absorbs():
-    env = Environment()  # fast_forward defaults off at engine level
-
-    def proc():
-        assert not env.ff_advance(5.0)
-        yield env.timeout(1.0)
-
-    env.process(proc())
-    env.run()
-    assert env.events_absorbed == 0 and env.now == 1.0
-
-
-def _poll_run(fast_forward: bool) -> tuple[float, list[float], int]:
+def _poll_run(wait) -> tuple[float, list[float], int]:
     """A poll loop + a state change at t=0.0105: returns (exit time,
-    wake instants, logical event total)."""
-    env = Environment(fast_forward=fast_forward)
+    wake instants, logical event total). ``wait(env)`` is one tick."""
+    env = Environment()
     state = {"done": False}
     wakes = []
 
@@ -88,7 +97,7 @@ def _poll_run(fast_forward: bool) -> tuple[float, list[float], int]:
 
     def poller():
         while not state["done"]:
-            yield env.idle_wait(1e-3)
+            yield wait(env)
             wakes.append(env.now)
 
     env.process(setter())
@@ -98,20 +107,20 @@ def _poll_run(fast_forward: bool) -> tuple[float, list[float], int]:
 
 
 def test_idle_wait_matches_tick_loop_exactly():
-    t_ff, wakes_ff, total_ff = _poll_run(True)
-    t_cl, wakes_cl, total_cl = _poll_run(False)
+    t_ff, wakes_ff, total_ff = _poll_run(lambda env: env.idle_wait(1e-3))
+    t_cl, wakes_cl, total_cl = _poll_run(lambda env: env.timeout(1e-3))
     # same exit instant, bit-for-bit (wake instants accumulate by
-    # repeated addition in both lanes)
+    # repeated addition in both loops)
     assert t_ff == t_cl
     assert total_ff == total_cl
-    # the collapsed lane realizes fewer wakes but its last instants
-    # line up with the classic lane's tail
-    assert wakes_ff[-1] == wakes_cl[-1]
-    assert len(wakes_ff) <= len(wakes_cl)
+    # ten idle ticks collapse into one wake at the tenth instant; the
+    # eleventh (after the state change) is an ordinary tick
+    assert len(wakes_cl) == 11
+    assert wakes_ff == wakes_cl[-2:]
 
 
 def test_charge_absorbs_when_quiescent():
-    env = Environment(fast_forward=True)
+    env = Environment()
     acct = CpuAccount(env, "test")
     seen = []
 
@@ -130,7 +139,7 @@ def test_charge_absorbs_when_quiescent():
 
 
 def test_charge_dispatches_when_contended():
-    env = Environment(fast_forward=True)
+    env = Environment()
 
     def other():
         yield env.timeout(1.0)
@@ -149,3 +158,69 @@ def test_charge_dispatches_when_contended():
     env.run()
     assert seen == [2.5]
     assert env.events_absorbed == 0  # real timeout, dispatched
+
+
+# -- whole systems on both engines --------------------------------------------
+
+#: 16 MB device, 2 MB WAL trigger: the WAL wraps the device several
+#: times, so flash GC erases and copies while the workload runs
+GC_SCALE = replace(TEST_SCALE, small_device_mb=16, redis_ops=7_000,
+                   redis_keys=300, wal_trigger_bytes=2 * 1024 * 1024)
+
+
+def _run_system(builder, env):
+    """Idle start, SET workload with a mid-run snapshot, idle tail,
+    power cut, recovery — every fast-forward site gets traffic: CPU
+    charges throughout, idle flusher ticks before the first SET, poll
+    loops in the settle and writeback waits."""
+    system = builder(env=env,
+                     config=GC_SCALE.system_config(gc_pressure=True))
+    env.run(until=0.05)
+    report = GC_SCALE.redis_bench(snapshot_at_fraction=0.5).run(
+        system, warmup_ops=500)
+    env.run(until=env.now + 0.03)
+
+    def quiesce():
+        yield from system.wal.flush_now()
+        cache = getattr(system, "cache", None)
+        while cache is not None and cache.dirty_bytes > 0:
+            yield env.idle_wait(1e-3)
+
+    env.run(until=env.process(quiesce()))
+    expected = system.server.store.as_dict()
+    system.crash()
+    recovered = env.run(
+        until=env.process(system.recover(SnapshotKind.WAL_TRIGGERED)))
+    system.stop()
+    return system, report, expected, recovered.data
+
+
+@pytest.mark.skipif(
+    engine_backend() == "compiled",
+    reason="a compiled Environment cannot be subclassed from Python")
+@pytest.mark.parametrize("builder", [build_slimio, build_baseline],
+                         ids=["slimio-gc", "baseline"])
+def test_system_is_identical_on_an_engine_that_never_absorbs(builder):
+    fast, rep_f, expected_f, data_f = _run_system(builder, Environment())
+    slow, rep_s, expected_s, data_s = _run_system(builder,
+                                                  ClassicEnvironment())
+    # the run is worth comparing: absorption happened, and only on one side
+    assert fast.env.events_absorbed > 1000
+    assert slow.env.events_absorbed == 0
+    if builder is build_slimio:
+        assert fast.device.ftl.stats.gc_pages_copied > 0
+
+    assert data_f == data_s == expected_f == expected_s
+    assert fast.env.now == slow.env.now
+    assert (rep_f.rps, rep_f.set_p999, rep_f.waf) == \
+        (rep_s.rps, rep_s.set_p999, rep_s.waf)
+    # every counter, gauge and histogram — the flusher replays its
+    # idle-tick counters in closed form
+    assert fast.obs.snapshot() == slow.obs.snapshot()
+    assert (fast.env.events_processed + fast.env.events_absorbed
+            == slow.env.events_processed)
+    # the one visible difference: absorbed idle flusher ticks leave no
+    # wal_fsync span behind (only SlimIO's clean WAL-Path ever absorbs)
+    elided = (len(slow.obs.spans_named("wal_fsync"))
+              - len(fast.obs.spans_named("wal_fsync")))
+    assert (elided > 0) == (builder is build_slimio)
