@@ -21,7 +21,7 @@ The rules (see docs/ANALYSIS.md for the full rationale):
   unseeded randomness anywhere in the tree; the simulation must be
   deterministic. ``time.perf_counter`` is allowed only in the
   designated measurement shells (``bench/__main__.py``,
-  ``bench/perf.py``, ``faults/__main__.py``) — the harness code that
+  ``faults/__main__.py``) — the harness code that
   times the simulator from outside; anywhere else it is a wall-clock
   leak into simulated behavior.
 * **SLIM004** — package imports must respect the layering
@@ -225,11 +225,10 @@ _WALL_CLOCK = {
 }
 #: perf_counter is a wall clock too, but it is the sanctioned way to
 #: *measure* the simulator from outside. Only the measurement shells —
-#: the CLI that times regeneration and the perf harness — may call it;
+#: the bench and faults CLIs, which time their own runs — may call it;
 #: model code that needs "now" must use the Environment clock.
 _PERF_COUNTER = {("time", "perf_counter"), ("time", "perf_counter_ns")}
-_SLIM003_MEASUREMENT_FILES = ("bench/__main__.py", "bench/perf.py",
-                              "faults/__main__.py")
+_SLIM003_MEASUREMENT_FILES = ("bench/__main__.py", "faults/__main__.py")
 _RANDOM_MODULE_FNS = {
     "random", "randint", "randrange", "uniform", "choice", "choices",
     "shuffle", "sample", "gauss", "betavariate", "expovariate", "seed",

@@ -22,7 +22,6 @@ from repro.kernel.costs import KernelCosts
 from repro.nvme import NvmeCommand, NvmeDevice
 from repro.obs.registry import MetricsRegistry
 from repro.sim import Environment, PriorityResource, Resource
-from repro.sim.stats import LatencyRecorder
 
 __all__ = ["BlockLayer", "SCHED_NONE", "SCHED_SYNC_PRIORITY", "SCHED_DEADLINE"]
 
@@ -65,7 +64,6 @@ class BlockLayer:
             self._slots: Resource = PriorityResource(env, capacity=inflight_limit)
         else:
             self._slots = Resource(env, capacity=inflight_limit)
-        self.queue_latency = LatencyRecorder("blk-queue")
         self.obs = obs or MetricsRegistry(env)
         self._obs_queue_wait = self.obs.histogram(
             "block_queue_wait_seconds", sched=self.scheduler
@@ -114,7 +112,6 @@ class BlockLayer:
                 yield req
         else:
             yield req
-        self.queue_latency.record(self.env.now - t_q)
         self._obs_queue_wait.observe(self.env.now - t_q)
         self._obs_cmds[sync].inc()
         try:

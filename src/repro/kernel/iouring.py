@@ -33,7 +33,6 @@ from repro.nvme import (
     WriteCmd,
 )
 from repro.sim import Environment, Event, Resource
-from repro.sim.stats import LatencyRecorder
 
 __all__ = ["IoUringRing", "PassthruQueuePair", "RetryPolicy"]
 
@@ -96,7 +95,6 @@ class IoUringRing:
         self.name = name
         self.retry = retry
         self._slots = Resource(env, capacity=depth)
-        self.completion_latency = LatencyRecorder(f"{name}-completion")
         # Per-ring instruments (labelled by ring name).
         # uring_enter_syscalls_total vs uring_sqpoll_pickups_total is
         # the passthru-vs-syscall submission split the paper's §4.1
@@ -214,7 +212,6 @@ class IoUringRing:
                     return
             self._slots.release(req)
             ok = True
-            self.completion_latency.record(self.env.now - t0)
             self._obs_latency.observe(self.env.now - t0)
             self._obs_depth.set(float(self._slots.count))
             done.succeed(result)

@@ -22,7 +22,6 @@ from collections.abc import Generator
 from repro.flash import FlashGeometry, FlashTranslationLayer, FtlConfig, NandTiming
 from repro.nvme.commands import DeallocateCmd, NvmeCommand, ReadCmd, WriteCmd
 from repro.sim import Environment
-from repro.sim.stats import LatencyRecorder
 
 __all__ = ["NvmeDevice", "DeviceStats"]
 
@@ -75,8 +74,6 @@ class NvmeDevice:
             self.ftl.register_stream(0)
         self._data: dict[int, bytes] = {}
         self.stats = DeviceStats()
-        self.write_latency = LatencyRecorder("nvme-write")
-        self.read_latency = LatencyRecorder("nvme-read")
 
     # ------------------------------------------------------------------ capacity
     @property
@@ -119,13 +116,10 @@ class NvmeDevice:
         internal parallelism); the command completes when its last page
         completes — like a real controller's completion semantics.
         """
-        t0 = self.env.now
         if isinstance(cmd, WriteCmd):
             yield from self._do_write(cmd)
-            self.write_latency.record(self.env.now - t0)
         elif isinstance(cmd, ReadCmd):
             data = yield from self._do_read(cmd)
-            self.read_latency.record(self.env.now - t0)
             return data
         elif isinstance(cmd, DeallocateCmd):
             self._check_extent(cmd.lba, cmd.nlb)

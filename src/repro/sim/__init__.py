@@ -11,15 +11,6 @@ events on this engine, so all performance results are deterministic and
 machine-independent.
 """
 
-import os as _os
-
-if _os.environ.get("SLIMIO_NO_COMPILED"):
-    # escape hatch: force the pure-Python engine source even when a
-    # compiled engine.*.so (repro.sim.compiled) shadows it
-    from repro.sim.compiled import load_pure_engine as _load_pure
-
-    _load_pure()
-
 from repro.sim.engine import (
     AllOf,
     AnyOf,

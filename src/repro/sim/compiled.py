@@ -1,182 +1,15 @@
-"""Optional compiled build of the simulation engine.
-
-``repro.sim.engine`` is deliberately plain Python — no metaclasses, no
-dynamic attribute tricks on the hot path — so it compiles under
-`mypyc <https://mypyc.readthedocs.io/>`_ unchanged. The compiled
-extension lands next to ``engine.py`` (``engine.<soabi>.so``), where
-the import system prefers it automatically; nothing else in the tree
-changes, and deleting the artifact restores the pure-Python engine.
-
-The compiler is strictly optional. Everything here degrades cleanly:
-
-* no mypy/mypyc installed → :func:`build` raises
-  :class:`CompilerUnavailable` (the CLI prints why and exits 0 with
-  ``--if-available``), imports keep using the pure source;
-* ``SLIMIO_NO_COMPILED=1`` → ``repro.sim`` pins the pure-Python
-  source into ``sys.modules`` before anything can import a shadowing
-  extension — the escape hatch when a stale artifact survives a
-  source change;
-* :func:`engine_backend` reports which engine actually loaded, and
-  the bench perf harness records it next to every measurement.
-
-CLI::
-
-    python -m repro.sim.compiled status            # which backend runs
-    python -m repro.sim.compiled build             # compile (hard fail)
-    python -m repro.sim.compiled build --if-available
-    python -m repro.sim.compiled clean             # drop artifacts
-"""
+"""Which simulation engine is loaded: the pure-Python
+``repro.sim.engine`` is the only backend."""
 
 from __future__ import annotations
 
-import argparse
-import importlib.util
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-__all__ = [
-    "CompilerUnavailable",
-    "compiler_available",
-    "engine_backend",
-    "build",
-    "clean",
-    "load_pure_engine",
-]
-
-_SIM_DIR = Path(__file__).resolve().parent
-_ENGINE_SRC = _SIM_DIR / "engine.py"
+__all__ = ["engine_backend"]
 
 
-class CompilerUnavailable(RuntimeError):
-    """mypyc (or its mypy substrate) is not importable."""
-
-
-def compiler_available() -> bool:
-    """True when a mypyc toolchain is importable in this interpreter."""
-    return (
-        importlib.util.find_spec("mypyc") is not None
-        and importlib.util.find_spec("mypy") is not None
-    )
-
-
-def artifacts() -> list[Path]:
-    """Compiled engine extensions currently shadowing ``engine.py``."""
-    return sorted(_SIM_DIR.glob("engine.*.so")) + sorted(
-        _SIM_DIR.glob("engine.*.pyd")
-    )
-
-
+# read by benchmarks/slimbench/worker.py::provenance (benchmark contract)
 def engine_backend() -> str:
-    """``"compiled"`` or ``"pure-python"`` for the loaded engine."""
+    """``"pure-python"`` unless a stale ``engine.*.so`` shadows the source."""
     import repro.sim.engine as eng
 
     f = getattr(eng, "__file__", "") or ""
     return "compiled" if f.endswith((".so", ".pyd")) else "pure-python"
-
-
-def load_pure_engine() -> None:
-    """Pin the pure-Python engine source into ``sys.modules``.
-
-    Must run before anything imports ``repro.sim.engine``; called from
-    ``repro.sim`` when ``SLIMIO_NO_COMPILED`` is set so a stale
-    compiled artifact can never shadow fresh source.
-    """
-    name = "repro.sim.engine"
-    mod = sys.modules.get(name)
-    if mod is not None:
-        f = getattr(mod, "__file__", "") or ""
-        if not f.endswith((".so", ".pyd")):
-            return
-        raise RuntimeError(
-            "SLIMIO_NO_COMPILED set after the compiled engine was "
-            "already imported; set it before importing repro"
-        )
-    spec = importlib.util.spec_from_file_location(name, _ENGINE_SRC)
-    assert spec is not None and spec.loader is not None
-    mod = importlib.util.module_from_spec(spec)
-    sys.modules[name] = mod
-    spec.loader.exec_module(mod)
-
-
-def build(force: bool = False) -> Path:
-    """Compile ``engine.py`` with mypyc; returns the artifact path.
-
-    Runs ``python -m mypyc`` in a subprocess with the source tree as
-    the working directory so the extension lands inside the package.
-    Raises :class:`CompilerUnavailable` when the toolchain is absent
-    and :class:`subprocess.CalledProcessError` when compilation fails.
-    """
-    if not compiler_available():
-        raise CompilerUnavailable(
-            "mypyc is not installed in this environment; the engine "
-            "runs pure-Python (install mypy>=1.0 to enable the "
-            "compiled lane)"
-        )
-    existing = artifacts()
-    if existing and not force:
-        return existing[0]
-    clean()
-    src_root = _SIM_DIR.parents[1]  # .../src
-    rel = _ENGINE_SRC.relative_to(src_root)
-    subprocess.run(
-        [sys.executable, "-m", "mypyc", str(rel)],
-        cwd=src_root,
-        check=True,
-    )
-    built = artifacts()
-    if not built:
-        raise RuntimeError(
-            "mypyc reported success but produced no engine.*.so "
-            f"under {_SIM_DIR}"
-        )
-    return built[0]
-
-
-def clean() -> int:
-    """Remove compiled engine artifacts; returns how many were removed."""
-    removed = 0
-    for p in artifacts():
-        p.unlink()
-        removed += 1
-    return removed
-
-
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.sim.compiled",
-        description=__doc__.split("\n\n")[0],
-    )
-    sub = ap.add_subparsers(dest="cmd", required=True)
-    sub.add_parser("status", help="report the active engine backend")
-    b = sub.add_parser("build", help="compile the engine with mypyc")
-    b.add_argument("--force", action="store_true",
-                   help="rebuild even if an artifact exists")
-    b.add_argument("--if-available", action="store_true",
-                   help="exit 0 (with a note) when mypyc is missing")
-    sub.add_parser("clean", help="remove compiled engine artifacts")
-    args = ap.parse_args(argv)
-
-    if args.cmd == "status":
-        print(f"engine backend: {engine_backend()}")
-        print(f"compiler available: {compiler_available()}")
-        for p in artifacts():
-            print(f"artifact: {p}")
-        return 0
-    if args.cmd == "build":
-        try:
-            out = build(force=args.force)
-        except CompilerUnavailable as e:
-            print(f"compiled engine skipped: {e}", file=sys.stderr)
-            return 0 if args.if_available else 1
-        print(f"built {out}")
-        return 0
-    if args.cmd == "clean":
-        print(f"removed {clean()} artifact(s)")
-        return 0
-    return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -63,9 +63,10 @@ def test_slim003_perf_counter_scoped_to_measurement_shells():
     src = "import time\nt = time.perf_counter()\n"
     assert lint_source(src, path="src/repro/bench/__main__.py",
                        package="bench").ok
-    assert lint_source(src, path="src/repro/bench/perf.py",
-                       package="bench").ok
-    # everywhere else perf_counter is a wall-clock leak
+    # everywhere else perf_counter is a wall-clock leak — the event-count
+    # gate included, which records no host time
+    assert codes(lint_source(src, path="src/repro/bench/perf.py",
+                             package="bench")) == ["SLIM003"]
     assert codes(lint_source(src, path="src/repro/imdb/server.py",
                              package="imdb")) == ["SLIM003"]
     assert codes(lint_source(src, package="bench")) == ["SLIM003"]

@@ -1,63 +1,49 @@
-"""The perf-regression gate: compare grading and the trajectory log."""
+"""The event-count gate: the record it writes and how compare grades it."""
 
 import json
+import re
 
-from repro.bench.perf import append_trajectory, compare_records, main
+import pytest
+
+from repro.bench import perf
+from repro.bench.experiments import EXPERIMENTS
+from repro.bench.perf import compare_records, main, measure_suite
+from repro.bench.scales import TEST_SCALE
+from repro.sim import Environment, engine
 
 
-def _record(wall=10.0, events=1000, per_experiment=None):
+def _record(events=1000, per_experiment=None, shapes_hold=True):
     exps = per_experiment or {"ycsb": events}
     return {
-        "optimized": {
-            "scale": "test",
-            "experiments": {
-                name: {"wall_s": wall, "sim_events": ev}
-                for name, ev in exps.items()
-            },
-            "total_wall_s": wall,
-            "total_sim_events": sum(exps.values()),
-            "events_per_sec": 100,
+        "scale": "test",
+        "experiments": {
+            name: {"sim_events": ev, "shapes_hold": shapes_hold}
+            for name, ev in exps.items()
         },
+        "total_sim_events": sum(exps.values()),
     }
 
 
 class TestCompareRecords:
     def test_identical_records_are_clean(self, capsys):
-        warns, fails = compare_records(_record(), _record())
-        assert warns == [] and fails == []
-
-    def test_wall_between_warn_and_fail_only_warns(self):
-        warns, fails = compare_records(
-            _record(wall=10.0), _record(wall=25.0),
-            warn_factor=2.0, fail_factor=3.0)
-        assert len(warns) == 1 and fails == []
-
-    def test_wall_beyond_fail_factor_fails(self):
-        warns, fails = compare_records(
-            _record(wall=10.0), _record(wall=40.0),
-            warn_factor=2.0, fail_factor=3.0)
-        assert warns == []
-        assert len(fails) == 1 and "4.00x" in fails[0]
+        assert compare_records(_record(), _record()) == []
 
     def test_event_growth_beyond_budget_fails(self):
         """Simulated events are deterministic: >5% growth in any one
-        experiment is a hard failure, whatever the wall clock did."""
-        warns, fails = compare_records(
-            _record(events=1000), _record(events=1100))
+        experiment is a hard failure."""
+        fails = compare_records(_record(events=1000), _record(events=1100))
         assert len(fails) == 1
         assert "deterministic" in fails[0]
 
     def test_event_growth_within_budget_passes(self, capsys):
-        warns, fails = compare_records(
-            _record(events=1000), _record(events=1040))
+        fails = compare_records(_record(events=1000), _record(events=1040))
         assert fails == []
         assert "within 1.05x budget" in capsys.readouterr().out
 
     def test_new_experiment_is_noted_not_failed(self, capsys):
         base = _record(per_experiment={"ycsb": 1000})
         curr = _record(per_experiment={"ycsb": 1000, "tailtrace": 9000})
-        warns, fails = compare_records(base, curr)
-        assert fails == []
+        assert compare_records(base, curr) == []
         assert "rebaseline" in capsys.readouterr().out
 
 
@@ -73,11 +59,15 @@ class TestCompareCli:
         assert main(["--compare", base, curr]) == 1
         assert "::error ::perf-smoke" in capsys.readouterr().out
 
-    def test_warn_only_escape_hatch_exits_zero(self, tmp_path, capsys):
-        base = self._write(tmp_path, "base.json", _record(events=1000))
-        curr = self._write(tmp_path, "curr.json", _record(events=1200))
-        assert main(["--compare", base, curr, "--warn-only"]) == 0
-        assert "exempted" in capsys.readouterr().out
+    def test_shape_miss_in_current_exits_nonzero(self, tmp_path, capsys):
+        """Regression: ``shapes_hold`` was recorded and never graded, so
+        a shape MISS at the measured scale passed the gate."""
+        good = self._write(tmp_path, "good.json", _record())
+        miss = self._write(tmp_path, "miss.json", _record(shapes_hold=False))
+        assert main(["--compare", good, miss]) == 1
+        assert "::error ::perf-smoke: ycsb" in capsys.readouterr().out
+        # the baseline's own flag is history, not the grade
+        assert main(["--compare", miss, good]) == 0
 
     def test_missing_baseline_is_skipped_not_failed(self, tmp_path):
         curr = self._write(tmp_path, "curr.json", _record())
@@ -90,7 +80,7 @@ class TestCompareCli:
         base = self._write(tmp_path, "base.json", _record())
         good = json.dumps(_record())
         hollow = _record()
-        hollow["optimized"]["experiments"] = {}
+        hollow["experiments"] = {}
         cases = {
             "missing.json": None,
             "truncated.json": good[: len(good) // 2],
@@ -105,17 +95,35 @@ class TestCompareCli:
                 path.write_text(text)
             assert main(["--compare", base, str(path)]) == 1, name
             assert "current record unusable" in capsys.readouterr().out
-            # --warn-only exempts a graded breach, not a missing grade
-            assert main(["--compare", base, str(path),
-                         "--warn-only"]) == 1, name
 
 
-def test_append_trajectory_accumulates():
-    first = append_trajectory({}, _record()["optimized"])
-    assert len(first) == 1
-    assert first[0]["total_sim_events"] == 1000
-    second = append_trajectory(
-        {"trajectory": first}, _record(wall=12.0)["optimized"])
-    assert len(second) == 2
-    assert second[0] == first[0]
-    assert second[1]["total_wall_s"] == 12.0
+def test_record_is_byte_deterministic_and_holds_no_host_time(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(perf, "EXPERIMENTS", {
+        name: EXPERIMENTS[name] for name in ("table5", "crashmatrix")})
+    texts = []
+    for name in ("a.json", "b.json"):
+        out = tmp_path / name
+        assert main(["--scale", "test", "--out", str(out)]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+    record = json.loads(texts[0])
+    assert set(record["experiments"]) == {"table5", "crashmatrix"}
+    assert record["total_sim_events"] == sum(
+        e["sim_events"] for e in record["experiments"].values())
+    host_time = re.compile("wall|per_sec|speedup|reference|trajectory|notes")
+    keys = re.findall(r'"([^"]+)":', texts[0])
+    assert keys and not [k for k in keys if host_time.search(k)]
+
+
+def test_measure_suite_stops_tracking_when_an_experiment_raises(monkeypatch):
+    """Regression: the tracker stayed on after a raising experiment and
+    retained every later Environment in the process."""
+    def boom(scale):
+        Environment()
+        raise RuntimeError("experiment failed")
+
+    monkeypatch.setattr(perf, "EXPERIMENTS", {"boom": boom})
+    with pytest.raises(RuntimeError, match="experiment failed"):
+        measure_suite(TEST_SCALE)
+    assert engine._tracked_envs is None

@@ -45,7 +45,8 @@ def test_inflight_limit_queues(env, device, costs):
     times = [t for _, t in done]
     assert times == sorted(times)
     assert len(set(times)) == 3
-    assert len(blk.queue_latency) == 3
+    assert blk.obs.histogram("block_queue_wait_seconds",
+                             sched=blk.scheduler).count == 3
 
 
 def test_sync_priority_scheduler_reorders(env, device, costs):

@@ -132,10 +132,12 @@ def test_fdp_supports_eight_pids_like_paper_device():
 
 
 def test_write_latency_recorded():
+    """The device counts the command and the clock carries its latency;
+    the callers (block layer, rings) book it into their histograms."""
     env, dev = make_device()
     submit(env, dev, WriteCmd(lba=0, nlb=1, data=bytes(dev.lba_size)))
-    assert len(dev.write_latency) == 1
-    assert dev.write_latency.mean() > 0
+    assert dev.stats.write_cmds == 1
+    assert env.now > 0
 
 
 def test_multipage_write_uses_die_parallelism():

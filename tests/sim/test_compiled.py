@@ -1,74 +1,9 @@
-"""The optional compiled engine must degrade cleanly.
+"""The pure-Python engine is the only backend."""
 
-This container has no mypyc toolchain, so these tests pin the
-*fallback* contract: builds report the missing compiler without
-breaking anything, the backend introspection tells the truth, and the
-``SLIMIO_NO_COMPILED`` escape hatch pins the pure source. When a
-toolchain IS present (CI's compiled matrix job), the build test runs
-for real and the tier-1 sim suite is re-run against the artifact.
-"""
-
-from __future__ import annotations
-
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-import pytest
-
-from repro.sim import compiled
-
-SRC = Path(__file__).resolve().parents[2] / "src"
+import repro.sim.engine
+from repro.sim.compiled import engine_backend
 
 
 def test_backend_reports_loaded_engine():
-    assert compiled.engine_backend() in ("pure-python", "compiled")
-
-
-def test_build_without_compiler_raises_cleanly():
-    if compiled.compiler_available():
-        pytest.skip("mypyc present; fallback path not reachable")
-    with pytest.raises(compiled.CompilerUnavailable):
-        compiled.build()
-    # the failure changed nothing: engine still imports, no artifacts
-    assert compiled.artifacts() == []
-    assert compiled.engine_backend() == "pure-python"
-
-
-def test_cli_build_if_available_exits_zero_without_compiler():
-    if compiled.compiler_available():
-        pytest.skip("mypyc present; fallback path not reachable")
-    assert compiled.main(["build", "--if-available"]) == 0
-    assert compiled.main(["build"]) == 1
-    assert compiled.main(["status"]) == 0
-    assert compiled.main(["clean"]) == 0
-
-
-def test_no_compiled_env_var_pins_pure_source():
-    env = {**os.environ, "SLIMIO_NO_COMPILED": "1",
-           "PYTHONPATH": str(SRC)}
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import repro.sim, repro.sim.engine as e; print(e.__file__)"],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout.strip()
-    assert out.endswith("engine.py")
-
-
-@pytest.mark.skipif(not compiled.compiler_available(),
-                    reason="mypyc toolchain not installed")
-def test_compiled_build_produces_importable_artifact(tmp_path):
-    artifact = compiled.build()
-    try:
-        assert artifact.exists()
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from repro.sim.compiled import engine_backend; "
-             "print(engine_backend())"],
-            env={**os.environ, "PYTHONPATH": str(SRC)},
-            capture_output=True, text=True, check=True,
-        ).stdout.strip()
-        assert out == "compiled"
-    finally:
-        compiled.clean()
+    assert engine_backend() == "pure-python"
+    assert repro.sim.engine.__file__.endswith("engine.py")

@@ -22,7 +22,6 @@ from repro import SnapshotKind, build_baseline, build_slimio
 from repro.bench.scales import TEST_SCALE
 from repro.kernel.accounting import CpuAccount
 from repro.sim import Environment
-from repro.sim.compiled import engine_backend
 
 
 class ClassicEnvironment(Environment):
@@ -195,9 +194,6 @@ def _run_system(builder, env):
     return system, report, expected, recovered.data
 
 
-@pytest.mark.skipif(
-    engine_backend() == "compiled",
-    reason="a compiled Environment cannot be subclassed from Python")
 @pytest.mark.parametrize("builder", [build_slimio, build_baseline],
                          ids=["slimio-gc", "baseline"])
 def test_system_is_identical_on_an_engine_that_never_absorbs(builder):
