@@ -358,6 +358,8 @@ def _check_metric_names(tree: ast.AST, ctx: ModuleContext) -> Iterator[Finding]:
                 and isinstance(node.func, ast.Attribute)):
             continue
         kind = node.func.attr
+        if kind == "samples":  # the exact instrument exports as one
+            kind = "histogram"
         if kind not in ("counter", "gauge", "histogram"):
             continue
         if not _is_registry_receiver(node.func.value):

@@ -140,6 +140,18 @@ class SlimIOCluster:
     def __getitem__(self, index: int) -> ShardHandle:
         return self.shards[index]
 
+    # what a closed-loop driver needs of a deployment (same three
+    # members as a single system)
+    @property
+    def servers(self) -> list:
+        return [s.server for s in self.shards]
+
+    def execute(self, op):
+        return self.router.execute(op)
+
+    def server_for_key(self, key):
+        return self.router.shard_for_key(key).server
+
     # ------------------------------------------------------------ accounting
     def shard_waf(self, index: int) -> float:
         """WAF attributed to one shard's Placement IDs.

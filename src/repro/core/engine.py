@@ -147,6 +147,18 @@ class _SystemBase:
     def metrics(self):
         return self.server.metrics
 
+    # what a closed-loop driver needs of a deployment (a single
+    # instance is a one-shard one; ``SlimIOCluster`` has the same three)
+    @property
+    def servers(self) -> list[Server]:
+        return [self.server]
+
+    def execute(self, op) -> Generator:
+        return self.server.execute(op)
+
+    def server_for_key(self, key: bytes) -> Server:
+        return self.server
+
     @property
     def waf(self) -> float:
         return self.device.waf

@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.kernel.accounting import CpuAccount
 from repro.sim import Environment
-from repro.sim.stats import TimeWeighted
 
 __all__ = ["ForkModel", "CowMemory"]
 
@@ -71,15 +70,11 @@ class CowMemory:
         self.copied_pages = 0
         self.cow_faults = 0
         #: resident memory beyond the base keyspace (copied pages)
-        self.extra = TimeWeighted(t0=env.now)
+        self.extra_bytes = 0.0
 
     @property
     def snapshot_active(self) -> bool:
         return self._snapshot_active
-
-    @property
-    def extra_bytes(self) -> float:
-        return self.extra.value
 
     # ------------------------------------------------------------------ fork
     def arm(self, heap_pages: int) -> None:
@@ -133,7 +128,7 @@ class CowMemory:
         )
         if _cpu_ev is not None:
             yield _cpu_ev
-        self.extra.add(self.env.now, to_copy * self.page_size)
+        self.extra_bytes += to_copy * self.page_size
         return to_copy
 
     def reap(self) -> None:
@@ -142,4 +137,4 @@ class CowMemory:
             raise RuntimeError("no active snapshot fork")
         self._snapshot_active = False
         self._shared[:] = False
-        self.extra.update(self.env.now, 0.0)
+        self.extra_bytes = 0.0

@@ -15,9 +15,11 @@ Faithful to Redis's execution model:
   snapshot is durable. On-Demand snapshots are started explicitly.
   At most one snapshot runs at a time (paper §2.1).
 
-Metrics: per-op latency recorders, an RPS event stream with snapshot
-windows (so analysis can split WAL-only vs WAL&Snapshot phases), and a
-time-weighted memory footprint including CoW growth.
+Metrics: each request's completion instant and latency are booked once,
+in the registry (``server_command_latency_seconds{op}``);
+:class:`ServerMetrics` is a window over those series plus the snapshot
+windows (so analysis can split WAL-only vs WAL&Snapshot phases) and the
+peak memory footprint including CoW growth.
 """
 
 from __future__ import annotations
@@ -25,11 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Callable, Generator
 
+import numpy as np
+
 from repro.imdb.expiry import ExpiryConfig, ExpiryTable
 from repro.imdb.memory import CowMemory, ForkModel
 from repro.imdb.store import KVStore
 from repro.kernel.accounting import CpuAccount
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, ObsSamples, percentile
 from repro.persist.compress import CompressionModel, Compressor
 from repro.persist.encoding import AofRecord, OP_DEL, OP_SET
 from repro.persist.interfaces import SnapshotSink
@@ -41,7 +45,6 @@ from repro.persist.snapshot import (
 )
 from repro.persist.wal import LoggingPolicy, WalManager
 from repro.sim import Environment, Resource
-from repro.sim.stats import IntervalRate, LatencyRecorder, TimeWeighted
 
 __all__ = ["ClientOp", "ServerConfig", "ServerMetrics", "Server"]
 
@@ -94,36 +97,49 @@ class ServerConfig:
             raise ValueError("snapshot_chunk_entries must be >= 1")
 
 
-class ServerMetrics:
-    """Everything the evaluation section reads off one run."""
+class _Peak:
+    """Running maximum of a sampled value."""
 
-    def __init__(self, env: Environment):
-        self.env = env
-        self.set_latency = LatencyRecorder("SET")
-        self.get_latency = LatencyRecorder("GET")
-        self.ops = IntervalRate("ops")
-        self.memory = TimeWeighted(t0=env.now)
+    peak = 0.0
+
+
+class ServerMetrics:
+    """Everything the evaluation section reads off one run.
+
+    A window, not a store: the samples live in the server's
+    ``server_command_latency_seconds`` series (cumulative, like every
+    instrument); this remembers how long each series was when the
+    window opened and reads only what came after.
+    """
+
+    def __init__(self, series: dict[str, ObsSamples]):
+        self._series = series
+        self._start = {op: s.count for op, s in series.items()}
+        #: resident bytes (keyspace + CoW copies), peak since opening
+        self.memory = _Peak()
         self.snapshot_windows: list[tuple[float, float]] = []
         self.snapshots: list[SnapshotStats] = []
 
-    def record_op(self, op: str, latency: float) -> None:
-        self.ops.record(self.env.now)
-        if op == "SET":
-            self.set_latency.record(latency)
-        elif op == "GET":
-            self.get_latency.record(latency)
+    @property
+    def set_latency(self) -> np.ndarray:
+        return self._series["SET"].values(self._start["SET"])
 
-    def in_snapshot(self, t: float) -> bool:
-        return any(t0 <= t <= t1 for t0, t1 in self.snapshot_windows)
+    @property
+    def get_latency(self) -> np.ndarray:
+        return self._series["GET"].values(self._start["GET"])
+
+    @property
+    def op_times(self) -> np.ndarray:
+        """Completion instants of every command in the window, sorted."""
+        return np.sort(np.concatenate(
+            [s.times(self._start[op]) for op, s in self._series.items()]
+        ))
 
     def phase_rps(self, t_end: float | None = None) -> dict[str, float]:
         """Mean RPS inside vs outside snapshot windows."""
-        import numpy as np
-
-        t = self.ops._t
-        if not t:
+        arr = self.op_times
+        if len(arr) == 0:
             return {"wal_only": 0.0, "wal_snapshot": 0.0, "average": 0.0}
-        arr = np.asarray(t)
         hi = t_end if t_end is not None else arr[-1]
         lo = arr[0]
         in_snap = np.zeros(len(arr), dtype=bool)
@@ -175,16 +191,16 @@ class Server:
         self.obs = obs or MetricsRegistry(env)
         self.expiry = ExpiryTable(env, obs=self.obs)
         self._expiry_proc = None
-        self.metrics = ServerMetrics(env)
         self._sinks: dict[SnapshotKind, SnapshotSink] = {}
         self._snapshot_proc = None
         self._snapshot_pending = False
         self._stopped = False
         self._obs_latency = {
-            op: self.obs.histogram("server_command_latency_seconds",
-                                   op=op, server=name)
+            op: self.obs.samples("server_command_latency_seconds",
+                                 op=op, server=name)
             for op in ("SET", "GET", "DEL")
         }
+        self.metrics = ServerMetrics(self._obs_latency)
         self._obs_commands = {
             op: self.obs.counter("server_commands_total",
                                  op=op, server=name)
@@ -274,9 +290,8 @@ class Server:
         finally:
             if ctx is not None and owns_ctx:
                 rt.finish_request(ctx, ok=ok)
-        latency = self.env.now - t_arrive
-        self.metrics.record_op(op.op, latency)
-        self._obs_latency[op.op].observe(latency)
+        now = self.env.now
+        self._obs_latency[op.op].observe(now, now - t_arrive)
         self._obs_commands[op.op].inc()
         self._sample_memory()
         self._maybe_trigger_wal_snapshot()
@@ -469,9 +484,10 @@ class Server:
 
     # ------------------------------------------------------------------ misc
     def _sample_memory(self) -> None:
-        self.metrics.memory.update(
-            self.env.now, self.store.used_bytes + self.cow.extra_bytes
-        )
+        memory = self.metrics.memory
+        resident = self.store.used_bytes + self.cow.extra_bytes
+        if resident > memory.peak:
+            memory.peak = resident
 
     def info(self) -> dict[str, float]:
         """A Redis ``INFO``-style snapshot of server state and metrics."""
@@ -480,10 +496,10 @@ class Server:
             "keys": float(len(self.store)),
             "used_memory": float(self.store.used_bytes),
             "used_memory_peak": float(m.memory.peak),
-            "total_commands_processed": float(len(m.ops)),
-            "instantaneous_ops": m.ops.mean_rate(),
-            "set_p999": m.set_latency.p(99.9),
-            "get_p999": m.get_latency.p(99.9),
+            "total_commands_processed": float(len(m.op_times)),
+            "instantaneous_ops": m.phase_rps()["average"],
+            "set_p999": percentile(m.set_latency, 99.9),
+            "get_p999": percentile(m.get_latency, 99.9),
             "snapshot_in_progress": float(self.snapshot_in_progress),
             "snapshots_completed": float(len(m.snapshots)),
             "cow_copied_pages": float(self.cow.copied_pages),
@@ -495,8 +511,9 @@ class Server:
         return out
 
     def reset_metrics(self) -> None:
-        """Fresh metrics (drop warmup samples); state is untouched."""
-        self.metrics = ServerMetrics(self.env)
+        """Open a fresh window (warm-up samples fall before it; the
+        registry's series stay cumulative); state is untouched."""
+        self.metrics = ServerMetrics(self._obs_latency)
         self._sample_memory()
 
     def stop(self) -> None:

@@ -28,6 +28,8 @@ from repro.obs.registry import (
     ObsCounter,
     ObsGauge,
     ObsHistogram,
+    ObsSamples,
+    percentile,
     render_metric_name,
 )
 from repro.obs.spans import Span, SpanRecord
@@ -54,6 +56,8 @@ __all__ = [
     "ObsCounter",
     "ObsGauge",
     "ObsHistogram",
+    "ObsSamples",
+    "percentile",
     "render_metric_name",
     "Span",
     "SpanRecord",

@@ -2,10 +2,11 @@
 
 One :class:`MetricsRegistry` holds every instrument of one system
 (or one run): monotonic :class:`ObsCounter`\\ s, :class:`ObsGauge`\\ s
-with low/high watermarks, and :class:`ObsHistogram`\\ s with bounded
-reservoirs, each keyed by ``(name, labels)``. It also owns the span
-log (see :mod:`repro.obs.spans`) and a timestamped event log, so one
-object captures everything an exporter needs.
+with low/high watermarks, :class:`ObsHistogram`\\ s with bounded
+reservoirs, and exact timestamped :class:`ObsSamples` (what the
+paper's tables are read from), each keyed by ``(name, labels)``. It
+also owns the span log (see :mod:`repro.obs.spans`) and a timestamped
+event log, so one object captures everything an exporter needs.
 
 Instruments are get-or-create: ``registry.counter("wal_flushes_total",
 path="wal")`` returns the same object every time, so components fetch
@@ -26,12 +27,30 @@ import numpy as np
 from repro.obs.spans import Span, SpanRecord
 from repro.sim.engine import Environment
 
-__all__ = ["ObsCounter", "ObsGauge", "ObsHistogram", "MetricsRegistry",
-           "LabeledRegistry", "render_metric_name"]
+__all__ = ["ObsCounter", "ObsGauge", "ObsHistogram", "ObsSamples",
+           "MetricsRegistry", "LabeledRegistry", "percentile",
+           "render_metric_name"]
+
+#: slots in an :class:`ObsHistogram` reservoir
+RESERVOIR = 512
 
 
 def _label_key(labels: dict) -> tuple:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+
+
+def percentile(samples, q: float) -> float:
+    """Nearest-rank percentile ``q`` in [0, 100] of ``samples``.
+
+    Always one of the samples (``method="higher"``), never an
+    interpolation between two. ``nan`` for an empty set rather than
+    raising, so reports can render partial runs.
+    """
+    if len(samples) == 0:
+        return float("nan")
+    return float(
+        np.percentile(np.asarray(samples, dtype=np.float64), q, method="higher")
+    )
 
 
 class ObsCounter:
@@ -107,13 +126,11 @@ class ObsHistogram:
     """
 
     __slots__ = ("name", "labels", "count", "total", "min", "max",
-                 "_res_mv", "_res_np", "_rsize", "_cap", "_rng",
+                 "_res_mv", "_res_np", "_rsize", "_rng",
                  "_randbuf", "_randpos")
     kind = "histogram"
 
-    def __init__(self, name: str, labels: dict, reservoir: int = 512):
-        if reservoir < 1:
-            raise ValueError("reservoir must be >= 1")
+    def __init__(self, name: str, labels: dict):
         self.name = name
         self.labels = labels
         self.count = 0
@@ -122,11 +139,10 @@ class ObsHistogram:
         self.max = float("-inf")
         # preallocated reservoir: memoryview scalar stores on the
         # observe() hot path, a zero-copy numpy view for percentiles
-        buf = array("d", [0.0]) * reservoir
+        buf = array("d", [0.0]) * RESERVOIR
         self._res_mv = memoryview(buf)
         self._res_np = np.frombuffer(buf, dtype=np.float64)
         self._rsize = 0
-        self._cap = reservoir
         # crc32, not hash(): builtin string hashing is salted by
         # PYTHONHASHSEED, so a hash-derived seed differs from process
         # to process and reservoir percentiles stop reproducing
@@ -145,7 +161,7 @@ class ObsHistogram:
         if value > self.max:
             self.max = value
         n = self._rsize
-        if n < self._cap:
+        if n < RESERVOIR:
             self._res_mv[n] = value
             self._rsize = n + 1
         else:
@@ -157,7 +173,7 @@ class ObsHistogram:
                 i = 0
             self._randpos = i + 1
             j = self._randbuf[i] % self.count
-            if j < self._cap:
+            if j < RESERVOIR:
                 self._res_mv[j] = value
 
     @property
@@ -166,7 +182,7 @@ class ObsHistogram:
 
     @property
     def reservoir(self) -> list[float]:
-        """The sampled values (a copy; at most ``reservoir`` entries)."""
+        """The sampled values (a copy; at most ``RESERVOIR`` entries)."""
         return self._res_np[: self._rsize].tolist()
 
     def percentile(self, q: float) -> float:
@@ -185,6 +201,63 @@ class ObsHistogram:
             "mean": self.mean,
             "p50": self.percentile(50),
             "p99": self.percentile(99),
+        }
+
+
+class ObsSamples:
+    """Every observation kept, with the instant it was made.
+
+    The exact instrument: what a report states (p999, RPS per phase,
+    the timeline) is computed from these two columns, and the
+    ``p50``/``p99`` an exporter prints are the same nearest-rank
+    :func:`percentile` over the same samples. Exported as a histogram.
+    Costs 16 bytes per observation, so it is for per-request series;
+    per-device-command series stay :class:`ObsHistogram` reservoirs.
+    """
+
+    __slots__ = ("name", "labels", "t", "v", "total")
+    kind = "histogram"
+
+    def __init__(self, name: str, labels: dict):
+        self.name = name
+        self.labels = labels
+        self.t = array("d")
+        self.v = array("d")
+        self.total = 0.0
+
+    def observe(self, t: float, value: float) -> None:
+        self.t.append(t)
+        self.v.append(value)
+        self.total += value
+
+    @property
+    def count(self) -> int:
+        return len(self.v)
+
+    def times(self, start: int = 0) -> np.ndarray:
+        """Observation instants from index ``start`` on (a copy: a
+        live view would make the next ``observe`` raise)."""
+        return np.array(memoryview(self.t)[start:])
+
+    def values(self, start: int = 0) -> np.ndarray:
+        """Observed values from index ``start`` on (a copy)."""
+        return np.array(memoryview(self.v)[start:])
+
+    def percentile(self, q: float) -> float:
+        return percentile(self.values(), q)
+
+    def summary(self) -> dict:
+        if not self.v:
+            return {"count": 0, "sum": 0.0}
+        v = self.values()
+        return {
+            "count": len(v),
+            "sum": self.total,
+            "min": float(v.min()),
+            "max": float(v.max()),
+            "mean": self.total / len(v),
+            "p50": percentile(v, 50),
+            "p99": percentile(v, 99),
         }
 
 
@@ -220,9 +293,11 @@ class MetricsRegistry:
     def gauge(self, name: str, fn=None, **labels) -> ObsGauge:
         return self._get(ObsGauge, name, labels, fn=fn)
 
-    def histogram(self, name: str, reservoir: int = 512,
-                  **labels) -> ObsHistogram:
-        return self._get(ObsHistogram, name, labels, reservoir=reservoir)
+    def histogram(self, name: str, **labels) -> ObsHistogram:
+        return self._get(ObsHistogram, name, labels)
+
+    def samples(self, name: str, **labels) -> ObsSamples:
+        return self._get(ObsSamples, name, labels)
 
     def instruments(self):
         """All instruments in registration order."""
@@ -353,10 +428,11 @@ class LabeledRegistry:
     def gauge(self, name: str, fn=None, **labels) -> ObsGauge:
         return self.base.gauge(name, fn=fn, **self._merge(labels))
 
-    def histogram(self, name: str, reservoir: int = 512,
-                  **labels) -> ObsHistogram:
-        return self.base.histogram(name, reservoir=reservoir,
-                                   **self._merge(labels))
+    def histogram(self, name: str, **labels) -> ObsHistogram:
+        return self.base.histogram(name, **self._merge(labels))
+
+    def samples(self, name: str, **labels) -> ObsSamples:
+        return self.base.samples(name, **self._merge(labels))
 
     def total(self, name: str, **labels) -> float:
         return self.base.total(name, **self._merge(labels))

@@ -22,12 +22,6 @@ from repro.sim.engine import (
     Timeout,
 )
 from repro.sim.resources import Lock, PriorityResource, Resource, Store
-from repro.sim.stats import (
-    IntervalRate,
-    LatencyRecorder,
-    TimeWeighted,
-    percentile,
-)
 
 __all__ = [
     "AllOf",
@@ -42,8 +36,4 @@ __all__ = [
     "PriorityResource",
     "Resource",
     "Store",
-    "IntervalRate",
-    "LatencyRecorder",
-    "TimeWeighted",
-    "percentile",
 ]

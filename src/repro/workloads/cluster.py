@@ -1,14 +1,15 @@
-"""Cluster-aware workload driver: one op stream, N shards.
+"""Cluster-aware workload report: one op stream, N shards.
 
-:class:`ClusterWorkload` wraps any :class:`ClosedLoopWorkload` shape
-(the same knobs, the same pre-drawn sequence) but routes every op
-through a :class:`~repro.cluster.ClusterRouter` instead of a single
-server, so the key's hash slot — not the driver — decides which shard
-does the work. The report comes back at two granularities:
+:class:`ClusterWorkload` runs any :class:`ClosedLoopWorkload` shape
+(the same knobs, the same pre-drawn sequence, the same driver) against
+a cluster, whose ``execute`` goes through the
+:class:`~repro.cluster.ClusterRouter`, so the key's hash slot — not the
+driver — decides which shard does the work. The report comes back at
+two granularities:
 
-* one :class:`WorkloadReport` per shard (that shard's latency
-  recorders, snapshot windows, memory, and *its own* WAF read off the
-  shared FTL's per-stream counters for the shard's Placement IDs);
+* one :class:`WorkloadReport` per shard (that shard's latency samples,
+  snapshot windows, memory, and *its own* WAF read off the shared
+  FTL's per-stream counters for the shard's Placement IDs);
 * one aggregate report (total throughput, cluster-wide percentiles
   merged from every shard's samples, device-global WAF).
 """
@@ -17,10 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.persist import SnapshotKind
-from repro.sim.stats import LatencyRecorder
-from repro.workloads.keys import make_key, make_value
-from repro.workloads.runner import ClosedLoopWorkload, WorkloadReport
+import numpy as np
+
+from repro.obs.registry import percentile
+from repro.workloads.runner import (
+    ClosedLoopWorkload,
+    WorkloadReport,
+    add_corrected,
+    server_report,
+)
 
 __all__ = ["ClusterReport", "ClusterWorkload"]
 
@@ -68,128 +74,40 @@ class ClusterWorkload:
     def __init__(self, shape: ClosedLoopWorkload):
         self.shape = shape
 
-    # ------------------------------------------------------------ setup
     def preload(self, cluster) -> None:
         """Load initial records onto their owning shards (zero time)."""
-        shape = self.shape
-        for i in range(shape.preload_records):
-            key = make_key(i, shape.key_width)
-            shard = cluster.router.shard_for_key(key)
-            shard.server.store.set(
-                key, make_value(key, shape.value_size,
-                                shape.incompressible_fraction)
-            )
+        self.shape.preload(cluster)
 
-    # ------------------------------------------------------------ running
     def run(self, cluster, warmup_ops: int = 0) -> ClusterReport:
         """Drive the cluster to completion and report.
 
-        Mirrors :meth:`ClosedLoopWorkload.run`: shared cursor over a
-        pre-drawn sequence, ``warmup_ops`` excluded from metrics, the
-        run settles only after every shard's snapshots finish.
+        ``warmup_ops`` are excluded from metrics; the run settles only
+        after every shard's snapshots finish.
         """
-        shape = self.shape
-        env = cluster.env
-        self.preload(cluster)
-        keys, is_get = shape._draw_sequence()
-        cursor = {"i": 0}
-        snapshot_at = (
-            int(shape.total_ops * shape.snapshot_at_fraction)
-            if shape.snapshot_at_fraction is not None
-            else None
+        ftl = cluster.device.ftl
+        t0, (streams0, routed0, erased0), corrected = self.shape.drive(
+            cluster, warmup_ops,
+            lambda: (_stream_baseline(ftl), list(cluster.router.routed),
+                     ftl.stats.segments_erased),
         )
-        measure = {"t": 0.0, "done": warmup_ops == 0,
-                   "streams": _stream_baseline(cluster.device.ftl),
-                   "routed0": list(cluster.router.routed)}
-        started = [snapshot_at is None] * len(cluster.shards)
-
-        def begin_measurement() -> None:
-            measure["done"] = True
-            measure["t"] = env.now
-            measure["streams"] = _stream_baseline(cluster.device.ftl)
-            measure["routed0"] = list(cluster.router.routed)
-            for shard in cluster.shards:
-                shard.server.reset_metrics()
-
-        def client():
-            while True:
-                i = cursor["i"]
-                if i >= shape.total_ops:
-                    return
-                cursor["i"] = i + 1
-                if not measure["done"] and i >= warmup_ops:
-                    begin_measurement()
-                yield from cluster.router.execute(
-                    shape._op(keys[i], is_get[i])
-                )
-                if snapshot_at is not None and i >= snapshot_at \
-                        and not all(started):
-                    # On-Demand backup of the whole cluster; a shard
-                    # mid-WAL-snapshot declines and is retried later
-                    for j, s in enumerate(cluster.shards):
-                        if not started[j] and s.server.start_snapshot(
-                                SnapshotKind.ON_DEMAND) is not None:
-                            started[j] = True
-
-        procs = [env.process(client(), name=f"cluster-client-{c}")
-                 for c in range(shape.clients)]
-        for p in procs:
-            env.run(until=p)
-
-        def settle():
-            while any(s.server.snapshot_in_progress for s in cluster.shards):
-                yield env.idle_wait(1e-3)
-
-        env.run(until=env.process(settle(), name="cluster-settle"))
-        return self._report(cluster, measure)
-
-    # ------------------------------------------------------------ reporting
-    def _shard_report(self, cluster, index: int, t0: float,
-                      streams0: dict) -> WorkloadReport:
-        shard = cluster.shards[index]
-        env = cluster.env
-        m = shard.system.metrics
-        rep = WorkloadReport()
-        rep.ops = len(m.ops)
-        rep.duration = env.now - t0
-        phases = m.phase_rps(t_end=env.now)
-        rep.rps = phases["average"]
-        rep.rps_wal_only = phases["wal_only"]
-        rep.rps_wal_snapshot = phases["wal_snapshot"]
-        rep.set_p999 = m.set_latency.p(99.9)
-        rep.get_p999 = m.get_latency.p(99.9)
-        rep.set_mean = m.set_latency.mean()
-        rep.steady_memory = shard.server.store.used_bytes
-        rep.peak_memory = m.memory.peak
-        rep.snapshot_times = [s.duration for s in m.snapshots]
-        rep.snapshot_count = len(m.snapshots)
-        if shard.policy is not None:
-            rep.waf = _waf_since(cluster.device.ftl, shard.policy.pids,
-                                 streams0)
-        else:
-            # baseline: all shards share stream 0 — device-global WAF
-            rep.waf = _waf_since(cluster.device.ftl,
-                                 cluster.device.ftl.stream_ids, streams0)
-        return rep
-
-    def _report(self, cluster, measure: dict) -> ClusterReport:
-        env = cluster.env
-        t0 = measure["t"]
-        streams0 = measure["streams"]
+        now = cluster.env.now
         out = ClusterReport()
         out.shard_names = [s.name for s in cluster.shards]
         out.pid_allocation = cluster.pid_report()
-        out.routed = [
-            n - n0 for n, n0 in zip(cluster.router.routed,
-                                    measure["routed0"])
-        ]
-        for i in range(len(cluster.shards)):
-            out.per_shard.append(self._shard_report(cluster, i, t0, streams0))
+        out.routed = [n - n0 for n, n0 in zip(cluster.router.routed, routed0)]
+        windows = [s.server.metrics for s in cluster.shards]
+        for shard, window in zip(cluster.shards, windows):
+            rep = server_report(window, shard.server.store, t0, now)
+            # baseline shards all share stream 0 — device-global WAF
+            pids = shard.policy.pids if shard.policy is not None \
+                else ftl.stream_ids
+            rep.waf = _waf_since(ftl, pids, streams0)
+            out.per_shard.append(rep)
         out.shard_waf = [r.waf for r in out.per_shard]
 
-        agg = WorkloadReport()
+        agg = out.aggregate
         agg.ops = sum(r.ops for r in out.per_shard)
-        agg.duration = env.now - t0
+        agg.duration = now - t0
         agg.rps = agg.ops / agg.duration if agg.duration > 0 else 0.0
         # shards serve concurrently: cluster phase throughput is the
         # sum of the per-shard phase rates
@@ -197,24 +115,19 @@ class ClusterWorkload:
         agg.rps_wal_snapshot = sum(
             r.rps_wal_snapshot for r in out.per_shard
         )
-        set_all = LatencyRecorder("cluster-SET")
-        get_all = LatencyRecorder("cluster-GET")
-        for shard in cluster.shards:
-            m = shard.system.metrics
-            set_all.extend(m.set_latency.samples)
-            get_all.extend(m.get_latency.samples)
-        agg.set_p999 = set_all.p(99.9)
-        agg.get_p999 = get_all.p(99.9)
-        agg.set_mean = set_all.mean()
+        set_all = np.concatenate([w.set_latency for w in windows])
+        agg.set_p999 = percentile(set_all, 99.9)
+        agg.get_p999 = percentile(
+            np.concatenate([w.get_latency for w in windows]), 99.9)
+        agg.set_mean = float(set_all.mean()) if len(set_all) \
+            else float("nan")
         agg.steady_memory = sum(r.steady_memory for r in out.per_shard)
         agg.peak_memory = sum(r.peak_memory for r in out.per_shard)
         agg.snapshot_times = [
             t for r in out.per_shard for t in r.snapshot_times
         ]
         agg.snapshot_count = sum(r.snapshot_count for r in out.per_shard)
-        agg.waf = _waf_since(cluster.device.ftl,
-                             cluster.device.ftl.stream_ids, streams0)
-        st = cluster.device.ftl.stats
-        agg.gc_segments_erased = st.segments_erased
-        out.aggregate = agg
+        agg.waf = _waf_since(ftl, ftl.stream_ids, streams0)
+        agg.gc_segments_erased = ftl.stats.segments_erased - erased0
+        add_corrected(agg, self.shape.target_rate, corrected)
         return out

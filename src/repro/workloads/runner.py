@@ -1,23 +1,27 @@
-"""Closed-loop workload drivers and the measurement report.
+"""The closed-loop driver and the measurement report.
 
-A workload pre-draws its whole operation sequence (vectorized numpy),
-spawns N client processes that pull from the shared sequence, runs the
-simulation to completion (including any in-flight snapshot), and
-summarizes everything the paper's tables read off a run.
+A workload pre-draws its whole operation sequence (vectorized numpy);
+:func:`closed_loop` spawns N client processes that pull from the shared
+sequence and runs the simulation to completion (including any in-flight
+snapshot); :func:`server_report` summarizes everything the paper's
+tables read off one server's window. A single instance, every shard of
+a cluster and a replayed trace all go through these two functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.imdb import ClientOp
+from repro.obs.registry import percentile
 from repro.persist import SnapshotKind
 from repro.workloads.keys import UniformKeys, ZipfianKeys, make_key, make_value
 
 __all__ = ["WorkloadReport", "ClosedLoopWorkload", "RedisBenchWorkload",
-           "YcsbAWorkload"]
+           "YcsbAWorkload", "closed_loop", "server_report", "add_corrected"]
 
 
 @dataclass
@@ -55,6 +59,144 @@ class WorkloadReport:
     def mean_snapshot_time(self) -> float:
         return float(np.mean(self.snapshot_times)) if self.snapshot_times \
             else float("nan")
+
+
+def closed_loop(target, total: int, op_at: Callable[[int], ClientOp], *,
+                clients: int, warmup_ops: int = 0,
+                snapshot_at: int | None = None, rate: float | None = None,
+                baseline: Callable[[], object] = lambda: None):
+    """Run ops ``op_at(0) .. op_at(total - 1)`` through ``target``.
+
+    ``target`` is any deployment with ``env``, ``servers`` and
+    ``execute(op)`` — one system or a cluster. ``clients`` processes
+    share one cursor. When op ``warmup_ops`` is about to start the
+    measurement window opens: every server's metrics are reset and
+    ``baseline()`` is called (the caller copies its FTL counters
+    there). From op ``snapshot_at`` on, each server is asked for an
+    On-Demand snapshot until it has taken one. With ``rate``, op ``i``
+    is held until its intended instant ``i / rate``. Returns after
+    every client is done and no server is snapshotting.
+
+    Returns ``(t0, base, corrected)``: when the window opened, what
+    ``baseline()`` returned then, and for a paced run the latencies
+    measured from each op's intended instant plus the late-start count
+    (``{"SET": [...], "GET": [...], "DEL": [...], "late": n}``).
+    """
+    if not 0 <= warmup_ops < total:
+        raise ValueError("warmup_ops must be in [0, total ops)")
+    env = target.env
+    servers = target.servers
+    cursor = 0
+    t0 = base = None
+    unsnapshotted = list(servers) if snapshot_at is not None else []
+    sched_t0 = env.now
+    corrected = {"SET": [], "GET": [], "DEL": [], "late": 0}
+
+    def client():
+        nonlocal cursor, t0, base
+        while cursor < total:
+            i = cursor
+            cursor += 1
+            if rate is not None:
+                # fixed intended schedule: op i belongs at i/rate no
+                # matter how far behind the clients have fallen
+                t_int = sched_t0 + i / rate
+                if env.now < t_int:
+                    yield env.timeout(t_int - env.now)
+            if t0 is None and i >= warmup_ops:
+                t0 = env.now
+                for server in servers:
+                    server.reset_metrics()
+                base = baseline()
+            t_start = env.now
+            op = op_at(i)
+            yield from target.execute(op)
+            if rate is not None and i >= warmup_ops:
+                corrected[op.op].append(env.now - t_int)
+                if t_start > t_int:
+                    corrected["late"] += 1
+            if unsnapshotted and i >= snapshot_at:
+                # keep asking: a WAL-snapshot may be in flight (only
+                # one snapshot runs at a time per server, §2.1)
+                unsnapshotted[:] = [
+                    s for s in unsnapshotted
+                    if s.start_snapshot(SnapshotKind.ON_DEMAND) is None
+                ]
+
+    procs = [env.process(client(), name=f"client-{c}")
+             for c in range(clients)]
+    for p in procs:
+        env.run(until=p)
+
+    def settle():
+        # idle_wait: the predicate reads sim state only, so ticks
+        # strictly before the next scheduled event cannot change it
+        while any(s.snapshot_in_progress for s in servers):
+            yield env.idle_wait(1e-3)
+
+    env.run(until=env.process(settle(), name="settle"))
+    return t0, base, corrected
+
+
+def _rate_timeline(t: np.ndarray, bin_width: float
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted event instants → (bin centres, events per second) over
+    ``[t[0], t[-1]]`` (the RPS curves of Figures 4-5)."""
+    if bin_width <= 0:
+        raise ValueError("bin_width must be positive")
+    if len(t) == 0:
+        return np.array([]), np.array([])
+    lo, hi = t[0], t[-1]
+    if hi <= lo:
+        hi = lo + bin_width
+    n_bins = max(1, int(np.ceil((hi - lo) / bin_width - 1e-9)))
+    edges = lo + np.arange(n_bins + 1, dtype=np.float64) * bin_width
+    # the last edge is pinned at >= hi so the event exactly at hi cannot
+    # fall off the histogram to float rounding in the edge grid
+    edges[-1] = max(edges[-1], hi)
+    counts, edges = np.histogram(t, bins=edges)
+    return (edges[:-1] + edges[1:]) / 2.0, counts / bin_width
+
+
+def server_report(window, store, t0: float, now: float) -> WorkloadReport:
+    """Fill a report from one server's metrics window and store.
+
+    WAF and erase counts are device-side and depend on which streams
+    the caller attributes to this server, so the caller adds them.
+    """
+    rep = WorkloadReport()
+    t = window.op_times
+    rep.ops = len(t)
+    rep.duration = now - t0
+    phases = window.phase_rps(t_end=now)
+    rep.rps = phases["average"]
+    rep.rps_wal_only = phases["wal_only"]
+    rep.rps_wal_snapshot = phases["wal_snapshot"]
+    sets = window.set_latency
+    rep.set_p999 = percentile(sets, 99.9)
+    rep.get_p999 = percentile(window.get_latency, 99.9)
+    rep.set_mean = float(sets.mean()) if len(sets) else float("nan")
+    rep.steady_memory = store.used_bytes
+    rep.peak_memory = window.memory.peak
+    rep.snapshot_times = [s.duration for s in window.snapshots]
+    rep.snapshot_count = len(window.snapshots)
+    if len(t) > 1:
+        rep.timeline = _rate_timeline(t, max((t[-1] - t[0]) / 60.0, 1e-6))
+    return rep
+
+
+def add_corrected(rep: WorkloadReport, rate: float | None,
+                  corrected: dict) -> None:
+    """The paced-run cells: percentiles from each op's intended start."""
+    if rate is None:
+        return
+    rep.target_rate = rate
+    rep.late_starts = corrected["late"]
+    if corrected["SET"]:
+        rep.corrected_set_p999 = percentile(corrected["SET"], 99.9)
+        rep.corrected_set_mean = float(np.mean(corrected["SET"]))
+    if corrected["GET"]:
+        rep.corrected_get_p999 = percentile(corrected["GET"], 99.9)
 
 
 class ClosedLoopWorkload:
@@ -126,14 +268,29 @@ class ClosedLoopWorkload:
         )
 
     # ------------------------------------------------------------------ running
-    def preload(self, system) -> None:
+    def preload(self, target) -> None:
         """Load initial records directly (setup phase, zero sim time)."""
         for i in range(self.preload_records):
             key = make_key(i, self.key_width)
-            system.server.store.set(
+            target.server_for_key(key).store.set(
                 key, make_value(key, self.value_size,
                                 self.incompressible_fraction)
             )
+
+    def drive(self, target, warmup_ops: int, baseline):
+        """Preload, draw the sequence and run it through ``target``
+        (a system or a cluster); see :func:`closed_loop`."""
+        self.preload(target)
+        keys, is_get = self._draw_sequence()
+        return closed_loop(
+            target, self.total_ops, lambda i: self._op(keys[i], is_get[i]),
+            clients=self.clients, warmup_ops=warmup_ops,
+            snapshot_at=(
+                int(self.total_ops * self.snapshot_at_fraction)
+                if self.snapshot_at_fraction is not None else None
+            ),
+            rate=self.target_rate, baseline=baseline,
+        )
 
     def run(self, system, warmup_ops: int = 0) -> WorkloadReport:
         """Drive the system to completion and report.
@@ -141,113 +298,16 @@ class ClosedLoopWorkload:
         ``warmup_ops``: leading operations excluded from metrics (used
         to build GC pressure before measuring).
         """
-        env = system.env
-        self.preload(system)
-        keys, is_get = self._draw_sequence()
-        cursor = {"i": 0}
-        snapshot_at = (
-            int(self.total_ops * self.snapshot_at_fraction)
-            if self.snapshot_at_fraction is not None
-            else None
-        )
-        measure_from = {"t": 0.0, "done": warmup_ops == 0}
-        ondemand_started = {"done": snapshot_at is None}
-        ftl0 = {"host": 0, "gc": 0, "erased": 0}
-        rate = self.target_rate
-        sched_t0 = env.now
-        corrected = {"set": [], "get": [], "late": 0}
-
-        def client():
-            while True:
-                i = cursor["i"]
-                if i >= self.total_ops:
-                    return
-                cursor["i"] = i + 1
-                if rate is not None:
-                    # fixed intended schedule: op i belongs at i/rate no
-                    # matter how far behind the clients have fallen
-                    t_int = sched_t0 + i / rate
-                    if env.now < t_int:
-                        yield env.timeout(t_int - env.now)
-                else:
-                    t_int = env.now
-                if not measure_from["done"] and i >= warmup_ops:
-                    measure_from["done"] = True
-                    measure_from["t"] = env.now
-                    system.server.reset_metrics()
-                    st = system.device.ftl.stats
-                    ftl0.update(host=st.host_pages_written,
-                                gc=st.gc_pages_copied,
-                                erased=st.segments_erased)
-                t_start = env.now
-                yield from system.server.execute(self._op(keys[i], is_get[i]))
-                if rate is not None and i >= warmup_ops:
-                    corrected["get" if is_get[i] else "set"].append(
-                        env.now - t_int)
-                    if t_start > t_int:
-                        corrected["late"] += 1
-                if (
-                    snapshot_at is not None
-                    and i >= snapshot_at
-                    and not ondemand_started["done"]
-                ):
-                    # keep asking: a WAL-snapshot may be in flight (only
-                    # one snapshot runs at a time, §2.1)
-                    if system.server.start_snapshot(SnapshotKind.ON_DEMAND):
-                        ondemand_started["done"] = True
-
-        procs = [env.process(client(), name=f"client-{c}")
-                 for c in range(self.clients)]
-        for p in procs:
-            env.run(until=p)
-
-        def settle():
-            # idle_wait: the predicate reads sim state only, so ticks
-            # strictly before the next scheduled event cannot change it
-            while system.server.snapshot_in_progress:
-                yield env.idle_wait(1e-3)
-
-        env.run(until=env.process(settle(), name="settle"))
-        return self._report(system, measure_from["t"], ftl0, corrected)
-
-    def _report(self, system, t0: float, ftl0: dict,
-                corrected: dict | None = None) -> WorkloadReport:
-        env = system.env
-        m = system.metrics
-        rep = WorkloadReport()
-        rep.ops = len(m.ops)
-        rep.duration = env.now - t0
-        phases = m.phase_rps(t_end=env.now)
-        rep.rps = phases["average"]
-        rep.rps_wal_only = phases["wal_only"]
-        rep.rps_wal_snapshot = phases["wal_snapshot"]
-        rep.set_p999 = m.set_latency.p(99.9)
-        rep.get_p999 = m.get_latency.p(99.9)
-        rep.set_mean = m.set_latency.mean()
-        rep.steady_memory = system.server.store.used_bytes
-        rep.peak_memory = m.memory.peak
-        rep.snapshot_times = [s.duration for s in m.snapshots]
-        rep.snapshot_count = len(m.snapshots)
         st = system.device.ftl.stats
-        host = st.host_pages_written - ftl0["host"]
-        gc = st.gc_pages_copied - ftl0["gc"]
+        t0, st0, corrected = self.drive(system, warmup_ops,
+                                        lambda: replace(st))
+        rep = server_report(system.metrics, system.server.store, t0,
+                            system.env.now)
+        host = st.host_pages_written - st0.host_pages_written
+        gc = st.gc_pages_copied - st0.gc_pages_copied
         rep.waf = (host + gc) / host if host > 0 else 1.0
-        rep.gc_segments_erased = st.segments_erased - ftl0["erased"]
-        if len(m.ops) > 1:
-            ts = m.ops.timestamps
-            span = ts[-1] - ts[0]
-            bin_w = max(span / 60.0, 1e-6)
-            rep.timeline = m.ops.rate(bin_w)
-        if self.target_rate is not None and corrected is not None:
-            rep.target_rate = self.target_rate
-            rep.late_starts = corrected["late"]
-            if corrected["set"]:
-                s = np.asarray(corrected["set"])
-                rep.corrected_set_p999 = float(np.percentile(s, 99.9))
-                rep.corrected_set_mean = float(s.mean())
-            if corrected["get"]:
-                rep.corrected_get_p999 = float(
-                    np.percentile(np.asarray(corrected["get"]), 99.9))
+        rep.gc_segments_erased = st.segments_erased - st0.segments_erased
+        add_corrected(rep, self.target_rate, corrected)
         return rep
 
 

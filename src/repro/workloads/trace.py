@@ -18,6 +18,7 @@ from pathlib import Path
 from collections.abc import Iterable
 
 from repro.imdb import ClientOp
+from repro.workloads.runner import closed_loop, server_report
 
 __all__ = ["save_trace", "load_trace", "TraceWorkload"]
 
@@ -80,28 +81,14 @@ class TraceWorkload:
 
     def run(self, system) -> dict[str, float]:
         """Replay; returns a small summary dict."""
-        env = system.env
-        cursor = {"i": 0}
-
-        def client():
-            while True:
-                i = cursor["i"]
-                if i >= len(self.ops):
-                    return
-                cursor["i"] = i + 1
-                yield from system.server.execute(self.ops[i])
-
-        procs = [env.process(client(), name=f"trace-client-{c}")
-                 for c in range(self.clients)]
-        t0 = env.now
-        for p in procs:
-            env.run(until=p)
-        dur = env.now - t0
-        m = system.metrics
+        t0, _, _ = closed_loop(system, len(self.ops), self.ops.__getitem__,
+                               clients=self.clients)
+        rep = server_report(system.metrics, system.server.store, t0,
+                            system.env.now)
         return {
-            "ops": float(len(self.ops)),
-            "duration": dur,
-            "rps": len(self.ops) / dur if dur > 0 else 0.0,
-            "set_p999": m.set_latency.p(99.9),
-            "get_p999": m.get_latency.p(99.9),
+            "ops": float(rep.ops),
+            "duration": rep.duration,
+            "rps": rep.rps,
+            "set_p999": rep.set_p999,
+            "get_p999": rep.get_p999,
         }

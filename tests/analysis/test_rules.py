@@ -100,12 +100,16 @@ def test_slim005_metric_naming():
                              package="obs")) == ["SLIM005"]
     assert codes(lint_source('g = registry.gauge("x_total")\n',
                              package="obs")) == ["SLIM005"]
+    # the exact-sample factory follows the histogram rule
+    assert codes(lint_source('s = self.obs.samples("cmd_latency")\n',
+                             package="imdb")) == ["SLIM005"]
 
 
 def test_slim005_conforming_names_pass():
     src = ('c = registry.counter("wal_flushes_total")\n'
            'h = registry.histogram("flush_seconds")\n'
-           'g = registry.gauge("inflight_batches")\n')
+           'g = registry.gauge("inflight_batches")\n'
+           's = registry.samples("cmd_latency_seconds", op="SET")\n')
     assert lint_source(src, package="obs").ok
 
 

@@ -85,7 +85,6 @@ def test_reap_frees_extra_memory(env, acct):
     drive(env, proc())
     assert cow.extra_bytes == 0
     assert not cow.snapshot_active
-    assert cow.extra.peak == 10 * 4096
 
 
 def test_double_fork_rejected(env, acct):

@@ -211,6 +211,40 @@ def test_phase_rps_split():
     server.stop()
 
 
+def test_metrics_window_restarts_while_the_registry_series_keep_growing():
+    """``reset_metrics()`` opens a new window over the same samples:
+    reports read what came after it, exporters (and slimbench's
+    ``delta(probe(end), probe(start))``) the cumulative series."""
+    from repro.obs import percentile
+
+    env, server, fs = build_server()
+    key = 'server_command_latency_seconds{op="SET",server="imdb"}'
+
+    def sets(n):
+        for i in range(n):
+            yield from server.execute(ClientOp("SET", b"k%d" % i, b"v" * 300))
+
+    drive(env, sets(40))
+    first = server.metrics.set_latency
+    before = server.obs.snapshot()[key]
+    assert before["count"] == 40 == len(first)
+    # one ledger: the snapshot's p99 is the report's estimator over
+    # the very same samples, not a reservoir estimate
+    assert before["p99"] == percentile(first, 99)
+    assert before["sum"] == sum(first.tolist())
+
+    server.reset_metrics()
+    assert len(server.metrics.set_latency) == 0
+    assert len(server.metrics.op_times) == 0
+    drive(env, sets(25))
+    after = server.obs.snapshot()[key]
+    assert len(server.metrics.set_latency) == 25
+    assert after["count"] == 65 and after["sum"] > before["sum"]
+    assert after["p99"] == percentile(
+        first.tolist() + server.metrics.set_latency.tolist(), 99)
+    server.stop()
+
+
 def test_server_without_wal_or_sink():
     env = Environment()
     server = Server(env, KVStore(), None, None)

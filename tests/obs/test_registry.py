@@ -5,6 +5,7 @@
 import pytest
 
 from repro.obs import MetricsRegistry, render_metric_name
+from repro.obs.registry import RESERVOIR
 from repro.sim import Environment
 
 
@@ -92,15 +93,17 @@ def test_histogram_exact_stats(reg):
 def test_histogram_reservoir_bounded_and_deterministic():
     def build():
         r = MetricsRegistry(Environment())
-        h = r.histogram("x", reservoir=16)
-        for i in range(1000):
+        h = r.histogram("x")
+        for i in range(4 * RESERVOIR):
             h.observe(float(i))
         return h
 
     a, b = build(), build()
-    assert len(a.reservoir) == 16
+    assert len(a.reservoir) == RESERVOIR
+    assert a.reservoir != [float(i) for i in range(RESERVOIR)]  # replaced
     assert a.reservoir == b.reservoir  # deterministic per-instrument RNG
-    assert a.count == 1000 and a.max == 999.0  # exact stats unaffected
+    # exact stats unaffected
+    assert a.count == 4 * RESERVOIR and a.max == 4 * RESERVOIR - 1.0
 
 
 def test_empty_histogram_summary(reg):
@@ -180,8 +183,8 @@ def test_reservoir_reproduces_across_interpreter_hash_seeds():
         "from repro.obs import MetricsRegistry\n"
         "from repro.sim import Environment\n"
         "r = MetricsRegistry(Environment())\n"
-        "h = r.histogram('lat', reservoir=8, op='get', shard='s1')\n"
-        "for i in range(500):\n"
+        "h = r.histogram('lat', op='get', shard='s1')\n"
+        "for i in range(2000):\n"
         "    h.observe(float(i))\n"
         "print(h.reservoir)\n"
     )

@@ -4,7 +4,7 @@ import pytest
 
 from repro import LoggingPolicy, SystemConfig, build_baseline, build_slimio
 from repro.flash import FlashGeometry, FtlConfig, NandTiming
-from repro.imdb import ServerConfig
+from repro.imdb import ClientOp, ServerConfig
 from repro.workloads import ClosedLoopWorkload, RedisBenchWorkload, YcsbAWorkload
 
 FAST = NandTiming(page_read=2e-6, page_program=5e-6, block_erase=20e-6,
@@ -180,6 +180,60 @@ def test_paced_run_respects_warmup_reset():
     # the whole run is late, so every measured op is a late start
     assert 0 < rep.late_starts <= 310
     assert rep.corrected_set_p999 == rep.corrected_set_p999  # not NaN
+
+
+@pytest.mark.parametrize("builder,total_ops,rate", [
+    (build_baseline, 1500, 3000.0), (build_slimio, 2500, 8000.0),
+], ids=["baseline", "slimio"])
+def test_corrected_p999_is_never_below_the_uncorrected_one(
+        builder, total_ops, rate):
+    """Every corrected sample is >= its uncorrected twin (the intended
+    start is never after the real one), so with one percentile
+    estimator the corrected p999 cannot read lower. It did while the
+    corrected cells interpolated and ``set_p999`` was nearest-rank."""
+    import dataclasses
+
+    cfg = dataclasses.replace(CFG, policy=LoggingPolicy.ALWAYS)
+    system = builder(config=cfg)
+    w = RedisBenchWorkload(clients=8, total_ops=total_ops, key_count=300,
+                           value_size=1024, snapshot_at_fraction=0.5,
+                           target_rate=rate)
+    rep = w.run(system)
+    system.stop()
+    assert rep.corrected_set_p999 >= rep.set_p999
+    assert rep.corrected_set_mean >= rep.set_mean
+
+
+def test_window_opens_at_the_first_measured_op_without_warmup():
+    """With ``warmup_ops == 0`` the window used to stay closed: the
+    report spanned everything since sim-time zero and counted the
+    samples of whatever ran on the server before the workload."""
+    system = build_slimio(config=CFG)
+    env = system.env
+
+    def fill():
+        for i in range(150):
+            yield from system.server.execute(
+                ClientOp("SET", b"fill%d" % i, b"v" * 512))
+
+    env.run(until=env.process(fill()))
+    t_run_start = env.now
+    assert t_run_start > 0
+    w = ClosedLoopWorkload(clients=4, total_ops=400, key_count=100,
+                           value_size=512)
+    rep = w.run(system)
+    system.stop()
+    assert rep.ops == 400
+    assert rep.duration == env.now - t_run_start
+
+
+def test_warmup_must_leave_something_to_measure():
+    system = build_slimio(config=CFG)
+    w = ClosedLoopWorkload(clients=2, total_ops=50, key_count=10,
+                           value_size=64)
+    with pytest.raises(ValueError):
+        w.run(system, warmup_ops=50)
+    system.stop()
 
 
 def test_always_log_policy_through_runner():
