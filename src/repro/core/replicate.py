@@ -147,7 +147,7 @@ def full_sync(
             level=replica.config.compression_level,
             model=replica.config.compression,
         )
-        entries = RdbReader(compressor).read_all(bytes(blob))
+        entries = RdbReader(compressor).read_all(blob)
         if key_filter is not None:
             entries = [(k, v) for k, v in entries if key_filter(k)]
         report.snapshot_entries = len(entries)

@@ -10,6 +10,7 @@ snapshot (many small values) slower than the redis-benchmark snapshot
 
 from __future__ import annotations
 
+import weakref
 import zlib
 from dataclasses import dataclass
 
@@ -47,12 +48,35 @@ class CompressionModel:
             raise ValueError("per_object_overhead must be >= 0")
 
 
-class Compressor:
-    """zlib-backed codec with optional passthrough for tests."""
+class _Memo(dict):
+    """raw chunk -> blob at one zlib level.
 
-    #: memo cap — snapshot cycles re-compress largely unchanged chunks,
-    #: so a modest cache absorbs most of the zlib cost
-    _CACHE_CAP = 4096
+    Held weakly by :data:`_MEMOS` and strongly by every enabled
+    :class:`Compressor` of the level, so the chunks it pins are freed
+    when the last of those codecs is.
+    """
+
+    __slots__ = ("__weakref__",)
+
+    #: backstop, in entries; when full, start over
+    CAP = 4096
+
+
+#: level -> memo. Experiments run their systems in pairs over the same
+#: inputs and each system builds its codecs privately, so chunks repeat
+#: between instances, not within one.
+_MEMOS: weakref.WeakValueDictionary[int, _Memo] = weakref.WeakValueDictionary()
+
+
+class Compressor:
+    """zlib-backed codec with optional passthrough for tests.
+
+    ``zlib.compress`` is a pure function of (bytes, level), so the
+    enabled codecs of one level share one memo for as long as any of
+    them is alive: a chunk is deflated once, however many systems
+    snapshot it. Only the data plane is shared; what a call costs on
+    the simulated clock is charged by the caller from :attr:`model`.
+    """
 
     def __init__(self, level: int = 1, enabled: bool = True,
                  model: CompressionModel | None = None):
@@ -61,23 +85,37 @@ class Compressor:
         self.level = level
         self.enabled = enabled
         self.model = model or CompressionModel()
-        self._cache: dict[bytes, bytes] = {}
+        self._memo = _MEMOS.setdefault(level, _Memo()) if enabled else None
 
     def compress(self, raw: bytes) -> bytes:
         if not self.enabled:
             return raw
-        blob = self._cache.get(raw)
+        memo = self._memo
+        blob = memo.get(raw)
         if blob is None:
             blob = zlib.compress(raw, self.level)
-            if len(self._cache) >= self._CACHE_CAP:
-                self._cache.clear()
-            self._cache[raw] = blob
+            if len(memo) >= memo.CAP:
+                memo.clear()
+            memo[raw] = blob
         return blob
 
-    def decompress(self, blob: bytes, raw_len: int | None = None) -> bytes:
+    def decompress(self, blob: bytes | bytearray | memoryview,
+                   raw_len: int | None = None) -> bytes:
+        """Inflate ``blob``; raises :class:`zlib.error` if it is not one
+        complete zlib stream or, with ``raw_len`` given, inflates to any
+        other length. Output is capped at ``raw_len + 1`` bytes, so a
+        hostile length field cannot buy an unbounded allocation.
+        """
         if not self.enabled:
-            return blob
-        return zlib.decompress(blob)
+            return bytes(blob)
+        if raw_len is None:
+            return zlib.decompress(blob)
+        inflater = zlib.decompressobj()
+        raw = inflater.decompress(blob, raw_len + 1)
+        if len(raw) != raw_len or not inflater.eof or inflater.unused_data:
+            raise zlib.error(f"blob is not one zlib stream of {raw_len} "
+                             "inflated bytes")
+        return raw
 
     def ratio(self, raw: bytes) -> float:
         """Compressed/raw size for this payload (1.0 if disabled)."""

@@ -44,6 +44,9 @@ __all__ = [
 OP_SET = 1
 OP_DEL = 2
 
+#: what the decoders read from, without copying it first
+Buffer = bytes | bytearray | memoryview
+
 _AOF_MAGIC = 0xA5
 _AOF_HDR = struct.Struct("<BBII")
 _CRC = struct.Struct("<I")
@@ -82,8 +85,7 @@ class CorruptionError(CorruptRecord):
         self.trailing_records = trailing_records
 
 
-def _crc(data: bytes) -> int:
-    return zlib.crc32(data) & 0xFFFFFFFF
+_crc = zlib.crc32
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,7 @@ class AofCodec:
         return _AOF_HDR.size + key_len + value_len + _CRC.size
 
     @staticmethod
-    def decode_stream(data: bytes) -> Iterator[AofRecord]:
+    def decode_stream(data: Buffer) -> Iterator[AofRecord]:
         """Yield records until the stream ends or turns invalid.
 
         A torn tail (crash mid-append) terminates iteration silently —
@@ -144,33 +146,41 @@ class AofCodec:
         """
         pos = 0
         n = len(data)
+        view = memoryview(data)
         while pos + _AOF_HDR.size <= n:
-            record, end = AofCodec._decode_one(data, pos, n)
+            record, end = AofCodec._decode_one(view, pos, n)
             if record is None:
                 return
             yield record
             pos = end
 
     @staticmethod
-    def _decode_one(data: bytes, pos: int,
+    def _decode_one(view: memoryview, pos: int,
                     n: int) -> tuple[AofRecord | None, int]:
-        """Decode the record at ``pos``; (None, pos) if invalid/torn."""
-        magic, op, klen, vlen = _AOF_HDR.unpack_from(data, pos)
-        if magic != _AOF_MAGIC or op not in (OP_SET, OP_DEL):
-            return None, pos
-        end = pos + _AOF_HDR.size + klen + vlen + _CRC.size
+        """Decode the record at ``pos``; (None, pos) if invalid/torn.
+
+        ``view`` is one memoryview over the whole stream, taken by the
+        caller: the CRC runs over a slice of it and key and value are
+        the only bytes copied out.
+        """
+        magic, op, klen, vlen = _AOF_HDR.unpack_from(view, pos)
+        if (magic != _AOF_MAGIC or op not in (OP_SET, OP_DEL)
+                or (op == OP_DEL and vlen)):
+            return None, pos  # nothing encode() writes
+        key_at = pos + _AOF_HDR.size
+        value_at = key_at + klen
+        crc_at = value_at + vlen
+        end = crc_at + _CRC.size
         if end > n:
             return None, pos  # torn record
-        body = data[pos : end - _CRC.size]
-        (crc,) = _CRC.unpack_from(data, end - _CRC.size)
-        if crc != _crc(body):
+        (crc,) = _CRC.unpack_from(view, crc_at)
+        if crc != _crc(view[pos:crc_at]):
             return None, pos
-        key = body[_AOF_HDR.size : _AOF_HDR.size + klen]
-        value = body[_AOF_HDR.size + klen :]
-        return AofRecord(op=op, key=bytes(key), value=bytes(value)), end
+        return AofRecord(op=op, key=bytes(view[key_at:value_at]),
+                         value=bytes(view[value_at:crc_at])), end
 
     @staticmethod
-    def scan(data: bytes, start: int = 0,
+    def scan(data: Buffer, start: int = 0,
              strict: bool = False) -> AofScanResult:
         """Decode with tail classification (the recovery entry point).
 
@@ -189,18 +199,25 @@ class AofCodec:
         records: list[AofRecord] = []
         pos = start
         n = len(data)
+        view = memoryview(data)
         while pos + _AOF_HDR.size <= n:
-            record, end = AofCodec._decode_one(data, pos, n)
+            record, end = AofCodec._decode_one(view, pos, n)
             if record is None:
                 break
             records.append(record)
             pos = end
-        if pos >= n or not any(data[pos:]):
+        clean = pos >= n
+        if not clean:
+            # bytes and bytearray count and search in place; a
+            # memoryview can do neither and pays a copy, only here
+            flat = view.tobytes() if isinstance(data, memoryview) else data
+            clean = flat.count(0, pos) == n - pos
+        if clean:
             # end of stream or pure zero padding: a clean tail
             return AofScanResult(records=records, consumed=pos,
                                  truncated_at=None, tail_kind="clean",
                                  resync_at=None, trailing_records=0)
-        resync_at, trailing = AofCodec._resync(data, pos, n)
+        resync_at, trailing = AofCodec._resync(flat, view, pos, n)
         if resync_at is None:
             return AofScanResult(records=records, consumed=pos,
                                  truncated_at=pos, tail_kind="torn",
@@ -212,19 +229,20 @@ class AofCodec:
                              resync_at=resync_at, trailing_records=trailing)
 
     @staticmethod
-    def _resync(data: bytes, pos: int, n: int) -> tuple[int | None, int]:
+    def _resync(flat: bytes | bytearray, view: memoryview, pos: int,
+                n: int) -> tuple[int | None, int]:
         """Find the next CRC-valid record after a decode failure."""
         q = pos + 1
         min_size = _AOF_HDR.size + _CRC.size
         while q + min_size <= n:
-            q = data.find(_AOF_MAGIC, q, n - min_size + 1)
+            q = flat.find(_AOF_MAGIC, q, n - min_size + 1)
             if q < 0:
                 return None, 0
-            record, end = AofCodec._decode_one(data, q, n)
+            record, end = AofCodec._decode_one(view, q, n)
             if record is not None:
                 count = 1
                 while end + _AOF_HDR.size <= n:
-                    record, nxt = AofCodec._decode_one(data, end, n)
+                    record, nxt = AofCodec._decode_one(view, end, n)
                     if record is None:
                         break
                     count += 1
@@ -266,10 +284,10 @@ class RdbWriter:
         raw = b"".join(parts)
         blob = self.compressor.compress(raw)
         hdr = _CHUNK_HDR.pack(_CHUNK_MAGIC, count, len(raw), len(blob))
-        body = hdr + blob
         self._entries += count
         self._chunks += 1
-        return body + _CRC.pack(_crc(body))
+        crc = _crc(blob, _crc(hdr))
+        return b"".join((hdr, blob, _CRC.pack(crc)))
 
     def footer(self) -> bytes:
         if self._finished:
@@ -289,35 +307,40 @@ class RdbReader:
     def __init__(self, compressor: Compressor | None = None):
         self.compressor = compressor or Compressor()
 
-    def read_all(self, data: bytes) -> list[tuple[bytes, bytes]]:
+    def read_all(self, data: Buffer) -> list[tuple[bytes, bytes]]:
         """Decode a complete snapshot; raises :class:`CorruptRecord` on
-        any structural damage (truncation, bad CRC, missing footer)."""
+        any structural damage (truncation, bad CRC, a blob that is not
+        the zlib stream its header declares, missing footer)."""
         out: list[tuple[bytes, bytes]] = []
-        pos = self._check_header(data)
+        view = memoryview(data)
+        pos = self._check_header(view)
         entries = 0
         chunks = 0
-        n = len(data)
+        n = len(view)
         while True:
             if pos >= n:
                 raise CorruptRecord("snapshot ended before footer")
-            magic = data[pos]
+            magic = view[pos]
             if magic == _FOOTER_MAGIC:
-                self._check_footer(data, pos, entries, chunks)
+                self._check_footer(view, pos, entries, chunks)
                 return out
             if magic != _CHUNK_MAGIC:
                 raise CorruptRecord(f"bad chunk magic {magic:#x} at {pos}")
             if pos + _CHUNK_HDR.size > n:
                 raise CorruptRecord("truncated chunk header")
-            _, count, raw_len, comp_len = _CHUNK_HDR.unpack_from(data, pos)
-            end = pos + _CHUNK_HDR.size + comp_len + _CRC.size
+            _, count, raw_len, comp_len = _CHUNK_HDR.unpack_from(view, pos)
+            crc_at = pos + _CHUNK_HDR.size + comp_len
+            end = crc_at + _CRC.size
             if end > n:
                 raise CorruptRecord("truncated chunk body")
-            body = data[pos : end - _CRC.size]
-            (crc,) = _CRC.unpack_from(data, end - _CRC.size)
-            if crc != _crc(body):
+            (crc,) = _CRC.unpack_from(view, crc_at)
+            if crc != _crc(view[pos:crc_at]):
                 raise CorruptRecord(f"chunk CRC mismatch at {pos}")
-            blob = body[_CHUNK_HDR.size :]
-            raw = self.compressor.decompress(bytes(blob), raw_len)
+            blob = view[pos + _CHUNK_HDR.size:crc_at]
+            try:
+                raw = self.compressor.decompress(blob, raw_len)
+            except zlib.error as exc:
+                raise CorruptRecord(f"chunk blob at {pos}: {exc}") from exc
             if len(raw) != raw_len:
                 raise CorruptRecord("decompressed length mismatch")
             out.extend(self._decode_entries(raw, count))
@@ -325,7 +348,7 @@ class RdbReader:
             chunks += 1
             pos = end
 
-    def _check_header(self, data: bytes) -> int:
+    def _check_header(self, data: memoryview) -> int:
         if len(data) < _RDB_HDR.size:
             raise CorruptRecord("truncated header")
         magic, flags, _ = _RDB_HDR.unpack_from(data, 0)
@@ -336,7 +359,7 @@ class RdbReader:
             raise CorruptRecord("compression flag mismatch")
         return _RDB_HDR.size
 
-    def _check_footer(self, data: bytes, pos: int, entries: int,
+    def _check_footer(self, data: memoryview, pos: int, entries: int,
                       chunks: int) -> None:
         if pos + _FOOTER.size > len(data):
             raise CorruptRecord("truncated footer")

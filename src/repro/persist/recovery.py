@@ -101,7 +101,7 @@ def recover_store(
                 offset += n
                 obs.event("recovery_progress", phase="snapshot",
                           read=offset, total=total)
-            entries = RdbReader(comp).read_all(bytes(blob))
+            entries = RdbReader(comp).read_all(blob)
             raw_bytes = sum(len(k) + len(v) for k, v in entries)
             _cpu_ev = account.charge(
                 "decompress",

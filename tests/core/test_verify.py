@@ -1,5 +1,8 @@
 """LBA-space verifier tests, including crash-point property tests."""
 
+import struct
+import zlib
+
 import pytest
 
 from repro import LoggingPolicy, SnapshotKind, SystemConfig, build_slimio
@@ -149,3 +152,32 @@ def test_crash_at_arbitrary_point_space_still_verifies(crash_fraction):
         assert k in live  # never invents keys
     system.stop()
     system2.stop()
+
+
+def test_verify_reports_a_slot_whose_blob_is_not_zlib():
+    """A chunk with a valid CRC over bytes zlib rejects is a corrupt
+    slot in the report, not a zlib.error out of the fsck."""
+    from repro.core.lba import SlotRole
+
+    system = build_and_fill()
+    system.env.run(until=system.server.start_snapshot(SnapshotKind.ON_DEMAND))
+    slot = system.space.slots.slot_of(SlotRole.ONDEMAND_SNAPSHOT)
+    base, _ = system.space.slot_extent(slot)
+    page_size = system.device.lba_size
+    npages = -(-system.space.slots.lengths[slot] // page_size)
+    # fault injection: rewrite the first chunk's blob under a fresh CRC
+    image = bytearray(b"".join(
+        system.device.peek(base + i)  # slimlint: ignore[SLIM001]
+        for i in range(npages)))
+    at = 16                                      # RDB header size
+    comp_len = struct.unpack_from("<BIII", image, at)[3]
+    crc_at = at + 13 + comp_len
+    image[at + 13:crc_at] = b"\x55" * comp_len
+    struct.pack_into("<I", image, crc_at, zlib.crc32(image[at:crc_at]))
+    for i in range(npages):
+        system.device._data[base + i] = bytes(
+            image[i * page_size:(i + 1) * page_size])
+    report = verify(system)
+    assert not report.ok
+    assert any("snapshot corrupt: chunk blob" in i for i in report.issues)
+    system.stop()

@@ -1,8 +1,16 @@
 """Compression model and codec tests."""
 
+import gc
+import tracemalloc
+import types
+import weakref
+import zlib
+
 import pytest
 
 from repro.persist import CompressionModel, Compressor
+from repro.persist import compress as compress_mod
+from repro.persist.compress import _MEMOS, _Memo
 
 
 def test_roundtrip():
@@ -65,3 +73,134 @@ def test_model_validation():
         CompressionModel(compress_bandwidth=0)
     with pytest.raises(ValueError):
         CompressionModel(per_object_overhead=-1)
+
+
+# --- the shared memo: one zlib call per distinct chunk per process ----
+
+
+@pytest.fixture
+def zlib_calls(monkeypatch):
+    """Count the zlib work ``repro.persist.compress`` does (the module
+    sees a counting stand-in; the test's own zlib calls are not it)."""
+    calls = {"compress": 0, "inflate": 0}
+
+    def counted(kind, fn):
+        def wrapper(*args):
+            calls[kind] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(compress_mod, "zlib", types.SimpleNamespace(
+        compress=counted("compress", zlib.compress),
+        decompress=counted("inflate", zlib.decompress),
+        decompressobj=counted("inflate", zlib.decompressobj),
+        error=zlib.error,
+    ))
+    return calls
+
+
+def chunk(tag: int) -> bytes:
+    """Fresh bytes per call, so identity is never what makes a hit."""
+    return bytes([tag]) * 3000 + b"tail-%d" % tag
+
+
+def test_codecs_alive_together_compress_equal_bytes_once(zlib_calls):
+    a, b = Compressor(), Compressor()
+    blob = a.compress(chunk(1))
+    assert b.compress(chunk(1)) is blob
+    assert a.compress(chunk(1)) is blob
+    assert zlib_calls == {"compress": 1, "inflate": 0}
+
+
+def test_levels_never_exchange_blobs(zlib_calls):
+    fast, small = Compressor(level=1), Compressor(level=6)
+    raw = bytes(range(256)) * 40
+    assert fast.compress(raw) == zlib.compress(raw, 1)
+    assert small.compress(raw) == zlib.compress(raw, 6)
+    assert fast.compress(raw) != small.compress(raw)
+    assert zlib_calls["compress"] == 2
+
+
+def test_disabled_codec_stores_and_reads_nothing(zlib_calls):
+    live = Compressor()
+    off = Compressor(enabled=False)
+    blob = live.compress(chunk(2))
+    before = dict(live._memo)
+    assert off._memo is None
+    assert off.compress(chunk(2)) == chunk(2)
+    assert off.decompress(blob) is blob
+    assert live._memo == before
+    assert zlib_calls == {"compress": 1, "inflate": 0}
+
+
+def test_every_decompress_goes_through_zlib(zlib_calls):
+    """The memo is one-directional: an inflate is never answered from
+    a compress this process happened to make, nor from an earlier
+    inflate (measured: sharing that direction too did not resolve on
+    ``snap_recover`` — docs/PERFORMANCE.md, Layer 8)."""
+    c = Compressor()
+    raw = chunk(4)
+    blob = c.compress(raw)
+    assert c.decompress(blob, len(raw)) == raw
+    assert Compressor().decompress(blob) == raw
+    assert zlib_calls == {"compress": 1, "inflate": 2}
+
+
+def test_memo_dies_with_the_last_codec():
+    """The RSS guard: nothing in the process pins chunks once no codec
+    of the level is left (slimbench collects between replications)."""
+    a, b = Compressor(level=3), Compressor(level=3)
+    a.compress(chunk(5))
+    memo = weakref.ref(a._memo)
+    assert b._memo is a._memo
+    del a
+    gc.collect()
+    assert memo() is not None and 3 in _MEMOS     # b still holds it
+    del b
+    gc.collect()
+    assert memo() is None and 3 not in _MEMOS
+    assert Compressor(level=3)._memo == {}
+
+
+def test_memo_backstop_clears_when_full(monkeypatch):
+    monkeypatch.setattr(_Memo, "CAP", 4)
+    c = Compressor(level=2)
+    for tag in range(4):
+        c.compress(chunk(tag))
+    assert len(c._memo) == 4
+    c.compress(chunk(9))
+    assert list(c._memo) == [chunk(9)]
+
+
+def test_wrong_declared_length_is_rejected():
+    c = Compressor()
+    blob = zlib.compress(chunk(6), 1)
+    for wrong in (len(chunk(6)) - 1, len(chunk(6)) + 1, 0):
+        with pytest.raises(zlib.error):
+            c.decompress(blob, wrong)
+    assert c.decompress(blob, len(chunk(6))) == chunk(6)
+    assert c.decompress(memoryview(blob), len(chunk(6))) == chunk(6)
+
+
+def test_truncated_or_trailing_bytes_are_rejected():
+    c = Compressor()
+    blob = zlib.compress(chunk(7), 1)
+    for bad in (blob + b"extra", blob[:-1], b""):
+        with pytest.raises(zlib.error):
+            c.decompress(bad, len(chunk(7)))
+
+
+def test_declared_length_bounds_the_inflation():
+    """64 MiB of zeros declared as 16 bytes: refused after at most 17
+    bytes of output."""
+    bomb = zlib.compress(bytes(64 * 1024 * 1024), 1)
+    assert len(bomb) < 512 * 1024
+    c = Compressor()
+    tracemalloc.start()
+    try:
+        with pytest.raises(zlib.error):
+            c.decompress(bomb, 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024

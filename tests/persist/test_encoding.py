@@ -1,5 +1,9 @@
 """Codec tests: AOF records and RDB streams."""
 
+import struct
+import tracemalloc
+import zlib
+
 import pytest
 
 from repro.persist import (
@@ -163,3 +167,47 @@ def test_rdb_binary_safe_keys_and_values():
     entries = [(bytes(range(256)), bytes(reversed(range(256))))]
     decoded, _ = rdb_roundtrip(entries)
     assert decoded == entries
+
+
+def sealed_rdb(count: int, raw_len: int, blob: bytes) -> bytes:
+    """A one-chunk compressed image whose chunk CRC is *valid* over
+    whatever header fields and blob it is given."""
+    w = RdbWriter(Compressor())
+    header = w.header()
+    w.chunk([(b"k", b"v")] * count)
+    body = struct.pack("<BIII", 0xC7, count, raw_len, len(blob)) + blob
+    return header + body + struct.pack("<I", zlib.crc32(body)) + w.footer()
+
+
+def test_rdb_valid_crc_over_a_blob_that_is_not_zlib_is_corrupt_record():
+    """zlib.error must not escape: core.verify catches CorruptRecord."""
+    stream = sealed_rdb(1, 15, b"not zlib at all")
+    with pytest.raises(CorruptRecord, match="chunk blob"):
+        RdbReader().read_all(stream)
+
+
+def test_rdb_declared_raw_len_bounds_the_inflation():
+    """64 MiB of zeros behind ``raw_len = 16`` is refused without being
+    inflated (the length field was accepted and ignored before)."""
+    stream = sealed_rdb(1, 16, zlib.compress(bytes(64 * 1024 * 1024), 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptRecord):
+            RdbReader().read_all(stream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
+
+
+def test_aof_crc_valid_del_carrying_a_value_is_not_a_record():
+    """Never written by ``encode``; decoding it must end the stream the
+    way any other invalid record does, not raise ValueError."""
+    good = AofCodec.encode(AofRecord(op=OP_SET, key=b"a", value=b"1"))
+    body = struct.pack("<BBII", 0xA5, OP_DEL, 1, 1) + b"kv"
+    bad = body + struct.pack("<I", zlib.crc32(body))
+    assert list(AofCodec.decode_stream(good + bad)) == [
+        AofRecord(op=OP_SET, key=b"a", value=b"1")]
+    scan = AofCodec.scan(good + bad + good)
+    assert (scan.consumed, scan.tail_kind, scan.trailing_records) == (
+        len(good), "interior", 1)
