@@ -69,10 +69,6 @@ def syscall_share(registry):
     return enters / submitted
 
 
-def counter_sum(registry, name):
-    return sum(i.value for i in registry.instruments() if i.name == name)
-
-
 def main():
     outdir = Path(sys.argv[1] if len(sys.argv) > 1 else "out/telemetry_out")
     outdir.mkdir(parents=True, exist_ok=True)
@@ -91,12 +87,12 @@ def main():
          lambda rep, reg: f"{reg.gauge('ftl_waf').value:.2f}"),
         ("WAL-buffer stalls",
          lambda rep, reg:
-         f"{counter_sum(reg, 'server_wal_buffer_stalls_total'):.0f}"),
+         f"{reg.total('server_wal_buffer_stalls_total'):.0f}"),
         ("syscall share of submits",
          lambda rep, reg: f"{100 * syscall_share(reg):.1f}%"),
         ("GC pages copied",
          lambda rep, reg:
-         f"{counter_sum(reg, 'ftl_gc_pages_copied_total'):.0f}"),
+         f"{reg.total('ftl_gc_pages_copied_total'):.0f}"),
         ("avg throughput (req/s)",
          lambda rep, reg: f"{rep.rps:,.0f}"),
         ("SET p999 (ms)",

@@ -36,8 +36,8 @@ The rules (see docs/ANALYSIS.md for the full rationale):
   ``_total``.
 * **SLIM006** — no FTL-internal access (``.ftl.write`` etc.) outside
   ``repro/flash`` and ``repro/nvme``; read-only statistics
-  (``.ftl.stats``, ``.ftl.waf_for_streams``, ...) are the sanctioned
-  surface.
+  (``.ftl.stats``, ``.ftl.window()``, ``.ftl.lifetime``, ...) are the
+  sanctioned surface.
 * **SLIM007** — every ``WriteCmd`` built in the FDP-aware layers
   (``core``, ``cluster``, ``analysis``) must carry an explicit
   ``pid=``; the default (0) is the metadata PID and mixes lifetimes
@@ -128,7 +128,7 @@ _PID_KEYWORDS = {
 #: read-only FTL surface callable from any layer (SLIM006);
 #: ``obs`` is the registry the FTL books into and ``rtrace`` the
 #: request-tracer attach point — observation only
-_FTL_PUBLIC = {"stats", "stream_stats", "waf_for_streams", "stream_ids",
+_FTL_PUBLIC = {"stats", "window", "lifetime", "stream_ids",
                "obs", "num_lpns", "rtrace"}
 #: attributes of the LBA state machine (SLIM008)
 _STATE_ATTRS = {"roles", "gen_start", "head", "prev_start"}

@@ -205,7 +205,7 @@ def _fig2_scenarios(scale: Scale):
     workload.run(system, warmup_ops=scale.warmup_ops)
     snaps = system.metrics.snapshots
     out["Snapshot & WAL (under GC)"] = max(snaps, key=lambda s: s.duration)
-    out["_gc_erased"] = system.device.ftl.stats.segments_erased
+    out["_gc_erased"] = system.device.ftl.lifetime.erased
     telemetry["Snapshot & WAL (under GC)"] = system.obs.snapshot()
     system.stop()
     out["_telemetry"] = telemetry
@@ -507,7 +507,7 @@ def _timeline_run(scale: Scale, builder, **config_overrides):
     workload = scale.redis_bench(
         total_ops=scale.redis_ops, snapshot_at_fraction=None)
     rep = workload.run(system, warmup_ops=scale.warmup_ops)
-    gc_runs = system.device.ftl.stats.segments_erased
+    gc_runs = system.device.ftl.lifetime.erased
     system.stop()
     return rep, gc_runs, system.obs.snapshot()
 
@@ -590,7 +590,8 @@ def figure5(scale: Scale = BENCH_SCALE) -> ExperimentResult:
     rep_fdp, _, tel_fdp = _timeline_run(scale, build_slimio, fdp=True)
     ratio_fdp, dips_fdp = _dip_metrics(rep_fdp.timeline)
     result.add_row("SlimIO (FDP)", float(np.median(rep_fdp.timeline[1])),
-                   ratio_fdp, dips_fdp, rep_fdp.waf, 0)
+                   ratio_fdp, dips_fdp, rep_fdp.waf,
+                   rep_fdp.gc_pages_copied)
     result.series["SlimIO (FDP)"] = rep_fdp.timeline
     result.telemetry["SlimIO (FDP)"] = tel_fdp
 
@@ -600,7 +601,8 @@ def figure5(scale: Scale = BENCH_SCALE) -> ExperimentResult:
     ratio_base, dips_base = _dip_metrics(rep_base.timeline)
     result.add_row("Baseline (conventional)",
                    float(np.median(rep_base.timeline[1])),
-                   ratio_base, dips_base, rep_base.waf, None)
+                   ratio_base, dips_base, rep_base.waf,
+                   rep_base.gc_pages_copied)
     result.telemetry["Baseline (conventional)"] = tel_base
 
     result.check("FDP keeps WAF at exactly 1.00",
@@ -1355,7 +1357,7 @@ def single_sweep_point(params: dict, scale_name: str = "tiny") -> dict:
     workload = scale.redis_bench(value_size=int(params["value_size"]),
                                  snapshot_at_fraction=0.5)
     rep = workload.run(system, warmup_ops=scale.warmup_ops)
-    stats = system.device.ftl.stats
+    writes = system.device.ftl.lifetime
     system.stop()
     p999_us = rep.set_p999 * 1e6
     return {
@@ -1363,8 +1365,8 @@ def single_sweep_point(params: dict, scale_name: str = "tiny") -> dict:
         "p999_us": p999_us,
         "waf": rep.waf,
         "waf_excess": rep.waf - 1.0,
-        "gc_copied": float(stats.gc_pages_copied),
-        "erases": float(stats.segments_erased),
+        "gc_copied": float(writes.copied),
+        "erases": float(writes.erased),
         "snap_ms": rep.mean_snapshot_time * 1e3,
         "score": _sweep_score(rep.rps, rep.waf, p999_us),
     }
@@ -1426,7 +1428,7 @@ def cluster_sweep_point(params: dict, scale_name: str = "tiny") -> dict:
         snapshot_at_fraction=0.25,
     ))
     rep = workload.run(cl, warmup_ops=scale.warmup_ops)
-    stats = cl.device.ftl.stats
+    writes = cl.device.ftl.lifetime
     cl.stop()
     a = rep.aggregate
     waf = max(rep.shard_waf)
@@ -1436,8 +1438,8 @@ def cluster_sweep_point(params: dict, scale_name: str = "tiny") -> dict:
         "p999_us": p999_us,
         "waf": waf,
         "waf_excess": waf - 1.0,
-        "gc_copied": float(stats.gc_pages_copied),
-        "erases": float(stats.segments_erased),
+        "gc_copied": float(writes.copied),
+        "erases": float(writes.erased),
         "pid_mode": rep.pid_allocation.get("mode", "-"),
         "score": _sweep_score(a.rps, waf, p999_us),
     }

@@ -153,19 +153,6 @@ class SlimIOCluster:
         return self.router.shard_for_key(key).server
 
     # ------------------------------------------------------------ accounting
-    def shard_waf(self, index: int) -> float:
-        """WAF attributed to one shard's Placement IDs.
-
-        SlimIO shards are attributed by stream (shared streams count
-        in full for every sharer — the honest tenant's-eye view);
-        baseline shards all write stream 0, so the device-global WAF
-        is the best available attribution.
-        """
-        policy = self.shards[index].policy
-        if policy is None:
-            return self.device.waf
-        return self.device.ftl.waf_for_streams(policy.pids)
-
     @property
     def waf(self) -> float:
         return self.device.waf

@@ -17,7 +17,12 @@ same model natively on the discrete-event engine:
 
 from repro.flash.geometry import FlashGeometry, NandTiming
 from repro.flash.nand import NandArray
-from repro.flash.ftl import FlashTranslationLayer, FtlConfig, FtlStats
+from repro.flash.ftl import (
+    FlashTranslationLayer,
+    FtlConfig,
+    FtlStats,
+    WriteWindow,
+)
 from repro.flash.wear import WearReport, wear_report
 
 __all__ = [
@@ -27,6 +32,7 @@ __all__ = [
     "FlashTranslationLayer",
     "FtlConfig",
     "FtlStats",
+    "WriteWindow",
     "WearReport",
     "wear_report",
 ]

@@ -15,28 +15,32 @@ One FTL class covers both devices in the paper:
   and GC erases them without copying a single page: WAF = 1.00.
 
 The FTL tracks logical→physical mapping in preallocated buffers
-(:mod:`repro.flash.l2p`): memoryview scalar access on the per-page hot
-path, zero-copy numpy views over the same bytes for the vectorized
+(:mod:`repro.flash.l2p`): memoryview scalar access where one entry is
+touched, zero-copy numpy views over the same bytes for the vectorized
 paths. GC runs as a background simulation process competing for the
-same NAND dies as host I/O; write-amplification and stall statistics
-are exposed per stream.
+same NAND dies as host I/O.
+
+Model state vs ledger: the maps, segment vectors and free list are the
+model; what the device *did* — host pages, GC copies, erases, stall
+seconds — is booked once, in counters of the registry the FTL is built
+with, and read through :class:`WriteWindow`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from collections.abc import Generator, Sequence
+from collections.abc import Generator, Iterable, Sequence
 
 import numpy as np
 
 from repro.flash.geometry import FlashGeometry, NandTiming
 from repro.flash.l2p import IntVec, L2PMap
 from repro.flash.nand import NandArray
-from repro.obs.registry import MetricsRegistry
-from repro.sim import Environment, Event
+from repro.obs.registry import MetricsRegistry, ObsCounter
+from repro.sim import Environment, Event, Resource
 
-__all__ = ["FtlConfig", "FtlStats", "FlashTranslationLayer"]
+__all__ = ["FtlConfig", "FtlStats", "WriteWindow", "FlashTranslationLayer"]
 
 # segment states
 SEG_FREE = 0
@@ -78,47 +82,96 @@ class FtlConfig:
             raise ValueError("gc_copy_window must be >= 1")
 
 
-@dataclass
-class FtlStats:
-    """Aggregate device-internal accounting."""
+class WriteWindow:
+    """The FTL's write ledger since one instant.
 
-    host_pages_written: int = 0
-    gc_pages_copied: int = 0
-    segments_erased: int = 0
-    copyfree_erases: int = 0
-    host_stall_time: float = 0.0
-    gc_runs: int = 0
+    Opening a window copies the per-stream host/GC-copy counters and
+    the erase counter; every read is *now minus then*, so a report
+    cell and the registry export can never disagree. ``ftl.lifetime``
+    is the window opened at zero.
+    """
+
+    __slots__ = ("_ftl", "_pages0", "_erased0")
+
+    def __init__(self, ftl: FlashTranslationLayer):
+        self._ftl = ftl
+        self._pages0 = {sid: ftl._stream_pages(sid) for sid in ftl._streams}
+        self._erased0 = int(ftl._obs_erased.value)
+
+    def pages(self, streams: Iterable[int] | None = None) -> tuple[int, int]:
+        """(host pages written, GC pages copied) in ``streams`` — every
+        stream when None; ids the device does not have are skipped."""
+        ftl = self._ftl
+        known = ftl._streams.keys()
+        host = copied = 0
+        for sid in known if streams is None else known & set(streams):
+            h, c = ftl._stream_pages(sid)
+            h0, c0 = self._pages0.get(sid, (0, 0))
+            host += h - h0
+            copied += c - c0
+        return host, copied
+
+    def waf(self, streams: Iterable[int] | None = None) -> float:
+        """Write amplification factor (1.00 = no internal copies).
+
+        Attribution is by stream, not by submitter, as a real FDP
+        device accounts Reclaim-Unit traffic: a tenant whose Placement
+        IDs are shared sees the shared streams' traffic in full.
+        """
+        host, copied = self.pages(streams)
+        if host == 0:
+            return 1.0
+        return (host + copied) / host
 
     @property
-    def total_pages_programmed(self) -> int:
-        return self.host_pages_written + self.gc_pages_copied
+    def copied(self) -> int:
+        return self.pages()[1]
+
+    @property
+    def erased(self) -> int:
+        return int(self._ftl._obs_erased.value) - self._erased0
+
+
+class FtlStats:
+    """``ftl.stats``: the lifetime ledger under the attribute names
+    slimbench and the tests read it by. A view — it stores nothing."""
+
+    #: attribute -> the counter whose total (over streams) it reads
+    COUNTERS = {
+        "host_pages_written": "ftl_host_pages_written_total",
+        "gc_pages_copied": "ftl_gc_pages_copied_total",
+        "segments_erased": "ftl_segments_erased_total",
+        "copyfree_erases": "ftl_copyfree_erases_total",
+        "gc_runs": "ftl_gc_runs_total",
+        "host_stall_time": "ftl_host_stall_seconds_total",
+    }
+
+    def __init__(self, ftl: FlashTranslationLayer):
+        self._ftl = ftl
+
+    def __getattr__(self, field: str) -> float:
+        if field not in self.COUNTERS:
+            raise AttributeError(field)
+        return self._ftl.obs.total(self.COUNTERS[field])
 
     @property
     def waf(self) -> float:
-        """Write amplification factor (1.00 = no internal copies)."""
-        if self.host_pages_written == 0:
-            return 1.0
-        return self.total_pages_programmed / self.host_pages_written
+        return self._ftl.lifetime.waf()
 
 
 class _Stream:
     """One write stream (a Placement ID in FDP terms)."""
 
-    __slots__ = ("stream_id", "open_segment", "write_ptr", "pages_written",
-                 "gc_pages_copied", "place_locks")
+    __slots__ = ("stream_id", "open_segment", "write_ptr", "place_locks")
 
     def __init__(self, stream_id: int, env: Environment):
         self.stream_id = stream_id
         # one open segment per role: [host, gc]
         self.open_segment: list[int | None] = [None, None]
         self.write_ptr: list[int] = [0, 0]
-        self.pages_written = 0
-        self.gc_pages_copied = 0
         # placement must be atomic per (stream, role): allocation can
         # block, and concurrent page writes would otherwise race and
         # leak half-open segments
-        from repro.sim import Resource
-
         self.place_locks = [Resource(env, 1), Resource(env, 1)]
 
 
@@ -170,17 +223,27 @@ class FlashTranslationLayer:
         self._free: deque[int] = deque(range(g.segments))
 
         self._streams: dict[int, _Stream] = {}
-        self.stats = FtlStats()
-        # The WAF gauge is callback-bound to FtlStats.waf, so its
-        # exported value is the live ratio at read time; the
-        # free-segment gauge's low watermark records how close the
-        # device came to GC starvation.
-        self.obs.gauge("ftl_waf", fn=lambda: self.stats.waf)
+        # the write ledger: per-stream handles are made in
+        # register_stream, so a stream that never copied reads 0
+        self._obs_host: dict[int, ObsCounter] = {}
+        self._obs_copied: dict[int, ObsCounter] = {}
+        self._obs_erased = self.obs.counter("ftl_segments_erased_total")
+        self._obs_copyfree = self.obs.counter("ftl_copyfree_erases_total")
+        self._obs_gc_runs = self.obs.counter("ftl_gc_runs_total")
+        self._obs_stall_time = self.obs.counter(
+            "ftl_host_stall_seconds_total"
+        )
+        #: the write ledger since device creation
+        self.lifetime = WriteWindow(self)
+        self.stats = FtlStats(self)
+        # The WAF gauge is callback-bound, so its exported value is the
+        # live lifetime ratio at read time; the free-segment gauge's
+        # low watermark records how close the device came to GC
+        # starvation.
+        self.obs.gauge("ftl_waf", fn=self.lifetime.waf)
         self._obs_free = self.obs.gauge("ftl_free_segments")
         self._obs_free.set(float(len(self._free)))
-        self._obs_erased = self.obs.counter("ftl_segments_erased_total")
         self._obs_stalls = self.obs.counter("ftl_alloc_stalls_total")
-        self._obs_gc_copies: dict[int, object] = {}
         self._obs_deallocated = self.obs.counter(
             "ftl_deallocated_pages_total"
         )
@@ -203,34 +266,24 @@ class FlashTranslationLayer:
         if stream_id in self._streams:
             raise ValueError(f"stream {stream_id} already registered")
         self._streams[stream_id] = _Stream(stream_id, self.env)
+        self._obs_host[stream_id] = self.obs.counter(
+            "ftl_host_pages_written_total", stream=stream_id
+        )
+        self._obs_copied[stream_id] = self.obs.counter(
+            "ftl_gc_pages_copied_total", stream=stream_id
+        )
 
     @property
     def stream_ids(self) -> list[int]:
         return sorted(self._streams)
 
-    def stream_stats(self, stream_id: int) -> tuple[int, int]:
-        """(host pages written, GC pages copied) within one stream."""
-        s = self._streams[stream_id]
-        return s.pages_written, s.gc_pages_copied
+    def window(self) -> WriteWindow:
+        """Open a :class:`WriteWindow` at the current instant."""
+        return WriteWindow(self)
 
-    def waf_for_streams(self, stream_ids) -> float:
-        """WAF over a subset of streams (per-tenant attribution).
-
-        A tenant whose Placement IDs are shared with another tenant
-        sees the shared streams' traffic in full — attribution is by
-        stream, not by submitter, exactly as a real FDP device would
-        account Reclaim-Unit traffic.
-        """
-        host = copied = 0
-        for sid in set(stream_ids):
-            if sid not in self._streams:
-                continue
-            h, c = self.stream_stats(sid)
-            host += h
-            copied += c
-        if host == 0:
-            return 1.0
-        return (host + copied) / host
+    def _stream_pages(self, stream_id: int) -> tuple[int, int]:
+        return (int(self._obs_host[stream_id].value),
+                int(self._obs_copied[stream_id].value))
 
     # ------------------------------------------------------------------ queries
     @property
@@ -256,48 +309,14 @@ class FlashTranslationLayer:
             raise ValueError(f"lpn {lpn} out of range [0, {self.num_lpns})")
 
     # ------------------------------------------------------------------ host ops
-    def write(self, lpn: int, stream_id: int) -> Generator:
-        """Host page write (a simulation generator).
-
-        Maps the page into the stream's open segment and pays the NAND
-        program plus any allocation stall while the device is out of
-        free segments (GC pressure — the Figure 4 nosedives).
-        """
-        self._check_lpn(lpn)
-        if stream_id not in self._streams:
-            raise ValueError(f"unknown stream {stream_id}")
-        rt = self.rtrace
-        t0 = self.env.now
-        ppn = yield from self._place(lpn, stream_id, ROLE_HOST)
-        stall = self.env.now - t0
-        self.stats.host_stall_time += stall
-        if rt is not None and stall > 0:
-            rt.add_span("ftl_alloc_stall", "ftl", t0, self.env.now,
-                        stream=stream_id)
-        t1 = self.env.now
-        yield from self.nand.program_page(ppn)
-        if rt is not None:
-            rt.add_span("nand_program", "nand", t1, self.env.now,
-                        stream=stream_id, pages=1)
-        self.stats.host_pages_written += 1
-        self._streams[stream_id].pages_written += 1
-
-    def read(self, lpn: int) -> Generator:
-        """Host page read; unmapped pages cost nothing (returned zeroed)."""
-        self._check_lpn(lpn)
-        ppn = self._l2p_mv[lpn]
-        if ppn < 0:
-            return False
-        yield from self.nand.read_page(ppn)
-        return True
-
     def write_burst(self, lpn_start: int, count: int, stream_id: int) -> Generator:
         """Host multi-page write: one placement pass, one NAND burst.
 
-        Equivalent to ``count`` individual :meth:`write` calls in
-        accounting (stall time, WAF, per-stream counters) but takes the
-        (stream, role) place lock once and programs the whole extent as
-        a single pipelined burst.
+        Maps the extent into the stream's open segment and pays the
+        NAND program plus any allocation stall while the device is out
+        of free segments (GC pressure — the Figure 4 nosedives). Takes
+        the (stream, role) place lock once per segment-sized chunk and
+        programs each chunk as a single pipelined burst.
         """
         if count <= 0:
             return
@@ -323,7 +342,7 @@ class FlashTranslationLayer:
                 ROLE_HOST,
             )
             # every page of the chunk experienced the same allocation wait
-            self.stats.host_stall_time += (self.env.now - t0) * take
+            self._obs_stall_time.inc((self.env.now - t0) * take)
             if rt is not None and self.env.now > t0:
                 rt.add_span("ftl_alloc_stall", "ftl", t0, self.env.now,
                             stream=stream_id)
@@ -332,8 +351,7 @@ class FlashTranslationLayer:
             if rt is not None:
                 rt.add_span("nand_program", "nand", t1, self.env.now,
                             stream=stream_id, pages=take)
-            self.stats.host_pages_written += take
-            self._streams[stream_id].pages_written += take
+            self._obs_host[stream_id].inc(take)
             i += take
 
     def read_burst(self, lpn_start: int, count: int) -> Generator:
@@ -377,39 +395,6 @@ class FlashTranslationLayer:
         self._maybe_kick_gc()
 
     # ------------------------------------------------------------------ placement
-    def _place(self, lpn: int, stream_id: int, role: int) -> Generator:
-        """Assign a physical page; returns the ppn (mapping is atomic)."""
-        stream = self._streams[stream_id]
-        lock = stream.place_locks[role].request()
-        yield lock
-        try:
-            seg = stream.open_segment[role]
-            if (
-                seg is None
-                or stream.write_ptr[role] >= self.geometry.pages_per_segment
-            ):
-                if seg is not None:
-                    self._seg_state_mv[seg] = SEG_FULL
-                    stream.open_segment[role] = None
-                    self._maybe_kick_gc()
-                seg = yield from self._alloc_segment(stream_id, role)
-                stream.open_segment[role] = seg
-                stream.write_ptr[role] = 0
-            ppn = (
-                self.geometry.first_page_of_segment(seg)
-                + stream.write_ptr[role]
-            )
-            stream.write_ptr[role] += 1
-        finally:
-            stream.place_locks[role].release(lock)
-
-        old = self._map.map(lpn, ppn)
-        if old >= 0:
-            self._seg_valid_mv[self.geometry.segment_of_page(old)] -= 1
-            self._on_invalidation()
-        self._seg_valid_mv[self.geometry.segment_of_page(ppn)] += 1
-        return ppn
-
     def _alloc_segment(self, stream_id: int, role: int) -> Generator:
         floor = 0 if role == ROLE_GC else self.config.gc_reserve_segments
         while True:
@@ -462,15 +447,14 @@ class FlashTranslationLayer:
         return ppns
 
     def _map_range(self, lpns: Sequence[int], base: int, seg: int) -> None:
-        """Map ``lpns`` onto the consecutive ppns starting at ``base``."""
+        """Map ``lpns`` onto the consecutive ppns starting at ``base``.
+
+        ``lpns`` must be distinct (a host extent is a range; a GC
+        window holds the lpns of distinct valid ppns): with a repeat
+        the vectorized scatter would let the earlier ppn's reverse
+        mapping survive.
+        """
         arr = np.asarray(lpns, dtype=np.int64)
-        if np.unique(arr).size != arr.size:
-            # Duplicate lpns within one burst: vectorized scatter would
-            # let an early ppn's reverse mapping survive; fall back to
-            # page-at-a-time semantics (the later write supersedes).
-            for lpn, ppn in zip(lpns, range(base, base + len(lpns))):
-                self._map_one(int(lpn), ppn)
-            return
         old = self._l2p[arr]
         live = old[old >= 0]
         if live.size:
@@ -484,13 +468,6 @@ class FlashTranslationLayer:
         self._seg_valid_mv[seg] += arr.size
         if live.size:
             self._on_invalidation()
-
-    def _map_one(self, lpn: int, ppn: int) -> None:
-        old = self._map.map(lpn, ppn)
-        if old >= 0:
-            self._seg_valid_mv[self.geometry.segment_of_page(old)] -= 1
-            self._on_invalidation()
-        self._seg_valid_mv[self.geometry.segment_of_page(ppn)] += 1
 
     # ------------------------------------------------------------------ GC
     def _maybe_kick_gc(self) -> None:
@@ -589,7 +566,7 @@ class FlashTranslationLayer:
                     self._invalidation = None  # slimlint: ignore[SLIM010] single-writer handoff
                     continue
                 yield from self._reclaim(victim)
-            self.stats.gc_runs += 1
+            self._obs_gc_runs.inc()
 
     def _reclaim(self, victim: int) -> Generator:
         """Copy a victim's valid pages, then erase it."""
@@ -613,7 +590,7 @@ class FlashTranslationLayer:
             if window:
                 yield from self._copy_window(window, stream_id)
             if copied == 0:
-                self.stats.copyfree_erases += 1
+                self._obs_copyfree.inc()
             # labels are recorded at span exit, so blame analysis
             # can tell copying reclaims from copy-free erases
             gc_span.labels["copied"] = copied
@@ -623,7 +600,6 @@ class FlashTranslationLayer:
         self._seg_valid_mv[victim] = 0
         self._seg_erase_mv[victim] += 1
         self._free.append(victim)
-        self.stats.segments_erased += 1
         self._obs_erased.inc()
         self._obs_free.set(float(len(self._free)))
         waiters, self._space_waiters = self._space_waiters, []
@@ -652,15 +628,7 @@ class FlashTranslationLayer:
             [lpn for lpn, _ppn in live], stream_id, ROLE_GC
         )
         yield self.nand.program_pages(dsts)
-        n = len(live)
-        self.stats.gc_pages_copied += n
-        self._streams[stream_id].gc_pages_copied += n
-        c = self._obs_gc_copies.get(stream_id)
-        if c is None:
-            c = self.obs.counter("ftl_gc_pages_copied_total",
-                                 stream=stream_id)
-            self._obs_gc_copies[stream_id] = c
-        c.inc(n)
+        self._obs_copied[stream_id].inc(len(live))
 
     # ------------------------------------------------------------------ invariants
     def check_invariants(self) -> None:

@@ -3,10 +3,10 @@
 The FTL's per-page bookkeeping is touched on every host write, GC
 copy, and TRIM. Two access patterns with opposite needs share it:
 
-* **scalar** — ``_place``/``_map_one``/``_reclaim`` read and write one
-  entry at a time. Indexing a numpy array from Python boxes every
-  element into an ``np.int64`` (and unboxes on store) — several times
-  the cost of a plain buffer access.
+* **scalar** — ``_reclaim``/``_copy_window`` and the segment
+  bookkeeping read and write one entry at a time. Indexing a numpy
+  array from Python boxes every element into an ``np.int64`` (and
+  unboxes on store) — several times the cost of a plain buffer access.
 * **vector** — burst mapping, TRIM, victim selection, and the
   invariant checker want whole-array numpy semantics
   (``np.subtract.at``, fancy indexing, masks).
@@ -18,9 +18,9 @@ truth — writes through either personality are visible to the other —
 and the buffer never reallocates, so GB-scale maps cost exactly
 ``n * itemsize`` bytes with no per-op allocation.
 
-:class:`L2PMap` packages the forward and reverse page maps on top,
-and :class:`DictL2P` is the obvious dict-of-ints reference
-implementation the equivalence test replays traces against.
+:class:`L2PMap` packages the forward and reverse page maps on top;
+``tests/flash/test_l2p.py`` replays traces through it and a
+dict-of-ints reference.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from array import array
 
 import numpy as np
 
-__all__ = ["IntVec", "L2PMap", "DictL2P"]
+__all__ = ["IntVec", "L2PMap"]
 
 
 class IntVec:
@@ -112,43 +112,3 @@ class L2PMap:
         mapped = np.flatnonzero(self.fwd_np >= 0)
         return {int(l): int(p) for l, p in zip(mapped, self.fwd_np[mapped])}
 
-
-class DictL2P:
-    """Dict-backed reference with the same operation contract.
-
-    Kept deliberately naive: the equivalence test replays a randomized
-    trace through both implementations and compares after every
-    operation, so any divergence in the array fast path shows up with
-    the offending op attached.
-    """
-
-    __slots__ = ("num_lpns", "num_ppns", "_fwd", "_rev")
-
-    def __init__(self, num_lpns: int, num_ppns: int):
-        self.num_lpns = num_lpns
-        self.num_ppns = num_ppns
-        self._fwd: dict[int, int] = {}
-        self._rev: dict[int, int] = {}
-
-    def lookup(self, lpn: int) -> int:
-        return self._fwd.get(lpn, -1)
-
-    def rlookup(self, ppn: int) -> int:
-        return self._rev.get(ppn, -1)
-
-    def map(self, lpn: int, ppn: int) -> int:
-        old = self._fwd.get(lpn, -1)
-        if old >= 0:
-            del self._rev[old]
-        self._fwd[lpn] = ppn
-        self._rev[ppn] = lpn
-        return old
-
-    def unmap(self, lpn: int) -> int:
-        old = self._fwd.pop(lpn, -1)
-        if old >= 0:
-            del self._rev[old]
-        return old
-
-    def to_dict(self) -> dict[int, int]:
-        return dict(self._fwd)

@@ -256,15 +256,7 @@ class NandArray:
 
         self._on_grant(dreq, on_die)
 
-    # -- single-page wrappers (process composition via ``yield from``) ---------
-    def read_page(self, ppn: int) -> Generator:
-        """Sense the page on its die, then move it over the channel."""
-        yield self.read_pages([ppn])
-
-    def program_page(self, ppn: int) -> Generator:
-        """Move data over the channel, then program the die."""
-        yield self.program_pages([ppn])
-
+    # -- erases ----------------------------------------------------------------
     def erase_segment(self, seg: int) -> Generator:
         """Erase the segment's block on every die (in parallel).
 

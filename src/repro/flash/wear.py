@@ -54,9 +54,9 @@ def wear_report(ftl: FlashTranslationLayer,
     mx = int(erases.max()) if erases.size else 0
     mn = int(erases.min()) if erases.size else 0
     skew = (mx / mean) if mean > 0 else 1.0
-    waf = ftl.stats.waf
+    waf = ftl.lifetime.waf()
     page = ftl.geometry.page_size
-    host_bytes = ftl.stats.host_pages_written * page
+    host_bytes = ftl.lifetime.pages()[0] * page
 
     # lifetime projection: cycles left on the most-worn segment, scaled
     # by how efficiently host bytes translate into programs

@@ -91,7 +91,7 @@ class NvmeDevice:
 
     @property
     def waf(self) -> float:
-        return self.ftl.stats.waf
+        return self.ftl.lifetime.waf()
 
     def _check_extent(self, lba: int, nlb: int) -> None:
         if lba < 0 or lba + nlb > self.num_lbas:

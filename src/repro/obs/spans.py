@@ -15,7 +15,7 @@ event, so bracketing a region cannot move the simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -38,6 +38,9 @@ class SpanRecord:
     @property
     def duration(self) -> float:
         return self.t1 - self.t0
+
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 class Span:

@@ -39,6 +39,8 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.obs.spans import SpanRecord
+
 __all__ = [
     "TraceSpan",
     "TraceContext",
@@ -54,7 +56,6 @@ __all__ = [
     "format_waterfall",
     "format_tail_table",
     "overlay_spans",
-    "OverlaySpan",
     "trace_jsonl_records",
     "write_trace_jsonl",
     "load_trace_jsonl",
@@ -619,35 +620,12 @@ def tail_report(contexts, background=(), gc_spans=(), *,
 
 
 # ---------------------------------------------------------------- overlays
-class OverlaySpan:
-    """A registry span (GC / snapshot) reduced to what forensics needs;
-    also the deserialized form of dumped overlay spans."""
-
-    __slots__ = ("name", "track", "t0", "t1", "labels")
-
-    def __init__(self, name, track, t0, t1, labels=None):
-        self.name = name
-        self.track = track
-        self.t0 = t0
-        self.t1 = t1
-        self.labels = labels or {}
-
-    @property
-    def duration(self) -> float:
-        return self.t1 - self.t0
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "track": self.track,
-                "t0": self.t0, "t1": self.t1, "labels": self.labels}
-
-
-def overlay_spans(registry) -> list[OverlaySpan]:
+def overlay_spans(registry) -> list[SpanRecord]:
     """Extract the background-activity spans worth overlaying on a
     waterfall (GC reclaims, snapshots, WAL flushes) from a
     :class:`~repro.obs.MetricsRegistry` span log."""
     keep = ("gc_reclaim", "snapshot", "wal_flush", "wal_fsync")
-    return [OverlaySpan(s.name, s.track, s.t0, s.t1, dict(s.labels))
-            for s in registry.spans if s.name in keep]
+    return [s for s in registry.spans if s.name in keep]
 
 
 # ---------------------------------------------------------------- rendering
@@ -784,7 +762,7 @@ def load_trace_jsonl(lines):
     meta: dict = {}
     ctxs: dict[int, TraceContext] = {}
     background: list[TraceSpan] = []
-    overlays: list[OverlaySpan] = []
+    overlays: list[SpanRecord] = []
     for line in lines:
         line = line.strip()
         if not line:
@@ -807,9 +785,10 @@ def load_trace_jsonl(lines):
             elif span.trace_id in ctxs:
                 ctxs[span.trace_id].spans.append(span)
         elif kind == "overlay":
-            overlays.append(OverlaySpan(rec["name"], rec["track"],
-                                        rec["t0"], rec["t1"],
-                                        rec.get("labels") or {}))
+            overlays.append(SpanRecord(rec["name"], rec["track"],
+                                       rec["t0"], rec["t1"],
+                                       rec.get("labels") or {},
+                                       rec.get("ok", True)))
     owners = {int(k): set(v)
               for k, v in (meta.get("stream_owners") or {}).items()}
     meta["stream_owners"] = owners

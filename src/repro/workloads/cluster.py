@@ -50,24 +50,6 @@ class ClusterReport:
         return len(self.per_shard)
 
 
-def _stream_baseline(ftl) -> dict[int, tuple[int, int]]:
-    return {sid: ftl.stream_stats(sid) for sid in ftl.stream_ids}
-
-
-def _waf_since(ftl, stream_ids, baseline) -> float:
-    host = copied = 0
-    for sid in set(stream_ids):
-        if sid not in ftl.stream_ids:
-            continue
-        h, c = ftl.stream_stats(sid)
-        h0, c0 = baseline.get(sid, (0, 0))
-        host += h - h0
-        copied += c - c0
-    if host == 0:
-        return 1.0
-    return (host + copied) / host
-
-
 class ClusterWorkload:
     """Drive a cluster with a closed-loop shape; measure per shard."""
 
@@ -85,10 +67,9 @@ class ClusterWorkload:
         after every shard's snapshots finish.
         """
         ftl = cluster.device.ftl
-        t0, (streams0, routed0, erased0), corrected = self.shape.drive(
+        t0, (writes, routed0), corrected = self.shape.drive(
             cluster, warmup_ops,
-            lambda: (_stream_baseline(ftl), list(cluster.router.routed),
-                     ftl.stats.segments_erased),
+            lambda: (ftl.window(), list(cluster.router.routed)),
         )
         now = cluster.env.now
         out = ClusterReport()
@@ -98,10 +79,11 @@ class ClusterWorkload:
         windows = [s.server.metrics for s in cluster.shards]
         for shard, window in zip(cluster.shards, windows):
             rep = server_report(window, shard.server.store, t0, now)
-            # baseline shards all share stream 0 — device-global WAF
-            pids = shard.policy.pids if shard.policy is not None \
-                else ftl.stream_ids
-            rep.waf = _waf_since(ftl, pids, streams0)
+            # a SlimIO shard is attributed its Placement IDs (shared
+            # streams count in full for every sharer); baseline shards
+            # all share stream 0 — device-global WAF
+            rep.waf = writes.waf(
+                shard.policy.pids if shard.policy is not None else None)
             out.per_shard.append(rep)
         out.shard_waf = [r.waf for r in out.per_shard]
 
@@ -127,7 +109,8 @@ class ClusterWorkload:
             t for r in out.per_shard for t in r.snapshot_times
         ]
         agg.snapshot_count = sum(r.snapshot_count for r in out.per_shard)
-        agg.waf = _waf_since(ftl, ftl.stream_ids, streams0)
-        agg.gc_segments_erased = ftl.stats.segments_erased - erased0
+        agg.waf = writes.waf()
+        agg.gc_pages_copied = writes.copied
+        agg.gc_segments_erased = writes.erased
         add_corrected(agg, self.shape.target_rate, corrected)
         return out

@@ -11,7 +11,7 @@ a cluster and a replayed trace all go through these two functions.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,6 +42,7 @@ class WorkloadReport:
     snapshot_count: int = 0
     waf: float = 1.0
     gc_segments_erased: int = 0
+    gc_pages_copied: int = 0
     timeline: tuple[np.ndarray, np.ndarray] | None = None
     #: intended-schedule rate (ops/s) when the run was paced; None for
     #: plain closed-loop runs
@@ -71,8 +72,8 @@ def closed_loop(target, total: int, op_at: Callable[[int], ClientOp], *,
     ``execute(op)`` — one system or a cluster. ``clients`` processes
     share one cursor. When op ``warmup_ops`` is about to start the
     measurement window opens: every server's metrics are reset and
-    ``baseline()`` is called (the caller copies its FTL counters
-    there). From op ``snapshot_at`` on, each server is asked for an
+    ``baseline()`` is called (the caller opens its flash write
+    window there). From op ``snapshot_at`` on, each server is asked for an
     On-Demand snapshot until it has taken one. With ``rate``, op ``i``
     is held until its intended instant ``i / rate``. Returns after
     every client is done and no server is snapshotting.
@@ -298,15 +299,13 @@ class ClosedLoopWorkload:
         ``warmup_ops``: leading operations excluded from metrics (used
         to build GC pressure before measuring).
         """
-        st = system.device.ftl.stats
-        t0, st0, corrected = self.drive(system, warmup_ops,
-                                        lambda: replace(st))
+        t0, writes, corrected = self.drive(system, warmup_ops,
+                                           system.device.ftl.window)
         rep = server_report(system.metrics, system.server.store, t0,
                             system.env.now)
-        host = st.host_pages_written - st0.host_pages_written
-        gc = st.gc_pages_copied - st0.gc_pages_copied
-        rep.waf = (host + gc) / host if host > 0 else 1.0
-        rep.gc_segments_erased = st.segments_erased - st0.segments_erased
+        rep.waf = writes.waf()
+        rep.gc_pages_copied = writes.copied
+        rep.gc_segments_erased = writes.erased
         add_corrected(rep, self.target_rate, corrected)
         return rep
 

@@ -121,6 +121,13 @@ def test_slim006_ftl_internals_off_limits():
     assert lint_source(src, package="flash").ok
     # the published surface is fine anywhere
     assert lint_source("s = system.ftl.stats\n", package="core").ok
+    assert lint_source("w = system.ftl.window()\n"
+                       "n = system.ftl.lifetime.erased\n",
+                       package="core").ok
+    # the readers the write window replaced are gone from it
+    assert codes(lint_source("w = system.ftl.waf_for_streams([1])\n"
+                             "p = system.ftl.stream_stats(1)\n",
+                             package="core")) == ["SLIM006", "SLIM006"]
 
 
 # ------------------------------------------------------------------ SLIM007

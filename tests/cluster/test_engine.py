@@ -50,8 +50,9 @@ def test_baseline_cluster_has_no_pids():
 
 
 def test_shard_waf_starts_clean(four_shards):
-    for i in range(4):
-        assert four_shards.shard_waf(i) == 1.0
+    lifetime = four_shards.device.ftl.lifetime
+    for shard in four_shards:
+        assert lifetime.waf(shard.policy.pids) == 1.0
 
 
 def test_attach_obs_labels_shards(four_shards):

@@ -25,7 +25,7 @@ def make_ftl(segments=16, pages_per_block=8, dies=2, op=0.25, streams=(0,),
 def run_writes(env, ftl, lpns, stream=0):
     def writer():
         for lpn in lpns:
-            yield from ftl.write(lpn, stream)
+            yield from ftl.write_burst(lpn, 1, stream)
 
     p = env.process(writer())
     env.run(until=p)
@@ -52,7 +52,7 @@ def test_unknown_stream_rejected():
     env, ftl = make_ftl()
 
     def writer():
-        yield from ftl.write(0, 99)
+        yield from ftl.write_burst(0, 1, 99)
 
     env.process(writer())
     with pytest.raises(ValueError):
@@ -89,12 +89,13 @@ def test_read_unmapped_returns_false():
     results = []
 
     def reader():
-        ok = yield from ftl.read(3)
-        results.append(ok)
+        sensed = yield from ftl.read_burst(3, 1)
+        results.append(sensed)
 
     p = env.process(reader())
     env.run(until=p)
-    assert results == [False]
+    assert results == [0]
+    assert env.now == 0.0  # unmapped pages cost nothing
 
 
 def test_read_mapped_returns_true_and_costs_time():
@@ -104,12 +105,12 @@ def test_read_mapped_returns_true_and_costs_time():
     results = []
 
     def reader():
-        ok = yield from ftl.read(3)
-        results.append(ok)
+        sensed = yield from ftl.read_burst(3, 1)
+        results.append(sensed)
 
     p = env.process(reader())
     env.run(until=p)
-    assert results == [True]
+    assert results == [1]
     assert env.now > t0
 
 
@@ -154,13 +155,14 @@ def test_stream_separation_keeps_waf_at_one():
     def writer():
         hot_i = 0
         for c in range(n_cold):
-            yield from ftl.write(c, 0)          # cold stream
+            yield from ftl.write_burst(c, 1, 0)   # cold stream
             for _ in range(3):
                 if hot_i < len(hot_lpns):
-                    yield from ftl.write(hot_lpns[hot_i], 1)  # hot stream
+                    # hot stream
+                    yield from ftl.write_burst(hot_lpns[hot_i], 1, 1)
                     hot_i += 1
         while hot_i < len(hot_lpns):
-            yield from ftl.write(hot_lpns[hot_i], 1)
+            yield from ftl.write_burst(hot_lpns[hot_i], 1, 1)
             hot_i += 1
 
     p = env.process(writer())
@@ -176,9 +178,9 @@ def test_streams_never_share_segments():
 
     def writer():
         for i in range(pages // 2):
-            yield from ftl.write(i, 0)
-            yield from ftl.write(pages + i, 1)
-            yield from ftl.write(2 * pages + i, 2)
+            yield from ftl.write_burst(i, 1, 0)
+            yield from ftl.write_burst(pages + i, 1, 1)
+            yield from ftl.write_burst(2 * pages + i, 1, 2)
 
     p = env.process(writer())
     env.run(until=p)

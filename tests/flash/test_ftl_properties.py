@@ -44,7 +44,7 @@ def test_invariants_hold_under_random_traces(ops):
         for kind, lpn, stream in ops:
             lpn = lpn % max_lpn
             if kind == "write":
-                yield from ftl.write(lpn, stream)
+                yield from ftl.write_burst(lpn, 1, stream)
             else:
                 ftl.deallocate(lpn, 1)
 
@@ -66,7 +66,7 @@ def test_latest_write_wins_mapping(ops):
         for kind, lpn, stream in ops:
             lpn = lpn % max_lpn
             if kind == "write":
-                yield from ftl.write(lpn, stream)
+                yield from ftl.write_burst(lpn, 1, stream)
                 last[lpn] = "write"
             else:
                 ftl.deallocate(lpn, 1)
@@ -90,7 +90,7 @@ def test_waf_one_when_everything_is_one_lifetime_class(lpns):
 
     def driver():
         for lpn in lpns:
-            yield from ftl.write(lpn % 16, 0)
+            yield from ftl.write_burst(lpn % 16, 1, 0)
 
     p = env.process(driver())
     env.run(until=p)

@@ -2,7 +2,7 @@
 
 A randomized seeded trace of map/unmap/lookup operations replays
 through :class:`L2PMap` (preallocated array + memoryview + numpy
-views) and :class:`DictL2P`; every operation's return value and every
+views) and the test-side :class:`~tests.flash.twins.DictL2P`; every operation's return value and every
 intermediate state must agree, so any divergence in the fast path
 surfaces with the offending op index attached.
 """
@@ -12,7 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.flash.l2p import DictL2P, IntVec, L2PMap
+from repro.flash.l2p import IntVec, L2PMap
+
+from tests.flash.twins import DictL2P
 
 N_LPNS = 256
 N_PPNS = 320
@@ -97,8 +99,8 @@ def test_ftl_invariants_hold_after_random_workload():
         for _ in range(300):
             op = rng.integers(0, 3)
             if op == 0:
-                yield from ftl.write(int(rng.integers(0, n)),
-                                     int(rng.integers(0, 2)))
+                yield from ftl.write_burst(int(rng.integers(0, n)), 1,
+                                           int(rng.integers(0, 2)))
             elif op == 1:
                 start = int(rng.integers(0, n - 16))
                 yield from ftl.write_burst(start, 16,

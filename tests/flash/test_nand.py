@@ -16,7 +16,7 @@ def test_single_program_latency():
     nand = NandArray(env, small_geom(), NandTiming(channel_transfer=0.0))
 
     def proc():
-        yield from nand.program_page(0)
+        yield nand.program_pages([0])
 
     p = env.process(proc())
     env.run(until=p)
@@ -29,7 +29,7 @@ def test_single_read_latency():
     nand = NandArray(env, small_geom(), NandTiming(channel_transfer=0.0))
 
     def proc():
-        yield from nand.read_page(0)
+        yield nand.read_pages([0])
 
     p = env.process(proc())
     env.run(until=p)
@@ -44,7 +44,7 @@ def test_same_die_serializes():
     assert g.die_of_page(0) == g.die_of_page(4)
 
     def proc(ppn):
-        yield from nand.program_page(ppn)
+        yield nand.program_pages([ppn])
 
     env.process(proc(0))
     env.process(proc(4))
@@ -58,7 +58,7 @@ def test_different_dies_parallel():
     nand = NandArray(env, g, NandTiming(channel_transfer=0.0))
 
     def proc(ppn):
-        yield from nand.program_page(ppn)
+        yield nand.program_pages([ppn])
 
     for ppn in range(4):  # four pages on four distinct dies
         env.process(proc(ppn))
@@ -75,7 +75,7 @@ def test_channel_contention_adds_transfer_time():
     assert g.channel_of_die(0) == g.channel_of_die(1)
 
     def proc(ppn):
-        yield from nand.program_page(ppn)
+        yield nand.program_pages([ppn])
 
     env.process(proc(0))  # die 0
     env.process(proc(1))  # die 1, same channel
@@ -105,7 +105,7 @@ def test_utilization_accounting():
     nand = NandArray(env, g, NandTiming(channel_transfer=0.0))
 
     def proc():
-        yield from nand.program_page(0)
+        yield nand.program_pages([0])
 
     p = env.process(proc())
     env.run(until=p)

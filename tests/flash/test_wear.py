@@ -21,7 +21,7 @@ def churned_ftl(writes=600):
 
     def writer():
         for i in range(writes):
-            yield from ftl.write(i % 8, 0)
+            yield from ftl.write_burst(i % 8, 1, 0)
 
     env.run(until=env.process(writer()))
     return ftl

@@ -5,10 +5,9 @@ import json
 import pytest
 
 from repro import LoggingPolicy, SystemConfig, build_slimio
-from repro.obs import attach_tracer
+from repro.obs import SpanRecord, attach_tracer
 from repro.obs.trace import (
     Attribution,
-    OverlaySpan,
     RequestTracer,
     TraceContext,
     TraceSpan,
@@ -16,6 +15,7 @@ from repro.obs.trace import (
     critical_path,
     dominant_layer,
     load_trace_jsonl,
+    overlay_spans,
     perfetto_trace,
     tail_report,
     trace_jsonl_records,
@@ -90,11 +90,15 @@ class TestEndToEnd:
         assert plain.env.now == traced_system.env.now
 
     def test_jsonl_round_trip(self, run):
-        _, tracer, _ = run
-        records = trace_jsonl_records(tracer, run="unit")
+        system, tracer, _ = run
+        dumped = overlay_spans(system.obs)
+        records = trace_jsonl_records(tracer, dumped, run="unit")
         lines = [json.dumps(r) for r in records]
         meta, contexts, background, overlays = load_trace_jsonl(lines)
         assert meta["run"] == "unit"
+        # overlays are the registry's own span records, both ways
+        assert dumped and overlays == dumped
+        assert all(isinstance(o, SpanRecord) for o in overlays)
         assert len(contexts) == len(tracer.kept)
         assert len(background) == len(tracer.background)
         total_spans = sum(len(c.spans) for c in tracer.kept.values())
@@ -202,7 +206,7 @@ class TestAnalysis:
             _span(1, 1, None, "SET", "server", 0.0, 10.0),
             _span(1, 2, 1, "nvme_cmd", "nvme", 4.0, 9.0),
         ])
-        gc = [OverlaySpan("gc_reclaim", "gc", 5.0, 8.0,
+        gc = [SpanRecord("gc_reclaim", "gc", 5.0, 8.0,
                           {"stream": 3, "copied": 12})]
         att = attribute_interference(
             ctx, gc, stream_owners={3: {"a", "b"}})
@@ -216,7 +220,7 @@ class TestAnalysis:
             _span(1, 1, None, "SET", "server", 0.0, 10.0),
             _span(1, 2, 1, "nvme_cmd", "nvme", 4.0, 9.0),
         ])
-        gc = [OverlaySpan("gc_reclaim", "gc", 5.0, 8.0,
+        gc = [SpanRecord("gc_reclaim", "gc", 5.0, 8.0,
                           {"stream": 3, "copied": 0})]
         att = attribute_interference(ctx, gc, stream_owners={3: {"b"}})
         assert not att.blamed
@@ -226,7 +230,7 @@ class TestAnalysis:
             _span(1, 1, None, "SET", "server", 0.0, 10.0),
             _span(1, 2, 1, "nvme_cmd", "nvme", 4.0, 9.0),
         ])
-        gc = [OverlaySpan("gc_reclaim", "gc", 5.0, 8.0,
+        gc = [SpanRecord("gc_reclaim", "gc", 5.0, 8.0,
                           {"stream": 3, "copied": 7})]
         att = attribute_interference(ctx, gc, stream_owners={3: {"a"}})
         assert att.blamed and not att.cross_tenant
@@ -238,7 +242,7 @@ class TestAnalysis:
         flush = TraceSpan(-1, 9, None, "wal_flush", "wal", 5.0, 10.0,
                           links=(7,))
         flush_io = _span(-1, 10, 9, "nvme_cmd", "nvme", 6.0, 9.0)
-        gc = [OverlaySpan("gc_reclaim", "gc", 6.5, 8.5,
+        gc = [SpanRecord("gc_reclaim", "gc", 6.5, 8.5,
                           {"stream": 1, "copied": 4})]
         att = attribute_interference(
             ctx, gc, background=[flush, flush_io],

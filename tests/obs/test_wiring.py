@@ -64,7 +64,8 @@ def test_full_run_populates_all_layers(builder):
 
 
 #: every (name, kind) benchmarks/slimbench/ledger.py::layer_counters
-#: reads out of ``system.obs.snapshot()``. slimbench sums by base name
+#: reads out of ``system.obs.snapshot()``, plus the flash write ledger
+#: the reports read. slimbench sums by base name
 #: and reads with ``.get(name, 0.0)``, so a rename here does not fail
 #: there — it silently reads 0. Both systems own the first group; the
 #: kernel path exists only on the baseline, the rings only on SlimIO.
@@ -75,6 +76,14 @@ _LEDGER_BOTH = {
     "server_commands_total": "counter",
     "server_wal_buffer_stalls_total": "counter",
     "ftl_waf": "gauge",
+    # the flash write ledger: every WAF / GC-copy / erase report cell
+    # is a WriteWindow over these, and ftl.stats a view of them
+    "ftl_host_pages_written_total": "counter",
+    "ftl_gc_pages_copied_total": "counter",
+    "ftl_segments_erased_total": "counter",
+    "ftl_copyfree_erases_total": "counter",
+    "ftl_gc_runs_total": "counter",
+    "ftl_host_stall_seconds_total": "counter",
 }
 _LEDGER_OWNED = {
     build_baseline: {

@@ -117,6 +117,9 @@ def test_one_shard_cluster_reports_what_a_single_instance_reports(
                  "snapshot_count", "waf"):
         assert getattr(single, name) == getattr(shard, name), name
     assert single.ops > 0 and single.snapshot_count >= 1
+    # the flash cells are device-wide, so they sit on the aggregate
+    for name in ("waf", "gc_pages_copied", "gc_segments_erased"):
+        assert getattr(single, name) == getattr(report.aggregate, name), name
 
 
 def test_one_shard_cluster_fills_timeline_and_erase_count_too():
