@@ -2,16 +2,19 @@
 
 ``python -m repro.bench perf`` runs the full experiment suite at one
 scale and writes a JSON record with, per experiment, the simulated
-events it executed and whether its shape checks held. Both are
+events it executed (``sim_events``: heap dispatches plus delays
+absorbed in closed form), the heap dispatches alone
+(``sim_dispatched``) and whether its shape checks held. All are
 deterministic — same code + scale → the same file, byte for byte, on
 any machine. Host time is not recorded here; slimbench
 (``BENCHMARK.json``) is the one place it is measured.
 
 ``perf --compare BASELINE CURRENT`` grades a fresh record against a
-committed one and **fails** (exit 1) when any experiment's event count
-grew beyond :data:`EVENT_FACTOR`, or any CURRENT experiment's shape
-checks did not hold. A tracer must add *zero* simulator events, so the
-event prong is the machine-independent "tracing off costs <5%" budget.
+committed one and **fails** (exit 1) when any experiment's event or
+dispatch count grew beyond :data:`EVENT_FACTOR`, or any CURRENT
+experiment's shape checks did not hold. A tracer must add *zero*
+simulator events, so the event prong is the machine-independent
+"tracing off costs <5%" budget.
 Intentional model growth is re-baselined by regenerating the repo-root
 ``BENCH_perf.json`` in the same change.
 """
@@ -25,12 +28,22 @@ from pathlib import Path
 
 from repro.bench.experiments import EXPERIMENTS
 from repro.bench.scales import get_scale
-from repro.sim.engine import track_environments, tracked_event_total
+from repro.sim.engine import (
+    track_environments,
+    tracked_dispatch_total,
+    tracked_event_total,
+)
 
 __all__ = ["measure_suite", "compare_records", "main"]
 
-#: per-experiment growth in simulated events that fails the gate
+#: per-experiment growth in simulated events or dispatches that fails
+#: the gate
 EVENT_FACTOR = 1.05
+
+#: the graded counts. The logical total cannot show a dispatch that was
+#: merged away or absorbed (it counts both); the dispatch count can.
+_COUNTS = (("sim_events", "simulated events"),
+           ("sim_dispatched", "heap dispatches"))
 
 
 def measure_suite(scale) -> dict:
@@ -41,13 +54,16 @@ def measure_suite(scale) -> dict:
         try:
             result = fn(scale)
             events = tracked_event_total()
+            dispatched = tracked_dispatch_total()
         finally:
             track_environments(False)
         experiments[name] = {
             "sim_events": events,
+            "sim_dispatched": dispatched,
             "shapes_hold": result.shapes_hold,
         }
-        print(f"  {name:<12s} {events:>10d} events", file=sys.stderr)
+        print(f"  {name:<12s} {events:>10d} events {dispatched:>10d} "
+              f"dispatched", file=sys.stderr)
     return {
         "scale": scale.name,
         "experiments": experiments,
@@ -74,11 +90,11 @@ def _measure(scale_name: str, out_path: str) -> int:
 def compare_records(base: dict, curr: dict) -> list[str]:
     """Grade CURRENT against BASELINE; returns the failures.
 
-    Simulated event counts are deterministic — same code, same scale,
-    same count — so per-experiment growth beyond :data:`EVENT_FACTOR`
-    fails outright (a tracer schedules zero events, so any growth here
-    is real model work, not observation). So does a CURRENT experiment
-    whose paper-shape checks did not hold.
+    Simulated event and dispatch counts are deterministic — same code,
+    same scale, same count — so per-experiment growth of either beyond
+    :data:`EVENT_FACTOR` fails outright (a tracer schedules zero
+    events, so any growth here is real model work, not observation).
+    So does a CURRENT experiment whose paper-shape checks did not hold.
     """
     failures: list[str] = []
     base_exp = base["experiments"]
@@ -87,24 +103,29 @@ def compare_records(base: dict, curr: dict) -> list[str]:
         row = curr_exp.get(name, {})
         if not row.get("shapes_hold", True):
             failures.append(f"{name}: paper-shape checks did not hold")
-        b = base_exp.get(name, {}).get("sim_events")
-        c = row.get("sim_events")
-        if not b or not c:
+        base_row = base_exp.get(name, {})
+        if not base_row.get("sim_events") or not row.get("sim_events"):
             # an experiment added or retired since the baseline — the
             # suite totals are incomparable, but that is intentional
             # model growth, not a regression
             print(f"note: experiment '{name}' only in "
-                  f"{'current' if c else 'baseline'} record; "
-                  f"regenerate BENCH_perf.json to rebaseline")
+                  f"{'current' if row.get('sim_events') else 'baseline'} "
+                  f"record; regenerate BENCH_perf.json to rebaseline")
             continue
-        if c > b * EVENT_FACTOR:
-            failures.append(
-                f"{name}: simulated events grew {b} -> {c} "
-                f"({c / b:.3f}x > {EVENT_FACTOR:.2f}x); event counts "
-                f"are deterministic, so this is real added work")
-        elif c != b:
-            print(f"note: {name} simulated events changed {b} -> {c} "
-                  f"(within {EVENT_FACTOR:.2f}x budget)")
+        for field, noun in _COUNTS:
+            b, c = base_row.get(field), row.get(field)
+            if not b or not c:
+                print(f"note: {name} has no {field} in the "
+                      f"{'current' if not c else 'baseline'} record; "
+                      f"regenerate BENCH_perf.json to rebaseline")
+            elif c > b * EVENT_FACTOR:
+                failures.append(
+                    f"{name}: {noun} grew {b} -> {c} "
+                    f"({c / b:.3f}x > {EVENT_FACTOR:.2f}x); event counts "
+                    f"are deterministic, so this is real added work")
+            elif c != b:
+                print(f"note: {name} {noun} changed {b} -> {c} "
+                      f"(within {EVENT_FACTOR:.2f}x budget)")
     return failures
 
 

@@ -19,22 +19,63 @@ matters — but grants, releases, and completions are scheduled at
 *absolute* instants (:meth:`Environment.at`), so the realized schedule
 is a pure function of grant times.
 
+Die FIFOs
+---------
+
+Each die is a FIFO of :class:`_DieOp` entries, one per program, sense
+or erase; the head holds the die. An entry is its own heap entry at
+most twice: the zero-delay *grant*, pushed when the holder ahead of it
+completes (only if it had to queue), and the *completion*, pushed at
+grant for ``max(arrival, grant) + t``. Keys and push order are those a
+``Resource`` per die gave (release → ``succeed`` of the next waiter,
+then the operation's own bookkeeping), so the dispatch sequence is the
+same event for event. The grants are not merged or computed ahead:
+at round timings completions of different channels' runs tie at one
+float, and which of two equal-instant entries dispatches first is
+decided by when each was pushed.
+
 The page-at-a-time model this arithmetic stands in for (a process per
 page, a chained timeout per transfer) lives in
 ``tests/flash/test_nand_oracle.py``, which requires bit-identical
-completion instants and per-die busy time on seeded random bursts.
+completion instants and per-die busy time on seeded random bursts; the
+``Resource``-per-die realization lives in ``tests/flash/twins.py`` and
+``tests/flash/test_nand_twin.py`` requires the same dispatch instants.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Generator, Sequence
+from collections import deque
+from collections.abc import Callable, Generator, Sequence
 
 from repro.flash.geometry import FlashGeometry, NandTiming
 from repro.obs.registry import MetricsRegistry
 from repro.sim import Environment, Event, Resource
 
 __all__ = ["NandArray"]
+
+#: arrival of an operation that moves no data in first (sense, erase):
+#: ``max(_READY, grant)`` is the grant
+_READY = float("-inf")
+
+
+class _DieOp(Event):
+    """One program, sense or erase in a die's FIFO.
+
+    ``finish`` is the countdown shared by every operation of one burst,
+    run or segment erase, called once this operation has released its
+    die.
+    """
+
+    __slots__ = ("die", "arrival", "t", "finish")
+
+    def __init__(self, env: Environment, die: int, arrival: float, t: float,
+                 finish: Callable[[], None]):
+        Event.__init__(self, env)
+        self.die = die
+        self.arrival = arrival
+        self.t = t
+        self.finish = finish
 
 
 class NandArray:
@@ -51,7 +92,12 @@ class NandArray:
         self.geometry = geometry
         self.timing = timing or NandTiming()
         self.obs = obs or MetricsRegistry(env)
-        self._dies = [Resource(env, capacity=1) for _ in range(geometry.total_dies)]
+        self._fifos: list[deque[_DieOp]] = [
+            deque() for _ in range(geometry.total_dies)
+        ]
+        # what a _DieOp runs when dispatched: one tuple each, shared
+        self._on_grant_cbs = (self._granted,)
+        self._on_done_cbs = (self._completed,)
         self._channels = [Resource(env, capacity=1) for _ in range(geometry.channels)]
         self._obs_programs = self.obs.counter("nand_page_programs_total")
         self._obs_reads = self.obs.counter("nand_page_reads_total")
@@ -72,21 +118,50 @@ class NandArray:
         """Accumulated busy time of one die (hotspot attribution)."""
         return self._die_busy[die]
 
+    # -- die occupancy ---------------------------------------------------------
+    def _submit(self, op: _DieOp) -> None:
+        """Queue ``op`` on its die; a free die grants it at once."""
+        fifo = self._fifos[op.die]
+        fifo.append(op)
+        if len(fifo) == 1:
+            self._granted(op)
+
+    def _granted(self, op: _DieOp) -> None:
+        """``op`` holds its die: push its completion."""
+        now = self.env.now
+        arrival = op.arrival
+        op.callbacks = self._on_done_cbs
+        self.env.schedule_at(op, (arrival if arrival > now else now) + op.t)
+
+    def _completed(self, op: _DieOp) -> None:
+        """``op`` is done: hand the die on, then book ``op``.
+
+        The next waiter's grant is pushed before ``finish`` can push
+        the burst's own events — the order ``Resource.release`` gave,
+        which same-instant ties make observable.
+        """
+        die = op.die
+        fifo = self._fifos[die]
+        fifo.popleft()
+        if fifo:
+            nxt = fifo[0]
+            nxt.callbacks = self._on_grant_cbs
+            self.env.schedule_at(nxt, self.env.now)
+        self._die_busy[die] += op.t
+        op.finish()
+
     # -- burst helpers ---------------------------------------------------------
-    def _channel_runs(
-        self, ppns: Sequence[int]
-    ) -> list[tuple[int, list[tuple[int, int]]]]:
+    def _channel_runs(self, ppns: Sequence[int]) -> list[tuple[int, list[int]]]:
         """Split a page list into order-preserving same-channel runs.
 
-        Returns ``[(channel, [(ppn, die), ...]), ...]``. Consecutive
-        physical pages stripe across dies, so ``dies_per_channel``
-        consecutive pages land on one channel — the natural transfer
-        burst.
+        Returns ``[(channel, [die, ...]), ...]``. Consecutive physical
+        pages stripe across dies, so ``dies_per_channel`` consecutive
+        pages land on one channel — the natural transfer burst.
         """
         geo = self.geometry
-        runs: list[tuple[int, list[tuple[int, int]]]] = []
+        runs: list[tuple[int, list[int]]] = []
         cur_ch = -1
-        cur: list[tuple[int, int]] = []
+        cur: list[int] = []
         for ppn in ppns:
             die = geo.die_of_page(ppn)
             ch = geo.channel_of_die(die)
@@ -94,7 +169,7 @@ class NandArray:
                 if cur:
                     runs.append((cur_ch, cur))
                 cur_ch, cur = ch, []
-            cur.append((ppn, die))
+            cur.append(die)
         if cur:
             runs.append((cur_ch, cur))
         return runs
@@ -126,17 +201,22 @@ class NandArray:
         if not ppns:
             done.succeed()
             return done
-        state = [len(ppns)]
-        for ch, pages in self._channel_runs(ppns):
-            self._start_program_run(ch, pages, state, done)
+        left = len(ppns)
+        programs = self._obs_programs
+
+        def finish() -> None:
+            nonlocal left
+            programs.inc()
+            left -= 1
+            if not left:
+                done.succeed()
+
+        for ch, dies in self._channel_runs(ppns):
+            self._start_program_run(ch, dies, finish)
         return done
 
     def _start_program_run(
-        self,
-        ch: int,
-        pages: list[tuple[int, int]],
-        state: list[int],
-        done: Event,
+        self, ch: int, dies: list[int], finish: Callable[[], None]
     ) -> None:
         env = self.env
         t_tr = self.timing.channel_transfer
@@ -144,42 +224,19 @@ class NandArray:
         channel = self._channels[ch]
         creq = channel.request()
 
-        def on_channel(_ev, _creq=creq) -> None:
+        def on_channel(_ev) -> None:
             arrival = env.now
             arrivals: list[float] = []
-            for _ in pages:
+            for _ in dies:
                 arrival = arrival + t_tr
                 arrivals.append(arrival)
             rel = env.at(arrivals[-1])
-            rel.callbacks.append(lambda _e: channel.release(_creq))
-            for (_ppn, die), a in zip(pages, arrivals):
-                self._program_on_die(die, a, t_prog, state, done)
+            rel.callbacks.append(lambda _e: channel.release(creq))
+            submit = self._submit
+            for die, a in zip(dies, arrivals):
+                submit(_DieOp(env, die, a, t_prog, finish))
 
         self._on_grant(creq, on_channel)
-
-    def _program_on_die(
-        self, die: int, arrival: float, t_prog: float, state: list[int], done: Event
-    ) -> None:
-        env = self.env
-        resource = self._dies[die]
-        dreq = resource.request()
-
-        def on_die(_ev) -> None:
-            grant = env.now
-            start = arrival if arrival > grant else grant
-            fin = env.at(start + t_prog)
-
-            def on_done(_e) -> None:
-                resource.release(dreq)
-                self._die_busy[die] += t_prog
-                self._obs_programs.inc()
-                state[0] -= 1
-                if not state[0]:
-                    done.succeed()
-
-            fin.callbacks.append(on_done)
-
-        self._on_grant(dreq, on_die)
 
     # -- reads -----------------------------------------------------------------
     def read_pages(self, ppns: Sequence[int]) -> Event:
@@ -194,67 +251,52 @@ class NandArray:
         if not ppns:
             done.succeed()
             return done
-        state = [len(ppns)]
-        for ch, pages in self._channel_runs(ppns):
-            self._start_read_run(ch, pages, state, done)
+        left = len(ppns)
+        reads = self._obs_reads
+
+        def streamed(n: int) -> None:
+            nonlocal left
+            reads.inc(n)
+            left -= n
+            if not left:
+                done.succeed()
+
+        for ch, dies in self._channel_runs(ppns):
+            self._start_read_run(ch, dies, streamed)
         return done
 
     def _start_read_run(
-        self,
-        ch: int,
-        pages: list[tuple[int, int]],
-        state: list[int],
-        done: Event,
+        self, ch: int, dies: list[int], streamed: Callable[[int], None]
     ) -> None:
         env = self.env
-        t_read = self.timing.page_read
         t_tr = self.timing.channel_transfer
         channel = self._channels[ch]
-        senses = [len(pages)]
+        unsensed = len(dies)
 
-        def after_senses() -> None:
+        def sensed() -> None:
+            nonlocal unsensed
+            unsensed -= 1
+            if unsensed:
+                return
             creq = channel.request()
 
-            def on_channel(_ev, _creq=creq) -> None:
+            def on_channel(_ev) -> None:
                 out = env.now
-                for _ in pages:
+                for _ in dies:
                     out = out + t_tr
-                rel = env.at(out)
 
                 def on_done(_e) -> None:
-                    channel.release(_creq)
-                    self._obs_reads.inc(len(pages))
-                    state[0] -= len(pages)
-                    if not state[0]:
-                        done.succeed()
+                    channel.release(creq)
+                    streamed(len(dies))
 
-                rel.callbacks.append(on_done)
+                env.at(out).callbacks.append(on_done)
 
             self._on_grant(creq, on_channel)
 
-        for _ppn, die in pages:
-            self._read_on_die(die, t_read, senses, after_senses)
-
-    def _read_on_die(
-        self, die: int, t_read: float, senses: list[int], after_senses
-    ) -> None:
-        env = self.env
-        resource = self._dies[die]
-        dreq = resource.request()
-
-        def on_die(_ev) -> None:
-            fin = env.at(env.now + t_read)
-
-            def on_sense(_e) -> None:
-                resource.release(dreq)
-                self._die_busy[die] += t_read
-                senses[0] -= 1
-                if not senses[0]:
-                    after_senses()
-
-            fin.callbacks.append(on_sense)
-
-        self._on_grant(dreq, on_die)
+        t_read = self.timing.page_read
+        submit = self._submit
+        for die in dies:
+            submit(_DieOp(env, die, _READY, t_read, sensed))
 
     # -- erases ----------------------------------------------------------------
     def erase_segment(self, seg: int) -> Generator:
@@ -268,34 +310,21 @@ class NandArray:
     def erase_segment_ev(self, seg: int) -> Event:
         env = self.env
         done = env.event()
+        dies = self.geometry.total_dies
+        left = dies
+
+        def finish() -> None:
+            nonlocal left
+            left -= 1
+            if not left:
+                self._obs_segment_erases.inc()
+                self._obs_block_erases.inc(dies)
+                done.succeed()
+
         t_erase = self.timing.block_erase
-        state = [self.geometry.total_dies]
-        for die in range(self.geometry.total_dies):
-            self._erase_on_die(die, t_erase, state, done)
+        for die in range(dies):
+            self._submit(_DieOp(env, die, _READY, t_erase, finish))
         return done
-
-    def _erase_on_die(
-        self, die: int, t_erase: float, state: list[int], done: Event
-    ) -> None:
-        env = self.env
-        resource = self._dies[die]
-        dreq = resource.request()
-
-        def on_die(_ev) -> None:
-            fin = env.at(env.now + t_erase)
-
-            def on_done(_e) -> None:
-                resource.release(dreq)
-                self._die_busy[die] += t_erase
-                state[0] -= 1
-                if not state[0]:
-                    self._obs_segment_erases.inc()
-                    self._obs_block_erases.inc(self.geometry.total_dies)
-                    done.succeed()
-
-            fin.callbacks.append(on_done)
-
-        self._on_grant(dreq, on_die)
 
     # -- reporting -------------------------------------------------------------
     def utilization(self, t_end: float | None = None) -> float:

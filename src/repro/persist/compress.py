@@ -48,34 +48,55 @@ class CompressionModel:
             raise ValueError("per_object_overhead must be >= 0")
 
 
-class _Memo(dict):
-    """raw chunk -> blob at one zlib level.
+#: backstop on the blob bytes one memo holds; storing past it clears the
+#: memo and starts over. One paired slimbench replication stores ~16 MB
+#: (``redis_set_gc``), so only a far larger snapshot reaches it.
+MEMO_BLOB_BYTES = 64 * MB
 
-    Held weakly by :data:`_MEMOS` and strongly by every enabled
-    :class:`Compressor` of the level, so the chunks it pins are freed
+
+class _Memo(dict):
+    """``(key, value)`` batch -> ``(raw_len, blob)`` at one zlib level.
+
+    Keyed by the batch's entries rather than its encoded bytes: the
+    entry encoding is injective, so the hits are the same, and a key
+    shares the batch's keys and values instead of pinning a copy of the
+    raw chunk. Held weakly by :data:`_MEMOS` and strongly by every
+    enabled :class:`Compressor` of the level, so what it holds is freed
     when the last of those codecs is.
     """
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "blob_bytes")
 
-    #: backstop, in entries; when full, start over
-    CAP = 4096
+    def __init__(self) -> None:
+        super().__init__()
+        #: sum of ``len(blob)`` over the entries held
+        self.blob_bytes = 0
+
+    def store(self, batch: tuple, raw_len: int, blob: bytes) -> None:
+        if self.blob_bytes + len(blob) > MEMO_BLOB_BYTES:
+            self.clear()
+            self.blob_bytes = 0
+        self[batch] = (raw_len, blob)
+        self.blob_bytes += len(blob)
 
 
 #: level -> memo. Experiments run their systems in pairs over the same
 #: inputs and each system builds its codecs privately, so chunks repeat
 #: between instances, not within one.
-_MEMOS: weakref.WeakValueDictionary[int, _Memo] = weakref.WeakValueDictionary()
+_MEMOS: weakref.WeakValueDictionary[int, _Memo] = (
+    weakref.WeakValueDictionary())
 
 
 class Compressor:
     """zlib-backed codec with optional passthrough for tests.
 
     ``zlib.compress`` is a pure function of (bytes, level), so the
-    enabled codecs of one level share one memo for as long as any of
-    them is alive: a chunk is deflated once, however many systems
-    snapshot it. Only the data plane is shared; what a call costs on
-    the simulated clock is charged by the caller from :attr:`model`.
+    enabled codecs of one level share one :attr:`chunk_memo` for as
+    long as any of them is alive, and :meth:`RdbWriter.chunk
+    <repro.persist.encoding.RdbWriter.chunk>` deflates a batch once,
+    however many systems snapshot it. Only the data plane is shared;
+    what a call costs on the simulated clock is charged by the caller
+    from :attr:`model`.
     """
 
     def __init__(self, level: int = 1, enabled: bool = True,
@@ -85,19 +106,14 @@ class Compressor:
         self.level = level
         self.enabled = enabled
         self.model = model or CompressionModel()
-        self._memo = _MEMOS.setdefault(level, _Memo()) if enabled else None
+        #: the level's shared chunk memo; ``None`` when disabled
+        self.chunk_memo = (_MEMOS.setdefault(level, _Memo())
+                           if enabled else None)
 
     def compress(self, raw: bytes) -> bytes:
         if not self.enabled:
             return raw
-        memo = self._memo
-        blob = memo.get(raw)
-        if blob is None:
-            blob = zlib.compress(raw, self.level)
-            if len(memo) >= memo.CAP:
-                memo.clear()
-            memo[raw] = blob
-        return blob
+        return zlib.compress(raw, self.level)
 
     def decompress(self, blob: bytes | bytearray | memoryview,
                    raw_len: int | None = None) -> bytes:

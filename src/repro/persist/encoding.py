@@ -269,21 +269,39 @@ class RdbWriter:
         return _RDB_HDR.pack(_RDB_MAGIC, 1 if self.compressor.enabled else 0, 0)
 
     def chunk(self, entries: Iterable[tuple[bytes, bytes]]) -> bytes:
-        """Encode one batch of (key, value) pairs."""
+        """Encode one batch of (key, value) pairs.
+
+        The blob comes from the compressor's shared chunk memo when an
+        equal batch was deflated before at the same level; a batch that
+        cannot be a dict key (a ``bytearray`` in it) skips the memo.
+        """
         if not self._header_emitted:
             raise RuntimeError("emit header first")
         if self._finished:
             raise RuntimeError("writer finished")
-        parts = []
-        count = 0
-        for key, value in entries:
-            parts.append(_ENTRY_HDR.pack(len(key), len(value)))
-            parts.append(key)
-            parts.append(value)
-            count += 1
-        raw = b"".join(parts)
-        blob = self.compressor.compress(raw)
-        hdr = _CHUNK_HDR.pack(_CHUNK_MAGIC, count, len(raw), len(blob))
+        batch = tuple(entries)
+        memo = self.compressor.chunk_memo
+        hit = None
+        if memo is not None:
+            try:
+                hit = memo.get(batch)
+            except TypeError:
+                memo = None
+        if hit is None:
+            parts = []
+            for key, value in batch:
+                parts.append(_ENTRY_HDR.pack(len(key), len(value)))
+                parts.append(key)
+                parts.append(value)
+            raw = b"".join(parts)
+            raw_len = len(raw)
+            blob = self.compressor.compress(raw)
+            if memo is not None:
+                memo.store(batch, raw_len, blob)
+        else:
+            raw_len, blob = hit
+        count = len(batch)
+        hdr = _CHUNK_HDR.pack(_CHUNK_MAGIC, count, raw_len, len(blob))
         self._entries += count
         self._chunks += 1
         crc = _crc(blob, _crc(hdr))

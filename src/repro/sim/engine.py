@@ -83,6 +83,7 @@ __all__ = [
     "Environment",
     "track_environments",
     "tracked_event_total",
+    "tracked_dispatch_total",
 ]
 
 #: when enabled (perf harness only), every Environment created registers
@@ -111,6 +112,13 @@ def tracked_event_total() -> int:
         env.events_processed + env.events_absorbed
         for env in _tracked_envs or ()
     )
+
+
+def tracked_dispatch_total() -> int:
+    """Heap dispatches alone (``events_processed``) of environments
+    created while tracking: unlike the logical total, it moves when a
+    dispatch is merged away or absorbed."""
+    return sum(env.events_processed for env in _tracked_envs or ())
 
 
 class SimulationError(Exception):
@@ -530,15 +538,29 @@ class Environment:
         closed-form completions bit-identical to a page-at-a-time
         chain of timeouts.
         """
-        if when < self._now:
-            raise ValueError(f"at({when}) is in the past (now={self._now})")
         ev = Event(self)
         ev._value = value
         ev._state = _TRIGGERED
+        self.schedule_at(ev, when)
+        return ev
+
+    def schedule_at(self, event: Event, when: float) -> None:
+        """Push an existing ``event`` onto the heap at absolute ``when``.
+
+        The entry gets the next sequence number, exactly as
+        :meth:`at` or a zero-delay :meth:`Event.succeed` at ``now``
+        would give a new event, and dispatching it runs its callbacks
+        as for any event. An event may be pushed again after it has
+        been dispatched once its ``callbacks`` are set anew (dispatch
+        leaves them ``None``): that is how :mod:`repro.flash.nand` makes
+        one object per page operation serve as both the operation's
+        die grant and its completion.
+        """
+        if when < self._now:
+            raise ValueError(f"at({when}) is in the past (now={self._now})")
         seq = self._seq
         self._seq = seq + 1
-        heapq.heappush(self._heap, (when, seq, ev))
-        return ev
+        heapq.heappush(self._heap, (when, seq, event))
 
     # -- quiescence fast-forward --------------------------------------------
     def ff_advance(self, dt: float) -> bool:

@@ -204,6 +204,10 @@ class Lock(Resource):
             req.callbacks.append(_on_grant)  # type: ignore[union-attr]
         return req
 
+    def _remove(self, request: Request) -> None:
+        super()._remove(request)
+        self._requested_at.pop(request, None)
+
     def release(self, request: Request) -> Release:
         t0 = self._acquired_at.pop(request, None)
         if t0 is not None:

@@ -12,14 +12,17 @@ from repro.bench.scales import TEST_SCALE
 from repro.sim import Environment, engine
 
 
-def _record(events=1000, per_experiment=None, shapes_hold=True):
+def _record(events=1000, per_experiment=None, shapes_hold=True,
+            dispatched=None):
     exps = per_experiment or {"ycsb": events}
+    rows = {name: {"sim_events": ev, "shapes_hold": shapes_hold}
+            for name, ev in exps.items()}
+    if dispatched is not None:
+        for row in rows.values():
+            row["sim_dispatched"] = dispatched
     return {
         "scale": "test",
-        "experiments": {
-            name: {"sim_events": ev, "shapes_hold": shapes_hold}
-            for name, ev in exps.items()
-        },
+        "experiments": rows,
         "total_sim_events": sum(exps.values()),
     }
 
@@ -39,6 +42,23 @@ class TestCompareRecords:
         fails = compare_records(_record(events=1000), _record(events=1040))
         assert fails == []
         assert "within 1.05x budget" in capsys.readouterr().out
+
+    def test_dispatch_growth_beyond_budget_fails(self):
+        """A dispatch that used to be absorbed (or merged with another)
+        and is now dispatched leaves the logical total where it was;
+        only the dispatch count shows it."""
+        base = _record(events=1000, dispatched=800)
+        fails = compare_records(base, _record(events=1000, dispatched=900))
+        assert len(fails) == 1
+        assert "heap dispatches grew 800 -> 900" in fails[0]
+        assert compare_records(base, _record(events=1000,
+                                             dispatched=800)) == []
+
+    def test_baseline_without_dispatch_counts_is_noted(self, capsys):
+        base = _record(events=1000)
+        assert compare_records(base, _record(events=1000,
+                                             dispatched=800)) == []
+        assert "no sim_dispatched in the baseline" in capsys.readouterr().out
 
     def test_new_experiment_is_noted_not_failed(self, capsys):
         base = _record(per_experiment={"ycsb": 1000})
@@ -111,6 +131,8 @@ def test_record_is_byte_deterministic_and_holds_no_host_time(
     assert set(record["experiments"]) == {"table5", "crashmatrix"}
     assert record["total_sim_events"] == sum(
         e["sim_events"] for e in record["experiments"].values())
+    for row in record["experiments"].values():
+        assert 0 < row["sim_dispatched"] <= row["sim_events"]
     host_time = re.compile("wall|per_sec|speedup|reference|trajectory|notes")
     keys = re.findall(r'"([^"]+)":', texts[0])
     assert keys and not [k for k in keys if host_time.search(k)]

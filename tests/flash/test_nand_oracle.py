@@ -13,7 +13,11 @@ here as a completion instant that differs in the last bit.
 Both models are driven with the same seeded op lists — contiguous and
 scattered program/read bursts and segment erases, issued while earlier
 ones are still in flight — and must agree exactly on every completion
-instant and on every die's accumulated busy time.
+instant and on every die's accumulated busy time. They are driven at
+two timing sets: unround values, where unrelated chains never tie and
+every instant carries rounding, and the round ``NandTiming()``
+defaults, where completions of different channels' runs tie and only
+the order of same-instant dispatches tells the models apart.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ GEOMETRY = FlashGeometry(channels=2, dies_per_channel=3, blocks_per_die=4,
 #: and every completion instant carries rounding to get wrong
 TIMING = NandTiming(page_read=41.3e-6, page_program=203.7e-6,
                     block_erase=1.9e-3, channel_transfer=3.3e-6)
+#: production timings: round, so instants of different chains tie
+DEFAULT_TIMING = NandTiming()
 
 
 def _held(request):
@@ -186,9 +192,9 @@ def _drive(make_model, ops):
     return finished, busy, env.now
 
 
-def _assert_models_agree(ops):
-    got = _drive(lambda env: NandArray(env, GEOMETRY, TIMING), ops)
-    want = _drive(lambda env: PageAtATimeNand(env, GEOMETRY, TIMING), ops)
+def _assert_models_agree(ops, timing=TIMING):
+    got = _drive(lambda env: NandArray(env, GEOMETRY, timing), ops)
+    want = _drive(lambda env: PageAtATimeNand(env, GEOMETRY, timing), ops)
     assert None not in want[0]
     # == on floats, on purpose: bit-identical, not approximately equal
     assert got == want
@@ -197,6 +203,11 @@ def _assert_models_agree(ops):
 @pytest.mark.parametrize("seed", range(12))
 def test_random_bursts_complete_at_identical_instants(seed):
     _assert_models_agree(_random_ops(seed))
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_random_bursts_agree_at_default_timings(seed):
+    _assert_models_agree(_random_ops(seed), DEFAULT_TIMING)
 
 
 @pytest.mark.parametrize("second_at", [0.0, 7.1e-6, 140e-6])
@@ -232,11 +243,48 @@ class _LateDieRequests(PageAtATimeNand):
         channel.release(creq)
 
 
+class _EarlyReadChannel(PageAtATimeNand):
+    """A plausible wrong model: a read run queues for its channel when
+    the read is issued, not when the run's last sense lands."""
+
+    def read_pages(self, ppns):
+        done = self.env.event()
+        if not ppns:
+            return done.succeed()
+        left = [len(ppns)]
+        for ch, dies in self._runs(ppns):
+            creq = self.channels[ch].request()
+            unsensed = [len(dies)]
+            for die in dies:
+                self.env.process(self._sense_early(
+                    ch, creq, die, len(dies), unsensed, left, done))
+        return done
+
+    def _sense_early(self, ch, creq, die, run_pages, unsensed, left, done):
+        dreq = self.dies[die].request()
+        yield from _held(dreq)
+        yield self.env.timeout(self.timing.page_read)
+        self.dies[die].release(dreq)
+        self.busy[die] += self.timing.page_read
+        unsensed[0] -= 1
+        if unsensed[0]:
+            return
+        yield from _held(creq)
+        for _ in range(run_pages):
+            yield self.env.timeout(self.timing.channel_transfer)
+        self.channels[ch].release(creq)
+        self._finish(left, run_pages, done)
+
+
 def test_oracle_bites():
     """The comparison is not vacuous: moving the die request from the
     channel grant to the page's arrival reorders a contended die's
-    queue, and the completion instants say so."""
+    queue, and requesting a read run's channel at issue instead of
+    after its senses reorders a channel's queue; the completion
+    instants say so, at both timing sets."""
     ops = _random_ops(3)
-    got = _drive(lambda env: NandArray(env, GEOMETRY, TIMING), ops)
-    want = _drive(lambda env: _LateDieRequests(env, GEOMETRY, TIMING), ops)
-    assert got[0] != want[0]
+    for timing in (TIMING, DEFAULT_TIMING):
+        got = _drive(lambda env: NandArray(env, GEOMETRY, timing), ops)
+        for wrong in (_LateDieRequests, _EarlyReadChannel):
+            want = _drive(lambda env: wrong(env, GEOMETRY, timing), ops)
+            assert got[0] != want[0], (wrong.__name__, timing)

@@ -1,6 +1,7 @@
 """Compression model and codec tests."""
 
 import gc
+import struct
 import tracemalloc
 import types
 import weakref
@@ -10,7 +11,8 @@ import pytest
 
 from repro.persist import CompressionModel, Compressor
 from repro.persist import compress as compress_mod
-from repro.persist.compress import _MEMOS, _Memo
+from repro.persist.compress import _MEMOS
+from repro.persist.encoding import RdbWriter
 
 
 def test_roundtrip():
@@ -75,7 +77,7 @@ def test_model_validation():
         CompressionModel(per_object_overhead=-1)
 
 
-# --- the shared memo: one zlib call per distinct chunk per process ----
+# --- the shared chunk memo: one zlib call per distinct batch per process
 
 
 @pytest.fixture
@@ -104,32 +106,77 @@ def chunk(tag: int) -> bytes:
     return bytes([tag]) * 3000 + b"tail-%d" % tag
 
 
+def batch(tag: int) -> list[tuple[bytes, bytes]]:
+    """A snapshot batch of fresh key and value objects."""
+    return [(b"key-%d" % tag, chunk(tag)), (b"k2-%d" % tag, chunk(tag + 1))]
+
+
+def write_chunk(codec: Compressor, entries) -> bytes:
+    writer = RdbWriter(codec)
+    writer.header()
+    return writer.chunk(entries)
+
+
 def test_codecs_alive_together_compress_equal_bytes_once(zlib_calls):
     a, b = Compressor(), Compressor()
-    blob = a.compress(chunk(1))
-    assert b.compress(chunk(1)) is blob
-    assert a.compress(chunk(1)) is blob
+    first = write_chunk(a, batch(1))
+    assert write_chunk(b, batch(1)) == first
+    assert write_chunk(a, batch(1)) == first
     assert zlib_calls == {"compress": 1, "inflate": 0}
+    # the memo is keyed by the entries: a new batch misses
+    assert write_chunk(b, batch(11)) != first
+    assert zlib_calls["compress"] == 2
+
+
+def test_memo_holds_the_entries_not_a_raw_copy():
+    c = Compressor(level=4)
+    entries = batch(3)
+    write_chunk(c, entries)
+    [(key, (raw_len, blob))] = c.chunk_memo.items()
+    assert key == tuple(entries) and key[0][1] is entries[0][1]
+    assert raw_len == sum(8 + len(k) + len(v) for k, v in entries)
+    assert c.chunk_memo.blob_bytes == len(blob)
+
+
+def test_compress_itself_keeps_no_memo(zlib_calls):
+    c = Compressor(level=7)
+    assert c.compress(chunk(1)) == c.compress(chunk(1))
+    assert zlib_calls["compress"] == 2
+    assert c.chunk_memo == {}
+
+
+def test_unhashable_batch_skips_the_memo(zlib_calls):
+    c = Compressor(level=5)
+    mutable = [(b"k", bytearray(chunk(8)))]
+    assert write_chunk(c, mutable) == write_chunk(c, [(b"k", chunk(8))])
+    assert write_chunk(c, mutable) == write_chunk(c, [(b"k", chunk(8))])
+    # the bytes batch deflated once, the bytearray one every time
+    assert zlib_calls["compress"] == 3
+    assert list(c.chunk_memo) == [((b"k", chunk(8)),)]
 
 
 def test_levels_never_exchange_blobs(zlib_calls):
     fast, small = Compressor(level=1), Compressor(level=6)
     raw = bytes(range(256)) * 40
-    assert fast.compress(raw) == zlib.compress(raw, 1)
-    assert small.compress(raw) == zlib.compress(raw, 6)
-    assert fast.compress(raw) != small.compress(raw)
+    entries = [(b"", raw)]
+    encoded = struct.pack("<II", 0, len(raw)) + raw
+    assert zlib.compress(encoded, 1) in write_chunk(fast, entries)
+    assert zlib.compress(encoded, 6) in write_chunk(small, entries)
+    assert write_chunk(fast, entries) != write_chunk(small, entries)
     assert zlib_calls["compress"] == 2
 
 
 def test_disabled_codec_stores_and_reads_nothing(zlib_calls):
     live = Compressor()
     off = Compressor(enabled=False)
-    blob = live.compress(chunk(2))
-    before = dict(live._memo)
-    assert off._memo is None
+    write_chunk(live, batch(2))
+    before = dict(live.chunk_memo)
+    assert off.chunk_memo is None
+    write_chunk(off, batch(2))
     assert off.compress(chunk(2)) == chunk(2)
+    blob = zlib.compress(chunk(2), 1)
     assert off.decompress(blob) is blob
-    assert live._memo == before
+    assert live.chunk_memo == before
     assert zlib_calls == {"compress": 1, "inflate": 0}
 
 
@@ -150,26 +197,32 @@ def test_memo_dies_with_the_last_codec():
     """The RSS guard: nothing in the process pins chunks once no codec
     of the level is left (slimbench collects between replications)."""
     a, b = Compressor(level=3), Compressor(level=3)
-    a.compress(chunk(5))
-    memo = weakref.ref(a._memo)
-    assert b._memo is a._memo
+    write_chunk(a, batch(5))
+    memo = weakref.ref(a.chunk_memo)
+    assert b.chunk_memo is a.chunk_memo
     del a
     gc.collect()
     assert memo() is not None and 3 in _MEMOS     # b still holds it
     del b
     gc.collect()
     assert memo() is None and 3 not in _MEMOS
-    assert Compressor(level=3)._memo == {}
+    assert Compressor(level=3).chunk_memo == {}
 
 
 def test_memo_backstop_clears_when_full(monkeypatch):
-    monkeypatch.setattr(_Memo, "CAP", 4)
     c = Compressor(level=2)
-    for tag in range(4):
-        c.compress(chunk(tag))
-    assert len(c._memo) == 4
-    c.compress(chunk(9))
-    assert list(c._memo) == [chunk(9)]
+    for tag in range(3):
+        write_chunk(c, batch(tag))
+    held = c.chunk_memo.blob_bytes
+    assert held == sum(len(blob) for _, blob in c.chunk_memo.values())
+    monkeypatch.setattr(compress_mod, "MEMO_BLOB_BYTES", held)
+    write_chunk(c, batch(0))        # a hit stores nothing
+    assert len(c.chunk_memo) == 3
+    # the next blob would cross the bound: the memo starts over with it
+    write_chunk(c, batch(9))
+    [(raw_len, blob)] = c.chunk_memo.values()
+    assert list(c.chunk_memo) == [tuple(batch(9))]
+    assert c.chunk_memo.blob_bytes == len(blob)
 
 
 def test_wrong_declared_length_is_rejected():

@@ -176,6 +176,21 @@ def test_lock_uncontended_has_zero_wait():
     assert lock.held_time == pytest.approx(1.0)
 
 
+def test_lock_forgets_a_cancelled_waiter():
+    """Regression: a cancelled waiter stayed in the lock's request-time
+    map (with its grant closure) for as long as the lock lived."""
+    env = Environment()
+    lock = Lock(env)
+    a = lock.request()
+    b = lock.request()
+    b.cancel()
+    assert b not in lock._requested_at
+    lock.release(a)
+    env.run()
+    assert not b.triggered
+    assert lock._requested_at == {} and lock.contended_time == 0.0
+
+
 def test_store_put_get_fifo():
     env = Environment()
     store = Store(env)
