@@ -279,7 +279,7 @@ class WalPath(AppendSink):
                 wal.prev_start, wal.gen_start, account
             )
             kept = prev[: self._prev_gen_bytes]
-            if AofCodec.scan(bytes(kept)).consumed == len(kept):
+            if AofCodec.walk(kept)[0] == len(kept):
                 blob.extend(kept)
             else:
                 # The prev region does not decode to its recorded length:
@@ -295,7 +295,7 @@ class WalPath(AppendSink):
         # current generation through the metadata head hint
         cur = yield from self._read_range(wal.gen_start, wal.head, account)
         blob.extend(cur)
-        consumed = AofCodec.scan(bytes(blob)).consumed
+        consumed, _ = AofCodec.walk(blob)
         # scan beyond the hint (bounded by region capacity)
         vpn = wal.head
         oldest = wal.prev_start if wal.prev_start is not None else wal.gen_start
@@ -307,7 +307,7 @@ class WalPath(AppendSink):
                 break
             base = len(blob)
             blob.extend(chunk)
-            new_consumed = AofCodec.scan(bytes(blob), start=consumed).consumed
+            new_consumed, _ = AofCodec.walk(blob, consumed)
             if new_consumed <= base:
                 # no valid record reaches into this chunk: stale/torn
                 del blob[base:]
@@ -322,7 +322,7 @@ class WalPath(AppendSink):
             vpn += n
             wal.head = vpn  # adopt validated pages into the live head
         self._restore_cursor(blob, consumed, gen_off, page)
-        return bytes(blob)
+        return blob
 
     def _restore_cursor(self, blob: bytearray, consumed: int, gen_off: int,
                         page: int) -> None:

@@ -106,7 +106,7 @@ def verify_lba_space(
             if not any(page):
                 break
             blob.extend(page)
-        report.wal_records = len(AofCodec.scan(bytes(blob)).records)
+        report.wal_records = AofCodec.walk(blob)[1]
         return report
     report.metadata = best
 
@@ -166,11 +166,7 @@ def verify_lba_space(
         if best.wal_prev_bytes > len(prev):
             report.problem("metadata prev-generation length exceeds extent")
             return report
-        prev_records = list(AofCodec.decode_stream(prev[: best.wal_prev_bytes]))
-        decoded_len = sum(
-            AofCodec.encoded_size(len(r.key), len(r.value))
-            for r in prev_records
-        )
+        decoded_len, _ = AofCodec.walk(prev[: best.wal_prev_bytes])
         if decoded_len != best.wal_prev_bytes:
             report.problem(
                 "previous WAL generation does not end on a record boundary"
@@ -186,5 +182,5 @@ def verify_lba_space(
             break
         blob.extend(page)
         vpn += 1
-    report.wal_records = sum(1 for _ in AofCodec.decode_stream(bytes(blob)))
+    report.wal_records = AofCodec.walk(blob)[1]
     return report

@@ -48,36 +48,52 @@ class CompressionModel:
             raise ValueError("per_object_overhead must be >= 0")
 
 
-#: backstop on the blob bytes one memo holds; storing past it clears the
-#: memo and starts over. One paired slimbench replication stores ~16 MB
-#: (``redis_set_gc``), so only a far larger snapshot reaches it.
+#: bound on the blob bytes one memo holds; a store that would pass it
+#: clears the memo first, and a blob larger than it is never stored. One
+#: paired slimbench replication stores ~16 MB (``redis_set_gc``), so only
+#: a far larger snapshot reaches it.
 MEMO_BLOB_BYTES = 64 * MB
 
 
 class _Memo(dict):
-    """``(key, value)`` batch -> ``(raw_len, blob)`` at one zlib level.
+    """``(key, value)`` batch -> ``(raw_len, blob)`` at one zlib level,
+    plus the reverse map :attr:`by_blob`.
 
     Keyed by the batch's entries rather than its encoded bytes: the
     entry encoding is injective, so the hits are the same, and a key
     shares the batch's keys and values instead of pinning a copy of the
-    raw chunk. Held weakly by :data:`_MEMOS` and strongly by every
-    enabled :class:`Compressor` of the level, so what it holds is freed
-    when the last of those codecs is.
+    raw chunk. ``by_blob`` maps each stored blob back to ``(raw_len,
+    batch)``: inflating is a function of the blob alone, so a chunk
+    whose blob is byte-equal to one held here decodes to that batch
+    (:meth:`RdbReader.read_all <repro.persist.encoding.RdbReader.read_all>`).
+    Held weakly by :data:`_MEMOS` and strongly by every enabled
+    :class:`Compressor` of the level, so what it holds is freed when the
+    last of those codecs is.
     """
 
-    __slots__ = ("__weakref__", "blob_bytes")
+    __slots__ = ("__weakref__", "blob_bytes", "by_blob")
 
     def __init__(self) -> None:
         super().__init__()
         #: sum of ``len(blob)`` over the entries held
         self.blob_bytes = 0
+        #: blob -> ``(raw_len, batch)``, the same entries as the dict
+        self.by_blob: dict[bytes, tuple[int, tuple]] = {}
 
     def store(self, batch: tuple, raw_len: int, blob: bytes) -> None:
-        if self.blob_bytes + len(blob) > MEMO_BLOB_BYTES:
+        size = len(blob)
+        if size > MEMO_BLOB_BYTES:
+            return
+        if self.blob_bytes + size > MEMO_BLOB_BYTES:
             self.clear()
-            self.blob_bytes = 0
         self[batch] = (raw_len, blob)
-        self.blob_bytes += len(blob)
+        self.by_blob[blob] = (raw_len, batch)
+        self.blob_bytes += size
+
+    def clear(self) -> None:
+        super().clear()
+        self.by_blob.clear()
+        self.blob_bytes = 0
 
 
 #: level -> memo. Experiments run their systems in pairs over the same
@@ -94,7 +110,9 @@ class Compressor:
     enabled codecs of one level share one :attr:`chunk_memo` for as
     long as any of them is alive, and :meth:`RdbWriter.chunk
     <repro.persist.encoding.RdbWriter.chunk>` deflates a batch once,
-    however many systems snapshot it. Only the data plane is shared;
+    however many systems snapshot it, and :meth:`RdbReader.read_all
+    <repro.persist.encoding.RdbReader.read_all>` inflates only blobs it
+    does not hold. Only the data plane is shared;
     what a call costs on the simulated clock is charged by the caller
     from :attr:`model`.
     """

@@ -92,13 +92,14 @@ _crc = zlib.crc32
 class AofScanResult:
     """Outcome of :meth:`AofCodec.scan`.
 
-    ``consumed`` is the offset one past the last valid record;
+    ``count`` valid records run from the scan's ``start`` to
+    ``consumed``, the offset one past the last of them;
     ``tail_kind`` is ``"clean"`` (end of data / zero padding),
     ``"torn"`` (crash fragment, safe to truncate) or ``"interior"``
     (valid records resume after the failure — real corruption).
     """
 
-    records: list[AofRecord]
+    count: int
     consumed: int
     truncated_at: int | None
     tail_kind: str
@@ -132,80 +133,110 @@ class AofCodec:
         return body + _CRC.pack(_crc(body))
 
     @staticmethod
-    def encoded_size(key_len: int, value_len: int) -> int:
-        return _AOF_HDR.size + key_len + value_len + _CRC.size
-
-    @staticmethod
     def decode_stream(data: Buffer) -> Iterator[AofRecord]:
         """Yield records until the stream ends or turns invalid.
 
         A torn tail (crash mid-append) terminates iteration silently —
-        exactly Redis's ``aof-load-truncated`` behaviour. This lazy
-        decoder cannot tell a torn tail from a corrupt *interior*; use
+        exactly Redis's ``aof-load-truncated`` behaviour. This decoder
+        cannot tell a torn tail from a corrupt *interior*; use
         :meth:`scan` when that distinction matters (recovery does).
         """
-        pos = 0
-        n = len(data)
-        view = memoryview(data)
-        while pos + _AOF_HDR.size <= n:
-            record, end = AofCodec._decode_one(view, pos, n)
-            if record is None:
-                return
-            yield record
-            pos = end
+        for op, key, value in AofCodec.items(data):
+            yield AofRecord(op=op, key=key, value=value)
 
     @staticmethod
-    def _decode_one(view: memoryview, pos: int,
-                    n: int) -> tuple[AofRecord | None, int]:
-        """Decode the record at ``pos``; (None, pos) if invalid/torn.
+    def items(data: Buffer, start: int = 0,
+              end: int | None = None) -> Iterator[tuple[int, bytes, bytes]]:
+        """Yield ``(op, key, value)`` for each record in ``data[start:end]``.
+
+        The range must be one :meth:`walk` or :meth:`scan` validated;
+        it is not checked again. ``end=None`` walks from ``start``
+        first. Key and value are the only bytes copied out.
+        """
+        view = memoryview(data)
+        if end is None:
+            end, _ = AofCodec._walk(view, start, len(view))
+        pos = start
+        while pos < end:
+            _, op, klen, vlen = _AOF_HDR.unpack_from(view, pos)
+            key_at = pos + _AOF_HDR.size
+            value_at = key_at + klen
+            pos = value_at + vlen
+            yield op, bytes(view[key_at:value_at]), bytes(view[value_at:pos])
+            pos += _CRC.size
+
+    @staticmethod
+    def replay(data: Buffer, keyspace: dict[bytes, bytes], start: int = 0,
+               end: int | None = None) -> None:
+        """Apply the SETs and DELs of ``data[start:end]`` to ``keyspace``
+        (a range validated as for :meth:`items`)."""
+        for op, key, value in AofCodec.items(data, start, end):
+            if op == OP_SET:
+                keyspace[key] = value
+            else:
+                keyspace.pop(key, None)
+
+    @staticmethod
+    def walk(data: Buffer, start: int = 0) -> tuple[int, int]:
+        """``(consumed, count)`` of the run of valid records from
+        ``start``: headers, magic and CRCs are checked and no record is
+        built. Offsets stay absolute, so the WAL adopts pages by
+        resuming at the previous ``consumed``; ``data`` may be a
+        ``bytearray`` its caller resizes next.
+        """
+        with memoryview(data) as view:
+            return AofCodec._walk(view, start, len(view))
+
+    @staticmethod
+    def _walk(view: memoryview, pos: int, n: int) -> tuple[int, int]:
+        count = 0
+        record_end = AofCodec._record_end
+        while pos + _AOF_HDR.size <= n:
+            end = record_end(view, pos, n)
+            if end == pos:
+                break
+            count += 1
+            pos = end
+        return pos, count
+
+    @staticmethod
+    def _record_end(view: memoryview, pos: int, n: int) -> int:
+        """End of the valid record at ``pos``; ``pos`` if invalid/torn.
 
         ``view`` is one memoryview over the whole stream, taken by the
-        caller: the CRC runs over a slice of it and key and value are
-        the only bytes copied out.
+        caller: the CRC runs over a slice of it, nothing is copied.
         """
         magic, op, klen, vlen = _AOF_HDR.unpack_from(view, pos)
         if (magic != _AOF_MAGIC or op not in (OP_SET, OP_DEL)
                 or (op == OP_DEL and vlen)):
-            return None, pos  # nothing encode() writes
-        key_at = pos + _AOF_HDR.size
-        value_at = key_at + klen
-        crc_at = value_at + vlen
+            return pos  # nothing encode() writes
+        crc_at = pos + _AOF_HDR.size + klen + vlen
         end = crc_at + _CRC.size
         if end > n:
-            return None, pos  # torn record
+            return pos  # torn record
         (crc,) = _CRC.unpack_from(view, crc_at)
-        if crc != _crc(view[pos:crc_at]):
-            return None, pos
-        return AofRecord(op=op, key=bytes(view[key_at:value_at]),
-                         value=bytes(view[value_at:crc_at])), end
+        return end if crc == _crc(view[pos:crc_at]) else pos
 
     @staticmethod
     def scan(data: Buffer, start: int = 0,
              strict: bool = False) -> AofScanResult:
-        """Decode with tail classification (the recovery entry point).
+        """Validate with tail classification (the recovery entry point).
 
-        Unlike :meth:`decode_stream`, a decode failure is diagnosed: if
+        Unlike :meth:`walk`, a decode failure is diagnosed: if
         everything after the failure offset is zero padding or torn
         fragments with no later valid record, the tail is a crash
         artifact ("torn") and truncation is correct. If a CRC-valid
         record chain *resumes* after the failure, the interior of the
         stream was corrupted ("interior") — truncation would silently
         drop acknowledged records, so ``strict=True`` raises
-        :class:`CorruptionError` with the offset instead.
+        :class:`CorruptionError` with the offset instead. No record is
+        built: :meth:`items` decodes ``data[start:consumed]``.
 
-        ``start`` resumes a previous scan (offsets stay absolute), which
-        lets the WAL adopt pages incrementally without re-decoding.
+        ``start`` resumes a previous scan (offsets stay absolute).
         """
-        records: list[AofRecord] = []
-        pos = start
-        n = len(data)
         view = memoryview(data)
-        while pos + _AOF_HDR.size <= n:
-            record, end = AofCodec._decode_one(view, pos, n)
-            if record is None:
-                break
-            records.append(record)
-            pos = end
+        n = len(view)
+        pos, count = AofCodec._walk(view, start, n)
         clean = pos >= n
         if not clean:
             # bytes and bytearray count and search in place; a
@@ -214,17 +245,17 @@ class AofCodec:
             clean = flat.count(0, pos) == n - pos
         if clean:
             # end of stream or pure zero padding: a clean tail
-            return AofScanResult(records=records, consumed=pos,
+            return AofScanResult(count=count, consumed=pos,
                                  truncated_at=None, tail_kind="clean",
                                  resync_at=None, trailing_records=0)
         resync_at, trailing = AofCodec._resync(flat, view, pos, n)
         if resync_at is None:
-            return AofScanResult(records=records, consumed=pos,
+            return AofScanResult(count=count, consumed=pos,
                                  truncated_at=pos, tail_kind="torn",
                                  resync_at=None, trailing_records=0)
         if strict:
             raise CorruptionError(pos, resync_at, trailing)
-        return AofScanResult(records=records, consumed=pos,
+        return AofScanResult(count=count, consumed=pos,
                              truncated_at=pos, tail_kind="interior",
                              resync_at=resync_at, trailing_records=trailing)
 
@@ -238,16 +269,10 @@ class AofCodec:
             q = flat.find(_AOF_MAGIC, q, n - min_size + 1)
             if q < 0:
                 return None, 0
-            record, end = AofCodec._decode_one(view, q, n)
-            if record is not None:
-                count = 1
-                while end + _AOF_HDR.size <= n:
-                    record, nxt = AofCodec._decode_one(view, end, n)
-                    if record is None:
-                        break
-                    count += 1
-                    end = nxt
-                return q, count
+            end = AofCodec._record_end(view, q, n)
+            if end != q:
+                _, trailing = AofCodec._walk(view, end, n)
+                return q, 1 + trailing
             q += 1
         return None, 0
 
@@ -328,7 +353,16 @@ class RdbReader:
     def read_all(self, data: Buffer) -> list[tuple[bytes, bytes]]:
         """Decode a complete snapshot; raises :class:`CorruptRecord` on
         any structural damage (truncation, bad CRC, a blob that is not
-        the zlib stream its header declares, missing footer)."""
+        the zlib stream its header declares, missing footer).
+
+        A CRC-valid chunk whose blob is byte-equal to one in the
+        compressor's chunk memo, with the header's entry count and raw
+        length, is the memo's batch: zlib is a pure function, so that
+        blob inflates to the batch's encoding. Every other blob is
+        inflated, bounded by its declared length, and decoded.
+        """
+        chunk_memo = self.compressor.chunk_memo
+        memo = chunk_memo.by_blob if chunk_memo is not None else None
         out: list[tuple[bytes, bytes]] = []
         view = memoryview(data)
         pos = self._check_header(view)
@@ -355,13 +389,19 @@ class RdbReader:
             if crc != _crc(view[pos:crc_at]):
                 raise CorruptRecord(f"chunk CRC mismatch at {pos}")
             blob = view[pos + _CHUNK_HDR.size:crc_at]
-            try:
-                raw = self.compressor.decompress(blob, raw_len)
-            except zlib.error as exc:
-                raise CorruptRecord(f"chunk blob at {pos}: {exc}") from exc
-            if len(raw) != raw_len:
-                raise CorruptRecord("decompressed length mismatch")
-            out.extend(self._decode_entries(raw, count))
+            hit = memo.get(bytes(blob)) if memo is not None else None
+            if (hit is not None and hit[0] == raw_len
+                    and len(hit[1]) == count):
+                out.extend(hit[1])
+            else:
+                try:
+                    raw = self.compressor.decompress(blob, raw_len)
+                except zlib.error as exc:
+                    raise CorruptRecord(
+                        f"chunk blob at {pos}: {exc}") from exc
+                if len(raw) != raw_len:
+                    raise CorruptRecord("decompressed length mismatch")
+                out.extend(self._decode_entries(raw, count))
             entries += count
             chunks += 1
             pos = end

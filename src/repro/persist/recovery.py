@@ -18,7 +18,7 @@ from collections.abc import Generator
 from repro.kernel.accounting import CpuAccount
 from repro.obs.registry import MetricsRegistry
 from repro.persist.compress import CompressionModel, Compressor
-from repro.persist.encoding import AofCodec, OP_DEL, OP_SET, RdbReader
+from repro.persist.encoding import AofCodec, RdbReader
 from repro.persist.interfaces import AppendSink, SnapshotSource
 from repro.sim import Environment
 
@@ -125,22 +125,17 @@ def recover_store(
         with obs.span("recovery_replay", track="recovery"):
             raw = yield from wal_sink.read_all(account)
             scan = AofCodec.scan(raw, strict=strict_wal)
-            records = scan.records
             _cpu_ev = account.charge(
-                "rebuild", len(records) * REBUILD_PER_ENTRY
+                "rebuild", scan.count * REBUILD_PER_ENTRY
             )
             if _cpu_ev is not None:
                 yield _cpu_ev
-            for rec in records:
-                if rec.op == OP_SET:
-                    result.data[rec.key] = rec.value
-                elif rec.op == OP_DEL:
-                    result.data.pop(rec.key, None)
-            result.wal_records_applied = len(records)
+            AofCodec.replay(raw, result.data, 0, scan.consumed)
+            result.wal_records_applied = scan.count
             result.wal_truncated_at = scan.truncated_at
             result.wal_tail = scan.tail_kind
             result.wal_corrupt_records = scan.trailing_records
-        obs.counter("recovery_wal_records_total").inc(len(records))
+        obs.counter("recovery_wal_records_total").inc(scan.count)
         if scan.truncated_at is not None:
             obs.counter("recovery_wal_truncations_total").inc()
         if scan.trailing_records:
@@ -148,7 +143,7 @@ def recover_store(
                 scan.trailing_records
             )
         obs.event("recovery_progress", phase="replay",
-                  records=len(records), tail=scan.tail_kind)
+                  records=scan.count, tail=scan.tail_kind)
 
     result.duration = env.now - t0
     return result

@@ -408,4 +408,4 @@ class WalManager:
     def read_records(self, account: CpuAccount) -> Generator:
         """Read and decode all live generations (replay)."""
         raw = yield from self.sink.read_all(account)
-        return AofCodec.scan(raw).records
+        return list(AofCodec.decode_stream(raw))

@@ -1,19 +1,28 @@
 """Reference twins for the copy-free codecs.
 
 ``repro.persist.encoding`` CRCs over one memoryview per call and slices
-keys, values and blobs straight out of the input. The bodies below are
-the per-copy versions it replaced, kept verbatim as the reference: on
-any stream — valid, truncated at every offset, one byte flipped, zero
-padded, torn and then resumed — both must produce the same writer
-bytes, the same records, the same scan verdict and the same exception
-type, whether the input is ``bytes``, ``bytearray`` or ``memoryview``.
+keys, values and blobs straight out of the input; the AOF scan builds
+no records (a walk validates, :meth:`AofCodec.items` decodes the
+validated range), and the RDB reader answers a blob held in the chunk
+memo without inflating it. The bodies below are the per-copy,
+record-building, always-inflating versions they replaced, kept as the
+reference: on any stream — valid, truncated at every offset, one byte
+flipped, zero padded, torn and then resumed — both must produce the
+same writer bytes, the same records and replayed keyspace, the same
+scan verdict and the same exception type, whether the input is
+``bytes``, ``bytearray`` or ``memoryview`` and whether the reader's
+memo is warm, cold or absent.
 
 The one intended divergence is the bugfix that rides with the change: a
 CRC-valid chunk whose blob zlib rejects escaped the reference as
 ``zlib.error``; the reader now reports it as :class:`CorruptRecord`.
 """
 
+import random
 import zlib
+from dataclasses import dataclass
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
@@ -27,7 +36,7 @@ from repro.persist import (
     RdbReader,
     RdbWriter,
 )
-from repro.persist.compress import Compressor
+from repro.persist.compress import Compressor, _Memo
 from repro.persist.encoding import (
     _AOF_HDR,
     _AOF_MAGIC,
@@ -36,7 +45,7 @@ from repro.persist.encoding import (
     _CRC,
     _ENTRY_HDR,
     _FOOTER_MAGIC,
-    AofScanResult,
+    _RDB_HDR,
     _crc,
 )
 
@@ -56,6 +65,18 @@ class PlainZlib:
 
     def decompress(self, blob, raw_len=None):
         return zlib.decompress(blob) if self.enabled else blob
+
+
+@dataclass(frozen=True)
+class RefScanResult:
+    """What ``AofCodec.scan`` returned when it built the records."""
+
+    records: list[AofRecord]
+    consumed: int
+    truncated_at: int | None
+    tail_kind: str
+    resync_at: int | None
+    trailing_records: int
 
 
 class RefAofCodec:
@@ -99,17 +120,17 @@ class RefAofCodec:
             pos = end
         if pos >= n or not any(data[pos:]):
             # end of stream or pure zero padding: a clean tail
-            return AofScanResult(records=records, consumed=pos,
+            return RefScanResult(records=records, consumed=pos,
                                  truncated_at=None, tail_kind="clean",
                                  resync_at=None, trailing_records=0)
         resync_at, trailing = RefAofCodec._resync(data, pos, n)
         if resync_at is None:
-            return AofScanResult(records=records, consumed=pos,
+            return RefScanResult(records=records, consumed=pos,
                                  truncated_at=pos, tail_kind="torn",
                                  resync_at=None, trailing_records=0)
         if strict:
             raise CorruptionError(pos, resync_at, trailing)
-        return AofScanResult(records=records, consumed=pos,
+        return RefScanResult(records=records, consumed=pos,
                              truncated_at=pos, tail_kind="interior",
                              resync_at=resync_at, trailing_records=trailing)
 
@@ -209,25 +230,86 @@ def outcome(fn, *args, **kwargs):
         return ("raised", type(exc), None)
 
 
+def replayed(records) -> dict:
+    keyspace = {}
+    for r in records:
+        if r.op == OP_SET:
+            keyspace[r.key] = r.value
+        else:
+            keyspace.pop(r.key, None)
+    return keyspace
+
+
+def ref_scan(stream, start, strict):
+    scan = RefAofCodec.scan(stream, start, strict)
+    return (scan.consumed, scan.truncated_at, scan.tail_kind,
+            scan.resync_at, scan.trailing_records, scan.records,
+            replayed(scan.records))
+
+
+def walk_scan(data, start, strict):
+    """The same verdict from the walk, records decoded only over the
+    validated range, keyspace from :meth:`AofCodec.replay`."""
+    scan = AofCodec.scan(data, start, strict)
+    records = [AofRecord(op=op, key=key, value=value)
+               for op, key, value in AofCodec.items(data, start,
+                                                    scan.consumed)]
+    assert scan.count == len(records)
+    assert AofCodec.walk(data, start) == (scan.consumed, scan.count)
+    keyspace = {}
+    AofCodec.replay(data, keyspace, start, scan.consumed)
+    return (scan.consumed, scan.truncated_at, scan.tail_kind,
+            scan.resync_at, scan.trailing_records, records, keyspace)
+
+
 def assert_aof_equivalent(stream: bytes, start: int = 0) -> None:
     for strict in (False, True):
-        want = outcome(RefAofCodec.scan, stream, start, strict)
+        want = outcome(ref_scan, stream, start, strict)
         for form in FORMS:
-            got = outcome(AofCodec.scan, form(stream), start, strict)
+            got = outcome(walk_scan, form(stream), start, strict)
             assert got == want, (form.__name__, strict)
     want = list(RefAofCodec.decode_stream(stream))
     for form in FORMS:
         assert list(AofCodec.decode_stream(form(stream))) == want
 
 
-def assert_rdb_equivalent(stream: bytes, compressed: bool) -> None:
+def cold(level: int = 1) -> Compressor:
+    """A codec whose chunk memo holds nothing, whatever else is alive."""
+    codec = Compressor(level=level)
+    codec.chunk_memo = _Memo()
+    return codec
+
+
+def read_outcome(codec, data):
+    """``("ok", entries)`` or ``("raised", type, message)``."""
+    try:
+        return ("ok", RdbReader(codec).read_all(data))
+    except Exception as exc:  # the type and message are what is compared
+        return ("raised", type(exc), str(exc))
+
+
+def assert_rdb_equivalent(stream: bytes, compressed: bool,
+                          *warm: Compressor) -> None:
+    """Every reader decodes ``stream`` as the always-inflating reference
+    does: the level-1 codec as the process has it, one whose memo is
+    cold, and the ``warm`` codecs that wrote the stream's blobs. The
+    memo and inflate paths must also raise the same message."""
     want = outcome(RefRdbReader(PlainZlib(compressed)).read_all, stream)
     if want[:2] == ("raised", zlib.error):
         want = ("raised", CorruptRecord, None)  # the bugfix, see above
-    for form in FORMS:
-        got = outcome(RdbReader(Compressor(enabled=compressed)).read_all,
-                      form(stream))
-        assert got == want, form.__name__
+    codecs = [Compressor(enabled=compressed), *warm]
+    if compressed:
+        codecs.append(cold())
+    messages = set()
+    for codec in codecs:
+        for form in FORMS:
+            got = read_outcome(codec, form(stream))
+            assert got[:2] == want[:2], (codec.level, form.__name__)
+            if got[0] == "ok":
+                assert got == want, (codec.level, form.__name__)
+            else:
+                messages.add(got[2])
+    assert len(messages) <= 1, messages
 
 
 keys = st.binary(min_size=0, max_size=12)
@@ -307,24 +389,141 @@ def test_rdb_writer_bytes_identical(entries, chunk, compressed):
 @given(pairs, st.integers(1, 5), st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_rdb_every_truncation_point(entries, chunk, compressed):
-    stream = rdb_stream(RefRdbWriter(PlainZlib(compressed)), entries, chunk)
+    warm = Compressor(enabled=compressed)
+    stream = rdb_stream(RdbWriter(warm), entries, chunk)
     for cut in range(len(stream) + 1):
-        assert_rdb_equivalent(stream[:cut], compressed)
+        assert_rdb_equivalent(stream[:cut], compressed, warm)
 
 
 @given(pairs, st.integers(1, 5), st.booleans(),
        st.integers(min_value=0), st.integers(1, 255))
 @settings(max_examples=200, deadline=None)
 def test_rdb_single_byte_flip(entries, chunk, compressed, pos, xor):
-    stream = bytearray(
-        rdb_stream(RefRdbWriter(PlainZlib(compressed)), entries, chunk))
+    warm = Compressor(enabled=compressed)
+    stream = bytearray(rdb_stream(RdbWriter(warm), entries, chunk))
     stream[pos % len(stream)] ^= xor
-    assert_rdb_equivalent(bytes(stream), compressed)
+    assert_rdb_equivalent(bytes(stream), compressed, warm)
 
 
 @given(pairs, st.integers(0, 64))
 @settings(max_examples=40, deadline=None)
 def test_rdb_trailing_zero_padding(entries, zeros):
     """A slot image is read with its page padding still attached."""
-    stream = rdb_stream(RefRdbWriter(PlainZlib()), entries, 3)
-    assert_rdb_equivalent(stream + bytes(zeros), True)
+    warm = Compressor()
+    stream = rdb_stream(RdbWriter(warm), entries, 3)
+    assert_rdb_equivalent(stream + bytes(zeros), True, warm)
+
+
+@given(pairs, st.integers(1, 5), st.integers(0, 9))
+@settings(max_examples=60, deadline=None)
+def test_rdb_any_level_decodes_from_memo_or_inflate(entries, chunk, level):
+    """Written at ``level``: its own (warm) codec answers from the memo,
+    a cold codec of the level and the level-1 codec inflate."""
+    warm = Compressor(level=level)
+    stream = rdb_stream(RdbWriter(warm), entries, chunk)
+    assert_rdb_equivalent(stream, True, warm, cold(level))
+
+
+# --- hostile chunks over a blob the memo holds ---------------------------
+
+HOSTILE_ENTRIES = [(b"key-%d" % i, bytes([i]) * (50 + i)) for i in range(6)]
+FIRST_CHUNK = _RDB_HDR.size
+
+
+def reforge(stream: bytes, *, count=0, raw_len=0, blob=None,
+            crc_xor=0) -> bytes:
+    """Rewrite the first chunk's header fields (``count``/``raw_len`` are
+    deltas), blob or CRC; the CRC is recomputed unless ``crc_xor``."""
+    pos = FIRST_CHUNK
+    _, n, raw, comp_len = _CHUNK_HDR.unpack_from(stream, pos)
+    blob_at = pos + _CHUNK_HDR.size
+    old = stream[blob_at:blob_at + comp_len]
+    rest = stream[blob_at + comp_len + _CRC.size:]
+    blob = old if blob is None else blob
+    hdr = _CHUNK_HDR.pack(_CHUNK_MAGIC, n + count, raw + raw_len, len(blob))
+    crc = _crc(blob, _crc(hdr)) ^ crc_xor
+    return stream[:pos] + hdr + blob + _CRC.pack(crc) + rest
+
+
+def hostile_stream():
+    warm = Compressor()
+    stream = rdb_stream(RdbWriter(warm), HOSTILE_ENTRIES, 3)
+    _, _, _, comp_len = _CHUNK_HDR.unpack_from(stream, FIRST_CHUNK)
+    blob_at = FIRST_CHUNK + _CHUNK_HDR.size
+    blob = stream[blob_at:blob_at + comp_len]
+    assert blob in warm.chunk_memo.by_blob
+    return warm, stream, blob
+
+
+def test_memo_hit_stream_decodes_without_inflating(monkeypatch):
+    warm, stream, _ = hostile_stream()
+    want = RefRdbReader(PlainZlib()).read_all(stream)
+
+    def no_inflate(self, blob, raw_len=None):
+        raise AssertionError("inflated a blob the memo holds")
+
+    monkeypatch.setattr(Compressor, "decompress", no_inflate)
+    for form in FORMS:
+        assert RdbReader(warm).read_all(form(stream)) == want
+
+
+@pytest.mark.parametrize("forge", [
+    dict(count=1), dict(count=-1), dict(raw_len=1), dict(raw_len=-1),
+    dict(crc_xor=1), "truncated blob", "stream cut in the blob",
+], ids=str)
+def test_hostile_chunk_over_a_memo_hit_raises_as_inflate_does(forge):
+    warm, stream, blob = hostile_stream()
+    if forge == "truncated blob":
+        bad = reforge(stream, blob=blob[:-1])
+    elif forge == "stream cut in the blob":
+        bad = stream[:FIRST_CHUNK + _CHUNK_HDR.size + len(blob) // 2]
+    else:
+        bad = reforge(stream, **forge)
+    got = {read_outcome(codec, form(bad))
+           for codec in (warm, cold()) for form in FORMS}
+    [(kind, exc_type, _message)] = got
+    assert (kind, exc_type) == ("raised", CorruptRecord)
+    assert_rdb_equivalent(bad, True, warm)
+
+
+# --- the walk + replay against the record-building scan, seeded -----------
+
+
+def seeded_stream(rng: random.Random) -> tuple[bytes, int]:
+    """A stream over a small key pool (so SET/DEL interleave on the same
+    keys) with a random ending, and a record-boundary resume offset."""
+    def recs(k):
+        out = []
+        for _ in range(k):
+            key = b"k%d" % rng.randrange(6)
+            if rng.random() < 0.3:
+                out.append(AofRecord(op=OP_DEL, key=key))
+            else:
+                out.append(AofRecord(op=OP_SET, key=key,
+                                     value=rng.randbytes(rng.randrange(30))))
+        return out
+
+    head = recs(rng.randrange(12))
+    bounds = [0]
+    for r in head:
+        bounds.append(bounds[-1] + len(AofCodec.encode(r)))
+    stream = bytearray(encode(head))
+    ending = rng.choice(["clean", "zeros", "torn", "interior", "garbage"])
+    if ending == "zeros":
+        stream += bytes(rng.randrange(1, 64))
+    elif ending == "torn":
+        tail = AofCodec.encode(recs(1)[0])
+        stream += tail[:rng.randrange(1, len(tail))]
+    elif ending == "interior" and stream:
+        stream[rng.randrange(len(stream))] ^= rng.randrange(1, 256)
+        stream += encode(recs(rng.randrange(1, 4)))
+    elif ending == "garbage":
+        stream += rng.randbytes(rng.randrange(1, 20))
+    return bytes(stream), rng.choice(bounds)
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_seeded_streams_walk_and_replay_match_reference(seed):
+    stream, start = seeded_stream(random.Random(seed))
+    assert_aof_equivalent(stream)
+    assert_aof_equivalent(stream, start=start)

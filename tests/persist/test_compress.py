@@ -1,6 +1,7 @@
 """Compression model and codec tests."""
 
 import gc
+import random
 import struct
 import tracemalloc
 import types
@@ -35,8 +36,6 @@ def test_repetitive_data_compresses():
 
 
 def test_random_data_barely_compresses():
-    import random
-
     rng = random.Random(7)
     raw = bytes(rng.getrandbits(8) for _ in range(4096))
     assert c_ratio_close_to_one(Compressor().ratio(raw))
@@ -181,10 +180,10 @@ def test_disabled_codec_stores_and_reads_nothing(zlib_calls):
 
 
 def test_every_decompress_goes_through_zlib(zlib_calls):
-    """The memo is one-directional: an inflate is never answered from
-    a compress this process happened to make, nor from an earlier
-    inflate (measured: sharing that direction too did not resolve on
-    ``snap_recover`` — docs/PERFORMANCE.md, Layer 8)."""
+    """``Compressor.decompress`` keeps no memo: a blob it is handed is
+    inflated, even one this process deflated. Only ``RdbReader`` reads
+    the memo's reverse map, and only for a whole chunk whose header
+    agrees with it (docs/PERFORMANCE.md, Layer 10)."""
     c = Compressor()
     raw = chunk(4)
     blob = c.compress(raw)
@@ -209,6 +208,17 @@ def test_memo_dies_with_the_last_codec():
     assert Compressor(level=3).chunk_memo == {}
 
 
+def test_reverse_map_mirrors_the_memo():
+    c = Compressor(level=8)
+    for tag in range(3):
+        write_chunk(c, batch(tag))
+    memo = c.chunk_memo
+    assert memo.by_blob == {blob: (raw_len, entries)
+                            for entries, (raw_len, blob) in memo.items()}
+    memo.clear()
+    assert memo == {} and memo.by_blob == {} and memo.blob_bytes == 0
+
+
 def test_memo_backstop_clears_when_full(monkeypatch):
     c = Compressor(level=2)
     for tag in range(3):
@@ -222,7 +232,25 @@ def test_memo_backstop_clears_when_full(monkeypatch):
     write_chunk(c, batch(9))
     [(raw_len, blob)] = c.chunk_memo.values()
     assert list(c.chunk_memo) == [tuple(batch(9))]
+    assert list(c.chunk_memo.by_blob) == [blob]
     assert c.chunk_memo.blob_bytes == len(blob)
+
+
+def test_memo_never_holds_more_than_its_bound(monkeypatch):
+    """A blob larger than the bound alone is not stored (it used to
+    clear the memo and then sit in it, over the bound)."""
+    c = Compressor(level=9)
+    write_chunk(c, batch(1))
+    small = c.chunk_memo.blob_bytes
+    monkeypatch.setattr(compress_mod, "MEMO_BLOB_BYTES", small + 10)
+    huge = [(b"big", random.Random(1).randbytes(4096))]  # incompressible
+    for entries in (huge, batch(2), huge, batch(3), batch(1)):
+        write_chunk(c, entries)
+        memo = c.chunk_memo
+        assert memo.blob_bytes <= compress_mod.MEMO_BLOB_BYTES
+        assert memo.blob_bytes == sum(len(b) for _, b in memo.values())
+        assert len(memo.by_blob) == len(memo)
+        assert tuple(huge) not in memo
 
 
 def test_wrong_declared_length_is_rejected():

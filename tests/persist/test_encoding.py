@@ -65,11 +65,6 @@ def test_aof_garbage_prefix_yields_nothing():
     assert list(AofCodec.decode_stream(b"\x00" * 64)) == []
 
 
-def test_aof_encoded_size_matches():
-    rec = AofRecord(op=OP_SET, key=b"abc", value=b"defgh")
-    assert len(AofCodec.encode(rec)) == AofCodec.encoded_size(3, 5)
-
-
 def test_aof_empty_value_allowed():
     rec = AofRecord(op=OP_SET, key=b"k", value=b"")
     assert list(AofCodec.decode_stream(AofCodec.encode(rec))) == [rec]
