@@ -20,35 +20,21 @@ is indistinguishable from a regenerated one.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import replace
 from pathlib import Path
 
-from repro.bench import cache as result_cache
 from repro.bench.experiments import EXPERIMENTS
+from repro.bench.harness import (
+    EXPERIMENT_FIELDS,
+    add_run_options,
+    cache_dir_of,
+    run_experiment,
+    run_units,
+)
 from repro.bench.scales import get_scale
-
-
-def _run_experiment(name: str, scale_name: str, sanitize: bool,
-                    faults: bool = False) -> tuple[str, bool, float]:
-    """One experiment -> (report text, shapes ok, wall seconds).
-
-    Module-level so it pickles as a ``ProcessPoolExecutor`` work unit;
-    the scale is rebuilt from its name because Scale methods construct
-    unpicklable simulation objects lazily.
-    """
-    scale = get_scale(scale_name)
-    if sanitize:
-        scale = replace(scale, sanitize=True)
-    if faults:
-        scale = replace(scale, faults=True)
-    t0 = time.perf_counter()
-    result = EXPERIMENTS[name](scale)
-    elapsed = time.perf_counter() - t0
-    text = (f"{result.format()}\n\n(regenerated at scale "
-            f"'{scale.name}')\n")
-    return text, result.shapes_hold, elapsed
 
 
 def _sweep_main(argv) -> int:
@@ -84,23 +70,11 @@ def _sweep_main(argv) -> int:
                              "see --list")
     parser.add_argument("--list", action="store_true",
                         help="list registered grids and exit")
-    parser.add_argument("--scale", default="tiny",
-                        help="scale preset: tiny (default) | test | "
-                             "bench | prod")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="grid points in N parallel processes "
-                             "(output is identical whatever N)")
+    add_run_options(parser, "tiny")
     parser.add_argument("--out-dir", default="out/sweep",
                         help="CSV/report directory (default: out/sweep)")
     parser.add_argument("--top", type=int, default=5,
                         help="rows in the best/worst tables")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore the on-disk result cache entirely")
-    parser.add_argument("--refresh", action="store_true",
-                        help="recompute even on cache hit")
-    parser.add_argument("--cache-dir",
-                        default=str(result_cache.DEFAULT_CACHE_DIR),
-                        help="result cache location (default: out/cache)")
     args = parser.parse_args(argv)
 
     scale = get_scale(args.scale)
@@ -130,7 +104,7 @@ def _sweep_main(argv) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cache_dir = None if args.no_cache else args.cache_dir
+    cache_dir = cache_dir_of(args)
     chunks = []
     for name in names:
         grid = grids[name]
@@ -185,23 +159,11 @@ def main(argv=None) -> int:
     parser.add_argument("experiments", nargs="+", metavar="experiment",
                         help="experiment ids (e.g. table3 figure4), "
                              "'all', 'list', 'perf', 'sweep', or 'tune'")
-    parser.add_argument("--scale", default="bench",
-                        help="scale preset: test | bench (default) | prod")
+    add_run_options(parser, "bench")
     parser.add_argument("--out", default=None,
                         help="also write the report to this file "
                              "(default: out/bench_<scale>_results.txt; "
                              "'-' disables the file)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="run experiments in N parallel processes "
-                             "(report content is identical whatever N)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore the on-disk result cache entirely")
-    parser.add_argument("--refresh", action="store_true",
-                        help="recompute even on cache hit, then "
-                             "rewrite the cache entry")
-    parser.add_argument("--cache-dir",
-                        default=str(result_cache.DEFAULT_CACHE_DIR),
-                        help="result cache location (default: out/cache)")
     parser.add_argument("--sanitize", action="store_true",
                         help="run with the repro.analysis runtime "
                              "sanitizers active on every SlimIO system "
@@ -260,61 +222,42 @@ def main(argv=None) -> int:
         import pstats
 
         prof = cProfile.Profile()
+        t0 = time.perf_counter()
         prof.enable()
-        text, ok, elapsed = _run_experiment(names[0], scale.name,
-                                            args.sanitize, args.faults)
+        payload = run_experiment(names[0], scale)
         prof.disable()
-        print(f"({names[0]}: {elapsed:.1f}s wall under cProfile)",
-              file=sys.stderr)
+        print(f"({names[0]}: {time.perf_counter() - t0:.1f}s wall under "
+              f"cProfile)", file=sys.stderr)
         stats = pstats.Stats(prof, stream=sys.stderr)
         stats.sort_stats("cumulative").print_stats(args.profile)
-        print(text)
-        return 0 if ok else 1
+        print(payload["report"])
+        return 0 if payload["shapes_hold"] else 1
 
-    # resolve cache hits first; only misses go to the worker pool
-    done: dict[str, tuple[str, bool]] = {}
-    keys: dict[str, str] = {}
-    if not args.no_cache:
-        for name in names:
-            keys[name] = result_cache.cache_key(name, scale)
-            if not args.refresh:
-                hit = result_cache.load(keys[name], args.cache_dir)
-                if hit is not None:
-                    done[name] = hit
-                    print(f"({name}: cache hit)", file=sys.stderr)
-    todo = [name for name in names if name not in done]
+    def log(name, outcome) -> None:
+        status = ("cache hit" if outcome.cached
+                  else f"{outcome.wall_s:.1f}s wall")
+        print(f"({name}: {status})", file=sys.stderr)
 
-    if len(todo) > 1 and args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {name: pool.submit(_run_experiment, name,
-                                         scale.name, args.sanitize,
-                                         args.faults)
-                       for name in todo}
-            for name in todo:
-                text, ok, elapsed = futures[name].result()
-                done[name] = (text, ok)
-                print(f"({name}: {elapsed:.1f}s wall)", file=sys.stderr)
-    else:
-        for name in todo:
-            text, ok, elapsed = _run_experiment(name, scale.name,
-                                                args.sanitize, args.faults)
-            done[name] = (text, ok)
-            print(f"({name}: {elapsed:.1f}s wall)", file=sys.stderr)
-
-    if not args.no_cache:
-        for name in todo:
-            text, ok = done[name]
-            result_cache.store(keys[name], name, text, ok, args.cache_dir)
+    outcomes = run_units(
+        functools.partial(run_experiment, scale=scale), names,
+        jobs=args.jobs, cell=lambda name: (name, None), scale=scale,
+        cache_dir=cache_dir_of(args), refresh=args.refresh,
+        fields=EXPERIMENT_FIELDS, clock=time.perf_counter, log=log)
+    failed = [(name, o) for name, o in zip(names, outcomes) if o.error]
+    for name, outcome in failed:
+        # every other experiment's result is cached already; no report
+        # is written that silently lacks one
+        print(f"{outcome.trace}({name}: failed: {outcome.error})",
+              file=sys.stderr)
+    if failed:
+        return 1
 
     exit_code = 0
     chunks = []
-    for name in names:  # EXPERIMENTS order — independent of finish order
-        text, ok = done[name]
-        print(text)
-        chunks.append(text)
-        if not ok:
+    for outcome in outcomes:  # input order, independent of finish order
+        print(outcome.value["report"])
+        chunks.append(outcome.value["report"])
+        if not outcome.value["shapes_hold"]:
             exit_code = 1
     if out_path != "-":
         path = Path(out_path)

@@ -10,30 +10,33 @@ impossible to poison by code drift and makes two grid points of the
 same experiment impossible to collide (each parameter assignment gets
 its own key).
 
-Entries are single JSON files under ``out/cache/`` carrying the exact
-report text (or the exact measurement dict), the shape-check verdict,
-and a self-checksum. A corrupt or truncated entry (interrupted write,
-disk mishap) fails validation and is deleted, so the caller
-transparently recomputes — the cache can only ever cost a miss, never a
-wrong result.
+There is one entry format for both: a single JSON file under
+``out/cache/`` holding the unit's JSON payload (an experiment's report
+text + shape verdict, or a grid point's measurement dict) and a
+checksum of that payload. A corrupt, truncated or mistyped entry
+(interrupted write, disk mishap, hostile bytes) fails validation and is
+deleted, so the caller transparently recomputes — the cache can only
+ever cost a miss, never a wrong result.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any
 
-__all__ = ["DEFAULT_CACHE_DIR", "code_digest", "cache_key",
-           "load", "store", "load_values", "store_values"]
+__all__ = ["DEFAULT_CACHE_DIR", "code_digest", "cache_key", "load",
+           "store"]
 
 DEFAULT_CACHE_DIR = Path("out/cache")
 
 #: bump to invalidate every existing entry on format changes
-#: (v2: keys carry the sweep-point parameter dict)
-_FORMAT_VERSION = 2
+#: (v2: keys carry the sweep-point parameter dict; v3: one entry format)
+_FORMAT_VERSION = 3
 
 _code_digest: str | None = None
 
@@ -81,93 +84,66 @@ def cache_key(experiment: str, scale,
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def load(key: str, cache_dir: str | Path = DEFAULT_CACHE_DIR):
-    """Return the cached ``(report, shapes_hold)`` or None on miss.
-
-    A malformed entry — unparseable JSON, missing fields, or a report
-    whose checksum does not match — counts as a miss and is removed so
-    the recomputed result can take its place.
-    """
-    path = Path(cache_dir) / f"{key}.json"
-    try:
-        payload = json.loads(path.read_text())
-        report = payload["report"]
-        shapes_hold = payload["shapes_hold"]
-        checksum = payload["sha256"]
-        if not isinstance(report, str) or not isinstance(shapes_hold, bool):
-            raise ValueError("wrong field types")
-        if hashlib.sha256(report.encode()).hexdigest() != checksum:
-            raise ValueError("checksum mismatch")
-    except FileNotFoundError:
-        return None
-    except (OSError, ValueError, KeyError, TypeError):
-        path.unlink(missing_ok=True)
-        return None
-    return report, shapes_hold
-
-
-def store(key: str, experiment: str, report: str, shapes_hold: bool,
-          cache_dir: str | Path = DEFAULT_CACHE_DIR) -> Path:
-    """Write one cache entry; returns its path."""
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cache_dir / f"{key}.json"
-    payload = {
-        "experiment": experiment,
-        "report": report,
-        "shapes_hold": bool(shapes_hold),
-        "sha256": hashlib.sha256(report.encode()).hexdigest(),
-    }
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(payload, indent=1))
-    tmp.replace(path)
-    return path
-
-
-def _values_checksum(values: dict[str, Any]) -> str:
-    blob = json.dumps(values, sort_keys=True)
+def _checksum(payload: dict[str, Any]) -> str:
+    blob = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def load_values(key: str,
-                cache_dir: str | Path = DEFAULT_CACHE_DIR
-                ) -> dict[str, Any] | None:
-    """Return a cached sweep-point measurement dict, or None on miss.
+def load(key: str, cache_dir: str | Path = DEFAULT_CACHE_DIR,
+         fields: dict[str, type] | None = None) -> dict[str, Any] | None:
+    """Return the cached payload dict, or None on miss.
 
-    The same corruption discipline as :func:`load`: anything malformed
-    is deleted and reported as a miss. JSON round-trips floats exactly
-    (shortest-repr), so a cache hit is byte-identical to a recompute in
-    every downstream CSV/report rendering.
+    ``fields`` names keys the payload must carry and their types (an
+    experiment's ``{"report": str, "shapes_hold": bool}``). A malformed
+    entry — unreadable, not JSON, missing or mistyped fields, or a
+    payload whose checksum does not match — counts as a miss and is
+    removed so the recomputed result can take its place. JSON
+    round-trips floats exactly (shortest repr), so a hit is
+    byte-identical to a recompute in every downstream rendering.
     """
     path = Path(cache_dir) / f"{key}.json"
     try:
-        payload = json.loads(path.read_text())
-        values = payload["values"]
-        checksum = payload["sha256"]
-        if not isinstance(values, dict):
-            raise ValueError("wrong field types")
-        if _values_checksum(values) != checksum:
+        entry = json.loads(path.read_bytes())
+        payload = entry["payload"]
+        if not isinstance(payload, dict):
+            raise TypeError("payload is not an object")
+        for name, kind in (fields or {}).items():
+            if not isinstance(payload[name], kind):
+                raise TypeError(f"{name} is not {kind.__name__}")
+        if _checksum(payload) != entry["sha256"]:
             raise ValueError("checksum mismatch")
     except FileNotFoundError:
         return None
-    except (OSError, ValueError, KeyError, TypeError):
-        path.unlink(missing_ok=True)
+    except (OSError, ValueError, KeyError, TypeError, RecursionError):
+        try:
+            path.unlink(missing_ok=True)
+        except OSError:  # e.g. a directory squatting on the entry name
+            pass
         return None
-    return values
+    return payload
 
 
-def store_values(key: str, experiment: str, values: dict[str, Any],
-                 cache_dir: str | Path = DEFAULT_CACHE_DIR) -> Path:
-    """Write one sweep-point entry; returns its path."""
+def store(key: str, experiment: str, payload: dict[str, Any],
+          cache_dir: str | Path = DEFAULT_CACHE_DIR) -> Path:
+    """Write one entry atomically; returns its path.
+
+    The temporary file is unique per writer, so two processes storing
+    the same key (two sweeps sharing a cache directory) cannot trip
+    over each other's half-written file; the last rename wins, and both
+    wrote the same bytes.
+    """
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / f"{key}.json"
-    payload = {
-        "experiment": experiment,
-        "values": values,
-        "sha256": _values_checksum(values),
-    }
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(payload, indent=1))
-    tmp.replace(path)
+    entry = {"experiment": experiment, "payload": payload,
+             "sha256": _checksum(payload)}
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=f"{key}.",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(entry, fh, indent=1)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
     return path

@@ -9,11 +9,14 @@ mirroring the claims the paper makes about that table or figure.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro import build_baseline, build_slimio
 from repro.bench.report import ExperimentResult
 from repro.bench.scales import BENCH_SCALE, Scale
+from repro.flash import FlashGeometry, FtlConfig
 from repro.imdb import ClientOp
 from repro.persist import LoggingPolicy, SnapshotKind
 from repro.workloads import make_key, make_value
@@ -24,6 +27,7 @@ __all__ = [
     "tailtrace", "crashmatrix", "openloop", "EXPERIMENTS",
     "single_sweep_config", "single_sweep_point",
     "cluster_sweep_config", "cluster_sweep_point", "sweep_grids",
+    "pinned_cluster_config",
 ]
 
 MB = 1024 * 1024
@@ -63,6 +67,26 @@ def _quiesce(system) -> None:
     env.run(until=env.process(q(), name="quiesce"))
 
 
+def _loaded(builder, scale: Scale, config):
+    """A system holding the scale's redis keyspace with its WAL drained
+    and writeback idle — where every snapshot-from-rest scenario
+    starts."""
+    system = builder(config=config)
+    _fill_store(system, scale.redis_keys, scale.redis_value)
+    _quiesce(system)
+    return system
+
+
+def _run(builder, config, workload, warmup_ops: int = 0):
+    """Build one system (or cluster) from ``config``, drive ``workload``
+    through it and stop it; returns ``(system, report)`` — the build ->
+    run -> stop sequence experiments and sweep grid points share."""
+    system = builder(config=config)
+    rep = workload.run(system, warmup_ops=warmup_ops)
+    system.stop()
+    return system, rep
+
+
 def _snapshot_stats(system, kind=SnapshotKind.ON_DEMAND):
     proc = system.server.start_snapshot(kind)
     stats = system.env.run(until=proc)
@@ -90,12 +114,9 @@ def table1(scale: Scale = BENCH_SCALE) -> ExperimentResult:
         ),
     )
     for fs in ("ext4", "f2fs"):
-        system = build_baseline(
-            config=scale.system_config(gc_pressure=False, fs=fs)
-        )
-        workload = scale.redis_bench(snapshot_at_fraction=0.45)
-        rep = workload.run(system)
-        system.stop()
+        system, rep = _run(
+            build_baseline, scale.system_config(gc_pressure=False, fs=fs),
+            scale.redis_bench(snapshot_at_fraction=0.45))
         result.telemetry[fs] = system.obs.snapshot()
         result.add_row(fs, "WAL only", rep.rps_wal_only,
                        _mbps(rep.steady_memory))
@@ -135,12 +156,8 @@ def table2(scale: Scale = BENCH_SCALE) -> ExperimentResult:
     shares = {}
     for scenario, concurrent in (("Snapshot Only", False),
                                  ("Snapshot&WAL", True)):
-        system = build_baseline(
-            config=scale.system_config(gc_pressure=False, fs="f2fs",
-                                       trigger=False),
-        )
-        _fill_store(system, scale.redis_keys, scale.redis_value)
-        _quiesce(system)
+        system = _loaded(build_baseline, scale, scale.system_config(
+            gc_pressure=False, fs="f2fs", trigger=False))
         if concurrent:
             workload = scale.redis_bench(
                 total_ops=max(scale.redis_ops, 2000),
@@ -181,33 +198,28 @@ def _fig2_scenarios(scale: Scale):
     out = {}
     telemetry = {}
     # (1) Snapshot Only: quiescent server, large device
-    system = build_baseline(
-        config=scale.system_config(gc_pressure=False, trigger=False))
-    _fill_store(system, scale.redis_keys, scale.redis_value)
-    _quiesce(system)
+    system = _loaded(build_baseline, scale, scale.system_config(
+        gc_pressure=False, trigger=False))
     out["Snapshot Only"] = _snapshot_stats(system)
     telemetry["Snapshot Only"] = system.obs.snapshot()
     system.stop()
     # (2) Snapshot & WAL: concurrent clients, large device
-    system = build_baseline(
-        config=scale.system_config(gc_pressure=False, trigger=False))
-    workload = scale.redis_bench(snapshot_at_fraction=0.3)
-    workload.run(system)
+    system, _ = _run(
+        build_baseline,
+        scale.system_config(gc_pressure=False, trigger=False),
+        scale.redis_bench(snapshot_at_fraction=0.3))
     out["Snapshot & WAL"] = system.metrics.snapshots[0]
     telemetry["Snapshot & WAL"] = system.obs.snapshot()
-    system.stop()
     # (3) Snapshot & WAL (under GC): small device + churn warmup; the
     # WAL-snapshot trigger stays on so the log rotates (it is also what
     # creates the short-lived/long-lived mix on the device)
-    system = build_baseline(
-        config=scale.system_config(gc_pressure=True, trigger=True))
-    workload = scale.redis_bench(snapshot_at_fraction=0.6)
-    workload.run(system, warmup_ops=scale.warmup_ops)
+    system, _ = _run(
+        build_baseline, scale.system_config(gc_pressure=True, trigger=True),
+        scale.redis_bench(snapshot_at_fraction=0.6), scale.warmup_ops)
     snaps = system.metrics.snapshots
     out["Snapshot & WAL (under GC)"] = max(snaps, key=lambda s: s.duration)
     out["_gc_erased"] = system.device.ftl.lifetime.erased
     telemetry["Snapshot & WAL (under GC)"] = system.obs.snapshot()
-    system.stop()
     out["_telemetry"] = telemetry
     return out
 
@@ -306,13 +318,9 @@ def _overall_rows(scale: Scale, workload_factory, gc_pressure: bool,
                                   ("SlimIO", build_slimio)):
             cfg = scale.system_config(gc_pressure=gc_pressure,
                                       policy=policy)
-            system = builder(config=cfg)
-            workload = workload_factory()
-            rep = workload.run(
-                system,
-                warmup_ops=scale.warmup_ops if gc_pressure else 0,
-            )
-            system.stop()
+            system, rep = _run(
+                builder, cfg, workload_factory(),
+                scale.warmup_ops if gc_pressure else 0)
             reports[(policy, sys_name)] = rep
             telemetry[f"{policy.value}/{sys_name}"] = system.obs.snapshot()
             row = [policy.value, sys_name,
@@ -456,10 +464,8 @@ def table5(scale: Scale = BENCH_SCALE) -> ExperimentResult:
     outcomes = {}
     for name, builder in (("Baseline", build_baseline),
                           ("SlimIO", build_slimio)):
-        system = builder(
-            config=scale.system_config(gc_pressure=False, trigger=False))
-        _fill_store(system, scale.redis_keys, scale.redis_value)
-        _quiesce(system)
+        system = _loaded(builder, scale, scale.system_config(
+            gc_pressure=False, trigger=False))
         stats = _snapshot_stats(system, SnapshotKind.ON_DEMAND)
         assert stats.ok
         system.crash()  # cold caches: recovery reads from flash
@@ -490,26 +496,22 @@ def table5(scale: Scale = BENCH_SCALE) -> ExperimentResult:
 # --------------------------------------------------------------------------
 
 def _timeline_run(scale: Scale, builder, **config_overrides):
-    import dataclasses
-
     # figures 4/5 run the device at the paper's high utilization, where
     # GC must move valid data rather than just erase trimmed regions
-    heavy = dataclasses.replace(
+    heavy = replace(
         scale,
         small_device_mb=scale.gc_heavy_device_mb,
         wal_trigger_bytes=scale.gc_heavy_trigger_bytes,
     )
-    cfg = heavy.system_config(gc_pressure=True,
-                              policy=LoggingPolicy.PERIODICAL,
-                              **config_overrides)
-    scale = heavy
-    system = builder(config=cfg)
-    workload = scale.redis_bench(
-        total_ops=scale.redis_ops, snapshot_at_fraction=None)
-    rep = workload.run(system, warmup_ops=scale.warmup_ops)
-    gc_runs = system.device.ftl.lifetime.erased
-    system.stop()
-    return rep, gc_runs, system.obs.snapshot()
+    system, rep = _run(
+        builder,
+        heavy.system_config(gc_pressure=True,
+                            policy=LoggingPolicy.PERIODICAL,
+                            **config_overrides),
+        heavy.redis_bench(total_ops=heavy.redis_ops,
+                          snapshot_at_fraction=None),
+        heavy.warmup_ops)
+    return rep, system.device.ftl.lifetime.erased, system.obs.snapshot()
 
 
 def _dip_metrics(timeline):
@@ -649,53 +651,59 @@ _CLUSTER_CLIENTS = 8
 _CLUSTER_OPS_EACH = 32_000
 
 
-def _cluster_config(scale: Scale, design: str, num_shards: int):
-    """One shared pinned device, ``num_shards`` stacks on LBA
-    partitions; ``scale`` governs op volume, not the hardware."""
-    from dataclasses import replace
+def _pinned_ftl(gc_stop_segments: int = 5) -> FtlConfig:
+    """The tight FTL of every pinned-device run: 8 % over-provisioning,
+    GC from 3 free segments up to ``gc_stop_segments``."""
+    return FtlConfig(op_ratio=0.08, gc_trigger_segments=3,
+                     gc_stop_segments=gc_stop_segments,
+                     gc_reserve_segments=2)
 
+
+def pinned_cluster_config(scale: Scale, num_shards: int,
+                          design: str = "slimio", *, sharing=None,
+                          policy: LoggingPolicy = LoggingPolicy.PERIODICAL,
+                          ru_pages: int = 8, gc_stop_segments: int = 5):
+    """``num_shards`` stacks on LBA partitions of the one shared pinned
+    device; ``scale`` governs op volume, not the hardware. The cluster
+    and tailtrace experiments and the cluster sweep grid all build
+    here (the grid moves ``sharing``, ``policy``, ``ru_pages`` and
+    ``gc_stop_segments``; ``sharing=None`` lets the PID allocator pick
+    the least-sharing mode that fits)."""
     from repro.cluster import ClusterConfig
-    from repro.flash import FlashGeometry, FtlConfig
 
     geometry = FlashGeometry.scaled(
         mb=_CLUSTER_DEVICE_MB, channels=4, dies_per_channel=8,
-        pages_per_block=8,
+        pages_per_block=ru_pages,
     )
-    ftl = FtlConfig(op_ratio=0.08, gc_trigger_segments=3,
-                    gc_stop_segments=5, gc_reserve_segments=2)
-    sys_cfg = scale.system_config(gc_pressure=True)
+    sys_cfg = scale.system_config(gc_pressure=True, policy=policy)
     sys_cfg = replace(
         sys_cfg,
         geometry=geometry,
-        ftl=ftl,
+        ftl=_pinned_ftl(gc_stop_segments),
         snapshot_fraction=0.45,
         server=replace(sys_cfg.server,
                        wal_snapshot_trigger_bytes=_CLUSTER_WAL_TRIGGER),
     )
     return ClusterConfig(num_shards=num_shards, design=design,
-                         num_pids=8, system=sys_cfg)
+                         num_pids=8, sharing=sharing, system=sys_cfg)
 
 
-def _cluster_run(scale: Scale, design: str, num_shards: int):
-    from repro.cluster import build_cluster
+def _pinned_workload(scale: Scale, **kw):
+    """YCSB-A over the pinned device's fixed keyspace and client count.
+
+    2x the single-instance op count: the whole cluster shares one
+    device, so the write volume must wrap it even when split N ways.
+    The early On-Demand backup plants a long-lived image per shard —
+    under PID sharing it cohabits a stream with churning
+    WAL-Snapshots, which is the lifetime mixing the paper's
+    dedicated-PID design exists to avoid."""
     from repro.workloads import ClusterWorkload
 
-    cl = build_cluster(config=_cluster_config(scale, design, num_shards))
-    # 2x the single-instance op count: the whole cluster shares one
-    # device, so the write volume must wrap it even when split N ways.
-    # The early On-Demand backup plants a long-lived image per shard —
-    # under PID sharing it cohabits a stream with churning
-    # WAL-Snapshots, which is the lifetime mixing the paper's
-    # dedicated-PID design exists to avoid.
-    workload = ClusterWorkload(scale.ycsb_a(
-        clients=_CLUSTER_CLIENTS,
-        total_ops=2 * min(scale.ycsb_ops, _CLUSTER_OPS_EACH),
-        key_count=_CLUSTER_KEYS,
-        snapshot_at_fraction=0.25,
-    ))
-    rep = workload.run(cl, warmup_ops=scale.warmup_ops)
-    cl.stop()
-    return cl, rep
+    args = dict(clients=_CLUSTER_CLIENTS,
+                total_ops=2 * min(scale.ycsb_ops, _CLUSTER_OPS_EACH),
+                key_count=_CLUSTER_KEYS, snapshot_at_fraction=0.25)
+    args.update(kw)
+    return ClusterWorkload(scale.ycsb_a(**args))
 
 
 def cluster(scale: Scale = BENCH_SCALE) -> ExperimentResult:
@@ -709,7 +717,7 @@ def cluster(scale: Scale = BENCH_SCALE) -> ExperimentResult:
     slot-range migration on the 4-shard SlimIO cluster to exercise
     the resharding path under the same shared device.
     """
-    from repro.cluster import migrate_slots
+    from repro.cluster import build_cluster, migrate_slots
     from repro.core.verify import verify_lba_space
 
     result = ExperimentResult(
@@ -731,7 +739,9 @@ def cluster(scale: Scale = BENCH_SCALE) -> ExperimentResult:
     agg = {}
     for design in ("baseline", "slimio"):
         for n in shard_counts:
-            cl, rep = _cluster_run(scale, design, n)
+            cl, rep = _run(build_cluster,
+                           pinned_cluster_config(scale, n, design),
+                           _pinned_workload(scale), scale.warmup_ops)
             mode = rep.pid_allocation.get("mode", "-")
             a = rep.aggregate
             result.add_row(design, n, mode, a.rps, a.set_p999 * 1e6, a.waf)
@@ -770,18 +780,11 @@ def cluster(scale: Scale = BENCH_SCALE) -> ExperimentResult:
     # live resharding on a fresh 4-shard SlimIO cluster under the same
     # shared device: move half of shard 3's range to shard 0, then
     # verify both shards' LBA spaces still replay clean
-    from repro.cluster import build_cluster
-    from repro.workloads import ClusterWorkload
-
-    cl = build_cluster(config=_cluster_config(scale, "slimio", 4))
-    # same pinned-hardware regime as the shard sweep: the device (and
-    # with it the per-shard snapshot slot) is fixed, so key count and
-    # concurrency must not grow with the scale tier
-    workload = ClusterWorkload(scale.ycsb_a(
-        clients=_CLUSTER_CLIENTS, key_count=_CLUSTER_KEYS,
+    cl = build_cluster(config=pinned_cluster_config(scale, 4))
+    _pinned_workload(
+        scale, snapshot_at_fraction=None,
         total_ops=max(2_000, min(scale.ycsb_ops, _CLUSTER_OPS_EACH) // 4),
-    ))
-    workload.run(cl)
+    ).run(cl)
     lo, hi = cl.slot_map.shard_range(3)
     mid = (lo + hi) // 2
 
@@ -829,25 +832,14 @@ def _tailtrace_run(scale: Scale, num_shards: int):
     every SET waits for its WAL append, so a request's trace reaches
     the device and a GC stall shows up *inside* the victim's critical
     path instead of only shifting an asynchronous flush."""
-    from dataclasses import replace
-
     from repro.cluster import build_cluster
     from repro.obs.trace import overlay_spans, tail_report
-    from repro.workloads import ClusterWorkload
 
-    cfg = _cluster_config(scale, "slimio", num_shards)
-    cfg = replace(cfg, system=replace(cfg.system,
-                                      policy=LoggingPolicy.ALWAYS))
-    cl = build_cluster(config=cfg)
+    cl = build_cluster(config=pinned_cluster_config(
+        scale, num_shards, policy=LoggingPolicy.ALWAYS))
     tracer = cl.attach_tracer(sample_every=16,
                               keep_slowest=_TAILTRACE_TOPK)
-    workload = ClusterWorkload(scale.ycsb_a(
-        clients=_CLUSTER_CLIENTS,
-        total_ops=2 * min(scale.ycsb_ops, _CLUSTER_OPS_EACH),
-        key_count=_CLUSTER_KEYS,
-        snapshot_at_fraction=0.25,
-    ))
-    rep = workload.run(cl, warmup_ops=scale.warmup_ops)
+    rep = _pinned_workload(scale).run(cl, warmup_ops=scale.warmup_ops)
     cl.stop()
     tracer.drain_open()
     gc_spans = [o for o in overlay_spans(cl.obs) if o.name == "gc_reclaim"]
@@ -1304,12 +1296,6 @@ def openloop(scale: Scale = BENCH_SCALE) -> ExperimentResult:
 # ``--jobs`` process pool, and every runner returns plain floats so
 # rows cache, CSV, and render deterministically.
 
-#: sweep op volume per cluster point — same pinned-regime reasoning as
-#: the cluster experiment: scales raise duration, never instantaneous
-#: pressure on the fixed device
-_SWEEP_OPS_CAP = 2 * _CLUSTER_OPS_EACH
-
-
 def _sweep_score(rps: float, waf: float, p999_us: float) -> float:
     """The tuner's default objective, higher = better.
 
@@ -1322,30 +1308,40 @@ def _sweep_score(rps: float, waf: float, p999_us: float) -> float:
     return rps / (waf * waf * (1.0 + p999_us / 1e3))
 
 
+def _sweep_row(rps: float, set_p999: float, waf: float, writes,
+               **extra) -> dict:
+    """One grid point's measurement dict (plain floats, fixed order)."""
+    p999_us = set_p999 * 1e6
+    return {
+        "rps": rps,
+        "p999_us": p999_us,
+        "waf": waf,
+        "waf_excess": waf - 1.0,
+        "gc_copied": float(writes.copied),
+        "erases": float(writes.erased),
+        **extra,
+        "score": _sweep_score(rps, waf, p999_us),
+    }
+
+
 def single_sweep_config(scale: Scale, params: dict):
     """One single-instance SlimIO config from a grid point.
 
     Axes: ``ru_pages`` (pages per block — the Reclaim Unit size knob),
-    ``gc_stop_segments`` (GC watermark; trigger pinned at 3 so the
-    axis moves only how far past the trigger GC reclaims),
+    ``gc_stop_segments`` (the pinned FTL's GC watermark; the trigger
+    stays at 3 so the axis moves only how far past it GC reclaims),
     ``wal_policy``, and ``value_size`` (consumed by the workload, not
     the config).
     """
-    from dataclasses import replace
-
-    from repro.flash import FlashGeometry, FtlConfig
-
     geometry = FlashGeometry.scaled(
         mb=scale.small_device_mb, channels=scale.channels,
         dies_per_channel=scale.dies_per_channel,
         pages_per_block=int(params["ru_pages"]),
     )
-    ftl = FtlConfig(op_ratio=0.08, gc_trigger_segments=3,
-                    gc_stop_segments=int(params["gc_stop_segments"]),
-                    gc_reserve_segments=2)
-    cfg = scale.system_config(
-        gc_pressure=True, policy=LoggingPolicy(params["wal_policy"]))
-    return replace(cfg, geometry=geometry, ftl=ftl)
+    return scale.system_config(
+        gc_pressure=True, policy=LoggingPolicy(params["wal_policy"]),
+        geometry=geometry,
+        ftl=_pinned_ftl(int(params["gc_stop_segments"])))
 
 
 def single_sweep_point(params: dict, scale_name: str = "tiny") -> dict:
@@ -1353,96 +1349,51 @@ def single_sweep_point(params: dict, scale_name: str = "tiny") -> dict:
     from repro.bench.scales import get_scale
 
     scale = get_scale(scale_name)
-    system = build_slimio(config=single_sweep_config(scale, params))
-    workload = scale.redis_bench(value_size=int(params["value_size"]),
-                                 snapshot_at_fraction=0.5)
-    rep = workload.run(system, warmup_ops=scale.warmup_ops)
-    writes = system.device.ftl.lifetime
-    system.stop()
-    p999_us = rep.set_p999 * 1e6
-    return {
-        "rps": rep.rps,
-        "p999_us": p999_us,
-        "waf": rep.waf,
-        "waf_excess": rep.waf - 1.0,
-        "gc_copied": float(writes.copied),
-        "erases": float(writes.erased),
-        "snap_ms": rep.mean_snapshot_time * 1e3,
-        "score": _sweep_score(rep.rps, rep.waf, p999_us),
-    }
+    system, rep = _run(
+        build_slimio, single_sweep_config(scale, params),
+        scale.redis_bench(value_size=int(params["value_size"]),
+                          snapshot_at_fraction=0.5),
+        scale.warmup_ops)
+    return _sweep_row(rep.rps, rep.set_p999, rep.waf,
+                      system.device.ftl.lifetime,
+                      snap_ms=rep.mean_snapshot_time * 1e3)
 
 
 def cluster_sweep_config(scale: Scale, params: dict):
-    """One multi-tenant cluster config from a grid point.
-
-    The device is the cluster experiment's pinned 22 MB / 8-PID part
-    (multi-tenant pressure on ONE fixed piece of hardware), with the
-    grid moving the Reclaim Unit size (``ru_pages``), the PID sharing
-    policy, the GC stop watermark, the WAL policy, and the tenant
-    count. ``dedicated`` at shard counts that don't fit 8 PIDs is
-    *infeasible by design* — those corners come back as error rows,
-    mapping the feasible region's boundary.
+    """One multi-tenant cluster config from a grid point: the cluster
+    experiment's pinned 22 MB / 8-PID device
+    (:func:`pinned_cluster_config`) with the grid moving the Reclaim
+    Unit size (``ru_pages``), the PID sharing policy, the GC stop
+    watermark, the WAL policy, and the tenant count. ``dedicated`` at
+    shard counts that don't fit 8 PIDs is *infeasible by design* —
+    those corners come back as error rows, mapping the feasible
+    region's boundary.
     """
-    from dataclasses import replace
-
-    from repro.cluster import ClusterConfig
     from repro.cluster.pids import SharingMode
-    from repro.flash import FlashGeometry, FtlConfig
 
-    geometry = FlashGeometry.scaled(
-        mb=_CLUSTER_DEVICE_MB, channels=4, dies_per_channel=8,
-        pages_per_block=int(params["ru_pages"]),
-    )
-    ftl = FtlConfig(op_ratio=0.08, gc_trigger_segments=3,
-                    gc_stop_segments=int(params["gc_stop_segments"]),
-                    gc_reserve_segments=2)
-    sys_cfg = scale.system_config(
-        gc_pressure=True, policy=LoggingPolicy(params["wal_policy"]))
-    sys_cfg = replace(
-        sys_cfg,
-        geometry=geometry,
-        ftl=ftl,
-        snapshot_fraction=0.45,
-        server=replace(sys_cfg.server,
-                       wal_snapshot_trigger_bytes=_CLUSTER_WAL_TRIGGER),
-    )
-    return ClusterConfig(
-        num_shards=int(params["shards"]), design="slimio", num_pids=8,
-        sharing=SharingMode(params["pid_policy"]), system=sys_cfg,
+    return pinned_cluster_config(
+        scale, int(params["shards"]),
+        sharing=SharingMode(params["pid_policy"]),
+        policy=LoggingPolicy(params["wal_policy"]),
+        ru_pages=int(params["ru_pages"]),
+        gc_stop_segments=int(params["gc_stop_segments"]),
     )
 
 
 def cluster_sweep_point(params: dict, scale_name: str = "tiny") -> dict:
-    """Measure one cluster grid point (picklable work unit)."""
+    """Measure one cluster grid point (picklable work unit) — the
+    cluster experiment's run at the point's coordinates."""
     from repro.bench.scales import get_scale
     from repro.cluster import build_cluster
-    from repro.workloads import ClusterWorkload
 
     scale = get_scale(scale_name)
-    cl = build_cluster(config=cluster_sweep_config(scale, params))
-    workload = ClusterWorkload(scale.ycsb_a(
-        clients=_CLUSTER_CLIENTS,
-        total_ops=min(2 * scale.ycsb_ops, _SWEEP_OPS_CAP),
-        key_count=_CLUSTER_KEYS,
-        value_size=int(params["value_size"]),
-        snapshot_at_fraction=0.25,
-    ))
-    rep = workload.run(cl, warmup_ops=scale.warmup_ops)
-    writes = cl.device.ftl.lifetime
-    cl.stop()
-    a = rep.aggregate
-    waf = max(rep.shard_waf)
-    p999_us = a.set_p999 * 1e6
-    return {
-        "rps": a.rps,
-        "p999_us": p999_us,
-        "waf": waf,
-        "waf_excess": waf - 1.0,
-        "gc_copied": float(writes.copied),
-        "erases": float(writes.erased),
-        "pid_mode": rep.pid_allocation.get("mode", "-"),
-        "score": _sweep_score(a.rps, waf, p999_us),
-    }
+    cl, rep = _run(build_cluster, cluster_sweep_config(scale, params),
+                   _pinned_workload(scale,
+                                    value_size=int(params["value_size"])),
+                   scale.warmup_ops)
+    return _sweep_row(rep.aggregate.rps, rep.aggregate.set_p999,
+                      max(rep.shard_waf), cl.device.ftl.lifetime,
+                      pid_mode=rep.pid_allocation.get("mode", "-"))
 
 
 def sweep_grids(scale_name: str = "tiny") -> dict:

@@ -11,8 +11,9 @@ exploration subsystem (``python -m repro.bench sweep``):
 * :class:`GridSpec` names a cartesian grid plus the module-level runner
   that measures one point (picklable, so grids parallelize over the
   ``--jobs`` process pool);
-* :class:`CachedRunner` wraps any runner in the on-disk result cache,
-  keyed on the *full* parameter dict (plus scale and code digest), so
+* :func:`run_grid` runs a grid through the experiments' run path
+  (:func:`repro.bench.harness.run_units`): each point caches on disk
+  keyed on its *full* parameter dict (plus scale and code digest), so
   re-sweeps and the auto-tuner replay cached points for free;
 * :func:`detect_knife_edges` flags adjacent grid points whose metric
   jumps by more than a factor — the ``gc_stop_segments`` 6→5 cliff
@@ -35,9 +36,11 @@ from pathlib import Path
 from collections.abc import Callable, Iterable, Sequence
 from typing import Any
 
+from repro.bench.harness import run_units
+
 __all__ = [
     "SweepResult", "sweep", "write_csv", "GridSpec", "EdgeSpec",
-    "KnifeEdge", "CachedRunner", "run_grid", "detect_knife_edges",
+    "KnifeEdge", "run_grid", "detect_knife_edges",
     "format_knife_edges",
 ]
 
@@ -116,69 +119,46 @@ class SweepResult:
                                       for r in self.rows])
 
 
-def _run_point(runner: Runner, params: dict[str, Any]) -> tuple:
-    """One grid point, exception-safe — the process-pool work unit.
-
-    Module-level (not a closure) so it pickles for
-    ``ProcessPoolExecutor``; returns ``("ok", measurements)`` or
-    ``("err", message)`` instead of raising so worker tracebacks
-    don't tear down the pool.
-    """
-    try:
-        return "ok", runner(dict(params))
-    except Exception as exc:  # noqa: BLE001 — re-raised by the caller
-        return "err", f"{type(exc).__name__}: {exc}"
-
-
 def sweep(grid: dict[str, Iterable[Any]], runner: Runner,
-          on_error: str = "raise", jobs: int = 1) -> SweepResult:
+          on_error: str = "raise", jobs: int = 1, *,
+          name: str = "", scale=None,
+          cache_dir: str | Path | None = None,
+          refresh: bool = False) -> SweepResult:
     """Run ``runner`` for every point of the cartesian ``grid``.
 
     ``on_error``: "raise" (default) or "skip" (record the failure in an
     ``error`` column and continue — useful for grids that include
     infeasible corners, e.g. WAL regions too small for the trigger).
+    "raise" raises a :class:`RuntimeError` naming the first failed
+    point, whatever ``jobs`` is.
 
     ``jobs``: process-level parallelism. Row order is the grid's
     cartesian order whatever ``jobs`` is, so sweep output is
     deterministic; ``runner`` must be picklable (a module-level
-    function) when ``jobs > 1``. With ``jobs > 1`` and
-    ``on_error="raise"`` the original traceback stays in the worker —
-    the parent raises a :class:`RuntimeError` naming the failed point.
+    function) when ``jobs > 1``. With a ``cache_dir`` every point is
+    cached under ``(name, scale, params)``. Points run through
+    :func:`repro.bench.harness.run_units`, the experiments' run path.
     """
     if on_error not in ("raise", "skip"):
         raise ValueError("on_error must be 'raise' or 'skip'")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
     names = list(grid.keys())
     result = SweepResult(param_names=names)
     points = [dict(zip(names, values))
               for values in itertools.product(*(list(grid[n])
                                                 for n in names))]
-    if jobs == 1 or len(points) <= 1:
-        for params in points:
-            row: dict[str, Any] = dict(params)
-            try:
-                row.update(runner(dict(params)))
-            except Exception as exc:
-                if on_error == "raise":
-                    raise
-                row["error"] = f"{type(exc).__name__}: {exc}"
-            result.rows.append(row)
-        return result
-
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        outcomes = list(pool.map(_run_point, itertools.repeat(runner),
-                                 points))
-    for params, (status, payload) in zip(points, outcomes):
-        row = dict(params)
-        if status == "ok":
-            row.update(payload)
+    outcomes = run_units(runner, [dict(p) for p in points], jobs=jobs,
+                         cell=lambda params: (name, params), scale=scale,
+                         cache_dir=cache_dir, refresh=refresh)
+    for params, outcome in zip(points, outcomes):
+        row: dict[str, Any] = dict(params)
+        if outcome.error is None:
+            row.update(outcome.value)
         elif on_error == "raise":
-            raise RuntimeError(f"sweep point {params} failed: {payload}")
+            raise RuntimeError(
+                f"sweep point {params} failed: {outcome.error}\n"
+                f"{outcome.trace}")
         else:
-            row["error"] = payload
+            row["error"] = outcome.error
         result.rows.append(row)
     return result
 
@@ -255,45 +235,6 @@ class GridSpec:
         return out
 
 
-class CachedRunner:
-    """Wrap a grid runner in the on-disk result cache.
-
-    The key is the *full parameter dict* plus the grid name, scale, and
-    code digest (see :func:`repro.bench.cache.cache_key`), so two grid
-    points of the same experiment can never collide. Only successful
-    measurements are cached; infeasible points re-raise every time
-    (they fail fast at build validation, and caching failures would
-    hide fixes).
-
-    Instances hold only picklable state (the inner runner, names,
-    paths), so a cached grid still fans out over the process pool; each
-    worker writes its own entries (distinct params -> distinct files).
-    """
-
-    def __init__(self, runner: Runner, grid_name: str, scale,
-                 cache_dir: str | Path | None, refresh: bool = False):
-        self.runner = runner
-        self.grid_name = grid_name
-        self.scale = scale
-        self.cache_dir = None if cache_dir is None else Path(cache_dir)
-        self.refresh = refresh
-
-    def __call__(self, params: dict[str, Any]) -> dict[str, float]:
-        from repro.bench import cache as result_cache
-
-        if self.cache_dir is None:
-            return self.runner(dict(params))
-        key = result_cache.cache_key(self.grid_name, self.scale, params)
-        if not self.refresh:
-            hit = result_cache.load_values(key, self.cache_dir)
-            if hit is not None:
-                return hit
-        values = self.runner(dict(params))
-        result_cache.store_values(key, self.grid_name, values,
-                                  self.cache_dir)
-        return values
-
-
 def run_grid(grid: GridSpec, scale, jobs: int = 1,
              cache_dir: str | Path | None = None,
              refresh: bool = False) -> SweepResult:
@@ -305,9 +246,9 @@ def run_grid(grid: GridSpec, scale, jobs: int = 1,
     mixed result exercises exactly the heterogeneous-row rendering
     this module guarantees.
     """
-    runner = CachedRunner(grid.runner, grid.name, scale, cache_dir,
-                          refresh)
-    return sweep(dict(grid.axes), runner, on_error="skip", jobs=jobs)
+    return sweep(dict(grid.axes), grid.runner, on_error="skip", jobs=jobs,
+                 name=grid.name, scale=scale, cache_dir=cache_dir,
+                 refresh=refresh)
 
 
 # --------------------------------------------------------------------------

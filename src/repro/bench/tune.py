@@ -24,13 +24,15 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.bench.sweep import CachedRunner, GridSpec
+from repro.bench.harness import add_run_options, cache_dir_of, run_units
+from repro.bench.sweep import GridSpec
 
 __all__ = [
     "TuneResult", "coordinate_descent", "config_to_jsonable",
@@ -135,11 +137,12 @@ class TuneResult:
 
 
 class _Evaluator:
-    """Memoized, failure-tolerant view of the (cached) runner."""
+    """Memoized, failure-tolerant view of the grid's (cached) points."""
 
     def __init__(self, grid: GridSpec, scale, cache_dir, refresh: bool):
-        self._runner = CachedRunner(grid.runner, grid.name, scale,
-                                    cache_dir, refresh)
+        self._run = functools.partial(
+            run_units, grid.runner, cell=lambda p: (grid.name, p),
+            scale=scale, cache_dir=cache_dir, refresh=refresh)
         self._names = list(grid.axes.keys())
         self._memo: dict[tuple, dict | None] = {}
         self.evaluations = 0
@@ -148,10 +151,9 @@ class _Evaluator:
         key = tuple(params[n] for n in self._names)
         if key not in self._memo:
             self.evaluations += 1
-            try:
-                self._memo[key] = self._runner(dict(params))
-            except Exception:  # noqa: BLE001 — infeasible corner
-                self._memo[key] = None
+            (outcome,) = self._run([dict(params)])
+            # a failed point is an infeasible corner: stepped around
+            self._memo[key] = outcome.value
         return self._memo[key]
 
 
@@ -281,7 +283,6 @@ def recommendation(grid: GridSpec, scale, tr: TuneResult) -> dict:
 # --------------------------------------------------------------------------
 
 def main(argv=None) -> int:
-    from repro.bench import cache as result_cache
     from repro.bench.experiments import sweep_grids
     from repro.bench.report import format_table
     from repro.bench.scales import get_scale
@@ -294,8 +295,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True,
                         help="grid to search (see 'sweep --list'): "
                              "single | cluster")
-    parser.add_argument("--scale", default="tiny",
-                        help="scale preset (default: tiny)")
+    add_run_options(parser, "tiny", jobs=False)
     parser.add_argument("--objective", default=None,
                         help="metric to optimize (default: the grid's, "
                              "'score' = rps / (waf^2 * (1 + p999_ms)))")
@@ -308,13 +308,6 @@ def main(argv=None) -> int:
                         help="recommendation JSON path (default: "
                              "out/sweep/tuned_<workload>_<scale>.json; "
                              "'-' prints to stdout only)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore the on-disk result cache entirely")
-    parser.add_argument("--refresh", action="store_true",
-                        help="recompute even on cache hit")
-    parser.add_argument("--cache-dir",
-                        default=str(result_cache.DEFAULT_CACHE_DIR),
-                        help="result cache location (default: out/cache)")
     args = parser.parse_args(argv)
 
     scale = get_scale(args.scale)
@@ -324,9 +317,8 @@ def main(argv=None) -> int:
               f"choose from {sorted(grids)}", file=sys.stderr)
         return 2
     grid = grids[args.workload]
-    cache_dir = None if args.no_cache else args.cache_dir
     tr = coordinate_descent(
-        grid, scale, cache_dir=cache_dir, refresh=args.refresh,
+        grid, scale, cache_dir=cache_dir_of(args), refresh=args.refresh,
         objective=args.objective,
         maximize=(False if args.minimize else None),
         max_passes=args.max_passes,

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.bench import cache
+from repro.bench.harness import EXPERIMENT_FIELDS
 from repro.bench.scales import TEST_SCALE, BENCH_SCALE
 
 
@@ -40,24 +41,25 @@ def test_key_params_prevent_sweep_point_collisions():
 
 
 def test_values_roundtrip_and_corruption(tmp_path):
+    # a grid point's measurement dict: the same entry format as a report
     key = cache.cache_key("grid", TEST_SCALE, {"a": 1})
-    assert cache.load_values(key, tmp_path) is None  # cold miss
+    assert cache.load(key, tmp_path) is None  # cold miss
     values = {"rps": 123.5, "waf": 1.0, "pid_mode": "collapse"}
-    path = cache.store_values(key, "grid", values, tmp_path)
-    assert cache.load_values(key, tmp_path) == values
+    path = cache.store(key, "grid", values, tmp_path)
+    assert cache.load(key, tmp_path) == values
 
     path.write_text("{not json")
-    assert cache.load_values(key, tmp_path) is None
+    assert cache.load(key, tmp_path) is None
     assert not path.exists()  # removed so the recompute can overwrite
 
     # checksum mismatch (silent bit rot) is also a miss
-    cache.store_values(key, "grid", values, tmp_path)
+    cache.store(key, "grid", values, tmp_path)
     payload = path.read_text().replace("123.5", "999.9")
     path.write_text(payload)
-    assert cache.load_values(key, tmp_path) is None
+    assert cache.load(key, tmp_path) is None
 
-    cache.store_values(key, "grid", values, tmp_path)
-    assert cache.load_values(key, tmp_path) == values
+    cache.store(key, "grid", values, tmp_path)
+    assert cache.load(key, tmp_path) == values
 
 
 def test_key_changes_with_code_digest(monkeypatch):
@@ -66,27 +68,66 @@ def test_key_changes_with_code_digest(monkeypatch):
     assert cache.cache_key("table3", TEST_SCALE) != k1
 
 
+REPORT = {"report": "report body\n", "shapes_hold": True}
+
+
 def test_roundtrip(tmp_path):
     key = cache.cache_key("table1", TEST_SCALE)
     assert cache.load(key, tmp_path) is None  # cold miss
-    cache.store(key, "table1", "report body\n", True, tmp_path)
-    assert cache.load(key, tmp_path) == ("report body\n", True)
+    cache.store(key, "table1", REPORT, tmp_path)
+    assert cache.load(key, tmp_path, EXPERIMENT_FIELDS) == REPORT
+    assert list(tmp_path.iterdir()) == [tmp_path / f"{key}.json"]
 
 
 def test_corrupt_entry_is_discarded(tmp_path):
     key = cache.cache_key("table1", TEST_SCALE)
-    path = cache.store(key, "table1", "report body\n", False, tmp_path)
+    failed = {"report": "report body\n", "shapes_hold": False}
+    path = cache.store(key, "table1", failed, tmp_path)
 
     path.write_text("{not json")
     assert cache.load(key, tmp_path) is None
     assert not path.exists()  # removed so the recompute can overwrite
 
     # checksum mismatch (silent bit rot) is also a miss
-    cache.store(key, "table1", "report body\n", False, tmp_path)
+    cache.store(key, "table1", failed, tmp_path)
     payload = path.read_text().replace("report body", "tampered bod")
     path.write_text(payload)
     assert cache.load(key, tmp_path) is None
 
     # and the slot is reusable afterwards
-    cache.store(key, "table1", "report body\n", True, tmp_path)
-    assert cache.load(key, tmp_path) == ("report body\n", True)
+    cache.store(key, "table1", REPORT, tmp_path)
+    assert cache.load(key, tmp_path) == REPORT
+
+
+def test_mistyped_payload_is_a_miss(tmp_path):
+    # checksum-valid but the wrong shape for a report: a hit would hand
+    # the CLI a non-string report, so it must count as corrupt
+    key = cache.cache_key("table1", TEST_SCALE)
+    path = cache.store(key, "table1", {"report": 7, "shapes_hold": True},
+                       tmp_path)
+    assert cache.load(key, tmp_path) == {"report": 7, "shapes_hold": True}
+    assert cache.load(key, tmp_path, EXPERIMENT_FIELDS) is None
+    assert not path.exists()
+    cache.store(key, "table1", {"report": "x"}, tmp_path)  # missing field
+    assert cache.load(key, tmp_path, EXPERIMENT_FIELDS) is None
+
+
+def test_directory_squatting_on_an_entry_is_a_miss(tmp_path):
+    # regression: the corrupt-entry cleanup unlinked the path, which
+    # raises on a directory instead of reporting a miss
+    key = cache.cache_key("table1", TEST_SCALE)
+    (tmp_path / f"{key}.json").mkdir()
+    assert cache.load(key, tmp_path) is None
+
+
+def test_concurrent_writers_of_one_key_do_not_collide(tmp_path):
+    # regression: every writer staged through the same "<key>.tmp", so
+    # two processes storing one key could rename each other's file away
+    # (FileNotFoundError) or, with a stale directory there, never write
+    key = cache.cache_key("table1", TEST_SCALE)
+    (tmp_path / f"{key}.tmp").mkdir()  # what a crashed writer left
+    cache.store(key, "table1", REPORT, tmp_path)
+    cache.store(key, "table1", REPORT, tmp_path)
+    assert cache.load(key, tmp_path) == REPORT
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        f"{key}.json", f"{key}.tmp"]
