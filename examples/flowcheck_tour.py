@@ -3,17 +3,18 @@
 
 slimlint (see ``analysis_tour.py``) checks one file at a time; the
 bugs that actually bit this repo were interprocedural. This tour runs
-**slimflow** over seeded bad/fixed module pairs for each of its three
-rules, prints the diagnostics — including the read→yield→write race
-trace — and finishes with the historical WalPath double-flush: the
-real ``core/paths.py`` with its flush lock stripped, caught statically.
+the **slimflow** rules over seeded bad/fixed module pairs for each of
+its three rules, prints the diagnostics — including the
+read→yield→write race trace — and finishes with the historical WalPath
+double-flush: the real ``core/paths.py`` with its flush lock stripped,
+caught statically.
 
     PYTHONPATH=src python examples/flowcheck_tour.py
 """
 
 from pathlib import Path
 
-from repro.analysis.flow import analyze_paths, analyze_sources
+from repro.analysis import FLOW_CODES, analyze_sources, lint_paths
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -174,8 +175,9 @@ def part4_walpath():
         print(f"  {f.render()}")
     assert races, "expected the stripped-lock WalPath race to surface"
 
-    print("\nand the shipped tree, against the committed baseline:")
-    result = analyze_paths([str(REPO / "src" / "repro")], root=REPO)
+    print("\nand the shipped tree:")
+    result = lint_paths([str(REPO / "src" / "repro")], root=REPO,
+                        select=FLOW_CODES)
     print(f"  {len(result.findings)} findings in "
           f"{result.files_checked} files "
           f"({result.suppressed} suppressed)")
@@ -188,7 +190,7 @@ def main():
     part3_durability()
     part4_walpath()
     print("\ntour complete — see docs/ANALYSIS.md for the rule "
-          "catalogue and the baseline workflow")
+          "catalogue and how to run slimcheck")
 
 
 if __name__ == "__main__":

@@ -3,16 +3,17 @@
 Two halves, one purpose: the invariants that make WAF = 1.00 possible
 are invisible to the type system, so we check them twice —
 
-* **slimlint** (:mod:`repro.analysis.rules`,
-  :mod:`repro.analysis.linter`, ``python -m repro.analysis``): an
-  AST-based linter with per-module SLIM rules covering device-access
-  discipline, PID hygiene, determinism, layering, metric naming, FTL
-  encapsulation, FDP write tagging, and LBA state-machine ownership.
-* **slimflow** (:mod:`repro.analysis.flow`,
-  ``python -m repro.analysis flow``): the whole-program companion —
-  call graph + per-function CFGs checking yield-interleaving races
-  (SLIM010), RNG seed provenance (SLIM011), and the imdb/net
-  durability ack protocol (SLIM012), with baseline drift detection.
+* **static rules**, one pass (``python -m repro.analysis``,
+  :func:`lint_paths`, driver :mod:`repro.analysis.linter`): each file
+  is parsed once and feeds
+  - **slimlint** (:mod:`repro.analysis.rules`), per-module rules
+    SLIM001-009 covering device-access discipline, PID hygiene,
+    determinism, layering, metric naming, FTL encapsulation, FDP write
+    tagging, LBA state-machine ownership and net purity;
+  - **slimflow** (:mod:`repro.analysis.flow`), the whole-program rules
+    over a call graph + per-function CFGs: yield-interleaving races
+    (SLIM010), RNG seed provenance (SLIM011), and the imdb/net
+    durability ack protocol (SLIM012).
 * **runtime sanitizers** (:mod:`repro.analysis.sanitize`,
   :mod:`repro.analysis.forkcheck`): opt-in wrappers (engine flag
   ``sanitize=True``, bench ``--sanitize``) that validate every write
@@ -20,14 +21,14 @@ are invisible to the type system, so we check them twice —
   a fork-snapshot race detector.
 """
 
-from repro.analysis.flow import (
-    FLOW_CODES,
-    FLOW_RULES,
-    FlowFinding,
-    analyze_paths,
+from repro.analysis.flow import FLOW_CODES, FLOW_RULES, FlowFinding
+from repro.analysis.linter import (
+    ALL_RULES,
+    LintResult,
     analyze_sources,
+    lint_paths,
+    lint_source,
 )
-from repro.analysis.linter import LintResult, lint_file, lint_paths, lint_source
 from repro.analysis.rules import LAYER_RANKS, RULES, Finding
 from repro.analysis.sanitize import (
     SanitizerError,
@@ -36,6 +37,7 @@ from repro.analysis.sanitize import (
 from repro.analysis.forkcheck import ForkRaceDetector
 
 __all__ = [
+    "ALL_RULES",
     "FLOW_CODES",
     "FLOW_RULES",
     "Finding",
@@ -46,9 +48,7 @@ __all__ = [
     "RULES",
     "SanitizerError",
     "SlimIOSanitizer",
-    "analyze_paths",
     "analyze_sources",
-    "lint_file",
     "lint_paths",
     "lint_source",
 ]

@@ -1,15 +1,14 @@
-"""slimlint / slimflow CLI.
+"""slimcheck CLI: the per-file and whole-program rules in one pass.
 
 Usage::
 
     python -m repro.analysis [paths ...]
-    python -m repro.analysis src --format sarif --output slimlint.sarif
+    python -m repro.analysis src --format sarif --output slimcheck.sarif
     python -m repro.analysis --list-rules
-    python -m repro.analysis flow [paths ...]      # whole-program rules
 
+The per-file rules (SLIM001-009) see every input; the whole-program
+rules (SLIM010-012) see the ``src/repro`` modules among them.
 Exit status: 0 clean, 1 findings (or unreadable files), 2 usage error.
-``flow`` dispatches to :mod:`repro.analysis.flow.cli`, the
-interprocedural analyzer with baseline drift detection.
 """
 
 from __future__ import annotations
@@ -18,26 +17,24 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.analysis.linter import lint_paths
-from repro.analysis.output import FORMATS
-from repro.analysis.rules import RULES
+from repro.analysis.linter import ALL_RULES, lint_paths
+from repro.analysis.output import render_sarif, render_text
+
+
+def _codes(spec: str) -> set[str]:
+    return {c.strip().upper() for c in spec.split(",") if c.strip()}
 
 
 def main(argv=None) -> int:
-    args_in = list(sys.argv[1:] if argv is None else argv)
-    if args_in and args_in[0] == "flow":
-        from repro.analysis.flow.cli import flow_main
-        return flow_main(args_in[1:])
-    argv = args_in
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="slimlint: domain-aware static analysis for the "
+        description="slimcheck: domain-aware static analysis for the "
                     "SlimIO tree.",
     )
     parser.add_argument("paths", nargs="*", default=None,
-                        help="files or directories to lint "
+                        help="files or directories to check "
                              "(default: src tests examples)")
-    parser.add_argument("--format", choices=sorted(FORMATS),
+    parser.add_argument("--format", choices=("text", "sarif"),
                         default="text", help="output format")
     parser.add_argument("--output", default=None,
                         help="write the report to this file instead of "
@@ -52,17 +49,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        for rule in RULES:
+        for rule in ALL_RULES:
             print(f"{rule.code}  {rule.name:<26} {rule.summary}")
         return 0
 
-    known = {rule.code for rule in RULES}
-    select = set(known)
-    if args.select:
-        select = {c.strip().upper() for c in args.select.split(",") if c.strip()}
+    known = {rule.code for rule in ALL_RULES}
+    select = _codes(args.select) if args.select else set(known)
     if args.ignore:
-        select -= {c.strip().upper() for c in args.ignore.split(",")
-                   if c.strip()}
+        select -= _codes(args.ignore)
     unknown = select - known
     if unknown:
         print(f"unknown rule code(s): {', '.join(sorted(unknown))}",
@@ -72,12 +66,16 @@ def main(argv=None) -> int:
     paths = args.paths or [p for p in ("src", "tests", "examples")
                            if Path(p).exists()]
     if not paths:
-        print("nothing to lint (no paths given and no src/tests/examples "
+        print("nothing to check (no paths given and no src/tests/examples "
               "here)", file=sys.stderr)
         return 2
 
     result = lint_paths(paths, select=select)
-    report = FORMATS[args.format](result)
+    if args.format == "sarif":
+        report = render_sarif(result, [r for r in ALL_RULES
+                                       if r.code in select])
+    else:
+        report = render_text(result)
     if args.output:
         out = Path(args.output)
         out.parent.mkdir(parents=True, exist_ok=True)

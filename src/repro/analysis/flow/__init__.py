@@ -9,46 +9,19 @@ and checks the three invariants that only make sense whole-program:
 * **SLIM011** RNG seed provenance back to the run's seed root,
 * **SLIM012** durability protocol on the imdb/net ack path.
 
-Entry points: ``python -m repro.analysis flow`` (CLI with baseline
-drift detection and a digest-keyed fact cache), or
-:func:`analyze_paths` / :func:`analyze_sources` from code and tests.
+Both run in one pass, ``python -m repro.analysis``
+(:func:`repro.analysis.lint_paths`); :func:`repro.analysis
+.analyze_sources` runs these three rules on an in-memory module set.
 """
 
-from repro.analysis.flow.baseline import (
-    BaselineDiff,
-    diff_against,
-    fingerprints,
-    load_baseline,
-    write_baseline,
-)
-from repro.analysis.flow.callgraph import CallGraph, build_callgraph
-from repro.analysis.flow.driver import analyze_paths, analyze_project, analyze_sources
-from repro.analysis.flow.project import (
-    FunctionFacts,
-    ModuleFacts,
-    Project,
-    extract_module,
-    load_project,
-)
+from repro.analysis.flow.driver import flow_findings
+from repro.analysis.flow.project import extract_module
 from repro.analysis.flow.rules import FLOW_CODES, FLOW_RULES, FlowFinding
 
 __all__ = [
     "FLOW_CODES",
     "FLOW_RULES",
-    "BaselineDiff",
-    "CallGraph",
     "FlowFinding",
-    "FunctionFacts",
-    "ModuleFacts",
-    "Project",
-    "analyze_paths",
-    "analyze_project",
-    "analyze_sources",
-    "build_callgraph",
-    "diff_against",
     "extract_module",
-    "fingerprints",
-    "load_baseline",
-    "load_project",
-    "write_baseline",
+    "flow_findings",
 ]

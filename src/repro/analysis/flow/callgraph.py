@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.flow.project import FunctionFacts, Project
+from repro.analysis.flow.project import FunctionFacts
 
 __all__ = ["CallGraph", "build_callgraph"]
 
@@ -85,8 +85,8 @@ class CallGraph:
         return False
 
 
-def build_callgraph(project: Project) -> CallGraph:
-    g = CallGraph(functions=project.functions())
+def build_callgraph(functions: list[FunctionFacts]) -> CallGraph:
+    g = CallGraph(functions=functions)
     for f in g.functions:
         g.by_name.setdefault(f.name, []).append(f)
         g.by_ref[f.ref] = f

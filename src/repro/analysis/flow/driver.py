@@ -1,30 +1,21 @@
-"""slimflow orchestration: extract → call graph → rules → pragmas.
+"""slimflow's whole-program phase: call graph, then SLIM010-012.
 
-Two entry points mirror slimlint's: :func:`analyze_paths` for trees on
-disk (with the digest cache) and :func:`analyze_sources` for in-memory
-module sets — the unit-test surface, which is why it takes a mapping
-of display paths to sources: whole-program rules need several modules
-to mean anything.
-
-Findings reuse :class:`~repro.analysis.linter.LintResult` so the
-existing renderers apply, and they respect the same ``# slimlint:
-ignore[SLIM010]`` pragmas (rule-scoped suppression with the intent
-documented inline); the baseline layer is applied by the CLI on top.
+:func:`flow_findings` joins the facts :func:`~repro.analysis.flow
+.project.extract_module` drew from every ``src`` module. The slimcheck
+driver (:mod:`repro.analysis.linter`) calls it once all files are
+parsed and passes its findings through the files' pragmas.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
-from repro.analysis.flow.callgraph import CallGraph, build_callgraph
-from repro.analysis.flow.project import Project, extract_module, load_project
+from repro.analysis.flow.callgraph import build_callgraph
+from repro.analysis.flow.project import FunctionFacts
 from repro.analysis.flow.protocol import check_protocol
 from repro.analysis.flow.races import check_races
-from repro.analysis.flow.rules import FLOW_CODES
+from repro.analysis.flow.rules import FlowFinding
 from repro.analysis.flow.taint import check_taint
-from repro.analysis.linter import LintResult, _parse_pragmas
 
-__all__ = ["analyze_project", "analyze_paths", "analyze_sources"]
+__all__ = ["flow_findings"]
 
 _CHECKS = {
     "SLIM010": check_races,
@@ -33,74 +24,10 @@ _CHECKS = {
 }
 
 
-def analyze_project(project: Project, *, select: set[str] | None = None,
-                    sources: dict[str, str] | None = None,
-                    src_root: Path | None = None) -> LintResult:
-    """Run the whole-program rules over extracted facts.
-
-    ``sources`` maps display paths to source text for pragma filtering;
-    files missing from it are read from disk, resolving relative
-    display paths against ``src_root`` (best-effort — a file that
-    vanished mid-run simply keeps its findings).
-    """
-    res = LintResult(files_checked=project.files_checked,
-                     errors=list(project.errors))
-    graph: CallGraph = build_callgraph(project)
-    findings = []
-    for code, check in _CHECKS.items():
-        if select is None or code in select:
-            findings.extend(check(graph))
-    findings.sort(key=lambda f: (f.file, f.line, f.col, f.code))
-
-    pragmas: dict[str, tuple[dict[int, set[str]], set[str]]] = {}
-    for f in findings:
-        if f.file not in pragmas:
-            src = (sources or {}).get(f.file)
-            if src is None:
-                p = Path(f.file)
-                if not p.is_absolute() and src_root is not None:
-                    p = src_root / p
-                try:
-                    src = p.read_text(encoding="utf-8")
-                except OSError:
-                    src = ""
-            line_sup, file_sup, problems = _parse_pragmas(src, path=f.file)
-            # pragma-syntax problems are already reported by slimlint;
-            # re-reporting them here would double up in CI logs
-            del problems
-            pragmas[f.file] = (line_sup, file_sup)
-        line_sup, file_sup = pragmas[f.file]
-        if f.code in file_sup or f.code in line_sup.get(f.line, ()):
-            res.suppressed += 1
-        else:
-            res.findings.append(f)
-    return res
-
-
-def analyze_paths(paths: list[str], *, root: Path | None = None,
-                  cache_dir: Path | None = None,
-                  select: set[str] | None = None) -> LintResult:
-    """Analyze files/trees on disk (the CLI entry point)."""
-    project = load_project(paths, root=root, cache_dir=cache_dir)
-    return analyze_project(project, select=select, src_root=root)
-
-
-def analyze_sources(sources: dict[str, str], *,
-                    select: set[str] | None = None) -> LintResult:
-    """Analyze an in-memory module set, keyed by display path (e.g.
-    ``{"src/repro/imdb/fake.py": "..."}`` — the path decides the
-    module's dotted name and package scope)."""
-    project = Project()
-    for display, source in sources.items():
-        project.files_checked += 1
-        try:
-            project.modules.append(extract_module(source, display))
-        except SyntaxError as exc:
-            project.errors.append(
-                f"{display}:{exc.lineno or 0}: syntax error: {exc.msg}")
-    return analyze_project(project, select=select, sources=sources)
-
-
-def validate_select(select: set[str]) -> set[str]:
-    """Reject rule codes slimflow does not know."""
-    return select - FLOW_CODES
+def flow_findings(functions: list[FunctionFacts],
+                  select: set[str] | None = None) -> list[FlowFinding]:
+    """The selected whole-program rules' findings, before pragmas."""
+    graph = build_callgraph(functions)
+    return [f for code, check in _CHECKS.items()
+            if select is None or code in select
+            for f in check(graph)]

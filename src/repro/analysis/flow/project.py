@@ -1,14 +1,12 @@
-"""Per-file fact extraction for slimflow, with a digest-keyed cache.
+"""Per-function fact extraction for slimflow.
 
-slimflow runs in two phases. Phase one (this module) parses each file
-once and boils every function down to a small, *JSON-serializable*
+slimflow runs in two phases. Phase one (this module) takes each parsed
+``src`` module and boils every function down to a small, plain-data
 :class:`FunctionFacts` record: its call sites (with lexical lock state
 and per-argument seed provenance), its simulator spawn sites, its
 read-yield-write race candidates (from :mod:`cfg`), its RNG
 construction sites, and its durability ack sites. Phase two (callgraph
-+ the rule checkers) is pure fact-joining and never touches an AST —
-which is what makes the cache sound: facts are keyed on the file's
-content digest, so an unchanged file costs one hash, not a parse.
++ the rule checkers) is pure fact-joining and never touches an AST.
 
 Nothing here decides whether anything is a *finding*; candidates are
 over-approximations that the whole-program phase filters (a race
@@ -20,26 +18,13 @@ graph).
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.analysis.flow.cfg import Ev, build_cfg, dominating_calls, find_race_candidates
 from repro.analysis.flow.rules import RELAXED_TAG, is_seedish
+from repro.analysis.rules import ModuleContext
 
-__all__ = [
-    "FunctionFacts",
-    "ModuleFacts",
-    "Project",
-    "extract_module",
-    "load_project",
-    "FACTS_VERSION",
-]
-
-#: bump when the extracted-fact shape or semantics change — the version
-#: participates in the cache key, so stale caches self-invalidate.
-FACTS_VERSION = 3
+__all__ = ["FunctionFacts", "extract_module"]
 
 #: WAL durability awaits — the direct SLIM012 gates.
 GATE_NAMES = frozenset({"ensure_durable", "flush_now"})
@@ -86,7 +71,7 @@ class FunctionFacts:
 
     qualname: str  # e.g. "WalManager.ensure_durable"
     module: str  # dotted, e.g. "repro.persist.wal"
-    package: str  # repro sub-package, e.g. "persist"
+    package: str | None  # repro sub-package, e.g. "persist"
     file: str  # display path for findings
     line: int
     name: str
@@ -107,37 +92,6 @@ class FunctionFacts:
     @property
     def ref(self) -> str:
         return f"{self.module}.{self.qualname}"
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> FunctionFacts:
-        return cls(**d)
-
-
-@dataclass
-class ModuleFacts:
-    module: str
-    package: str
-    file: str
-    functions: list[FunctionFacts] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "version": FACTS_VERSION,
-            "module": self.module,
-            "package": self.package,
-            "file": self.file,
-            "functions": [f.to_dict() for f in self.functions],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> ModuleFacts:
-        return cls(
-            module=d["module"], package=d["package"], file=d["file"],
-            functions=[FunctionFacts.from_dict(f) for f in d["functions"]],
-        )
 
 
 # --------------------------------------------------------------------------
@@ -258,15 +212,15 @@ def _has_tag(lines: list[str], lineno: int) -> bool:
 
 
 def _extract_function(fn: ast.FunctionDef | ast.AsyncFunctionDef,
-                      qualname: str, cls: str, module: str, package: str,
-                      display: str, lines: list[str]) -> FunctionFacts:
+                      qualname: str, cls: str, ctx: ModuleContext,
+                      lines: list[str]) -> FunctionFacts:
     args = fn.args
     names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
     if names and names[0] in ("self", "cls"):
         names = names[1:]
     facts = FunctionFacts(
-        qualname=qualname, module=module, package=package, file=display,
-        line=fn.lineno, name=fn.name, cls=cls, params=names,
+        qualname=qualname, module=ctx.module, package=ctx.package,
+        file=ctx.path, line=fn.lineno, name=fn.name, cls=cls, params=names,
         relaxed_def=_has_tag(lines, fn.lineno),
     )
 
@@ -387,33 +341,11 @@ def _extract_function(fn: ast.FunctionDef | ast.AsyncFunctionDef,
     return facts
 
 
-# --------------------------------------------------------------------------
-# module + project loading
-# --------------------------------------------------------------------------
-
-def _module_name(path: Path) -> str:
-    parts = list(path.parts)
-    stem = [path.stem] if path.stem != "__init__" else []
-    if "repro" in parts:
-        i = parts.index("repro")
-        return ".".join(parts[i:-1] + stem) or "repro"
-    return ".".join(stem) or path.stem
-
-
-def _package_of(module: str) -> str:
-    parts = module.split(".")
-    if parts[0] == "repro" and len(parts) > 1:
-        return parts[1]
-    return parts[0]
-
-
-def extract_module(source: str, display: str = "<string>",
-                   module: str | None = None) -> ModuleFacts:
-    """Extract facts from one module's source (raises SyntaxError)."""
-    tree = ast.parse(source, filename=display)
-    mod = module if module is not None else _module_name(Path(display))
-    facts = ModuleFacts(module=mod, package=_package_of(mod), file=display)
-    lines = source.splitlines()
+def extract_module(tree: ast.Module, lines: list[str],
+                   ctx: ModuleContext) -> list[FunctionFacts]:
+    """Facts for every function of one parsed module (``lines`` is its
+    source, split, for the relaxed-durability tags)."""
+    out: list[FunctionFacts] = []
 
     def visit(body: list[ast.stmt], prefix: str, cls: str) -> None:
         for node in body:
@@ -422,101 +354,8 @@ def extract_module(source: str, display: str = "<string>",
                 visit(node.body, f"{q}.", node.name)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 q = f"{prefix}{node.name}"
-                facts.functions.append(_extract_function(
-                    node, q, cls, mod, facts.package, display, lines))
+                out.append(_extract_function(node, q, cls, ctx, lines))
                 visit(node.body, f"{q}.<locals>.", cls)
 
     visit(tree.body, "", "")
-    return facts
-
-
-@dataclass
-class Project:
-    """All extracted facts, ready for the whole-program phase."""
-
-    modules: list[ModuleFacts] = field(default_factory=list)
-    errors: list[str] = field(default_factory=list)
-    files_checked: int = 0
-    cache_hits: int = 0
-
-    def functions(self) -> list[FunctionFacts]:
-        return [f for m in self.modules for f in m.functions]
-
-
-def _digest(data: bytes) -> str:
-    h = hashlib.sha256()
-    h.update(f"slimflow-facts-v{FACTS_VERSION}:".encode())
-    h.update(data)
-    return h.hexdigest()
-
-
-def _discover(paths: list[str]) -> tuple[list[Path], list[str]]:
-    files: list[Path] = []
-    errors: list[str] = []
-    seen: set[Path] = set()
-    for raw in paths:
-        p = Path(raw)
-        if p.is_dir():
-            batch = sorted(p.rglob("*.py"))
-        elif p.is_file():
-            batch = [p]
-        else:
-            errors.append(f"{raw}: no such file or directory")
-            continue
-        for f in batch:
-            rp = f.resolve()
-            if rp not in seen:
-                seen.add(rp)
-                files.append(f)
-    return files, errors
-
-
-def load_project(paths: list[str], *, root: Path | None = None,
-                 cache_dir: Path | None = None) -> Project:
-    """Discover .py files under ``paths`` and extract facts for each,
-    consulting/maintaining the digest-keyed JSON cache if given."""
-    project = Project()
-    files, project.errors = _discover(paths)
-    base = root if root is not None else Path.cwd()
-    if cache_dir is not None:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-    for f in files:
-        display = str(f)
-        try:
-            display = str(f.resolve().relative_to(base.resolve()))
-        except ValueError:
-            pass
-        try:
-            data = f.read_bytes()
-        except OSError as exc:
-            project.errors.append(f"{display}: unreadable: {exc}")
-            continue
-        project.files_checked += 1
-        key = _digest(data + display.encode())
-        entry = cache_dir / f"{key}.json" if cache_dir is not None else None
-        if entry is not None and entry.is_file():
-            try:
-                cached = json.loads(entry.read_text(encoding="utf-8"))
-                if cached.get("version") == FACTS_VERSION:
-                    project.modules.append(ModuleFacts.from_dict(cached))
-                    project.cache_hits += 1
-                    continue
-            except (OSError, ValueError, KeyError, TypeError):
-                pass  # corrupt cache entry: fall through and rebuild
-        try:
-            source = data.decode("utf-8")
-            mod = extract_module(source, display)
-        except SyntaxError as exc:
-            project.errors.append(
-                f"{display}:{exc.lineno or 0}: syntax error: {exc.msg}")
-            continue
-        except UnicodeDecodeError as exc:
-            project.errors.append(f"{display}: not utf-8: {exc}")
-            continue
-        project.modules.append(mod)
-        if entry is not None:
-            try:
-                entry.write_text(json.dumps(mod.to_dict()), encoding="utf-8")
-            except OSError:
-                pass  # read-only checkout: cache is best-effort
-    return project
+    return out

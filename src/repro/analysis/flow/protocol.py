@@ -86,7 +86,7 @@ def check_protocol(graph: CallGraph) -> list[FlowFinding]:
     for f in graph.functions:
         if f.package not in _SCOPE or not f.acks:
             continue
-        for i, ack in enumerate(f.acks):
+        for ack in f.acks:
             if dur.ack_ok(f, ack):
                 continue
             label = _KIND_LABEL.get(ack["kind"], ack["kind"])
@@ -100,6 +100,5 @@ def check_protocol(graph: CallGraph) -> list[FlowFinding]:
             findings.append(FlowFinding(
                 code="SLIM012", message=msg, file=f.file,
                 line=ack["line"], col=ack["col"],
-                scope=f.ref, detail=f"ack:{f.qualname}:{ack['kind']}:{i}",
             ))
     return findings

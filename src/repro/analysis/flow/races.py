@@ -53,7 +53,6 @@ def check_races(graph: CallGraph) -> list[FlowFinding]:
             findings.append(FlowFinding(
                 code="SLIM010", message=msg, file=f.file,
                 line=c["write_line"], col=c["write_col"],
-                scope=f.ref, detail=f"race:{f.qualname}:{attr}",
                 trace=(
                     (f"read of self.{attr}", c["read_line"]),
                     ("preemption point (yield)", c["yield_line"]),

@@ -32,6 +32,8 @@ per-function control-flow graph:
 The rule *descriptors* live here so the driver and the SARIF renderer
 can list them without importing the analysis machinery; the checkers
 themselves live in :mod:`races`, :mod:`taint`, and :mod:`protocol`.
+Findings honour the same rule-scoped suppression pragmas as the
+per-file rules.
 """
 
 from __future__ import annotations
@@ -53,17 +55,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FlowFinding(Finding):
-    """A whole-program finding.
+    """A whole-program finding; races carry the read→yield→write
+    *trace*, rendered under the finding and exported as SARIF
+    relatedLocations."""
 
-    Beyond the location, it carries the *scope* (the module-qualified
-    function it lives in) and a line-free *detail* — together the
-    baseline fingerprint, stable across unrelated edits that merely
-    shift line numbers — plus, for races, the read→yield→write *trace*
-    rendered under the finding and exported as SARIF relatedLocations.
-    """
-
-    scope: str = ""
-    detail: str = ""
     trace: tuple[tuple[str, int], ...] = ()
 
     def render(self) -> str:
@@ -73,6 +68,7 @@ class FlowFinding(Finding):
         steps = "\n".join(f"      {label} at {self.file}:{line}"
                           for label, line in self.trace)
         return f"{base}\n{steps}"
+
 
 FLOW_RULES: tuple[Rule, ...] = (
     Rule("SLIM010", "yield-race",

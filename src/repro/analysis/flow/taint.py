@@ -91,7 +91,7 @@ def check_taint(graph: CallGraph) -> list[FlowFinding]:
     res = _Resolver(graph)
     findings: list[FlowFinding] = []
     for f in graph.functions:
-        for i, site in enumerate(f.rngs):
+        for site in f.rngs:
             verdict = res.resolve(f, site["prov"])
             if verdict["v"] == "ok":
                 continue
@@ -104,7 +104,5 @@ def check_taint(graph: CallGraph) -> list[FlowFinding]:
             findings.append(FlowFinding(
                 code="SLIM011", message=msg, file=f.file,
                 line=site["line"], col=site["col"],
-                scope=f.ref,
-                detail=f"taint:{f.qualname}:{site['ctor']}:{i}",
             ))
     return findings

@@ -1,59 +1,35 @@
-"""Render slimlint/slimflow results as text, JSON, or SARIF 2.1.0.
+"""Render a slimcheck result as text or SARIF 2.1.0.
 
 SARIF output follows the minimal schema GitHub code scanning ingests:
-one run, one rule descriptor per SLIM rule, one result per finding
-with a physical location.  The JSON format is a flat machine-readable
-dump for ad-hoc tooling.  Both linters share these renderers: the
-``tool`` and ``rules`` parameters decide whose banner and rule
-catalogue appear, and flow findings that carry a race *trace* export
-it as SARIF ``relatedLocations`` (one per read/yield/write step).
+one run, one rule descriptor per rule that ran, one result per finding
+with a physical location.  Flow findings that carry a race *trace*
+export it as SARIF ``relatedLocations`` (one per read/yield/write
+step).
 """
 
 from __future__ import annotations
 
 import json
 
-from repro.analysis.linter import LintResult
-from repro.analysis.rules import RULES
+from repro.analysis.linter import ALL_RULES, LintResult
 
-__all__ = ["render_text", "render_json", "render_sarif", "FORMATS"]
+__all__ = ["render_text", "render_sarif"]
+
+_TOOL = "slimcheck"
 
 _SARIF_VERSION = "2.1.0"
 _SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
                  "master/Schemata/sarif-schema-2.1.0.json")
 
 
-def render_text(result: LintResult, *, tool: str = "slimlint") -> str:
+def render_text(result: LintResult) -> str:
     lines = [f.render() for f in result.findings]
     lines.extend(result.errors)
     n = len(result.findings)
     noun = "finding" if n == 1 else "findings"
-    lines.append(f"{tool}: {n} {noun} in {result.files_checked} files "
+    lines.append(f"{_TOOL}: {n} {noun} in {result.files_checked} files "
                  f"({result.suppressed} suppressed)")
     return "\n".join(lines)
-
-
-def render_json(result: LintResult, *, tool: str = "slimlint") -> str:
-    payload = {
-        "tool": tool,
-        "files_checked": result.files_checked,
-        "suppressed": result.suppressed,
-        "errors": list(result.errors),
-        "findings": [
-            {
-                "code": f.code,
-                "message": f.message,
-                "file": f.file,
-                "line": f.line,
-                "col": f.col + 1,
-                **({"trace": [{"label": label, "line": line}
-                              for label, line in f.trace]}
-                   if getattr(f, "trace", ()) else {}),
-            }
-            for f in result.findings
-        ],
-    }
-    return json.dumps(payload, indent=2)
 
 
 def _location(uri: str, line: int, col: int, message: str | None = None) -> dict:
@@ -68,8 +44,7 @@ def _location(uri: str, line: int, col: int, message: str | None = None) -> dict
     return loc
 
 
-def render_sarif(result: LintResult, *, tool: str = "slimlint",
-                 rules=RULES) -> str:
+def render_sarif(result: LintResult, rules=ALL_RULES) -> str:
     descriptors = [
         {
             "id": rule.code,
@@ -101,9 +76,9 @@ def render_sarif(result: LintResult, *, tool: str = "slimlint",
             {
                 "tool": {
                     "driver": {
-                        "name": tool,
+                        "name": _TOOL,
                         "informationUri":
-                            f"https://example.invalid/slimio/{tool}",
+                            f"https://example.invalid/slimio/{_TOOL}",
                         "rules": descriptors,
                     }
                 },
@@ -113,9 +88,3 @@ def render_sarif(result: LintResult, *, tool: str = "slimlint",
     }
     return json.dumps(doc, indent=2)
 
-
-FORMATS = {
-    "text": render_text,
-    "json": render_json,
-    "sarif": render_sarif,
-}

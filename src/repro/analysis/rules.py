@@ -94,6 +94,7 @@ class ModuleContext:
     package: str | None  # repro sub-package this file belongs to
     is_test: bool
     is_src: bool
+    module: str = ""  # dotted name, e.g. "repro.persist.wal"
 
 
 #: package layering, low rank = lower layer (may not import upward)

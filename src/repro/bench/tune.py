@@ -27,7 +27,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -57,11 +57,25 @@ def config_to_jsonable(cfg) -> dict[str, Any]:
     return d
 
 
+def _build(cls, d, **nested):
+    """``cls(**d)`` for a payload that names every field exactly once:
+    a dropped key must not silently take its default (KeyError), an
+    unknown one must not be ignored (TypeError)."""
+    if not isinstance(d, dict):
+        raise TypeError(f"{cls.__name__}: expected an object, "
+                        f"got {type(d).__name__}")
+    missing = [f.name for f in fields(cls) if f.init and f.name not in d]
+    if missing:
+        raise KeyError(f"{cls.__name__} payload lacks {', '.join(missing)}")
+    return cls(**{**d, **nested})
+
+
 def config_from_jsonable(d: dict[str, Any]):
     """Rebuild a :class:`SystemConfig` from :func:`config_to_jsonable`
     output — every nested dataclass is constructed for real, so field
     validation (``__post_init__``) runs and a tampered or stale payload
-    fails loudly instead of half-building."""
+    fails loudly (``ValueError`` / ``TypeError`` / ``KeyError``)
+    instead of half-building."""
     from repro.core import SystemConfig
     from repro.core.placement import PlacementPolicy
     from repro.flash import FlashGeometry, FtlConfig, NandTiming
@@ -72,20 +86,20 @@ def config_from_jsonable(d: dict[str, Any]):
     from repro.persist.compress import CompressionModel
     from repro.persist.snapshot import SnapshotCpuModel
 
-    d = dict(d)
-    server = dict(d.pop("server"))
-    server["fork_model"] = ForkModel(**server.pop("fork_model"))
-    server["snapshot_cpu"] = SnapshotCpuModel(**server.pop("snapshot_cpu"))
-    return SystemConfig(
-        geometry=FlashGeometry(**d.pop("geometry")),
-        nand=NandTiming(**d.pop("nand")),
-        ftl=FtlConfig(**d.pop("ftl")),
-        costs=KernelCosts(**d.pop("costs")),
-        server=ServerConfig(**server),
-        compression=CompressionModel(**d.pop("compression")),
-        placement=PlacementPolicy(**d.pop("placement")),
-        policy=LoggingPolicy(d.pop("policy")),
-        **d,
+    server = d["server"]
+    return _build(
+        SystemConfig, d,
+        geometry=_build(FlashGeometry, d["geometry"]),
+        nand=_build(NandTiming, d["nand"]),
+        ftl=_build(FtlConfig, d["ftl"]),
+        costs=_build(KernelCosts, d["costs"]),
+        server=_build(
+            ServerConfig, server,
+            fork_model=_build(ForkModel, server["fork_model"]),
+            snapshot_cpu=_build(SnapshotCpuModel, server["snapshot_cpu"])),
+        compression=_build(CompressionModel, d["compression"]),
+        placement=_build(PlacementPolicy, d["placement"]),
+        policy=LoggingPolicy(d["policy"]),
     )
 
 
@@ -106,10 +120,8 @@ def cluster_config_from_jsonable(d: dict[str, Any]):
     from repro.cluster.pids import SharingMode
 
     sharing = d["sharing"]
-    return ClusterConfig(
-        num_shards=d["num_shards"],
-        design=d["design"],
-        num_pids=d["num_pids"],
+    return _build(
+        ClusterConfig, d,
         sharing=None if sharing is None else SharingMode(sharing),
         system=config_from_jsonable(d["system"]),
     )

@@ -40,7 +40,7 @@ class CpuAccount:
         yield ev`` — a bare ``yield acct.charge(...)`` would yield
         ``None`` whenever the delay is absorbed.
         """
-        if dt < 0:
+        if not dt >= 0:  # NaN-safe
             raise ValueError("negative charge")
         self._components[component] = self._components.get(component, 0.0) + dt
         if dt > 0:
@@ -56,7 +56,7 @@ class CpuAccount:
         Used for wait-time categories where the caller already paid the
         wall-clock (e.g. time blocked on the device).
         """
-        if dt < 0:
+        if not dt >= 0:  # NaN-safe
             raise ValueError("negative note")
         self._components[component] = self._components.get(component, 0.0) + dt
 

@@ -56,7 +56,7 @@ class WalManager:
         buffer_limit_bytes: int = 32 * 1024 * 1024,
         obs=None,
     ):
-        if flush_interval <= 0:
+        if not flush_interval > 0:  # NaN-safe
             raise ValueError("flush_interval must be positive")
         self.env = env
         self.sink = sink

@@ -250,7 +250,7 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: Environment, delay: float, value: Any = None):
-        if delay < 0:
+        if not delay >= 0:  # NaN-safe
             raise ValueError(f"negative delay {delay}")
         super().__init__(env)
         self.delay = delay
@@ -514,7 +514,7 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         pool = self._timeout_pool
         if pool:
-            if delay < 0:
+            if not delay >= 0:  # NaN-safe
                 raise ValueError(f"negative delay {delay}")
             to = pool.pop()
             to.delay = delay
@@ -556,7 +556,7 @@ class Environment:
         one object per page operation serve as both the operation's
         die grant and its completion.
         """
-        if when < self._now:
+        if not when >= self._now:  # NaN-safe
             raise ValueError(f"at({when}) is in the past (now={self._now})")
         seq = self._seq
         self._seq = seq + 1
@@ -575,7 +575,7 @@ class Environment:
         :attr:`events_absorbed`, keeping the logical event total
         what it would have been.
         """
-        if not self._cb_last or dt <= 0:
+        if not self._cb_last or not dt > 0:
             return False
         t = self._now + dt
         if t > self._until:
@@ -636,7 +636,7 @@ class Environment:
         only moves on dispatches), so the loop wakes once at the k-th
         tick instead.
         """
-        if interval <= 0:
+        if not interval > 0:  # NaN-safe
             raise ValueError(f"non-positive poll interval {interval}")
         k, ev = self.ff_absorb_ticks(interval)
         if ev is None:
@@ -740,7 +740,7 @@ class Environment:
                         pool.append(event)
                 return until.value
             stop_at = float(until)
-            if stop_at < self._now:
+            if not stop_at >= self._now:  # NaN-safe
                 raise ValueError(
                     f"until={stop_at} is in the past (now={self._now})"
                 )

@@ -1,5 +1,5 @@
-"""slimlint CLI: exit codes, output formats, and the acceptance gate
-that the shipped tree itself lints clean."""
+"""slimcheck CLI: exit codes, output formats, and the acceptance gate
+that the shipped tree itself checks clean."""
 
 import json
 from pathlib import Path
@@ -48,21 +48,13 @@ def test_select_narrows_rules(tmp_path, capsys):
     assert "SLIM003" in out and "SLIM001" not in out
 
 
-def test_json_format(tmp_path, capsys):
-    mod = _write(tmp_path, DIRTY)
-    assert main([str(mod), "--format", "json"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["files_checked"] == 1
-    assert {f["code"] for f in payload["findings"]} == {"SLIM001", "SLIM003"}
-
-
 def test_sarif_format(tmp_path, capsys):
     mod = _write(tmp_path, DIRTY)
     assert main([str(mod), "--format", "sarif"]) == 1
     sarif = json.loads(capsys.readouterr().out)
     assert sarif["version"] == "2.1.0"
     run = sarif["runs"][0]
-    assert run["tool"]["driver"]["name"] == "slimlint"
+    assert run["tool"]["driver"]["name"] == "slimcheck"
     rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
     assert {"SLIM001", "SLIM003"} <= rule_ids
     assert {r["ruleId"] for r in run["results"]} == {"SLIM001", "SLIM003"}

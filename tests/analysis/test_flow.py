@@ -11,8 +11,7 @@ historical ``WalPath`` flush lock stripped must light up SLIM010.
 import shutil
 from pathlib import Path
 
-from repro.analysis.flow import analyze_paths, analyze_sources, load_project
-from repro.analysis.flow.callgraph import build_callgraph
+from repro.analysis import FLOW_CODES, analyze_sources, lint_paths
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -449,49 +448,160 @@ def test_slim012_scope_is_imdb_and_net_only():
     assert codes(result) == []
 
 
+# The WAL idle drain as it stands, with its open bug: the generation
+# boundary is crossed before the drain waits for the server CPU, so a
+# fork during that wait sends post-fork records into the old generation.
+IDLE_DRAIN_WAL = """
+class WalManager:
+    def __init__(self, env, sink):
+        self.env = env
+        self.sink = sink
+        self._buffer = []
+        self._old_buffer = []
+        self._boundary_pending = 0
+        self._sink_lock = Resource(env, capacity=1)
+
+    def stage(self, record):
+        self._buffer.append(record)
+        return len(self._buffer)
+
+    def rotate_begin(self):
+        self._old_buffer.extend(self._buffer)
+        self._buffer.clear()
+        self._boundary_pending += 1
+
+    def idle_drain(self, cpu):
+        return self.env.process(self._idle_drain_body(cpu))
+
+    def _idle_drain_body(self, cpu):
+        req = self._sink_lock.request()
+        yield req
+        try:
+            yield from self._cross_boundary_locked()
+            cpu_req = cpu.request()
+            yield cpu_req
+            try:
+                yield from self._drain_locked()
+            finally:
+                cpu.release(cpu_req)
+        finally:
+            self._sink_lock.release(req)
+
+    def _cross_boundary_locked(self):
+        while self._boundary_pending:
+            old = self._old_buffer
+            self._old_buffer = []
+            self._boundary_pending -= 1
+            if old:
+                yield from self.sink.append(old)
+            yield from self.sink.begin_generation()
+
+    def _drain_locked(self):
+        data = list(self._buffer)
+        self._buffer.clear()
+        yield from self.sink.append(data)
+"""
+
+PERIODICAL_SERVER = """
+class Server:
+    def execute(self, op):
+        req = self.cpu.request()
+        yield req
+        seq = self.wal.stage(op)
+        self.cpu.release(req)
+        self.wal.idle_drain(self.cpu)
+        return seq  # slimflow: relaxed-durability — everysec window
+"""
+
+
+def test_slim012_cannot_see_generation_boundaries():
+    """A pinned miss: SLIM012 asks whether an ack is dominated by a
+    durability gate, and a Periodical-Log ack is relaxed-tagged by
+    contract, so where the drain crosses the generation boundary never
+    reaches the rule. Its verdict is the same for the buggy drain and
+    the fixed one, with the tag (quiet) and without it (fires)."""
+    fixed = IDLE_DRAIN_WAL.replace(
+        "            yield from self._cross_boundary_locked()\n"
+        "            cpu_req = cpu.request()\n"
+        "            yield cpu_req\n",
+        "            cpu_req = cpu.request()\n"
+        "            yield cpu_req\n"
+        "            yield from self._cross_boundary_locked()\n")
+    assert fixed != IDLE_DRAIN_WAL
+    untagged = PERIODICAL_SERVER.replace(
+        "  # slimflow: relaxed-durability — everysec window", "")
+    for server, expected in ((PERIODICAL_SERVER, []),
+                             (untagged, ["SLIM012"])):
+        for wal in (IDLE_DRAIN_WAL, fixed):
+            result = analyze_sources({
+                "src/repro/persist/fake_wal.py": wal,
+                "src/repro/imdb/fake_server.py": server,
+            }, select={"SLIM012"})
+            assert codes(result) == expected
+
+
 # --------------------------------------------------------------------------
 # the real tree
 # --------------------------------------------------------------------------
 
 def test_shipped_tree_is_flow_clean():
-    result = analyze_paths([str(REPO / "src" / "repro")], root=REPO)
+    result = lint_paths([str(REPO / "src" / "repro")], root=REPO,
+                        select=FLOW_CODES)
     assert result.errors == []
     assert [f.render() for f in result.findings] == []
+
+
+def _mutant_findings(tmp_path, relpath, old, new, code):
+    """Copy the real ``src/repro`` into tmp_path, re-inject one past
+    bug into ``relpath`` and return the ``code`` findings in that file."""
+    tree = tmp_path / "src" / "repro"
+    shutil.copytree(REPO / "src" / "repro", tree,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    target = tree / relpath
+    source = target.read_text(encoding="utf-8")
+    assert old in source, f"{relpath} moved; update the mutant"
+    target.write_text(source.replace(old, new), encoding="utf-8")
+    result = lint_paths([str(tree)], root=tmp_path, select={code})
+    return [f for f in result.findings if f.file.endswith(relpath)]
 
 
 def test_walpath_race_caught_when_its_lock_is_stripped(tmp_path):
     """The acceptance-criteria mutation: strip the WalPath flush lock
     (the PR 3 race, historically caught only at runtime) and SLIM010
     must catch it statically."""
-    tree = tmp_path / "src" / "repro"
-    shutil.copytree(REPO / "src" / "repro", tree)
-    paths_py = tree / "core" / "paths.py"
-    mutated = paths_py.read_text(encoding="utf-8").replace(
-        "_flush_lock", "_flush_note")
-    assert "_flush_note" in mutated, "WalPath lock idiom moved; update test"
-    paths_py.write_text(mutated, encoding="utf-8")
-
-    result = analyze_paths([str(tree)], root=tmp_path)
-    races = [f for f in result.findings
-             if f.code == "SLIM010" and f.file.endswith("core/paths.py")]
+    races = _mutant_findings(tmp_path, "core/paths.py",
+                             "_flush_lock", "_flush_note", "SLIM010")
     assert races, "lock-stripped WalPath race was not detected"
     attrs = {f.message.split("`")[1] for f in races}
     assert any(a.startswith("self._tail") or a.startswith("self._staged")
                for a in attrs), attrs
 
 
-def test_fact_cache_round_trip(tmp_path):
-    cache = tmp_path / "cache"
-    src_dir = str(REPO / "src" / "repro" / "persist")
-    cold = load_project([src_dir], root=REPO, cache_dir=cache)
-    warm = load_project([src_dir], root=REPO, cache_dir=cache)
-    assert cold.cache_hits == 0
-    assert warm.cache_hits == warm.files_checked == cold.files_checked
-    # cached facts must reproduce the analysis exactly
-    cold_g = build_callgraph(cold)
-    warm_g = build_callgraph(warm)
-    assert cold_g.roots == warm_g.roots
-    assert cold_g.shared_classes == warm_g.shared_classes
-    assert cold_g.always_under_lock == warm_g.always_under_lock
-    assert sorted(f.ref for f in cold.functions()) == \
-        sorted(f.ref for f in warm.functions())
+def test_readahead_prefetch_race_caught_when_the_cursor_moves_late(tmp_path):
+    """SLIM010's own catch: ReadAheadBuffer._prefetch once advanced its
+    cursor only after the submit yield, so two readers driving one
+    buffer re-submitted the same batch. Put the write back after the
+    yield and the rule must flag it."""
+    reserve = "            self._next_prefetch = start + n\n"
+    submit = ("            ev = yield from self.ring.submit(\n"
+              "                ReadCmd(lba=self.base_lba + start, nlb=n), "
+              "account\n"
+              "            )\n"
+              "            self._inflight[start] = ev\n")
+    races = _mutant_findings(tmp_path, "core/readahead.py",
+                             reserve + submit, submit + reserve, "SLIM010")
+    assert [f.message.split("`")[1] for f in races] == ["self._next_prefetch"]
+
+
+def test_hash_seeded_reservoir_caught(tmp_path):
+    """SLIM011's own catch: ObsHistogram once seeded its reservoir RNG
+    from builtin hash(), which PYTHONHASHSEED salts per process."""
+    seeds = _mutant_findings(
+        tmp_path, "obs/registry.py",
+        "seed = zlib.crc32(repr((name,) + _label_key(labels)).encode())\n"
+        "        self._rng = np.random.default_rng(seed)\n",
+        "self._rng = np.random.default_rng(\n"
+        "            abs(hash((name,) + _label_key(labels))) % (2**32)\n"
+        "        )\n",
+        "SLIM011")
+    assert len(seeds) == 1 and "hash()" in seeds[0].message

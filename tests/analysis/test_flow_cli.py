@@ -1,4 +1,5 @@
-"""slimflow CLI: exit codes, baseline drift, SARIF export, fact cache.
+"""slimcheck CLI on the whole-program rules: exit codes, rule
+selection, SARIF export.
 
 Every test builds a miniature ``src/repro/<pkg>/`` tree under tmp_path
 and chdirs into it, so the CLI sees the same layout as the real repo
@@ -10,7 +11,6 @@ import json
 import pytest
 
 from repro.analysis.__main__ import main
-from repro.analysis.flow.cli import flow_main
 
 RACY = """\
 class Counter:
@@ -59,110 +59,37 @@ def project(tmp_path, monkeypatch):
     return put
 
 
-def run(*argv):
-    return flow_main(["--cache", "off", *argv])
-
-
 def test_clean_tree_exits_zero(project, capsys):
     project("persist/app.py", CLEAN)
-    assert run() == 0
+    assert main([]) == 0
     out = capsys.readouterr().out
-    assert "slimflow: 0 findings" in out
+    assert "slimcheck: 0 findings" in out
 
 
 def test_findings_without_baseline_exit_one(project, capsys):
     project("persist/app.py", RACY)
-    assert run() == 1
+    assert main([]) == 1
     out = capsys.readouterr().out
     assert "SLIM010" in out
 
 
 def test_unknown_rule_code_is_a_usage_error(project, capsys):
     project("persist/app.py", CLEAN)
-    assert run("--select", "SLIM099") == 2
+    assert main(["--select", "SLIM099"]) == 2
     assert "unknown rule code" in capsys.readouterr().err
 
 
 def test_select_can_mask_a_rule(project):
     project("persist/app.py", RACY)
-    assert run("--ignore", "SLIM010") == 0
-
-
-def test_missing_baseline_file_is_a_usage_error(project, capsys):
-    project("persist/app.py", CLEAN)
-    assert run("--baseline", "nope.json") == 2
-    assert "baseline not found" in capsys.readouterr().err
+    assert main(["--ignore", "SLIM010"]) == 0
 
 
 def test_flow_dispatch_via_module_main(project, capsys):
     project("persist/app.py", CLEAN)
-    assert main(["flow", "--list-rules"]) == 0
+    assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for code in ("SLIM010", "SLIM011", "SLIM012"):
         assert code in out
-
-
-# --------------------------------------------------------------------------
-# baseline drift
-# --------------------------------------------------------------------------
-
-def test_baseline_freezes_known_findings(project, tmp_path, capsys):
-    project("persist/app.py", RACY)
-    assert run("--write-baseline") == 0
-    assert (tmp_path / "slimflow_baseline.json").is_file()
-    capsys.readouterr()
-
-    # the same findings are now baselined: auto-discovered, exit 0
-    assert run() == 0
-    out = capsys.readouterr().out
-    assert "0 new, 1 baselined, 0 absolved" in out
-
-
-def test_new_finding_breaks_the_baseline(project, capsys):
-    project("persist/app.py", RACY)
-    assert run("--write-baseline") == 0
-    capsys.readouterr()
-
-    # a second racy attribute appears: only IT fails the run
-    project("persist/app.py", RACY.replace(
-        "        self.value = v + 1",
-        "        self.value = v + 1\n"
-        "        w = self.other\n"
-        "        yield self.env.timeout(1)\n"
-        "        self.other = w + 1",
-    ))
-    assert run() == 1
-    out = capsys.readouterr().out
-    assert "1 new, 1 baselined, 0 absolved" in out
-    assert "NEW" in out
-    assert "self.other" in out
-
-
-def test_fixed_finding_is_absolved_not_fatal(project, capsys):
-    project("persist/app.py", RACY)
-    assert run("--write-baseline") == 0
-    capsys.readouterr()
-
-    project("persist/app.py", CLEAN)
-    assert run() == 0
-    out = capsys.readouterr().out
-    assert "0 new, 0 baselined, 1 absolved" in out
-    assert "--write-baseline" in out  # nudge to shrink the baseline
-
-
-def test_no_baseline_flag_restores_strictness(project):
-    project("persist/app.py", RACY)
-    assert run("--write-baseline") == 0
-    assert run() == 0
-    assert run("--no-baseline") == 1
-
-
-def test_baseline_fingerprints_survive_line_motion(project):
-    project("persist/app.py", RACY)
-    assert run("--write-baseline") == 0
-    # prepend 30 lines of comments: every finding moves, none are new
-    project("persist/app.py", "# padding\n" * 30 + RACY)
-    assert run() == 0
 
 
 # --------------------------------------------------------------------------
@@ -171,10 +98,11 @@ def test_baseline_fingerprints_survive_line_motion(project):
 
 def test_sarif_race_trace_exports_related_locations(project, tmp_path, capsys):
     project("persist/app.py", RACY)
-    assert run("--format", "sarif", "--output", "flow.sarif") == 1
+    assert main(["--select", "SLIM010,SLIM011,SLIM012",
+                 "--format", "sarif", "--output", "flow.sarif"]) == 1
     doc = json.loads((tmp_path / "flow.sarif").read_text(encoding="utf-8"))
     driver = doc["runs"][0]["tool"]["driver"]
-    assert driver["name"] == "slimflow"
+    assert driver["name"] == "slimcheck"
     assert [r["id"] for r in driver["rules"]] == \
         ["SLIM010", "SLIM011", "SLIM012"]
     (res,) = doc["runs"][0]["results"]
@@ -201,7 +129,7 @@ class Server:
         yield self.cpu.request()
         return encode(repr(random.Random(hash(op)).random()))
 """)
-    assert run("--format", "sarif", "--output", "flow.sarif") == 1
+    assert main(["--format", "sarif", "--output", "flow.sarif"]) == 1
     doc = json.loads((tmp_path / "flow.sarif").read_text(encoding="utf-8"))
     results = doc["runs"][0]["results"]
     assert sorted(r["ruleId"] for r in results) == ["SLIM011", "SLIM012"]
@@ -209,22 +137,3 @@ class Server:
              for r in results}
     assert lines == {6}
 
-
-# --------------------------------------------------------------------------
-# fact cache
-# --------------------------------------------------------------------------
-
-def test_cache_warm_run_reuses_facts(project, tmp_path, capsys):
-    project("persist/app.py", RACY)
-    cold = flow_main(["--cache", ".slimflow-cache"])
-    cache = tmp_path / ".slimflow-cache"
-    assert cache.is_dir() and list(cache.glob("*.json"))
-    capsys.readouterr()
-
-    warm = flow_main(["--cache", ".slimflow-cache"])
-    assert warm == cold == 1
-    assert "SLIM010" in capsys.readouterr().out
-
-    # editing the file invalidates only its entry (new digest, new facts)
-    project("persist/app.py", CLEAN)
-    assert flow_main(["--cache", ".slimflow-cache"]) == 0

@@ -1,5 +1,7 @@
 """End-to-end system tests: build, run, snapshot, crash, recover."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import (
@@ -201,3 +203,11 @@ def test_builder_overrides():
     assert system.config.fdp is False
     assert system.wal_ring.sqpoll is False
     system.stop()
+
+
+@pytest.mark.parametrize("interval", [float("nan"), 0.0, -1.0])
+def test_non_positive_wal_flush_interval_is_rejected(interval):
+    # a NaN interval (e.g. from a tuned JSON) once built a system whose
+    # flusher scheduled its ticks at NaN instants
+    with pytest.raises(ValueError, match="flush_interval"):
+        build_slimio(config=replace(SMALL, wal_flush_interval=interval))

@@ -53,6 +53,29 @@ def test_negative_delay_rejected():
         env.timeout(-1)
 
 
+@pytest.mark.parametrize("pooled", [False, True])
+def test_nan_delay_rejected(pooled):
+    # NaN compares false against everything, so a `delay < 0` guard let
+    # it through and it became a NaN heap key
+    env = Environment()
+    if pooled:
+        def tick():
+            yield env.timeout(0)
+
+        env.process(tick())
+        env.run()
+        assert env._timeout_pool, "no pooled timeout to reuse"
+    with pytest.raises(ValueError):
+        env.timeout(float("nan"))
+    with pytest.raises(ValueError):
+        env.at(float("nan"))
+    with pytest.raises(ValueError):
+        env.idle_wait(float("nan"))
+    with pytest.raises(ValueError):
+        env.run(until=float("nan"))
+    assert not env.ff_advance(float("nan"))
+
+
 def test_process_return_value():
     env = Environment()
 
