@@ -150,21 +150,37 @@ class _Provenance:
         return {"v": "unknown", "why": f"opaque {type(node).__name__}"}
 
     def _name(self, ident: str) -> dict:
-        if is_seedish(ident):
-            return {"v": "ok"}
         if ident in self._active:
+            # a self-reference reads an earlier value: for a parameter
+            # that includes the one it came in with
+            if ident in self.params:
+                return self._incoming(ident)
             return {"v": "unknown", "why": f"cyclic local '{ident}'"}
         if ident in self.assigns:
+            # a local is what is assigned to it, whatever its name; a
+            # re-bound parameter also keeps its incoming value
             self._active.add(ident)
             try:
-                return combine(*(self.of(v) for v in self.assigns[ident]))
+                parts = [self.of(v) for v in self.assigns[ident]]
             finally:
                 self._active.discard(ident)
+            if ident in self.params:
+                parts.append(self._incoming(ident))
+            return combine(*parts)
         if ident in self.params:
-            return {"v": "params", "params": [ident]}
+            return self._incoming(ident)
+        if is_seedish(ident):
+            return {"v": "ok"}  # a seed-named closure or global
         if ident.isupper():
             return {"v": "ok"}  # module constant by convention
         return {"v": "unknown", "why": f"untraceable name '{ident}'"}
+
+    def _incoming(self, param: str) -> dict:
+        """What a parameter carries in: a seed-named one is the trust
+        anchor, any other is resolved from its callers."""
+        if is_seedish(param):
+            return {"v": "ok"}
+        return {"v": "params", "params": [param]}
 
     def _call(self, node: ast.Call) -> dict:
         name = node.func.attr if isinstance(node.func, ast.Attribute) \
@@ -207,6 +223,23 @@ def _terminal(node: ast.expr) -> str:
     return ""
 
 
+def _bind(assigns: dict[str, list[ast.expr]], target: ast.expr,
+          value: ast.expr) -> None:
+    """Record ``value`` as a source of every name ``target`` binds: an
+    unpacked tuple display pairs element-wise, any other unpacking
+    (and a loop variable, given its iterable) takes the whole value."""
+    if isinstance(target, ast.Name):
+        assigns.setdefault(target.id, []).append(value)
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        paired = isinstance(value, (ast.Tuple, ast.List)) \
+            and len(value.elts) == len(target.elts) \
+            and not any(isinstance(e, ast.Starred) for e in target.elts)
+        for i, t in enumerate(target.elts):
+            _bind(assigns, t, value.elts[i] if paired else value)
+    elif isinstance(target, ast.Starred):
+        _bind(assigns, target.value, value)
+
+
 def _has_tag(lines: list[str], lineno: int) -> bool:
     return 1 <= lineno <= len(lines) and bool(RELAXED_TAG.search(lines[lineno - 1]))
 
@@ -231,10 +264,18 @@ def _extract_function(fn: ast.FunctionDef | ast.AsyncFunctionDef,
     for node in _own_statements(fn):
         if isinstance(node, (ast.Yield, ast.YieldFrom)):
             facts.is_generator = True
-        elif isinstance(node, ast.Assign) and node.value is not None:
+        elif isinstance(node, ast.Assign):
             for t in node.targets:
-                if isinstance(t, ast.Name):
-                    assigns.setdefault(t.id, []).append(node.value)
+                _bind(assigns, t, node.value)
+        elif isinstance(node, ast.AugAssign):
+            # `x op= v` reads x as well as v
+            _bind(assigns, node.target,
+                  ast.BinOp(left=node.target, op=node.op, right=node.value))
+        elif isinstance(node, (ast.AnnAssign, ast.NamedExpr)):
+            if node.value is not None:
+                _bind(assigns, node.target, node.value)
+        elif isinstance(node, (ast.For, ast.AsyncFor)):
+            _bind(assigns, node.target, node.iter)
         elif isinstance(node, ast.Call):
             name = _terminal(node.func)
             if name == "encode" and node.args \

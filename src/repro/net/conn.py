@@ -9,7 +9,9 @@ runs two processes:
 * a **reader** that feeds arriving chunks through a streaming
   :class:`~repro.imdb.resp.RespParser`, maps each complete frame to a
   :class:`~repro.imdb.server.ClientOp`, and *admits* it subject to the
-  backpressure policy;
+  backpressure policy.  A chunk byte-equal to a frame the front end
+  already decoded, arriving into an empty parser, takes that frame's
+  op from the front end's :class:`DecodeMemo` instead;
 * a **dispatcher** that pops admitted commands off the bounded
   per-connection queue, executes them on the backend (a
   :class:`~repro.imdb.server.Server` or the cluster router — both
@@ -50,10 +52,47 @@ from repro.imdb.resp import (
 )
 from repro.sim import Environment, Event, Interrupt, Process, Store
 
-__all__ = ["BackpressurePolicy", "NetConfig", "Connection"]
+__all__ = ["BackpressurePolicy", "NetConfig", "Connection", "DecodeMemo"]
 
 #: inbox/queue sentinel for connection teardown
 _CLOSE = object()
+
+#: frame bytes one :class:`DecodeMemo` holds before it starts over.
+#: One rate of slimbench's ``openloop_net`` sends ~450-600 distinct
+#: frames (~1 MB), so only unique-value traffic (inserts) reaches it.
+MEMO_FRAME_BYTES = 4 * 1024 * 1024
+
+
+class DecodeMemo(dict):
+    """Frame bytes -> the :class:`~repro.imdb.server.ClientOp` they
+    decode to, shared by one front end's readers.
+
+    Decoding is a pure function of the bytes, so a chunk byte-equal to
+    a frame that once decoded, alone, into exactly one command decodes
+    to an equal command again.  The ops are frozen and shared by every
+    hit.  Bounded by :data:`MEMO_FRAME_BYTES` of frames: crossing it
+    clears the memo, and a frame larger than the bound is not stored.
+    """
+
+    __slots__ = ("frame_bytes",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: sum of ``len(frame)`` over the entries held
+        self.frame_bytes = 0
+
+    def store(self, frame: bytes, op) -> None:
+        size = len(frame)
+        if size > MEMO_FRAME_BYTES:
+            return
+        if self.frame_bytes + size > MEMO_FRAME_BYTES:
+            self.clear()
+        self[frame] = op
+        self.frame_bytes += size
+
+    def clear(self) -> None:
+        super().clear()
+        self.frame_bytes = 0
 
 
 class BackpressurePolicy(enum.Enum):
@@ -234,6 +273,8 @@ class Connection:
     def _read_loop(self) -> Generator:
         env = self.env
         cfg = self.cfg
+        parser = self.parser
+        memo = self.fe.decode_memo
         while True:
             chunk = yield self.inbox.get()
             if chunk is _CLOSE or self.closed:
@@ -244,10 +285,22 @@ class Connection:
                     yield self.queue.put(_CLOSE)
                 self._wake_window()
                 return
-            self.parser.feed(chunk)
+            # a whole chunk starts a frame; only bytes are hashable
+            whole = type(chunk) is bytes and not parser.pending_bytes
+            op = memo.get(chunk) if whole else None
+            if op is not None:
+                # the parser path's yields, without the parse
+                if cfg.parse_cpu:
+                    yield env.timeout(cfg.parse_cpu)
+                t_int = self._meta.popleft() if self._meta else env.now
+                yield from self._admit(op, t_int)
+                if self.dropped:
+                    return
+                continue
+            parser.feed(chunk)
             while True:
                 try:
-                    done, value = self.parser.parse()
+                    done, value = parser.parse()
                 except ProtocolError:
                     self._drop_close()
                     return
@@ -260,6 +313,9 @@ class Connection:
                 except ProtocolError:
                     self._drop_close()
                     return
+                if whole and not parser.pending_bytes:
+                    memo.store(chunk, op)  # the chunk was this one frame
+                whole = False
                 t_int = self._meta.popleft() if self._meta else env.now
                 yield from self._admit(op, t_int)
                 if self.dropped:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Generator
 
-from repro.net.conn import Connection, NetConfig
+from repro.net.conn import Connection, DecodeMemo, NetConfig
 from repro.sim import Environment, Event, Store
 
 __all__ = ["AdmissionController", "Listener", "NetFrontend"]
@@ -128,6 +128,9 @@ class NetFrontend:
         self.unsent = 0
         self._conn_seq = 0
         self.connections: list[Connection] = []
+        #: frames this front end's readers decoded, shared by all of
+        #: them; emptied by :meth:`close`
+        self.decode_memo = DecodeMemo()
 
     # ------------------------------------------------------------ wiring
     def _new_connection(self) -> Connection:
@@ -168,6 +171,8 @@ class NetFrontend:
         }
 
     def close(self) -> None:
-        """End of run: stop accepting; leave idle connection processes
-        parked (they hold no events and cost nothing)."""
+        """End of run: stop accepting and drop the decode memo; leave
+        idle connection processes parked (they hold no events and cost
+        nothing)."""
         self.listener.close()
+        self.decode_memo.clear()

@@ -145,9 +145,10 @@ class ObsHistogram:
         self._rsize = 0
         # crc32, not hash(): builtin string hashing is salted by
         # PYTHONHASHSEED, so a hash-derived seed differs from process
-        # to process and reservoir percentiles stop reproducing
+        # to process and reservoir percentiles stop reproducing. The
+        # seed is the series identity, which no run seed reaches.
         seed = zlib.crc32(repr((name,) + _label_key(labels)).encode())
-        self._rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(seed)  # slimlint: ignore[SLIM011] crc32 of name + labels
         # raw 63-bit draws are buffered in bulk: one generator call per
         # observation dwarfs the rest of this method on the hot path
         self._randbuf = ()

@@ -490,8 +490,6 @@ class Environment:
         self._cb_last = True
         self._until = float("inf")
         self._timeout_pool: list[Timeout] = []
-        #: number of heap events dispatched so far (perf accounting)
-        self.events_processed = 0
         #: number of delays absorbed in closed form (each one a heap
         #: dispatch a timeout would have cost)
         self.events_absorbed = 0
@@ -506,6 +504,17 @@ class Environment:
     @property
     def active_process(self) -> Process | None:
         return self._active
+
+    @property
+    def events_processed(self) -> int:
+        """Heap events dispatched so far (perf accounting).
+
+        Every push takes the next sequence number and every dispatch
+        pops exactly one entry, so pushes minus entries still queued is
+        the dispatch count: exact at any read, inside :meth:`run`
+        included, and the dispatch loop keeps no counter.
+        """
+        return self._seq - len(self._heap)
 
     # -- event factories ----------------------------------------------------
     def event(self) -> Event:
@@ -688,7 +697,6 @@ class Environment:
             raise SimulationError("no more events")
         when, _key, event = heapq.heappop(self._heap)
         self._now = when
-        self.events_processed += 1
         event._run_callbacks()
         self._recycle(event)
 
@@ -702,68 +710,61 @@ class Environment:
         heap = self._heap
         pool = self._timeout_pool
         heappop = heapq.heappop
-        dispatched = 0
-        try:
-            if until is None:
-                while heap:
-                    when, _key, event = heappop(heap)
-                    self._now = when
-                    dispatched += 1
-                    event._run_callbacks()
-                    if (
-                        type(event) is Timeout
-                        and getrefcount(event) == 2
-                        and len(pool) < _TIMEOUT_POOL_MAX
-                    ):
-                        pool.append(event)
-                return None
-            if isinstance(until, Event):
-                sentinel: list[Any] = []
-                if until.callbacks is not None:
-                    until.callbacks.append(lambda ev: sentinel.append(ev))
-                else:
-                    sentinel.append(until)
-                while not sentinel:
-                    if not heap:
-                        raise SimulationError(
-                            "event heap exhausted before awaited event fired"
-                        )
-                    when, _key, event = heappop(heap)
-                    self._now = when
-                    dispatched += 1
-                    event._run_callbacks()
-                    if (
-                        type(event) is Timeout
-                        and getrefcount(event) == 2
-                        and len(pool) < _TIMEOUT_POOL_MAX
-                    ):
-                        pool.append(event)
-                return until.value
-            stop_at = float(until)
-            if not stop_at >= self._now:  # NaN-safe
-                raise ValueError(
-                    f"until={stop_at} is in the past (now={self._now})"
-                )
-            # fast-forward must not absorb a delay (or replay a periodic
-            # tick) past the run bound: a dispatched timeout would have
-            # left the run parked there with the wait still pending
-            prev_until = self._until
-            self._until = stop_at
-            try:
-                while heap and heap[0][0] <= stop_at:
-                    when, _key, event = heappop(heap)
-                    self._now = when
-                    dispatched += 1
-                    event._run_callbacks()
-                    if (
-                        type(event) is Timeout
-                        and getrefcount(event) == 2
-                        and len(pool) < _TIMEOUT_POOL_MAX
-                    ):
-                        pool.append(event)
-                self._now = stop_at
-            finally:
-                self._until = prev_until
+        if until is None:
+            while heap:
+                when, _key, event = heappop(heap)
+                self._now = when
+                event._run_callbacks()
+                if (
+                    type(event) is Timeout
+                    and getrefcount(event) == 2
+                    and len(pool) < _TIMEOUT_POOL_MAX
+                ):
+                    pool.append(event)
             return None
+        if isinstance(until, Event):
+            sentinel: list[Any] = []
+            if until.callbacks is not None:
+                until.callbacks.append(lambda ev: sentinel.append(ev))
+            else:
+                sentinel.append(until)
+            while not sentinel:
+                if not heap:
+                    raise SimulationError(
+                        "event heap exhausted before awaited event fired"
+                    )
+                when, _key, event = heappop(heap)
+                self._now = when
+                event._run_callbacks()
+                if (
+                    type(event) is Timeout
+                    and getrefcount(event) == 2
+                    and len(pool) < _TIMEOUT_POOL_MAX
+                ):
+                    pool.append(event)
+            return until.value
+        stop_at = float(until)
+        if not stop_at >= self._now:  # NaN-safe
+            raise ValueError(
+                f"until={stop_at} is in the past (now={self._now})"
+            )
+        # fast-forward must not absorb a delay (or replay a periodic
+        # tick) past the run bound: a dispatched timeout would have
+        # left the run parked there with the wait still pending
+        prev_until = self._until
+        self._until = stop_at
+        try:
+            while heap and heap[0][0] <= stop_at:
+                when, _key, event = heappop(heap)
+                self._now = when
+                event._run_callbacks()
+                if (
+                    type(event) is Timeout
+                    and getrefcount(event) == 2
+                    and len(pool) < _TIMEOUT_POOL_MAX
+                ):
+                    pool.append(event)
+            self._now = stop_at
         finally:
-            self.events_processed += dispatched
+            self._until = prev_until
+        return None

@@ -308,6 +308,51 @@ class Sampler:
     assert codes(result) == []
 
 
+def test_slim011_seed_named_local_is_judged_by_its_assignment():
+    src = """
+import random
+
+def build(name, seed):
+    salted = hash(name)
+    seed0 = salted % 97
+    return random.Random(seed0)
+
+def annotated(name):
+    seed: int = hash(name)
+    return random.Random(seed)
+
+def augmented(name, seed):
+    seed += hash(name)
+    return random.Random(seed)
+
+def unpacked(name):
+    seed, _ = hash(name), 1
+    return random.Random(seed)
+
+def looped(names):
+    for seed in map(hash, names):
+        return random.Random(seed)
+"""
+    result = analyze_sources({"src/repro/workloads/fake_local.py": src})
+    assert codes(result) == ["SLIM011"] * 5
+
+
+def test_slim011_rebound_seed_parameter_keeps_its_anchor():
+    src = """
+import random
+
+def build(seed, shard):
+    seed = seed ^ 0x5EED
+    seed += 7
+    derived_seed = seed * 31
+    pair_seed, salt = seed + 1, 3
+    return (random.Random(seed), random.Random(derived_seed),
+            random.Random(pair_seed + salt))
+"""
+    result = analyze_sources({"src/repro/workloads/fake_rebound.py": src})
+    assert codes(result) == []
+
+
 def test_slim011_param_chain_resolves_through_the_call_graph():
     helper = """
 import random
@@ -593,15 +638,30 @@ def test_readahead_prefetch_race_caught_when_the_cursor_moves_late(tmp_path):
     assert [f.message.split("`")[1] for f in races] == ["self._next_prefetch"]
 
 
+RESERVOIR_SEED = (
+    "seed = zlib.crc32(repr((name,) + _label_key(labels)).encode())\n"
+    "        self._rng = np.random.default_rng(seed)"
+    "  # slimlint: ignore[SLIM011] crc32 of name + labels\n")
+
+
 def test_hash_seeded_reservoir_caught(tmp_path):
     """SLIM011's own catch: ObsHistogram once seeded its reservoir RNG
     from builtin hash(), which PYTHONHASHSEED salts per process."""
     seeds = _mutant_findings(
-        tmp_path, "obs/registry.py",
-        "seed = zlib.crc32(repr((name,) + _label_key(labels)).encode())\n"
-        "        self._rng = np.random.default_rng(seed)\n",
+        tmp_path, "obs/registry.py", RESERVOIR_SEED,
         "self._rng = np.random.default_rng(\n"
         "            abs(hash((name,) + _label_key(labels))) % (2**32)\n"
         "        )\n",
+        "SLIM011")
+    assert len(seeds) == 1 and "hash()" in seeds[0].message
+
+
+def test_hash_seeded_reservoir_caught_through_a_seed_named_local(tmp_path):
+    """The same bug spelled through a local called ``seed``: a local is
+    judged by what is assigned to it, not trusted for its name."""
+    seeds = _mutant_findings(
+        tmp_path, "obs/registry.py", RESERVOIR_SEED,
+        "seed = abs(hash((name,) + _label_key(labels))) % (2**32)\n"
+        "        self._rng = np.random.default_rng(seed)\n",
         "SLIM011")
     assert len(seeds) == 1 and "hash()" in seeds[0].message

@@ -1,4 +1,4 @@
-"""Differential oracle for the closed-form wire.
+"""Differential oracles for the closed-form wire and the memoized reader.
 
 ``Connection.send`` delivers a command with one event at the instant
 its last fragment would have arrived.  The reference below is the
@@ -6,17 +6,27 @@ per-fragment sender it replaced — one timeout, one closed check and
 one inbox put per ``fragment_bytes`` slice — kept here, and only here,
 as the obviously-correct twin.  Both drive the same sessions against
 the same front end; everything a client or a report can observe must
-come out identical.
+come out identical.  The second half does the same for the reader:
+``Connection._read_loop`` against the always-parse reader it replaced.
 """
 
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.net.conn as conn_mod
 from repro.imdb import ClientOp
-from repro.imdb.resp import encode_command
+from repro.imdb.resp import (
+    ProtocolError,
+    RespParser,
+    decode_command,
+    encode_command,
+    op_from_command,
+)
 from repro.net import BackpressurePolicy, NetConfig, NetFrontend
-from repro.net.conn import Connection
+from repro.net.conn import _CLOSE, Connection, DecodeMemo
 from repro.sim import Environment, Event
 
 SESSIONS = 4
@@ -89,7 +99,16 @@ def drive(send, policy, slow_every, depth, value_bytes, parse_cpu):
                     slow_every=slow_every, slow_factor=0.25,
                     parse_cpu=parse_cpu)
     fe = NetFrontend(env, FixedBackend(env), cfg)
-    sends = []  # (session, slot, commands sent, return instant)
+    sends = run_sessions(env, fe, send,
+                         lambda s, i: _group(s, i, value_bytes))
+    return fe, sends, env.events_processed
+
+
+def run_sessions(env, fe, send, group):
+    """Drive ``group(session, slot)`` from SESSIONS reconnecting
+    sessions for 50 ms; returns (session, slot, commands sent, return
+    instant) per send."""
+    sends = []
 
     def session(s):
         if s == SESSIONS - 1:
@@ -101,7 +120,7 @@ def drive(send, policy, slow_every, depth, value_bytes, parse_cpu):
                 yield env.timeout(t_int - env.now)
             while conn is None or conn.closed:
                 conn = yield from fe.listener.connect()
-            sent = yield from send(conn, _group(s, i, value_bytes), t_int)
+            sent = yield from send(conn, group(s, i), t_int)
             sends.append((s, i, sent, env.now))
         if not conn.closed:
             yield from conn.drain()
@@ -110,7 +129,7 @@ def drive(send, policy, slow_every, depth, value_bytes, parse_cpu):
     for s in range(SESSIONS):
         env.process(session(s), name=f"session{s}")
     env.run(until=0.05)
-    return fe, sends, env.events_processed
+    return sends
 
 
 @pytest.mark.parametrize(
@@ -204,3 +223,285 @@ def test_drop_mid_train_wakes_sender_at_next_boundary(send):
     assert (st["completed"], st["dropped_cmds"]) == (1, 3)
     assert st["completed"] + st["shed"] + st["dropped_cmds"] \
         == st["issued"]
+
+
+# ---------------------------------------------------------------------------
+# The reader: decode memo vs always-parse
+#
+# ``Connection._read_loop`` takes a chunk that is byte-equal to a frame
+# the front end already decoded, arriving into an empty parser, from
+# the front end's ``DecodeMemo``.  The reference below is the reader it
+# replaced, which feeds and parses every chunk, kept here as the twin.
+# ---------------------------------------------------------------------------
+
+def reference_read_loop(self):
+    """The always-parse reader (the parent of the decode memo)."""
+    env = self.env
+    cfg = self.cfg
+    while True:
+        chunk = yield self.inbox.get()
+        if chunk is _CLOSE or self.closed:
+            # graceful close: the dispatcher drains what's queued,
+            # then exits on the sentinel
+            if not self.closed:
+                self._mark_closed()
+                yield self.queue.put(_CLOSE)
+            self._wake_window()
+            return
+        self.parser.feed(chunk)
+        while True:
+            try:
+                done, value = self.parser.parse()
+            except ProtocolError:
+                self._drop_close()
+                return
+            if not done:
+                break
+            if cfg.parse_cpu:
+                yield env.timeout(cfg.parse_cpu)
+            try:
+                op = op_from_command(value)
+            except ProtocolError:
+                self._drop_close()
+                return
+            t_int = self._meta.popleft() if self._meta else env.now
+            yield from self._admit(op, t_int)
+            if self.dropped:
+                return
+
+
+memo_read_loop = Connection._read_loop
+
+#: 1.5 ms goes out as ``PX 2``: the decoded op's ttl is 0.002
+ROUNDED_TTL = 0.0015
+
+
+class RecordingBackend(FixedBackend):
+    def __init__(self, env, service=50e-6):
+        super().__init__(env, service)
+        self.executed = []
+
+    def execute(self, op):
+        self.executed.append(op)
+        return (yield from super().execute(op))
+
+
+def _repeating_group(session, i, ttl):
+    """Three keys, two value sizes: frames repeat across sessions and
+    slots.  Every third SET carries a TTL when ``ttl``; every fourth
+    slot is a GET+SET pair."""
+    key = b"k%d" % ((session + i) % 3)
+    size = ONE_FRAGMENT if i % 2 else FIVE_FRAGMENTS
+    op = ClientOp("SET", key, bytes([65 + i % 2]) * size,
+                  ttl=ROUNDED_TTL if ttl and i % 3 == 0 else None)
+    return (ClientOp("GET", key), op) if i % 4 == 3 else (op,)
+
+
+def _observe(fe, be, env, parses):
+    return {
+        "completions": fe.completions,
+        "stats": fe.stats(),
+        "replies": [c.replies for c in fe.connections],
+        "dropped": [c.dropped for c in fe.connections],
+        "executed": be.executed,
+        "dispatches": env.events_processed,
+        "absorbed": env.events_absorbed,
+        "parses": parses[0],
+    }
+
+
+def _counting_parses(mp):
+    parses = [0]
+    parse = RespParser.parse
+
+    def counted(parser):
+        parses[0] += 1
+        return parse(parser)
+
+    mp.setattr(RespParser, "parse", counted)
+    return parses
+
+
+def drive_reader(reader, policy, slow_every, depth, parse_cpu, ttl):
+    """``drive``'s sessions with repeating frames, through ``reader``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Connection, "_read_loop", reader)
+        parses = _counting_parses(mp)
+        env = Environment()
+        cfg = NetConfig(policy=BackpressurePolicy(policy), conn_queue=4,
+                        max_inflight=8, pipeline_depth=depth,
+                        slow_every=slow_every, slow_factor=0.25,
+                        parse_cpu=parse_cpu, capture_replies=True)
+        be = RecordingBackend(env)
+        fe = NetFrontend(env, be, cfg)
+        sends = run_sessions(env, fe, closed_form_send,
+                             lambda s, i: _repeating_group(s, i, ttl))
+        out = _observe(fe, be, env, parses)
+        out["sends"] = sends
+        return out
+
+
+@pytest.mark.parametrize(
+    "policy,slow_every,depth,parse_cpu,ttl",
+    list(itertools.product(("block", "shed", "drop"), (0, 1, 2),
+                           (1, 8, 32), (0.0, DEFAULT_PARSE),
+                           (False, True))))
+def test_decode_memo_matches_always_parse(policy, slow_every, depth,
+                                          parse_cpu, ttl):
+    cell = (policy, slow_every, depth, parse_cpu, ttl)
+    ref = drive_reader(reference_read_loop, *cell)
+    got = drive_reader(memo_read_loop, *cell)
+    ref_parses, parses = ref.pop("parses"), got.pop("parses")
+    assert got == ref
+    st = got["stats"]
+    assert st["issued"] > 0
+    assert st["completed"] + st["shed"] + st["dropped_cmds"] \
+        == st["issued"]
+    # the saving: repeated frames skip the parser
+    assert parses < ref_parses
+    if ttl:
+        assert any(op.ttl == 0.002 for op in got["executed"])
+
+
+def _flip(frame, old, new):
+    assert frame.count(old) == 1
+    return frame.replace(old, new)
+
+
+FRAME_A = encode_command(ClientOp("SET", b"a", b"x" * 40))
+FRAME_B = encode_command(ClientOp("GET", b"b"))
+FRAME_T = encode_command(ClientOp("SET", b"t", b"y", ttl=ROUNDED_TTL))
+B_HEAD, B_TAIL = FRAME_B[:13], FRAME_B[13:]  # "*2 $3 GET" | "$1 b"
+
+RAW_CASES = {
+    # neither frame of a two-frame chunk is a memo entry for the chunk
+    "two_frames_in_one_chunk": [FRAME_A + FRAME_B, FRAME_A + FRAME_B,
+                                FRAME_A, FRAME_A, FRAME_B],
+    # a frame completed by a later chunk is stored under neither chunk;
+    # the tail alone is a bare bulk string, not a command
+    "frame_split_across_chunks": [B_HEAD, B_TAIL, FRAME_B, FRAME_B,
+                                  B_TAIL],
+    # a memoized frame arriving behind pending bytes is parsed with them
+    "memoized_frame_behind_pending_bytes": [FRAME_A, FRAME_A, B_HEAD,
+                                            FRAME_A, B_TAIL, FRAME_A],
+    "blank_lines": [b"\r\n", FRAME_A, b"\r\n" + FRAME_A, b"\r\n" + FRAME_A,
+                    FRAME_A + b"\r\n", FRAME_A + b"\r\n", b"\n", FRAME_A,
+                    b"\r", b"\n" + FRAME_A, FRAME_A],
+    "inline_command": [b"GET a\r\n", b"GET a\r\n", b"get  a\n",
+                       b"GET a\r\n", b"SET a b\r\n", b"SET a b\r\n"],
+    # unhashable: takes the parser path even though A is memoized
+    "bytearray_chunk": [FRAME_A, bytearray(FRAME_A), FRAME_A,
+                        bytearray(FRAME_A), bytearray(FRAME_B), FRAME_B],
+    "ttl_rounding": [FRAME_T, FRAME_T, FRAME_T],
+    # byte-flipped copies of a memoized frame miss and fail as before
+    "flipped_bulk_length": [FRAME_A, FRAME_A,
+                            _flip(FRAME_A, b"$40", b"$41"), FRAME_A],
+    "flipped_command_name": [FRAME_A, FRAME_A,
+                             _flip(FRAME_A, b"SET", b"SEX"), FRAME_A],
+    "flipped_array_header": [FRAME_B, FRAME_B,
+                             _flip(FRAME_B, b"*2", b"*x"), FRAME_B],
+}
+
+
+def drive_chunks(reader, chunks, gap, parse_cpu):
+    """Put raw chunks into one connection's inbox, ``gap`` apart (0:
+    back to back, so they queue behind a busy reader)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Connection, "_read_loop", reader)
+        parses = _counting_parses(mp)
+        env = Environment()
+        be = RecordingBackend(env)
+        fe = NetFrontend(env, be, NetConfig(capture_replies=True,
+                                            pipeline_depth=64,
+                                            parse_cpu=parse_cpu))
+
+        def client():
+            conn = yield from fe.listener.connect()
+            for chunk in chunks:
+                if gap:
+                    yield env.timeout(gap)
+                yield conn.inbox.put(chunk)
+
+        env.process(client(), name="client")
+        env.run(until=0.01)
+        return _observe(fe, be, env, parses), fe
+
+
+@pytest.mark.parametrize("parse_cpu", [0.0, DEFAULT_PARSE])
+@pytest.mark.parametrize("gap", [0.0, 10e-6, 200e-6])
+@pytest.mark.parametrize("case", sorted(RAW_CASES))
+def test_raw_chunks_decode_as_the_parser_decodes(case, gap, parse_cpu):
+    ref, _ = drive_chunks(reference_read_loop, RAW_CASES[case], gap,
+                          parse_cpu)
+    got, fe = drive_chunks(memo_read_loop, RAW_CASES[case], gap, parse_cpu)
+    assert got.pop("parses") <= ref.pop("parses")
+    assert got == ref
+    assert ref["executed"] or ref["dropped"] == [True]
+    # only whole single-frame bytes chunks are ever memo keys
+    for frame, op in fe.decode_memo.items():
+        assert type(frame) is bytes and decode_command(frame) == op
+
+
+def test_raw_cases_take_both_paths():
+    """The raw cases are an oracle for the hit conditions only if hits
+    happen and each guarded chunk really reaches the parser."""
+    hits = {}
+    for case, chunks in RAW_CASES.items():
+        ref, _ = drive_chunks(reference_read_loop, chunks, 10e-6, 0.0)
+        got, _ = drive_chunks(memo_read_loop, chunks, 10e-6, 0.0)
+        hits[case] = ref["parses"] - got["parses"]
+    assert all(n > 0 for n in hits.values()), hits
+
+
+def _client_ops():
+    keys = st.binary(max_size=40)
+    return st.one_of(
+        st.builds(ClientOp, st.just("GET"), keys),
+        st.builds(ClientOp, st.just("DEL"), keys),
+        st.builds(ClientOp, st.just("SET"), keys, st.binary(max_size=600),
+                  st.none() | st.floats(0.001, 1e6)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(op=_client_ops())
+def test_memo_decode_equals_parser_decode(op):
+    """Whatever the op, the second, memoized decode of its frame is the
+    parser's decode of it (which may differ from the op sent: PX
+    rounding)."""
+    frame = encode_command(op)
+    got, fe = drive_chunks(memo_read_loop, [frame, frame], 10e-6, 0.0)
+    parsed = decode_command(frame)
+    assert got["executed"] == [parsed, parsed]
+    assert got["parses"] == 2  # one frame, one "need more bytes"
+    assert got["executed"][1] is fe.decode_memo[frame]
+
+
+def test_memo_stays_under_its_bound_on_unique_values(monkeypatch):
+    """Insert-only traffic never repeats a frame: the memo must start
+    over at its bound rather than grow, and a frame over the bound is
+    never stored."""
+    bound = 2048
+    monkeypatch.setattr(conn_mod, "MEMO_FRAME_BYTES", bound)
+    held = []
+    store = DecodeMemo.store
+
+    def watched(memo, frame, op):
+        store(memo, frame, op)
+        assert memo.frame_bytes == sum(len(f) for f in memo) <= bound
+        held.append(memo.frame_bytes)
+
+    monkeypatch.setattr(DecodeMemo, "store", watched)
+    ops = [ClientOp("SET", b"key%04d" % i, b"%08d" % i * 8)
+           for i in range(100)]
+    big = ClientOp("SET", b"big", b"z" * bound)
+    frames = [encode_command(op) for op in ops + [big]]
+    got, fe = drive_chunks(memo_read_loop, frames, 10e-6, DEFAULT_PARSE)
+    assert got["executed"] == ops + [big]
+    assert sum(len(f) for f in frames[:-1]) > 3 * bound
+    assert len(held) == len(frames)
+    assert any(b < a for a, b in zip(held, held[1:]))  # it started over
+    assert encode_command(big) not in fe.decode_memo
+    assert fe.decode_memo.frame_bytes <= bound
+    fe.close()
+    assert not fe.decode_memo and fe.decode_memo.frame_bytes == 0

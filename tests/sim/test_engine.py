@@ -508,3 +508,31 @@ def test_resume_yields_to_another_event_due_at_the_same_instant():
     # rival's timeout was scheduled before proc's wake-up could be:
     # FIFO at one instant puts it first
     assert order == ["woke", "rival", "continued"]
+
+
+@pytest.mark.parametrize("until", ["exhaust", "event", "time", "step"])
+def test_events_processed_is_exact_inside_a_run(until):
+    """A read inside ``run()`` sees every dispatch made so far, not the
+    count from before that run started: windowed counts (a measurement
+    opened from inside a run) must not include what came before."""
+    env = Environment()
+    seen = []
+
+    def proc():
+        for _ in range(5):
+            yield env.timeout(1.0)
+            seen.append(env.events_processed)
+
+    p = env.process(proc())
+    if until == "exhaust":
+        env.run()
+    elif until == "event":
+        env.run(until=p)
+    elif until == "time":
+        env.run(until=10.0)
+    else:
+        while env.peek() < float("inf"):
+            env.step()
+    # Initialize, then each timeout: the k-th read is the (k+1)-th dispatch
+    assert seen == [2, 3, 4, 5, 6]
+    assert env.events_processed == 7  # + the process's completion
