@@ -31,7 +31,12 @@ from repro.core.engine import (
     build_slimio,
 )
 from repro.core.lba import LbaLayout, LbaSpaceManager, SlotRole
-from repro.core.metadata import Metadata, MetadataCodec, MetadataStore
+from repro.core.metadata import (
+    Metadata,
+    MetadataCodec,
+    MetadataError,
+    MetadataStore,
+)
 from repro.core.paths import SlimIOSnapshotSource, SnapshotPath, WalPath
 from repro.core.placement import PlacementPolicy
 from repro.core.readahead import ReadAheadBuffer
@@ -49,6 +54,7 @@ __all__ = [
     "SlotRole",
     "Metadata",
     "MetadataCodec",
+    "MetadataError",
     "MetadataStore",
     "WalPath",
     "SnapshotPath",

@@ -6,6 +6,12 @@ alternating physical copies (page A / page B). An update writes the
 *other* page; recovery reads both and picks the valid copy with the
 highest seqno, so a torn metadata write can never destroy the previous
 consistent state.
+
+A copy whose CRC holds but whose contents no state of the layout can
+take (a slot role outside :class:`SlotRole`, a length beyond its slot,
+a WAL head or generation start outside the live window) is rejected
+like a torn one: :meth:`MetadataStore.read` falls back to the other
+copy, and raises :class:`MetadataError` when no copy is left.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from repro.kernel.accounting import CpuAccount
 from repro.kernel.iouring import PassthruQueuePair
 from repro.nvme import ReadCmd, WriteCmd
 
-__all__ = ["Metadata", "MetadataCodec", "MetadataStore"]
+__all__ = ["Metadata", "MetadataCodec", "MetadataError", "MetadataStore"]
 
 _MAGIC = b"SLIMMETA"
 # magic, seqno, wal_gen_start, wal_head, wal_prev_start, wal_prev_bytes
@@ -28,6 +34,12 @@ _HDR = struct.Struct("<8sQQQQQ")
 _SLOT = struct.Struct("<BQ")  # role, length
 _CRC = struct.Struct("<I")
 _NO_PREV = 0xFFFFFFFFFFFFFFFF
+_ROLES = frozenset(int(r) for r in SlotRole)
+
+
+class MetadataError(Exception):
+    """Every metadata copy that passed its CRC describes a state the
+    LBA layout cannot hold, so recovery has nothing to trust."""
 
 
 @dataclass
@@ -48,6 +60,39 @@ class Metadata:
     def __post_init__(self) -> None:
         if len(self.slot_roles) != 3 or len(self.slot_lengths) != 3:
             raise ValueError("exactly three slots")
+
+    def problem(self, layout: LbaLayout, page_size: int) -> str | None:
+        """Why no state of ``layout`` can be this record, or None."""
+        roles = self.slot_roles
+        for idx, role in enumerate(roles):
+            if role not in _ROLES:
+                return f"slot {idx} role {role} is not a SlotRole"
+        if roles.count(SlotRole.RESERVE) != 1:
+            return f"slot roles {roles} lack exactly one reserve"
+        for role in (SlotRole.WAL_SNAPSHOT, SlotRole.ONDEMAND_SNAPSHOT):
+            if roles.count(role) > 1:
+                return f"duplicate {role.name} slot"
+        cap_bytes = layout.slot_lbas * page_size
+        for idx, length in enumerate(self.slot_lengths):
+            if length > cap_bytes:
+                return (f"slot {idx} claims {length} bytes "
+                        f"> capacity {cap_bytes}")
+        if self.wal_head < self.wal_gen_start:
+            return (f"WAL head {self.wal_head} precedes generation "
+                    f"start {self.wal_gen_start}")
+        oldest = self.wal_gen_start
+        if self.wal_prev_start is not None:
+            if self.wal_prev_start > self.wal_gen_start:
+                return (f"previous generation start {self.wal_prev_start}"
+                        f" follows current start {self.wal_gen_start}")
+            extent = (self.wal_gen_start - self.wal_prev_start) * page_size
+            if self.wal_prev_bytes > extent:
+                return (f"previous generation claims {self.wal_prev_bytes}"
+                        f" bytes > its extent {extent}")
+            oldest = self.wal_prev_start
+        if self.wal_head - oldest > layout.wal_lbas:
+            return "live WAL span exceeds the WAL region"
+        return None
 
 
 class MetadataCodec:
@@ -120,16 +165,28 @@ class MetadataStore:
 
     def read(self, account: CpuAccount) -> Generator:
         """Recovery: read both copies, return the freshest valid one
-        (None on a factory-blank device)."""
+        (None on a factory-blank device).
+
+        Raises :class:`MetadataError` when a copy passed its CRC but
+        failed :meth:`Metadata.problem` and no copy is valid.
+        """
         best: Metadata | None = None
+        rejected = []
         for i in range(2):
             page = yield from self.ring.submit_and_wait(
                 ReadCmd(lba=self.layout.metadata_base + i, nlb=1), account
             )
             meta = MetadataCodec.decode(page)
-            if meta is not None and (best is None or meta.seqno > best.seqno):
+            if meta is None:
+                continue
+            problem = meta.problem(self.layout, self.page_size)
+            if problem is not None:
+                rejected.append(f"copy {i}: {problem}")
+            elif best is None or meta.seqno > best.seqno:
                 best = meta
                 self._next_copy = i ^ 1
+        if best is None and rejected:
+            raise MetadataError("; ".join(rejected))
         if best is not None:
             self._seqno = best.seqno
         return best

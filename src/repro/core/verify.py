@@ -82,13 +82,22 @@ def verify_lba_space(
     if lay.wal_lbas <= 0:
         report.problem("empty WAL region")
 
-    # metadata: freshest valid copy
+    # metadata: freshest valid copy, judged as MetadataStore.read does
     best: Metadata | None = None
+    rejected = False
     for i in range(lay.metadata_lbas):
         meta = MetadataCodec.decode(_read(device, lay.metadata_base + i, 1))
-        if meta is not None and (best is None or meta.seqno > best.seqno):
+        if meta is None:
+            continue
+        problem = meta.problem(lay, device.lba_size)
+        if problem is not None:
+            rejected = True
+            report.problem(f"metadata copy {i} rejected: {problem}")
+        elif best is None or meta.seqno > best.seqno:
             best = meta
     if best is None:
+        if rejected:
+            return report  # recovery would raise MetadataError
         if device.written_lbas() == 0:
             report.blank_device = True
             return report
@@ -110,26 +119,13 @@ def verify_lba_space(
         return report
     report.metadata = best
 
-    # slot roles
+    # published snapshots decode completely (roles and lengths are
+    # legal: Metadata.problem passed)
     roles = [SlotRole(r) for r in best.slot_roles]
-    if roles.count(SlotRole.RESERVE) != 1:
-        report.problem(f"slot roles {roles} lack exactly one reserve")
-    for role in (SlotRole.WAL_SNAPSHOT, SlotRole.ONDEMAND_SNAPSHOT):
-        if roles.count(role) > 1:
-            report.problem(f"duplicate {role.name} slot")
-
-    # published snapshots decode completely
     for idx, role in enumerate(roles):
         if role not in (SlotRole.WAL_SNAPSHOT, SlotRole.ONDEMAND_SNAPSHOT):
             continue
         length = best.slot_lengths[idx]
-        cap_bytes = lay.slot_lbas * device.lba_size
-        if length > cap_bytes:
-            report.problem(
-                f"slot {idx} ({role.name}) claims {length} bytes "
-                f"> capacity {cap_bytes}"
-            )
-            continue
         npages = -(-length // device.lba_size) if length else 0
         blob = _read(device, lay.slot_base(idx), max(npages, 1))[:length]
         try:
@@ -145,14 +141,6 @@ def verify_lba_space(
         best.wal_prev_start if best.wal_prev_start is not None
         else best.wal_gen_start
     )
-    if best.wal_head < oldest:
-        report.problem(
-            f"WAL head {best.wal_head} precedes oldest start {oldest}"
-        )
-        return report
-    if best.wal_head - oldest > wal_pages:
-        report.problem("live WAL span exceeds the WAL region")
-        return report
 
     def read_vpns(start: int, end: int) -> bytes:
         out = bytearray()
@@ -163,9 +151,6 @@ def verify_lba_space(
     blob = bytearray()
     if best.wal_prev_start is not None:
         prev = read_vpns(best.wal_prev_start, best.wal_gen_start)
-        if best.wal_prev_bytes > len(prev):
-            report.problem("metadata prev-generation length exceeds extent")
-            return report
         decoded_len, _ = AofCodec.walk(prev[: best.wal_prev_bytes])
         if decoded_len != best.wal_prev_bytes:
             report.problem(

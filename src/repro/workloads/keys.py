@@ -10,6 +10,13 @@ incompressible and repetitive spans, tuned so zlib level 1 lands near a
 target ratio (~0.7 by default, LZF-on-real-data territory). The first
 bytes of every value encode the key, so overwrites and recovery
 comparisons are meaningful.
+
+:func:`make_value` is a pure function of its arguments, so its results
+are memoized in one process-wide cache bounded by the value bytes it
+holds (:data:`VALUE_CACHE_BYTES`), not by entries: a store that would
+cross the bound clears the cache first, and a larger value is returned
+without being stored. What outlives a run is therefore at most the
+bound, however many distinct values the run drew.
 """
 
 from __future__ import annotations
@@ -23,10 +30,44 @@ __all__ = ["make_key", "make_value", "UniformKeys", "ZipfianKeys"]
 
 _TEMPLATE_POOL_SIZE = 32
 _templates: dict[tuple[int, float], list[bytes]] = {}
-#: memoized values — workloads revisit a small key set constantly, and
-#: make_value is a pure function of its arguments
-_value_cache: dict[tuple[bytes, int, float], bytes] = {}
-_VALUE_CACHE_CAP = 1 << 16
+
+#: bound on the value bytes :data:`_value_cache` holds. The workloads
+#: that revisit values draw at most ~10 MB of distinct ones
+#: (``openloop_net``; ``redis_set_gc`` and ``ycsb_a_always`` ~8 MB), so
+#: they never reach it; a bulk load that writes each key once (an
+#: ~84 MB universe in ``snap_recover``) starts over instead of pinning
+#: every value it ever drew.
+VALUE_CACHE_BYTES = 16 * 1024 * 1024
+
+
+class _ValueCache(dict):
+    """``(key, size, fraction)`` -> value, bounded by
+    :data:`VALUE_CACHE_BYTES` of values: crossing it clears the cache,
+    and a value larger than the bound is not stored."""
+
+    __slots__ = ("value_bytes",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: sum of ``len(value)`` over the entries held
+        self.value_bytes = 0
+
+    def store(self, cache_key: tuple, value: bytes) -> None:
+        size = len(value)
+        if size > VALUE_CACHE_BYTES:
+            return
+        if self.value_bytes + size > VALUE_CACHE_BYTES:
+            self.clear()
+        self[cache_key] = value
+        self.value_bytes += size
+
+    def clear(self) -> None:
+        super().clear()
+        self.value_bytes = 0
+
+
+#: memoized values — workloads revisit a small key set constantly
+_value_cache = _ValueCache()
 
 
 def make_key(index: int, width: int = 8) -> bytes:
@@ -35,12 +76,15 @@ def make_key(index: int, width: int = 8) -> bytes:
 
 
 def _template_pool(size: int, incompressible_fraction: float) -> list[bytes]:
-    key = (size, round(incompressible_fraction, 3))
+    # one rounded fraction keys the pool and sizes its random span, so
+    # the pool a fraction gets does not depend on which caller built it
+    fraction = round(incompressible_fraction, 3)
+    key = (size, fraction)
     pool = _templates.get(key)
     if pool is None:
         rng = np.random.default_rng(0xC0FFEE)
         pool = []
-        n_random = int(size * incompressible_fraction)
+        n_random = int(size * fraction)
         for _ in range(_TEMPLATE_POOL_SIZE):
             rand = rng.integers(0, 256, size=n_random, dtype=np.uint8).tobytes()
             filler_byte = bytes([int(rng.integers(0, 256))])
@@ -54,7 +98,11 @@ def make_value(key: bytes, size: int,
     """Deterministic value for ``key``: header + pooled template body.
 
     ``incompressible_fraction`` tunes the zlib ratio; 0.6 gives ≈ 0.65,
-    0.0 gives highly compressible data, 1.0 nearly incompressible.
+    0.0 gives highly compressible data, 1.0 nearly incompressible; it
+    is rounded to 3 decimals. Results are cached up to
+    :data:`VALUE_CACHE_BYTES` of values, so a repeat call may return
+    the identical object, and a value larger than the bound is built
+    afresh on every call.
     """
     if size < 1:
         raise ValueError("value size must be >= 1")
@@ -70,9 +118,7 @@ def make_value(key: bytes, size: int,
         pool = _template_pool(size, incompressible_fraction)
         template = pool[digest[0] % _TEMPLATE_POOL_SIZE]
         value = (header + template)[:size]
-    if len(_value_cache) >= _VALUE_CACHE_CAP:
-        _value_cache.clear()
-    _value_cache[cache_key] = value
+    _value_cache.store(cache_key, value)
     return value
 
 

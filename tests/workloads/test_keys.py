@@ -1,10 +1,43 @@
 """Key/value generator tests."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.persist.compress import Compressor
-from repro.workloads import UniformKeys, ZipfianKeys, make_key, make_value
+from repro.workloads import UniformKeys, ZipfianKeys, keys, make_key, make_value
+
+
+def reference_make_value(key: bytes, size: int,
+                         incompressible_fraction: float = 0.6) -> bytes:
+    """Cache-free twin of :func:`make_value`: rebuilds the template pool
+    on every call, so no earlier call can shape its result."""
+    digest = hashlib.blake2b(key, digest_size=8).digest()
+    header = digest + struct.pack("<I", size)
+    if size <= len(header):
+        return header[:size]
+    fraction = round(incompressible_fraction, 3)
+    rng = np.random.default_rng(0xC0FFEE)
+    n_random = int(size * fraction)
+    pool = []
+    for _ in range(32):
+        rand = rng.integers(0, 256, size=n_random, dtype=np.uint8).tobytes()
+        filler_byte = bytes([int(rng.integers(0, 256))])
+        pool.append(rand + filler_byte * (size - n_random))
+    return (header + pool[digest[0] % 32])[:size]
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    """An empty value cache and template pool, as in a new process."""
+    cache = keys._ValueCache()
+    monkeypatch.setattr(keys, "_value_cache", cache)
+    monkeypatch.setattr(keys, "_templates", {})
+    return cache
 
 
 def test_make_key_fixed_width():
@@ -93,3 +126,54 @@ def test_zipfian_validation():
         ZipfianKeys(10, theta=1.5)
     with pytest.raises(ValueError):
         UniformKeys(0)
+
+
+def test_make_value_independent_of_call_order(fresh_cache, monkeypatch):
+    """A fraction that rounds onto a pool someone else built gets the
+    bytes it would get in a fresh process."""
+    first = make_value(b"k", 4096, 0.6004)
+    monkeypatch.setattr(keys, "_value_cache", keys._ValueCache())
+    monkeypatch.setattr(keys, "_templates", {})
+    make_value(b"k", 4096, 0.6)
+    assert make_value(b"k", 4096, 0.6004) == first
+    assert first == reference_make_value(b"k", 4096, 0.6004)
+
+
+def test_value_cache_never_holds_more_than_its_bound(fresh_cache):
+    size = 4096
+    per_fill = keys.VALUE_CACHE_BYTES // size
+    for i in range(per_fill + per_fill // 2):
+        make_value(make_key(i), size)
+        assert fresh_cache.value_bytes <= keys.VALUE_CACHE_BYTES
+    assert fresh_cache.value_bytes == sum(len(v) for v in fresh_cache.values())
+    # crossing the bound started over rather than keeping everything
+    assert len(fresh_cache) < per_fill
+
+
+def test_oversize_value_returned_but_not_stored(fresh_cache, monkeypatch):
+    monkeypatch.setattr(keys, "VALUE_CACHE_BYTES", 1000)
+    small = make_value(b"s", 600)
+    value = make_value(b"big", 2000)
+    assert value == reference_make_value(b"big", 2000)
+    assert (b"big", 2000, 0.6) not in fresh_cache
+    assert list(fresh_cache.values()) == [small]
+    assert fresh_cache.value_bytes == 600
+
+
+def test_value_cache_hit_returns_identical_object(fresh_cache):
+    first = make_value(b"hit", 512)
+    assert make_value(b"hit", 512) is first
+    assert fresh_cache.value_bytes == 512
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=st.binary(min_size=0, max_size=16),
+       size=st.one_of(st.integers(1, 12), st.integers(13, 3000)),
+       fraction=st.sampled_from([0.0, 0.1, 0.5, 0.6, 0.6004, 0.95, 1.0]),
+       repeat=st.booleans())
+def test_make_value_matches_cache_free_twin(key, size, fraction, repeat):
+    value = make_value(key, size, fraction)
+    if repeat:
+        value = make_value(key, size, fraction)
+    assert value == reference_make_value(key, size, fraction)
+    assert len(value) == size
