@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Any, NamedTuple
 
 from repro.bench import cache as result_cache
+from repro.bench.scales import SCALES
 
 __all__ = ["Outcome", "run_units", "run_experiment", "EXPERIMENT_FIELDS",
            "add_run_options", "cache_dir_of"]
@@ -142,9 +143,8 @@ def add_run_options(parser, default_scale: str, *,
     """The options of every bench subcommand that runs units:
     ``--scale``, ``--jobs`` (unless the command runs one unit at a
     time) and the result-cache trio."""
-    parser.add_argument("--scale", default=default_scale,
-                        help=f"scale preset: tiny | test | bench | prod "
-                             f"(default: {default_scale})")
+    parser.add_argument("--scale", default=default_scale, choices=SCALES,
+                        help=f"scale preset (default: {default_scale})")
     if jobs:
         parser.add_argument("--jobs", type=int, default=1,
                             help="run in N parallel processes (output "

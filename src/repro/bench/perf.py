@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 from repro.bench.experiments import EXPERIMENTS
-from repro.bench.scales import get_scale
+from repro.bench.scales import SCALES, get_scale
 from repro.sim.engine import (
     track_environments,
     tracked_dispatch_total,
@@ -165,7 +165,7 @@ def main(argv=None) -> int:
         prog="python -m repro.bench perf",
         description="Record simulated-event counts / compare two records.",
     )
-    parser.add_argument("--scale", default="test",
+    parser.add_argument("--scale", default="test", choices=SCALES,
                         help="scale preset to measure (default: test)")
     parser.add_argument("--out", default="BENCH_perf.json",
                         help="output JSON path (default: BENCH_perf.json)")

@@ -24,7 +24,8 @@ from repro.flash import FlashGeometry, FtlConfig, NandTiming
 from repro.imdb import ServerConfig
 from repro.workloads import RedisBenchWorkload, YcsbAWorkload
 
-__all__ = ["Scale", "TINY_SCALE", "TEST_SCALE", "BENCH_SCALE", "PROD_SCALE"]
+__all__ = ["Scale", "TINY_SCALE", "TEST_SCALE", "BENCH_SCALE", "PROD_SCALE",
+           "SCALES"]
 
 MB = 1024 * 1024
 
@@ -230,9 +231,12 @@ PROD_SCALE = Scale(
 )
 
 
+#: every preset by name: the ``--scale`` choices of the bench CLIs
+SCALES = {"tiny": TINY_SCALE, "test": TEST_SCALE, "bench": BENCH_SCALE,
+          "prod": PROD_SCALE}
+
+
 def get_scale(name: str) -> Scale:
-    scales = {"tiny": TINY_SCALE, "test": TEST_SCALE, "bench": BENCH_SCALE,
-              "prod": PROD_SCALE}
-    if name not in scales:
-        raise KeyError(f"unknown scale {name!r}; choose from {sorted(scales)}")
-    return scales[name]
+    if name not in SCALES:
+        raise KeyError(f"unknown scale {name!r}; choose from {sorted(SCALES)}")
+    return SCALES[name]

@@ -75,12 +75,10 @@ class SystemConfig:
     wal_flush_interval: float = 1.0
     #: Redis's AOF-buffer hard limit: write queries block above this
     wal_buffer_limit_bytes: int = 32 * 1024 * 1024
-    compression_level: int = 1
     compression: CompressionModel = field(default_factory=CompressionModel)
 
     # baseline knobs
     fs: str = "f2fs"  # "ext4" | "f2fs"
-    scheduler: str = "none"  # "none" | "sync-priority" | "mq-deadline"
     dirty_limit_bytes: int = 8 * 1024 * 1024
     fs_extent_pages: int = 256
 
@@ -122,10 +120,6 @@ class SystemConfig:
             raise ValueError("num_pids must be >= 1")
         if self.fs not in ("ext4", "f2fs"):
             raise ValueError("fs must be ext4 or f2fs")
-        if self.scheduler not in ("none", "sync-priority", "mq-deadline"):
-            raise ValueError(
-                "scheduler must be none, sync-priority, or mq-deadline"
-            )
 
 
 class _SystemBase:
@@ -187,8 +181,7 @@ class BaselineSystem(_SystemBase):
             device = NvmeDevice(env, config.geometry, config.nand,
                                 config.ftl, fdp=False, obs=obs)
         self.device = device
-        self.block = BlockLayer(env, self.device, config.costs,
-                                scheduler=config.scheduler, obs=obs)
+        self.block = BlockLayer(env, self.device, config.costs, obs=obs)
         self.cache = PageCache(env, self.block, config.costs,
                                page_size=self.device.lba_size,
                                dirty_limit_bytes=config.dirty_limit_bytes,
@@ -197,8 +190,7 @@ class BaselineSystem(_SystemBase):
         self.fs = fs_cls(env, self.block, self.cache, config.costs,
                          extent_pages=config.fs_extent_pages, obs=obs)
         self.main_account = CpuAccount(env, f"{name}-main")
-        compressor = Compressor(level=config.compression_level,
-                                model=config.compression)
+        compressor = Compressor(model=config.compression)
         self.wal = WalManager(
             env, FileAppendSink(self.fs), self.main_account,
             policy=config.policy, flush_interval=config.wal_flush_interval,
@@ -224,8 +216,7 @@ class BaselineSystem(_SystemBase):
             source = self.snapshot_source(kind)
         result = yield from recover_store(
             self.env, source, self.wal.sink, acct,
-            Compressor(level=self.config.compression_level,
-                       model=self.config.compression),
+            Compressor(model=self.config.compression),
             self.config.compression,
             obs=self.obs,
         )
@@ -303,8 +294,7 @@ class SlimIOSystem(_SystemBase):
             env, self.wal_ring, self.space, self.meta_store,
             self.main_account, config.placement, obs=obs,
         )
-        compressor = Compressor(level=config.compression_level,
-                                model=config.compression)
+        compressor = Compressor(model=config.compression)
         self.wal = WalManager(
             env, self.wal_path, self.main_account,
             policy=config.policy, flush_interval=config.wal_flush_interval,
@@ -377,8 +367,7 @@ class SlimIOSystem(_SystemBase):
         wal_sink = self.wal_path
         result = yield from recover_store(
             self.env, source, wal_sink, acct,
-            Compressor(level=self.config.compression_level,
-                       model=self.config.compression),
+            Compressor(model=self.config.compression),
             self.config.compression,
             obs=self.obs,
             strict_wal=strict_wal,

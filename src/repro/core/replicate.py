@@ -143,10 +143,7 @@ def full_sync(
         report.transfer_time = t_wire
 
         # 3) replica loads the image
-        compressor = Compressor(
-            level=replica.config.compression_level,
-            model=replica.config.compression,
-        )
+        compressor = Compressor(model=replica.config.compression)
         entries = RdbReader(compressor).read_all(blob)
         if key_filter is not None:
             entries = [(k, v) for k, v in entries if key_filter(k)]

@@ -4,8 +4,8 @@ Two ways from an application buffer to the NVMe device:
 
 * the **traditional path** — ``write()`` syscalls through the VFS, a
   journaling file system (EXT4- or F2FS-flavoured contention model),
-  the page cache with background writeback, and the block layer with a
-  pluggable scheduler. This is the baseline Redis uses and the source
+  the page cache with background writeback, and the block layer's FIFO
+  dispatch queue. This is the baseline Redis uses and the source
   of all four bottlenecks in the paper's §3.1.
 * the **io_uring / I/O passthru path** — SQ/CQ rings straight to the
   NVMe device. SQPOLL removes submission syscalls; passthru skips the
@@ -18,7 +18,7 @@ reproduction regenerates the paper's Table 2 and Figure 2a breakdowns.
 """
 
 from repro.kernel.accounting import CpuAccount
-from repro.kernel.blocklayer import BlockLayer, SCHED_DEADLINE, SCHED_NONE, SCHED_SYNC_PRIORITY
+from repro.kernel.blocklayer import BlockLayer
 from repro.kernel.costs import KernelCosts
 from repro.kernel.iouring import IoUringRing, PassthruQueuePair, RetryPolicy
 from repro.kernel.pagecache import PageCache
@@ -29,9 +29,6 @@ __all__ = [
     "KernelCosts",
     "PageCache",
     "BlockLayer",
-    "SCHED_NONE",
-    "SCHED_SYNC_PRIORITY",
-    "SCHED_DEADLINE",
     "IoUringRing",
     "PassthruQueuePair",
     "RetryPolicy",

@@ -11,7 +11,7 @@ runs two processes:
   :class:`~repro.imdb.server.ClientOp`, and *admits* it subject to the
   backpressure policy.  A chunk byte-equal to a frame the front end
   already decoded, arriving into an empty parser, takes that frame's
-  op from the front end's :class:`DecodeMemo` instead;
+  op from the front end's ``decode_memo`` instead;
 * a **dispatcher** that pops admitted commands off the bounded
   per-connection queue, executes them on the backend (a
   :class:`~repro.imdb.server.Server` or the cluster router — both
@@ -52,47 +52,15 @@ from repro.imdb.resp import (
 )
 from repro.sim import Environment, Event, Interrupt, Process, Store
 
-__all__ = ["BackpressurePolicy", "NetConfig", "Connection", "DecodeMemo"]
+__all__ = ["BackpressurePolicy", "NetConfig", "Connection"]
 
 #: inbox/queue sentinel for connection teardown
 _CLOSE = object()
 
-#: frame bytes one :class:`DecodeMemo` holds before it starts over.
+#: frame bytes a front end's ``decode_memo`` holds before it starts over.
 #: One rate of slimbench's ``openloop_net`` sends ~450-600 distinct
 #: frames (~1 MB), so only unique-value traffic (inserts) reaches it.
 MEMO_FRAME_BYTES = 4 * 1024 * 1024
-
-
-class DecodeMemo(dict):
-    """Frame bytes -> the :class:`~repro.imdb.server.ClientOp` they
-    decode to, shared by one front end's readers.
-
-    Decoding is a pure function of the bytes, so a chunk byte-equal to
-    a frame that once decoded, alone, into exactly one command decodes
-    to an equal command again.  The ops are frozen and shared by every
-    hit.  Bounded by :data:`MEMO_FRAME_BYTES` of frames: crossing it
-    clears the memo, and a frame larger than the bound is not stored.
-    """
-
-    __slots__ = ("frame_bytes",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        #: sum of ``len(frame)`` over the entries held
-        self.frame_bytes = 0
-
-    def store(self, frame: bytes, op) -> None:
-        size = len(frame)
-        if size > MEMO_FRAME_BYTES:
-            return
-        if self.frame_bytes + size > MEMO_FRAME_BYTES:
-            self.clear()
-        self[frame] = op
-        self.frame_bytes += size
-
-    def clear(self) -> None:
-        super().clear()
-        self.frame_bytes = 0
 
 
 class BackpressurePolicy(enum.Enum):
@@ -314,7 +282,8 @@ class Connection:
                     self._drop_close()
                     return
                 if whole and not parser.pending_bytes:
-                    memo.store(chunk, op)  # the chunk was this one frame
+                    # the chunk was this one frame
+                    memo.store(chunk, op, len(chunk))
                 whole = False
                 t_int = self._meta.popleft() if self._meta else env.now
                 yield from self._admit(op, t_int)

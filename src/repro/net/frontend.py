@@ -21,7 +21,8 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Generator
 
-from repro.net.conn import Connection, DecodeMemo, NetConfig
+from repro.net.conn import MEMO_FRAME_BYTES, Connection, NetConfig
+from repro.persist.memo import BoundedMemo
 from repro.sim import Environment, Event, Store
 
 __all__ = ["AdmissionController", "Listener", "NetFrontend"]
@@ -128,9 +129,10 @@ class NetFrontend:
         self.unsent = 0
         self._conn_seq = 0
         self.connections: list[Connection] = []
-        #: frames this front end's readers decoded, shared by all of
-        #: them; emptied by :meth:`close`
-        self.decode_memo = DecodeMemo()
+        #: frame bytes -> the frozen ``ClientOp`` they decode to (a pure
+        #: function of the bytes), shared by this front end's readers;
+        #: emptied by :meth:`close`
+        self.decode_memo = BoundedMemo(MEMO_FRAME_BYTES)
 
     # ------------------------------------------------------------ wiring
     def _new_connection(self) -> Connection:

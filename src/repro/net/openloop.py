@@ -39,6 +39,9 @@ __all__ = [
     "curve_csv",
 ]
 
+#: sim seconds a session waits before retrying a refused connect
+RECONNECT_BACKOFF = 100e-6
+
 
 @dataclass
 class OpenLoopPoint:
@@ -67,8 +70,7 @@ class OpenLoopPoint:
 
 def _session(env: Environment, fe: NetFrontend, stream: OpStream,
              times: np.ndarray, indices: Sequence[int],
-             conn_lifetime: int | None,
-             reconnect_backoff: float) -> Generator:
+             conn_lifetime: int | None) -> Generator:
     conn: Connection | None = None
     groups_on_conn = 0
     for i in indices:
@@ -78,7 +80,7 @@ def _session(env: Environment, fe: NetFrontend, stream: OpStream,
         while conn is None or conn.closed:
             conn = yield from fe.listener.connect()
             if conn is None:
-                yield env.timeout(reconnect_backoff)
+                yield env.timeout(RECONNECT_BACKOFF)
             groups_on_conn = 0
         yield from conn.send(stream.group(i), t_int)
         groups_on_conn += 1
@@ -95,8 +97,7 @@ def run_open_loop(env: Environment, fe: NetFrontend, stream: OpStream,
                   times: np.ndarray, *, clients: int,
                   horizon: float, servers: Sequence = (),
                   snapshot_at: float | None = None,
-                  conn_lifetime: int | None = None,
-                  reconnect_backoff: float = 100e-6) -> None:
+                  conn_lifetime: int | None = None) -> None:
     """Drive the whole schedule; returns once ``horizon`` sim-seconds
     have elapsed (whether or not every command completed — under
     overload the honest answer is "it didn't")."""
@@ -105,8 +106,7 @@ def run_open_loop(env: Environment, fe: NetFrontend, stream: OpStream,
     for k in range(clients):
         idx = range(k, len(times), clients)
         env.process(
-            _session(env, fe, stream, times, idx, conn_lifetime,
-                     reconnect_backoff),
+            _session(env, fe, stream, times, idx, conn_lifetime),
             name=f"openloop-client{k}")
     if snapshot_at is not None and servers:
         def _snap() -> Generator:

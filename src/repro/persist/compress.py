@@ -14,6 +14,8 @@ import weakref
 import zlib
 from dataclasses import dataclass
 
+from repro.persist.memo import BoundedMemo
+
 __all__ = ["CompressionModel", "Compressor"]
 
 MB = 1024 * 1024
@@ -55,9 +57,10 @@ class CompressionModel:
 MEMO_BLOB_BYTES = 64 * MB
 
 
-class _Memo(dict):
+class _Memo(BoundedMemo):
     """``(key, value)`` batch -> ``(raw_len, blob)`` at one zlib level,
-    plus the reverse map :attr:`by_blob`.
+    sized by ``len(blob)`` and bounded by :data:`MEMO_BLOB_BYTES`, plus
+    the reverse map :attr:`by_blob`.
 
     Keyed by the batch's entries rather than its encoded bytes: the
     entry encoding is injective, so the hits are the same, and a key
@@ -71,29 +74,24 @@ class _Memo(dict):
     last of those codecs is.
     """
 
-    __slots__ = ("__weakref__", "blob_bytes", "by_blob")
+    __slots__ = ("__weakref__", "by_blob")
 
     def __init__(self) -> None:
-        super().__init__()
-        #: sum of ``len(blob)`` over the entries held
-        self.blob_bytes = 0
+        super().__init__(MEMO_BLOB_BYTES)
         #: blob -> ``(raw_len, batch)``, the same entries as the dict
         self.by_blob: dict[bytes, tuple[int, tuple]] = {}
 
-    def store(self, batch: tuple, raw_len: int, blob: bytes) -> None:
-        size = len(blob)
-        if size > MEMO_BLOB_BYTES:
-            return
-        if self.blob_bytes + size > MEMO_BLOB_BYTES:
-            self.clear()
-        self[batch] = (raw_len, blob)
-        self.by_blob[blob] = (raw_len, batch)
-        self.blob_bytes += size
+    def store(self, batch: tuple, value: tuple[int, bytes],
+              size: int) -> bool:
+        stored = super().store(batch, value, size)
+        if stored:
+            raw_len, blob = value
+            self.by_blob[blob] = (raw_len, batch)
+        return stored
 
     def clear(self) -> None:
         super().clear()
         self.by_blob.clear()
-        self.blob_bytes = 0
 
 
 #: level -> memo. Experiments run their systems in pairs over the same

@@ -322,7 +322,7 @@ class RdbWriter:
             raw_len = len(raw)
             blob = self.compressor.compress(raw)
             if memo is not None:
-                memo.store(batch, raw_len, blob)
+                memo.store(batch, (raw_len, blob), len(blob))
         else:
             raw_len, blob = hit
         count = len(batch)

@@ -75,6 +75,10 @@ class FileAppendSink(AppendSink):
         return bytes(out)
 
 
+#: Redis's rio buffer: one ``write()`` syscall per this many snapshot bytes
+RIO_BUFFER_BYTES = 8192
+
+
 class FileSnapshotSink(SnapshotSink):
     """Temp-file-then-rename snapshot publication (stock Redis RDB).
 
@@ -83,13 +87,9 @@ class FileSnapshotSink(SnapshotSink):
     baseline snapshot pays so many syscalls (§3.1.1/§3.1.3).
     """
 
-    def __init__(self, fs: Filesystem, name: str = "dump.rdb",
-                 write_buffer_bytes: int = 8192):
-        if write_buffer_bytes < 1:
-            raise ValueError("write_buffer_bytes must be >= 1")
+    def __init__(self, fs: Filesystem, name: str = "dump.rdb"):
         self.fs = fs
         self.target_name = name
-        self.write_buffer_bytes = write_buffer_bytes
         self._seq = 0
         self._tmp: PosixFile | None = None
         self._written = 0
@@ -111,9 +111,9 @@ class FileSnapshotSink(SnapshotSink):
         tmp = self._ensure_tmp()
         self._buf.extend(data)
         self._written += len(data)
-        while len(self._buf) >= self.write_buffer_bytes:
-            chunk = bytes(self._buf[: self.write_buffer_bytes])
-            del self._buf[: self.write_buffer_bytes]
+        while len(self._buf) >= RIO_BUFFER_BYTES:
+            chunk = bytes(self._buf[:RIO_BUFFER_BYTES])
+            del self._buf[:RIO_BUFFER_BYTES]
             yield from tmp.write(chunk, account)
 
     def finalize(self, account: CpuAccount) -> Generator:

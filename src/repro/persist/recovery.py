@@ -26,6 +26,8 @@ __all__ = ["RecoveryResult", "recover_store"]
 
 #: per-entry dict rebuild cost (hash + insert)
 REBUILD_PER_ENTRY = 0.3e-6
+#: bytes of snapshot one ``read()`` of the streaming load asks for
+READ_CHUNK_BYTES = 1024 * 1024
 
 
 @dataclass
@@ -62,7 +64,6 @@ def recover_store(
     account: CpuAccount,
     compressor: Compressor | None = None,
     compression_model: CompressionModel | None = None,
-    read_chunk_bytes: int = 1024 * 1024,
     obs=None,
     strict_wal: bool = False,
 ) -> Generator:
@@ -81,8 +82,6 @@ def recover_store(
     torn tail after power loss is *expected* and out-of-order page
     persistence can legitimately strand record fragments past the tear.
     """
-    if read_chunk_bytes < 1:
-        raise ValueError("read_chunk_bytes must be >= 1")
     comp = compressor or Compressor()
     model = compression_model or comp.model
     obs = obs or MetricsRegistry(env)
@@ -95,7 +94,7 @@ def recover_store(
             offset = 0
             total = source.size
             while offset < total:
-                n = min(read_chunk_bytes, total - offset)
+                n = min(READ_CHUNK_BYTES, total - offset)
                 piece = yield from source.read(offset, n, account)
                 blob.extend(piece)
                 offset += n

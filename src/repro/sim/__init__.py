@@ -21,7 +21,7 @@ from repro.sim.engine import (
     SimulationError,
     Timeout,
 )
-from repro.sim.resources import Lock, PriorityResource, Resource, Store
+from repro.sim.resources import Lock, Resource, Store
 
 __all__ = [
     "AllOf",
@@ -33,7 +33,6 @@ __all__ = [
     "SimulationError",
     "Timeout",
     "Lock",
-    "PriorityResource",
     "Resource",
     "Store",
 ]

@@ -3,21 +3,19 @@
 These model the contention points in the reproduction:
 
 * :class:`Lock` — the EXT4 journal commit lock, the fork/CoW page lock.
-* :class:`Resource` — bounded service slots (e.g. NVMe die occupancy).
-* :class:`PriorityResource` — the sync-priority block scheduler, where
-  WAL (synchronous) writes overtake queued snapshot writes.
+* :class:`Resource` — bounded service slots (e.g. the block layer's
+  in-flight window).
 * :class:`Store` — FIFO queues (submission/completion rings, mailboxes).
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import Any
 
 from repro.sim.engine import _PROCESSED, Environment, Event
 
-__all__ = ["Request", "Release", "Resource", "PriorityResource", "Lock", "Store"]
+__all__ = ["Request", "Release", "Resource", "Lock", "Store"]
 
 
 class Request(Event):
@@ -39,21 +37,20 @@ class Request(Event):
     grant: it runs grant continuations synchronously at creation time.
     """
 
-    __slots__ = ("resource", "priority", "_key")
+    __slots__ = ("resource",)
 
-    def __init__(self, resource: Resource, priority: float = 0.0):
+    def __init__(self, resource: Resource):
         super().__init__(resource.env)
         self.resource = resource
-        self.priority = priority
         # Invariant: a non-empty wait queue implies all slots are held
         # (every release immediately re-grants), so a free slot means
         # this request can be granted synchronously.
-        if len(resource.users) < resource.capacity and not resource.queue_len:
+        if len(resource.users) < resource.capacity and not resource._queue:
             resource.users.append(self)
             self._state = _PROCESSED
             self.callbacks = None
         else:
-            resource._enqueue(self)
+            resource._queue.append(self)
 
     def cancel(self) -> None:
         """Withdraw an ungranted request (e.g. after an Interrupt)."""
@@ -88,13 +85,6 @@ class Resource:
         self._queue: deque[Request] = deque()
         self._release_ev: Release | None = None
 
-    # queue discipline hooks -------------------------------------------------
-    def _enqueue(self, request: Request) -> None:
-        self._queue.append(request)
-
-    def _dequeue(self) -> Request | None:
-        return self._queue.popleft() if self._queue else None
-
     def _remove(self, request: Request) -> None:
         try:
             self._queue.remove(request)
@@ -111,8 +101,8 @@ class Resource:
     def queue_len(self) -> int:
         return len(self._queue)
 
-    def request(self, priority: float = 0.0) -> Request:
-        return Request(self, priority)
+    def request(self) -> Request:
+        return Request(self)
 
     def release(self, request: Request) -> Release:
         if request not in self.users:
@@ -127,49 +117,10 @@ class Resource:
         return ev
 
     def _trigger(self) -> None:
-        while len(self.users) < self.capacity:
-            nxt = self._dequeue()
-            if nxt is None:
-                return
+        while self._queue and len(self.users) < self.capacity:
+            nxt = self._queue.popleft()
             self.users.append(nxt)
             nxt.succeed()
-
-
-class PriorityResource(Resource):
-    """Resource whose wait queue is ordered by ``priority`` (lower first).
-
-    Ties break FIFO via the per-resource sequence number.
-    """
-
-    def __init__(self, env: Environment, capacity: int = 1):
-        super().__init__(env, capacity)
-        self._pqueue: list[tuple[tuple[float, int], Request]] = []
-        self._seq = 0
-
-    def _enqueue(self, request: Request) -> None:
-        # The FIFO tie-break key is assigned here, not at request
-        # creation: only queued requests ever need one, and enqueue
-        # order equals creation order.
-        request._key = (request.priority, self._seq)
-        self._seq += 1
-        heapq.heappush(self._pqueue, (request._key, request))
-
-    def _dequeue(self) -> Request | None:
-        if self._pqueue:
-            _key, req = heapq.heappop(self._pqueue)
-            return req
-        return None
-
-    def _remove(self, request: Request) -> None:
-        for i, (_k, req) in enumerate(self._pqueue):
-            if req is request:
-                self._pqueue.pop(i)
-                heapq.heapify(self._pqueue)
-                return
-
-    @property
-    def queue_len(self) -> int:
-        return len(self._pqueue)
 
 
 class Lock(Resource):
@@ -187,8 +138,8 @@ class Lock(Resource):
         self._acquired_at: dict[Request, float] = {}
         self._requested_at: dict[Request, float] = {}
 
-    def request(self, priority: float = 0.0) -> Request:
-        req = super().request(priority)
+    def request(self) -> Request:
+        req = super().request()
         if not req.triggered:
             self._requested_at[req] = self.env.now
 

@@ -26,6 +26,8 @@ import struct
 
 import numpy as np
 
+from repro.persist.memo import BoundedMemo
+
 __all__ = ["make_key", "make_value", "UniformKeys", "ZipfianKeys"]
 
 _TEMPLATE_POOL_SIZE = 32
@@ -39,35 +41,9 @@ _templates: dict[tuple[int, float], list[bytes]] = {}
 #: every value it ever drew.
 VALUE_CACHE_BYTES = 16 * 1024 * 1024
 
-
-class _ValueCache(dict):
-    """``(key, size, fraction)`` -> value, bounded by
-    :data:`VALUE_CACHE_BYTES` of values: crossing it clears the cache,
-    and a value larger than the bound is not stored."""
-
-    __slots__ = ("value_bytes",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        #: sum of ``len(value)`` over the entries held
-        self.value_bytes = 0
-
-    def store(self, cache_key: tuple, value: bytes) -> None:
-        size = len(value)
-        if size > VALUE_CACHE_BYTES:
-            return
-        if self.value_bytes + size > VALUE_CACHE_BYTES:
-            self.clear()
-        self[cache_key] = value
-        self.value_bytes += size
-
-    def clear(self) -> None:
-        super().clear()
-        self.value_bytes = 0
-
-
-#: memoized values — workloads revisit a small key set constantly
-_value_cache = _ValueCache()
+#: ``(key, size, fraction)`` -> value; workloads revisit a small key
+#: set constantly
+_value_cache = BoundedMemo(VALUE_CACHE_BYTES)
 
 
 def make_key(index: int, width: int = 8) -> bytes:
@@ -118,7 +94,7 @@ def make_value(key: bytes, size: int,
         pool = _template_pool(size, incompressible_fraction)
         template = pool[digest[0] % _TEMPLATE_POOL_SIZE]
         value = (header + template)[:size]
-    _value_cache.store(cache_key, value)
+    _value_cache.store(cache_key, value, len(value))
     return value
 
 

@@ -596,12 +596,18 @@ def test_shipped_tree_is_flow_clean():
     assert [f.render() for f in result.findings] == []
 
 
-def _mutant_findings(tmp_path, relpath, old, new, code):
-    """Copy the real ``src/repro`` into tmp_path, re-inject one past
-    bug into ``relpath`` and return the ``code`` findings in that file."""
+def _tree_copy(tmp_path):
+    """A copy of the real ``src/repro`` under tmp_path."""
     tree = tmp_path / "src" / "repro"
     shutil.copytree(REPO / "src" / "repro", tree,
                     ignore=shutil.ignore_patterns("__pycache__"))
+    return tree
+
+
+def _mutant_findings(tmp_path, relpath, old, new, code):
+    """Copy the real ``src/repro`` into tmp_path, re-inject one past
+    bug into ``relpath`` and return the ``code`` findings in that file."""
+    tree = _tree_copy(tmp_path)
     target = tree / relpath
     source = target.read_text(encoding="utf-8")
     assert old in source, f"{relpath} moved; update the mutant"
@@ -636,6 +642,27 @@ def test_readahead_prefetch_race_caught_when_the_cursor_moves_late(tmp_path):
     races = _mutant_findings(tmp_path, "core/readahead.py",
                              reserve + submit, submit + reserve, "SLIM010")
     assert [f.message.split("`")[1] for f in races] == ["self._next_prefetch"]
+
+
+def test_memo_imported_up_from_net_is_a_layer_inversion(tmp_path):
+    """SLIM004 on the real tree: the byte-bounded memo lives in
+    ``repro.persist``, the lowest package that uses it. Had it stayed
+    in ``repro.net``, the chunk codec would import it upward; the rule
+    must flag that import and nothing in the pristine copy."""
+    tree = _tree_copy(tmp_path)
+    clean = lint_paths([str(tree)], root=tmp_path, select={"SLIM004"})
+    assert clean.errors == [] and clean.findings == []
+    target = tree / "persist" / "compress.py"
+    source = target.read_text(encoding="utf-8")
+    memo_import = "from repro.persist.memo import BoundedMemo\n"
+    assert memo_import in source, "compress.py moved; update the mutant"
+    target.write_text(source.replace(
+        memo_import, memo_import + "from repro.net.conn import DecodeMemo\n"),
+        encoding="utf-8")
+    result = lint_paths([str(tree)], root=tmp_path, select={"SLIM004"})
+    [finding] = result.findings
+    assert finding.file.endswith("persist/compress.py")
+    assert "repro.persist (layer 5) imports repro.net" in finding.message
 
 
 RESERVOIR_SEED = (

@@ -61,6 +61,22 @@ def test_cli_unknown_experiment(capsys):
     assert bench_main(["tableX"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["table1"],
+    ["sweep", "--grid", "single"],
+    ["tune", "--workload", "single"],
+    ["perf"],
+], ids=["experiment", "sweep", "tune", "perf"])
+def test_cli_unknown_scale_is_a_usage_error(argv, capsys):
+    """An unknown preset is bad input (exit 2, one usage line), not a
+    ``KeyError`` traceback."""
+    with pytest.raises(SystemExit) as exc:
+        bench_main(argv + ["--scale", "huge"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'huge'" in err and "Traceback" not in err
+
+
 def test_cli_runs_one_experiment(capsys):
     assert bench_main(["table5", "--scale", "test"]) == 0
     out = capsys.readouterr().out

@@ -191,11 +191,6 @@ def test_slimio_waf_stays_one_under_churn():
 def test_config_validation():
     with pytest.raises(ValueError):
         SystemConfig(fs="zfs")
-    with pytest.raises(ValueError):
-        SystemConfig(scheduler="bfq")
-    # all three supported schedulers construct
-    for sched in ("none", "sync-priority", "mq-deadline"):
-        SystemConfig(scheduler=sched)
 
 
 def test_builder_overrides():

@@ -56,5 +56,5 @@ def test_finished_systems_leave_nothing_behind():
     assert frontend() is None
     assert len(compress._MEMOS) == 0
     cache = keys._value_cache
-    assert cache.value_bytes <= keys.VALUE_CACHE_BYTES
-    assert cache.value_bytes == sum(len(v) for v in cache.values())
+    assert cache.nbytes <= keys.VALUE_CACHE_BYTES
+    assert cache.nbytes == sum(len(v) for v in cache.values())

@@ -13,12 +13,9 @@ def small_workload():
                               value_size=1024, snapshot_at_fraction=0.5)
 
 
-@pytest.mark.parametrize("scheduler", ["none", "sync-priority",
-                                       "mq-deadline"])
-def test_baseline_runs_under_every_scheduler(scheduler):
+def test_baseline_recovery_roundtrips():
     system = build_baseline(
-        config=TEST_SCALE.system_config(gc_pressure=False,
-                                        scheduler=scheduler))
+        config=TEST_SCALE.system_config(gc_pressure=False))
     rep = small_workload().run(system)
     # quiesce the periodical WAL so recovery sees the full tail
     system.env.run(until=system.env.process(system.wal.flush_now()))

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.net.conn as conn_mod
+import repro.net.frontend as frontend_mod
 from repro.imdb import ClientOp
 from repro.imdb.resp import (
     ProtocolError,
@@ -26,7 +26,8 @@ from repro.imdb.resp import (
     op_from_command,
 )
 from repro.net import BackpressurePolicy, NetConfig, NetFrontend
-from repro.net.conn import _CLOSE, Connection, DecodeMemo
+from repro.net.conn import _CLOSE, Connection
+from repro.persist.memo import BoundedMemo
 from repro.sim import Environment, Event
 
 SESSIONS = 4
@@ -230,7 +231,7 @@ def test_drop_mid_train_wakes_sender_at_next_boundary(send):
 #
 # ``Connection._read_loop`` takes a chunk that is byte-equal to a frame
 # the front end already decoded, arriving into an empty parser, from
-# the front end's ``DecodeMemo``.  The reference below is the reader it
+# the front end's ``decode_memo``.  The reference below is the reader it
 # replaced, which feeds and parses every chunk, kept here as the twin.
 # ---------------------------------------------------------------------------
 
@@ -482,16 +483,17 @@ def test_memo_stays_under_its_bound_on_unique_values(monkeypatch):
     over at its bound rather than grow, and a frame over the bound is
     never stored."""
     bound = 2048
-    monkeypatch.setattr(conn_mod, "MEMO_FRAME_BYTES", bound)
+    monkeypatch.setattr(frontend_mod, "MEMO_FRAME_BYTES", bound)
     held = []
-    store = DecodeMemo.store
+    store = BoundedMemo.store
 
-    def watched(memo, frame, op):
-        store(memo, frame, op)
-        assert memo.frame_bytes == sum(len(f) for f in memo) <= bound
-        held.append(memo.frame_bytes)
+    def watched(memo, frame, op, size):
+        stored = store(memo, frame, op, size)
+        assert memo.nbytes == sum(len(f) for f in memo) <= bound
+        held.append(memo.nbytes)
+        return stored
 
-    monkeypatch.setattr(DecodeMemo, "store", watched)
+    monkeypatch.setattr(BoundedMemo, "store", watched)
     ops = [ClientOp("SET", b"key%04d" % i, b"%08d" % i * 8)
            for i in range(100)]
     big = ClientOp("SET", b"big", b"z" * bound)
@@ -502,6 +504,6 @@ def test_memo_stays_under_its_bound_on_unique_values(monkeypatch):
     assert len(held) == len(frames)
     assert any(b < a for a, b in zip(held, held[1:]))  # it started over
     assert encode_command(big) not in fe.decode_memo
-    assert fe.decode_memo.frame_bytes <= bound
+    assert fe.decode_memo.nbytes <= bound
     fe.close()
-    assert not fe.decode_memo and fe.decode_memo.frame_bytes == 0
+    assert not fe.decode_memo and fe.decode_memo.nbytes == 0

@@ -134,7 +134,7 @@ def test_memo_holds_the_entries_not_a_raw_copy():
     [(key, (raw_len, blob))] = c.chunk_memo.items()
     assert key == tuple(entries) and key[0][1] is entries[0][1]
     assert raw_len == sum(8 + len(k) + len(v) for k, v in entries)
-    assert c.chunk_memo.blob_bytes == len(blob)
+    assert c.chunk_memo.nbytes == len(blob)
 
 
 def test_compress_itself_keeps_no_memo(zlib_calls):
@@ -216,16 +216,16 @@ def test_reverse_map_mirrors_the_memo():
     assert memo.by_blob == {blob: (raw_len, entries)
                             for entries, (raw_len, blob) in memo.items()}
     memo.clear()
-    assert memo == {} and memo.by_blob == {} and memo.blob_bytes == 0
+    assert memo == {} and memo.by_blob == {} and memo.nbytes == 0
 
 
 def test_memo_backstop_clears_when_full(monkeypatch):
     c = Compressor(level=2)
     for tag in range(3):
         write_chunk(c, batch(tag))
-    held = c.chunk_memo.blob_bytes
+    held = c.chunk_memo.nbytes
     assert held == sum(len(blob) for _, blob in c.chunk_memo.values())
-    monkeypatch.setattr(compress_mod, "MEMO_BLOB_BYTES", held)
+    monkeypatch.setattr(c.chunk_memo, "bound", held)
     write_chunk(c, batch(0))        # a hit stores nothing
     assert len(c.chunk_memo) == 3
     # the next blob would cross the bound: the memo starts over with it
@@ -233,7 +233,7 @@ def test_memo_backstop_clears_when_full(monkeypatch):
     [(raw_len, blob)] = c.chunk_memo.values()
     assert list(c.chunk_memo) == [tuple(batch(9))]
     assert list(c.chunk_memo.by_blob) == [blob]
-    assert c.chunk_memo.blob_bytes == len(blob)
+    assert c.chunk_memo.nbytes == len(blob)
 
 
 def test_memo_never_holds_more_than_its_bound(monkeypatch):
@@ -241,14 +241,14 @@ def test_memo_never_holds_more_than_its_bound(monkeypatch):
     clear the memo and then sit in it, over the bound)."""
     c = Compressor(level=9)
     write_chunk(c, batch(1))
-    small = c.chunk_memo.blob_bytes
-    monkeypatch.setattr(compress_mod, "MEMO_BLOB_BYTES", small + 10)
+    small = c.chunk_memo.nbytes
+    monkeypatch.setattr(c.chunk_memo, "bound", small + 10)
     huge = [(b"big", random.Random(1).randbytes(4096))]  # incompressible
     for entries in (huge, batch(2), huge, batch(3), batch(1)):
         write_chunk(c, entries)
         memo = c.chunk_memo
-        assert memo.blob_bytes <= compress_mod.MEMO_BLOB_BYTES
-        assert memo.blob_bytes == sum(len(b) for _, b in memo.values())
+        assert memo.nbytes <= memo.bound
+        assert memo.nbytes == sum(len(b) for _, b in memo.values())
         assert len(memo.by_blob) == len(memo)
         assert tuple(huge) not in memo
 

@@ -1,8 +1,8 @@
-"""Tests for locks, resources, priority queues, and stores."""
+"""Tests for locks, resources, and stores."""
 
 import pytest
 
-from repro.sim import Environment, Lock, PriorityResource, Resource, Store
+from repro.sim import Environment, Lock, Resource, Store
 
 
 def test_resource_grants_up_to_capacity():
@@ -62,57 +62,6 @@ def test_resource_capacity_validation():
         Resource(env, capacity=0)
 
 
-def test_priority_resource_orders_waiters():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder():
-        req = res.request(priority=0)
-        yield req
-        yield env.timeout(10)
-        res.release(req)
-
-    def waiter(name, prio, arrive):
-        yield env.timeout(arrive)
-        req = res.request(priority=prio)
-        yield req
-        order.append(name)
-        res.release(req)
-
-    env.process(holder())
-    env.process(waiter("low-early", 5, 1))
-    env.process(waiter("high-late", 1, 2))
-    env.run()
-    # High priority (lower number) overtakes the earlier low-priority waiter.
-    assert order == ["high-late", "low-early"]
-
-
-def test_priority_resource_fifo_within_priority():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder():
-        req = res.request()
-        yield req
-        yield env.timeout(5)
-        res.release(req)
-
-    def waiter(name, arrive):
-        yield env.timeout(arrive)
-        req = res.request(priority=3)
-        yield req
-        order.append(name)
-        res.release(req)
-
-    env.process(holder())
-    env.process(waiter("a", 1))
-    env.process(waiter("b", 2))
-    env.run()
-    assert order == ["a", "b"]
-
-
 def test_request_cancel_removes_from_queue():
     env = Environment()
     res = Resource(env, capacity=1)
@@ -122,17 +71,6 @@ def test_request_cancel_removes_from_queue():
     assert res.queue_len == 0
     res.release(r1)
     assert not r2.triggered
-
-
-def test_priority_request_cancel():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    r1 = res.request()
-    r2 = res.request(priority=1)
-    r3 = res.request(priority=2)
-    r2.cancel()
-    res.release(r1)
-    assert r3.triggered and not r2.triggered
 
 
 def test_lock_accounting_held_and_contended():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.persist.compress import Compressor
+from repro.persist.memo import BoundedMemo
 from repro.workloads import UniformKeys, ZipfianKeys, keys, make_key, make_value
 
 
@@ -34,7 +35,7 @@ def reference_make_value(key: bytes, size: int,
 @pytest.fixture
 def fresh_cache(monkeypatch):
     """An empty value cache and template pool, as in a new process."""
-    cache = keys._ValueCache()
+    cache = BoundedMemo(keys.VALUE_CACHE_BYTES)
     monkeypatch.setattr(keys, "_value_cache", cache)
     monkeypatch.setattr(keys, "_templates", {})
     return cache
@@ -132,7 +133,8 @@ def test_make_value_independent_of_call_order(fresh_cache, monkeypatch):
     """A fraction that rounds onto a pool someone else built gets the
     bytes it would get in a fresh process."""
     first = make_value(b"k", 4096, 0.6004)
-    monkeypatch.setattr(keys, "_value_cache", keys._ValueCache())
+    monkeypatch.setattr(keys, "_value_cache",
+                        BoundedMemo(keys.VALUE_CACHE_BYTES))
     monkeypatch.setattr(keys, "_templates", {})
     make_value(b"k", 4096, 0.6)
     assert make_value(b"k", 4096, 0.6004) == first
@@ -144,26 +146,26 @@ def test_value_cache_never_holds_more_than_its_bound(fresh_cache):
     per_fill = keys.VALUE_CACHE_BYTES // size
     for i in range(per_fill + per_fill // 2):
         make_value(make_key(i), size)
-        assert fresh_cache.value_bytes <= keys.VALUE_CACHE_BYTES
-    assert fresh_cache.value_bytes == sum(len(v) for v in fresh_cache.values())
+        assert fresh_cache.nbytes <= keys.VALUE_CACHE_BYTES
+    assert fresh_cache.nbytes == sum(len(v) for v in fresh_cache.values())
     # crossing the bound started over rather than keeping everything
     assert len(fresh_cache) < per_fill
 
 
-def test_oversize_value_returned_but_not_stored(fresh_cache, monkeypatch):
-    monkeypatch.setattr(keys, "VALUE_CACHE_BYTES", 1000)
+def test_oversize_value_returned_but_not_stored(fresh_cache):
+    fresh_cache.bound = 1000
     small = make_value(b"s", 600)
     value = make_value(b"big", 2000)
     assert value == reference_make_value(b"big", 2000)
     assert (b"big", 2000, 0.6) not in fresh_cache
     assert list(fresh_cache.values()) == [small]
-    assert fresh_cache.value_bytes == 600
+    assert fresh_cache.nbytes == 600
 
 
 def test_value_cache_hit_returns_identical_object(fresh_cache):
     first = make_value(b"hit", 512)
     assert make_value(b"hit", 512) is first
-    assert fresh_cache.value_bytes == 512
+    assert fresh_cache.nbytes == 512
 
 
 @settings(max_examples=60, deadline=None)
