@@ -11,7 +11,6 @@
 """
 
 from repro.imdb import resp
-from repro.imdb.expiry import ExpiryConfig, ExpiryTable
 from repro.imdb.memory import CowMemory, ForkModel
 from repro.imdb.store import KVStore
 from repro.imdb.server import ClientOp, ServerConfig, ServerMetrics, Server
@@ -24,7 +23,5 @@ __all__ = [
     "ServerConfig",
     "ServerMetrics",
     "ClientOp",
-    "ExpiryConfig",
-    "ExpiryTable",
     "resp",
 ]

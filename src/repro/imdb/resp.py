@@ -1,10 +1,11 @@
 """RESP2 — the REdis Serialization Protocol.
 
-The wire format real clients speak. The simulator's clients call the
-server API directly, but the codec makes the IMDB a complete Redis
-substitute: traces captured from real deployments can be decoded into
-:class:`~repro.imdb.server.ClientOp`s, and responses re-encoded for
-byte-exact comparison with a reference server.
+The wire format real clients speak. The closed-loop clients call the
+server API directly; the open-loop front end (:mod:`repro.net`) sends
+every command through this codec, decodes each frame into a
+:class:`~repro.imdb.server.ClientOp` and encodes the reply. Only the
+``SET key value`` / ``GET key`` / ``DEL key`` forms map to a command;
+any other word list is a :class:`ProtocolError`.
 
 Implemented: simple strings (``+``), errors (``-``), integers (``:``),
 bulk strings (``$``, including null), arrays (``*``, including null),
@@ -235,19 +236,14 @@ def decode(data: bytes) -> RespValue:
 def encode_command(op: ClientOp) -> bytes:
     """A ClientOp as the RESP array a client would send."""
     if op.op == "SET":
-        words: list[RespValue] = [b"SET", op.key, op.value]
-        if op.ttl is not None:
-            words += [b"PX", str(int(round(op.ttl * 1000))).encode()]
+        words = [b"SET", op.key, op.value]
     elif op.op == "GET":
         words = [b"GET", op.key]
     else:
         words = [b"DEL", op.key]
     parts = [b"*%d\r\n" % len(words)]
     for w in words:
-        if type(w) is bytes:
-            parts += (b"$%d\r\n" % len(w), w, CRLF)
-        else:
-            parts.append(encode(w))
+        parts += (b"$%d\r\n" % len(w), w, CRLF)
     return b"".join(parts)
 
 
@@ -270,18 +266,6 @@ def op_from_command(value: RespValue) -> ClientOp:
         return ClientOp("GET", words[1])
     if name == b"DEL" and len(words) == 2:
         return ClientOp("DEL", words[1])
-    if name == b"SET" and len(words) >= 3:
-        ttl = None
-        i = 3
-        while i < len(words):
-            flag = words[i].upper()
-            if flag == b"PX" and i + 1 < len(words):
-                ttl = int(words[i + 1]) / 1000.0
-                i += 2
-            elif flag == b"EX" and i + 1 < len(words):
-                ttl = float(int(words[i + 1]))
-                i += 2
-            else:
-                raise ProtocolError(f"unsupported SET flag {flag!r}")
-        return ClientOp("SET", words[1], words[2], ttl=ttl)
+    if name == b"SET" and len(words) == 3:
+        return ClientOp("SET", words[1], words[2])
     raise ProtocolError(f"unsupported command {name!r}/{len(words)}")

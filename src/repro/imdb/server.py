@@ -29,7 +29,6 @@ from collections.abc import Callable, Generator
 
 import numpy as np
 
-from repro.imdb.expiry import ExpiryConfig, ExpiryTable
 from repro.imdb.memory import CowMemory, ForkModel
 from repro.imdb.store import KVStore
 from repro.kernel.accounting import CpuAccount
@@ -53,24 +52,15 @@ US = 1e-6
 
 @dataclass(frozen=True)
 class ClientOp:
-    """One client request.
-
-    ``ttl`` (SET only) arms expiration, like ``SET key val EX ttl``;
-    a plain SET clears any existing TTL (Redis semantics).
-    """
+    """One client request."""
 
     op: str  # "SET" | "GET" | "DEL"
     key: bytes
     value: bytes = b""
-    ttl: float | None = None
 
     def __post_init__(self) -> None:
         if self.op not in ("SET", "GET", "DEL"):
             raise ValueError(f"unknown op {self.op!r}")
-        if self.ttl is not None and self.ttl <= 0:
-            raise ValueError("ttl must be positive")
-        if self.ttl is not None and self.op != "SET":
-            raise ValueError("ttl only applies to SET")
 
 
 @dataclass(frozen=True)
@@ -189,8 +179,6 @@ class Server:
         self.account = wal.account if wal is not None else CpuAccount(env, name)
         self.cow = CowMemory(env, self.config.fork_model, store.page_size)
         self.obs = obs or MetricsRegistry(env)
-        self.expiry = ExpiryTable(env, obs=self.obs)
-        self._expiry_proc = None
         self._sinks: dict[SnapshotKind, SnapshotSink] = {}
         self._snapshot_proc = None
         self._snapshot_pending = False
@@ -311,10 +299,6 @@ class Server:
         cfg = self.config
         acct = self.account
         wal_seq = None
-        # lazy expiration: touching an expired key removes it first and
-        # propagates an explicit DEL (Redis semantics)
-        if op.key in self.store and self.expiry.lazy_check(op.key):
-            yield from self._evict_locked(op.key)
         if op.op == "GET":
             _cpu_ev = acct.charge("query_cpu", cfg.get_cpu)
             if _cpu_ev is not None:
@@ -329,10 +313,6 @@ class Server:
                     AofRecord(op=OP_SET, key=op.key, value=op.value)
                 )
             first, n = self.store.set(op.key, op.value)
-            if op.ttl is not None:
-                self.expiry.set_ttl(op.key, op.ttl)
-            else:
-                self.expiry.persist(op.key)  # plain SET clears the TTL
             yield from self.cow.touch(first, n, acct)
             return None, wal_seq
         # DEL
@@ -343,51 +323,9 @@ class Server:
             wal_seq = self.wal.stage(AofRecord(op=OP_DEL, key=op.key))
         pages = self.store.pages_of(op.key)
         existed = self.store.delete(op.key)
-        self.expiry.note_deleted(op.key)
         if existed and pages is not None:
             yield from self.cow.touch(pages[0], pages[1], acct)
         return existed, wal_seq
-
-    def _evict_locked(self, key: bytes) -> Generator:
-        """Remove an expired key (caller holds the CPU); logs the DEL.
-
-        Returns the staged WAL sequence number (None without a WAL).
-        """
-        _cpu_ev = self.account.charge("query_cpu", self.config.del_cpu)
-        if _cpu_ev is not None:
-            yield _cpu_ev
-        seq = None
-        if self.wal is not None:
-            seq = self.wal.stage(AofRecord(op=OP_DEL, key=key))
-        pages = self.store.pages_of(key)
-        if self.store.delete(key) and pages is not None:
-            yield from self.cow.touch(pages[0], pages[1], self.account)
-        return seq
-
-    def start_expiry_cycle(self, config: ExpiryConfig | None = None):
-        """Run Redis's active expiration cycle in the background."""
-        if self._expiry_proc is not None:
-            return self._expiry_proc
-        if config is not None:
-            self.expiry.config = config
-
-        def evict(key):
-            seq = None
-            req = self.cpu.request()
-            yield req
-            try:
-                if key in self.store:
-                    seq = yield from self._evict_locked(key)
-            finally:
-                self.cpu.release(req)
-            if seq is not None and self.wal.policy is LoggingPolicy.ALWAYS:
-                # the propagated DEL obeys the logging policy
-                yield from self.wal.ensure_durable(seq)
-
-        self._expiry_proc = self.env.process(
-            self.expiry.active_cycle(evict), name=f"{self.name}-expiry"
-        )
-        return self._expiry_proc
 
     # ------------------------------------------------------------------ snapshots
     @property
@@ -431,11 +369,7 @@ class Server:
                 # the fork instant: capture + share pages + switch the
                 # WAL generation, all before any later command can run
                 self.cow.arm(self.store.heap_pages)
-                # expired-but-unevicted keys are omitted, as in Redis RDB
-                items = [
-                    (k, v) for k, v in self.store.snapshot_items()
-                    if not self.expiry.is_expired(k)
-                ]
+                items = self.store.snapshot_items()
                 if kind is SnapshotKind.WAL_TRIGGERED and self.wal is not None:
                     self.wal.rotate_begin()
                 self._snapshot_pending = False
@@ -517,8 +451,7 @@ class Server:
         self._sample_memory()
 
     def stop(self) -> None:
-        """End of run: stop background activity (WAL flusher, expiry)."""
+        """End of run: stop background activity (the WAL flusher)."""
         self._stopped = True
-        self.expiry.stop()
         if self.wal is not None:
             self.wal.close()

@@ -3,9 +3,9 @@
 An :class:`OpStream` marries an arrival schedule to a workload mix: it
 pre-generates one `ClientOp` per arrival, **in arrival order**, so the
 op sequence is a pure function of (mix, seed, count) and never depends
-on how connections interleave at runtime.  Scenario twists — a hotspot
-shift mid-run, a TTL/expiry storm — are expressed at this level too,
-keyed off the arrival index, which keeps every run deterministic.
+on how connections interleave at runtime.  A scenario twist — a hotspot
+shift mid-run — is expressed at this level too, keyed off the arrival
+index, which keeps every run deterministic.
 
 Mixes follow the YCSB core-workload naming:
 
@@ -29,7 +29,7 @@ a SET on the same key from the same connection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,9 +52,6 @@ class MixSpec:
     distribution: str = "zipfian"
     #: max keys touched by one scan (uniform in [1, scan_max])
     scan_max: int = 8
-    #: fraction of writes that carry a TTL (expiry storms raise this)
-    ttl_fraction: float = 0.0
-    ttl: float = 0.05
 
     def __post_init__(self) -> None:
         total = self.read + self.update + self.insert + self.rmw + self.scan
@@ -84,15 +81,13 @@ class OpStream:
 
     def __init__(self, mix: MixSpec, count: int, keyspace: int,
                  value_size: int = 128, seed: int = 7,
-                 hotspot_shift_at: int | None = None,
-                 ttl_storm: tuple[int, int] | None = None):
+                 hotspot_shift_at: int | None = None):
         self.mix = mix
         self.count = count
         self.keyspace = keyspace
         self.value_size = value_size
         self.seed = seed
         self.hotspot_shift_at = hotspot_shift_at
-        self.ttl_storm = ttl_storm
         self._groups = self._generate()
 
     # -- key choosers -------------------------------------------------
@@ -121,7 +116,6 @@ class OpStream:
         keys = self._choose_keys(rng)
         roll = rng.random(self.count)
         scan_lens = rng.integers(1, self.mix.scan_max + 1, size=self.count)
-        ttl_roll = rng.random(self.count)
         m = self.mix
         c_read = m.read
         c_update = c_read + m.update
@@ -131,27 +125,19 @@ class OpStream:
         groups: list[tuple[ClientOp, ...]] = []
         next_insert = self.keyspace  # inserts extend the keyspace
         for i in range(self.count):
-            ttl_frac = m.ttl_fraction
-            if self.ttl_storm is not None:
-                lo, hi = self.ttl_storm
-                if lo <= i < hi:
-                    ttl_frac = 1.0
-            ttl = m.ttl if ttl_roll[i] < ttl_frac else None
             k = make_key(int(keys[i]))
             r = roll[i]
             if r < c_read:
                 groups.append((ClientOp("GET", k),))
             elif r < c_update:
-                groups.append((ClientOp(
-                    "SET", k, self._value(k), ttl=ttl),))
+                groups.append((ClientOp("SET", k, self._value(k)),))
             elif r < c_insert:
                 nk = make_key(next_insert)
                 next_insert += 1
-                groups.append((ClientOp(
-                    "SET", nk, self._value(nk), ttl=ttl),))
+                groups.append((ClientOp("SET", nk, self._value(nk)),))
             elif r < c_rmw:
                 groups.append((ClientOp("GET", k),
-                               ClientOp("SET", k, self._value(k), ttl=ttl)))
+                               ClientOp("SET", k, self._value(k))))
             else:  # scan: multi-GET over adjacent indices
                 base = int(keys[i])
                 ops = tuple(
@@ -175,13 +161,4 @@ class OpStream:
         """Regenerate the stream for a different arrival count."""
         return OpStream(self.mix, count, self.keyspace,
                         value_size=self.value_size, seed=self.seed,
-                        hotspot_shift_at=self.hotspot_shift_at,
-                        ttl_storm=self.ttl_storm)
-
-    def scaled(self, **changes) -> "OpStream":
-        """Regenerate with a modified mix (e.g. a TTL-storm variant)."""
-        return OpStream(replace(self.mix, **changes), self.count,
-                        self.keyspace, value_size=self.value_size,
-                        seed=self.seed,
-                        hotspot_shift_at=self.hotspot_shift_at,
-                        ttl_storm=self.ttl_storm)
+                        hotspot_shift_at=self.hotspot_shift_at)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from repro.obs.spans import SpanRecord
@@ -802,7 +802,13 @@ def perfetto_trace(tracer: RequestTracer, overlays=(),
                    run: str = "slimio") -> dict:
     """Chrome/Perfetto ``traceEvents`` JSON: one process per kept
     request (pid = trace id), one thread per layer, flow events for
-    group-commit links, background + overlay activity under pid 0."""
+    group-commit links, background + overlay activity under pid 0.
+
+    Under pid 0 an overlay that repeats a background span (same name
+    and interval) is dropped, and each slice takes the first thread of
+    its layer or track whose previous slice has ended, so concurrent
+    activity (shards, a sync fsync beside a locked drain) never stacks
+    overlapping slices on one thread."""
     tid_of = {layer: i + 1 for i, layer in enumerate(LAYERS)}
     events: list[dict] = [
         {"ph": "M", "name": "process_name", "pid": _PERFETTO_BG_PID,
@@ -812,14 +818,14 @@ def perfetto_trace(tracer: RequestTracer, overlays=(),
     def us(t: float) -> float:
         return t * 1e6
 
-    def slice_event(span: TraceSpan, pid: int) -> dict:
-        args = {str(k): v for k, v in span.labels.items()}
-        if span.links:
-            args["links"] = list(span.links)
+    def slice_event(s, cat: str, pid: int, tid: int) -> dict:
+        """One slice of a TraceSpan or an overlay SpanRecord."""
+        args = {str(k): v for k, v in s.labels.items()}
+        if getattr(s, "links", ()):
+            args["links"] = list(s.links)
         return {
-            "ph": "X", "name": span.name, "cat": span.layer,
-            "pid": pid, "tid": tid_of.get(span.layer, len(LAYERS) + 1),
-            "ts": us(span.t0), "dur": max(us(span.duration), 0.001),
+            "ph": "X", "name": s.name, "cat": cat, "pid": pid, "tid": tid,
+            "ts": us(s.t0), "dur": max(us(s.duration), 0.001),
             "args": args,
         }
 
@@ -838,12 +844,49 @@ def perfetto_trace(tracer: RequestTracer, overlays=(),
         for s in ctx.spans:
             if s.t1 is None:
                 continue
-            events.append(slice_event(s, tid))
+            events.append(slice_event(
+                s, s.layer, tid, tid_of.get(s.layer, len(LAYERS) + 1)))
             if s.parent_id is None:
                 roots[tid] = s
-    for s in tracer.background:
-        events.append(slice_event(s, _PERFETTO_BG_PID))
-        for linked_tid in s.links:
+
+    background = list(tracer.background)
+    repeats = Counter((s.name, s.t0, s.t1) for s in background)
+    kept_overlays = []
+    for ov in overlays:
+        key = (ov.name, ov.t0, ov.t1)
+        if repeats[key]:
+            repeats[key] -= 1
+        else:
+            kept_overlays.append(ov)
+    # (t0, order, track, span): background spans first at equal t0
+    bg = sorted(
+        [(s.t0, i, s.layer, s) for i, s in enumerate(background)]
+        + [(ov.t0, len(background) + i, ov.track, ov)
+           for i, ov in enumerate(kept_overlays)])
+    # track -> [[tid, end of its last slice as exported], ...]
+    lanes: dict[str, list[list]] = {}
+    next_tid = len(LAYERS) + 1
+    for _, _, track, s in bg:
+        ev = slice_event(s, track, _PERFETTO_BG_PID, 0)
+        ts = ev["ts"]
+        lane = next((ln for ln in lanes.get(track, ()) if ln[1] <= ts),
+                    None)
+        if lane is None:
+            held = lanes.setdefault(track, [])
+            if not held and track in tid_of:
+                ltid = tid_of[track]
+            else:
+                ltid, next_tid = next_tid, next_tid + 1
+            label = track if not held else f"{track} #{len(held) + 1}"
+            events.append({"ph": "M", "name": "thread_name",
+                           "pid": _PERFETTO_BG_PID, "tid": ltid,
+                           "args": {"name": label}})
+            lane = [ltid, ts]
+            held.append(lane)
+        lane[1] = ts + ev["dur"]
+        ev["tid"] = lane[0]
+        events.append(ev)
+        for linked_tid in getattr(s, "links", ()):
             root = roots.get(linked_tid)
             if root is None:
                 continue
@@ -854,18 +897,8 @@ def perfetto_trace(tracer: RequestTracer, overlays=(),
                            "tid": tid_of["server"], "ts": us(ts_src)})
             events.append({"ph": "f", "bp": "e", "id": flow_seq,
                            "name": "commit", "cat": "flow",
-                           "pid": _PERFETTO_BG_PID,
-                           "tid": tid_of.get(s.layer, 1),
+                           "pid": _PERFETTO_BG_PID, "tid": lane[0],
                            "ts": us(s.t0)})
-    for ov in overlays:
-        args = {str(k): v for k, v in ov.labels.items()}
-        events.append({
-            "ph": "X", "name": ov.name, "cat": ov.track,
-            "pid": _PERFETTO_BG_PID,
-            "tid": tid_of.get(ov.track, len(LAYERS) + 2),
-            "ts": us(ov.t0), "dur": max(us(ov.duration), 0.001),
-            "args": args,
-        })
     return {"displayTimeUnit": "ms",
             "otherData": {"run": run},
             "traceEvents": events}

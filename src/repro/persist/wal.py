@@ -122,13 +122,6 @@ class WalManager:
             self._kick()
         return self._staged_seq
 
-    def log(self, record: AofRecord) -> Generator:
-        """Stage + (for Always-Log) wait for durability. Convenience for
-        callers outside the server's CPU discipline."""
-        seq = self.stage(record)
-        if self.policy is LoggingPolicy.ALWAYS:
-            yield from self.ensure_durable(seq)
-
     @property
     def over_buffer_limit(self) -> bool:
         return self._buffer_bytes >= self.buffer_limit

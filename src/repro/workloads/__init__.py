@@ -27,7 +27,6 @@ from repro.workloads.runner import (
     WorkloadReport,
     YcsbAWorkload,
 )
-from repro.workloads.trace import TraceWorkload, load_trace, save_trace
 
 __all__ = [
     "UniformKeys",
@@ -40,7 +39,4 @@ __all__ = [
     "WorkloadReport",
     "ClusterWorkload",
     "ClusterReport",
-    "TraceWorkload",
-    "load_trace",
-    "save_trace",
 ]

@@ -12,6 +12,7 @@ from repro.imdb.resp import (
     decode_command,
     encode,
     encode_command,
+    op_from_command,
 )
 
 
@@ -103,21 +104,48 @@ def test_parser_pops_multiple_values():
 # ------------------------------------------------------------------ commands
 def test_command_roundtrip():
     for op in (ClientOp("SET", b"k", b"v"),
-               ClientOp("SET", b"k", b"v", ttl=2.5),
                ClientOp("GET", b"k"),
                ClientOp("DEL", b"k")):
-        back = decode_command(encode_command(op))
-        assert back.op == op.op and back.key == op.key
-        assert back.value == op.value
-        if op.ttl is None:
-            assert back.ttl is None
-        else:
-            assert back.ttl == pytest.approx(op.ttl, abs=1e-3)
+        assert decode_command(encode_command(op)) == op
 
 
 def test_decode_command_ex_flag():
-    op = decode_command(encode([b"SET", b"k", b"v", b"EX", b"10"]))
-    assert op.ttl == 10.0
+    """No SET option is supported: EX/PX are rejected like any other
+    trailing word."""
+    for flag in (b"EX", b"PX"):
+        with pytest.raises(ProtocolError):
+            decode_command(encode([b"SET", b"k", b"v", flag, b"10"]))
+
+
+def _words():
+    """What the parser can hand ``op_from_command``: bulk bytes, ints,
+    nulls, latin-1 simple strings, error replies and nested arrays."""
+    name = st.sampled_from([b"SET", b"set", b"GET", b"DEL", b"PX", b"EX"])
+    leaf = st.one_of(
+        st.binary(max_size=8), name, st.integers(), st.none(),
+        st.text(st.characters(max_codepoint=255), max_size=8),
+        st.builds(RespError, st.text(max_size=8)),
+    )
+    nested = st.recursive(leaf, lambda inner: st.lists(inner, max_size=5),
+                          max_leaves=12)
+    # most draws start with a command name, so the SET/GET/DEL arity
+    # and option branches are all reached
+    command = st.builds(lambda n, rest: [n, *rest], name,
+                        st.lists(nested, max_size=5))
+    return st.one_of(command, nested)
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=_words())
+def test_op_from_command_only_raises_protocol_error(value):
+    """Any parsed value is a ClientOp or a ProtocolError, never another
+    exception that would escape the connection's reader."""
+    try:
+        op = op_from_command(value)
+    except ProtocolError:
+        return
+    assert isinstance(op, ClientOp)
+    assert decode_command(encode_command(op)) == op
 
 
 def test_decode_command_rejections():

@@ -288,7 +288,7 @@ def test_trailing_bytes_rejected_by_decode():
 OPS = [
     ClientOp("SET", b"k", b"v"),
     ClientOp("SET", b"k", b"\r\n" * 8),
-    ClientOp("SET", b"k", b"v", ttl=0.25),
+    ClientOp("SET", b"", b""),
     ClientOp("GET", b"key"),
     ClientOp("DEL", b"key"),
 ]
@@ -299,24 +299,15 @@ def test_command_wire_bytes_are_pinned():
     assert [encode_command(op) for op in OPS] == [
         b"*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$1\r\nv\r\n",
         b"*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$16\r\n" + b"\r\n" * 9,
-        b"*5\r\n$3\r\nSET\r\n$1\r\nk\r\n$1\r\nv\r\n"
-        b"$2\r\nPX\r\n$3\r\n250\r\n",
+        b"*3\r\n$3\r\nSET\r\n$0\r\n\r\n$0\r\n\r\n",
         b"*2\r\n$3\r\nGET\r\n$3\r\nkey\r\n",
         b"*2\r\n$3\r\nDEL\r\n$3\r\nkey\r\n",
     ]
-    assert encode_command(ClientOp("SET", b"", b"")) \
-        == b"*3\r\n$3\r\nSET\r\n$0\r\n\r\n$0\r\n\r\n"
 
 
 @pytest.mark.parametrize("op", OPS, ids=lambda o: o.op)
 def test_command_round_trip(op):
-    got = decode_command(encode_command(op))
-    assert got.op == op.op and got.key == op.key
-    assert got.value == op.value
-    if op.ttl is None:
-        assert got.ttl is None
-    else:
-        assert got.ttl == pytest.approx(op.ttl, abs=1e-3)
+    assert decode_command(encode_command(op)) == op
 
 
 @pytest.mark.parametrize("op", OPS, ids=lambda o: o.op)
@@ -341,8 +332,13 @@ def test_inline_maps_to_op():
 
 
 def test_ex_flag_seconds():
-    op = op_from_command([b"SET", b"k", b"v", b"EX", b"2"])
-    assert op.ttl == 2.0
+    """SET takes no options: EX/PX are protocol errors, not expiry."""
+    for words in ([b"SET", b"k", b"v", b"EX", b"2"],
+                  [b"SET", b"k", b"v", b"PX", b"abc"],
+                  [b"SET", b"k", b"v", b"PX", b"0"],
+                  [b"SET", b"k", b"v", b"EX", b"-5"]):
+        with pytest.raises(ProtocolError):
+            op_from_command(words)
 
 
 @pytest.mark.parametrize("bad", [

@@ -5,6 +5,7 @@ import pytest
 from repro.imdb import ClientOp
 from repro.imdb.resp import decode
 from repro.net import NetConfig, NetFrontend
+from repro.net.conn import Connection
 from repro.sim import Environment
 
 
@@ -137,6 +138,37 @@ def test_unsupported_command_drops_connection():
     env.run(until=env.now + 0.01)
     assert conn.dropped
     assert fe.dropped_conns == 1
+
+
+@pytest.mark.parametrize("flag,arg", [(b"PX", b"abc"), (b"PX", b"0"),
+                                      (b"EX", b"-5")])
+def test_set_with_trailing_words_drops_connection(monkeypatch, flag, arg):
+    """A hostile ``SET k v PX abc`` frame drop-closes its connection
+    like every other unsupported command; the run goes on."""
+    closes = []
+    drop_close = Connection._drop_close
+
+    def spy(conn):
+        closes.append(conn)
+        drop_close(conn)
+
+    monkeypatch.setattr(Connection, "_drop_close", spy)
+    env = Environment()
+    be = FakeBackend(env)
+    fe = NetFrontend(env, be, NetConfig())
+    conn = _connect(env, fe)
+    frame = b"*5\r\n$3\r\nSET\r\n$1\r\nk\r\n$1\r\nv\r\n" \
+        + b"$2\r\n%s\r\n$%d\r\n%s\r\n" % (flag, len(arg), arg)
+
+    def client():
+        yield conn.inbox.put(frame)
+
+    env.run(until=env.process(client(), name="client"))
+    env.run(until=env.now + 0.01)
+    assert closes == [conn]
+    assert conn.dropped and conn.closed
+    assert fe.dropped_conns == 1
+    assert be.executed == []
 
 
 def test_send_on_closed_connection_counts_unsent():

@@ -80,15 +80,6 @@ def test_hotspot_shift_changes_the_hot_set():
     assert tail_same < 500  # the hot set moved
 
 
-def test_ttl_storm_forces_expiring_writes():
-    s = OpStream(MixSpec(read=0.0, update=1.0), 300, 100, seed=7,
-                 ttl_storm=(100, 200))
-    in_storm = [g[0] for g in s._groups[100:200]]
-    outside = [g[0] for g in s._groups[:100]]
-    assert all(op.ttl is not None for op in in_storm)
-    assert all(op.ttl is None for op in outside)
-
-
 def test_group_wraps_modulo():
     s = OpStream(MIXES["ycsb_c"], 10, 50, seed=1)
     assert s.group(10) == s.group(0)
@@ -97,9 +88,6 @@ def test_group_wraps_modulo():
 def test_with_count_and_scaled_regenerate():
     s = OpStream(MIXES["ycsb_a"], 100, 50, seed=1)
     assert len(s.with_count(250)) == 250
-    t = s.scaled(ttl_fraction=1.0, ttl=0.5)
-    writes = [g[0] for g in t._groups if g[0].op == "SET"]
-    assert writes and all(op.ttl == 0.5 for op in writes)
 
 
 def test_ops_are_client_ops():

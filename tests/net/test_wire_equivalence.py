@@ -273,9 +273,6 @@ def reference_read_loop(self):
 
 memo_read_loop = Connection._read_loop
 
-#: 1.5 ms goes out as ``PX 2``: the decoded op's ttl is 0.002
-ROUNDED_TTL = 0.0015
-
 
 class RecordingBackend(FixedBackend):
     def __init__(self, env, service=50e-6):
@@ -287,14 +284,17 @@ class RecordingBackend(FixedBackend):
         return (yield from super().execute(op))
 
 
-def _repeating_group(session, i, ttl):
+def _repeating_group(session, i, fresh):
     """Three keys, two value sizes: frames repeat across sessions and
-    slots.  Every third SET carries a TTL when ``ttl``; every fourth
-    slot is a GET+SET pair."""
+    slots.  When ``fresh``, every third SET's value is unique to its
+    session and slot, so its frame misses the memo between hits; every
+    fourth slot is a GET+SET pair."""
     key = b"k%d" % ((session + i) % 3)
     size = ONE_FRAGMENT if i % 2 else FIVE_FRAGMENTS
-    op = ClientOp("SET", key, bytes([65 + i % 2]) * size,
-                  ttl=ROUNDED_TTL if ttl and i % 3 == 0 else None)
+    value = bytes([65 + i % 2]) * size
+    if fresh and i % 3 == 0:
+        value = b"%02d%02d" % (session, i) + value[4:]
+    op = ClientOp("SET", key, value)
     return (ClientOp("GET", key), op) if i % 4 == 3 else (op,)
 
 
@@ -323,7 +323,7 @@ def _counting_parses(mp):
     return parses
 
 
-def drive_reader(reader, policy, slow_every, depth, parse_cpu, ttl):
+def drive_reader(reader, policy, slow_every, depth, parse_cpu, fresh):
     """``drive``'s sessions with repeating frames, through ``reader``."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Connection, "_read_loop", reader)
@@ -336,20 +336,20 @@ def drive_reader(reader, policy, slow_every, depth, parse_cpu, ttl):
         be = RecordingBackend(env)
         fe = NetFrontend(env, be, cfg)
         sends = run_sessions(env, fe, closed_form_send,
-                             lambda s, i: _repeating_group(s, i, ttl))
+                             lambda s, i: _repeating_group(s, i, fresh))
         out = _observe(fe, be, env, parses)
         out["sends"] = sends
         return out
 
 
 @pytest.mark.parametrize(
-    "policy,slow_every,depth,parse_cpu,ttl",
+    "policy,slow_every,depth,parse_cpu,fresh",
     list(itertools.product(("block", "shed", "drop"), (0, 1, 2),
                            (1, 8, 32), (0.0, DEFAULT_PARSE),
                            (False, True))))
 def test_decode_memo_matches_always_parse(policy, slow_every, depth,
-                                          parse_cpu, ttl):
-    cell = (policy, slow_every, depth, parse_cpu, ttl)
+                                          parse_cpu, fresh):
+    cell = (policy, slow_every, depth, parse_cpu, fresh)
     ref = drive_reader(reference_read_loop, *cell)
     got = drive_reader(memo_read_loop, *cell)
     ref_parses, parses = ref.pop("parses"), got.pop("parses")
@@ -360,8 +360,8 @@ def test_decode_memo_matches_always_parse(policy, slow_every, depth,
         == st["issued"]
     # the saving: repeated frames skip the parser
     assert parses < ref_parses
-    if ttl:
-        assert any(op.ttl == 0.002 for op in got["executed"])
+    if fresh:
+        assert any(op.value[:1].isdigit() for op in got["executed"])
 
 
 def _flip(frame, old, new):
@@ -371,7 +371,6 @@ def _flip(frame, old, new):
 
 FRAME_A = encode_command(ClientOp("SET", b"a", b"x" * 40))
 FRAME_B = encode_command(ClientOp("GET", b"b"))
-FRAME_T = encode_command(ClientOp("SET", b"t", b"y", ttl=ROUNDED_TTL))
 B_HEAD, B_TAIL = FRAME_B[:13], FRAME_B[13:]  # "*2 $3 GET" | "$1 b"
 
 RAW_CASES = {
@@ -393,7 +392,10 @@ RAW_CASES = {
     # unhashable: takes the parser path even though A is memoized
     "bytearray_chunk": [FRAME_A, bytearray(FRAME_A), FRAME_A,
                         bytearray(FRAME_A), bytearray(FRAME_B), FRAME_B],
-    "ttl_rounding": [FRAME_T, FRAME_T, FRAME_T],
+    # a SET with a word after the value is not a command
+    "set_with_trailing_flag": [FRAME_A, FRAME_A,
+                               _flip(FRAME_A, b"*3", b"*5")
+                               + b"$2\r\nPX\r\n$3\r\nabc\r\n", FRAME_A],
     # byte-flipped copies of a memoized frame miss and fail as before
     "flipped_bulk_length": [FRAME_A, FRAME_A,
                             _flip(FRAME_A, b"$40", b"$41"), FRAME_A],
@@ -459,8 +461,7 @@ def _client_ops():
     return st.one_of(
         st.builds(ClientOp, st.just("GET"), keys),
         st.builds(ClientOp, st.just("DEL"), keys),
-        st.builds(ClientOp, st.just("SET"), keys, st.binary(max_size=600),
-                  st.none() | st.floats(0.001, 1e6)),
+        st.builds(ClientOp, st.just("SET"), keys, st.binary(max_size=600)),
     )
 
 
@@ -468,8 +469,7 @@ def _client_ops():
 @given(op=_client_ops())
 def test_memo_decode_equals_parser_decode(op):
     """Whatever the op, the second, memoized decode of its frame is the
-    parser's decode of it (which may differ from the op sent: PX
-    rounding)."""
+    parser's decode of it."""
     frame = encode_command(op)
     got, fe = drive_chunks(memo_read_loop, [frame, frame], 10e-6, 0.0)
     parsed = decode_command(frame)

@@ -1,10 +1,13 @@
 """Request-level causal tracing: spans, retention, blame, exporters."""
 
 import json
+from collections import defaultdict
+from dataclasses import replace
 
 import pytest
 
 from repro import LoggingPolicy, SystemConfig, build_slimio
+from repro.cluster import ClusterConfig, build_cluster
 from repro.obs import SpanRecord, attach_tracer
 from repro.obs.trace import (
     Attribution,
@@ -22,7 +25,9 @@ from repro.obs.trace import (
     validate_trace,
 )
 from repro.sim import Environment
-from repro.workloads import RedisBenchWorkload
+from repro.workloads import ClusterWorkload, RedisBenchWorkload, YcsbAWorkload
+
+from tests.cluster.conftest import SMALL_SYSTEM
 
 
 def _workload():
@@ -112,6 +117,52 @@ class TestEndToEnd:
         assert {"M", "X"} <= phases
         # serializable as-is
         json.dumps(doc)
+
+
+def _x_overlaps(doc):
+    """``"X"`` slices that start before an earlier slice of the same
+    (pid, tid, name) has ended, as exported."""
+    by_thread = defaultdict(list)
+    for e in doc["traceEvents"]:
+        if e["ph"] == "X":
+            by_thread[(e["pid"], e["tid"], e["name"])].append(
+                (e["ts"], e["ts"] + e["dur"]))
+    bad = []
+    for key, slices in by_thread.items():
+        slices.sort()
+        end = float("-inf")
+        for t0, t1 in slices:
+            if t0 < end:
+                bad.append((key, t0))
+            end = max(end, t1)
+    return bad
+
+
+def test_perfetto_cluster_slices_never_overlap():
+    """Two shards flush their WALs concurrently under pid 0, and the
+    registry overlays repeat the tracer's linked flush spans: each
+    background slice is exported once, and no two slices of one name
+    overlap on one thread."""
+    cl = build_cluster(config=ClusterConfig(
+        num_shards=2, design="slimio",
+        system=replace(SMALL_SYSTEM, policy=LoggingPolicy.ALWAYS)))
+    tracer = cl.attach_tracer(sample_every=4, keep_slowest=8)
+    ClusterWorkload(YcsbAWorkload(clients=8, total_ops=1500, key_count=200,
+                                  value_size=1024)).run(cl)
+    cl.stop()
+    tracer.drain_open()
+    overlays = overlay_spans(cl.obs)
+    doc = perfetto_trace(tracer, overlays, run="unit")
+    assert _x_overlaps(doc) == []
+    flushes = [e for e in doc["traceEvents"] if e["ph"] == "X"
+               and e["pid"] == 0 and e["name"] == "wal_flush"]
+    assert flushes
+    assert len(flushes) == sum(o.name == "wal_flush" for o in overlays)
+    # every flow lands on the thread that carries its flush slice
+    slices = {(e["tid"], e["ts"]) for e in doc["traceEvents"]
+              if e["ph"] == "X" and e["pid"] == 0}
+    ends = [e for e in doc["traceEvents"] if e["ph"] == "f"]
+    assert ends and all((e["tid"], e["ts"]) in slices for e in ends)
 
 
 # ---------------------------------------------------------------- retention

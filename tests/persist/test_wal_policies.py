@@ -32,6 +32,14 @@ def rec(i, size=32):
     return AofRecord(op=OP_SET, key=b"k%04d" % i, value=b"v" * size)
 
 
+def log(wal, record):
+    """Stage ``record`` and, under Always-Log, wait until it is durable
+    (the server's per-command WAL sequence)."""
+    seq = wal.stage(record)
+    if wal.policy is LoggingPolicy.ALWAYS:
+        yield from wal.ensure_durable(seq)
+
+
 def test_record_order_preserved_across_concurrent_always_writers():
     env, wal, acct = world(LoggingPolicy.ALWAYS)
     staged = []
@@ -58,7 +66,7 @@ def test_group_commit_batches_concurrent_writers():
     env, wal, acct = world(LoggingPolicy.ALWAYS)
 
     def writer(i):
-        yield from wal.log(rec(i))
+        yield from log(wal, rec(i))
 
     procs = [env.process(writer(i)) for i in range(20)]
     for p in procs:
@@ -139,11 +147,11 @@ def test_size_tracks_only_current_generation():
     env, wal, acct = world(LoggingPolicy.ALWAYS)
 
     def proc():
-        yield from wal.log(rec(1, size=100))
+        yield from log(wal, rec(1, size=100))
         s1 = wal.size
         wal.rotate_begin()
         assert wal.size == 0
-        yield from wal.log(rec(2, size=100))
+        yield from log(wal, rec(2, size=100))
         assert wal.size == s1
 
     env.run(until=env.process(proc()))

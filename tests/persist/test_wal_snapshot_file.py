@@ -45,6 +45,14 @@ def drive(env, gen):
     return env.run(until=p)
 
 
+def log(wal, record):
+    """Stage ``record`` and, under Always-Log, wait until it is durable
+    (the server's per-command WAL sequence)."""
+    seq = wal.stage(record)
+    if wal.policy is LoggingPolicy.ALWAYS:
+        yield from wal.ensure_durable(seq)
+
+
 def test_always_log_each_record_durable(world):
     env, fs, dev = world
     acct = CpuAccount(env, "main")
@@ -52,8 +60,8 @@ def test_always_log_each_record_durable(world):
     wal = WalManager(env, sink, acct, policy=LoggingPolicy.ALWAYS)
 
     def proc():
-        yield from wal.log(AofRecord(op=OP_SET, key=b"k1", value=b"v1"))
-        yield from wal.log(AofRecord(op=OP_SET, key=b"k2", value=b"v2"))
+        yield from log(wal, AofRecord(op=OP_SET, key=b"k1", value=b"v1"))
+        yield from log(wal, AofRecord(op=OP_SET, key=b"k2", value=b"v2"))
 
     drive(env, proc())
     # crash: everything must already be on the device
@@ -73,8 +81,8 @@ def test_periodical_log_buffers_then_flushes(world):
 
     def proc():
         for i in range(10):
-            yield from wal.log(AofRecord(op=OP_SET, key=f"k{i}".encode(),
-                                         value=b"v"))
+            yield from log(wal, AofRecord(op=OP_SET, key=f"k{i}".encode(),
+                                          value=b"v"))
         assert wal.buffered_bytes > 0  # not yet flushed
         yield env.timeout(0.05)  # let the flusher fire
 
@@ -95,7 +103,7 @@ def test_periodical_log_buffer_pressure_forces_flush(world):
 
     def proc():
         for i in range(100):
-            yield from wal.log(AofRecord(op=OP_SET, key=b"key", value=b"x" * 64))
+            yield from log(wal, AofRecord(op=OP_SET, key=b"key", value=b"x" * 64))
         yield env.timeout(0.1)
 
     drive(env, proc())
@@ -109,7 +117,7 @@ def test_wal_size_counts_all_generations_bytes(world):
     wal = WalManager(env, FileAppendSink(fs), acct, policy=LoggingPolicy.ALWAYS)
 
     def proc():
-        yield from wal.log(AofRecord(op=OP_SET, key=b"k", value=b"v" * 100))
+        yield from log(wal, AofRecord(op=OP_SET, key=b"k", value=b"v" * 100))
 
     drive(env, proc())
     assert wal.size > 100
@@ -124,9 +132,9 @@ def test_wal_rotation_keeps_old_until_retired(world):
     wal = WalManager(env, sink, acct, policy=LoggingPolicy.ALWAYS)
 
     def proc():
-        yield from wal.log(AofRecord(op=OP_SET, key=b"old", value=b"1"))
+        yield from log(wal, AofRecord(op=OP_SET, key=b"old", value=b"1"))
         wal.rotate_begin()
-        yield from wal.log(AofRecord(op=OP_SET, key=b"new", value=b"2"))
+        yield from log(wal, AofRecord(op=OP_SET, key=b"new", value=b"2"))
 
     drive(env, proc())
     # current generation only counts post-rotation bytes
@@ -153,9 +161,9 @@ def test_wal_records_between_fork_and_retire_survive(world):
                      policy=LoggingPolicy.ALWAYS)
 
     def proc():
-        yield from wal.log(AofRecord(op=OP_SET, key=b"pre", value=b"1"))
+        yield from log(wal, AofRecord(op=OP_SET, key=b"pre", value=b"1"))
         wal.rotate_begin()  # fork instant
-        yield from wal.log(AofRecord(op=OP_SET, key=b"during", value=b"2"))
+        yield from log(wal, AofRecord(op=OP_SET, key=b"during", value=b"2"))
         yield from wal.retire_previous()  # snapshot durable
 
     drive(env, proc())
@@ -235,8 +243,8 @@ def test_recovery_snapshot_plus_wal_replay(world):
     wal = WalManager(env, FileAppendSink(fs), acct, policy=LoggingPolicy.ALWAYS)
 
     def writes():
-        yield from wal.log(AofRecord(op=OP_SET, key=b"b", value=b"2-new"))
-        yield from wal.log(AofRecord(op=OP_SET, key=b"c", value=b"3"))
+        yield from log(wal, AofRecord(op=OP_SET, key=b"b", value=b"2-new"))
+        yield from log(wal, AofRecord(op=OP_SET, key=b"c", value=b"3"))
 
     drive(env, writes())
     r_acct = CpuAccount(env, "recovery")
@@ -251,7 +259,7 @@ def test_recovery_wal_only(world):
     wal = WalManager(env, FileAppendSink(fs), acct, policy=LoggingPolicy.ALWAYS)
 
     def writes():
-        yield from wal.log(AofRecord(op=OP_SET, key=b"x", value=b"y"))
+        yield from log(wal, AofRecord(op=OP_SET, key=b"x", value=b"y"))
 
     drive(env, writes())
     result = drive(env, recover_store(env, None, wal.sink,
