@@ -9,8 +9,9 @@ built system books into (``system.obs``) three ways:
 * ``<name>.jsonl``       — the full record stream (spans, events,
   instruments); feed it to ``python -m repro.obs summarize``
 * ``<name>.prom``        — Prometheus exposition text
-* ``<name>.trace.json``  — Chrome trace-event JSON; open it at
-  ``chrome://tracing`` or https://ui.perfetto.dev
+* ``<name>.trace.json``  — Chrome/Perfetto trace-event JSON of the
+  registry's spans (what ``python -m repro.obs trace`` makes of the
+  JSONL); open it at https://ui.perfetto.dev or ``chrome://tracing``
 
 and the script closes with a side-by-side comparison of the metrics
 the paper's argument hangs on: write amplification, WAL-buffer stalls,
@@ -19,12 +20,13 @@ and how many submissions needed a syscall.
     PYTHONPATH=src python examples/telemetry_tour.py [output_dir]
 """
 
+import json
 import sys
 from pathlib import Path
 
 from repro import SnapshotKind, build_baseline, build_slimio
 from repro.bench.scales import TEST_SCALE
-from repro.obs import prometheus_text, write_chrome_trace, write_jsonl
+from repro.obs import perfetto_trace, prometheus_text, write_jsonl
 from repro.workloads import RedisBenchWorkload
 
 
@@ -45,8 +47,10 @@ def run(name, builder, scale, outdir):
     jsonl = outdir / f"{name}.jsonl"
     nrec = write_jsonl(registry, jsonl)
     (outdir / f"{name}.prom").write_text(prometheus_text(registry))
-    nevt = write_chrome_trace(registry, outdir / f"{name}.trace.json")
-    print(f"  {name}: {nrec} jsonl records, {nevt} trace events "
+    trace = perfetto_trace((), overlays=registry.spans, run=name)
+    (outdir / f"{name}.trace.json").write_text(json.dumps(trace))
+    nevt = sum(e["ph"] == "X" for e in trace["traceEvents"])
+    print(f"  {name}: {nrec} jsonl records, {nevt} trace slices "
           f"-> {jsonl}")
     return report, registry
 

@@ -30,7 +30,6 @@ from repro.obs import (
     critical_path,
     format_tail_table,
     format_waterfall,
-    overlay_spans,
     perfetto_trace,
     tail_report,
     write_trace_jsonl,
@@ -53,8 +52,10 @@ def main() -> int:
     system.stop()
     tracer.drain_open()
 
-    overlays = overlay_spans(system.obs)
-    gc_spans = [o for o in overlays if o.name == "gc_reclaim"]
+    # registry records that joined no trace (GC reclaims, snapshots):
+    # the WAL's flushes and fsyncs already sit inside the traces
+    overlays = [s for s in system.obs.spans if s.trace_id is None]
+    gc_spans = system.obs.spans_named("gc_reclaim")
     report = tail_report(
         tracer.kept.values(), tracer.background, gc_spans,
         top_k=10, requests_seen=tracer.requests_seen,
@@ -75,10 +76,11 @@ def main() -> int:
         print(f"  {(b - a) * 1e6:9.1f}us  {span.layer:<9s} {span.name}")
 
     jsonl = outdir / "trace_tour.trace.jsonl"
-    write_trace_jsonl(jsonl, tracer, overlays, run="trace-tour")
+    write_trace_jsonl(jsonl, tracer, system.obs.spans, run="trace-tour")
     perfetto = outdir / "trace_tour.perfetto.json"
     perfetto.write_text(json.dumps(perfetto_trace(
-        tracer, overlays, run="trace-tour")))
+        tracer.kept.values(), tracer.background, system.obs.spans,
+        run="trace-tour")))
     print(f"\nwrote {jsonl} (try: python -m repro.obs report {jsonl})")
     print(f"wrote {perfetto} (open in https://ui.perfetto.dev)")
     return 0

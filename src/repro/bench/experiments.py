@@ -833,7 +833,7 @@ def _tailtrace_run(scale: Scale, num_shards: int):
     the device and a GC stall shows up *inside* the victim's critical
     path instead of only shifting an asynchronous flush."""
     from repro.cluster import build_cluster
-    from repro.obs.trace import overlay_spans, tail_report
+    from repro.obs.trace import tail_report
 
     cl = build_cluster(config=pinned_cluster_config(
         scale, num_shards, policy=LoggingPolicy.ALWAYS))
@@ -842,7 +842,7 @@ def _tailtrace_run(scale: Scale, num_shards: int):
     rep = _pinned_workload(scale).run(cl, warmup_ops=scale.warmup_ops)
     cl.stop()
     tracer.drain_open()
-    gc_spans = [o for o in overlay_spans(cl.obs) if o.name == "gc_reclaim"]
+    gc_spans = cl.obs.spans_named("gc_reclaim")
     tail = tail_report(tracer.kept.values(), tracer.background, gc_spans,
                        top_k=_TAILTRACE_TOPK,
                        stream_owners=cl.stream_owners(),
@@ -851,33 +851,23 @@ def _tailtrace_run(scale: Scale, num_shards: int):
 
 
 def _maybe_export_traces(label: str, cl, tracer) -> None:
-    """Write Perfetto + JSONL artifacts when SLIMIO_TRACE_DIR is set.
+    """Write the causal-trace JSONL dump when SLIMIO_TRACE_DIR is set
+    (``python -m repro.obs trace`` renders it for Perfetto).
 
     Env-gated so the experiment's default output is pure text and the
     determinism harness never sees filesystem side effects."""
-    import json
     import os
 
     out_dir = os.environ.get("SLIMIO_TRACE_DIR")
     if not out_dir:
         return
-    from repro.obs.trace import (
-        overlay_spans,
-        perfetto_trace,
-        write_trace_jsonl,
-    )
+    from repro.obs.trace import write_trace_jsonl
 
     os.makedirs(out_dir, exist_ok=True)
-    overlays = overlay_spans(cl.obs)
-    owners = cl.stream_owners()
     write_trace_jsonl(
         os.path.join(out_dir, f"tailtrace_{label}.trace.jsonl"),
-        tracer, overlays, owners, run=f"tailtrace-{label}",
+        tracer, cl.obs.spans, cl.stream_owners(), run=f"tailtrace-{label}",
     )
-    with open(os.path.join(out_dir, f"tailtrace_{label}.perfetto.json"),
-              "w", encoding="utf-8") as fh:
-        json.dump(perfetto_trace(tracer, overlays,
-                                 run=f"tailtrace-{label}"), fh)
 
 
 def tailtrace(scale: Scale = BENCH_SCALE) -> ExperimentResult:
@@ -893,7 +883,6 @@ def tailtrace(scale: Scale = BENCH_SCALE) -> ExperimentResult:
     structurally cannot — its GC is copy-free.
     """
     from repro.obs.trace import format_tail_table, format_waterfall
-    from repro.obs.trace import overlay_spans as _overlays
 
     result = ExperimentResult(
         "Tail Trace",
@@ -953,7 +942,7 @@ def tailtrace(scale: Scale = BENCH_SCALE) -> ExperimentResult:
         notes.append("")
         notes.append(format_waterfall(
             victim.ctx,
-            [o for o in _overlays(cl_shared.obs)
+            [o for o in cl_shared.obs.spans
              if o.name in ("gc_reclaim", "snapshot")
              and int(o.labels.get("copied", 1) or 0) > 0],
         ))

@@ -180,6 +180,7 @@ class SlimIOCluster:
         if tracer is None:
             tracer = RequestTracer(self.env, **tracer_kw)
         self.rtrace = tracer
+        self.obs.tracer = tracer
         for shard in self.shards:
             attach_tracer(shard.system, tracer, include_device=False,
                           tenant=shard.name)

@@ -573,7 +573,7 @@ class FlashTranslationLayer:
         g = self.geometry
         base = g.first_page_of_segment(victim)
         stream_id = self._seg_stream_mv[victim]
-        with self.obs.span("gc_reclaim", track="gc",
+        with self.obs.span("gc_reclaim", "gc",
                            stream=stream_id) as gc_span:
             copied = 0
             window: list[tuple[int, int]] = []

@@ -362,9 +362,8 @@ class Server:
         yield req
         t0 = self.env.now
         # the span covers fork through durable publication; the child's
-        # own snapshot_write span nests inside it on the same track
-        with self.obs.span("snapshot", track="snapshot",
-                           kind=kind.value):
+        # own snapshot_write span nests inside it on the same layer
+        with self.obs.span("snapshot", "snapshot", kind=kind.value):
             try:
                 # the fork instant: capture + share pages + switch the
                 # WAL generation, all before any later command can run

@@ -193,19 +193,14 @@ class IoUringRing:
                         done.fail(exc)
                         return
                     self._obs_retries.inc()
-                    t_retry = self.env.now
                     # the retry span names the failing command, so an
                     # injected-error report reads straight back to the
-                    # I/O that absorbed it
-                    with self.obs.span("uring_retry", track="ring",
+                    # I/O that absorbed it; it joins the command's trace
+                    with self.obs.span("uring_retry", "nvme",
                                        ring=self.name, cmd=cmd.uring_id,
                                        attempt=attempts,
                                        err=type(exc).__name__):
                         yield self.env.timeout(self.retry.backoff(attempts))
-                    if rt is not None and handoff is not None:
-                        rt.add_span("uring_retry", "nvme", t_retry,
-                                    self.env.now, cmd=cmd.uring_id,
-                                    attempt=attempts)
                 except Exception as exc:  # surfaced to the waiter as a CQE error
                     self._slots.release(req)
                     done.fail(exc)

@@ -3,7 +3,8 @@
 One :class:`MetricsRegistry` per system captures counters, gauges,
 histograms, spans, and an event log; every layer of a built system is
 constructed with it (``system.obs``); the exporters serialize a run to
-JSONL, Prometheus text, or a Chrome trace. See
+JSONL or Prometheus text, and one trace-event exporter
+(:func:`perfetto_trace`) draws any JSONL dump. See
 ``docs/OBSERVABILITY.md`` for the naming scheme and span hierarchy.
 
 The registry is the only place an occurrence is booked. Components
@@ -13,14 +14,12 @@ on and never schedules a simulated event, so it cannot move a run.
 """
 
 from repro.obs.export import (
-    chrome_trace,
+    DumpError,
     jsonl_records,
-    load_jsonl,
     prometheus_text,
+    read_records,
     summarize_records,
-    write_chrome_trace,
     write_jsonl,
-    write_prometheus,
 )
 from repro.obs.registry import (
     LabeledRegistry,
@@ -32,16 +31,14 @@ from repro.obs.registry import (
     percentile,
     render_metric_name,
 )
-from repro.obs.spans import Span, SpanRecord
+from repro.obs.spans import SpanRecord
 from repro.obs.trace import (
     RequestTracer,
     TraceContext,
-    TraceSpan,
     critical_path,
     format_tail_table,
     format_waterfall,
     load_trace_jsonl,
-    overlay_spans,
     perfetto_trace,
     tail_report,
     trace_jsonl_records,
@@ -51,36 +48,15 @@ from repro.obs.trace import (
 from repro.obs.wiring import attach_tracer
 
 __all__ = [
-    "MetricsRegistry",
-    "LabeledRegistry",
-    "ObsCounter",
-    "ObsGauge",
-    "ObsHistogram",
-    "ObsSamples",
-    "percentile",
-    "render_metric_name",
-    "Span",
+    # the registry and its one span record
+    "MetricsRegistry", "LabeledRegistry", "ObsCounter", "ObsGauge",
+    "ObsHistogram", "ObsSamples", "percentile", "render_metric_name",
     "SpanRecord",
-    "attach_tracer",
-    "RequestTracer",
-    "TraceContext",
-    "TraceSpan",
-    "critical_path",
-    "tail_report",
-    "validate_trace",
-    "format_waterfall",
-    "format_tail_table",
-    "overlay_spans",
-    "trace_jsonl_records",
-    "write_trace_jsonl",
-    "load_trace_jsonl",
-    "perfetto_trace",
-    "jsonl_records",
-    "write_jsonl",
-    "load_jsonl",
-    "prometheus_text",
-    "write_prometheus",
-    "chrome_trace",
-    "write_chrome_trace",
-    "summarize_records",
+    # request tracing and tail forensics
+    "attach_tracer", "RequestTracer", "TraceContext", "critical_path",
+    "tail_report", "validate_trace", "format_waterfall", "format_tail_table",
+    # dumps: writers, the one reader, the one trace-event exporter
+    "trace_jsonl_records", "write_trace_jsonl", "load_trace_jsonl",
+    "jsonl_records", "write_jsonl", "read_records", "DumpError",
+    "perfetto_trace", "prometheus_text", "summarize_records",
 ]

@@ -1,11 +1,15 @@
-"""CLI over recorded runs: ``python -m repro.obs <cmd> <run.jsonl>``.
+"""CLI over recorded runs: ``python -m repro.obs <cmd> <dump.jsonl>``.
 
-* ``summarize`` — human-readable report of a JSONL run record.
-* ``trace`` — convert a run record's spans to Chrome trace-event JSON
+Each command reads a registry run record (``write_jsonl``) or a
+causal-trace dump (``write_trace_jsonl``) through the one checked
+reader; a malformed line is a one-line error and exit code 1.
+
+* ``summarize`` — human-readable report of the dump's records.
+* ``trace`` — Chrome/Perfetto trace-event JSON of the dump's spans
   (load the output in chrome://tracing or https://ui.perfetto.dev).
-* ``report`` — tail-latency forensics from a causal-trace dump
-  (``write_trace_jsonl``): the blame table plus the slowest requests
-  as waterfalls with background GC/snapshot activity overlaid.
+* ``report`` — tail-latency forensics from a causal-trace dump: the
+  blame table plus the slowest requests as waterfalls with background
+  GC/snapshot activity overlaid.
 """
 
 from __future__ import annotations
@@ -14,11 +18,19 @@ import argparse
 import json
 import sys
 
-from repro.obs.export import chrome_trace, load_jsonl, summarize_records
+from repro.obs.export import DumpError, read_records, summarize_records
+from repro.obs.trace import (
+    format_tail_table,
+    format_waterfall,
+    load_trace_jsonl,
+    perfetto_trace,
+    tail_report,
+)
 
 
 def _cmd_summarize(args) -> int:
-    records = load_jsonl(args.run)
+    with open(args.run, "rb") as fh:
+        records = read_records(fh)
     if not records:
         print(f"{args.run}: empty run record", file=sys.stderr)
         return 1
@@ -27,37 +39,29 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    records = load_jsonl(args.run)
-    spans = [r for r in records if r.get("type") == "span"]
-    meta = next((r for r in records if r.get("type") == "meta"), {})
-    trace = chrome_trace(spans, run_name=str(meta.get("run", "run")))
+    with open(args.run, "rb") as fh:
+        meta, contexts, background, overlays = load_trace_jsonl(fh)
+    doc = perfetto_trace(contexts, background, overlays,
+                         run=str(meta.get("run", "run")))
     out = args.output or (args.run.rsplit(".", 1)[0] + ".trace.json")
     with open(out, "w") as f:
-        json.dump(trace, f)
-    print(f"wrote {len(spans)} spans to {out}")
+        json.dump(doc, f)
+    slices = sum(e["ph"] == "X" for e in doc["traceEvents"])
+    print(f"wrote {slices} slices to {out}")
     return 0
 
 
 def _cmd_report(args) -> int:
-    from repro.obs.trace import (
-        format_tail_table,
-        format_waterfall,
-        load_trace_jsonl,
-        tail_report,
-    )
-
-    with open(args.run, encoding="utf-8") as fh:
+    with open(args.run, "rb") as fh:
         meta, contexts, background, overlays = load_trace_jsonl(fh)
     if not contexts:
         print(f"{args.run}: no traces in dump", file=sys.stderr)
         return 1
     gc_spans = [o for o in overlays if o.name == "gc_reclaim"]
-    owners = {int(k): set(v)
-              for k, v in (meta.get("stream_owners") or {}).items()}
     report = tail_report(
         contexts, background, gc_spans, top_k=args.top,
-        stream_owners=owners,
-        requests_seen=int(meta.get("requests_seen", 0)),
+        stream_owners=meta["stream_owners"],
+        requests_seen=meta.get("requests_seen", 0),
     )
     print(f"run: {meta.get('run', '?')}   tail forensics "
           f"(top {len(report.rows)} of {report.kept} kept traces)")
@@ -73,16 +77,17 @@ def _cmd_report(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Inspect recorded telemetry runs (JSONL event logs).",
+        description="Inspect recorded telemetry runs (JSONL dumps).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sum = sub.add_parser("summarize", help="summarize a run record")
-    p_sum.add_argument("run", help="path to a .jsonl run record")
+    p_sum = sub.add_parser("summarize", help="summarize a dump")
+    p_sum.add_argument("run", help="path to a .jsonl dump")
     p_sum.set_defaults(func=_cmd_summarize)
 
-    p_tr = sub.add_parser("trace", help="emit Chrome trace-event JSON")
-    p_tr.add_argument("run", help="path to a .jsonl run record")
+    p_tr = sub.add_parser("trace", help="emit Chrome/Perfetto trace-event "
+                          "JSON")
+    p_tr.add_argument("run", help="path to a .jsonl dump")
     p_tr.add_argument("-o", "--output", help="output path "
                       "(default: <run>.trace.json)")
     p_tr.set_defaults(func=_cmd_trace)
@@ -107,8 +112,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"{args.run}: {e.strerror or e}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as e:
-        print(f"{args.run}: not a JSONL run record ({e})", file=sys.stderr)
+    except DumpError as e:
+        print(f"{args.run}: not a dump this package writes ({e})",
+              file=sys.stderr)
         return 1
 
 

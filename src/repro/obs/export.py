@@ -1,39 +1,30 @@
-"""Run exporters: JSONL event log, Prometheus text, Chrome trace.
+"""Run exporters: the JSONL record stream, its reader, Prometheus text.
 
-Three serializations of one :class:`~repro.obs.registry.MetricsRegistry`:
+Two serializations of one :class:`~repro.obs.registry.MetricsRegistry`:
 
 * **JSONL** — the run record: one JSON object per line (meta, then
   every span, every event-log entry, then the final value of every
-  instrument). This is the format ``python -m repro.obs summarize``
-  reads back, and the stable interchange format between runs.
+  instrument). Span lines are :meth:`SpanRecord.to_dict`, the schema
+  the causal-trace dump (:func:`repro.obs.trace.write_trace_jsonl`)
+  writes too, and :func:`read_records` is the one reader of both.
 * **Prometheus text** — the familiar exposition dump
   (``name{label="v"} value``) for final counter/gauge values and
   histogram summaries; diffable across runs, greppable in CI logs.
-* **Chrome trace-event JSON** — the span timeline as complete (``"X"``)
-  events, one row (tid) per track, loadable in ``chrome://tracing`` or
-  Perfetto to *see* a snapshot overlapping a GC reclaim train.
 
-Simulation time is seconds; trace timestamps are microseconds per the
-trace-event spec.
+The trace-event (Chrome/Perfetto) view of either dump is
+:func:`repro.obs.trace.perfetto_trace`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterable, Iterator
 
 from repro.obs.registry import MetricsRegistry, render_metric_name
 
-__all__ = [
-    "jsonl_records",
-    "write_jsonl",
-    "prometheus_text",
-    "write_prometheus",
-    "chrome_trace",
-    "write_chrome_trace",
-    "load_jsonl",
-    "summarize_records",
-]
+__all__ = ["DumpError", "jsonl_records", "write_jsonl", "write_records",
+           "read_records", "prometheus_text", "summarize_records"]
 
 
 # --------------------------------------------------------------------- JSONL
@@ -48,11 +39,7 @@ def jsonl_records(registry: MetricsRegistry) -> Iterator[dict]:
         "instruments": len(registry.instruments()),
     }
     for s in registry.spans:
-        yield {
-            "type": "span", "name": s.name, "track": s.track,
-            "t0": s.t0, "t1": s.t1, "dur": s.duration,
-            "labels": s.labels, "ok": s.ok,
-        }
+        yield {"type": "span", **s.to_dict()}
     for ev in registry.events:
         yield {"type": "event", **ev}
     for inst in registry.instruments():
@@ -64,22 +51,103 @@ def jsonl_records(registry: MetricsRegistry) -> Iterator[dict]:
 
 def write_jsonl(registry: MetricsRegistry, path) -> int:
     """Write the run record; returns the number of lines written."""
+    return write_records(path, jsonl_records(registry))
+
+
+def write_records(path, records: Iterable[dict]) -> int:
+    """Write one JSON object per line; returns the number of lines."""
     n = 0
-    with open(path, "w") as f:
-        for rec in jsonl_records(registry):
-            f.write(json.dumps(rec) + "\n")
+    with open(path, "w", encoding="utf-8") as f:
+        for rec in records:
+            f.write(json.dumps(rec, sort_keys=True) + "\n")
             n += 1
     return n
 
 
-def load_jsonl(path) -> list[dict]:
-    """Read a run record back (blank lines tolerated)."""
+class DumpError(ValueError):
+    """A dump line that is not a record these exporters write."""
+
+
+_N, _S, _D = (int, float), str, dict
+_OPT_N, _OPT_I = (int, float, type(None)), (int, type(None))
+#: record type -> {field: accepted types} for every field a reader
+#: indexes or formats; a leading "!" marks a required field
+_SCHEMA = {
+    "meta": {"sim_time": _N, "stream_owners": _D},
+    "trace": {"!trace_id": int, "!name": _S, "!t0": _N, "t1": _OPT_N,
+              "tenant": _S},
+    "span": {"!name": _S, "!layer": _S, "!t0": _N, "t1": _OPT_N,
+             "labels": _D, "links": list, "trace_id": _OPT_I,
+             "span_id": _OPT_I, "parent_id": _OPT_I},
+    "event": {"!t": _N},
+    "counter": {"!name": _S, "!labels": _D, "!value": _N},
+    "gauge": {"!name": _S, "!labels": _D, "!value": _N, "low_water": _N,
+              "high_water": _N},
+    "histogram": {"!name": _S, "!labels": _D, "!count": int, "mean": _N,
+                  "p50": _N, "p99": _N, "max": _N},
+}
+_SCALAR = (str, int, float, type(None))
+
+
+def _finite_time(t) -> bool:
+    return t is None or math.isfinite(t)
+
+
+#: field -> check of its contents once its type holds: times are
+#: finite, and what the trace loader keys dicts by or compares is scalar
+_CONTENTS = {
+    "t0": _finite_time, "t1": _finite_time, "t": _finite_time,
+    "labels": lambda d: all(isinstance(v, _SCALAR) for v in d.values()),
+    "links": lambda xs: all(isinstance(x, int) for x in xs),
+    "stream_owners": lambda d: all(
+        k.removeprefix("-").isdecimal() and k.isascii()
+        and isinstance(names, list) and all(isinstance(n, str) for n in names)
+        for k, names in d.items()),
+}
+
+
+def _problem(rec) -> str | None:
+    if not isinstance(rec, dict):
+        return f"expected a JSON object, got {type(rec).__name__}"
+    kind = rec.get("type")
+    if not isinstance(kind, str) or kind not in _SCHEMA:
+        return f"unknown record type {str(kind)[:40]!r}"
+    for key, types in _SCHEMA[kind].items():
+        field = key.lstrip("!")
+        if field not in rec:
+            if key != field:
+                return f"{kind} record without {field!r}"
+        elif not (isinstance(rec[field], types)
+                  and _CONTENTS.get(field, lambda v: True)(rec[field])):
+            return f"{kind} record with a malformed {field!r}"
+    return None
+
+
+def _float_sized(text: str) -> int:
+    """JSON integer hook: every number in a dump fits a float."""
+    if math.isinf(float(text)):
+        raise ValueError(f"integer out of range {text[:20]}...")
+    return int(text)
+
+
+def read_records(lines: Iterable) -> list[dict]:
+    """The one reader of both JSONL dumps (``str`` or ``bytes`` lines,
+    blank ones skipped): every record checked against the schema the
+    writers produce. Raises :class:`DumpError` naming the first bad
+    line."""
     out = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
+    for n, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line, parse_int=_float_sized)
+        except (ValueError, RecursionError) as e:
+            raise DumpError(f"line {n}: unreadable ({e})") from None
+        problem = _problem(rec)
+        if problem is not None:
+            raise DumpError(f"line {n}: {problem}")
+        out.append(rec)
     return out
 
 
@@ -131,57 +199,6 @@ def prometheus_text(registry: MetricsRegistry) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_prometheus(registry: MetricsRegistry, path) -> None:
-    with open(path, "w") as f:
-        f.write(prometheus_text(registry))
-
-
-# -------------------------------------------------------------- Chrome trace
-def chrome_trace(spans: Iterable, run_name: str = "run") -> dict:
-    """Trace-event JSON from span records (objects or JSONL dicts)."""
-    tids: dict[str, int] = {}
-    events: list[dict] = []
-    for s in spans:
-        if isinstance(s, dict):
-            name, track = s["name"], s["track"]
-            t0, t1, labels = s["t0"], s["t1"], s.get("labels") or {}
-        else:
-            name, track = s.name, s.track
-            t0, t1, labels = s.t0, s.t1, s.labels
-        tid = tids.setdefault(track, len(tids) + 1)
-        events.append({
-            "name": name,
-            "cat": track,
-            "ph": "X",
-            "ts": t0 * 1e6,
-            "dur": max((t1 - t0) * 1e6, 0.001),
-            "pid": 1,
-            "tid": tid,
-            "args": {str(k): str(v) for k, v in labels.items()},
-        })
-    meta = [
-        {"name": "process_name", "ph": "M", "pid": 1, "tid": 0,
-         "args": {"name": run_name}},
-    ]
-    for track, tid in tids.items():
-        meta.append({"name": "thread_name", "ph": "M", "pid": 1,
-                     "tid": tid, "args": {"name": track}})
-    return {"traceEvents": meta + events, "displayTimeUnit": "ms"}
-
-
-def write_chrome_trace(registry_or_spans, path, run_name: str = "run") -> int:
-    """Write a Chrome trace; returns the number of span events."""
-    if isinstance(registry_or_spans, MetricsRegistry):
-        spans = registry_or_spans.spans
-        run_name = registry_or_spans.name
-    else:
-        spans = registry_or_spans
-    trace = chrome_trace(spans, run_name=run_name)
-    with open(path, "w") as f:
-        json.dump(trace, f)
-    return sum(1 for e in trace["traceEvents"] if e.get("ph") == "X")
-
-
 # ----------------------------------------------------------------- summaries
 def _fmt_seconds(x: float) -> str:
     if x != x:
@@ -195,12 +212,12 @@ def _fmt_seconds(x: float) -> str:
 
 def summarize_records(records: list[dict]) -> str:
     """Human summary of a loaded JSONL run record."""
-    meta = next((r for r in records if r.get("type") == "meta"), {})
-    spans = [r for r in records if r.get("type") == "span"]
-    counters = [r for r in records if r.get("type") == "counter"]
-    gauges = [r for r in records if r.get("type") == "gauge"]
-    hists = [r for r in records if r.get("type") == "histogram"]
-    events = [r for r in records if r.get("type") == "event"]
+    by_type: dict[str, list[dict]] = {}
+    for r in records:
+        by_type.setdefault(r.get("type"), []).append(r)
+    meta = by_type.get("meta", [{}])[0]
+    spans, counters, gauges, hists, events = (by_type.get(k, []) for k in (
+        "span", "counter", "gauge", "histogram", "event"))
 
     out: list[str] = []
     out.append(f"run: {meta.get('run', '?')}   "
@@ -209,27 +226,26 @@ def summarize_records(records: list[dict]) -> str:
                f"{len(counters) + len(gauges) + len(hists)}")
 
     if spans:
-        out.append("")
-        out.append("spans (by name):")
+        out += ["", "spans (by name):"]
         by_name: dict[str, list[dict]] = {}
         for s in spans:
             by_name.setdefault(s["name"], []).append(s)
-        header = f"  {'name':28s} {'track':10s} {'count':>6s} " \
+        header = f"  {'name':28s} {'layer':10s} {'count':>6s} " \
                  f"{'total':>12s} {'mean':>12s} {'max':>12s}"
         out.append(header)
         for name in sorted(by_name):
             group = by_name[name]
-            durs = [s["dur"] for s in group]
+            durs = [s["t1"] - s["t0"] for s in group
+                    if s.get("t1") is not None] or [0.0]
             out.append(
-                f"  {name:28s} {group[0]['track']:10s} {len(group):6d} "
+                f"  {name:28s} {group[0]['layer']:10s} {len(group):6d} "
                 f"{_fmt_seconds(sum(durs)):>12s} "
                 f"{_fmt_seconds(sum(durs) / len(durs)):>12s} "
                 f"{_fmt_seconds(max(durs)):>12s}"
             )
 
     if counters:
-        out.append("")
-        out.append("counters:")
+        out += ["", "counters:"]
         for c in sorted(counters, key=lambda r: r["name"]):
             out.append(f"  {render_metric_name(c['name'], c['labels']):58s} "
                        f"{c.get('value', 0):,.0f}")
@@ -240,8 +256,7 @@ def summarize_records(records: list[dict]) -> str:
     faulty = [c for c in counters
               if c["name"].startswith(("faults_", "uring_retr"))]
     if faulty:
-        out.append("")
-        out.append("faults & retries:")
+        out += ["", "faults & retries:"]
         injected = sum(c.get("value", 0) for c in faulty
                        if c["name"].startswith("faults_"))
         retried = sum(c.get("value", 0) for c in faulty
@@ -255,25 +270,24 @@ def summarize_records(records: list[dict]) -> str:
             out.append(f"  {render_metric_name(c['name'], c['labels']):58s} "
                        f"{c.get('value', 0):,.0f}")
     if gauges:
-        out.append("")
-        out.append("gauges:")
+        out += ["", "gauges:"]
         for g in sorted(gauges, key=lambda r: r["name"]):
             extra = ""
-            if "low_water" in g:
+            if "low_water" in g and "high_water" in g:
                 extra = (f"   [low {g['low_water']:,.4g} / "
                          f"high {g['high_water']:,.4g}]")
             out.append(f"  {render_metric_name(g['name'], g['labels']):58s} "
                        f"{g.get('value', 0):,.4g}{extra}")
     if hists:
-        out.append("")
-        out.append("histograms:")
+        out += ["", "histograms:"]
         for h in sorted(hists, key=lambda r: r["name"]):
             if not h.get("count"):
                 continue
             out.append(
                 f"  {render_metric_name(h['name'], h['labels']):58s} "
-                f"n={h['count']:<8,d} mean={h['mean']:.4g} "
-                f"p50={h['p50']:.4g} p99={h['p99']:.4g} max={h['max']:.4g}"
+                f"n={h['count']:<8,d} "
+                + " ".join(f"{k}={h.get(k, float('nan')):.4g}"
+                           for k in ("mean", "p50", "p99", "max"))
             )
     if events:
         out.append("")

@@ -6,7 +6,9 @@ with low/high watermarks, :class:`ObsHistogram`\\ s with bounded
 reservoirs, and exact timestamped :class:`ObsSamples` (what the
 paper's tables are read from), each keyed by ``(name, labels)``. It
 also owns the span log (see :mod:`repro.obs.spans`) and a timestamped
-event log, so one object captures everything an exporter needs.
+event log, so one object captures everything an exporter needs. A
+request tracer attached to it (``tracer``) lets spans opened inside a
+traced process join that process's trace.
 
 Instruments are get-or-create: ``registry.counter("wal_flushes_total",
 path="wal")`` returns the same object every time, so components fetch
@@ -24,7 +26,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.obs.spans import Span, SpanRecord
+from repro.obs.spans import SpanRecord
 from repro.sim.engine import Environment
 
 __all__ = ["ObsCounter", "ObsGauge", "ObsHistogram", "ObsSamples",
@@ -274,6 +276,8 @@ class MetricsRegistry:
         self._spans: deque[SpanRecord] = deque(maxlen=span_capacity)
         self.spans_dropped = 0
         self._events: list[dict] = []
+        #: request tracer whose trace scopes registry spans join
+        self.tracer = None
 
     # ------------------------------------------------------------ instruments
     def _get(self, cls, name: str, labels: dict, **kw):
@@ -333,8 +337,11 @@ class MetricsRegistry:
         return LabeledRegistry(self, labels)
 
     # ------------------------------------------------------------ spans/events
-    def span(self, name: str, track: str = "main", **labels) -> Span:
-        return Span(self, name, track, labels)
+    def span(self, name: str, layer: str = "main", links=(),
+             **labels) -> SpanRecord:
+        """An open span to bracket a region with (``with ...:``)."""
+        return SpanRecord(name, layer, self.env.now, labels=labels,
+                          links=links, registry=self)
 
     def _record_span(self, record: SpanRecord) -> None:
         if len(self._spans) == self._spans.maxlen:
@@ -390,34 +397,12 @@ class LabeledRegistry:
         self.base = base
         self.base_labels = dict(labels)
 
-    # pass-through state -------------------------------------------------
-    @property
-    def env(self) -> Environment:
-        return self.base.env
-
-    @property
-    def name(self) -> str:
-        return self.base.name
-
-    @property
-    def spans(self) -> list[SpanRecord]:
-        return self.base.spans
-
-    @property
-    def events(self) -> list[dict]:
-        return self.base.events
-
-    def instruments(self):
-        return self.base.instruments()
-
-    def snapshot(self) -> dict[str, dict]:
-        return self.base.snapshot()
-
-    def spans_named(self, name: str) -> list[SpanRecord]:
-        return self.base.spans_named(name)
-
-    def _record_span(self, record: SpanRecord) -> None:
-        self.base._record_span(record)
+    def __getattr__(self, attr: str):
+        # all state lives in the base: env, name, tracer, spans, events,
+        # instruments(), snapshot(), ... read straight through
+        if attr == "base":   # unpickling, before __init__ has run
+            raise AttributeError(attr)
+        return getattr(self.base, attr)
 
     # label-injecting surface --------------------------------------------
     def _merge(self, labels: dict) -> dict:
@@ -438,8 +423,9 @@ class LabeledRegistry:
     def total(self, name: str, **labels) -> float:
         return self.base.total(name, **self._merge(labels))
 
-    def span(self, name: str, track: str = "main", **labels) -> Span:
-        return self.base.span(name, track=track, **self._merge(labels))
+    def span(self, name: str, layer: str = "main", links=(),
+             **labels) -> SpanRecord:
+        return self.base.span(name, layer, links, **self._merge(labels))
 
     def event(self, name: str, **fields) -> None:
         self.base.event(name, **self._merge(fields))

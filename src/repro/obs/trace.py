@@ -4,7 +4,8 @@ Aggregate telemetry (PR 1) shows *that* p999 moved; this module shows
 *why*.  Every client op gets a :class:`TraceContext` whose id follows
 the request through server -> WAL append -> io_uring submit/complete ->
 pagecache writeback -> NVMe command -> NAND program, as a tree of
-:class:`TraceSpan` with parent/child links and sim-clock timestamps.
+:class:`~repro.obs.spans.SpanRecord` with parent/child links and
+sim-clock timestamps.
 
 Three problems make this harder than thread-local context:
 
@@ -26,6 +27,11 @@ Three problems make this harder than thread-local context:
   background buffer so blame analysis works even when the flushing
   process served no (kept) request of its own.
 
+Regions the registry brackets (``wal_flush``, ``wal_fsync``,
+``uring_retry``, ...) are booked there once: the registry hands each
+span to :meth:`RequestTracer.join`, which gives it ids when the running
+process carries a trace. Only per-request spans are created here.
+
 Retention is head sampling (1-in-N) plus an always-keep-slowest
 reservoir, so traced runs stay cheap and the p999 stories are never
 sampled away.  Tracing off (``rtrace is None`` everywhere) does
@@ -36,92 +42,22 @@ from __future__ import annotations
 
 import heapq
 import json
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 
+from repro.obs.export import DumpError, read_records, write_records
 from repro.obs.spans import SpanRecord
 
-__all__ = [
-    "TraceSpan",
-    "TraceContext",
-    "RequestTracer",
-    "Attribution",
-    "TailRow",
-    "TailReport",
-    "critical_path",
-    "dominant_layer",
-    "attribute_interference",
-    "tail_report",
-    "validate_trace",
-    "format_waterfall",
-    "format_tail_table",
-    "overlay_spans",
-    "trace_jsonl_records",
-    "write_trace_jsonl",
-    "load_trace_jsonl",
-    "perfetto_trace",
-]
+__all__ = ["TraceContext", "RequestTracer", "Attribution", "TailRow",
+           "TailReport", "critical_path", "dominant_layer",
+           "attribute_interference", "tail_report", "validate_trace",
+           "format_waterfall", "format_tail_table", "trace_jsonl_records",
+           "write_trace_jsonl", "load_trace_jsonl", "perfetto_trace"]
 
 #: render/export order of the layers a request crosses, top to bottom
 LAYERS = ("net", "server", "wal", "pagecache", "nvme", "ftl", "nand")
 
 _DEVICE_LAYERS = frozenset(("nvme", "ftl", "nand"))
-
-
-class TraceSpan:
-    """One timed operation inside one trace.
-
-    ``t1 is None`` while the span is open; a trace harvested after a
-    power cut may legitimately contain spans closed by
-    :meth:`RequestTracer.drain_open` with ``ok=False`` and a
-    ``truncated`` label.
-    """
-
-    __slots__ = ("trace_id", "span_id", "parent_id", "name", "layer",
-                 "t0", "t1", "labels", "links", "ok")
-
-    def __init__(self, trace_id, span_id, parent_id, name, layer, t0,
-                 t1=None, labels=None, links=(), ok=True):
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.name = name
-        self.layer = layer
-        self.t0 = t0
-        self.t1 = t1
-        self.labels = labels or {}
-        self.links = tuple(links)
-        self.ok = ok
-
-    @property
-    def duration(self) -> float:
-        return (self.t1 - self.t0) if self.t1 is not None else 0.0
-
-    def to_dict(self) -> dict:
-        d = {
-            "trace_id": self.trace_id, "span_id": self.span_id,
-            "parent_id": self.parent_id, "name": self.name,
-            "layer": self.layer, "t0": self.t0, "t1": self.t1,
-        }
-        if self.labels:
-            d["labels"] = self.labels
-        if self.links:
-            d["links"] = list(self.links)
-        if not self.ok:
-            d["ok"] = False
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TraceSpan":
-        return cls(d["trace_id"], d["span_id"], d.get("parent_id"),
-                   d["name"], d["layer"], d["t0"], d.get("t1"),
-                   labels=d.get("labels") or {},
-                   links=tuple(d.get("links") or ()),
-                   ok=d.get("ok", True))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"TraceSpan({self.trace_id}:{self.span_id} {self.name}"
-                f"@{self.layer} [{self.t0}, {self.t1}])")
 
 
 class TraceContext:
@@ -137,7 +73,7 @@ class TraceContext:
         self.tenant = tenant
         self.t0 = t0
         self.t1 = None
-        self.spans: list[TraceSpan] = []
+        self.spans: list[SpanRecord] = []
         self.sampled = sampled
         self.background = background
         self.truncated = False
@@ -147,7 +83,7 @@ class TraceContext:
         return (self.t1 - self.t0) if self.t1 is not None else 0.0
 
     @property
-    def root(self) -> TraceSpan | None:
+    def root(self) -> SpanRecord | None:
         for s in self.spans:
             if s.parent_id is None:
                 return s
@@ -190,8 +126,10 @@ class RequestTracer:
         self.requests_dropped = 0
         #: kept traces by id (sampled + slowest reservoir + truncated)
         self.kept: dict[int, TraceContext] = {}
-        #: flat spans from background contexts and every linked span
-        self.background: deque[TraceSpan] = deque(maxlen=background_capacity)
+        #: flat spans from background contexts and every linked span,
+        #: each held once
+        self.background: deque[SpanRecord] = deque(
+            maxlen=background_capacity)
         self._scopes: dict[object, _Scope] = {}
         self._slow: list[tuple[float, int]] = []   # (duration, trace_id) min-heap
         self._span_seq = 0
@@ -204,8 +142,31 @@ class RequestTracer:
 
     def current(self) -> TraceContext | None:
         """The context bound to the running process, if any."""
-        sc = self._scopes.get(self.env.active_process)
+        sc = self._scope()
         return sc.ctx if sc is not None else None
+
+    def _open(self, ctx: TraceContext, layer: str,
+              labels: dict) -> TraceContext:
+        """Bind ``ctx`` and its root span to the running process."""
+        self._span_seq += 1
+        root = SpanRecord(ctx.name, layer, ctx.t0, labels=labels,
+                          trace_id=ctx.trace_id, span_id=self._span_seq)
+        ctx.spans.append(root)
+        self._scopes[self.env.active_process] = _Scope(ctx, [root.span_id])
+        return ctx
+
+    def _close(self, ctx: TraceContext, ok: bool = True) -> None:
+        """End ``ctx`` and its root span now; unbind the process."""
+        now = self.env.now
+        ctx.t1 = now
+        root = ctx.root
+        if root is not None and root.t1 is None:
+            root.t1 = now
+            root.ok = ok
+        proc = self.env.active_process
+        sc = self._scopes.get(proc)
+        if sc is not None and sc.ctx is ctx:
+            del self._scopes[proc]
 
     # ------------------------------------------------------------ requests
     def start_request(self, name: str, tenant: str = "",
@@ -220,27 +181,12 @@ class RequestTracer:
         duration then matches the coordinated-omission-free latency."""
         self.requests_seen += 1
         tid = self.requests_seen
-        now = self.env.now if t0 is None else t0
-        ctx = TraceContext(tid, name, tenant, now,
-                           sampled=(tid % self.sample_every) == 0)
-        self._span_seq += 1
-        root = TraceSpan(tid, self._span_seq, None, name, layer, now,
-                         labels=dict(labels) if labels else None)
-        ctx.spans.append(root)
-        self._scopes[self.env.active_process] = _Scope(ctx, [root.span_id])
-        return ctx
+        return self._open(TraceContext(
+            tid, name, tenant, self.env.now if t0 is None else t0,
+            sampled=(tid % self.sample_every) == 0), layer, labels)
 
     def finish_request(self, ctx: TraceContext, ok: bool = True) -> None:
-        now = self.env.now
-        ctx.t1 = now
-        root = ctx.root
-        if root is not None and root.t1 is None:
-            root.t1 = now
-            root.ok = ok
-        proc = self.env.active_process
-        sc = self._scopes.get(proc)
-        if sc is not None and sc.ctx is ctx:
-            del self._scopes[proc]
+        self._close(ctx, ok)
         self._retain(ctx)
 
     def _retain(self, ctx: TraceContext) -> None:
@@ -285,51 +231,50 @@ class RequestTracer:
         (WAL drain, pagecache writeback) running with no request scope.
         Its spans land in :attr:`background` at finish."""
         self._bg_seq += 1
-        ctx = TraceContext(-self._bg_seq, name, "", self.env.now,
-                           background=True)
-        self._span_seq += 1
-        root = TraceSpan(ctx.trace_id, self._span_seq, None, name,
-                         "server", self.env.now)
-        ctx.spans.append(root)
-        self._scopes[self.env.active_process] = _Scope(ctx, [root.span_id])
-        return ctx
+        return self._open(TraceContext(-self._bg_seq, name, "", self.env.now,
+                                       background=True), "server", {})
 
     def finish_background(self, ctx: TraceContext) -> None:
-        now = self.env.now
-        ctx.t1 = now
-        root = ctx.root
-        if root is not None and root.t1 is None:
-            root.t1 = now
-        proc = self.env.active_process
-        sc = self._scopes.get(proc)
-        if sc is not None and sc.ctx is ctx:
-            del self._scopes[proc]
-        self.background.extend(s for s in ctx.spans if s.t1 is not None)
+        self._close(ctx)
+        # linked spans entered the buffer when they opened
+        self.background.extend(s for s in ctx.spans
+                               if s.t1 is not None and not s.links)
 
     # ------------------------------------------------------------ spans
-    def open_span(self, name: str, layer: str, links=(),
-                  **labels) -> TraceSpan | None:
-        """Open a child span under the current scope (or ``None`` if
-        the running process carries no trace)."""
-        sc = self._scope()
-        if sc is None:
-            return None
+    def _book(self, sc: _Scope, span: SpanRecord) -> None:
         self._span_seq += 1
-        span = TraceSpan(sc.ctx.trace_id, self._span_seq, sc.stack[-1],
-                         name, layer, self.env.now,
-                         labels=dict(labels) if labels else None,
-                         links=links)
+        span.trace_id = sc.ctx.trace_id
+        span.span_id = self._span_seq
+        span.parent_id = sc.stack[-1]
         sc.ctx.spans.append(span)
-        sc.stack.append(span.span_id)
         if span.links:
             # linked spans are causal join points (group commit):
             # mirror them into the background buffer so blame analysis
             # can follow a victim's links even when this span's own
             # trace is later dropped by sampling
             self.background.append(span)
+
+    def join(self, span: SpanRecord) -> None:
+        """Open an existing (registry) span under the current scope, if
+        the running process carries one; it then closes through
+        :meth:`close_span`."""
+        sc = self._scope()
+        if sc is not None:
+            self._book(sc, span)
+            sc.stack.append(span.span_id)
+
+    def open_span(self, name: str, layer: str, links=(),
+                  **labels) -> SpanRecord | None:
+        """Open a child span under the current scope (or ``None`` if
+        the running process carries no trace)."""
+        if self._scope() is None:
+            return None
+        span = SpanRecord(name, layer, self.env.now, labels=labels,
+                          links=links)
+        self.join(span)
         return span
 
-    def close_span(self, span: TraceSpan | None, ok: bool = True,
+    def close_span(self, span: SpanRecord | None, ok: bool = True,
                    **labels) -> None:
         if span is None:
             return
@@ -342,19 +287,13 @@ class RequestTracer:
             sc.stack.pop()
 
     def add_span(self, name: str, layer: str, t0: float, t1: float,
-                 links=(), **labels) -> TraceSpan | None:
+                 **labels) -> SpanRecord | None:
         """Record an already-timed leaf span under the current scope."""
         sc = self._scope()
         if sc is None:
             return None
-        self._span_seq += 1
-        span = TraceSpan(sc.ctx.trace_id, self._span_seq, sc.stack[-1],
-                         name, layer, t0, t1,
-                         labels=dict(labels) if labels else None,
-                         links=links)
-        sc.ctx.spans.append(span)
-        if span.links:
-            self.background.append(span)
+        span = SpanRecord(name, layer, t0, t1, labels)
+        self._book(sc, span)
         return span
 
     # ------------------------------------------------------------ WAL links
@@ -374,11 +313,7 @@ class RequestTracer:
         for seq, tid in self._staged_wal:
             (taken if seq <= upto_seq else rest).append((seq, tid))
         self._staged_wal = rest
-        out: list[int] = []
-        for _, tid in taken:
-            if tid not in out:
-                out.append(tid)
-        return tuple(out)
+        return tuple(dict.fromkeys(tid for _, tid in taken))
 
     # ------------------------------------------------------------ faults
     def drain_open(self) -> list[TraceContext]:
@@ -388,7 +323,10 @@ class RequestTracer:
         now = self.env.now
         drained: list[TraceContext] = []
         for proc, sc in list(self._scopes.items()):
+            del self._scopes[proc]
             ctx = sc.ctx
+            if ctx.truncated:   # a handoff scope of a context drained above
+                continue
             for span in ctx.spans:
                 if span.t1 is None:
                     span.t1 = now
@@ -396,9 +334,8 @@ class RequestTracer:
                     span.labels["truncated"] = True
             ctx.truncated = True
             ctx.t1 = now
-            del self._scopes[proc]
             if ctx.background:
-                self.background.extend(ctx.spans)
+                self.background.extend(s for s in ctx.spans if not s.links)
             else:
                 self._retain(ctx)
             drained.append(ctx)
@@ -440,7 +377,18 @@ def validate_trace(ctx: TraceContext) -> list[str]:
 
 
 # ---------------------------------------------------------------- analysis
-def critical_path(spans) -> list[tuple[TraceSpan, float, float]]:
+def _depths(spans) -> dict[int, int]:
+    """span id -> nesting depth, in one pass: a trace lists each parent
+    before its children (spans are appended as they open, and
+    :func:`load_trace_jsonl` rejects a dump that breaks the order)."""
+    depth: dict[int, int] = {}
+    for s in spans:
+        parent = depth.get(s.parent_id)
+        depth[s.span_id] = 0 if parent is None else parent + 1
+    return depth
+
+
+def critical_path(spans) -> list[tuple[SpanRecord, float, float]]:
     """Self-time decomposition of one trace.
 
     Returns ``(span, t0, t1)`` segments covering the root interval,
@@ -451,24 +399,10 @@ def critical_path(spans) -> list[tuple[TraceSpan, float, float]]:
     if not roots:
         return []
     root = roots[0]
-    by_id = {s.span_id: s for s in closed}
-    depth: dict[int, int] = {}
-
-    def _depth(s) -> int:
-        got = depth.get(s.span_id)
-        if got is not None:
-            return got
-        if s.parent_id is None or s.parent_id not in by_id:
-            depth[s.span_id] = 0
-        else:
-            depth[s.span_id] = _depth(by_id[s.parent_id]) + 1
-        return depth[s.span_id]
-
-    for s in closed:
-        _depth(s)
+    depth = _depths(closed)
     cuts = sorted({t for s in closed for t in (s.t0, s.t1)
                    if root.t0 <= t <= root.t1})
-    segments: list[tuple[TraceSpan, float, float]] = []
+    segments: list[tuple[SpanRecord, float, float]] = []
     for a, b in zip(cuts, cuts[1:]):
         if b <= a:
             continue
@@ -560,8 +494,8 @@ def attribute_interference(ctx: TraceContext, gc_spans, background=(),
         return Attribution()
     best = Attribution()
     for g in gc_spans:
-        copied = int(g.labels.get("copied", 0) or 0)
-        if copied <= 0:
+        copied = g.labels.get("copied")
+        if not isinstance(copied, int) or copied <= 0:
             continue
         ov = _overlap(merged, g.t0, g.t1)
         if ov <= best.overlap:
@@ -619,15 +553,6 @@ def tail_report(contexts, background=(), gc_spans=(), *,
     return report
 
 
-# ---------------------------------------------------------------- overlays
-def overlay_spans(registry) -> list[SpanRecord]:
-    """Extract the background-activity spans worth overlaying on a
-    waterfall (GC reclaims, snapshots, WAL flushes) from a
-    :class:`~repro.obs.MetricsRegistry` span log."""
-    keep = ("gc_reclaim", "snapshot", "wal_flush", "wal_fsync")
-    return [s for s in registry.spans if s.name in keep]
-
-
 # ---------------------------------------------------------------- rendering
 def _fmt_t(seconds: float) -> str:
     us = seconds * 1e6
@@ -643,15 +568,7 @@ def format_waterfall(ctx: TraceContext, overlays=(), width: int = 44) -> str:
     t1 = ctx.t1 if ctx.t1 is not None else max(
         (s.t1 for s in ctx.spans if s.t1 is not None), default=t0)
     dur = max(t1 - t0, 1e-12)
-    by_id = {s.span_id: s for s in ctx.spans}
-
-    def depth(s) -> int:
-        d = 0
-        cur = s
-        while cur.parent_id is not None and cur.parent_id in by_id:
-            cur = by_id[cur.parent_id]
-            d += 1
-        return d
+    depth = _depths(ctx.spans)
 
     def bar(a, b, ch="#") -> str:
         c0 = int((max(a, t0) - t0) / dur * width)
@@ -660,30 +577,28 @@ def format_waterfall(ctx: TraceContext, overlays=(), width: int = 44) -> str:
         c1 = min(c1, width)
         return " " * c0 + ch * (c1 - c0) + " " * (width - c1)
 
+    def extra(s, tenant=None) -> str:
+        # a label naming the trace's own tenant (a shard view's stamp on
+        # a registry span) repeats the header
+        shown = sorted(k for k, v in s.labels.items()
+                       if not (tenant and v == tenant))
+        text = (" [" + " ".join(f"{k}={s.labels[k]}" for k in shown) + "]"
+                if shown else "")
+        return text + (f" links={list(s.links)}" if s.links else "")
+
     trunc = " TRUNCATED" if ctx.truncated else ""
-    head = (f"trace {ctx.trace_id} {ctx.name}"
-            f"{' tenant=' + ctx.tenant if ctx.tenant else ''}"
-            f" dur={_fmt_t(t1 - t0)}{trunc}")
-    lines = [head]
+    lines = [f"trace {ctx.trace_id} {ctx.name}"
+             f"{' tenant=' + ctx.tenant if ctx.tenant else ''}"
+             f" dur={_fmt_t(t1 - t0)}{trunc}"]
     for s in sorted(ctx.spans, key=lambda s: (s.t0, s.span_id)):
         end = s.t1 if s.t1 is not None else t1
-        label = "  " * depth(s) + s.name
-        extra = ""
-        if s.labels:
-            keys = sorted(s.labels)
-            extra = " [" + " ".join(f"{k}={s.labels[k]}" for k in keys) + "]"
-        if s.links:
-            extra += f" links={list(s.links)}"
         lines.append(f"  {s.layer:>9} |{bar(s.t0, end)}| "
-                     f"{label} {_fmt_t(end - s.t0)}{extra}")
+                     f"{'  ' * depth[s.span_id]}{s.name} "
+                     f"{_fmt_t(end - s.t0)}{extra(s, ctx.tenant)}")
     for ov in sorted(overlays, key=lambda o: (o.t0, o.name)):
-        if ov.t1 <= t0 or ov.t0 >= t1:
-            continue
-        keys = sorted(ov.labels)
-        extra = (" [" + " ".join(f"{k}={ov.labels[k]}" for k in keys) + "]"
-                 if ov.labels else "")
-        lines.append(f"  ~{ov.track:>8} |{bar(ov.t0, ov.t1, '=')}| "
-                     f"{ov.name} {_fmt_t(ov.duration)}{extra}")
+        if ov.t1 > t0 and ov.t0 < t1:
+            lines.append(f"  ~{ov.layer:>8} |{bar(ov.t0, ov.t1, '=')}| "
+                         f"{ov.name} {_fmt_t(ov.duration)}{extra(ov)}")
     return "\n".join(lines)
 
 
@@ -716,8 +631,11 @@ def format_tail_table(report: TailReport) -> str:
 # ---------------------------------------------------------------- exporters
 def trace_jsonl_records(tracer: RequestTracer, overlays=(),
                         stream_owners=None, run: str = "slimio"):
-    """Yield the JSONL dump: meta, kept traces, spans, background
-    spans, and overlay spans — everything ``repro.obs report`` needs."""
+    """Yield the JSONL dump: meta, kept traces and their spans, the
+    background spans (``bg``), then every registry record in
+    ``overlays`` not written above — everything ``repro.obs report``
+    needs, each span once. Every span line is
+    :meth:`SpanRecord.to_dict`."""
     owners = {str(k): sorted(v) for k, v in (stream_owners or {}).items()}
     yield {
         "type": "meta", "run": run,
@@ -729,46 +647,45 @@ def trace_jsonl_records(tracer: RequestTracer, overlays=(),
     }
     for tid in sorted(tracer.kept):
         ctx = tracer.kept[tid]
-        rec = ctx.to_dict()
-        rec["type"] = "trace"
-        yield rec
+        yield {"type": "trace", **ctx.to_dict()}
         for s in ctx.spans:
-            rec = s.to_dict()
-            rec["type"] = "span"
-            yield rec
+            yield {"type": "span", **s.to_dict()}
     for s in tracer.background:
-        rec = s.to_dict()
-        rec["type"] = "span"
-        rec["bg"] = True
-        yield rec
-    for ov in overlays:
-        rec = ov.to_dict()
-        rec["type"] = "overlay"
-        yield rec
+        yield {"type": "span", "bg": True, **s.to_dict()}
+    for s in _unheld(tracer.kept.values(), tracer.background, overlays):
+        yield {"type": "span", **s.to_dict()}
+
+
+def _unheld(contexts, background, overlays) -> list[SpanRecord]:
+    """The registry records (``overlays``) that neither a kept trace
+    nor the background buffer holds — matched by identity."""
+    held = {id(s) for ctx in contexts for s in ctx.spans}
+    held.update(id(s) for s in background)
+    return [s for s in overlays if id(s) not in held]
 
 
 def write_trace_jsonl(path, tracer: RequestTracer, overlays=(),
                       stream_owners=None, run: str = "slimio") -> int:
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in trace_jsonl_records(tracer, overlays, stream_owners, run):
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-            n += 1
-    return n
+    """Write the causal-trace dump; returns the number of lines."""
+    return write_records(path, trace_jsonl_records(
+        tracer, overlays, stream_owners, run))
 
 
 def load_trace_jsonl(lines):
-    """Rebuild (meta, contexts, background, overlays) from a dump."""
+    """Rebuild (meta, contexts, background, overlays) from a dump.
+
+    Reads either dump through :func:`~repro.obs.export.read_records`:
+    a span line flagged ``bg`` is background, one whose trace is in
+    the dump belongs to it, and any other closed span is a registry
+    record no kept trace holds — an overlay. Raises :class:`DumpError` when a trace
+    repeats a span id or lists a span before its parent."""
     meta: dict = {}
     ctxs: dict[int, TraceContext] = {}
-    background: list[TraceSpan] = []
+    ids: dict[int, set] = {}
+    background: list[SpanRecord] = []
     overlays: list[SpanRecord] = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        rec = json.loads(line)
-        kind = rec.get("type")
+    for rec in read_records(lines):
+        kind = rec["type"]
         if kind == "meta":
             meta = rec
         elif kind == "trace":
@@ -778,61 +695,64 @@ def load_trace_jsonl(lines):
             ctx.t1 = rec.get("t1")
             ctx.truncated = rec.get("truncated", False)
             ctxs[ctx.trace_id] = ctx
+            ids[ctx.trace_id] = set()
         elif kind == "span":
-            span = TraceSpan.from_dict(rec)
+            span = SpanRecord.from_dict(rec)
+            ctx = ctxs.get(span.trace_id)
             if rec.get("bg"):
                 background.append(span)
-            elif span.trace_id in ctxs:
-                ctxs[span.trace_id].spans.append(span)
-        elif kind == "overlay":
-            overlays.append(SpanRecord(rec["name"], rec["track"],
-                                       rec["t0"], rec["t1"],
-                                       rec.get("labels") or {},
-                                       rec.get("ok", True)))
-    owners = {int(k): set(v)
-              for k, v in (meta.get("stream_owners") or {}).items()}
-    meta["stream_owners"] = owners
+            elif ctx is not None:
+                seen = ids[ctx.trace_id]
+                if (span.span_id is None or span.span_id in seen
+                        or (span.parent_id is not None
+                            and span.parent_id not in seen)):
+                    raise DumpError(
+                        f"trace {ctx.trace_id}: span {span.span_id} has "
+                        f"no id, repeats one or precedes its parent")
+                seen.add(span.span_id)
+                ctx.spans.append(span)
+            elif span.t1 is not None:
+                overlays.append(span)
+    meta["stream_owners"] = {int(k): set(v) for k, v in
+                             (meta.get("stream_owners") or {}).items()}
     return meta, list(ctxs.values()), background, overlays
 
 
-_PERFETTO_BG_PID = 0
-
-
-def perfetto_trace(tracer: RequestTracer, overlays=(),
+def perfetto_trace(contexts, background=(), overlays=(),
                    run: str = "slimio") -> dict:
-    """Chrome/Perfetto ``traceEvents`` JSON: one process per kept
-    request (pid = trace id), one thread per layer, flow events for
-    group-commit links, background + overlay activity under pid 0.
+    """Chrome/Perfetto ``traceEvents`` JSON — the one trace-event
+    exporter. One process per request trace (pid = trace id) with one
+    thread per layer; under pid 0 every background span and every
+    registry record in ``overlays``, each once (matched by identity);
+    and a flow event from each linked request to the group-commit
+    flush that made it durable. (A JSONL dump holds a registry record
+    that a kept trace holds only in that trace, so an export of the
+    dump draws it in the request's process alone.)
 
-    Under pid 0 an overlay that repeats a background span (same name
-    and interval) is dropped, and each slice takes the first thread of
-    its layer or track whose previous slice has ended, so concurrent
-    activity (shards, a sync fsync beside a locked drain) never stacks
-    overlapping slices on one thread."""
+    Each pid-0 slice takes the first thread of its layer whose previous
+    slice has ended, so concurrent activity (shards, a sync fsync beside
+    a locked drain) never stacks overlapping slices on one thread."""
     tid_of = {layer: i + 1 for i, layer in enumerate(LAYERS)}
     events: list[dict] = [
-        {"ph": "M", "name": "process_name", "pid": _PERFETTO_BG_PID,
+        {"ph": "M", "name": "process_name", "pid": 0,
          "tid": 0, "args": {"name": "background (GC / flush / writeback)"}},
     ]
 
-    def us(t: float) -> float:
-        return t * 1e6
-
-    def slice_event(s, cat: str, pid: int, tid: int) -> dict:
-        """One slice of a TraceSpan or an overlay SpanRecord."""
+    def slice_event(s: SpanRecord, pid: int, tid: int) -> dict:
         args = {str(k): v for k, v in s.labels.items()}
-        if getattr(s, "links", ()):
+        if s.links:
             args["links"] = list(s.links)
         return {
-            "ph": "X", "name": s.name, "cat": cat, "pid": pid, "tid": tid,
-            "ts": us(s.t0), "dur": max(us(s.duration), 0.001),
+            "ph": "X", "name": s.name, "cat": s.layer, "pid": pid,
+            "tid": tid, "ts": s.t0 * 1e6, "dur": max(s.duration * 1e6, 0.001),
             "args": args,
         }
 
     flow_seq = 0
-    roots: dict[int, TraceSpan] = {}
-    for tid in sorted(tracer.kept):
-        ctx = tracer.kept[tid]
+    roots: dict[int, SpanRecord] = {}
+    contexts = sorted(contexts, key=lambda c: c.trace_id)
+    for ctx in contexts:
+        tid = ctx.trace_id
         name = (f"req {ctx.trace_id} {ctx.name}"
                 f"{' ' + ctx.tenant if ctx.tenant else ''}"
                 f"{' TRUNCATED' if ctx.truncated else ''}")
@@ -845,48 +765,37 @@ def perfetto_trace(tracer: RequestTracer, overlays=(),
             if s.t1 is None:
                 continue
             events.append(slice_event(
-                s, s.layer, tid, tid_of.get(s.layer, len(LAYERS) + 1)))
+                s, tid, tid_of.get(s.layer, len(LAYERS) + 1)))
             if s.parent_id is None:
                 roots[tid] = s
 
-    background = list(tracer.background)
-    repeats = Counter((s.name, s.t0, s.t1) for s in background)
-    kept_overlays = []
-    for ov in overlays:
-        key = (ov.name, ov.t0, ov.t1)
-        if repeats[key]:
-            repeats[key] -= 1
-        else:
-            kept_overlays.append(ov)
-    # (t0, order, track, span): background spans first at equal t0
-    bg = sorted(
-        [(s.t0, i, s.layer, s) for i, s in enumerate(background)]
-        + [(ov.t0, len(background) + i, ov.track, ov)
-           for i, ov in enumerate(kept_overlays)])
-    # track -> [[tid, end of its last slice as exported], ...]
+    background = list(background)
+    bg = background + _unheld((), background, overlays)
+    bg.sort(key=lambda s: s.t0)   # stable: background first at equal t0
+    # layer -> [[tid, end of its last slice as exported], ...]
     lanes: dict[str, list[list]] = {}
     next_tid = len(LAYERS) + 1
-    for _, _, track, s in bg:
-        ev = slice_event(s, track, _PERFETTO_BG_PID, 0)
+    for s in bg:
+        ev = slice_event(s, 0, 0)
         ts = ev["ts"]
-        lane = next((ln for ln in lanes.get(track, ()) if ln[1] <= ts),
+        lane = next((ln for ln in lanes.get(s.layer, ()) if ln[1] <= ts),
                     None)
         if lane is None:
-            held = lanes.setdefault(track, [])
-            if not held and track in tid_of:
-                ltid = tid_of[track]
+            held = lanes.setdefault(s.layer, [])
+            if not held and s.layer in tid_of:
+                ltid = tid_of[s.layer]
             else:
                 ltid, next_tid = next_tid, next_tid + 1
-            label = track if not held else f"{track} #{len(held) + 1}"
+            label = s.layer if not held else f"{s.layer} #{len(held) + 1}"
             events.append({"ph": "M", "name": "thread_name",
-                           "pid": _PERFETTO_BG_PID, "tid": ltid,
+                           "pid": 0, "tid": ltid,
                            "args": {"name": label}})
             lane = [ltid, ts]
             held.append(lane)
         lane[1] = ts + ev["dur"]
         ev["tid"] = lane[0]
         events.append(ev)
-        for linked_tid in getattr(s, "links", ()):
+        for linked_tid in s.links:
             root = roots.get(linked_tid)
             if root is None:
                 continue
@@ -894,11 +803,11 @@ def perfetto_trace(tracer: RequestTracer, overlays=(),
             ts_src = min(max(s.t0, root.t0), root.t1)
             events.append({"ph": "s", "id": flow_seq, "name": "commit",
                            "cat": "flow", "pid": linked_tid,
-                           "tid": tid_of["server"], "ts": us(ts_src)})
+                           "tid": tid_of["server"], "ts": ts_src * 1e6})
             events.append({"ph": "f", "bp": "e", "id": flow_seq,
                            "name": "commit", "cat": "flow",
-                           "pid": _PERFETTO_BG_PID, "tid": lane[0],
-                           "ts": us(s.t0)})
+                           "pid": 0, "tid": lane[0],
+                           "ts": s.t0 * 1e6})
     return {"displayTimeUnit": "ms",
             "otherData": {"run": run},
             "traceEvents": events}

@@ -4,8 +4,10 @@
 or :class:`~repro.core.engine.SlimIOSystem` handle (duck-typed — any
 object with the same attribute names works) and plants one
 :class:`~repro.obs.trace.RequestTracer` on every component that knows
-how to feed it (``rtrace`` attribute). Tracing is a mode a run selects;
-the metrics registry is not — every component is built with one.
+how to feed it (``rtrace`` attribute), and gives the system's registry
+the tracer so registry spans join the traces of the processes that
+open them. Tracing is a mode a run selects; the metrics registry is
+not — every component is built with one.
 """
 
 from __future__ import annotations
@@ -15,15 +17,8 @@ from repro.obs.trace import RequestTracer
 __all__ = ["attach_tracer"]
 
 #: system attributes probed for an ``rtrace`` attribute
-_COMPONENT_ATTRS = (
-    "server",
-    "wal",
-    "wal_path",
-    "wal_ring",
-    "cache",
-    "block",
-    "fs",
-)
+_COMPONENT_ATTRS = ("server", "wal", "wal_path", "wal_ring", "cache",
+                    "block", "fs")
 
 
 def attach_tracer(system, tracer: RequestTracer | None = None,
@@ -40,6 +35,9 @@ def attach_tracer(system, tracer: RequestTracer | None = None,
     if tracer is None:
         tracer = RequestTracer(system.env, **tracer_kw)
     system.rtrace = tracer
+    obs = getattr(system, "obs", None)
+    if obs is not None:
+        getattr(obs, "base", obs).tracer = tracer
     for attr in _COMPONENT_ATTRS:
         comp = getattr(system, attr, None)
         if comp is not None and hasattr(comp, "rtrace"):

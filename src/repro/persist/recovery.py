@@ -73,7 +73,7 @@ def recover_store(
     ``wal_sink`` may be None (snapshot-only restore). The two phases
     are booked on ``obs`` (a :class:`repro.obs.MetricsRegistry`; a
     private one when None) as ``snapshot_load`` and ``recovery_replay``
-    spans on the ``recovery`` track, with per-chunk progress in the
+    spans on the ``recovery`` layer, with per-chunk progress in the
     event log.
 
     ``strict_wal=True`` raises :class:`CorruptionError` on interior WAL
@@ -89,7 +89,7 @@ def recover_store(
     result = RecoveryResult()
 
     if source is not None and source.size > 0:
-        with obs.span("snapshot_load", track="recovery"):
+        with obs.span("snapshot_load", "recovery"):
             blob = bytearray()
             offset = 0
             total = source.size
@@ -121,7 +121,7 @@ def recover_store(
         obs.counter("recovery_snapshot_entries_total").inc(len(entries))
 
     if wal_sink is not None:
-        with obs.span("recovery_replay", track="recovery"):
+        with obs.span("recovery_replay", "recovery"):
             raw = yield from wal_sink.read_all(account)
             scan = AofCodec.scan(raw, strict=strict_wal)
             _cpu_ev = account.charge(

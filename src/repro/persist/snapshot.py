@@ -135,7 +135,7 @@ class SnapshotWriterProcess:
         acct = self.account
         writer = RdbWriter(self.compressor)
         try:
-            with self.obs.span("snapshot_write", track="snapshot",
+            with self.obs.span("snapshot_write", "snapshot",
                                kind=self.kind.value):
                 yield from self.sink.write(writer.header(), acct)
                 for start in range(0, len(self.items), self.chunk_entries):

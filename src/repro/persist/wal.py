@@ -77,10 +77,9 @@ class WalManager:
         self._flush_kick: Event | None = None
         self._capacity_waiters: list[Event] = []
         self._closing = False
-        # Spans: every wal_flush/wal_fsync on track "wal" runs under
+        # Spans: every wal_flush/wal_fsync on layer "wal" runs under
         # the sink lock, so they never overlap; the everysec fsync that
-        # deliberately runs outside the lock gets its own "wal-sync"
-        # track.
+        # deliberately runs outside the lock is labelled unlocked=True.
         self.obs = obs or MetricsRegistry(env)
         self._obs_flush_bytes = self.obs.histogram(
             "wal_flush_bytes", policy=policy.value
@@ -181,23 +180,18 @@ class WalManager:
             yield from self._drain_locked(fsync=False)
         finally:
             self._sink_lock.release(req)
-        # outside the sink lock, so on its own span track (may overlap
-        # a concurrent locked drain)
+        # outside the sink lock, so labelled apart from the locked
+        # drains' fsyncs (it may overlap one)
         rt = self.rtrace
         bg = None
-        tsp = None
         if rt is not None and rt.current() is None:
             bg = rt.begin_background("wal-sync")
-        if rt is not None:
-            tsp = rt.open_span("wal_fsync", "wal")
         try:
-            with self.obs.span("wal_fsync", track="wal-sync"):
+            with self.obs.span("wal_fsync", "wal", unlocked=True):
                 yield from self.sink.flush(self.account)
         finally:
-            if rt is not None:
-                rt.close_span(tsp)
-                if bg is not None:
-                    rt.finish_background(bg)
+            if bg is not None:
+                rt.finish_background(bg)
         self._durable_seq = max(self._durable_seq, top)
         self._obs_sync_flushes.inc()
 
@@ -268,21 +262,13 @@ class WalManager:
                 data = b"".join(self._buffer)
                 self._buffer.clear()
                 self._buffer_bytes = 0
-                tsp = None
-                if rt is not None:
-                    # the links are the causal join of group commit:
-                    # every request whose record this flush retires
-                    tsp = rt.open_span("wal_flush", "wal",
-                                       links=rt.take_staged(top),
-                                       policy=self.policy.value,
-                                       nbytes=len(data))
-                try:
-                    with self.obs.span("wal_flush", track="wal",
-                                       policy=self.policy.value):
-                        yield from self.sink.append(data, self.account)
-                finally:
-                    if rt is not None:
-                        rt.close_span(tsp)
+                # the links are the causal join of group commit: every
+                # request whose record this flush retires
+                links = rt.take_staged(top) if rt is not None else ()
+                with self.obs.span("wal_flush", "wal", links=links,
+                                   policy=self.policy.value,
+                                   nbytes=len(data)):
+                    yield from self.sink.append(data, self.account)
                 self._obs_flush_bytes.observe(float(len(data)))
                 self._obs_buffered.set(float(self._buffer_bytes))
                 if self._capacity_waiters and self._buffer_bytes < self.buffer_limit:
@@ -290,14 +276,8 @@ class WalManager:
                     for w in waiters:
                         w.succeed()
             if fsync:
-                tsp = rt.open_span("wal_fsync", "wal") \
-                    if rt is not None else None
-                try:
-                    with self.obs.span("wal_fsync", track="wal"):
-                        yield from self.sink.flush(self.account)
-                finally:
-                    if rt is not None:
-                        rt.close_span(tsp)
+                with self.obs.span("wal_fsync", "wal"):
+                    yield from self.sink.flush(self.account)
                 self._durable_seq = max(self._durable_seq, top)
                 self._obs_sync_flushes.inc()
         finally:

@@ -12,12 +12,12 @@ def test_span_records_sim_time():
 
     def proc():
         yield env.timeout(1.0)
-        with reg.span("work", track="io", kind="x"):
+        with reg.span("work", "io", kind="x"):
             yield env.timeout(2.5)
 
     env.run(until=env.process(proc()))
     (rec,) = reg.spans
-    assert rec.name == "work" and rec.track == "io"
+    assert rec.name == "work" and rec.layer == "io"
     assert rec.t0 == 1.0 and rec.t1 == 3.5
     assert rec.duration == 2.5
     assert rec.labels == {"kind": "x"}
@@ -29,9 +29,9 @@ def test_span_log_is_in_completion_order():
     reg = MetricsRegistry(env)
 
     def proc():
-        with reg.span("flush", track="wal"):
+        with reg.span("flush", "wal"):
             yield env.timeout(1.0)
-            with reg.span("fsync", track="wal"):
+            with reg.span("fsync", "wal"):
                 yield env.timeout(1.0)
 
     env.run(until=env.process(proc()))
@@ -45,7 +45,7 @@ def test_span_exception_propagates_and_marks_not_ok():
         with reg.span("bad"):
             raise RuntimeError("boom")
     (rec,) = reg.spans
-    assert (rec.name, rec.track, rec.ok) == ("bad", "main", False)
+    assert (rec.name, rec.layer, rec.ok) == ("bad", "main", False)
     assert rec.t0 <= rec.t1
 
 

@@ -1,24 +1,23 @@
 """Request-level causal tracing: spans, retention, blame, exporters."""
 
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import replace
 
 import pytest
 
 from repro import LoggingPolicy, SystemConfig, build_slimio
 from repro.cluster import ClusterConfig, build_cluster
+from repro.faults import ErrorSpec
 from repro.obs import SpanRecord, attach_tracer
 from repro.obs.trace import (
     Attribution,
     RequestTracer,
     TraceContext,
-    TraceSpan,
     attribute_interference,
     critical_path,
     dominant_layer,
     load_trace_jsonl,
-    overlay_spans,
     perfetto_trace,
     tail_report,
     trace_jsonl_records,
@@ -96,27 +95,48 @@ class TestEndToEnd:
 
     def test_jsonl_round_trip(self, run):
         system, tracer, _ = run
-        dumped = overlay_spans(system.obs)
-        records = trace_jsonl_records(tracer, dumped, run="unit")
+        records = trace_jsonl_records(tracer, system.obs.spans, run="unit")
         lines = [json.dumps(r) for r in records]
         meta, contexts, background, overlays = load_trace_jsonl(lines)
         assert meta["run"] == "unit"
-        # overlays are the registry's own span records, both ways
-        assert dumped and overlays == dumped
+        # overlays are the registry records no kept trace or background
+        # span holds: those that joined no trace, and those of the
+        # requests sampling dropped
+        held = {id(s) for c in tracer.kept.values() for s in c.spans}
+        held.update(id(s) for s in tracer.background)
+        dumped = [s for s in system.obs.spans if id(s) not in held]
+        assert any(s.trace_id is None for s in dumped)
+        assert any(s.trace_id is not None for s in dumped)
+        assert [o.to_dict() for o in overlays] == \
+            [d.to_dict() for d in dumped]
         assert all(isinstance(o, SpanRecord) for o in overlays)
         assert len(contexts) == len(tracer.kept)
-        assert len(background) == len(tracer.background)
-        total_spans = sum(len(c.spans) for c in tracer.kept.values())
-        assert sum(len(c.spans) for c in contexts) == total_spans
+        assert [s.to_dict() for s in background] == \
+            [s.to_dict() for s in tracer.background]
+        assert [[s.to_dict() for s in c.spans] for c in contexts] == [
+            [s.to_dict() for s in tracer.kept[t].spans]
+            for t in sorted(tracer.kept)]
 
     def test_perfetto_export_shape(self, run):
-        _, tracer, _ = run
-        doc = perfetto_trace(tracer, run="unit")
+        system, tracer, _ = run
+        doc = perfetto_trace(tracer.kept.values(), tracer.background,
+                             system.obs.spans, run="unit")
         events = doc["traceEvents"]
         phases = {e["ph"] for e in events}
         assert {"M", "X"} <= phases
-        # serializable as-is
-        json.dumps(doc)
+        # the dump exports what the live tracer and registry export,
+        # except that a registry record a kept trace holds is drawn
+        # under pid 0 only from the live registry log
+        lines = [json.dumps(r) for r in trace_jsonl_records(
+            tracer, system.obs.spans, run="unit")]
+        meta, contexts, background, overlays = load_trace_jsonl(lines)
+        held = {id(s) for c in tracer.kept.values() for s in c.spans}
+        held.difference_update(id(s) for s in tracer.background)
+        assert held
+        unheld = [s for s in system.obs.spans if id(s) not in held]
+        assert perfetto_trace(contexts, background, overlays, run="unit") \
+            == perfetto_trace(tracer.kept.values(), tracer.background,
+                              unheld, run="unit")
 
 
 def _x_overlaps(doc):
@@ -139,10 +159,10 @@ def _x_overlaps(doc):
 
 
 def test_perfetto_cluster_slices_never_overlap():
-    """Two shards flush their WALs concurrently under pid 0, and the
-    registry overlays repeat the tracer's linked flush spans: each
-    background slice is exported once, and no two slices of one name
-    overlap on one thread."""
+    """Two shards flush their WALs concurrently under pid 0, and each
+    linked flush is both a registry record and a background span: each
+    is exported once there, and no two slices of one name overlap on
+    one thread."""
     cl = build_cluster(config=ClusterConfig(
         num_shards=2, design="slimio",
         system=replace(SMALL_SYSTEM, policy=LoggingPolicy.ALWAYS)))
@@ -151,18 +171,108 @@ def test_perfetto_cluster_slices_never_overlap():
                                   value_size=1024)).run(cl)
     cl.stop()
     tracer.drain_open()
-    overlays = overlay_spans(cl.obs)
-    doc = perfetto_trace(tracer, overlays, run="unit")
+    registry = cl.obs.spans
+    doc = perfetto_trace(tracer.kept.values(), tracer.background, registry,
+                         run="unit")
     assert _x_overlaps(doc) == []
-    flushes = [e for e in doc["traceEvents"] if e["ph"] == "X"
-               and e["pid"] == 0 and e["name"] == "wal_flush"]
-    assert flushes
-    assert len(flushes) == sum(o.name == "wal_flush" for o in overlays)
+    # each registry flush once under pid 0, matched by its interval
+    flushes = sorted((e["ts"], e["dur"]) for e in doc["traceEvents"]
+                     if e["ph"] == "X" and e["pid"] == 0
+                     and e["name"] == "wal_flush")
+    assert any(s.name == "wal_flush" for s in tracer.background)
+    assert flushes == sorted((s.t0 * 1e6, max(s.duration * 1e6, 0.001))
+                             for s in registry if s.name == "wal_flush")
     # every flow lands on the thread that carries its flush slice
     slices = {(e["tid"], e["ts"]) for e in doc["traceEvents"]
               if e["ph"] == "X" and e["pid"] == 0}
     ends = [e for e in doc["traceEvents"] if e["ph"] == "f"]
     assert ends and all((e["tid"], e["ts"]) in slices for e in ends)
+
+
+# ---------------------------------------------------------------- booked once
+#: regions the registry brackets that also join request traces
+_JOINED = ("wal_flush", "wal_fsync", "uring_retry")
+
+
+def _slimio_run(traced: bool, policy=LoggingPolicy.PERIODICAL,
+                error_rate=0.0):
+    """A SlimIO run whose Periodical flusher syncs every 0.5 ms; with
+    ``error_rate``, seeded NVMe write errors make the ring retry."""
+    system = build_slimio(config=SystemConfig(
+        policy=policy, wal_flush_interval=5e-4, faults=error_rate > 0,
+        fault_seed=7))
+    if error_rate:
+        system.fault_injector.errors = ErrorSpec(
+            seed=7, write_error_rate=error_rate)
+    tracer = attach_tracer(system, sample_every=4) if traced else None
+    RedisBenchWorkload(clients=4, total_ops=2000, key_count=128,
+                       value_size=2048).run(system)
+    system.stop()
+    return system.obs, tracer
+
+
+def _always_errors_run(traced: bool):
+    return _slimio_run(traced, LoggingPolicy.ALWAYS, error_rate=0.05)
+
+
+def _cluster_run(traced: bool):
+    cl = build_cluster(config=ClusterConfig(
+        num_shards=2, design="slimio",
+        system=replace(SMALL_SYSTEM, policy=LoggingPolicy.ALWAYS)))
+    tracer = cl.attach_tracer(sample_every=4, keep_slowest=8) \
+        if traced else None
+    ClusterWorkload(YcsbAWorkload(clients=8, total_ops=1000, key_count=200,
+                                  value_size=1024)).run(cl)
+    cl.stop()
+    return cl.obs, tracer
+
+
+@pytest.mark.parametrize("run", [_slimio_run, _cluster_run,
+                                 _always_errors_run],
+                         ids=["periodical", "cluster", "always-errors"])
+def test_registry_regions_are_booked_once(run):
+    """A traced run holds each WAL flush/fsync and ring retry once: the
+    closed spans its traces and background buffer carry are the
+    registry's own records, and the registry books what an untraced run
+    books. (A region the run stopped inside stays open, unbooked.)"""
+    obs, tracer = run(traced=True)
+    registry = {id(s) for s in obs.spans}
+    traced = [s for ctx in tracer.kept.values() for s in ctx.spans]
+    traced += tracer.background
+    joined = [s for s in traced if s.name in _JOINED and s.t1 is not None]
+    assert {"wal_flush", "wal_fsync"} <= {s.name for s in joined}
+    if run is _always_errors_run:
+        assert "uring_retry" in {s.name for s in joined}
+    assert all(id(s) in registry for s in joined)
+    plain, _ = run(traced=False)
+    assert Counter(s.name for s in obs.spans) == \
+        Counter(s.name for s in plain.spans)
+
+
+def test_ring_retries_join_the_command_trace():
+    """A retry inside a traced request's NVMe command is a child of that
+    command on the nvme layer, and the registry's record itself."""
+    obs, tracer = _always_errors_run(traced=True)
+    registry = {id(s) for s in obs.spans_named("uring_retry")}
+    for ctx in tracer.kept.values():
+        by_id = {s.span_id: s for s in ctx.spans}
+        for s in ctx.spans:
+            if s.name == "uring_retry":
+                assert id(s) in registry and s.layer == "nvme"
+                assert by_id[s.parent_id].name == "nvme_cmd"
+                registry.discard(id(s))
+    # some retries served unkept requests: booked in the registry only
+    assert 0 < len(registry) < len(obs.spans_named("uring_retry"))
+
+
+def test_background_buffer_holds_each_span_once():
+    """A linked flush enters the background buffer when it opens; its
+    drain's finish must not append it again."""
+    _, tracer = _slimio_run(traced=True)
+    tracer.drain_open()   # the flusher stopped inside an fsync
+    assert any(s.links for s in tracer.background)
+    assert any(s.labels.get("truncated") for s in tracer.background)
+    assert len({id(s) for s in tracer.background}) == len(tracer.background)
 
 
 # ---------------------------------------------------------------- retention
@@ -226,8 +336,8 @@ class TestRetention:
 
 # ---------------------------------------------------------------- analysis
 def _span(tid, sid, parent, name, layer, t0, t1, **labels):
-    return TraceSpan(tid, sid, parent, name, layer, t0, t1,
-                     labels=labels or None)
+    return SpanRecord(name, layer, t0, t1, labels, trace_id=tid,
+                      span_id=sid, parent_id=parent)
 
 
 def _ctx(tid, spans, tenant="a", name="SET"):
@@ -290,8 +400,8 @@ class TestAnalysis:
         """A request with no device spans of its own is blamed through
         the wal_flush that retired it (background buffer)."""
         ctx = _ctx(7, [_span(7, 1, None, "SET", "server", 0.0, 2.0)])
-        flush = TraceSpan(-1, 9, None, "wal_flush", "wal", 5.0, 10.0,
-                          links=(7,))
+        flush = SpanRecord("wal_flush", "wal", 5.0, 10.0, trace_id=-1,
+                           span_id=9, links=(7,))
         flush_io = _span(-1, 10, 9, "nvme_cmd", "nvme", 6.0, 9.0)
         gc = [SpanRecord("gc_reclaim", "gc", 6.5, 8.5,
                           {"stream": 1, "copied": 4})]

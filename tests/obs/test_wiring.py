@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import SnapshotKind, build_baseline, build_slimio
+from repro import SnapshotKind, SystemConfig, build_baseline, build_slimio
 from repro.workloads import RedisBenchWorkload
 
 
@@ -135,17 +135,23 @@ def test_waf_gauge_matches_ftl_stats(builder):
 @pytest.mark.parametrize("builder", [build_baseline, build_slimio],
                          ids=["baseline", "slimio"])
 def test_serialized_tracks_do_not_overlap(builder):
-    system = builder()
+    # a 0.5 ms flusher interval, so the run holds flush_now's fsyncs
+    system = builder(config=SystemConfig(wal_flush_interval=5e-4))
     reg = system.obs
     _drive(system)
+    # flush_now's fsync runs outside the sink lock (labelled unlocked)
+    # and may overlap a locked drain; the locked ones never overlap
     by_track = {}
     for s in reg.spans:
-        by_track.setdefault((s.track, s.name), []).append(s)
-    for (track, name), spans in by_track.items():
+        key = (s.layer, s.name, s.labels.get("unlocked", False))
+        by_track.setdefault(key, []).append(s)
+    assert ("wal", "wal_flush", False) in by_track
+    assert ("wal", "wal_fsync", True) in by_track
+    for (layer, name, unlocked), spans in by_track.items():
         spans.sort(key=lambda s: s.t0)
         for a, b in zip(spans, spans[1:]):
             assert a.t1 <= b.t0 + 1e-12, \
-                f"same-name spans overlap on {track}/{name}"
+                f"same-name spans overlap on {layer}/{name}"
 
 
 def test_snapshot_write_nests_inside_snapshot():
