@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Open-loop tour: offered load, backpressure, and coordinated omission.
 
-Part 1 compares the three arrival processes (Poisson, MMPP bursts,
-diurnal cycle) by binning one schedule each. Part 2 sweeps offered
-load against a real SlimIO system through the connection front end and
-prints the latency curve with its knee — the first rate where p999
-blows up, a point a closed-loop harness cannot see. Part 3 replays the
-overload rate under all three backpressure policies (BLOCK / SHED /
-DROP) and shows what each one trades. Part 4 demonstrates coordinated
-omission itself: the same closed-loop run measured naively vs from
-each request's intended start (wrk2-style), past capacity.
+Part 1 compares the two arrival processes (Poisson, MMPP bursts) by
+binning one schedule each. Part 2 sweeps offered load against a real
+SlimIO system through the connection front end and prints the latency
+curve with its knee — the first rate where p999 blows up, a point a
+closed-loop harness cannot see. Part 3 replays the overload rate under
+all three backpressure policies (BLOCK / SHED / DROP) and shows what
+each one trades. Part 4 demonstrates coordinated omission itself: a
+closed loop's SET p999 next to the open loop's on the same system past
+capacity, measured from each request's intended arrival.
 
     PYTHONPATH=src python examples/openloop_tour.py
 """
@@ -20,7 +20,7 @@ from repro.imdb import ClientOp
 from repro.net import (
     MIXES,
     BackpressurePolicy,
-    DiurnalArrivals,
+    MixSpec,
     MmppArrivals,
     NetConfig,
     NetFrontend,
@@ -46,7 +46,6 @@ def part1_arrivals():
         ("poisson", PoissonArrivals(2_000, seed=7)),
         ("mmpp 8x", MmppArrivals(2_000, burst=8.0, dwell_calm=0.02,
                                  dwell_burst=0.005, seed=7)),
-        ("diurnal", DiurnalArrivals(2_000, amp=0.9, period=0.1, seed=7)),
     ]
     for name, proc in procs:
         times = proc.times(0.1, t0=0.0)
@@ -55,8 +54,7 @@ def part1_arrivals():
             bins[min(int(t / 0.01), 9)] += 1
         bar = " ".join(f"{b:4d}" for b in bins)
         print(f"  {name:8s} n={len(times):4d}  {bar}")
-    print("  (MMPP piles arrivals into bursts; the diurnal cycle has a")
-    print("   rush hour and a trough — same offered total either way)")
+    print("  (MMPP piles arrivals into bursts — same offered total)")
 
 
 def _system():
@@ -75,15 +73,14 @@ def _system():
     return system
 
 
-def _drive(rate, policy="block", pipeline=8):
+def _drive(rate, policy="block", pipeline=8, mix=MIXES["ycsb_a"]):
     system = _system()
     env = system.env
     fe = NetFrontend(env, system.server, NetConfig(
         pipeline_depth=pipeline, conn_queue=16, max_inflight=128,
         policy=BackpressurePolicy(policy)))
     times = PoissonArrivals(rate, seed=17).times(DURATION, t0=env.now)
-    stream = OpStream(MIXES["ycsb_a"], len(times), KEYS,
-                      value_size=VALUE, seed=11)
+    stream = OpStream(mix, len(times), KEYS, value_size=VALUE, seed=11)
     run_open_loop(env, fe, stream, times, clients=16,
                   horizon=DURATION * 2 + 0.05)
     return summarize_point(fe, rate, len(times), DURATION), fe
@@ -125,31 +122,30 @@ def part3_policies(rate):
     print("  closes connections (accept-overflow shaped)")
 
 
-def part4_omission():
+def part4_omission(rate):
     print()
     print("=" * 64)
-    print("Part 4: coordinated omission in a closed loop, past capacity")
+    print(f"Part 4: coordinated omission, SET-only at {rate:,}/s")
     print("=" * 64)
     system = _system()
     report = ClosedLoopWorkload(
-        clients=8, total_ops=3000, key_count=KEYS, value_size=VALUE,
-        target_rate=2_000_000,  # far beyond capacity: every start is late
+        clients=16, total_ops=3000, key_count=KEYS, value_size=VALUE,
     ).run(system)
-    print(f"  naive SET p999 (measured from actual start): "
-          f"{report.set_p999 * 1e6:>10.1f} us")
-    print(f"  corrected SET p999 (from intended start):    "
-          f"{report.corrected_set_p999 * 1e6:>10.1f} us")
-    print(f"  late starts: {report.late_starts} — the naive number only "
-          f"times the server,")
-    print("  the corrected one also charges the queueing the schedule "
-          "actually saw")
+    system.stop()
+    p, _ = _drive(rate, mix=MixSpec(read=0.0, update=1.0))
+    print(f"  closed loop SET p999 (from each op's actual start): "
+          f"{report.set_p999 * 1e6:>9.1f} us")
+    print(f"  open loop SET p999 (from each op's intended start): "
+          f"{p.p999 * 1e6:>9.1f} us")
+    print("  the closed loop waits for the server before it offers more,")
+    print("  so it never sees the queue the open loop's schedule builds")
 
 
 def main():
     part1_arrivals()
     knee = part2_sweep()
     part3_policies(knee)
-    part4_omission()
+    part4_omission(knee)
 
 
 if __name__ == "__main__":

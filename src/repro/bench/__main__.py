@@ -174,12 +174,6 @@ def main(argv=None) -> int:
                              "print the top-N cumulative hotspots to "
                              "stderr (bypasses the result cache; the "
                              "report itself stays deterministic)")
-    parser.add_argument("--faults", action="store_true",
-                        help="run every SlimIO system under the "
-                             "repro.faults transient-error injector "
-                             "(seeded NVMe errors absorbed by the ring "
-                             "retry policy; cached separately from "
-                             "default reports)")
     args = parser.parse_args(argv)
 
     if args.experiments == ["list"]:
@@ -193,8 +187,6 @@ def main(argv=None) -> int:
     scale = get_scale(args.scale)
     if args.sanitize:
         scale = replace(scale, sanitize=True)
-    if args.faults:
-        scale = replace(scale, faults=True)
     if "all" in args.experiments:
         names = list(EXPERIMENTS)
     else:

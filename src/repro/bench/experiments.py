@@ -1049,11 +1049,11 @@ def _openloop_run(scale: Scale, rate: float, *, policy="block",
 
     system = build_slimio(
         config=scale.system_config(gc_pressure=False, trigger=False))
-    tracer = None
-    if trace:
-        tracer = attach_tracer(system, sample_every=4, keep_slowest=64)
     _fill_store(system, scale.ycsb_keys, scale.ycsb_value)
     system.server.reset_metrics()
+    # attached after the fill, so only open-loop requests are traced
+    tracer = (attach_tracer(system, sample_every=4, keep_slowest=64)
+              if trace else None)
 
     duration = scale.ycsb_ops / _OPENLOOP_SCHED_RATE
     env = system.env

@@ -59,11 +59,6 @@ class Scale:
     #: run every experiment with the repro.analysis runtime sanitizers
     #: active on SlimIO systems (``python -m repro.bench --sanitize``)
     sanitize: bool = False
-    #: run every SlimIO system under the repro.faults transient-error
-    #: injector (``python -m repro.bench --faults``); errors are seeded
-    #: and absorbed by the ring's RetryPolicy, and the flag is part of
-    #: the cache key, so default reports are never perturbed
-    faults: bool = False
 
     # ------------------------------------------------------------------ configs
     def _geometry(self, mb: int) -> FlashGeometry:
@@ -112,7 +107,6 @@ class Scale:
             wal_buffer_limit_bytes=4 * MB,
             fs_extent_pages=64,
             sanitize=self.sanitize,
-            faults=self.faults,
         )
         if overrides:
             cfg = replace(cfg, **overrides)

@@ -10,7 +10,6 @@ request's *intended* start, so there is no coordinated omission.
 
 from repro.net.arrivals import (
     ArrivalProcess,
-    DiurnalArrivals,
     MmppArrivals,
     PoissonArrivals,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "ArrivalProcess",
     "PoissonArrivals",
     "MmppArrivals",
-    "DiurnalArrivals",
     "BackpressurePolicy",
     "NetConfig",
     "Connection",

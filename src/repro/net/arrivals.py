@@ -17,9 +17,6 @@ connections interleave.
 * :class:`MmppArrivals` — a two-state Markov-modulated Poisson process:
   calm/burst states with exponentially distributed dwell times.  The
   mean rate matches ``rate``; the burst state runs ``burst``× hotter.
-* :class:`DiurnalArrivals` — a sinusoidal rate ramp (the day/night
-  cycle compressed to ``period`` seconds), realized by thinning a
-  Poisson process at the peak rate.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ __all__ = [
     "ArrivalProcess",
     "PoissonArrivals",
     "MmppArrivals",
-    "DiurnalArrivals",
 ]
 
 
@@ -43,11 +39,6 @@ class ArrivalProcess:
 
     def times(self, duration: float, t0: float = 0.0) -> np.ndarray:
         """Absolute arrival instants in ``[t0, t0 + duration)``."""
-        raise NotImplementedError
-
-    def with_rate(self, rate: float) -> "ArrivalProcess":
-        """A copy of this process re-targeted to a new mean rate
-        (same shape parameters and seed) — the sweep primitive."""
         raise NotImplementedError
 
     def _check(self) -> None:
@@ -73,9 +64,6 @@ class PoissonArrivals(ArrivalProcess):
             more = rng.exponential(1.0 / self.rate, size=n)
             t = np.concatenate([t, t[-1] + np.cumsum(more)])
         return t0 + t[t < duration]
-
-    def with_rate(self, rate: float) -> "PoissonArrivals":
-        return PoissonArrivals(rate, seed=self.seed)
 
 
 class MmppArrivals(ArrivalProcess):
@@ -124,44 +112,3 @@ class MmppArrivals(ArrivalProcess):
         if not chunks:
             return np.empty(0)
         return t0 + np.concatenate(chunks)
-
-    def with_rate(self, rate: float) -> "MmppArrivals":
-        return MmppArrivals(rate, burst=self.burst,
-                            dwell_calm=self.dwell_calm,
-                            dwell_burst=self.dwell_burst, seed=self.seed)
-
-
-class DiurnalArrivals(ArrivalProcess):
-    """Sinusoidal rate ramp between ``rate*(1-amp)`` and
-    ``rate*(1+amp)`` with period ``period`` seconds, via thinning."""
-
-    def __init__(self, rate: float, amp: float = 0.6, period: float = 1.0,
-                 seed: int = 1):
-        if not 0.0 <= amp < 1.0:
-            raise ValueError("amp must be in [0, 1)")
-        if period <= 0:
-            raise ValueError("period must be positive")
-        self.rate = float(rate)
-        self.amp = float(amp)
-        self.period = float(period)
-        self.seed = seed
-        self._check()
-
-    def _rate_at(self, t: np.ndarray) -> np.ndarray:
-        phase = 2.0 * np.pi * t / self.period
-        # start the run in the trough so the ramp-up is visible
-        return self.rate * (1.0 - self.amp * np.cos(phase))
-
-    def times(self, duration: float, t0: float = 0.0) -> np.ndarray:
-        peak = self.rate * (1.0 + self.amp)
-        base = PoissonArrivals(peak, seed=self.seed)
-        cand = base.times(duration)
-        if len(cand) == 0:
-            return cand
-        rng = np.random.default_rng(self.seed ^ 0xD1E5)
-        keep = rng.random(len(cand)) < self._rate_at(cand) / peak
-        return t0 + cand[keep]
-
-    def with_rate(self, rate: float) -> "DiurnalArrivals":
-        return DiurnalArrivals(rate, amp=self.amp, period=self.period,
-                               seed=self.seed)

@@ -59,7 +59,7 @@ _CLOSE = object()
 
 #: frame bytes a front end's ``decode_memo`` holds before it starts over.
 #: One rate of slimbench's ``openloop_net`` sends ~450-600 distinct
-#: frames (~1 MB), so only unique-value traffic (inserts) reaches it.
+#: frames (~1 MB), so only unique-value traffic reaches it.
 MEMO_FRAME_BYTES = 4 * 1024 * 1024
 
 

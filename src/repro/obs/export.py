@@ -226,19 +226,19 @@ def summarize_records(records: list[dict]) -> str:
                f"{len(counters) + len(gauges) + len(hists)}")
 
     if spans:
-        out += ["", "spans (by name):"]
-        by_name: dict[str, list[dict]] = {}
+        out += ["", "spans (by name and layer):"]
+        by_name: dict[tuple[str, str], list[dict]] = {}
         for s in spans:
-            by_name.setdefault(s["name"], []).append(s)
+            by_name.setdefault((s["name"], s["layer"]), []).append(s)
         header = f"  {'name':28s} {'layer':10s} {'count':>6s} " \
                  f"{'total':>12s} {'mean':>12s} {'max':>12s}"
         out.append(header)
-        for name in sorted(by_name):
-            group = by_name[name]
+        for name, layer in sorted(by_name):
+            group = by_name[name, layer]
             durs = [s["t1"] - s["t0"] for s in group
                     if s.get("t1") is not None] or [0.0]
             out.append(
-                f"  {name:28s} {group[0]['layer']:10s} {len(group):6d} "
+                f"  {name:28s} {layer:10s} {len(group):6d} "
                 f"{_fmt_seconds(sum(durs)):>12s} "
                 f"{_fmt_seconds(sum(durs) / len(durs)):>12s} "
                 f"{_fmt_seconds(max(durs)):>12s}"

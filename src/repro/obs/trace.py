@@ -41,7 +41,6 @@ no work and creates zero simulator events.
 from __future__ import annotations
 
 import heapq
-import json
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -134,7 +133,8 @@ class RequestTracer:
         self._slow: list[tuple[float, int]] = []   # (duration, trace_id) min-heap
         self._span_seq = 0
         self._bg_seq = 0
-        self._staged_wal: list[tuple[int, int]] = []   # (wal seq, trace id)
+        #: per WAL: (seq, trace id) notes of records not yet retired
+        self._staged_wal: dict[object, list[tuple[int, int]]] = {}
 
     # ------------------------------------------------------------ scope
     def _scope(self) -> _Scope | None:
@@ -297,22 +297,26 @@ class RequestTracer:
         return span
 
     # ------------------------------------------------------------ WAL links
-    def note_wal_stage(self, seq: int) -> None:
-        """Record that the current request staged WAL record ``seq``
-        (called synchronously from ``WalManager.stage``)."""
+    def note_wal_stage(self, wal, seq: int) -> None:
+        """Record that the current request staged record ``seq`` of
+        ``wal`` (called synchronously from ``WalManager.stage``)."""
         sc = self._scope()
         if sc is not None and not sc.ctx.background:
-            self._staged_wal.append((seq, sc.ctx.trace_id))
+            self._staged_wal.setdefault(wal, []).append(
+                (seq, sc.ctx.trace_id))
 
-    def take_staged(self, upto_seq: int) -> tuple[int, ...]:
-        """Consume the staged-record notes a drain is about to retire;
-        returns the distinct trace ids the flush makes durable."""
-        if not self._staged_wal:
+    def take_staged(self, wal, upto_seq: int) -> tuple[int, ...]:
+        """Consume the notes of ``wal``'s records a drain is about to
+        retire; returns the distinct trace ids the flush makes durable.
+        Sequence numbers are per WAL, so each shard's drain takes only
+        its own notes."""
+        notes = self._staged_wal.get(wal)
+        if not notes:
             return ()
         taken, rest = [], []
-        for seq, tid in self._staged_wal:
+        for seq, tid in notes:
             (taken if seq <= upto_seq else rest).append((seq, tid))
-        self._staged_wal = rest
+        self._staged_wal[wal] = rest
         return tuple(dict.fromkeys(tid for _, tid in taken))
 
     # ------------------------------------------------------------ faults

@@ -115,7 +115,7 @@ class WalManager:
         self._staged_seq += 1
         self._obs_records.inc()
         if self.rtrace is not None:
-            self.rtrace.note_wal_stage(self._staged_seq)
+            self.rtrace.note_wal_stage(self, self._staged_seq)
         self._obs_buffered.set(float(self._buffer_bytes))
         if self._buffer_bytes >= self.buffer_limit:
             self._kick()
@@ -264,7 +264,7 @@ class WalManager:
                 self._buffer_bytes = 0
                 # the links are the causal join of group commit: every
                 # request whose record this flush retires
-                links = rt.take_staged(top) if rt is not None else ()
+                links = rt.take_staged(self, top) if rt is not None else ()
                 with self.obs.span("wal_flush", "wal", links=links,
                                    policy=self.policy.value,
                                    nbytes=len(data)):

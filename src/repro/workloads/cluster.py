@@ -24,7 +24,6 @@ from repro.obs.registry import percentile
 from repro.workloads.runner import (
     ClosedLoopWorkload,
     WorkloadReport,
-    add_corrected,
     server_report,
 )
 
@@ -56,10 +55,6 @@ class ClusterWorkload:
     def __init__(self, shape: ClosedLoopWorkload):
         self.shape = shape
 
-    def preload(self, cluster) -> None:
-        """Load initial records onto their owning shards (zero time)."""
-        self.shape.preload(cluster)
-
     def run(self, cluster, warmup_ops: int = 0) -> ClusterReport:
         """Drive the cluster to completion and report.
 
@@ -67,7 +62,7 @@ class ClusterWorkload:
         after every shard's snapshots finish.
         """
         ftl = cluster.device.ftl
-        t0, (writes, routed0), corrected = self.shape.drive(
+        t0, (writes, routed0) = self.shape.drive(
             cluster, warmup_ops,
             lambda: (ftl.window(), list(cluster.router.routed)),
         )
@@ -112,5 +107,4 @@ class ClusterWorkload:
         agg.waf = writes.waf()
         agg.gc_pages_copied = writes.copied
         agg.gc_segments_erased = writes.erased
-        add_corrected(agg, self.shape.target_rate, corrected)
         return out

@@ -138,13 +138,8 @@ class ZipfianKeys:
         # scramble table for hot-item scatter
         self._perm = np.random.default_rng(seed ^ 0x5EED).permutation(n)
 
-    def ranks(self, n: int) -> np.ndarray:
-        """Raw popularity ranks (0 = hottest), no scramble applied.
-
-        YCSB's "latest" distribution wants rank order preserved (rank 0
-        maps to the newest key), so this is exposed separately from
-        :meth:`draw`.
-        """
+    def draw(self, n: int) -> np.ndarray:
+        # popularity ranks (0 = hottest), then the hot-item scramble
         u = self._rng.random(n)
         uz = u * self._zetan
         ranks = np.empty(n, dtype=np.int64)
@@ -158,7 +153,4 @@ class ZipfianKeys:
             * np.power(self._eta * u[m3] - self._eta + 1.0, self._alpha)
         ).astype(np.int64)
         np.clip(ranks, 0, self.key_count - 1, out=ranks)
-        return ranks
-
-    def draw(self, n: int) -> np.ndarray:
-        return self._perm[self.ranks(n)]
+        return self._perm[ranks]

@@ -4,8 +4,8 @@ A workload pre-draws its whole operation sequence (vectorized numpy);
 :func:`closed_loop` spawns N client processes that pull from the shared
 sequence and runs the simulation to completion (including any in-flight
 snapshot); :func:`server_report` summarizes everything the paper's
-tables read off one server's window. A single instance, every shard of
-a cluster and a replayed trace all go through these two functions.
+tables read off one server's window. A single instance and every shard
+of a cluster go through these two functions.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.persist import SnapshotKind
 from repro.workloads.keys import UniformKeys, ZipfianKeys, make_key, make_value
 
 __all__ = ["WorkloadReport", "ClosedLoopWorkload", "RedisBenchWorkload",
-           "YcsbAWorkload", "closed_loop", "server_report", "add_corrected"]
+           "YcsbAWorkload", "closed_loop", "server_report"]
 
 
 @dataclass
@@ -44,17 +44,6 @@ class WorkloadReport:
     gc_segments_erased: int = 0
     gc_pages_copied: int = 0
     timeline: tuple[np.ndarray, np.ndarray] | None = None
-    #: intended-schedule rate (ops/s) when the run was paced; None for
-    #: plain closed-loop runs
-    target_rate: float | None = None
-    #: coordinated-omission-corrected percentiles: latency measured
-    #: from each op's *intended* start on the fixed schedule, so time
-    #: an op spent waiting behind a slow server is charged to it
-    corrected_set_p999: float = float("nan")
-    corrected_get_p999: float = float("nan")
-    corrected_set_mean: float = float("nan")
-    #: measured ops that started later than their intended instant
-    late_starts: int = 0
 
     @property
     def mean_snapshot_time(self) -> float:
@@ -64,7 +53,7 @@ class WorkloadReport:
 
 def closed_loop(target, total: int, op_at: Callable[[int], ClientOp], *,
                 clients: int, warmup_ops: int = 0,
-                snapshot_at: int | None = None, rate: float | None = None,
+                snapshot_at: int | None = None,
                 baseline: Callable[[], object] = lambda: None):
     """Run ops ``op_at(0) .. op_at(total - 1)`` through ``target``.
 
@@ -74,14 +63,11 @@ def closed_loop(target, total: int, op_at: Callable[[int], ClientOp], *,
     measurement window opens: every server's metrics are reset and
     ``baseline()`` is called (the caller opens its flash write
     window there). From op ``snapshot_at`` on, each server is asked for an
-    On-Demand snapshot until it has taken one. With ``rate``, op ``i``
-    is held until its intended instant ``i / rate``. Returns after
-    every client is done and no server is snapshotting.
+    On-Demand snapshot until it has taken one. Returns after every
+    client is done and no server is snapshotting.
 
-    Returns ``(t0, base, corrected)``: when the window opened, what
-    ``baseline()`` returned then, and for a paced run the latencies
-    measured from each op's intended instant plus the late-start count
-    (``{"SET": [...], "GET": [...], "DEL": [...], "late": n}``).
+    Returns ``(t0, base)``: when the window opened and what
+    ``baseline()`` returned then.
     """
     if not 0 <= warmup_ops < total:
         raise ValueError("warmup_ops must be in [0, total ops)")
@@ -90,32 +76,18 @@ def closed_loop(target, total: int, op_at: Callable[[int], ClientOp], *,
     cursor = 0
     t0 = base = None
     unsnapshotted = list(servers) if snapshot_at is not None else []
-    sched_t0 = env.now
-    corrected = {"SET": [], "GET": [], "DEL": [], "late": 0}
 
     def client():
         nonlocal cursor, t0, base
         while cursor < total:
             i = cursor
             cursor += 1
-            if rate is not None:
-                # fixed intended schedule: op i belongs at i/rate no
-                # matter how far behind the clients have fallen
-                t_int = sched_t0 + i / rate
-                if env.now < t_int:
-                    yield env.timeout(t_int - env.now)
             if t0 is None and i >= warmup_ops:
                 t0 = env.now
                 for server in servers:
                     server.reset_metrics()
                 base = baseline()
-            t_start = env.now
-            op = op_at(i)
-            yield from target.execute(op)
-            if rate is not None and i >= warmup_ops:
-                corrected[op.op].append(env.now - t_int)
-                if t_start > t_int:
-                    corrected["late"] += 1
+            yield from target.execute(op_at(i))
             if unsnapshotted and i >= snapshot_at:
                 # keep asking: a WAL-snapshot may be in flight (only
                 # one snapshot runs at a time per server, §2.1)
@@ -136,7 +108,7 @@ def closed_loop(target, total: int, op_at: Callable[[int], ClientOp], *,
             yield env.idle_wait(1e-3)
 
     env.run(until=env.process(settle(), name="settle"))
-    return t0, base, corrected
+    return t0, base
 
 
 def _rate_timeline(t: np.ndarray, bin_width: float
@@ -186,31 +158,13 @@ def server_report(window, store, t0: float, now: float) -> WorkloadReport:
     return rep
 
 
-def add_corrected(rep: WorkloadReport, rate: float | None,
-                  corrected: dict) -> None:
-    """The paced-run cells: percentiles from each op's intended start."""
-    if rate is None:
-        return
-    rep.target_rate = rate
-    rep.late_starts = corrected["late"]
-    if corrected["SET"]:
-        rep.corrected_set_p999 = percentile(corrected["SET"], 99.9)
-        rep.corrected_set_mean = float(np.mean(corrected["SET"]))
-    if corrected["GET"]:
-        rep.corrected_get_p999 = percentile(corrected["GET"], 99.9)
-
-
 class ClosedLoopWorkload:
     """N clients, zero think time, a shared pre-drawn op sequence.
 
-    With ``target_rate`` set, the clients pace themselves against a
-    fixed schedule (op ``i`` is *intended* to start at ``i /
-    target_rate``) and the report carries coordinated-omission-
-    corrected percentiles: a pure closed loop lets a slow server
-    throttle its own load generator, so the latency distribution never
-    sees the requests that would have arrived during a stall — the
-    wrk2 correction measures every op from its intended instant
-    instead.
+    A closed loop lets a slow server throttle its own load generator,
+    so its latencies miss the queueing a fixed schedule would see; the
+    open loop in :mod:`repro.net` measures from each request's intended
+    start instead.
     """
 
     def __init__(
@@ -222,18 +176,13 @@ class ClosedLoopWorkload:
         get_ratio: float = 0.0,
         zipfian: bool = False,
         seed: int = 7,
-        key_width: int = 8,
         preload_records: int = 0,
         snapshot_at_fraction: float | None = None,
-        incompressible_fraction: float = 0.6,
-        target_rate: float | None = None,
     ):
         if clients < 1 or total_ops < 1:
             raise ValueError("clients and total_ops must be >= 1")
         if not 0.0 <= get_ratio <= 1.0:
             raise ValueError("get_ratio must be in [0, 1]")
-        if target_rate is not None and target_rate <= 0:
-            raise ValueError("target_rate must be positive")
         self.clients = clients
         self.total_ops = total_ops
         self.key_count = key_count
@@ -241,11 +190,8 @@ class ClosedLoopWorkload:
         self.get_ratio = get_ratio
         self.zipfian = zipfian
         self.seed = seed
-        self.key_width = key_width
         self.preload_records = preload_records
         self.snapshot_at_fraction = snapshot_at_fraction
-        self.incompressible_fraction = incompressible_fraction
-        self.target_rate = target_rate
 
     # ------------------------------------------------------------------ sequence
     def _draw_sequence(self) -> tuple[np.ndarray, np.ndarray]:
@@ -260,23 +206,18 @@ class ClosedLoopWorkload:
         return keys, is_get
 
     def _op(self, key_idx: int, is_get: bool) -> ClientOp:
-        key = make_key(int(key_idx), self.key_width)
+        key = make_key(int(key_idx))
         if is_get:
             return ClientOp("GET", key)
-        return ClientOp(
-            "SET", key,
-            make_value(key, self.value_size, self.incompressible_fraction),
-        )
+        return ClientOp("SET", key, make_value(key, self.value_size))
 
     # ------------------------------------------------------------------ running
     def preload(self, target) -> None:
         """Load initial records directly (setup phase, zero sim time)."""
         for i in range(self.preload_records):
-            key = make_key(i, self.key_width)
+            key = make_key(i)
             target.server_for_key(key).store.set(
-                key, make_value(key, self.value_size,
-                                self.incompressible_fraction)
-            )
+                key, make_value(key, self.value_size))
 
     def drive(self, target, warmup_ops: int, baseline):
         """Preload, draw the sequence and run it through ``target``
@@ -290,7 +231,7 @@ class ClosedLoopWorkload:
                 int(self.total_ops * self.snapshot_at_fraction)
                 if self.snapshot_at_fraction is not None else None
             ),
-            rate=self.target_rate, baseline=baseline,
+            baseline=baseline,
         )
 
     def run(self, system, warmup_ops: int = 0) -> WorkloadReport:
@@ -299,14 +240,12 @@ class ClosedLoopWorkload:
         ``warmup_ops``: leading operations excluded from metrics (used
         to build GC pressure before measuring).
         """
-        t0, writes, corrected = self.drive(system, warmup_ops,
-                                           system.device.ftl.window)
+        t0, writes = self.drive(system, warmup_ops, system.device.ftl.window)
         rep = server_report(system.metrics, system.server.store, t0,
                             system.env.now)
         rep.waf = writes.waf()
         rep.gc_pages_copied = writes.copied
         rep.gc_segments_erased = writes.erased
-        add_corrected(rep, self.target_rate, corrected)
         return rep
 
 

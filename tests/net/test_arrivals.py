@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.net import DiurnalArrivals, MmppArrivals, PoissonArrivals
+from repro.net import MmppArrivals, PoissonArrivals
 
 PROCS = [
     PoissonArrivals(5_000, seed=3),
     MmppArrivals(5_000, burst=4.0, dwell_calm=0.02, dwell_burst=0.005,
                  seed=3),
-    DiurnalArrivals(5_000, amp=0.6, period=0.5, seed=3),
 ]
 
 
@@ -35,15 +34,6 @@ def test_mean_rate_close_to_nominal(proc):
     assert 0.75 * 2500 < n < 1.25 * 2500
 
 
-@pytest.mark.parametrize("proc", PROCS, ids=lambda p: type(p).__name__)
-def test_with_rate_rescales(proc):
-    doubled = proc.with_rate(10_000)
-    assert doubled.rate == 10_000
-    n1 = len(proc.times(0.5))
-    n2 = len(doubled.times(0.5))
-    assert 1.5 * n1 < n2 < 2.5 * n1
-
-
 def test_mmpp_is_burstier_than_poisson():
     """Same mean rate, but the MMPP packs arrivals into burst dwells:
     its per-bin count variance must exceed the Poisson's."""
@@ -58,15 +48,6 @@ def test_mmpp_is_burstier_than_poisson():
     assert bin_var(mm) > 2.0 * bin_var(po)
 
 
-def test_diurnal_trough_quieter_than_peak():
-    d = DiurnalArrivals(5_000, amp=0.8, period=1.0, seed=9)
-    t = d.times(1.0)
-    # period 1.0 starting in the trough: first quarter ≪ middle half
-    trough = np.sum(t < 0.25)
-    peak = np.sum((t >= 0.25) & (t < 0.75))
-    assert peak > 2.0 * trough
-
-
 def test_validation():
     with pytest.raises(ValueError):
         PoissonArrivals(0.0)
@@ -74,10 +55,6 @@ def test_validation():
         MmppArrivals(100, burst=0.5)
     with pytest.raises(ValueError):
         MmppArrivals(100, dwell_calm=0.0)
-    with pytest.raises(ValueError):
-        DiurnalArrivals(100, amp=1.5)
-    with pytest.raises(ValueError):
-        DiurnalArrivals(100, period=0.0)
 
 
 def test_mmpp_mean_rate_compensates_for_bursts():

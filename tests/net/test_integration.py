@@ -3,7 +3,9 @@
 Two wirings the unit tests' fake backends can't cover: the cluster
 router (slot-hash fan-out behind one listener) and a power cut landing
 while connections still hold queued commands (every acked write must
-be recoverable — Always logging makes ack mean durable).
+be recoverable — Always logging makes ack mean durable). Plus the
+openloop experiment's traced point, which must trace only the load it
+offers.
 """
 
 from repro.cluster import ClusterConfig, build_cluster
@@ -127,3 +129,17 @@ def test_power_cut_with_queued_connections_keeps_acked_prefix():
     # recovered ⊆ issued: recovery must not invent keys or values
     for key, value in recovered.items():
         assert sent.get(key) == value
+
+
+def test_openloop_experiment_traces_only_open_loop_requests():
+    """The tracer is attached after the store fill: every kept trace is
+    rooted at the front end and the tracer saw exactly the commands the
+    open loop issued (the fill's SETs used to be traced too, as
+    server-rooted requests ahead of the first arrival)."""
+    from repro.bench.experiments import _openloop_run
+    from repro.bench.scales import TEST_SCALE
+
+    _, fe, tracer = _openloop_run(TEST_SCALE, 25_000, trace=True)
+    assert tracer.kept
+    assert all(ctx.root.layer == "net" for ctx in tracer.kept.values())
+    assert tracer.requests_seen == fe.issued > 0

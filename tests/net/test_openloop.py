@@ -5,6 +5,7 @@ import pytest
 
 from repro.net import (
     MIXES,
+    MixSpec,
     NetConfig,
     NetFrontend,
     OpenLoopPoint,
@@ -66,7 +67,7 @@ def test_connection_churn_reconnects():
     be = FixedBackend(env)
     fe = NetFrontend(env, be, NetConfig(pipeline_depth=8))
     times = PoissonArrivals(10_000, seed=3).times(0.02, t0=env.now)
-    stream = OpStream(MIXES["ycsb_c"], len(times), 100, seed=5)
+    stream = OpStream(MixSpec(read=1.0), len(times), 100, seed=5)
     run_open_loop(env, fe, stream, times, clients=4, horizon=0.1,
                   conn_lifetime=10)
     assert fe.listener.accepted > 4  # every client reconnected
@@ -130,5 +131,5 @@ def test_clients_validation():
     env = Environment()
     fe = NetFrontend(env, FixedBackend(env))
     with pytest.raises(ValueError):
-        run_open_loop(env, fe, OpStream(MIXES["ycsb_c"], 1, 10),
+        run_open_loop(env, fe, OpStream(MixSpec(read=1.0), 1, 10),
                       np.zeros(1), clients=0, horizon=0.1)

@@ -124,6 +124,22 @@ def test_summarize_records(reg, tmp_path):
     assert "event log: 1 entries" in text
 
 
+def test_summary_keeps_one_name_apart_by_layer():
+    """A causal-trace dump roots the same command name at two layers
+    (net front end, server): one row each, not one row labelled with
+    whichever layer came first."""
+    def span(layer, t1):
+        return {"type": "span", "name": "SET", "layer": layer,
+                "t0": 0.0, "t1": t1}
+
+    records = [span("net", 3e-6), span("net", 3e-6), span("server", 1e-6)]
+    rows = [line.split() for line in
+            summarize_records(records).splitlines()
+            if line.split()[:1] == ["SET"]]
+    assert sorted(row[:3] for row in rows) == [
+        ["SET", "net", "2"], ["SET", "server", "1"]]
+
+
 def test_cli_summarize_and_trace(reg, tmp_path, capsys):
     path = tmp_path / "run.jsonl"
     write_jsonl(reg, path)

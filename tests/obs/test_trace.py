@@ -158,11 +158,8 @@ def _x_overlaps(doc):
     return bad
 
 
-def test_perfetto_cluster_slices_never_overlap():
-    """Two shards flush their WALs concurrently under pid 0, and each
-    linked flush is both a registry record and a background span: each
-    is exported once there, and no two slices of one name overlap on
-    one thread."""
+def _two_shard_always_log_run():
+    """A traced two-shard SlimIO cluster run under Always-Log."""
     cl = build_cluster(config=ClusterConfig(
         num_shards=2, design="slimio",
         system=replace(SMALL_SYSTEM, policy=LoggingPolicy.ALWAYS)))
@@ -171,6 +168,15 @@ def test_perfetto_cluster_slices_never_overlap():
                                   value_size=1024)).run(cl)
     cl.stop()
     tracer.drain_open()
+    return cl, tracer
+
+
+def test_perfetto_cluster_slices_never_overlap():
+    """Two shards flush their WALs concurrently under pid 0, and each
+    linked flush is both a registry record and a background span: each
+    is exported once there, and no two slices of one name overlap on
+    one thread."""
+    cl, tracer = _two_shard_always_log_run()
     registry = cl.obs.spans
     doc = perfetto_trace(tracer.kept.values(), tracer.background, registry,
                          run="unit")
@@ -187,6 +193,22 @@ def test_perfetto_cluster_slices_never_overlap():
               if e["ph"] == "X" and e["pid"] == 0}
     ends = [e for e in doc["traceEvents"] if e["ph"] == "f"]
     assert ends and all((e["tid"], e["ts"]) in slices for e in ends)
+
+
+def test_wal_flush_links_stay_on_their_own_shard():
+    """Each shard's WAL numbers its records from 1, so the staged-record
+    notes are kept per WAL: a flush links exactly the requests whose
+    records it retires, never another shard's (one shared list let a
+    drain take the other WAL's notes and leave its own flush unlinked)."""
+    cl, tracer = _two_shard_always_log_run()
+    flushes = [s for s in cl.obs.spans if s.name == "wal_flush"]
+    assert flushes
+    # Always-Log: every staged record comes from a traced request
+    assert all(s.links for s in flushes)
+    linked = [(s.labels["shard"], tracer.kept[t].tenant)
+              for s in flushes for t in s.links if t in tracer.kept]
+    assert linked
+    assert all(shard == tenant for shard, tenant in linked)
 
 
 # ---------------------------------------------------------------- booked once

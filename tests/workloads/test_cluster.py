@@ -73,21 +73,6 @@ def test_aggregate_erase_count_excludes_warmup():
     cl.stop()
 
 
-def test_paced_shape_paces_the_cluster():
-    """One driver: ``target_rate`` holds ops to the schedule on a
-    cluster too (it was silently ignored) and the aggregate carries
-    the corrected cells."""
-    rate = 20_000.0
-    cl = make_cluster(2)
-    report = ClusterWorkload(small_shape(target_rate=rate)).run(cl)
-    agg = report.aggregate
-    assert agg.target_rate == rate
-    assert agg.duration >= (1200 - 1) / rate
-    assert agg.corrected_set_p999 >= agg.set_p999
-    assert all(r.target_rate is None for r in report.per_shard)
-    cl.stop()
-
-
 @pytest.mark.parametrize("design,builder", [("slimio", build_slimio),
                                             ("baseline", build_baseline)])
 def test_one_shard_cluster_reports_what_a_single_instance_reports(
@@ -150,8 +135,7 @@ def test_snapshots_run_on_every_shard():
 
 def test_preload_routes_by_slot():
     cl = make_cluster(4)
-    wl = ClusterWorkload(small_shape(preload_records=100))
-    wl.preload(cl)
+    small_shape(preload_records=100).preload(cl)
     total = sum(
         len(list(s.server.store.snapshot_items())) for s in cl
     )

@@ -5,6 +5,15 @@ import pytest
 from repro import LoggingPolicy, SystemConfig, build_baseline, build_slimio
 from repro.flash import FlashGeometry, FtlConfig, NandTiming
 from repro.imdb import ClientOp, ServerConfig
+from repro.net import (
+    MixSpec,
+    NetConfig,
+    NetFrontend,
+    OpStream,
+    PoissonArrivals,
+    run_open_loop,
+    summarize_point,
+)
 from repro.workloads import ClosedLoopWorkload, RedisBenchWorkload, YcsbAWorkload
 
 FAST = NandTiming(page_read=2e-6, page_program=5e-6, block_erase=20e-6,
@@ -112,96 +121,31 @@ def test_validation():
         ClosedLoopWorkload(clients=0)
     with pytest.raises(ValueError):
         ClosedLoopWorkload(get_ratio=2.0)
-    with pytest.raises(ValueError):
-        ClosedLoopWorkload(target_rate=0.0)
-
-
-def test_unpaced_run_has_no_corrected_series():
-    system = build_slimio(config=CFG)
-    w = ClosedLoopWorkload(clients=4, total_ops=200, key_count=50,
-                           value_size=512)
-    rep = w.run(system)
-    system.stop()
-    assert rep.target_rate is None
-    assert rep.corrected_set_p999 != rep.corrected_set_p999  # NaN
-    assert rep.late_starts == 0
-
-
-def test_paced_run_below_capacity_matches_closed_loop():
-    system = build_slimio(config=CFG)
-    w = ClosedLoopWorkload(clients=4, total_ops=300, key_count=80,
-                           value_size=512, target_rate=2_000.0)
-    rep = w.run(system)
-    system.stop()
-    assert rep.target_rate == 2_000.0
-    # the schedule is easy: ops start on time and the corrected p999
-    # is the same order of magnitude as the server-measured one
-    assert rep.corrected_set_p999 == rep.corrected_set_p999  # not NaN
-    assert rep.corrected_set_p999 < 20 * rep.set_p999
 
 
 def test_coordinated_omission_bias_exposed_past_capacity():
-    """The regression this feature exists for: a closed loop lets the
-    server throttle its own load generator, so server-side percentiles
-    miss all queueing delay. Paced against an impossible schedule, the
-    corrected p999 must blow up while the server-measured p999 (per-op
-    service time only) stays flat."""
+    """A closed loop lets the server throttle its own load generator,
+    so its percentiles miss all queueing delay. Offered the same SETs
+    open loop past capacity, the front end measures each one from its
+    intended arrival: that p999 must blow up while the closed loop's
+    (per-op service time only) stays flat."""
     system = build_slimio(config=CFG)
-    w = ClosedLoopWorkload(clients=4, total_ops=400, key_count=100,
-                           value_size=512, target_rate=5e6)
-    rep = w.run(system)
+    closed = ClosedLoopWorkload(clients=4, total_ops=400, key_count=100,
+                                value_size=512).run(system)
     system.stop()
-    assert rep.late_starts > 0
-    # the biased number cannot see the backlog; the corrected one must
-    assert rep.corrected_set_p999 > 10 * rep.set_p999
-    assert rep.corrected_set_mean > rep.set_mean
 
-
-def test_paced_run_is_deterministic():
-    def once():
-        system = build_slimio(config=CFG)
-        w = ClosedLoopWorkload(clients=4, total_ops=300, key_count=80,
-                               value_size=512, seed=42, target_rate=3_000.0)
-        rep = w.run(system)
-        system.stop()
-        return (rep.corrected_set_p999, rep.corrected_get_p999,
-                rep.corrected_set_mean, rep.late_starts)
-
-    assert once() == once()
-
-
-def test_paced_run_respects_warmup_reset():
     system = build_slimio(config=CFG)
-    w = ClosedLoopWorkload(clients=4, total_ops=600, key_count=100,
-                           value_size=512, target_rate=5e6)
-    rep = w.run(system, warmup_ops=300)
+    env = system.env
+    fe = NetFrontend(env, system.server, NetConfig())
+    rate = 5e6  # far beyond capacity: the backlog only grows
+    times = PoissonArrivals(rate, seed=1).times(400 / rate, t0=env.now)
+    stream = OpStream(MixSpec(read=0.0, update=1.0), len(times), 100,
+                      value_size=512)
+    run_open_loop(env, fe, stream, times, clients=4, horizon=1.0)
     system.stop()
-    # only the measured half contributes corrected samples; at 5M/s
-    # the whole run is late, so every measured op is a late start
-    assert 0 < rep.late_starts <= 310
-    assert rep.corrected_set_p999 == rep.corrected_set_p999  # not NaN
-
-
-@pytest.mark.parametrize("builder,total_ops,rate", [
-    (build_baseline, 1500, 3000.0), (build_slimio, 2500, 8000.0),
-], ids=["baseline", "slimio"])
-def test_corrected_p999_is_never_below_the_uncorrected_one(
-        builder, total_ops, rate):
-    """Every corrected sample is >= its uncorrected twin (the intended
-    start is never after the real one), so with one percentile
-    estimator the corrected p999 cannot read lower. It did while the
-    corrected cells interpolated and ``set_p999`` was nearest-rank."""
-    import dataclasses
-
-    cfg = dataclasses.replace(CFG, policy=LoggingPolicy.ALWAYS)
-    system = builder(config=cfg)
-    w = RedisBenchWorkload(clients=8, total_ops=total_ops, key_count=300,
-                           value_size=1024, snapshot_at_fraction=0.5,
-                           target_rate=rate)
-    rep = w.run(system)
-    system.stop()
-    assert rep.corrected_set_p999 >= rep.set_p999
-    assert rep.corrected_set_mean >= rep.set_mean
+    point = summarize_point(fe, rate, len(times), 400 / rate)
+    assert point.completed == len(times)
+    assert point.p999 > 10 * closed.set_p999
 
 
 def test_window_opens_at_the_first_measured_op_without_warmup():
