@@ -275,13 +275,11 @@ class WalPath(AppendSink):
         # previous generation first, trimmed to its logical length so the
         # page padding at its tail doesn't break the record stream
         if wal.prev_start is not None:
-            prev = yield from self._read_range(
-                wal.prev_start, wal.gen_start, account
+            yield from self._read_range(
+                wal.prev_start, wal.gen_start, blob, account
             )
-            kept = prev[: self._prev_gen_bytes]
-            if AofCodec.walk(kept)[0] == len(kept):
-                blob.extend(kept)
-            else:
+            del blob[self._prev_gen_bytes:]
+            if AofCodec.walk(blob)[0] != len(blob):
                 # The prev region does not decode to its recorded length:
                 # retire_previous TRIMmed it (fully or partially) before a
                 # later metadata write could clear wal_prev_start. A TRIM
@@ -289,12 +287,12 @@ class WalPath(AppendSink):
                 # so these records are safe to drop — replaying a damaged
                 # fragment would instead poison the scan and discard the
                 # *current* generation's acked records after it.
+                blob.clear()
                 wal.prev_start = None
                 self._prev_gen_bytes = 0
         gen_off = len(blob)  # byte offset where the current gen starts
         # current generation through the metadata head hint
-        cur = yield from self._read_range(wal.gen_start, wal.head, account)
-        blob.extend(cur)
+        yield from self._read_range(wal.gen_start, wal.head, blob, account)
         consumed, _ = AofCodec.walk(blob)
         # scan beyond the hint (bounded by region capacity)
         vpn = wal.head
@@ -302,11 +300,11 @@ class WalPath(AppendSink):
         limit = oldest + wal.wal_pages
         while vpn < limit:
             n = min(16, limit - vpn)
-            chunk = yield from self._read_range(vpn, vpn + n, account)
-            if not any(chunk):
-                break
             base = len(blob)
-            blob.extend(chunk)
+            yield from self._read_range(vpn, vpn + n, blob, account)
+            if blob.count(0, base) == len(blob) - base:
+                del blob[base:]  # blank pages: the log ends here
+                break
             new_consumed, _ = AofCodec.walk(blob, consumed)
             if new_consumed <= base:
                 # no valid record reaches into this chunk: stale/torn
@@ -375,10 +373,11 @@ class WalPath(AppendSink):
                 ev = yield from self.ring.deallocate(lba, n, account)
                 yield from self.ring.wait(ev, account)
 
-    def _read_range(self, vpn_start: int, vpn_end: int,
+    def _read_range(self, vpn_start: int, vpn_end: int, out: bytearray,
                     account: CpuAccount) -> Generator:
+        """Append WAL pages ``[vpn_start, vpn_end)`` to ``out``, one
+        read (and one copy) per contiguous page run."""
         wal = self.space.wal
-        out = bytearray()
         vpn = vpn_start
         while vpn < vpn_end:
             for lba, n in wal.contiguous_run(vpn, min(vpn_end - vpn, 64)):
@@ -387,7 +386,6 @@ class WalPath(AppendSink):
                 )
                 out.extend(data)
                 vpn += n
-        return bytes(out)
 
 
 class SnapshotPath(SnapshotSink):

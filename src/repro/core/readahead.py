@@ -14,6 +14,7 @@ from collections.abc import Generator
 
 from repro.kernel.accounting import CpuAccount
 from repro.kernel.iouring import PassthruQueuePair
+from repro.kernel.pagecache import join_pages
 from repro.nvme import ReadCmd
 from repro.obs.registry import MetricsRegistry
 from repro.sim import Event
@@ -121,18 +122,15 @@ class ReadAheadBuffer:
                 del self._inflight[start]
                 self._absorb(start, data)
             yield from self._prefetch(account)
-        out = bytearray(length)
-        pos = 0
-        while pos < length:
-            abs_off = offset + pos
-            idx, in_page = divmod(abs_off, ps)
-            n = min(ps - in_page, length - pos)
-            out[pos : pos + n] = self._pages[idx][in_page : in_page + n]
-            pos += n
+        pages = self._pages
+        out = join_pages(
+            [pages[idx] for idx in range(first, last + 1)],
+            offset - first * ps, offset + length - last * ps,
+        ) if length else b""
         # drop pages behind the cursor (bounded memory)
-        for idx in [i for i in self._pages if i < first]:
-            del self._pages[idx]
-        return bytes(out)
+        for idx in [i for i in pages if i < first]:
+            del pages[idx]
+        return out
 
     def _find_inflight_for(self, idx: int) -> tuple[int, Event] | None:
         for start, ev in self._inflight.items():

@@ -127,7 +127,8 @@ def verify_lba_space(
             continue
         length = best.slot_lengths[idx]
         npages = -(-length // device.lba_size) if length else 0
-        blob = _read(device, lay.slot_base(idx), max(npages, 1))[:length]
+        blob = memoryview(_read(device, lay.slot_base(idx),
+                                max(npages, 1)))[:length]
         try:
             entries = RdbReader(comp).read_all(blob)
         except CorruptRecord as exc:
@@ -142,27 +143,28 @@ def verify_lba_space(
         else best.wal_gen_start
     )
 
-    def read_vpns(start: int, end: int) -> bytes:
-        out = bytearray()
-        for vpn in range(start, end):
-            out.extend(_read(device, lay.wal_base + vpn % wal_pages, 1))
-        return bytes(out)
-
     blob = bytearray()
+
+    def read_vpns(start: int, end: int) -> None:
+        """Append WAL pages ``[start, end)`` to ``blob``: a one-page
+        peek hands back the stored page, so each byte is copied once."""
+        for vpn in range(start, end):
+            blob.extend(_read(device, lay.wal_base + vpn % wal_pages, 1))
+
     if best.wal_prev_start is not None:
-        prev = read_vpns(best.wal_prev_start, best.wal_gen_start)
-        decoded_len, _ = AofCodec.walk(prev[: best.wal_prev_bytes])
+        read_vpns(best.wal_prev_start, best.wal_gen_start)
+        del blob[best.wal_prev_bytes:]
+        decoded_len, _ = AofCodec.walk(blob)
         if decoded_len != best.wal_prev_bytes:
             report.problem(
                 "previous WAL generation does not end on a record boundary"
             )
-        blob.extend(prev[: best.wal_prev_bytes])
-    blob.extend(read_vpns(best.wal_gen_start, best.wal_head))
+    read_vpns(best.wal_gen_start, best.wal_head)
     # scan past the head hint, as recovery does
     vpn = best.wal_head
     limit = oldest + wal_pages
     while vpn < limit:
-        page = read_vpns(vpn, vpn + 1)
+        page = _read(device, lay.wal_base + vpn % wal_pages, 1)
         if not any(page):
             break
         blob.extend(page)

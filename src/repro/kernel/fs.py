@@ -25,6 +25,7 @@ each call pays syscall overhead and is charged to the calling process's
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from collections.abc import Generator
 
@@ -43,25 +44,42 @@ US = 1e-6
 
 @dataclass
 class Inode:
-    """On-"disk" file metadata."""
+    """On-"disk" file metadata.
+
+    ``extents`` grow through :meth:`add_extent` and empty through
+    :meth:`clear_extents`, which keep the file page each extent starts
+    at and the running page total: a page lookup is a bisection, not a
+    scan of the extent list.
+    """
 
     file_id: int
     name: str
-    extents: list[tuple[int, int]] = field(default_factory=list)  # (lba, npages)
     size: int = 0
+    extents: list[tuple[int, int]] = field(
+        default_factory=list, init=False)  # (lba, npages)
+    _starts: list[int] = field(default_factory=list, init=False, repr=False)
+    _allocated: int = field(default=0, init=False, repr=False)
 
     def allocated_pages(self) -> int:
-        return sum(n for _, n in self.extents)
+        return self._allocated
+
+    def add_extent(self, lba: int, npages: int) -> None:
+        self.extents.append((lba, npages))
+        self._starts.append(self._allocated)
+        self._allocated += npages
+
+    def clear_extents(self) -> None:
+        self.extents.clear()
+        self._starts.clear()
+        self._allocated = 0
 
     def page_to_lba(self, page_idx: int) -> int:
-        off = page_idx
-        for lba, n in self.extents:
-            if off < n:
-                return lba + off
-            off -= n
-        raise ValueError(
-            f"page {page_idx} beyond allocation of file {self.name!r}"
-        )
+        if not 0 <= page_idx < self._allocated:
+            raise ValueError(
+                f"page {page_idx} beyond allocation of file {self.name!r}"
+            )
+        i = bisect_right(self._starts, page_idx) - 1
+        return self.extents[i][0] + page_idx - self._starts[i]
 
 
 class _ExtentAllocator:
@@ -207,7 +225,7 @@ class Filesystem:
             self.env.process(
                 self._discard(lba, npages), name=f"discard-{inode.name}"
             )
-        inode.extents.clear()
+        inode.clear_extents()
         inode.size = 0
 
     def _discard(self, lba: int, npages: int) -> Generator:
@@ -278,7 +296,7 @@ class Filesystem:
             # fragmentation, and keeps large files in multiple extents
             grow = self.extent_pages
             lba = self._alloc.alloc(grow)
-            inode.extents.append((lba, grow))
+            inode.add_extent(lba, grow)
             _cpu_ev = account.charge("fs", self.write_path_cpu)
             if _cpu_ev is not None:
                 yield _cpu_ev

@@ -22,10 +22,27 @@ from repro.nvme import ReadCmd, WriteCmd
 from repro.obs.registry import MetricsRegistry
 from repro.sim import Environment, Event
 
-__all__ = ["PageCache"]
+__all__ = ["PageCache", "join_pages"]
 
 # resolver(page_idx) -> lba of that file page (must exist once dirty)
 Resolver = Callable[[int], int]
+
+
+def join_pages(pages: list, head: int, end: int) -> bytes:
+    """``pages`` joined into one ``bytes``, from byte ``head`` of the
+    first page to byte ``end`` of the last.
+
+    Each byte is copied once, by the join: whole pages go in as they
+    are, and only a partial first or last page goes in as a
+    ``memoryview`` slice (put in place of that page in ``pages``, a
+    list the caller builds for the call). The result never aliases a
+    page.
+    """
+    if end < len(pages[-1]):
+        pages[-1] = memoryview(pages[-1])[:end]
+    if head:
+        pages[0] = memoryview(pages[0])[head:]
+    return b"".join(pages)
 
 
 class PageCache:
@@ -261,9 +278,10 @@ class PageCache:
                 data = yield from self.block.submit(
                     ReadCmd(lba=lba, nlb=sub_len), sync=True
                 )
-                for j in range(sub_len):
-                    buf = self._page(file_id, sub_start + j)
-                    buf[:] = data[j * ps : (j + 1) * ps]
+                with memoryview(data) as view:
+                    for j in range(sub_len):
+                        buf = self._page(file_id, sub_start + j)
+                        buf[:] = view[j * ps : (j + 1) * ps]
             account.note("ssd_wait", self.env.now - t0)
             self._obs_misses.inc(run_len)
         # copy to user
@@ -275,17 +293,13 @@ class PageCache:
         )
         if _cpu_ev is not None:
             yield _cpu_ev
-        out = bytearray(length)
-        pos = 0
-        while pos < length:
-            abs_off = offset + pos
-            page_idx, in_page = divmod(abs_off, ps)
-            n = min(ps - in_page, length - pos)
-            out[pos : pos + n] = self._pages[(file_id, page_idx)][
-                in_page : in_page + n
-            ]
-            pos += n
-        return bytes(out)
+        if not length:
+            return b""
+        pages = self._pages
+        return join_pages(
+            [pages[(file_id, idx)] for idx in range(first, last + 1)],
+            offset - first * ps, offset + length - last * ps,
+        )
 
     # ------------------------------------------------------------------ flush
     def _dirty_runs(self, file_id: int | None, limit: int):

@@ -169,12 +169,34 @@ class AofCodec:
     def replay(data: Buffer, keyspace: dict[bytes, bytes], start: int = 0,
                end: int | None = None) -> None:
         """Apply the SETs and DELs of ``data[start:end]`` to ``keyspace``
-        (a range validated as for :meth:`items`)."""
-        for op, key, value in AofCodec.items(data, start, end):
-            if op == OP_SET:
-                keyspace[key] = value
-            else:
-                keyspace.pop(key, None)
+        (a range validated as for :meth:`items`).
+
+        A SET whose value the keyspace already holds byte for byte
+        keeps the held object: only keys and changed values are copied
+        out. The comparison runs in place on ``bytes``/``bytearray``; a
+        ``memoryview`` is flattened once first, since comparing through
+        one goes element by element.
+        """
+        flat = data.tobytes() if isinstance(data, memoryview) else data
+        held_value = keyspace.get
+        with memoryview(flat) as view:
+            if end is None:
+                end, _ = AofCodec._walk(view, start, len(view))
+            pos = start
+            while pos < end:
+                _, op, klen, vlen = _AOF_HDR.unpack_from(view, pos)
+                key_at = pos + _AOF_HDR.size
+                value_at = key_at + klen
+                pos = value_at + vlen
+                key = bytes(view[key_at:value_at])
+                if op == OP_SET:
+                    held = held_value(key)
+                    if (held is None or len(held) != vlen
+                            or not flat.startswith(held, value_at)):
+                        keyspace[key] = bytes(view[value_at:pos])
+                else:
+                    keyspace.pop(key, None)
+                pos += _CRC.size
 
     @staticmethod
     def walk(data: Buffer, start: int = 0) -> tuple[int, int]:

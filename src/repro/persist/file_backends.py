@@ -66,13 +66,14 @@ class FileAppendSink(AppendSink):
             yield from self.fs._commit(account)
 
     def read_all(self, account: CpuAccount) -> Generator:
-        out = bytearray()
+        parts = []
         for f in self._prev_files:
             data = yield from f.read(0, f.size, account)
-            out.extend(data)
+            parts.append(data)
         data = yield from self._file.read(0, self._file.size, account)
-        out.extend(data)
-        return bytes(out)
+        parts.append(data)
+        # one generation (the usual case) comes back as read, uncopied
+        return b"".join(parts)
 
 
 #: Redis's rio buffer: one ``write()`` syscall per this many snapshot bytes

@@ -101,6 +101,7 @@ def recover_store(
                 obs.event("recovery_progress", phase="snapshot",
                           read=offset, total=total)
             entries = RdbReader(comp).read_all(blob)
+            del blob, piece  # decoded: the replay need not hold it
             raw_bytes = sum(len(k) + len(v) for k, v in entries)
             _cpu_ev = account.charge(
                 "decompress",

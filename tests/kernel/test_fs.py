@@ -1,8 +1,10 @@
 """Filesystem tests: namespace, extents, journal contention, durability."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.kernel import CpuAccount, Ext4, F2fs
+from repro.kernel.fs import Inode
 
 from tests.kernel.conftest import drive
 
@@ -231,3 +233,42 @@ def test_file_size_api(env, fs, account):
     assert fs.file_size("empty") == 0
     with pytest.raises(FileNotFoundError):
         fs.file_size("ghost")
+
+
+# --- extent lookup: bisection against the linear scan ----------------------
+
+
+def scan_page_to_lba(extents, page_idx):
+    """The linear extent scan ``Inode.page_to_lba`` replaced."""
+    off = page_idx
+    for lba, n in extents:
+        if off < n:
+            return lba + off
+        off -= n
+    raise ValueError(page_idx)
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=10_000),
+                          st.integers(min_value=0, max_value=9)),
+                max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_extent_bisection_matches_linear_scan(extents):
+    inode = Inode(file_id=1, name="f")
+    for lba, n in extents:
+        inode.add_extent(lba, n)
+    total = sum(n for _, n in extents)
+    assert inode.allocated_pages() == total
+    for page_idx in range(total + 3):
+        try:
+            want = ("lba", scan_page_to_lba(extents, page_idx))
+        except ValueError:
+            want = ("past the allocation",)
+        try:
+            got = ("lba", inode.page_to_lba(page_idx))
+        except ValueError:
+            got = ("past the allocation",)
+        assert got == want
+    inode.clear_extents()
+    assert inode.allocated_pages() == 0 and inode.extents == []
+    with pytest.raises(ValueError):
+        inode.page_to_lba(0)

@@ -527,3 +527,74 @@ def test_seeded_streams_walk_and_replay_match_reference(seed):
     stream, start = seeded_stream(random.Random(seed))
     assert_aof_equivalent(stream)
     assert_aof_equivalent(stream, start=start)
+
+
+# --- replay over a held keyspace against the copy-out replay ---------------
+
+
+def ref_replay(data, keyspace, start=0, end=None):
+    """The copy-out replay :meth:`AofCodec.replay` replaced: every SET's
+    value is copied out of the stream, whatever the keyspace holds."""
+    for op, key, value in AofCodec.items(data, start, end):
+        if op == OP_SET:
+            keyspace[key] = value
+        else:
+            keyspace.pop(key, None)
+
+
+HELD = ("missing", "equal", "different", "resized")
+
+
+@st.composite
+def held_replay(draw):
+    """A keyspace a snapshot left and a WAL replayed over it: each key's
+    held value is missing, byte-equal to every value the WAL SETs it to,
+    different at the same size, or of another size."""
+    n_keys = draw(st.integers(min_value=1, max_value=6))
+    held, wal_value = {}, {}
+    for i in range(n_keys):
+        key = b"k%d" % i
+        value = draw(st.binary(max_size=24))
+        state = draw(st.sampled_from(HELD))
+        wal_value[key] = value
+        if state == "equal":
+            held[key] = bytes(bytearray(value))  # equal, not identical
+        elif state == "different" and value:
+            held[key] = bytes(b ^ 0xFF for b in value)
+        elif state == "resized":
+            held[key] = value + b"x"
+    recs = []
+    for _ in range(draw(st.integers(min_value=0, max_value=16))):
+        key = b"k%d" % draw(st.integers(min_value=0, max_value=n_keys - 1))
+        if draw(st.integers(min_value=0, max_value=4)) == 0:
+            recs.append(AofRecord(op=OP_DEL, key=key))
+        elif draw(st.booleans()):
+            recs.append(AofRecord(op=OP_SET, key=key, value=wal_value[key]))
+        else:
+            recs.append(AofRecord(op=OP_SET, key=key,
+                                  value=draw(st.binary(max_size=24))))
+    return held, recs, draw(st.sampled_from(FORMS))
+
+
+@given(held_replay(), st.binary(max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_replay_over_a_held_keyspace_matches_copy_out(case, tail):
+    held, recs, form = case
+    stream = encode(recs) + tail  # a torn or garbage tail is not replayed
+    end = AofCodec.scan(stream).consumed
+    want = dict(held)
+    ref_replay(stream, want, 0, end)
+    got = dict(held)
+    AofCodec.replay(form(stream), got, 0, end)
+    assert list(got.items()) == list(want.items())
+    walked = dict(held)
+    AofCodec.replay(form(stream), walked)  # end=None walks the range first
+    assert list(walked.items()) == list(want.items())
+    # a key every replayed SET gave its held value keeps the held object
+    touched = {}
+    for r in recs:
+        touched.setdefault(r.key, []).append(r)
+    for key, value in held.items():
+        rs = touched.get(key, [])
+        if all(r.op == OP_SET and r.value == value for r in rs):
+            assert got[key] is value
