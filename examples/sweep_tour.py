@@ -2,7 +2,7 @@
 """Tour of the design-space sweep + auto-tune layer (docs/SWEEP.md).
 
 Builds a small *real* grid — RU size x GC stop watermark on the
-single-node SlimIO system — runs it through the cached grid engine,
+single-node SlimIO system — runs it through the grid engine,
 flags knife edges, renders a heatmap, then lets coordinate descent
 find the best point and emit a loadable SystemConfig recommendation.
 
@@ -49,8 +49,8 @@ def main():
           f"{'x'.join(str(len(v)) for v in grid.axes.values())} over "
           f"{', '.join(grid.axes)}\n")
 
-    # 1. map the space (cache_dir=None: always simulate in the tour)
-    result = run_grid(grid, scale, jobs=1)
+    # 1. map the space
+    result = run_grid(grid)
     print(result.format())
 
     # 2. rank it

@@ -12,9 +12,8 @@ Usage::
 
 Reports are deterministic: the same tree, scale, and experiment set
 produce a byte-identical report file whatever ``--jobs`` is (wall-clock
-timings go to stderr, never into the report). That determinism is what
-makes the on-disk result cache (``out/cache/``) safe: a cached report
-is indistinguishable from a regenerated one.
+timings go to stderr, never into the report). Every run computes every
+report it prints; nothing is replayed from an earlier run.
 """
 
 from __future__ import annotations
@@ -27,13 +26,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from repro.bench.experiments import EXPERIMENTS
-from repro.bench.harness import (
-    EXPERIMENT_FIELDS,
-    add_run_options,
-    cache_dir_of,
-    run_experiment,
-    run_units,
-)
+from repro.bench.harness import add_run_options, run_experiment, run_units
 from repro.bench.scales import get_scale
 
 
@@ -43,8 +36,7 @@ def _sweep_main(argv) -> int:
     Per grid: a CSV of every (params, measurements) row, top-N
     best/worst tables, knife-edge detection over adjacent grid points,
     and heatmap panels — all byte-deterministic whatever ``--jobs``
-    (wall timings stderr-only, rows in cartesian order, cached points
-    indistinguishable from fresh ones).
+    (wall timings stderr-only, rows in cartesian order).
     """
     from repro.bench.experiments import sweep_grids
     from repro.bench.plots import sweep_panels
@@ -104,13 +96,11 @@ def _sweep_main(argv) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cache_dir = cache_dir_of(args)
     chunks = []
     for name in names:
         grid = grids[name]
         t0 = time.perf_counter()
-        result = run_grid(grid, scale, jobs=args.jobs,
-                          cache_dir=cache_dir, refresh=args.refresh)
+        result = run_grid(grid, jobs=args.jobs)
         elapsed = time.perf_counter() - t0
         print(f"({name}: {grid.size} points, {elapsed:.1f}s wall)",
               file=sys.stderr)
@@ -172,8 +162,8 @@ def main(argv=None) -> int:
     parser.add_argument("--profile", type=int, default=None, metavar="N",
                         help="run one experiment under cProfile and "
                              "print the top-N cumulative hotspots to "
-                             "stderr (bypasses the result cache; the "
-                             "report itself stays deterministic)")
+                             "stderr (the report itself stays "
+                             "deterministic)")
     args = parser.parse_args(argv)
 
     if args.experiments == ["list"]:
@@ -226,19 +216,14 @@ def main(argv=None) -> int:
         return 0 if payload["shapes_hold"] else 1
 
     def log(name, outcome) -> None:
-        status = ("cache hit" if outcome.cached
-                  else f"{outcome.wall_s:.1f}s wall")
-        print(f"({name}: {status})", file=sys.stderr)
+        print(f"({name}: {outcome.wall_s:.1f}s wall)", file=sys.stderr)
 
     outcomes = run_units(
         functools.partial(run_experiment, scale=scale), names,
-        jobs=args.jobs, cell=lambda name: (name, None), scale=scale,
-        cache_dir=cache_dir_of(args), refresh=args.refresh,
-        fields=EXPERIMENT_FIELDS, clock=time.perf_counter, log=log)
+        jobs=args.jobs, clock=time.perf_counter, log=log)
     failed = [(name, o) for name, o in zip(names, outcomes) if o.error]
     for name, outcome in failed:
-        # every other experiment's result is cached already; no report
-        # is written that silently lacks one
+        # no report is written that silently lacks an experiment
         print(f"{outcome.trace}({name}: failed: {outcome.error})",
               file=sys.stderr)
     if failed:

@@ -12,9 +12,7 @@ exploration subsystem (``python -m repro.bench sweep``):
   that measures one point (picklable, so grids parallelize over the
   ``--jobs`` process pool);
 * :func:`run_grid` runs a grid through the experiments' run path
-  (:func:`repro.bench.harness.run_units`): each point caches on disk
-  keyed on its *full* parameter dict (plus scale and code digest), so
-  re-sweeps and the auto-tuner replay cached points for free;
+  (:func:`repro.bench.harness.run_units`), computing every point;
 * :func:`detect_knife_edges` flags adjacent grid points whose metric
   jumps by more than a factor — the ``gc_stop_segments`` 6→5 cliff
   found in PR 4 is the motivating example: point estimates hide these
@@ -120,10 +118,7 @@ class SweepResult:
 
 
 def sweep(grid: dict[str, Iterable[Any]], runner: Runner,
-          on_error: str = "raise", jobs: int = 1, *,
-          name: str = "", scale=None,
-          cache_dir: str | Path | None = None,
-          refresh: bool = False) -> SweepResult:
+          on_error: str = "raise", jobs: int = 1) -> SweepResult:
     """Run ``runner`` for every point of the cartesian ``grid``.
 
     ``on_error``: "raise" (default) or "skip" (record the failure in an
@@ -135,8 +130,7 @@ def sweep(grid: dict[str, Iterable[Any]], runner: Runner,
     ``jobs``: process-level parallelism. Row order is the grid's
     cartesian order whatever ``jobs`` is, so sweep output is
     deterministic; ``runner`` must be picklable (a module-level
-    function) when ``jobs > 1``. With a ``cache_dir`` every point is
-    cached under ``(name, scale, params)``. Points run through
+    function) when ``jobs > 1``. Points run through
     :func:`repro.bench.harness.run_units`, the experiments' run path.
     """
     if on_error not in ("raise", "skip"):
@@ -146,9 +140,7 @@ def sweep(grid: dict[str, Iterable[Any]], runner: Runner,
     points = [dict(zip(names, values))
               for values in itertools.product(*(list(grid[n])
                                                 for n in names))]
-    outcomes = run_units(runner, [dict(p) for p in points], jobs=jobs,
-                         cell=lambda params: (name, params), scale=scale,
-                         cache_dir=cache_dir, refresh=refresh)
+    outcomes = run_units(runner, [dict(p) for p in points], jobs=jobs)
     for params, outcome in zip(points, outcomes):
         row: dict[str, Any] = dict(params)
         if outcome.error is None:
@@ -235,10 +227,8 @@ class GridSpec:
         return out
 
 
-def run_grid(grid: GridSpec, scale, jobs: int = 1,
-             cache_dir: str | Path | None = None,
-             refresh: bool = False) -> SweepResult:
-    """Run one :class:`GridSpec` through the (optionally cached) pool.
+def run_grid(grid: GridSpec, jobs: int = 1) -> SweepResult:
+    """Run one :class:`GridSpec` through the ``--jobs`` pool.
 
     Infeasible corners (e.g. ``dedicated`` PIDs on a shard count that
     does not fit the device) are recorded as error rows, not raised:
@@ -246,9 +236,7 @@ def run_grid(grid: GridSpec, scale, jobs: int = 1,
     mixed result exercises exactly the heterogeneous-row rendering
     this module guarantees.
     """
-    return sweep(dict(grid.axes), grid.runner, on_error="skip", jobs=jobs,
-                 name=grid.name, scale=scale, cache_dir=cache_dir,
-                 refresh=refresh)
+    return sweep(dict(grid.axes), grid.runner, on_error="skip", jobs=jobs)
 
 
 # --------------------------------------------------------------------------

@@ -3,11 +3,10 @@
 Closes the loop the ROADMAP names: the comprehensive sweep maps the
 design space (including its cliffs), and this module *searches* it —
 coordinate descent over a :class:`repro.bench.sweep.GridSpec`, one axis
-at a time, every evaluation served through the same parameter-keyed
-on-disk cache the sweep populates. After ``python -m repro.bench sweep
---comprehensive`` the whole grid is cached and a tune run costs zero
-simulation; cold, it evaluates only the descent path (axes x values x
-passes, typically a small fraction of the grid).
+at a time, every evaluation run through the same path as a sweep's grid
+points (:func:`repro.bench.harness.run_units`). An in-process memo
+computes each visited point once, so a run evaluates only the descent
+path (axes x values x passes, typically a small fraction of the grid).
 
 The output is a JSON recommendation per workload: the winning
 parameters, their measured metrics, the full descent trajectory, and a
@@ -24,14 +23,13 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
-from repro.bench.harness import add_run_options, cache_dir_of, run_units
+from repro.bench.harness import add_run_options, run_units
 from repro.bench.sweep import GridSpec
 
 __all__ = [
@@ -149,12 +147,10 @@ class TuneResult:
 
 
 class _Evaluator:
-    """Memoized, failure-tolerant view of the grid's (cached) points."""
+    """Memoized, failure-tolerant view of the grid's points."""
 
-    def __init__(self, grid: GridSpec, scale, cache_dir, refresh: bool):
-        self._run = functools.partial(
-            run_units, grid.runner, cell=lambda p: (grid.name, p),
-            scale=scale, cache_dir=cache_dir, refresh=refresh)
+    def __init__(self, grid: GridSpec):
+        self._runner = grid.runner
         self._names = list(grid.axes.keys())
         self._memo: dict[tuple, dict | None] = {}
         self.evaluations = 0
@@ -163,15 +159,13 @@ class _Evaluator:
         key = tuple(params[n] for n in self._names)
         if key not in self._memo:
             self.evaluations += 1
-            (outcome,) = self._run([dict(params)])
+            (outcome,) = run_units(self._runner, [dict(params)])
             # a failed point is an infeasible corner: stepped around
             self._memo[key] = outcome.value
         return self._memo[key]
 
 
 def coordinate_descent(grid: GridSpec, scale,
-                       cache_dir: str | Path | None = None,
-                       refresh: bool = False,
                        objective: str | None = None,
                        maximize: bool | None = None,
                        max_passes: int = 8) -> TuneResult:
@@ -188,7 +182,7 @@ def coordinate_descent(grid: GridSpec, scale,
     maximize = grid.maximize if maximize is None else maximize
     names = list(grid.axes.keys())
     axes = {n: list(v) for n, v in grid.axes.items()}
-    ev = _Evaluator(grid, scale, cache_dir, refresh)
+    ev = _Evaluator(grid)
 
     def score(vals: dict | None) -> float | None:
         if vals is None or objective not in vals:
@@ -330,8 +324,7 @@ def main(argv=None) -> int:
         return 2
     grid = grids[args.workload]
     tr = coordinate_descent(
-        grid, scale, cache_dir=cache_dir_of(args), refresh=args.refresh,
-        objective=args.objective,
+        grid, scale, objective=args.objective,
         maximize=(False if args.minimize else None),
         max_passes=args.max_passes,
     )

@@ -122,13 +122,9 @@ def test_jobs_serial_vs_parallel_identical(tmp_path):
 
     serial = tmp_path / "serial.txt"
     parallel = tmp_path / "parallel.txt"
-    args = ["table1", "table2", "--scale", "test",
-            "--cache-dir", str(tmp_path / "cache")]
+    args = ["table1", "table2", "--scale", "test"]
     assert main(args + ["--out", str(serial), "--jobs", "1"]) == 0
-    # --refresh so the parallel pass recomputes in worker processes
-    # instead of replaying the serial pass's cache entries
-    assert main(args + ["--out", str(parallel), "--jobs", "4",
-                        "--refresh"]) == 0
+    assert main(args + ["--out", str(parallel), "--jobs", "4"]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
 
 

@@ -171,49 +171,16 @@ def test_mixed_rows_best_and_top():
 
 
 # --------------------------------------------------------------------------
-# grid runs + the parameter-keyed cache
+# grid runs
 # --------------------------------------------------------------------------
 
 def test_run_grid_skips_infeasible_corners():
     grid = GridSpec(name="g", axes={"a": [1, 2], "explode": [False, True]},
                     runner=fake_runner)
     assert grid.size == 4
-    res = run_grid(grid, scale=None, cache_dir=None)
+    res = run_grid(grid)
     assert len(res.rows) == 4
     assert len(res.ok_rows()) == 2
-
-
-def test_run_grid_caches_per_point(tmp_path):
-    from repro.bench.scales import TEST_SCALE
-
-    calls = []
-
-    def counting_runner(params):
-        calls.append(dict(params))
-        return {"score": params["a"]}
-
-    grid = GridSpec(name="counted", axes={"a": [1, 2, 3]},
-                    runner=counting_runner)
-    first = run_grid(grid, TEST_SCALE, cache_dir=tmp_path)
-    assert len(calls) == 3
-    second = run_grid(grid, TEST_SCALE, cache_dir=tmp_path)
-    assert len(calls) == 3  # all three points served from cache
-    assert second.rows == first.rows
-
-
-def test_run_grid_never_caches_failures(tmp_path):
-    from repro.bench.scales import TEST_SCALE
-
-    calls = []
-
-    def flaky_runner(params):
-        calls.append(dict(params))
-        raise RuntimeError("infeasible")
-
-    grid = GridSpec(name="flaky", axes={"a": [1]}, runner=flaky_runner)
-    run_grid(grid, TEST_SCALE, cache_dir=tmp_path)
-    run_grid(grid, TEST_SCALE, cache_dir=tmp_path)
-    assert len(calls) == 2  # failures re-evaluate every time
 
 
 def test_sweep_with_real_system():

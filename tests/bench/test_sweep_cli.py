@@ -1,10 +1,9 @@
 """The ``sweep`` subcommand end to end: determinism across --jobs.
 
-The report and CSV must be byte-identical whatever the process count
-and whether rows came from the cache or fresh simulation — that
-equivalence is what makes the on-disk cache safe to trust. The grid
-here is synthetic (module-level runner, so it pickles into the worker
-pool) and includes a deliberately failing corner, so the whole
+The report and CSV must be byte-identical whatever the process count,
+and every run computes every point. The grid here is synthetic
+(module-level runner, so it pickles into the worker pool) and includes
+a deliberately failing corner, so the whole
 mixed-row path — format, CSV, top-N, knife edges, heatmaps — is
 exercised through the real CLI.
 """
@@ -44,16 +43,10 @@ def toy_grids(monkeypatch):
     monkeypatch.setattr(experiments, "sweep_grids", _registry)
 
 
-def _run(tmp_path, tag, jobs, cache_dir=None, refresh=False):
+def _run(tmp_path, tag, jobs):
     out = tmp_path / tag
     argv = ["--comprehensive", "--scale", "test", "--jobs", str(jobs),
             "--out-dir", str(out)]
-    if cache_dir is None:
-        argv.append("--no-cache")
-    else:
-        argv += ["--cache-dir", str(cache_dir)]
-    if refresh:
-        argv.append("--refresh")
     assert _sweep_main(argv) == 0
     # the report names its own CSV path; normalize the per-run out-dir
     # so runs stay comparable byte-for-byte
@@ -63,13 +56,10 @@ def _run(tmp_path, tag, jobs, cache_dir=None, refresh=False):
 
 
 def test_jobs_1_and_4_are_byte_identical(tmp_path, capsys):
-    cache = tmp_path / "cache"
-    cold = _run(tmp_path, "j1", jobs=1, cache_dir=cache)  # populates
-    warm = _run(tmp_path, "j4", jobs=4, cache_dir=cache)  # replays
-    nocache = _run(tmp_path, "nc", jobs=4)                # recomputes
-    assert cold == warm  # cache hits render identically to fresh runs
-    assert cold == nocache  # and the cache never altered the content
-    text = cold[1].decode()
+    serial = _run(tmp_path, "j1", jobs=1)
+    parallel = _run(tmp_path, "j4", jobs=4)
+    assert serial == parallel
+    text = serial[1].decode()
     assert "infeasible corner" in text  # the failing point is mapped
     assert "knife" in text.lower() or "waf" in text
     capsys.readouterr()  # swallow the report prints
@@ -105,5 +95,4 @@ def test_main_routes_sweep_and_tune(tmp_path, capsys, monkeypatch):
     assert "toy" in capsys.readouterr().out
     # and `tune` reaches the tuner CLI (unknown workload -> exit 2,
     # proving the subcommand routed rather than argparse-failed)
-    assert main(["tune", "--workload", "nope", "--scale", "test",
-                 "--no-cache"]) == 2
+    assert main(["tune", "--workload", "nope", "--scale", "test"]) == 2

@@ -1,4 +1,4 @@
-"""Auto-tuner tests: descent, caching, and config round-trips."""
+"""Auto-tuner tests: descent and config round-trips."""
 
 from __future__ import annotations
 
@@ -85,22 +85,6 @@ def test_descent_all_infeasible_raises():
     with pytest.raises(ValueError, match="no feasible point"):
         coordinate_descent(bowl_grid(axes={"x": [1, 2]}, runner=never),
                            TEST_SCALE)
-
-
-def test_descent_reuses_cache(tmp_path):
-    calls = []
-
-    def counting(params):
-        calls.append(dict(params))
-        return {"score": float(params["x"])}
-
-    grid = bowl_grid(axes={"x": [1, 2, 3]}, runner=counting)
-    first = coordinate_descent(grid, TEST_SCALE, cache_dir=tmp_path)
-    assert calls
-    baseline = len(calls)
-    second = coordinate_descent(grid, TEST_SCALE, cache_dir=tmp_path)
-    assert len(calls) == baseline  # every evaluation replayed from disk
-    assert second.params == first.params
 
 
 # --------------------------------------------------------------------------
