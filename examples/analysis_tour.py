@@ -87,7 +87,7 @@ def part2_sanitizer():
     victim = next(i for i in range(3) if i != slots.reserve_slot)
     base, _cap = system.space.slot_extent(victim)
     rogue = WriteCmd(
-        lba=base, nlb=1, data=b"\x00" * system.device.lba_size,
+        lba=base, nlb=1, data=[b"\x00" * system.device.lba_size],
         pid=system.config.placement.wal_snapshot_pid,
     )
     print(f"\ninjecting a snapshot write into slot {victim} "

@@ -26,7 +26,7 @@ from repro.faults.harness import (
 )
 from repro.flash import FlashGeometry, FtlConfig, NandTiming
 from repro.kernel import CpuAccount, KernelCosts, PassthruQueuePair
-from repro.nvme import NvmeDevice, NvmeError, WriteCmd
+from repro.nvme import NvmeDevice, NvmeError, WriteCmd, split_pages
 from repro.sim import Environment
 
 NAND = NandTiming(page_read=2e-6, page_program=5e-6,
@@ -50,7 +50,8 @@ def act_1_torn_writes():
             at_page_write=2, torn=torn, seed=7))
         page = device.lba_size
         payload = b"".join(bytes([i + 1]) * page for i in range(4))
-        env.process(faulty.submit(WriteCmd(lba=0, nlb=4, data=payload)))
+        env.process(faulty.submit(
+            WriteCmd(lba=0, nlb=4, data=split_pages(payload, page))))
         env.run(until=faulty.cut_event)
         # offline inspection of the dead device's surviving bytes — the
         # host-side rings hang after the cut by design
@@ -81,13 +82,13 @@ def act_2_retries():
 
     def proc():
         yield from ring.submit_and_wait(
-            WriteCmd(lba=0, nlb=1, data=b"A" * page), account)
+            WriteCmd(lba=0, nlb=1, data=[b"A" * page]), account)
         print(f"   lba 0: durable after 2 injected errors "
               f"({count('retries')} retries, "
               f"t={env.now * 1e6:.0f} us of backoff+latency)")
         try:
             yield from ring.submit_and_wait(
-                WriteCmd(lba=8, nlb=1, data=b"B" * page), account)
+                WriteCmd(lba=8, nlb=1, data=[b"B" * page]), account)
         except NvmeError as exc:
             print(f"   lba 8: gave up after "
                   f"{count('nvme_errors') - 2} failed attempts "

@@ -60,7 +60,7 @@ class SanitizedDevice:
     """Device proxy that validates every command before forwarding it.
 
     Exposes the same surface rings and recovery consume (``submit``,
-    ``peek``, ``lba_size``, ...); everything not intercepted is
+    ``pages``, ``peek``, ``lba_size``, ...); everything not intercepted is
     delegated, so the wrapper is transparent to timing and data.
     """
 

@@ -160,7 +160,7 @@ class MetadataStore:
         lba = self.layout.metadata_base + self._next_copy
         self._next_copy ^= 1
         yield from self.ring.submit_and_wait(
-            WriteCmd(lba=lba, nlb=1, data=page, pid=self.pid), account
+            WriteCmd(lba=lba, nlb=1, data=[page], pid=self.pid), account
         )
 
     def read(self, account: CpuAccount) -> Generator:
@@ -173,10 +173,10 @@ class MetadataStore:
         best: Metadata | None = None
         rejected = []
         for i in range(2):
-            page = yield from self.ring.submit_and_wait(
+            pages = yield from self.ring.submit_and_wait(
                 ReadCmd(lba=self.layout.metadata_base + i, nlb=1), account
             )
-            meta = MetadataCodec.decode(page)
+            meta = MetadataCodec.decode(pages[0])
             if meta is None:
                 continue
             problem = meta.problem(self.layout, self.page_size)

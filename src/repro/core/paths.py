@@ -33,7 +33,7 @@ from repro.core.placement import PlacementPolicy
 from repro.core.readahead import ReadAheadBuffer
 from repro.kernel.accounting import CpuAccount
 from repro.kernel.iouring import PassthruQueuePair
-from repro.nvme import ReadCmd, WriteCmd
+from repro.nvme import ReadCmd, WriteCmd, split_pages
 from repro.obs.registry import MetricsRegistry
 from repro.persist.encoding import AofCodec
 from repro.persist.interfaces import AppendSink, SnapshotSink, SnapshotSource
@@ -99,6 +99,10 @@ class WalPath(AppendSink):
         self._flush_lock = Resource(env, capacity=1)
         self._gen_bytes = 0
         self._meta_inflight: Event | None = None
+        # the previous generation's covering snapshot is durable, and a
+        # flush short of room parked on _room_waiter (see _make_room)
+        self._prev_covered = False
+        self._room_waiter: Event | None = None
         self.obs = obs or MetricsRegistry(env)
         self._obs_flush_bytes = self.obs.histogram("walpath_flush_bytes")
         self._obs_flush_pages = self.obs.counter("walpath_flush_pages_total")
@@ -162,13 +166,14 @@ class WalPath(AppendSink):
         needed = full_pages + (1 if rem else 0)
         already = 1 if self._tail_vpn is not None else 0
         if needed > already:
+            yield from self._make_room(needed - already, account)
             self.space.wal.alloc(needed - already)
 
-        payload = _pad_to_page(data, page)
+        payload = split_pages(_pad_to_page(data, page), page)
         events = []
         vpn = start_vpn
         for lba, n in self.space.wal.contiguous_run(start_vpn, needed):
-            piece = payload[(vpn - start_vpn) * page : (vpn - start_vpn + n) * page]
+            piece = payload[vpn - start_vpn : vpn - start_vpn + n]
             ev = yield from self.ring.submit(
                 WriteCmd(lba=lba, nlb=n, data=piece, pid=self.placement.wal_pid),
                 account,
@@ -187,6 +192,38 @@ class WalPath(AppendSink):
             self._tail = b""
             self._tail_vpn = None
         yield from self._update_metadata_async(account)
+
+    def _make_room(self, npages: int, account: CpuAccount) -> Generator:
+        """Wait until ``npages`` more fit in the WAL region.
+
+        The region holds the current generation and the previous one,
+        which stays until the WAL-Snapshot covering it is durable. When
+        that snapshot is slow (device GC) and the current generation
+        outgrows the rest of the region, the flush waits for it instead
+        of failing; writers then back up behind the WAL buffer limit.
+        Once the snapshot is durable this flush retires the previous
+        generation itself: it holds the append cursor, and the WAL
+        manager's own retirement may be queued behind it. A generation
+        that alone outgrows the region still fails in ``alloc``.
+        """
+        wal = self.space.wal
+        while (wal.prev_start is not None
+               and wal.live_pages() + npages > wal.wal_pages):
+            if self._prev_covered:
+                yield from self.retire_previous(account)
+            else:
+                self._room_waiter = self.env.event()
+                yield self._room_waiter
+
+    def _wake_room(self) -> None:
+        if self._room_waiter is not None:
+            self._room_waiter.succeed()
+            self._room_waiter = None
+
+    def previous_covered(self) -> None:
+        if self.space.wal.prev_start is not None:
+            self._prev_covered = True
+            self._wake_room()
 
     def _update_metadata_async(self, account: CpuAccount) -> Generator:
         """Persist the WAL head hint without waiting for it."""
@@ -223,6 +260,7 @@ class WalPath(AppendSink):
         """
         yield from self.flush(account)
         self.space.wal.start_new_generation()
+        self._prev_covered = False
         self._tail = b""
         self._tail_vpn = None
         self._prev_gen_bytes = self._gen_bytes
@@ -241,6 +279,7 @@ class WalPath(AppendSink):
             return
         retired_start, retired_end = wal.prev_start, wal.gen_start
         wal.retire_previous()  # also zeroes wal.prev_bytes
+        self._prev_covered = False
         yield from self.meta.write(self._current_meta(), account)
         for lba, n in wal.contiguous_run(
             retired_start, retired_end - retired_start
@@ -248,6 +287,7 @@ class WalPath(AppendSink):
             if n:
                 ev = yield from self.ring.deallocate(lba, n, account)
                 yield from self.ring.wait(ev, account)
+        self._wake_room()
 
     def read_all(self, account: CpuAccount) -> Generator:
         """Read every live generation (recovery; CRC-delimited tail).
@@ -381,10 +421,11 @@ class WalPath(AppendSink):
         vpn = vpn_start
         while vpn < vpn_end:
             for lba, n in wal.contiguous_run(vpn, min(vpn_end - vpn, 64)):
-                data = yield from self.ring.submit_and_wait(
+                pages = yield from self.ring.submit_and_wait(
                     ReadCmd(lba=lba, nlb=n), account
                 )
-                out.extend(data)
+                for data in pages:
+                    out += data
                 vpn += n
 
 
@@ -449,15 +490,15 @@ class SnapshotPath(SnapshotSink):
         page = self.ring.device.lba_size
         batch_bytes = self.batch_pages * page
         while len(self._buffer) >= batch_bytes:
-            chunk = bytes(self._buffer[:batch_bytes])
+            with memoryview(self._buffer) as view:
+                chunk = split_pages(view[:batch_bytes], page)
             del self._buffer[:batch_bytes]
             yield from self._submit_pages(slot, chunk, account)
 
-    def _submit_pages(self, slot: int, chunk: bytes,
+    def _submit_pages(self, slot: int, chunk: list[bytes],
                       account: CpuAccount) -> Generator:
-        page = self.ring.device.lba_size
         base, cap = self.space.slot_extent(slot)
-        npages = len(chunk) // page
+        npages = len(chunk)
         if self._pages_written + npages > cap:
             raise OSError("snapshot slot overflow — enlarge the slot size")
         ev = yield from self.ring.submit(
@@ -484,7 +525,7 @@ class SnapshotPath(SnapshotSink):
         slot = self._ensure_slot()
         page = self.ring.device.lba_size
         if self._buffer:
-            chunk = _pad_to_page(bytes(self._buffer), page)
+            chunk = split_pages(_pad_to_page(bytes(self._buffer), page), page)
             self._buffer.clear()
             yield from self._submit_pages(slot, chunk, account)
         # 1) all data durable

@@ -85,11 +85,9 @@ class ReadAheadBuffer:
             min(self.batch_pages, self.npages - s) for s in self._inflight
         )
 
-    def _absorb(self, start: int, data: bytes) -> None:
-        ps = self.page_size
-        n = len(data) // ps
-        for j in range(n):
-            self._pages[start + j] = data[j * ps : (j + 1) * ps]
+    def _absorb(self, start: int, pages: list[bytes]) -> None:
+        for j, page in enumerate(pages):
+            self._pages[start + j] = page
 
     def read(self, offset: int, length: int, account: CpuAccount) -> Generator:
         """Read ``length`` bytes at byte ``offset`` of the extent."""
@@ -112,15 +110,15 @@ class ReadAheadBuffer:
                 ev = self._find_inflight_for(idx)
                 if ev is None:
                     # random access outside the prefetch stream
-                    data = yield from self.ring.submit_and_wait(
+                    pages = yield from self.ring.submit_and_wait(
                         ReadCmd(lba=self.base_lba + idx, nlb=1), account
                     )
-                    self._pages[idx] = data
+                    self._pages[idx] = pages[0]
                     break
                 start, event = ev
-                data = yield from self.ring.wait(event, account)
+                pages = yield from self.ring.wait(event, account)
                 del self._inflight[start]
-                self._absorb(start, data)
+                self._absorb(start, pages)
             yield from self._prefetch(account)
         pages = self._pages
         out = join_pages(

@@ -123,7 +123,7 @@ class TraceEntry:
 @dataclass
 class _Inflight:
     cmd: WriteCmd
-    undo: bytes
+    undo: list[bytes]  # the extent's stored pages before the write
 
 
 class FaultyDevice:
@@ -233,8 +233,8 @@ class FaultyDevice:
         if spec is not None:
             token = self._inflight_next
             self._inflight_next += 1
-            self._inflight[token] = _Inflight(cmd, self.inner.peek(cmd.lba,
-                                                                   cmd.nlb))
+            self._inflight[token] = _Inflight(cmd, self.inner.pages(cmd.lba,
+                                                                    cmd.nlb))
         try:
             result = yield from self.inner.submit(cmd)
         finally:
@@ -286,13 +286,11 @@ class FaultyDevice:
             if len(survivors) < cmd.nlb:
                 self._count("torn_write_cmds")
                 self._count("torn_pages", cmd.nlb - len(survivors))
-            page = self.inner.lba_size
-            buf = bytearray(self.inner.peek(cmd.lba, cmd.nlb))
+            pages = self.inner.pages(cmd.lba, cmd.nlb)
             for i in range(cmd.nlb):
                 if i not in survivors:
-                    buf[i * page:(i + 1) * page] = \
-                        entry.undo[i * page:(i + 1) * page]
-            self.inner.poke(cmd.lba, bytes(buf))
+                    pages[i] = entry.undo[i]
+            self.inner.poke(cmd.lba, pages)
         self._inflight.clear()
         if not self.cut_event.triggered:
             self.cut_event.succeed(self.env.now)
@@ -307,12 +305,11 @@ class FaultyDevice:
         """Materialize only ``survivors`` of a never-forwarded write."""
         if not survivors:
             return
-        page = self.inner.lba_size
-        src = cmd.data if cmd.data is not None else bytes(cmd.nlb * page)
-        buf = bytearray(self.inner.peek(cmd.lba, cmd.nlb))
+        pages = self.inner.pages(cmd.lba, cmd.nlb)
+        zero = bytes(self.inner.lba_size)
         for i in survivors:
-            buf[i * page:(i + 1) * page] = src[i * page:(i + 1) * page]
-        self.inner.poke(cmd.lba, bytes(buf))
+            pages[i] = cmd.data[i] if cmd.data is not None else zero
+        self.inner.poke(cmd.lba, pages)
 
     def _maybe_error(self, cmd: NvmeCommand, opcode: str,
                      rate: float) -> Generator:

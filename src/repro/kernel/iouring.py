@@ -31,6 +31,7 @@ from repro.nvme import (
     NvmeError,
     ReadCmd,
     WriteCmd,
+    split_pages,
 )
 from repro.sim import Environment, Event, Resource
 
@@ -250,17 +251,16 @@ class PassthruQueuePair(IoUringRing):
         account: CpuAccount,
         pid: int = 0,
     ) -> Generator:
-        """Submit a page-aligned write tagged with FDP placement ``pid``."""
-        ps = self.device.lba_size
-        if len(data) % ps:
-            raise ValueError(f"data must be page-aligned ({ps}); pad upstream")
-        nlb = len(data) // ps
+        """Submit a page-aligned write tagged with FDP placement ``pid``
+        (``data`` is split into the command's page payload)."""
+        pages = split_pages(data, self.device.lba_size)
         ev = yield from self.submit(
-            WriteCmd(lba=lba, nlb=nlb, data=data, pid=pid), account
+            WriteCmd(lba=lba, nlb=len(pages), data=pages, pid=pid), account
         )
         return ev
 
     def read_pages(self, lba: int, nlb: int, account: CpuAccount) -> Generator:
+        """Submit a read; its completion is the list of ``nlb`` pages."""
         ev = yield from self.submit(ReadCmd(lba=lba, nlb=nlb), account)
         return ev
 

@@ -7,6 +7,13 @@ dirty runs through the block layer; writers that outrun the device are
 throttled at the dirty limit, which is how device-side GC pressure
 propagates back into baseline Redis's WAL fsyncs and snapshot writes.
 
+A clean page is held by reference: a read miss caches the device's own
+immutable page object, and writeback caches the ``bytes`` snapshot it
+hands the device as the command payload. ``write()`` copies a shared
+page into a private ``bytearray`` before changing it (copy-on-write),
+so neither the device's stored page nor an in-flight payload is ever
+mutated, and each page the cache and the device both hold is held once.
+
 File→LBA translation is delegated to the owning file system through a
 resolver callback registered per file.
 """
@@ -36,7 +43,7 @@ def join_pages(pages: list, head: int, end: int) -> bytes:
     are, and only a partial first or last page goes in as a
     ``memoryview`` slice (put in place of that page in ``pages``, a
     list the caller builds for the call). The result never aliases a
-    page.
+    mutable page.
     """
     if end < len(pages[-1]):
         pages[-1] = memoryview(pages[-1])[:end]
@@ -79,7 +86,10 @@ class PageCache:
         #: cap per-write throttle pause (balance_dirty_pages quantum)
         self.max_throttle_pause = 2e-3
 
-        self._pages: dict[tuple[int, int], bytearray] = {}
+        #: clean pages are ``bytes`` shared with the device; a page
+        #: ``write()`` changed is a private ``bytearray`` until
+        #: writeback snapshots it
+        self._pages: dict[tuple[int, int], bytes | bytearray] = {}
         self._dirty: set[tuple[int, int]] = set()
         self._resolvers: dict[int, Resolver] = {}
         self._throttled: list[Event] = []
@@ -147,11 +157,13 @@ class PageCache:
     def is_cached(self, file_id: int, page_idx: int) -> bool:
         return (file_id, page_idx) in self._pages
 
-    def _page(self, file_id: int, page_idx: int) -> bytearray:
+    def _writable(self, file_id: int, page_idx: int) -> bytearray:
+        """The page as a private ``bytearray`` (copy-on-write: a shared
+        ``bytes`` page is copied, a missing one is zero-filled)."""
         key = (file_id, page_idx)
         buf = self._pages.get(key)
-        if buf is None:
-            buf = bytearray(self.page_size)
+        if type(buf) is not bytearray:
+            buf = bytearray(self.page_size) if buf is None else bytearray(buf)
             self._pages[key] = buf
         return buf
 
@@ -186,7 +198,7 @@ class PageCache:
             abs_off = offset + pos
             page_idx, in_page = divmod(abs_off, ps)
             n = min(ps - in_page, len(data) - pos)
-            buf = self._page(file_id, page_idx)
+            buf = self._writable(file_id, page_idx)
             buf[in_page : in_page + n] = data[pos : pos + n]
             key = (file_id, page_idx)
             if key not in self._dirty:
@@ -275,13 +287,11 @@ class PageCache:
             for lba, sub_start, sub_len in self._lba_runs(
                 resolver, run_start, run_len
             ):
-                data = yield from self.block.submit(
+                pages = yield from self.block.submit(
                     ReadCmd(lba=lba, nlb=sub_len), sync=True
                 )
-                with memoryview(data) as view:
-                    for j in range(sub_len):
-                        buf = self._page(file_id, sub_start + j)
-                        buf[:] = view[j * ps : (j + 1) * ps]
+                for j, page in enumerate(pages):
+                    self._pages[(file_id, sub_start + j)] = page
             account.note("ssd_wait", self.env.now - t0)
             self._obs_misses.inc(run_len)
         # copy to user
@@ -393,17 +403,17 @@ class PageCache:
             if (fid, idx) not in self._pages:
                 i += 1
                 continue
-            data = [bytes(self._pages[(fid, idx)])]
+            data = [self._snapshot(fid, idx)]
             k = 1
             while (
                 i + k < len(pages)
                 and pages[i + k][1] == lba + k
                 and (fid, pages[i + k][0]) in self._pages
             ):
-                data.append(bytes(self._pages[(fid, pages[i + k][0])]))
+                data.append(self._snapshot(fid, pages[i + k][0]))
                 k += 1
             yield from self.block.submit(
-                WriteCmd(lba=lba, nlb=k, data=b"".join(data)), sync=sync
+                WriteCmd(lba=lba, nlb=k, data=data), sync=sync
             )
             flushed += k
             i += k
@@ -412,6 +422,16 @@ class PageCache:
             rt.finish_background(bg)
         self._obs_wb_pages.inc(flushed)
         self._obs_dirty.set(float(self.dirty_bytes))
+
+    def _snapshot(self, fid: int, idx: int) -> bytes:
+        """Writeback's immutable copy of a page: the command payload and,
+        from now on, the clean cached page (a ``bytes`` page is its own
+        snapshot). A writer that re-dirties the page mid-I/O copies it,
+        so the payload is never touched."""
+        key = (fid, idx)
+        snap = bytes(self._pages[key])
+        self._pages[key] = snap
+        return snap
 
     def fsync(self, file_id: int, account: CpuAccount) -> Generator:
         """Synchronously flush a file's dirty pages (sync priority)."""

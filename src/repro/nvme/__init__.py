@@ -12,6 +12,7 @@ from repro.nvme.commands import (
     NvmeCommand,
     ReadCmd,
     WriteCmd,
+    split_pages,
 )
 from repro.nvme.device import DeviceStats, NvmeDevice
 from repro.nvme.errors import NvmeError, NvmeTimeout
@@ -22,6 +23,7 @@ __all__ = [
     "ReadCmd",
     "WriteCmd",
     "DeallocateCmd",
+    "split_pages",
     "NvmeDevice",
     "DeviceStats",
     "NvmeError",

@@ -133,17 +133,22 @@ class NvmeDevice:
     def _do_write(self, cmd: WriteCmd) -> Generator:
         self._check_extent(cmd.lba, cmd.nlb)
         page = self.lba_size
-        if cmd.data is not None and len(cmd.data) != cmd.nlb * page:
-            raise ValueError(
-                f"data length {len(cmd.data)} != nlb*page {cmd.nlb * page}"
-            )
         stream = self._stream_for_pid(cmd.pid)
-        for i in range(cmd.nlb):
-            lba = cmd.lba + i
-            if cmd.data is not None:
-                self._data[lba] = cmd.data[i * page : (i + 1) * page]
-            else:
-                self._data[lba] = _zero_page(page)
+        if cmd.data is None:
+            zero = _zero_page(page)
+            for i in range(cmd.nlb):
+                self._data[cmd.lba + i] = zero
+        else:
+            if len(cmd.data) != cmd.nlb:
+                raise ValueError(
+                    f"{len(cmd.data)} data pages for nlb {cmd.nlb}"
+                )
+            for i, data in enumerate(cmd.data):
+                if type(data) is not bytes or len(data) != page:
+                    raise ValueError(
+                        f"data page {i} is not {page} immutable bytes"
+                    )
+                self._data[cmd.lba + i] = data
         yield from self.ftl.write_burst(cmd.lba, cmd.nlb, stream)
         self.stats.write_cmds += 1
         self.stats.pages_written += cmd.nlb
@@ -153,42 +158,53 @@ class NvmeDevice:
         yield from self.ftl.read_burst(cmd.lba, cmd.nlb)
         self.stats.read_cmds += 1
         self.stats.pages_read += cmd.nlb
-        return self.peek(cmd.lba, cmd.nlb)
+        return self.pages(cmd.lba, cmd.nlb)
 
     # ------------------------------------------------------------------ data plane
-    def peek(self, lba: int, nlb: int = 1) -> bytes:
-        """Zero-time read of stored bytes (for assertions and recovery
-        result construction; timing must be paid via ``submit``)."""
+    def pages(self, lba: int, nlb: int = 1) -> list[bytes]:
+        """Zero-time access to the stored page objects of an extent (a
+        never-written page reads as the shared zero page). The pages
+        are the device's own immutable objects, not copies; this is
+        what a read command completes with."""
         self._check_extent(lba, nlb)
-        page = self.lba_size
-        return b"".join(self._data.get(lba + i, _zero_page(page)) for i in range(nlb))
+        zero = _zero_page(self.lba_size)
+        get = self._data.get
+        return [get(i, zero) for i in range(lba, lba + nlb)]
 
-    def written_lbas(self) -> int:
-        return len(self._data)
+    def peek(self, lba: int, nlb: int = 1) -> bytes:
+        """Zero-time read of stored bytes, joined (for assertions and
+        recovery result construction; timing must be paid via
+        ``submit``)."""
+        return b"".join(self.pages(lba, nlb))
 
-    def poke(self, lba: int, data: bytes) -> None:
-        """Zero-time write of stored bytes (whole pages only).
+    def written_lbas(self, lba: int = 0, nlb: int | None = None) -> int:
+        """How many LBAs of ``[lba, lba + nlb)`` (default: the whole
+        namespace) hold written data."""
+        if lba == 0 and nlb is None:
+            return len(self._data)
+        hi = self.num_lbas if nlb is None else lba + nlb
+        return sum(1 for i in self._data if lba <= i < hi)
 
-        This is the data-plane dual of :meth:`peek`: it updates the
+    def poke(self, lba: int, pages: list[bytes]) -> None:
+        """Zero-time write of stored page objects.
+
+        This is the data-plane dual of :meth:`pages`: it updates the
         sparse page map without paying NAND timing or touching the FTL
         mapping. Fault injection uses it to materialize the pages of a
-        torn command that survived a power cut, and crash harnesses use
-        it to transplant a surviving image onto a fresh device. An
-        all-zero page is stored as "never written" (dropped from the
-        map), matching what a post-crash read would observe either way.
+        torn command that survived a power cut. An all-zero page is
+        stored as "never written" (dropped from the map), matching what
+        a post-crash read would observe either way.
         """
         page = self.lba_size
-        if len(data) % page:
-            raise ValueError(f"poke data length {len(data)} not page-aligned")
-        nlb = len(data) // page
-        self._check_extent(lba, nlb)
+        self._check_extent(lba, len(pages))
         zero = _zero_page(page)
-        for i in range(nlb):
-            chunk = data[i * page : (i + 1) * page]
-            if chunk == zero:
+        for i, data in enumerate(pages):
+            if type(data) is not bytes or len(data) != page:
+                raise ValueError(f"poke page {i} is not {page} immutable bytes")
+            if data == zero:
                 self._data.pop(lba + i, None)
             else:
-                self._data[lba + i] = chunk
+                self._data[lba + i] = data
 
     def image(self) -> dict[int, bytes]:
         """Snapshot of the persisted data plane: {lba: page bytes}.

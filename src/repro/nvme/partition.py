@@ -7,7 +7,8 @@ contract an NVM subsystem gives namespaces, modeled here as a thin
 offset-and-bounds view over one :class:`~repro.nvme.device.NvmeDevice`.
 
 The partition exposes the same surface the I/O stack consumes
-(``submit``, ``lba_size``, ``num_lbas``, ``peek``, ``written_lbas``)
+(``submit``, ``lba_size``, ``num_lbas``, ``pages``, ``peek``,
+``written_lbas``)
 so rings, file systems, and the offline verifier work unchanged on a
 partition; timing, FTL state, and GC remain shared — that sharing is
 the cross-tenant interference the cluster experiments measure.
@@ -96,14 +97,17 @@ class LbaPartition:
         return result
 
     # ------------------------------------------------------------------ data plane
+    def pages(self, lba: int, nlb: int = 1) -> list[bytes]:
+        self._check(lba, nlb)
+        return self.device.pages(lba + self.base, nlb)
+
     def peek(self, lba: int, nlb: int = 1) -> bytes:
         self._check(lba, nlb)
         return self.device.peek(lba + self.base, nlb)
 
     def written_lbas(self) -> int:
         """LBAs holding data *within this partition* (blank-check)."""
-        lo, hi = self.base, self.base + self._num_lbas
-        return sum(1 for lba in self.device._data if lo <= lba < hi)
+        return self.device.written_lbas(self.base, self._num_lbas)
 
 
 def partition_evenly(device: NvmeDevice, count: int,

@@ -40,6 +40,12 @@ class AppendSink(ABC):
         """Drop the previous generation (the covering snapshot is now
         durable — paper §2.1/§4.2 ordering)."""
 
+    def previous_covered(self) -> None:
+        """The snapshot covering the previous generation is durable
+        (zero-time notice, given before :meth:`retire_previous` queues
+        for the sink). A sink whose appends can wait for that
+        generation's space acts on it; the default ignores it."""
+
     @property
     @abstractmethod
     def size(self) -> int:

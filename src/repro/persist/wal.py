@@ -368,6 +368,9 @@ class WalManager:
 
     def retire_previous(self) -> Generator:
         """Drop the pre-snapshot generation (snapshot is now durable)."""
+        # before queueing for the lock: an append holding it may be the
+        # one waiting for this generation's space
+        self.sink.previous_covered()
         req = self._sink_lock.request()
         yield req
         try:

@@ -41,7 +41,7 @@ def test_cross_slot_write_on_shard_caught(sanitized_cluster):
     victim = next(i for i in range(3) if i != slots.reserve_slot)
     base, _cap = shard.space.slot_extent(victim)
     cmd = WriteCmd(lba=base, nlb=1,
-                   data=b"\x00" * shard.device.lba_size,
+                   data=[b"\x00" * shard.device.lba_size],
                    pid=shard.config.placement.wal_snapshot_pid)
 
     def proc():

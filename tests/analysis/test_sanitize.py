@@ -79,7 +79,7 @@ def test_write_into_published_slot_caught(sanitized_slimio):
     slots = system.space.slots
     victim = next(i for i in range(3) if i != slots.reserve_slot)
     base, _cap = system.space.slot_extent(victim)
-    cmd = WriteCmd(lba=base, nlb=1, data=page(system),
+    cmd = WriteCmd(lba=base, nlb=1, data=[page(system)],
                    pid=system.config.placement.wal_snapshot_pid)
     with pytest.raises(SanitizerError, match="only the reserve slot"):
         inject(system, cmd)
@@ -89,7 +89,7 @@ def test_write_into_published_slot_caught(sanitized_slimio):
 def test_wal_write_with_wrong_pid_caught(sanitized_slimio):
     system = sanitized_slimio(config=CFG)
     lay = system.space.layout
-    cmd = WriteCmd(lba=lay.wal_base, nlb=1, data=page(system),
+    cmd = WriteCmd(lba=lay.wal_base, nlb=1, data=[page(system)],
                    pid=system.config.placement.metadata_pid)
     with pytest.raises(SanitizerError, match="expected WAL PID"):
         inject(system, cmd)
@@ -99,7 +99,7 @@ def test_wal_write_with_wrong_pid_caught(sanitized_slimio):
 def test_non_monotonic_wal_write_caught(sanitized_slimio):
     system = sanitized_slimio(config=CFG)
     lay = system.space.layout
-    cmd = WriteCmd(lba=lay.wal_base + 5, nlb=1, data=page(system),
+    cmd = WriteCmd(lba=lay.wal_base + 5, nlb=1, data=[page(system)],
                    pid=system.config.placement.wal_pid)
     with pytest.raises(SanitizerError, match="non-monotonic WAL write"):
         inject(system, cmd)
@@ -109,7 +109,7 @@ def test_non_monotonic_wal_write_caught(sanitized_slimio):
 def test_over_range_pid_caught(sanitized_slimio):
     system = sanitized_slimio(config=CFG)
     lay = system.space.layout
-    cmd = WriteCmd(lba=lay.wal_base, nlb=1, data=page(system),
+    cmd = WriteCmd(lba=lay.wal_base, nlb=1, data=[page(system)],
                    pid=99)  # slimlint: ignore[SLIM002]
     with pytest.raises(SanitizerError, match="fall back to stream 0"):
         inject(system, cmd)
@@ -142,13 +142,13 @@ def test_recovery_replay_resumes_cursor(sanitized_slimio):
 
     # a write continuing exactly at the restored head is legal...
     san = system.sanitizer
-    cmd = WriteCmd(lba=san._wal_next, nlb=1, data=page(system),
+    cmd = WriteCmd(lba=san._wal_next, nlb=1, data=[page(system)],
                    pid=system.config.placement.wal_pid)
     inject(system, cmd)
     assert san.summary()["violations"] == 0
 
     # ...one that skips past it is a replay-ordering violation
-    bad = WriteCmd(lba=san._wal_next + 7, nlb=1, data=page(system),
+    bad = WriteCmd(lba=san._wal_next + 7, nlb=1, data=[page(system)],
                    pid=system.config.placement.wal_pid)
     with pytest.raises(SanitizerError, match="non-monotonic WAL write"):
         inject(system, bad)

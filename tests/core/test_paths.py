@@ -6,7 +6,7 @@ from repro.core import LbaSpaceManager, MetadataStore, ReadAheadBuffer, SlotRole
 from repro.core.paths import SlimIOSnapshotSource, SnapshotPath, WalPath
 from repro.flash import FlashGeometry, FtlConfig, NandTiming
 from repro.kernel import CpuAccount, KernelCosts, PassthruQueuePair
-from repro.nvme import NvmeDevice, WriteCmd
+from repro.nvme import NvmeDevice, WriteCmd, split_pages
 from repro.persist import (
     AofCodec,
     AofRecord,
@@ -263,7 +263,8 @@ def test_readahead_buffer_sequential_read(world):
     def seed():
         # raw seeding of device state for the read-side fixture
         yield from dev.submit(  # slimlint: ignore[SLIM001]
-            WriteCmd(lba=100, nlb=8, data=payload)  # slimlint: ignore[SLIM007]
+            WriteCmd(lba=100, nlb=8,  # slimlint: ignore[SLIM007]
+                     data=split_pages(payload, page))
         )
 
     drive(env, seed())

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import ReadAheadBuffer
 from repro.flash import FlashGeometry, FtlConfig, NandTiming
 from repro.kernel import CpuAccount, KernelCosts, PassthruQueuePair
-from repro.nvme import NvmeDevice, WriteCmd
+from repro.nvme import NvmeDevice, WriteCmd, split_pages
 from repro.sim import Environment
 
 FAST = NandTiming(page_read=1e-6, page_program=2e-6, block_erase=10e-6,
@@ -30,7 +30,8 @@ def seeded_world():
     def seed():
         # raw seeding of device state for the read-side fixture
         yield from dev.submit(  # slimlint: ignore[SLIM001]
-            WriteCmd(lba=5, nlb=NPAGES, data=payload)  # slimlint: ignore[SLIM007]
+            WriteCmd(lba=5, nlb=NPAGES,  # slimlint: ignore[SLIM007]
+                     data=split_pages(payload, page))
         )
 
     env.run(until=env.process(seed()))

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.faults import ErrorSpec, FaultyDevice, PowerCutSpec
-from repro.nvme import NvmeError, NvmeTimeout, ReadCmd, WriteCmd
+from repro.nvme import NvmeError, NvmeTimeout, ReadCmd, WriteCmd, split_pages
 from repro.obs import MetricsRegistry
 from repro.sim import Environment
 
@@ -38,7 +38,8 @@ def test_torn_prefix_keeps_first_pages(env, device):
     faulty = FaultyDevice(device, power=PowerCutSpec(at_page_write=2))
     payload = b"".join(bytes([i + 1]) * page for i in range(4))
 
-    proc = env.process(faulty.submit(WriteCmd(lba=8, nlb=4, data=payload)))
+    proc = env.process(faulty.submit(
+        WriteCmd(lba=8, nlb=4, data=split_pages(payload, page))))
     env.run(until=faulty.cut_event)
 
     assert faulty.power_lost
@@ -59,7 +60,8 @@ def test_torn_shuffle_is_a_seeded_subset():
         faulty = FaultyDevice(device, power=PowerCutSpec(
             at_page_write=3, torn="shuffle", seed=seed))
         payload = b"".join(bytes([i + 1]) * page for i in range(8))
-        env.process(faulty.submit(WriteCmd(lba=0, nlb=8, data=payload)))
+        env.process(faulty.submit(
+            WriteCmd(lba=0, nlb=8, data=split_pages(payload, page))))
         env.run(until=faulty.cut_event)
         stored = device.peek(0, 8)
         return {
@@ -78,7 +80,8 @@ def test_at_time_cut_tears_the_inflight_command(env, device):
     faulty = FaultyDevice(device, power=PowerCutSpec(at_time=2e-6, seed=11))
     payload = b"".join(bytes([i + 1]) * page for i in range(8))
 
-    proc = env.process(faulty.submit(WriteCmd(lba=0, nlb=8, data=payload)))
+    proc = env.process(faulty.submit(
+        WriteCmd(lba=0, nlb=8, data=split_pages(payload, page))))
     env.run(until=faulty.cut_event)
     assert env.now == pytest.approx(2e-6)
     env.run(until=1e-3)
@@ -94,7 +97,7 @@ def test_at_time_cut_tears_the_inflight_command(env, device):
 def test_commands_after_cut_hang_forever(env, device):
     page = device.lba_size
     faulty = FaultyDevice(device, power=PowerCutSpec(at_page_write=0))
-    p1 = env.process(faulty.submit(WriteCmd(lba=0, nlb=1, data=bytes(page))))
+    p1 = env.process(faulty.submit(WriteCmd(lba=0, nlb=1, data=[bytes(page)])))
     env.run(until=faulty.cut_event)
     assert not any(device.peek(0))  # at_page_write=0: nothing persisted
 
@@ -107,7 +110,7 @@ def test_commands_after_cut_hang_forever(env, device):
 def test_cut_now_after_quiesce_keeps_completed_writes(env, device):
     page = device.lba_size
     faulty = FaultyDevice(device)
-    drive(env, faulty.submit(WriteCmd(lba=0, nlb=1, data=b"x" * page)))
+    drive(env, faulty.submit(WriteCmd(lba=0, nlb=1, data=[b"x" * page])))
     faulty.cut_now()
     assert faulty.power_lost
     assert faulty.cut_event.triggered
@@ -123,7 +126,7 @@ def test_image_survives_reboot(env, device):
 
     def writer():
         for i in range(3):
-            data = bytes([i + 1]) * (2 * page)
+            data = [bytes([i + 1]) * page] * 2
             yield from faulty.submit(WriteCmd(lba=i * 2, nlb=2, data=data))
 
     env.process(writer())
@@ -150,13 +153,13 @@ def test_force_errors_targets_lba_ranges(env, device):
         outcomes = []
         try:
             yield from faulty.submit(WriteCmd(lba=10, nlb=1,
-                                              data=bytes(page)))
+                                              data=[bytes(page)]))
         except NvmeTimeout:
             outcomes.append("timeout")
         except NvmeError as exc:
             outcomes.append(("error", exc.opcode, exc.lba))
         # the budget is exhausted: the same write now succeeds
-        yield from faulty.submit(WriteCmd(lba=10, nlb=1, data=bytes(page)))
+        yield from faulty.submit(WriteCmd(lba=10, nlb=1, data=[bytes(page)]))
         outcomes.append("ok")
         try:
             yield from faulty.submit(ReadCmd(lba=20, nlb=1))
@@ -183,7 +186,7 @@ def test_seeded_errors_are_reproducible():
 
         def proc():
             for i in range(40):
-                cmd = WriteCmd(lba=i % 8, nlb=1, data=bytes(page))
+                cmd = WriteCmd(lba=i % 8, nlb=1, data=[bytes(page)])
                 cmds.append(cmd)
                 try:
                     yield from faulty.submit(cmd)
@@ -206,7 +209,7 @@ def test_attach_obs_mirrors_counters(env, device):
     def proc():
         try:
             yield from faulty.submit(WriteCmd(lba=0, nlb=1,
-                                              data=bytes(page)))
+                                              data=[bytes(page)]))
         except NvmeError:
             pass
 

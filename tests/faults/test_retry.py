@@ -48,7 +48,7 @@ def test_transient_errors_absorbed_by_retries(env, device, account):
 
     def proc():
         yield from ring.submit_and_wait(
-            WriteCmd(lba=0, nlb=1, data=b"r" * page), account)
+            WriteCmd(lba=0, nlb=1, data=[b"r" * page]), account)
 
     drive(env, proc())
     assert ring.obs.total("uring_nvme_errors_total") == 2
@@ -69,7 +69,7 @@ def test_bounded_giveup_fails_the_completion(env, device, account):
     def proc():
         try:
             yield from ring.submit_and_wait(
-                WriteCmd(lba=0, nlb=1, data=bytes(page)), account)
+                WriteCmd(lba=0, nlb=1, data=[bytes(page)]), account)
         except NvmeError as exc:
             return exc
         return None
@@ -94,7 +94,7 @@ def test_max_attempts_one_disables_retries(env, device, account):
     def proc():
         try:
             yield from ring.submit_and_wait(
-                WriteCmd(lba=0, nlb=1, data=bytes(page)), account)
+                WriteCmd(lba=0, nlb=1, data=[bytes(page)]), account)
         except NvmeError:
             return "failed"
 
@@ -112,7 +112,7 @@ def test_retry_none_surfaces_the_first_error(env, device, account):
     def proc():
         try:
             yield from ring.submit_and_wait(
-                WriteCmd(lba=0, nlb=1, data=bytes(page)), account)
+                WriteCmd(lba=0, nlb=1, data=[bytes(page)]), account)
         except NvmeError:
             return "failed"
 
@@ -131,7 +131,7 @@ def test_retry_counters_reach_obs(env, device, account):
 
     def proc():
         yield from ring.submit_and_wait(
-            WriteCmd(lba=0, nlb=1, data=bytes(page)), account)
+            WriteCmd(lba=0, nlb=1, data=[bytes(page)]), account)
 
     drive(env, proc())
     assert registry.counter("uring_retries_total",

@@ -12,7 +12,7 @@ def test_submit_roundtrip(env, block, device):
     page = device.lba_size
 
     def proc():
-        yield from block.submit(WriteCmd(lba=0, nlb=1, data=bytes(page)))
+        yield from block.submit(WriteCmd(lba=0, nlb=1, data=[bytes(page)]))
 
     drive(env, proc())
     assert device.stats.write_cmds == 1
@@ -22,7 +22,7 @@ def test_submit_roundtrip(env, block, device):
 def test_sync_flag_counted(env, block, device):
     def proc():
         yield from block.submit(
-            WriteCmd(lba=0, nlb=1, data=bytes(device.lba_size)), sync=True
+            WriteCmd(lba=0, nlb=1, data=[bytes(device.lba_size)]), sync=True
         )
 
     drive(env, proc())
@@ -35,7 +35,7 @@ def test_inflight_limit_queues(env, device, costs):
     done = []
 
     def proc(i):
-        yield from blk.submit(WriteCmd(lba=i, nlb=1, data=bytes(page)))
+        yield from blk.submit(WriteCmd(lba=i, nlb=1, data=[bytes(page)]))
         done.append((i, env.now))
 
     for i in range(3):
@@ -55,7 +55,7 @@ def test_dispatch_is_fifo(env, device, costs):
 
     def submitter(tag, delay, sync):
         yield env.timeout(delay)
-        yield from blk.submit(WriteCmd(lba=len(order), nlb=1, data=bytes(page)),
+        yield from blk.submit(WriteCmd(lba=len(order), nlb=1, data=[bytes(page)]),
                               sync=sync)
         order.append(tag)
 

@@ -19,12 +19,12 @@ def test_submit_and_wait_roundtrip(env, device, costs, account):
     payload = b"Q" * page
 
     def proc():
-        yield from ring.submit_and_wait(WriteCmd(lba=0, nlb=1, data=payload),
+        yield from ring.submit_and_wait(WriteCmd(lba=0, nlb=1, data=[payload]),
                                         account)
         data = yield from ring.submit_and_wait(ReadCmd(lba=0, nlb=1), account)
         return data
 
-    assert drive(env, proc()) == payload
+    assert drive(env, proc()) == [payload]
     assert ring.obs.total("uring_submitted_total") == 2
     assert _completed(ring) == 2
 
@@ -34,7 +34,7 @@ def test_sqpoll_mode_no_syscalls(env, device, costs, account):
 
     def proc():
         yield from ring.submit_and_wait(
-            WriteCmd(lba=0, nlb=1, data=bytes(device.lba_size)), account)
+            WriteCmd(lba=0, nlb=1, data=[bytes(device.lba_size)]), account)
 
     drive(env, proc())
     assert ring.obs.total("uring_enter_syscalls_total") == 0
@@ -46,7 +46,7 @@ def test_non_sqpoll_pays_enter_syscall(env, device, costs, account):
 
     def proc():
         yield from ring.submit_and_wait(
-            WriteCmd(lba=0, nlb=1, data=bytes(device.lba_size)), account)
+            WriteCmd(lba=0, nlb=1, data=[bytes(device.lba_size)]), account)
 
     drive(env, proc())
     assert ring.obs.total("uring_enter_syscalls_total") == 1
@@ -78,7 +78,7 @@ def test_ring_depth_backpressure(env, device, costs, account):
     def proc():
         for i in range(3):
             ev = yield from ring.submit(
-                WriteCmd(lba=i, nlb=1, data=bytes(page)), account)
+                WriteCmd(lba=i, nlb=1, data=[bytes(page)]), account)
             events.append(ev)
         for ev in events:
             yield from ring.wait(ev, account)
@@ -154,7 +154,7 @@ def test_separate_rings_have_independent_depth(env, device, costs):
 
     def user(ring, acct, lba, tag):
         yield from ring.submit_and_wait(
-            WriteCmd(lba=lba, nlb=1, data=bytes(page)), acct)
+            WriteCmd(lba=lba, nlb=1, data=[bytes(page)]), acct)
         done.append(tag)
 
     env.process(user(ring1, a1, 0, "r1"))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.kernel import CpuAccount, PageCache
-from repro.nvme import WriteCmd
+from repro.nvme import WriteCmd, split_pages
 
 from tests.kernel.conftest import drive
 
@@ -115,7 +115,7 @@ def test_read_miss_fetches_from_device(env, cache, account, device, block):
     payload = b"D" * 4096
 
     def seed():
-        yield from device.submit(WriteCmd(lba=5, nlb=1, data=payload))
+        yield from device.submit(WriteCmd(lba=5, nlb=1, data=[payload]))
 
     drive(env, seed())
     cache.register_file(2, linear_resolver(5))
@@ -133,7 +133,8 @@ def test_readahead_prefetches_beyond_request(env, cache, account, device):
     payload = bytes([1]) * 4096 * 8
 
     def seed():
-        yield from device.submit(WriteCmd(lba=10, nlb=8, data=payload))
+        yield from device.submit(
+            WriteCmd(lba=10, nlb=8, data=split_pages(payload, 4096)))
 
     drive(env, seed())
     cache.register_file(3, linear_resolver(10))

@@ -34,12 +34,13 @@ def test_rebase_and_isolation():
     p0, p1 = partition_evenly(dev, 2)
     page = dev.lba_size
     payload = b"\xAB" * page
-    submit_part(env, p1, WriteCmd(lba=3, nlb=1, data=payload))
+    submit_part(env, p1, WriteCmd(lba=3, nlb=1, data=[payload]))
     # the write landed at the device-global offset...
     assert dev.peek(p1.base + 3) == payload
     # ...is readable back through the partition at its local LBA...
-    assert submit_part(env, p1, ReadCmd(lba=3, nlb=1)) == payload
+    assert submit_part(env, p1, ReadCmd(lba=3, nlb=1)) == [payload]
     assert p1.peek(3) == payload
+    assert p1.pages(3)[0] is dev.pages(p1.base + 3)[0]
     # ...and is invisible at partition 0's local LBA 3
     assert p0.peek(3) != payload
     assert p1.written_lbas() == 1
@@ -51,7 +52,7 @@ def test_out_of_range_extents_rejected():
     part = partition_evenly(dev, 2)[0]
     with pytest.raises(ValueError, match="outside partition"):
         submit_part(env, part, WriteCmd(lba=part.num_lbas, nlb=1,
-                                        data=b"\x00" * dev.lba_size))
+                                        data=[b"\x00" * dev.lba_size]))
     with pytest.raises(ValueError, match="outside partition"):
         part.peek(part.num_lbas)
 
