@@ -123,7 +123,7 @@ def _sweep_main(argv) -> int:
         chunks.append(text)
         print(text)
     report_path = out_dir / f"sweep_{scale.name}_report.txt"
-    report_path.write_text("\n".join(chunks))
+    report_path.write_text("".join(f"{text}\n" for text in chunks))
     print(f"(report written to {report_path})", file=sys.stderr)
     return 0
 
@@ -239,7 +239,7 @@ def main(argv=None) -> int:
     if out_path != "-":
         path = Path(out_path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(chunks))
+        path.write_text("".join(f"{text}\n" for text in chunks))
         print(f"(report written to {path})", file=sys.stderr)
     return exit_code
 

@@ -17,6 +17,7 @@ silently landing writes in stream 0.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 
 from repro.cluster.pids import PidAllocator, SharingMode
@@ -28,7 +29,7 @@ from repro.core.engine import (
     SystemConfig,
 )
 from repro.core.placement import PlacementPolicy
-from repro.nvme import LbaPartition, NvmeDevice, partition_evenly
+from repro.nvme import LbaPartition, NvmeDevice, partition_evenly, release_when_freed
 from repro.obs.registry import MetricsRegistry
 from repro.sim import Environment
 
@@ -88,6 +89,7 @@ class SlimIOCluster:
 
     #: optional request tracer (``None`` = tracing disabled)
     rtrace = None
+    _finalizer: weakref.finalize | None = None
 
     def __init__(self, env: Environment, config: ClusterConfig):
         self.env = env
@@ -128,7 +130,7 @@ class SlimIOCluster:
                 ShardHandle(i, name, system, part, policies[i])
             )
         self.slot_map = HashSlotMap(config.num_shards)
-        self.router = ClusterRouter(self)
+        self.router = ClusterRouter(self.shards, self.slot_map)
 
     # ------------------------------------------------------------ shards
     def __len__(self) -> int:
@@ -200,8 +202,12 @@ class SlimIOCluster:
         return owners
 
     def stop(self) -> None:
+        """Stop every shard. From now on the shared device's page map
+        goes when this handle does (as each single system's does)."""
         for shard in self.shards:
             shard.system.stop()
+        if self._finalizer is None:
+            self._finalizer = release_when_freed(self, self.device._data)
 
 
 def build_cluster(env: Environment | None = None,

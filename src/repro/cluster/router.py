@@ -21,35 +21,36 @@ from repro.cluster.slots import key_hash_slot
 from repro.imdb import ClientOp
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cluster.engine import ShardHandle, SlimIOCluster
+    from repro.cluster.engine import ShardHandle
+    from repro.cluster.slots import HashSlotMap
 
 __all__ = ["ClusterRouter"]
 
 
 class ClusterRouter:
-    """Slot-hash routing over a cluster's shards."""
+    """Slot-hash routing over a cluster's shards.
 
-    def __init__(self, cluster: SlimIOCluster):
-        self.cluster = cluster
+    It holds the cluster's shard list and slot map, not the cluster,
+    so the cluster handle is in no reference cycle."""
+
+    def __init__(self, shards: list[ShardHandle], slot_map: HashSlotMap):
+        self.shards = shards
+        self.slot_map = slot_map
         #: ops routed per shard index (routing-table hit counts)
-        self.routed = [0] * len(cluster.shards)
-
-    @property
-    def slot_map(self):
-        return self.cluster.slot_map
+        self.routed = [0] * len(shards)
 
     def shard_for_key(self, key: bytes | str) -> ShardHandle:
-        return self.cluster.shards[self.slot_map.shard_for_key(key)]
+        return self.shards[self.slot_map.shard_for_key(key)]
 
     def shard_for_slot(self, slot: int) -> ShardHandle:
-        return self.cluster.shards[self.slot_map.shard_for_slot(slot)]
+        return self.shards[self.slot_map.shard_for_slot(slot)]
 
     def execute(self, op: ClientOp) -> Generator:
         """Serve one request on the owning shard (a generator, like
         ``Server.execute``; clients ``yield from`` it)."""
         index = self.slot_map.shard_for_key(op.key)
         self.routed[index] += 1
-        result = yield from self.cluster.shards[index].server.execute(op)
+        result = yield from self.shards[index].server.execute(op)
         return result
 
     def slot_of(self, key: bytes | str) -> int:

@@ -17,10 +17,17 @@ Both return a ``System`` handle exposing the server, the device, and a
 ``recover()`` generator implementing the full §4.2 recovery procedure,
 so experiments and applications drive the two designs through one
 interface.
+
+A handle is in no reference cycle: no component refers back to it. So
+a stopped handle is freed when its last reference goes, and then
+releases the page maps it built (its device's, unless the device was
+passed in, and the baseline's page cache) at once, with no collection;
+see :mod:`repro.nvme.pagemap`.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 from collections.abc import Generator
 from typing import ClassVar
@@ -40,7 +47,7 @@ from repro.kernel import (
     PageCache,
     PassthruQueuePair,
 )
-from repro.nvme import NvmeDevice
+from repro.nvme import NvmeDevice, PageMap, release_when_freed
 from repro.obs.registry import MetricsRegistry
 from repro.persist import LoggingPolicy, SnapshotKind, WalManager, recover_store
 from repro.persist.compress import CompressionModel, Compressor
@@ -131,6 +138,9 @@ class _SystemBase:
     config: SystemConfig
     #: the registry every layer of this system books into
     obs: MetricsRegistry
+    #: page maps this handle built: released once it is stopped and freed
+    _owned: tuple[PageMap, ...] = ()
+    _finalizer: weakref.finalize | None = None
 
     def attach_obs(self) -> MetricsRegistry:
         """The system's registry (every layer is built with it; this
@@ -158,7 +168,11 @@ class _SystemBase:
         return self.device.waf
 
     def stop(self) -> None:
+        """End of run: stop background activity. From now on the page
+        maps this handle built go when the handle does."""
         self.server.stop()
+        if self._finalizer is None:
+            self._finalizer = release_when_freed(self, *self._owned)
 
 
 class BaselineSystem(_SystemBase):
@@ -177,15 +191,18 @@ class BaselineSystem(_SystemBase):
         self.config = config
         self.name = name
         self.obs = obs = obs or MetricsRegistry(env, name=name)
+        owned: tuple[PageMap, ...] = ()
         if device is None:
             device = NvmeDevice(env, config.geometry, config.nand,
                                 config.ftl, fdp=False, obs=obs)
+            owned = (device._data,)
         self.device = device
         self.block = BlockLayer(env, self.device, config.costs, obs=obs)
         self.cache = PageCache(env, self.block, config.costs,
                                page_size=self.device.lba_size,
                                dirty_limit_bytes=config.dirty_limit_bytes,
                                obs=obs)
+        self._owned = (*owned, self.cache._pages)
         fs_cls = Ext4 if config.fs == "ext4" else F2fs
         self.fs = fs_cls(env, self.block, self.cache, config.costs,
                          extent_pages=config.fs_extent_pages, obs=obs)
@@ -196,9 +213,10 @@ class BaselineSystem(_SystemBase):
             policy=config.policy, flush_interval=config.wal_flush_interval,
             buffer_limit_bytes=config.wal_buffer_limit_bytes, obs=obs,
         )
+        fs = self.fs  # the sink factory must not capture the handle
         self.server = Server(
             env, KVStore(page_size=self.device.lba_size), self.wal,
-            lambda kind: FileSnapshotSink(self.fs, f"{kind.value}.rdb"),
+            lambda kind: FileSnapshotSink(fs, f"{kind.value}.rdb"),
             config.server, compressor, config.compression, name=name,
             obs=obs,
         )
@@ -225,6 +243,39 @@ class BaselineSystem(_SystemBase):
     def crash(self) -> None:
         """Power loss: the page cache vanishes; the device persists."""
         self.cache.crash()
+
+
+@dataclass(eq=False)
+class _SnapshotSinks:
+    """SlimIO's snapshot-sink factory: each snapshot process gets its
+    own SQ/CQ pair (§4.1). It holds the components a sink needs, not
+    the system handle, so the server it is handed to does not keep the
+    handle alive."""
+
+    env: Environment
+    device: object
+    config: SystemConfig
+    wal_ring: PassthruQueuePair
+    space: LbaSpaceManager
+    meta_store: MetadataStore
+    obs: MetricsRegistry
+    #: the latest ring of each snapshot kind
+    rings: dict[SnapshotKind, PassthruQueuePair] = field(default_factory=dict)
+
+    def __call__(self, kind: SnapshotKind) -> SnapshotPath:
+        if self.config.shared_ring:
+            ring = self.wal_ring  # ablation: no write isolation
+        else:
+            ring = PassthruQueuePair(
+                self.env, self.device, self.config.costs,
+                sqpoll=self.config.sqpoll, name=f"snapshot-path-{kind.value}",
+                obs=self.obs,
+            )
+        self.rings[kind] = ring
+        return SnapshotPath(
+            self.env, ring, self.space, self.meta_store, kind,
+            self.config.placement, obs=self.obs,
+        )
 
 
 class SlimIOSystem(_SystemBase):
@@ -254,6 +305,7 @@ class SlimIOSystem(_SystemBase):
                 env, config.geometry, config.nand, config.ftl,
                 fdp=config.fdp, num_pids=num_pids, obs=obs,
             )
+            self._owned = (device._data,)
         self.device = device
         if self.device.fdp:
             validate_placement(config.placement, self.device.num_pids,
@@ -300,7 +352,11 @@ class SlimIOSystem(_SystemBase):
             policy=config.policy, flush_interval=config.wal_flush_interval,
             buffer_limit_bytes=config.wal_buffer_limit_bytes, obs=obs,
         )
-        self._snap_rings: dict[SnapshotKind, PassthruQueuePair] = {}
+        self._make_snapshot_sink = _SnapshotSinks(
+            env, self.device, config, self.wal_ring, self.space,
+            self.meta_store, obs,
+        )
+        self._snap_rings = self._make_snapshot_sink.rings
         self.server = Server(
             env, KVStore(page_size=self.device.lba_size), self.wal,
             self._make_snapshot_sink, config.server, compressor,
@@ -308,22 +364,6 @@ class SlimIOSystem(_SystemBase):
         )
         if self.sanitizer is not None:
             self.sanitizer.watch_server(self.server)
-
-    def _make_snapshot_sink(self, kind: SnapshotKind) -> SnapshotPath:
-        if self.config.shared_ring:
-            ring = self.wal_ring  # ablation: no write isolation
-        else:
-            # each snapshot process initializes its own SQ/CQ pair (§4.1)
-            ring = PassthruQueuePair(
-                self.env, self.device, self.config.costs,
-                sqpoll=self.config.sqpoll, name=f"snapshot-path-{kind.value}",
-                obs=self.obs,
-            )
-        self._snap_rings[kind] = ring
-        return SnapshotPath(
-            self.env, ring, self.space, self.meta_store, kind,
-            self.config.placement, obs=self.obs,
-        )
 
     def snapshot_source(self, kind: SnapshotKind = SnapshotKind.WAL_TRIGGERED,
                         ring: PassthruQueuePair | None = None,

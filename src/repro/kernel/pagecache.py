@@ -25,7 +25,7 @@ from collections.abc import Callable, Generator
 from repro.kernel.accounting import CpuAccount
 from repro.kernel.blocklayer import BlockLayer
 from repro.kernel.costs import KernelCosts
-from repro.nvme import ReadCmd, WriteCmd
+from repro.nvme import PageMap, ReadCmd, WriteCmd
 from repro.obs.registry import MetricsRegistry
 from repro.sim import Environment, Event
 
@@ -88,8 +88,9 @@ class PageCache:
 
         #: clean pages are ``bytes`` shared with the device; a page
         #: ``write()`` changed is a private ``bytearray`` until
-        #: writeback snapshots it
-        self._pages: dict[tuple[int, int], bytes | bytearray] = {}
+        #: writeback snapshots it; released with the system handle that
+        #: built this cache (see :mod:`repro.nvme.pagemap`)
+        self._pages: PageMap = PageMap()
         self._dirty: set[tuple[int, int]] = set()
         self._resolvers: dict[int, Resolver] = {}
         self._throttled: list[Event] = []
@@ -172,6 +173,7 @@ class PageCache:
         self, file_id: int, offset: int, data: bytes, account: CpuAccount
     ) -> Generator:
         """Buffered write: copy in, dirty pages, maybe throttle."""
+        self._pages.check()
         if file_id not in self._resolvers:
             raise KeyError(f"file {file_id} not registered")
         if offset < 0:
@@ -252,6 +254,7 @@ class PageCache:
         readahead: int | None = None,
     ) -> Generator:
         """Read through the cache; misses fetch with readahead."""
+        self._pages.check()
         resolver = self._resolvers.get(file_id)
         if resolver is None:
             raise KeyError(f"file {file_id} not registered")
@@ -372,6 +375,7 @@ class PageCache:
         # extents are TRIMmed. Like the kernel skipping pages whose
         # mapping is gone, snapshot the page->LBA map up front and skip
         # anything that has vanished.
+        self._pages.check()
         rt = self.rtrace
         bg = None
         wb_span = None
@@ -435,6 +439,7 @@ class PageCache:
 
     def fsync(self, file_id: int, account: CpuAccount) -> Generator:
         """Synchronously flush a file's dirty pages (sync priority)."""
+        self._pages.check()
         t0 = self.env.now
         while True:
             runs = self._dirty_runs(file_id, limit=1 << 30)

@@ -16,6 +16,7 @@ from repro.nvme.commands import (
 )
 from repro.nvme.device import DeviceStats, NvmeDevice
 from repro.nvme.errors import NvmeError, NvmeTimeout
+from repro.nvme.pagemap import PageMap, ReleasedError, release_when_freed
 from repro.nvme.partition import LbaPartition, partition_evenly
 
 __all__ = [
@@ -28,6 +29,9 @@ __all__ = [
     "DeviceStats",
     "NvmeError",
     "NvmeTimeout",
+    "PageMap",
+    "ReleasedError",
+    "release_when_freed",
     "LbaPartition",
     "partition_evenly",
 ]

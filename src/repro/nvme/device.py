@@ -21,6 +21,7 @@ from collections.abc import Generator
 
 from repro.flash import FlashGeometry, FlashTranslationLayer, FtlConfig, NandTiming
 from repro.nvme.commands import DeallocateCmd, NvmeCommand, ReadCmd, WriteCmd
+from repro.nvme.pagemap import PageMap
 from repro.sim import Environment
 
 __all__ = ["NvmeDevice", "DeviceStats"]
@@ -72,7 +73,9 @@ class NvmeDevice:
                 self.ftl.register_stream(pid)
         else:
             self.ftl.register_stream(0)
-        self._data: dict[int, bytes] = {}
+        #: lba -> stored page; released with the system handle that
+        #: built this device (see :mod:`repro.nvme.pagemap`)
+        self._data: PageMap = PageMap()
         self.stats = DeviceStats()
 
     # ------------------------------------------------------------------ capacity
@@ -94,6 +97,7 @@ class NvmeDevice:
         return self.ftl.lifetime.waf()
 
     def _check_extent(self, lba: int, nlb: int) -> None:
+        self._data.check()
         if lba < 0 or lba + nlb > self.num_lbas:
             raise ValueError(
                 f"extent [{lba}, {lba + nlb}) outside namespace of {self.num_lbas} LBAs"
@@ -180,6 +184,7 @@ class NvmeDevice:
     def written_lbas(self, lba: int = 0, nlb: int | None = None) -> int:
         """How many LBAs of ``[lba, lba + nlb)`` (default: the whole
         namespace) hold written data."""
+        self._data.check()
         if lba == 0 and nlb is None:
             return len(self._data)
         hi = self.num_lbas if nlb is None else lba + nlb
@@ -212,6 +217,7 @@ class NvmeDevice:
         This is exactly what survives a power cut — the durable state a
         crash harness reboots from.
         """
+        self._data.check()
         return dict(self._data)
 
     def load_image(self, image: dict[int, bytes]) -> None:
@@ -221,6 +227,7 @@ class NvmeDevice:
         real drive's L2P rebuild is invisible to the host. Used by crash
         harnesses to boot a fresh simulation on a surviving image.
         """
+        self._data.check()
         page = self.lba_size
         for lba, data in image.items():
             if len(data) != page:

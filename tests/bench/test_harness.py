@@ -66,3 +66,12 @@ def test_cli_failed_experiment_keeps_the_others_cached(tmp_path, capsys,
     assert "Traceback" in err and "in broken" in err
     assert "(broken: failed: RuntimeError: planted failure)" in err
     assert not out.exists()  # no report that silently lacks a table
+
+
+def test_cli_out_file_is_byte_equal_to_stdout(tmp_path, capsys):
+    # CI diffs the --out file against a golden taken from stdout
+    from repro.bench import __main__ as cli
+
+    out = tmp_path / "report.txt"
+    assert cli.main(["table5", "--scale", "tiny", "--out", str(out)]) == 0
+    assert out.read_text() == capsys.readouterr().out

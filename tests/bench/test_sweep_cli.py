@@ -96,3 +96,11 @@ def test_main_routes_sweep_and_tune(tmp_path, capsys, monkeypatch):
     # and `tune` reaches the tuner CLI (unknown workload -> exit 2,
     # proving the subcommand routed rather than argparse-failed)
     assert main(["tune", "--workload", "nope", "--scale", "test"]) == 2
+
+
+def test_report_file_is_byte_equal_to_stdout(tmp_path, capsys):
+    out = tmp_path / "eq"
+    argv = ["--grid", "toy", "--scale", "test", "--out-dir", str(out)]
+    assert _sweep_main(argv) == 0
+    assert (out / "sweep_test_report.txt").read_text() == \
+        capsys.readouterr().out
