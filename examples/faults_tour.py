@@ -25,7 +25,7 @@ from repro.faults.harness import (
     run_error_lane,
 )
 from repro.flash import FlashGeometry, FtlConfig, NandTiming
-from repro.kernel import CpuAccount, KernelCosts, PassthruQueuePair
+from repro.kernel import CpuAccount, PassthruQueuePair
 from repro.nvme import NvmeDevice, NvmeError, WriteCmd, split_pages
 from repro.sim import Environment
 
@@ -70,7 +70,7 @@ def act_2_retries():
     env = Environment()
     device = make_device(env)
     faulty = FaultyDevice(device)
-    ring = PassthruQueuePair(env, faulty, KernelCosts())  # max_attempts=4
+    ring = PassthruQueuePair(env, faulty)  # max_attempts=4
     account = CpuAccount(env, "faults-tour")
     page = device.lba_size
 

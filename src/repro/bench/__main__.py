@@ -65,8 +65,6 @@ def _sweep_main(argv) -> int:
     add_run_options(parser, "tiny")
     parser.add_argument("--out-dir", default="out/sweep",
                         help="CSV/report directory (default: out/sweep)")
-    parser.add_argument("--top", type=int, default=5,
-                        help="rows in the best/worst tables")
     args = parser.parse_args(argv)
 
     scale = get_scale(args.scale)
@@ -113,7 +111,7 @@ def _sweep_main(argv) -> int:
             f"({grid.size} points) ==",
             grid.description, "",
             result.format(), "",
-            format_top_tables(result, grid.objective, n=args.top,
+            format_top_tables(result, grid.objective,
                               maximize=grid.maximize), "",
             "Knife edges (adjacent points, metric jump >= factor):",
             format_knife_edges(edges), "",

@@ -3,8 +3,9 @@
 Closes the loop the ROADMAP names: the comprehensive sweep maps the
 design space (including its cliffs), and this module *searches* it —
 coordinate descent over a :class:`repro.bench.sweep.GridSpec`, one axis
-at a time, every evaluation run through the same path as a sweep's grid
-points (:func:`repro.bench.harness.run_units`). An in-process memo
+at a time for at most :data:`MAX_PASSES` passes, every evaluation run
+through the same path as a sweep's grid points
+(:func:`repro.bench.harness.run_units`). An in-process memo
 computes each visited point once, so a run evaluates only the descent
 path (axes x values x passes, typically a small fraction of the grid).
 
@@ -77,25 +78,15 @@ def config_from_jsonable(d: dict[str, Any]):
     from repro.core import SystemConfig
     from repro.core.placement import PlacementPolicy
     from repro.flash import FlashGeometry, FtlConfig, NandTiming
-    from repro.imdb.memory import ForkModel
     from repro.imdb.server import ServerConfig
-    from repro.kernel.costs import KernelCosts
     from repro.persist import LoggingPolicy
-    from repro.persist.compress import CompressionModel
-    from repro.persist.snapshot import SnapshotCpuModel
 
-    server = d["server"]
     return _build(
         SystemConfig, d,
         geometry=_build(FlashGeometry, d["geometry"]),
         nand=_build(NandTiming, d["nand"]),
         ftl=_build(FtlConfig, d["ftl"]),
-        costs=_build(KernelCosts, d["costs"]),
-        server=_build(
-            ServerConfig, server,
-            fork_model=_build(ForkModel, server["fork_model"]),
-            snapshot_cpu=_build(SnapshotCpuModel, server["snapshot_cpu"])),
-        compression=_build(CompressionModel, d["compression"]),
+        server=_build(ServerConfig, d["server"]),
         placement=_build(PlacementPolicy, d["placement"]),
         policy=LoggingPolicy(d["policy"]),
     )
@@ -128,6 +119,10 @@ def cluster_config_from_jsonable(d: dict[str, Any]):
 # --------------------------------------------------------------------------
 # coordinate descent
 # --------------------------------------------------------------------------
+
+#: coordinate-descent pass budget (a pass that moves nothing ends the
+#: search sooner)
+MAX_PASSES = 8
 
 @dataclass
 class TuneResult:
@@ -167,8 +162,7 @@ class _Evaluator:
 
 def coordinate_descent(grid: GridSpec, scale,
                        objective: str | None = None,
-                       maximize: bool | None = None,
-                       max_passes: int = 8) -> TuneResult:
+                       maximize: bool | None = None) -> TuneResult:
     """Search ``grid`` one axis at a time until a full pass stands pat.
 
     Deterministic by construction: axes iterate in grid order, axis
@@ -217,7 +211,7 @@ def coordinate_descent(grid: GridSpec, scale,
         maximize=maximize, params=dict(current), metrics=current_vals,
         trajectory=[(dict(current), current_score)],
     )
-    for _ in range(max_passes):
+    for _ in range(MAX_PASSES):
         result.passes += 1
         improved = False
         for axis in names:
@@ -308,8 +302,6 @@ def main(argv=None) -> int:
     parser.add_argument("--minimize", action="store_true",
                         help="minimize the objective instead of "
                              "maximizing it (e.g. --objective p999_us)")
-    parser.add_argument("--max-passes", type=int, default=8,
-                        help="coordinate-descent pass budget")
     parser.add_argument("--out", default=None,
                         help="recommendation JSON path (default: "
                              "out/sweep/tuned_<workload>_<scale>.json; "
@@ -326,7 +318,6 @@ def main(argv=None) -> int:
     tr = coordinate_descent(
         grid, scale, objective=args.objective,
         maximize=(False if args.minimize else None),
-        max_passes=args.max_passes,
     )
     payload = recommendation(grid, scale, tr)
 

@@ -43,14 +43,12 @@ from repro.kernel import (
     CpuAccount,
     Ext4,
     F2fs,
-    KernelCosts,
     PageCache,
     PassthruQueuePair,
 )
 from repro.nvme import NvmeDevice, PageMap, release_when_freed
 from repro.obs.registry import MetricsRegistry
 from repro.persist import LoggingPolicy, SnapshotKind, WalManager, recover_store
-from repro.persist.compress import CompressionModel, Compressor
 from repro.persist.file_backends import (
     FileAppendSink,
     FileSnapshotSink,
@@ -76,13 +74,11 @@ class SystemConfig:
     )
     nand: NandTiming = field(default_factory=NandTiming)
     ftl: FtlConfig = field(default_factory=FtlConfig)
-    costs: KernelCosts = field(default_factory=KernelCosts)
     server: ServerConfig = field(default_factory=ServerConfig)
     policy: LoggingPolicy = LoggingPolicy.PERIODICAL
     wal_flush_interval: float = 1.0
     #: Redis's AOF-buffer hard limit: write queries block above this
     wal_buffer_limit_bytes: int = 32 * 1024 * 1024
-    compression: CompressionModel = field(default_factory=CompressionModel)
 
     # baseline knobs
     fs: str = "f2fs"  # "ext4" | "f2fs"
@@ -108,13 +104,6 @@ class SystemConfig:
     #: promotion is guarded, and fork-snapshot races are detected.
     #: Ignored by the baseline (its invariants live in the fs layer).
     sanitize: bool = False
-    #: wrap the SlimIO device in a repro.faults transient-error
-    #: injector (seeded NVMe errors/timeouts absorbed by the ring's
-    #: RetryPolicy). Power cuts are driven by the crash-matrix harness,
-    #: not this flag. Ignored by the baseline, whose block layer has no
-    #: retry path.
-    faults: bool = False
-    fault_seed: int = 20260807
 
     # constants, not fields: the simulator has one engine path. Read by
     # benchmarks/slimbench/worker.py::provenance, which may not change.
@@ -127,6 +116,10 @@ class SystemConfig:
             raise ValueError("num_pids must be >= 1")
         if self.fs not in ("ext4", "f2fs"):
             raise ValueError("fs must be ext4 or f2fs")
+        if not self.wal_flush_interval > 0:  # NaN-safe
+            raise ValueError("wal_flush_interval must be positive")
+        if not 0.0 < self.snapshot_fraction < 1.0:
+            raise ValueError("snapshot_fraction must be in (0, 1)")
 
 
 class _SystemBase:
@@ -197,17 +190,15 @@ class BaselineSystem(_SystemBase):
                                 config.ftl, fdp=False, obs=obs)
             owned = (device._data,)
         self.device = device
-        self.block = BlockLayer(env, self.device, config.costs, obs=obs)
-        self.cache = PageCache(env, self.block, config.costs,
-                               page_size=self.device.lba_size,
+        self.block = BlockLayer(env, self.device, obs=obs)
+        self.cache = PageCache(env, self.block, page_size=self.device.lba_size,
                                dirty_limit_bytes=config.dirty_limit_bytes,
                                obs=obs)
         self._owned = (*owned, self.cache._pages)
         fs_cls = Ext4 if config.fs == "ext4" else F2fs
-        self.fs = fs_cls(env, self.block, self.cache, config.costs,
+        self.fs = fs_cls(env, self.block, self.cache,
                          extent_pages=config.fs_extent_pages, obs=obs)
         self.main_account = CpuAccount(env, f"{name}-main")
-        compressor = Compressor(model=config.compression)
         self.wal = WalManager(
             env, FileAppendSink(self.fs), self.main_account,
             policy=config.policy, flush_interval=config.wal_flush_interval,
@@ -217,8 +208,7 @@ class BaselineSystem(_SystemBase):
         self.server = Server(
             env, KVStore(page_size=self.device.lba_size), self.wal,
             lambda kind: FileSnapshotSink(fs, f"{kind.value}.rdb"),
-            config.server, compressor, config.compression, name=name,
-            obs=obs,
+            config.server, name=name, obs=obs,
         )
 
     def snapshot_source(self, kind: SnapshotKind = SnapshotKind.WAL_TRIGGERED,
@@ -233,10 +223,7 @@ class BaselineSystem(_SystemBase):
         if self.fs.exists(f"{kind.value}.rdb"):
             source = self.snapshot_source(kind)
         result = yield from recover_store(
-            self.env, source, self.wal.sink, acct,
-            Compressor(model=self.config.compression),
-            self.config.compression,
-            obs=self.obs,
+            self.env, source, self.wal.sink, acct, obs=self.obs,
         )
         return result
 
@@ -267,8 +254,8 @@ class _SnapshotSinks:
             ring = self.wal_ring  # ablation: no write isolation
         else:
             ring = PassthruQueuePair(
-                self.env, self.device, self.config.costs,
-                sqpoll=self.config.sqpoll, name=f"snapshot-path-{kind.value}",
+                self.env, self.device, sqpoll=self.config.sqpoll,
+                name=f"snapshot-path-{kind.value}",
                 obs=self.obs,
             )
         self.rings[kind] = ring
@@ -310,16 +297,6 @@ class SlimIOSystem(_SystemBase):
         if self.device.fdp:
             validate_placement(config.placement, self.device.num_pids,
                                context=f"the device backing {name!r}")
-        self.fault_injector = None
-        if config.faults:
-            # lazy import: faults sits above core in the layering
-            from repro.faults import ErrorSpec, FaultyDevice
-
-            self.fault_injector = FaultyDevice(
-                self.device, errors=ErrorSpec.light(config.fault_seed),
-                obs=obs,
-            )
-            self.device = self.fault_injector
         self.sanitizer = None
         if config.sanitize:
             # lazy import: analysis sits above core in the layering
@@ -336,7 +313,7 @@ class SlimIOSystem(_SystemBase):
         self.main_account = CpuAccount(env, f"{name}-main")
         # the WAL-Path ring lives in the main process (§4.1)
         self.wal_ring = PassthruQueuePair(
-            env, self.device, config.costs, sqpoll=config.sqpoll,
+            env, self.device, sqpoll=config.sqpoll,
             name="wal-path", obs=obs,
         )
         self.meta_store = MetadataStore(
@@ -346,7 +323,6 @@ class SlimIOSystem(_SystemBase):
             env, self.wal_ring, self.space, self.meta_store,
             self.main_account, config.placement, obs=obs,
         )
-        compressor = Compressor(model=config.compression)
         self.wal = WalManager(
             env, self.wal_path, self.main_account,
             policy=config.policy, flush_interval=config.wal_flush_interval,
@@ -359,8 +335,7 @@ class SlimIOSystem(_SystemBase):
         self._snap_rings = self._make_snapshot_sink.rings
         self.server = Server(
             env, KVStore(page_size=self.device.lba_size), self.wal,
-            self._make_snapshot_sink, config.server, compressor,
-            config.compression, name=name, obs=obs,
+            self._make_snapshot_sink, config.server, name=name, obs=obs,
         )
         if self.sanitizer is not None:
             self.sanitizer.watch_server(self.server)
@@ -406,10 +381,7 @@ class SlimIOSystem(_SystemBase):
         # blank device this costs one zero-page probe read.
         wal_sink = self.wal_path
         result = yield from recover_store(
-            self.env, source, wal_sink, acct,
-            Compressor(model=self.config.compression),
-            self.config.compression,
-            obs=self.obs,
+            self.env, source, wal_sink, acct, obs=self.obs,
             strict_wal=strict_wal,
         )
         yield from self.wal_path.trim_beyond_head(acct)

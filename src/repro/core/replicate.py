@@ -26,7 +26,7 @@ from collections.abc import Callable, Generator
 from repro.imdb import ClientOp
 from repro.kernel.accounting import CpuAccount
 from repro.persist import SnapshotKind
-from repro.persist.compress import Compressor
+from repro.persist.compress import decompress_time
 from repro.persist.encoding import RdbReader
 from repro.sim import Environment
 
@@ -143,17 +143,15 @@ def full_sync(
         report.transfer_time = t_wire
 
         # 3) replica loads the image
-        compressor = Compressor(model=replica.config.compression)
-        entries = RdbReader(compressor).read_all(blob)
+        entries = RdbReader().read_all(blob)
         if key_filter is not None:
             entries = [(k, v) for k, v in entries if key_filter(k)]
         report.snapshot_entries = len(entries)
-        model = replica.config.compression
         raw = sum(len(k) + len(v) for k, v in entries)
         r_acct = CpuAccount(env, "repl-loader")
         _cpu_ev = r_acct.charge(
             "decompress",
-            model.decompress_time(raw, max(1, len(entries) // 64)),
+            decompress_time(raw, max(1, len(entries) // 64)),
         )
         if _cpu_ev is not None:
             yield _cpu_ev

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from repro.core.lba import LbaLayout, SlotRole
 from repro.core.metadata import Metadata, MetadataCodec
 from repro.nvme import NvmeDevice
-from repro.persist.compress import Compressor
 from repro.persist.encoding import AofCodec, CorruptRecord, RdbReader
 
 __all__ = ["VerifyReport", "verify_lba_space"]
@@ -59,7 +58,6 @@ def _read(device: NvmeDevice, lba: int, n: int) -> bytes:
 def verify_lba_space(
     device: NvmeDevice,
     layout: LbaLayout | None = None,
-    compressor: Compressor | None = None,
     snapshot_fraction: float = 0.45,
     allow_missing_metadata: bool = False,
 ) -> VerifyReport:
@@ -74,7 +72,6 @@ def verify_lba_space(
     lay = layout or LbaLayout.partition(
         device.num_lbas, snapshot_fraction=snapshot_fraction
     )
-    comp = compressor or Compressor()
 
     # region geometry sanity
     if lay.wal_base <= lay.snapshot_base:
@@ -130,7 +127,7 @@ def verify_lba_space(
         blob = memoryview(_read(device, lay.slot_base(idx),
                                 max(npages, 1)))[:length]
         try:
-            entries = RdbReader(comp).read_all(blob)
+            entries = RdbReader().read_all(blob)
         except CorruptRecord as exc:
             report.problem(f"slot {idx} ({role.name}) snapshot corrupt: {exc}")
             continue

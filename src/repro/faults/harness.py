@@ -29,7 +29,7 @@ trace, the same cut points, and the same verdicts on every run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core import SlimIOSystem, SystemConfig
 from repro.core.verify import verify_lba_space
@@ -470,13 +470,10 @@ def run_error_lane(cfg: CrashMatrixConfig | None = None,
         # lane must demonstrate retries, not merely tolerate them
         error_spec = ErrorSpec(seed=cfg.seed, write_error_rate=0.05,
                                read_error_rate=0.02)
-    sys_cfg = replace(cfg.system_config(), faults=True,
-                      fault_seed=cfg.seed)
+    sys_cfg = cfg.system_config()
     env = Environment()
-    system = SlimIOSystem(env, sys_cfg)
-    injector = system.fault_injector
-    injector.errors = error_spec  # FaultyDevice spec is swappable
-    injector._rng_errors.seed(error_spec.seed)
+    injector = FaultyDevice(_make_device(env, sys_cfg), errors=error_spec)
+    system = SlimIOSystem(env, sys_cfg, device=injector)
     ops = build_ops(cfg)
     states = prefix_states(ops)
     progress: dict[str, int] = {"started": 0, "acked": 0}
@@ -496,7 +493,7 @@ def run_error_lane(cfg: CrashMatrixConfig | None = None,
     try:
         # recover on a fault-free config: the campaign under test is the
         # write path, not recovery-under-errors
-        system2, result = _recover_image(image, replace(sys_cfg, faults=False))
+        system2, result = _recover_image(image, sys_cfg)
         system2.stop()
         recovered_ok = result.data == states[-1]
     except Exception:  # noqa: BLE001
@@ -504,8 +501,8 @@ def run_error_lane(cfg: CrashMatrixConfig | None = None,
     return ErrorLaneResult(
         retries=retries,
         giveups=giveups,
-        errors_injected=system.obs.total("faults_errors_injected_total"),
-        timeouts_injected=system.obs.total("faults_timeouts_injected_total"),
+        errors_injected=injector.obs.total("faults_errors_injected_total"),
+        timeouts_injected=injector.obs.total("faults_timeouts_injected_total"),
         final_state_ok=final_ok,
         recovered_state_ok=recovered_ok,
     )

@@ -97,11 +97,6 @@ class ErrorSpec:
         if self.max_failures_per_cmd < 0:
             raise ValueError("negative max_failures_per_cmd")
 
-    @classmethod
-    def light(cls, seed: int = 0) -> ErrorSpec:
-        """A mild background error rate every retry policy should absorb."""
-        return cls(seed=seed, write_error_rate=0.002, read_error_rate=0.001)
-
 
 @dataclass(frozen=True)
 class TraceEntry:

@@ -51,6 +51,11 @@ SEG_FULL = 2
 ROLE_HOST = 0
 ROLE_GC = 1
 
+#: concurrent page copies per GC batch (uses die parallelism)
+GC_COPY_WINDOW = 16
+#: idle gap between background (copy-free) reclaims
+BG_RECLAIM_PAUSE = 3e-3
+
 
 @dataclass(frozen=True)
 class FtlConfig:
@@ -64,10 +69,6 @@ class FtlConfig:
     gc_stop_segments: int = 6
     #: segments only GC may allocate from (host waits below this)
     gc_reserve_segments: int = 2
-    #: concurrent page copies per GC batch (uses die parallelism)
-    gc_copy_window: int = 16
-    #: idle gap between background (copy-free) reclaims
-    bg_reclaim_pause: float = 3e-3
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.op_ratio < 0.5:
@@ -78,8 +79,6 @@ class FtlConfig:
             raise ValueError("gc_trigger must exceed gc_reserve")
         if self.gc_stop_segments < self.gc_trigger_segments:
             raise ValueError("gc_stop must be >= gc_trigger")
-        if self.gc_copy_window < 1:
-            raise ValueError("gc_copy_window must be >= 1")
 
 
 class WriteWindow:
@@ -539,7 +538,7 @@ class FlashTranslationLayer:
                     self._obs_bg_reclaims.inc()
                     # pace background erases so they interleave with
                     # host I/O instead of forming a blackout train
-                    yield self.env.timeout(self.config.bg_reclaim_pause)
+                    yield self.env.timeout(BG_RECLAIM_PAUSE)
                     continue
                 # single-writer kick handoff: only this loop assigns
                 # the wake events; writers only succeed the parked ones
@@ -584,7 +583,7 @@ class FlashTranslationLayer:
                     continue
                 window.append((lpn, ppn))
                 copied += 1
-                if len(window) >= self.config.gc_copy_window:
+                if len(window) >= GC_COPY_WINDOW:
                     yield from self._copy_window(window, stream_id)
                     window = []
             if window:

@@ -34,7 +34,7 @@ class NandTiming:
 
     def __post_init__(self) -> None:
         for name in ("page_read", "page_program", "block_erase", "channel_transfer"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # NaN-safe
                 raise ValueError(f"{name} must be >= 0")
 
 

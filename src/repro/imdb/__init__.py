@@ -11,14 +11,13 @@
 """
 
 from repro.imdb import resp
-from repro.imdb.memory import CowMemory, ForkModel
+from repro.imdb.memory import CowMemory
 from repro.imdb.store import KVStore
 from repro.imdb.server import ClientOp, ServerConfig, ServerMetrics, Server
 
 __all__ = [
     "KVStore",
     "CowMemory",
-    "ForkModel",
     "Server",
     "ServerConfig",
     "ServerMetrics",

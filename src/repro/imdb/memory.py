@@ -13,11 +13,11 @@ copying and lock acquisition resulting from fork()'s CoW policy",
 The model:
 
 * ``fork()`` stalls the caller for the page-table copy
-  (``pt_copy_per_page × heap_pages`` — the cost Async-Fork [29]
+  (``PT_COPY_PER_PAGE × heap_pages`` — the cost Async-Fork [29]
   attacks) and marks all current pages shared.
 * ``touch(first, n)`` on the parent during a snapshot returns the
   pages that were still shared; the caller pays
-  ``fault_overhead + page_copy_time`` per copied page and resident
+  ``FAULT_OVERHEAD + PAGE_COPY_TIME`` per copied page and resident
   memory grows by a page each.
 * ``reap()`` ends the snapshot: copied pages are reclaimed (the child
   exits and its references drop).
@@ -25,7 +25,6 @@ The model:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Generator
 
 import numpy as np
@@ -33,36 +32,25 @@ import numpy as np
 from repro.kernel.accounting import CpuAccount
 from repro.sim import Environment
 
-__all__ = ["ForkModel", "CowMemory"]
+__all__ = ["CowMemory"]
 
 US = 1e-6
 
 
-@dataclass(frozen=True)
-class ForkModel:
-    """Latency constants of the fork/CoW machinery."""
-
-    #: page-table copy per mapped page, paid synchronously at fork()
-    pt_copy_per_page: float = 0.06 * US
-    #: page-fault entry/exit overhead per CoW fault (trap, mm locks,
-    #: anon_vma bookkeeping — measured CoW faults run 2-5 µs)
-    fault_overhead: float = 2.5 * US
-    #: copying one 4 KiB page with cold caches
-    page_copy_time: float = 1.2 * US
-
-    def __post_init__(self) -> None:
-        for f in ("pt_copy_per_page", "fault_overhead", "page_copy_time"):
-            if getattr(self, f) < 0:
-                raise ValueError(f"{f} must be >= 0")
+#: page-table copy per mapped page, paid synchronously at fork()
+PT_COPY_PER_PAGE = 0.06 * US
+#: page-fault entry/exit overhead per CoW fault (trap, mm locks,
+#: anon_vma bookkeeping — measured CoW faults run 2-5 µs)
+FAULT_OVERHEAD = 2.5 * US
+#: copying one 4 KiB page with cold caches
+PAGE_COPY_TIME = 1.2 * US
 
 
 class CowMemory:
     """Tracks shared/copied pages across one fork generation."""
 
-    def __init__(self, env: Environment, model: ForkModel | None = None,
-                 page_size: int = 4096):
+    def __init__(self, env: Environment, page_size: int = 4096):
         self.env = env
-        self.model = model or ForkModel()
         self.page_size = page_size
         self._shared = np.zeros(0, dtype=bool)
         self._snapshot_active = False
@@ -97,7 +85,7 @@ class CowMemory:
     def pt_copy_stall(self, account: CpuAccount) -> Generator:
         """The synchronous page-table copy cost of the armed fork."""
         _cpu_ev = account.charge(
-            "fork", self._armed_pages * self.model.pt_copy_per_page
+            "fork", self._armed_pages * PT_COPY_PER_PAGE
         )
         if _cpu_ev is not None:
             yield _cpu_ev
@@ -124,7 +112,7 @@ class CowMemory:
         self.copied_pages += to_copy
         _cpu_ev = account.charge(
             "cow",
-            self.model.fault_overhead + to_copy * self.model.page_copy_time,
+            FAULT_OVERHEAD + to_copy * PAGE_COPY_TIME,
         )
         if _cpu_ev is not None:
             yield _cpu_ev

@@ -24,20 +24,19 @@ peak memory footprint including CoW growth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Callable, Generator
 
 import numpy as np
 
-from repro.imdb.memory import CowMemory, ForkModel
+from repro.imdb.memory import CowMemory
 from repro.imdb.store import KVStore
 from repro.kernel.accounting import CpuAccount
 from repro.obs.registry import MetricsRegistry, ObsSamples, percentile
-from repro.persist.compress import CompressionModel, Compressor
+from repro.persist.compress import Compressor
 from repro.persist.encoding import AofRecord, OP_DEL, OP_SET
 from repro.persist.interfaces import SnapshotSink
 from repro.persist.snapshot import (
-    SnapshotCpuModel,
     SnapshotKind,
     SnapshotStats,
     SnapshotWriterProcess,
@@ -48,6 +47,11 @@ from repro.sim import Environment, Resource
 __all__ = ["ClientOp", "ServerConfig", "ServerMetrics", "Server"]
 
 US = 1e-6
+#: query-path CPU of one DEL (between a GET's and a SET's)
+DEL_CPU = 6.0 * US
+#: AOF buffer size that forces the main-thread write() even when the
+#: event loop is busy (one write per loop iteration in Redis)
+WAL_WRITE_BATCH_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -69,19 +73,13 @@ class ServerConfig:
 
     set_cpu: float = 8.0 * US
     get_cpu: float = 5.0 * US
-    del_cpu: float = 6.0 * US
     #: WAL size that triggers a WAL-Snapshot (None = never)
     wal_snapshot_trigger_bytes: int | None = None
-    #: AOF buffer size that forces the main-thread write() even when
-    #: the event loop is busy (one write per loop iteration in Redis)
-    wal_write_batch_bytes: int = 128 * 1024
     snapshot_chunk_entries: int = 128
-    fork_model: ForkModel = field(default_factory=ForkModel)
-    snapshot_cpu: SnapshotCpuModel = field(default_factory=SnapshotCpuModel)
 
     def __post_init__(self) -> None:
-        for f in ("set_cpu", "get_cpu", "del_cpu"):
-            if getattr(self, f) < 0:
+        for f in ("set_cpu", "get_cpu"):
+            if not getattr(self, f) >= 0:
                 raise ValueError(f"{f} must be >= 0")
         if self.snapshot_chunk_entries < 1:
             raise ValueError("snapshot_chunk_entries must be >= 1")
@@ -162,8 +160,6 @@ class Server:
         wal: WalManager | None,
         snapshot_sink_factory: Callable[[SnapshotKind], SnapshotSink] | None,
         config: ServerConfig | None = None,
-        compressor: Compressor | None = None,
-        compression_model: CompressionModel | None = None,
         name: str = "imdb",
         obs=None,
     ):
@@ -172,12 +168,12 @@ class Server:
         self.wal = wal
         self.sink_factory = snapshot_sink_factory
         self.config = config or ServerConfig()
-        self.compressor = compressor or Compressor()
-        self.compression_model = compression_model or self.compressor.model
+        #: holds the shared chunk memo for the server's lifetime
+        self.compressor = Compressor()
         self.name = name
         self.cpu = Resource(env, capacity=1)
         self.account = wal.account if wal is not None else CpuAccount(env, name)
-        self.cow = CowMemory(env, self.config.fork_model, store.page_size)
+        self.cow = CowMemory(env, store.page_size)
         self.obs = obs or MetricsRegistry(env)
         self._sinks: dict[SnapshotKind, SnapshotSink] = {}
         self._snapshot_proc = None
@@ -285,7 +281,7 @@ class Server:
         self._maybe_trigger_wal_snapshot()
         if self.wal is not None:
             idle = self.cpu.count == 0 and self.cpu.queue_len == 0
-            if idle or self.wal.buffered_bytes >= self.config.wal_write_batch_bytes:
+            if idle or self.wal.buffered_bytes >= WAL_WRITE_BATCH_BYTES:
                 # flushAppendOnlyFile on the main thread: when the event
                 # loop goes idle, or once per batch under load
                 self.wal.idle_drain(self.cpu)
@@ -316,7 +312,7 @@ class Server:
             yield from self.cow.touch(first, n, acct)
             return None, wal_seq
         # DEL
-        _cpu_ev = acct.charge("query_cpu", cfg.del_cpu)
+        _cpu_ev = acct.charge("query_cpu", DEL_CPU)
         if _cpu_ev is not None:
             yield _cpu_ev
         if self.wal is not None:
@@ -382,8 +378,6 @@ class Server:
                 self._sink_for(kind),
                 kind=kind,
                 compressor=self.compressor,
-                cpu_model=self.config.snapshot_cpu,
-                compression_model=self.compression_model,
                 chunk_entries=self.config.snapshot_chunk_entries,
                 account=CpuAccount(self.env, f"{self.name}-snapshot-child"),
                 obs=self.obs,

@@ -19,14 +19,12 @@ reproduction regenerates the paper's Table 2 and Figure 2a breakdowns.
 
 from repro.kernel.accounting import CpuAccount
 from repro.kernel.blocklayer import BlockLayer
-from repro.kernel.costs import KernelCosts
 from repro.kernel.iouring import IoUringRing, PassthruQueuePair, RetryPolicy
 from repro.kernel.pagecache import PageCache
 from repro.kernel.fs import Ext4, F2fs, Filesystem, PosixFile
 
 __all__ = [
     "CpuAccount",
-    "KernelCosts",
     "PageCache",
     "BlockLayer",
     "IoUringRing",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Generator
 
-from repro.kernel.costs import KernelCosts
+from repro.kernel.costs import BIO_SUBMIT_COST
 from repro.nvme import NvmeCommand, NvmeDevice
 from repro.obs.registry import MetricsRegistry
 from repro.sim import Environment, Resource
@@ -29,7 +29,6 @@ class BlockLayer:
         self,
         env: Environment,
         device: NvmeDevice,
-        costs: KernelCosts | None = None,
         inflight_limit: int = 32,
         obs=None,
     ):
@@ -37,7 +36,6 @@ class BlockLayer:
             raise ValueError("inflight_limit must be >= 1")
         self.env = env
         self.device = device
-        self.costs = costs or KernelCosts()
         self._slots = Resource(env, capacity=inflight_limit)
         self.obs = obs or MetricsRegistry(env)
         self._obs_queue_wait = self.obs.histogram("block_queue_wait_seconds")
@@ -53,7 +51,7 @@ class BlockLayer:
         pays: bio setup CPU, queueing, device service time. ``sync``
         only labels the command count: dispatch order ignores it.
         """
-        yield self.env.timeout(self.costs.bio_submit_cost)
+        yield self.env.timeout(BIO_SUBMIT_COST)
         t_q = self.env.now
         req = self._slots.request()
         yield req

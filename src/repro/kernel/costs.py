@@ -1,61 +1,43 @@
-"""Calibrated kernel cost model.
+"""Calibrated kernel cost constants.
 
 Single source of truth for every CPU-side latency in the traditional
-and io_uring paths. Values are rough medians from the literature the
-paper cites (Didona et al. SYSTOR'22 on storage API overheads; Ren &
-Trivedi CHEOPS'23; the I/O passthru FAST'24 paper) and are deliberately
-conservative — the reproduction's claims are about *relative* effects.
+and io_uring paths, in seconds (rates in bytes/second). Values are
+rough medians from the literature the paper cites (Didona et al.
+SYSTOR'22 on storage API overheads; Ren & Trivedi CHEOPS'23; the I/O
+passthru FAST'24 paper) and are deliberately conservative — the
+reproduction's claims are about *relative* effects. They are constants,
+not settings: no experiment varies them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-__all__ = ["KernelCosts"]
+__all__ = [
+    "SYSCALL_OVERHEAD", "COPY_BANDWIDTH", "PAGECACHE_PAGE_OP",
+    "BIO_SUBMIT_COST", "URING_SQE_PREP", "URING_ENTER_COST",
+    "SQPOLL_PICKUP", "CQE_REAP_COST", "copy_time",
+]
 
 US = 1e-6
 GIB = 1024**3
 
+#: user↔kernel mode switch + register save/restore per syscall
+SYSCALL_OVERHEAD = 1.6 * US
+#: copy_{from,to}_user bandwidth (write() data copy into the cache)
+COPY_BANDWIDTH = 8.0 * GIB
+#: CPU time to look up/insert one page in the page cache xarray
+PAGECACHE_PAGE_OP = 0.15 * US
+#: block-layer request setup (bio alloc, plug, queue insert)
+BIO_SUBMIT_COST = 0.7 * US
+#: io_uring SQE preparation + ring doorbell from user space
+URING_SQE_PREP = 0.10 * US
+#: io_uring_enter() syscall when not in SQPOLL mode
+URING_ENTER_COST = 1.2 * US
+#: SQPOLL kernel-thread pickup latency (poll granularity)
+SQPOLL_PICKUP = 1.0 * US
+#: CQE reap cost per completion
+CQE_REAP_COST = 0.10 * US
 
-@dataclass(frozen=True)
-class KernelCosts:
-    """All CPU-side costs, in seconds (rates in bytes/second)."""
 
-    #: user↔kernel mode switch + register save/restore per syscall
-    syscall_overhead: float = 1.6 * US
-    #: copy_{from,to}_user bandwidth (write() data copy into the cache)
-    copy_bandwidth: float = 8.0 * GIB
-    #: CPU time to look up/insert one page in the page cache xarray
-    pagecache_page_op: float = 0.15 * US
-    #: block-layer request setup (bio alloc, plug, queue insert)
-    bio_submit_cost: float = 0.7 * US
-    #: io_uring SQE preparation + ring doorbell from user space
-    uring_sqe_prep: float = 0.10 * US
-    #: io_uring_enter() syscall when not in SQPOLL mode
-    uring_enter_cost: float = 1.2 * US
-    #: SQPOLL kernel-thread pickup latency (poll granularity)
-    sqpoll_pickup: float = 1.0 * US
-    #: CQE reap cost per completion
-    cqe_reap_cost: float = 0.10 * US
-    #: process context switch (blocking I/O wakeup path)
-    context_switch: float = 1.2 * US
-
-    def copy_time(self, nbytes: int) -> float:
-        """Time to memcpy ``nbytes`` across the user/kernel boundary."""
-        return nbytes / self.copy_bandwidth
-
-    def __post_init__(self) -> None:
-        if self.copy_bandwidth <= 0:
-            raise ValueError("copy_bandwidth must be positive")
-        for name in (
-            "syscall_overhead",
-            "pagecache_page_op",
-            "bio_submit_cost",
-            "uring_sqe_prep",
-            "uring_enter_cost",
-            "sqpoll_pickup",
-            "cqe_reap_cost",
-            "context_switch",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+def copy_time(nbytes: int) -> float:
+    """Time to memcpy ``nbytes`` across the user/kernel boundary."""
+    return nbytes / COPY_BANDWIDTH

@@ -31,7 +31,7 @@ from collections.abc import Generator
 
 from repro.kernel.accounting import CpuAccount
 from repro.kernel.blocklayer import BlockLayer
-from repro.kernel.costs import KernelCosts
+from repro.kernel.costs import SYSCALL_OVERHEAD
 from repro.kernel.pagecache import PageCache
 from repro.nvme import DeallocateCmd
 from repro.obs.registry import MetricsRegistry
@@ -139,16 +139,13 @@ class Filesystem:
         env: Environment,
         block_layer: BlockLayer,
         pagecache: PageCache | None = None,
-        costs: KernelCosts | None = None,
         extent_pages: int = 1024,
         obs=None,
     ):
         self.env = env
         self.block = block_layer
-        self.costs = costs or KernelCosts()
         self.obs = obs or MetricsRegistry(env)
-        self.cache = pagecache or PageCache(env, block_layer, self.costs,
-                                            obs=self.obs)
+        self.cache = pagecache or PageCache(env, block_layer, obs=self.obs)
         self.extent_pages = extent_pages
         self.page_size = block_layer.device.lba_size
         self.commit_lock = Lock(env)
@@ -356,7 +353,7 @@ class PosixFile:
 
     def _pwrite(self, offset: int, data: bytes, account: CpuAccount) -> Generator:
         fs = self.fs
-        _cpu_ev = account.charge("syscall", fs.costs.syscall_overhead)
+        _cpu_ev = account.charge("syscall", SYSCALL_OVERHEAD)
         if _cpu_ev is not None:
             yield _cpu_ev
         yield from fs._ensure_allocated(self.inode, offset + len(data), account)
@@ -378,7 +375,7 @@ class PosixFile:
         readahead: int | None = None,
     ) -> Generator:
         fs = self.fs
-        _cpu_ev = account.charge("syscall", fs.costs.syscall_overhead)
+        _cpu_ev = account.charge("syscall", SYSCALL_OVERHEAD)
         if _cpu_ev is not None:
             yield _cpu_ev
         _cpu_ev = account.charge("fs", fs.read_path_cpu)
@@ -395,7 +392,7 @@ class PosixFile:
 
     def fsync(self, account: CpuAccount) -> Generator:
         fs = self.fs
-        _cpu_ev = account.charge("syscall", fs.costs.syscall_overhead)
+        _cpu_ev = account.charge("syscall", SYSCALL_OVERHEAD)
         if _cpu_ev is not None:
             yield _cpu_ev
         yield from fs.cache.fsync(self.inode.file_id, account)

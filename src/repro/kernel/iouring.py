@@ -22,7 +22,12 @@ from collections.abc import Generator
 from dataclasses import dataclass
 
 from repro.kernel.accounting import CpuAccount
-from repro.kernel.costs import KernelCosts
+from repro.kernel.costs import (
+    CQE_REAP_COST,
+    SQPOLL_PICKUP,
+    URING_ENTER_COST,
+    URING_SQE_PREP,
+)
 from repro.obs.registry import MetricsRegistry
 from repro.nvme import (
     DeallocateCmd,
@@ -80,7 +85,6 @@ class IoUringRing:
         self,
         env: Environment,
         device: NvmeDevice,
-        costs: KernelCosts | None = None,
         sqpoll: bool = True,
         depth: int = 128,
         name: str = "ring",
@@ -91,7 +95,6 @@ class IoUringRing:
             raise ValueError("ring depth must be >= 1")
         self.env = env
         self.device = device
-        self.costs = costs or KernelCosts()
         self.sqpoll = sqpoll
         self.name = name
         self.retry = retry
@@ -133,11 +136,11 @@ class IoUringRing:
             ...                                         # do other work
             result = yield from ring.wait(ev, account)  # reap CQE
         """
-        _cpu_ev = account.charge("uring", self.costs.uring_sqe_prep)
+        _cpu_ev = account.charge("uring", URING_SQE_PREP)
         if _cpu_ev is not None:
             yield _cpu_ev
         if not self.sqpoll:
-            _cpu_ev = account.charge("syscall", self.costs.uring_enter_cost)
+            _cpu_ev = account.charge("syscall", URING_ENTER_COST)
             if _cpu_ev is not None:
                 yield _cpu_ev
             self._obs_enters.inc()
@@ -173,7 +176,7 @@ class IoUringRing:
         ok = False
         try:
             if self.sqpoll:
-                yield self.env.timeout(self.costs.sqpoll_pickup)
+                yield self.env.timeout(SQPOLL_PICKUP)
             req = self._slots.request()
             yield req
             self._obs_depth.set(float(self._slots.count))
@@ -221,7 +224,7 @@ class IoUringRing:
         t0 = self.env.now
         value = yield completion
         account.note("ssd_wait", self.env.now - t0)
-        _cpu_ev = account.charge("uring", self.costs.cqe_reap_cost)
+        _cpu_ev = account.charge("uring", CQE_REAP_COST)
         if _cpu_ev is not None:
             yield _cpu_ev
         return value

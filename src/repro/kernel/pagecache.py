@@ -24,7 +24,7 @@ from collections.abc import Callable, Generator
 
 from repro.kernel.accounting import CpuAccount
 from repro.kernel.blocklayer import BlockLayer
-from repro.kernel.costs import KernelCosts
+from repro.kernel.costs import BIO_SUBMIT_COST, PAGECACHE_PAGE_OP, copy_time
 from repro.nvme import PageMap, ReadCmd, WriteCmd
 from repro.obs.registry import MetricsRegistry
 from repro.sim import Environment, Event
@@ -59,7 +59,6 @@ class PageCache:
         self,
         env: Environment,
         block_layer: BlockLayer,
-        costs: KernelCosts | None = None,
         page_size: int = 4096,
         dirty_limit_bytes: int = 8 * 1024 * 1024,
         background_ratio: float = 0.5,
@@ -75,7 +74,6 @@ class PageCache:
             raise ValueError("background_ratio must be in (0, 1]")
         self.env = env
         self.block = block_layer
-        self.costs = costs or KernelCosts()
         self.page_size = page_size
         self.dirty_limit = dirty_limit_bytes
         self.background_limit = int(dirty_limit_bytes * background_ratio)
@@ -189,7 +187,7 @@ class PageCache:
                 if (not self._trace_dirty or self._trace_dirty[-1] != tid) \
                         and len(self._trace_dirty) < 64:
                     self._trace_dirty.append(tid)
-        _cpu_ev = account.charge("copy", self.costs.copy_time(len(data)))
+        _cpu_ev = account.charge("copy", copy_time(len(data)))
         if _cpu_ev is not None:
             yield _cpu_ev
         ps = self.page_size
@@ -208,13 +206,13 @@ class PageCache:
                 newly_dirty += 1
             pos += n
             n_ops += 1
-        _cpu_ev = account.charge("pagecache", n_ops * self.costs.pagecache_page_op)
+        _cpu_ev = account.charge("pagecache", n_ops * PAGECACHE_PAGE_OP)
         if _cpu_ev is not None:
             yield _cpu_ev
         # writeback submission work done on the dirtier's behalf
         # (balance_dirty_pages / direct submission under pressure)
         _cpu_ev = account.charge(
-            "pagecache", newly_dirty * self.costs.bio_submit_cost
+            "pagecache", newly_dirty * BIO_SUBMIT_COST
         )
         if _cpu_ev is not None:
             yield _cpu_ev
@@ -298,11 +296,11 @@ class PageCache:
             account.note("ssd_wait", self.env.now - t0)
             self._obs_misses.inc(run_len)
         # copy to user
-        _cpu_ev = account.charge("copy", self.costs.copy_time(length))
+        _cpu_ev = account.charge("copy", copy_time(length))
         if _cpu_ev is not None:
             yield _cpu_ev
         _cpu_ev = account.charge(
-            "pagecache", (last - first + 1) * self.costs.pagecache_page_op
+            "pagecache", (last - first + 1) * PAGECACHE_PAGE_OP
         )
         if _cpu_ev is not None:
             yield _cpu_ev

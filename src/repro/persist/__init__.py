@@ -17,7 +17,7 @@ WAL-Snapshots trigger on WAL size, On-Demand-Snapshots on request, the
 old WAL is retired only after a successful WAL-Snapshot.
 """
 
-from repro.persist.compress import CompressionModel, Compressor
+from repro.persist.compress import Compressor
 from repro.persist.encoding import (
     AofCodec,
     AofRecord,
@@ -35,7 +35,6 @@ from repro.persist.snapshot import SnapshotKind, SnapshotStats, SnapshotWriterPr
 from repro.persist.recovery import RecoveryResult, recover_store
 
 __all__ = [
-    "CompressionModel",
     "Compressor",
     "AofCodec",
     "AofRecord",

@@ -12,42 +12,36 @@ from __future__ import annotations
 
 import weakref
 import zlib
-from dataclasses import dataclass
 
 from repro.persist.memo import BoundedMemo
 
-__all__ = ["CompressionModel", "Compressor"]
+__all__ = ["Compressor", "compress_time", "decompress_time"]
 
 MB = 1024 * 1024
 
 
-@dataclass(frozen=True)
-class CompressionModel:
-    """CPU cost model for an LZF-class codec."""
+#: the one zlib level every codec compresses at (fast, LZF-class ratio)
+LEVEL = 1
+#: compression throughput (bytes/s of input). Calibrated so the
+#: snapshot is compute-bound relative to the device, as in the paper
+#: (20 GB snapshots take 110-150 s on a ~1.3 GB/s device).
+COMPRESS_BANDWIDTH = 120 * MB
+#: decompression throughput (bytes/s of output)
+DECOMPRESS_BANDWIDTH = 600 * MB
+#: fixed CPU per compressed object/chunk (call + dispatch overhead)
+PER_OBJECT_OVERHEAD = 0.8e-6
 
-    #: compression throughput (bytes/s of input). Calibrated so the
-    #: snapshot is compute-bound relative to the device, as in the
-    #: paper (20 GB snapshots take 110-150 s on a ~1.3 GB/s device).
-    compress_bandwidth: float = 120 * MB
-    #: decompression throughput (bytes/s of output)
-    decompress_bandwidth: float = 600 * MB
-    #: fixed CPU per compressed object/chunk (call + dispatch overhead)
-    per_object_overhead: float = 0.8e-6
 
-    def compress_time(self, raw_len: int, n_objects: int = 1) -> float:
-        return raw_len / self.compress_bandwidth + n_objects * self.per_object_overhead
+def compress_time(raw_len: int, n_objects: int = 1) -> float:
+    """Modeled CPU seconds to compress ``raw_len`` bytes in
+    ``n_objects`` calls."""
+    return raw_len / COMPRESS_BANDWIDTH + n_objects * PER_OBJECT_OVERHEAD
 
-    def decompress_time(self, raw_len: int, n_objects: int = 1) -> float:
-        return (
-            raw_len / self.decompress_bandwidth
-            + n_objects * self.per_object_overhead
-        )
 
-    def __post_init__(self) -> None:
-        if self.compress_bandwidth <= 0 or self.decompress_bandwidth <= 0:
-            raise ValueError("bandwidths must be positive")
-        if self.per_object_overhead < 0:
-            raise ValueError("per_object_overhead must be >= 0")
+def decompress_time(raw_len: int, n_objects: int = 1) -> float:
+    """Modeled CPU seconds to inflate ``raw_len`` bytes in
+    ``n_objects`` calls."""
+    return raw_len / DECOMPRESS_BANDWIDTH + n_objects * PER_OBJECT_OVERHEAD
 
 
 #: bound on the blob bytes one memo holds; a store that would pass it
@@ -58,7 +52,7 @@ MEMO_BLOB_BYTES = 64 * MB
 
 
 class _Memo(BoundedMemo):
-    """``(key, value)`` batch -> ``(raw_len, blob)`` at one zlib level,
+    """``(key, value)`` batch -> ``(raw_len, blob)`` at :data:`LEVEL`,
     sized by ``len(blob)`` and bounded by :data:`MEMO_BLOB_BYTES`, plus
     the reverse map :attr:`by_blob`.
 
@@ -69,9 +63,9 @@ class _Memo(BoundedMemo):
     batch)``: inflating is a function of the blob alone, so a chunk
     whose blob is byte-equal to one held here decodes to that batch
     (:meth:`RdbReader.read_all <repro.persist.encoding.RdbReader.read_all>`).
-    Held weakly by :data:`_MEMOS` and strongly by every enabled
-    :class:`Compressor` of the level, so what it holds is freed when the
-    last of those codecs is.
+    Held weakly by :data:`_MEMOS` and strongly by every
+    :class:`Compressor`, so what it holds is freed when the last codec
+    is.
     """
 
     __slots__ = ("__weakref__", "by_blob")
@@ -94,42 +88,34 @@ class _Memo(BoundedMemo):
         self.by_blob.clear()
 
 
-#: level -> memo. Experiments run their systems in pairs over the same
-#: inputs and each system builds its codecs privately, so chunks repeat
-#: between instances, not within one.
+#: level -> memo: the one :data:`LEVEL` entry while any codec holds it.
+#: Experiments run their systems in pairs over the same inputs and each
+#: system builds its codecs privately, so chunks repeat between
+#: instances, not within one.
 _MEMOS: weakref.WeakValueDictionary[int, _Memo] = (
     weakref.WeakValueDictionary())
 
 
 class Compressor:
-    """zlib-backed codec with optional passthrough for tests.
+    """zlib-backed codec at :data:`LEVEL`.
 
-    ``zlib.compress`` is a pure function of (bytes, level), so the
-    enabled codecs of one level share one :attr:`chunk_memo` for as
-    long as any of them is alive, and :meth:`RdbWriter.chunk
+    ``zlib.compress`` is a pure function of (bytes, level), so all live
+    codecs share one :attr:`chunk_memo` for as long as any of them is
+    alive, and :meth:`RdbWriter.chunk
     <repro.persist.encoding.RdbWriter.chunk>` deflates a batch once,
     however many systems snapshot it, and :meth:`RdbReader.read_all
     <repro.persist.encoding.RdbReader.read_all>` inflates only blobs it
-    does not hold. Only the data plane is shared;
-    what a call costs on the simulated clock is charged by the caller
-    from :attr:`model`.
+    does not hold. Only the data plane is shared; what a call costs on
+    the simulated clock is charged by the caller from
+    :func:`compress_time` / :func:`decompress_time`.
     """
 
-    def __init__(self, level: int = 1, enabled: bool = True,
-                 model: CompressionModel | None = None):
-        if not 0 <= level <= 9:
-            raise ValueError("zlib level must be in [0, 9]")
-        self.level = level
-        self.enabled = enabled
-        self.model = model or CompressionModel()
-        #: the level's shared chunk memo; ``None`` when disabled
-        self.chunk_memo = (_MEMOS.setdefault(level, _Memo())
-                           if enabled else None)
+    def __init__(self) -> None:
+        #: the shared chunk memo
+        self.chunk_memo = _MEMOS.setdefault(LEVEL, _Memo())
 
     def compress(self, raw: bytes) -> bytes:
-        if not self.enabled:
-            return raw
-        return zlib.compress(raw, self.level)
+        return zlib.compress(raw, LEVEL)
 
     def decompress(self, blob: bytes | bytearray | memoryview,
                    raw_len: int | None = None) -> bytes:
@@ -138,8 +124,6 @@ class Compressor:
         other length. Output is capped at ``raw_len + 1`` bytes, so a
         hostile length field cannot buy an unbounded allocation.
         """
-        if not self.enabled:
-            return bytes(blob)
         if raw_len is None:
             return zlib.decompress(blob)
         inflater = zlib.decompressobj()
@@ -150,7 +134,7 @@ class Compressor:
         return raw
 
     def ratio(self, raw: bytes) -> float:
-        """Compressed/raw size for this payload (1.0 if disabled)."""
+        """Compressed/raw size for this payload."""
         if not raw:
             return 1.0
         return len(self.compress(raw)) / len(raw)

@@ -313,13 +313,13 @@ class RdbWriter:
         if self._header_emitted:
             raise RuntimeError("header already emitted")
         self._header_emitted = True
-        return _RDB_HDR.pack(_RDB_MAGIC, 1 if self.compressor.enabled else 0, 0)
+        return _RDB_HDR.pack(_RDB_MAGIC, 1, 0)
 
     def chunk(self, entries: Iterable[tuple[bytes, bytes]]) -> bytes:
         """Encode one batch of (key, value) pairs.
 
         The blob comes from the compressor's shared chunk memo when an
-        equal batch was deflated before at the same level; a batch that
+        equal batch was deflated before; a batch that
         cannot be a dict key (a ``bytearray`` in it) skips the memo.
         """
         if not self._header_emitted:
@@ -328,12 +328,10 @@ class RdbWriter:
             raise RuntimeError("writer finished")
         batch = tuple(entries)
         memo = self.compressor.chunk_memo
-        hit = None
-        if memo is not None:
-            try:
-                hit = memo.get(batch)
-            except TypeError:
-                memo = None
+        try:
+            hit = memo.get(batch)
+        except TypeError:
+            hit = memo = None
         if hit is None:
             parts = []
             for key, value in batch:
@@ -383,8 +381,7 @@ class RdbReader:
         blob inflates to the batch's encoding. Every other blob is
         inflated, bounded by its declared length, and decoded.
         """
-        chunk_memo = self.compressor.chunk_memo
-        memo = chunk_memo.by_blob if chunk_memo is not None else None
+        memo = self.compressor.chunk_memo.by_blob
         out: list[tuple[bytes, bytes]] = []
         view = memoryview(data)
         pos = self._check_header(view)
@@ -411,7 +408,7 @@ class RdbReader:
             if crc != _crc(view[pos:crc_at]):
                 raise CorruptRecord(f"chunk CRC mismatch at {pos}")
             blob = view[pos + _CHUNK_HDR.size:crc_at]
-            hit = memo.get(bytes(blob)) if memo is not None else None
+            hit = memo.get(bytes(blob))
             if (hit is not None and hit[0] == raw_len
                     and len(hit[1]) == count):
                 out.extend(hit[1])
@@ -434,8 +431,7 @@ class RdbReader:
         magic, flags, _ = _RDB_HDR.unpack_from(data, 0)
         if magic != _RDB_MAGIC:
             raise CorruptRecord("bad RDB magic")
-        compressed = bool(flags & 1)
-        if compressed != self.compressor.enabled:
+        if not flags & 1:
             raise CorruptRecord("compression flag mismatch")
         return _RDB_HDR.size
 

@@ -17,7 +17,7 @@ from collections.abc import Generator
 
 from repro.kernel.accounting import CpuAccount
 from repro.obs.registry import MetricsRegistry
-from repro.persist.compress import CompressionModel, Compressor
+from repro.persist.compress import decompress_time
 from repro.persist.encoding import AofCodec, RdbReader
 from repro.persist.interfaces import AppendSink, SnapshotSource
 from repro.sim import Environment
@@ -62,8 +62,6 @@ def recover_store(
     source: SnapshotSource | None,
     wal_sink: AppendSink | None,
     account: CpuAccount,
-    compressor: Compressor | None = None,
-    compression_model: CompressionModel | None = None,
     obs=None,
     strict_wal: bool = False,
 ) -> Generator:
@@ -82,8 +80,6 @@ def recover_store(
     torn tail after power loss is *expected* and out-of-order page
     persistence can legitimately strand record fragments past the tear.
     """
-    comp = compressor or Compressor()
-    model = compression_model or comp.model
     obs = obs or MetricsRegistry(env)
     t0 = env.now
     result = RecoveryResult()
@@ -100,12 +96,12 @@ def recover_store(
                 offset += n
                 obs.event("recovery_progress", phase="snapshot",
                           read=offset, total=total)
-            entries = RdbReader(comp).read_all(blob)
+            entries = RdbReader().read_all(blob)
             del blob, piece  # decoded: the replay need not hold it
             raw_bytes = sum(len(k) + len(v) for k, v in entries)
             _cpu_ev = account.charge(
                 "decompress",
-                model.decompress_time(raw_bytes, max(1, len(entries) // 64)),
+                decompress_time(raw_bytes, max(1, len(entries) // 64)),
             )
             if _cpu_ev is not None:
                 yield _cpu_ev

@@ -22,7 +22,7 @@ from collections.abc import Generator, Sequence
 
 from repro.kernel.accounting import CpuAccount
 from repro.obs.registry import MetricsRegistry
-from repro.persist.compress import CompressionModel, Compressor
+from repro.persist.compress import Compressor, compress_time
 from repro.persist.encoding import RdbWriter
 from repro.persist.interfaces import SnapshotSink
 from repro.sim import Environment
@@ -77,17 +77,17 @@ class SnapshotStats:
         )
 
 
-@dataclass(frozen=True)
-class SnapshotCpuModel:
-    """In-memory costs of the child's iterate/serialize stage."""
+#: dataset traversal + dict-entry serialization bandwidth (bytes/s)
+SERIALIZE_BANDWIDTH = 2.5 * GB
+#: per-entry overhead of the child's iterate/serialize stage (index
+#: walk, type dispatch)
+PER_ENTRY_OVERHEAD = 0.5e-6
 
-    #: dataset traversal + dict-entry serialization bandwidth
-    serialize_bandwidth: float = 2.5 * GB
-    #: per-entry overhead (index walk, type dispatch)
-    per_entry_overhead: float = 0.5e-6
 
-    def serialize_time(self, nbytes: int, n_entries: int) -> float:
-        return nbytes / self.serialize_bandwidth + n_entries * self.per_entry_overhead
+def serialize_time(nbytes: int, n_entries: int) -> float:
+    """Modeled CPU seconds to iterate and serialize ``n_entries``
+    entries of ``nbytes`` in all."""
+    return nbytes / SERIALIZE_BANDWIDTH + n_entries * PER_ENTRY_OVERHEAD
 
 
 class SnapshotWriterProcess:
@@ -100,26 +100,17 @@ class SnapshotWriterProcess:
         sink: SnapshotSink,
         kind: SnapshotKind = SnapshotKind.WAL_TRIGGERED,
         compressor: Compressor | None = None,
-        cpu_model: SnapshotCpuModel | None = None,
-        compression_model: CompressionModel | None = None,
         chunk_entries: int = 128,
         account: CpuAccount | None = None,
-        pipeline_depth: int = 8,
         obs=None,
     ):
         if chunk_entries < 1:
             raise ValueError("chunk_entries must be >= 1")
-        if pipeline_depth < 1:
-            raise ValueError("pipeline_depth must be >= 1")
         self.env = env
         self.items = items
         self.sink = sink
         self.kind = kind
         self.compressor = compressor or Compressor()
-        self.cpu_model = cpu_model or SnapshotCpuModel()
-        self.compression_model = (
-            compression_model or self.compressor.model
-        )
         self.chunk_entries = chunk_entries
         self.account = account or CpuAccount(env, "snapshot-child")
         self.obs = obs or MetricsRegistry(env)
@@ -144,15 +135,13 @@ class SnapshotWriterProcess:
                     # in-memory: iterate + serialize, then compress
                     _cpu_ev = acct.charge(
                         "serialize",
-                        self.cpu_model.serialize_time(raw_len, len(batch)),
+                        serialize_time(raw_len, len(batch)),
                     )
                     if _cpu_ev is not None:
                         yield _cpu_ev
                     encoded = writer.chunk(batch)
-                    _cpu_ev = acct.charge(
-                        "compress",
-                        self.compression_model.compress_time(raw_len, 1),
-                    )
+                    _cpu_ev = acct.charge("compress",
+                                          compress_time(raw_len, 1))
                     if _cpu_ev is not None:
                         yield _cpu_ev
                     yield from self.sink.write(encoded, acct)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import copy
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,3 +115,87 @@ def test_non_object_payloads_raise_typed_errors(payload):
                        (cluster_config_from_jsonable,
                         cluster_config_to_jsonable)):
         _roundtrips_or_raises(load, dump, payload)
+
+
+# --- bad values in the fields a payload carries ------------------------
+
+
+def _leaves(d: dict, prefix: tuple = ()):
+    for k, v in d.items():
+        if isinstance(v, dict):
+            yield from _leaves(v, prefix + (k,))
+        else:
+            yield prefix + (k,), v
+
+
+FLOAT_LEAVES = [path for path, v in _leaves(SYSTEM) if isinstance(v, float)]
+
+
+def _with(payload: dict, path: tuple, value) -> dict:
+    out = copy.deepcopy(payload)
+    parent = out
+    for k in path[:-1]:
+        parent = parent[k]
+    parent[path[-1]] = value
+    return out
+
+
+def test_every_float_leaf_is_covered():
+    assert len(FLOAT_LEAVES) == 9
+    assert ("nand", "page_read") in FLOAT_LEAVES
+    assert ("snapshot_fraction",) in FLOAT_LEAVES
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -1.0], ids=["nan", "neg"])
+@pytest.mark.parametrize("path", FLOAT_LEAVES, ids=".".join)
+def test_a_bad_float_fails_at_load(path, bad):
+    """NaN or -1 in any float field is refused while loading, not when
+    (or after) a system is built from it."""
+    with pytest.raises(ValueError, match=path[-1]):
+        config_from_jsonable(_with(SYSTEM, path, bad))
+
+
+# --- a recommendation in an older schema --------------------------------
+
+US = 1e-6
+#: keys an older tuner wrote that no config field carries any more,
+#: with the values it wrote (settable calibration values that became
+#: module constants, and the fault-injection flag)
+STALE_KEYS = {
+    ("costs",): {
+        "syscall_overhead": 1.6 * US, "copy_bandwidth": 8.0 * 1024**3,
+        "pagecache_page_op": 0.15 * US, "bio_submit_cost": 0.7 * US,
+        "uring_sqe_prep": 0.10 * US, "uring_enter_cost": 1.2 * US,
+        "sqpoll_pickup": 1.0 * US, "cqe_reap_cost": 0.10 * US,
+        "context_switch": 1.2 * US},
+    ("compression",): {"compress_bandwidth": 120 * 1024**2,
+                       "decompress_bandwidth": 600 * 1024**2,
+                       "per_object_overhead": 0.8e-6},
+    ("faults",): False,
+    ("fault_seed",): 20260807,
+    ("server", "fork_model"): {"pt_copy_per_page": 0.06 * US,
+                               "fault_overhead": 2.5 * US,
+                               "page_copy_time": 1.2 * US},
+    ("server", "snapshot_cpu"): {"serialize_bandwidth": 2.5 * 1024**3,
+                                 "per_entry_overhead": 0.5e-6},
+    ("ftl", "gc_copy_window"): 16,
+}
+
+
+@pytest.mark.parametrize("path", STALE_KEYS, ids=".".join)
+def test_a_stale_key_is_named_at_load(path):
+    with pytest.raises(TypeError,
+                       match=f"unexpected keyword argument '{path[-1]}'"):
+        config_from_jsonable(_with(SYSTEM, path, STALE_KEYS[path]))
+
+
+def test_an_older_schema_recommendation_fails_to_load():
+    """The whole older payload is refused with an error naming an
+    unknown key; nothing is built from it."""
+    payload = SYSTEM
+    for path, value in STALE_KEYS.items():
+        payload = _with(payload, path, value)
+    with pytest.raises(TypeError, match="unexpected keyword") as info:
+        config_from_jsonable(json.loads(json.dumps(payload)))
+    named = str(info.value).split("'")[1]
+    assert named in {path[-1] for path in STALE_KEYS}

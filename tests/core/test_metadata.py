@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import LbaLayout, Metadata, MetadataCodec, MetadataStore
 from repro.flash import FlashGeometry, FtlConfig, NandTiming
-from repro.kernel import CpuAccount, KernelCosts, PassthruQueuePair
+from repro.kernel import CpuAccount, PassthruQueuePair
 from repro.nvme import NvmeDevice
 from repro.sim import Environment
 
@@ -20,7 +20,7 @@ def world():
     g = FlashGeometry(channels=1, dies_per_channel=2, blocks_per_die=24,
                       pages_per_block=16)
     dev = NvmeDevice(env, g, FAST, CFG, fdp=True)
-    ring = PassthruQueuePair(env, dev, KernelCosts())
+    ring = PassthruQueuePair(env, dev)
     layout = LbaLayout.partition(dev.num_lbas)
     store = MetadataStore(ring, layout)
     acct = CpuAccount(env, "meta")
@@ -151,7 +151,7 @@ def test_store_requires_two_pages():
     g = FlashGeometry(channels=1, dies_per_channel=2, blocks_per_die=24,
                       pages_per_block=16)
     dev = NvmeDevice(env, g, FAST, CFG)
-    ring = PassthruQueuePair(env, dev, KernelCosts())
+    ring = PassthruQueuePair(env, dev)
     lay = LbaLayout(total_lbas=dev.num_lbas, metadata_lbas=1, slot_lbas=10)
     with pytest.raises(ValueError):
         MetadataStore(ring, lay)

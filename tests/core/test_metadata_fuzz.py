@@ -25,7 +25,7 @@ from repro.core import (
 from repro.core.verify import verify_lba_space
 from repro.flash import FlashGeometry, FtlConfig, NandTiming
 from repro.imdb import ClientOp, ServerConfig
-from repro.kernel import CpuAccount, KernelCosts, PassthruQueuePair
+from repro.kernel import CpuAccount, PassthruQueuePair
 from repro.nvme import NvmeDevice
 from repro.persist.encoding import CorruptRecord
 from repro.sim import Environment
@@ -119,7 +119,7 @@ def hostile_metadata(draw, seqno=st.integers(0, 1 << 20)):
 def _store_read(pages: dict[int, bytes]):
     env = Environment()
     dev = _device(env, pages)
-    store = MetadataStore(PassthruQueuePair(env, dev, KernelCosts()), LAYOUT)
+    store = MetadataStore(PassthruQueuePair(env, dev), LAYOUT)
     proc = env.process(store.read(CpuAccount(env, "meta")))
     return env.run(until=proc)
 

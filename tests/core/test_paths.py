@@ -5,7 +5,7 @@ import pytest
 from repro.core import LbaSpaceManager, MetadataStore, ReadAheadBuffer, SlotRole
 from repro.core.paths import SlimIOSnapshotSource, SnapshotPath, WalPath
 from repro.flash import FlashGeometry, FtlConfig, NandTiming
-from repro.kernel import CpuAccount, KernelCosts, PassthruQueuePair
+from repro.kernel import CpuAccount, PassthruQueuePair
 from repro.nvme import NvmeDevice, WriteCmd, split_pages
 from repro.persist import (
     AofCodec,
@@ -29,7 +29,7 @@ def world():
     g = FlashGeometry(channels=1, dies_per_channel=2, blocks_per_die=48,
                       pages_per_block=16)
     dev = NvmeDevice(env, g, FAST, CFG, fdp=True)
-    ring = PassthruQueuePair(env, dev, KernelCosts())
+    ring = PassthruQueuePair(env, dev)
     space = LbaSpaceManager(dev.num_lbas)
     meta = MetadataStore(ring, space.layout)
     acct = CpuAccount(env, "main")

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import ReadAheadBuffer
 from repro.flash import FlashGeometry, FtlConfig, NandTiming
-from repro.kernel import CpuAccount, KernelCosts, PassthruQueuePair
+from repro.kernel import CpuAccount, PassthruQueuePair
 from repro.nvme import NvmeDevice, WriteCmd, split_pages
 from repro.sim import Environment
 
@@ -35,7 +35,7 @@ def seeded_world():
         )
 
     env.run(until=env.process(seed()))
-    ring = PassthruQueuePair(env, dev, KernelCosts())
+    ring = PassthruQueuePair(env, dev)
     return env, dev, ring, payload
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.core import LbaSpaceManager, MetadataStore
 from repro.core.paths import WalPath
 from repro.flash import FlashGeometry, FtlConfig, NandTiming
-from repro.kernel import CpuAccount, KernelCosts, PassthruQueuePair
+from repro.kernel import CpuAccount, PassthruQueuePair
 from repro.nvme import NvmeDevice
 from repro.persist import AofCodec, AofRecord, OP_SET
 from repro.sim import Environment
@@ -21,7 +21,7 @@ def world():
     g = FlashGeometry(channels=1, dies_per_channel=2, blocks_per_die=64,
                       pages_per_block=8)
     dev = NvmeDevice(env, g, FAST, CFG, fdp=True)
-    ring = PassthruQueuePair(env, dev, KernelCosts())
+    ring = PassthruQueuePair(env, dev)
     # large snapshot fraction -> deliberately small WAL region
     space = LbaSpaceManager(dev.num_lbas, snapshot_fraction=0.8)
     meta = MetadataStore(ring, space.layout)

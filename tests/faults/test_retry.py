@@ -9,7 +9,7 @@ completion event with the last error and counts a giveup.
 import pytest
 
 from repro.faults import FaultyDevice
-from repro.kernel import KernelCosts, PassthruQueuePair
+from repro.kernel import PassthruQueuePair
 from repro.kernel.iouring import RetryPolicy
 from repro.nvme import NvmeError, WriteCmd
 from repro.obs import MetricsRegistry
@@ -43,7 +43,7 @@ def test_policy_validation():
 def test_transient_errors_absorbed_by_retries(env, device, account):
     page = device.lba_size
     faulty = FaultyDevice(device)
-    ring = PassthruQueuePair(env, faulty, KernelCosts())
+    ring = PassthruQueuePair(env, faulty)
     faulty.force_errors(0, 1, count=2, opcode="write")
 
     def proc():
@@ -63,7 +63,7 @@ def test_transient_errors_absorbed_by_retries(env, device, account):
 def test_bounded_giveup_fails_the_completion(env, device, account):
     page = device.lba_size
     faulty = FaultyDevice(device)
-    ring = PassthruQueuePair(env, faulty, KernelCosts())  # max_attempts=4
+    ring = PassthruQueuePair(env, faulty)  # max_attempts=4
     faulty.force_errors(0, 1, count=99, opcode="write")
 
     def proc():
@@ -87,7 +87,7 @@ def test_bounded_giveup_fails_the_completion(env, device, account):
 def test_max_attempts_one_disables_retries(env, device, account):
     page = device.lba_size
     faulty = FaultyDevice(device)
-    ring = PassthruQueuePair(env, faulty, KernelCosts(),
+    ring = PassthruQueuePair(env, faulty,
                              retry=RetryPolicy(max_attempts=1))
     faulty.force_errors(0, 1, count=1, opcode="write")
 
@@ -106,7 +106,7 @@ def test_max_attempts_one_disables_retries(env, device, account):
 def test_retry_none_surfaces_the_first_error(env, device, account):
     page = device.lba_size
     faulty = FaultyDevice(device)
-    ring = PassthruQueuePair(env, faulty, KernelCosts(), retry=None)
+    ring = PassthruQueuePair(env, faulty, retry=None)
     faulty.force_errors(0, 1, count=1, opcode="write")
 
     def proc():
@@ -125,7 +125,7 @@ def test_retry_counters_reach_obs(env, device, account):
     page = device.lba_size
     faulty = FaultyDevice(device)
     registry = MetricsRegistry(env, name="retry-test")
-    ring = PassthruQueuePair(env, faulty, KernelCosts(), name="test-ring",
+    ring = PassthruQueuePair(env, faulty, name="test-ring",
                              obs=registry)
     faulty.force_errors(0, 1, count=1, opcode="write")
 

@@ -227,8 +227,6 @@ def test_config_validation():
         FtlConfig(gc_trigger_segments=1, gc_reserve_segments=2)
     with pytest.raises(ValueError):
         FtlConfig(gc_stop_segments=1, gc_trigger_segments=4)
-    with pytest.raises(ValueError):
-        FtlConfig(gc_copy_window=0)
 
 
 def test_geometry_too_small_for_watermarks_rejected():

@@ -1,8 +1,11 @@
 """fork/CoW model tests."""
 
+import math
+
 import pytest
 
-from repro.imdb import CowMemory, ForkModel
+from repro.imdb import CowMemory
+from repro.imdb.memory import FAULT_OVERHEAD, PAGE_COPY_TIME, PT_COPY_PER_PAGE
 from repro.kernel import CpuAccount
 from repro.sim import Environment
 
@@ -23,14 +26,14 @@ def drive(env, gen):
 
 
 def test_fork_charges_pt_copy(env, acct):
-    cow = CowMemory(env, ForkModel(pt_copy_per_page=1e-6))
+    cow = CowMemory(env)
 
     def proc():
         yield from cow.fork(1000, acct)
 
     drive(env, proc())
-    assert env.now == pytest.approx(1e-3)
-    assert acct.time_in("fork") == pytest.approx(1e-3)
+    assert env.now == pytest.approx(1000 * PT_COPY_PER_PAGE)
+    assert acct.time_in("fork") == pytest.approx(1000 * PT_COPY_PER_PAGE)
     assert cow.snapshot_active
 
 
@@ -121,9 +124,7 @@ def test_second_fork_generation_after_reap(env, acct):
 
 
 def test_cow_cost_scales_with_pages(env, acct):
-    model = ForkModel(fault_overhead=1e-6, page_copy_time=2e-6,
-                      pt_copy_per_page=0.0)
-    cow = CowMemory(env, model)
+    cow = CowMemory(env)
 
     def proc():
         yield from cow.fork(100, acct)
@@ -131,9 +132,11 @@ def test_cow_cost_scales_with_pages(env, acct):
         yield from cow.touch(0, 10, acct)
         return env.now - t0
 
-    assert drive(env, proc()) == pytest.approx(1e-6 + 10 * 2e-6)
+    assert drive(env, proc()) == pytest.approx(FAULT_OVERHEAD
+                                               + 10 * PAGE_COPY_TIME)
 
 
 def test_fork_model_validation():
-    with pytest.raises(ValueError):
-        ForkModel(page_copy_time=-1)
+    """The fork/CoW constants are finite charges >= 0."""
+    for value in (PT_COPY_PER_PAGE, FAULT_OVERHEAD, PAGE_COPY_TIME):
+        assert math.isfinite(value) and value >= 0

@@ -4,7 +4,7 @@ import pytest
 
 from repro.flash import FlashGeometry, FtlConfig, NandTiming
 from repro.imdb import ClientOp, KVStore, Server, ServerConfig
-from repro.kernel import BlockLayer, CpuAccount, F2fs, KernelCosts, PageCache
+from repro.kernel import BlockLayer, CpuAccount, F2fs, PageCache
 from repro.nvme import NvmeDevice
 from repro.persist import LoggingPolicy, SnapshotKind, WalManager, recover_store
 from repro.persist.file_backends import (
@@ -25,9 +25,8 @@ def build_server(policy=LoggingPolicy.PERIODICAL, trigger=None, segments=64):
     g = FlashGeometry(channels=1, dies_per_channel=2, blocks_per_die=segments,
                       pages_per_block=16)
     dev = NvmeDevice(env, g, FAST_NAND, FTL_CFG)
-    costs = KernelCosts()
-    blk = BlockLayer(env, dev, costs)
-    cache = PageCache(env, blk, costs, dirty_limit_bytes=256 * 4096)
+    blk = BlockLayer(env, dev)
+    cache = PageCache(env, blk, dirty_limit_bytes=256 * 4096)
     fs = F2fs(env, blk, cache, extent_pages=16)
     acct = CpuAccount(env, "redis-main")
     wal = WalManager(env, FileAppendSink(fs), acct, policy=policy,

@@ -72,7 +72,6 @@ BUILDS = {
     "baseline": lambda: build_baseline(config=CFG),
     "slimio": lambda: build_slimio(config=CFG),
     "slimio-sanitize": lambda: build_slimio(config=CFG, sanitize=True),
-    "slimio-faults": lambda: build_slimio(config=CFG, faults=True),
 }
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.flash import FlashGeometry, FtlConfig, NandTiming
-from repro.kernel import BlockLayer, CpuAccount, KernelCosts, PageCache
+from repro.kernel import BlockLayer, CpuAccount, PageCache
 from repro.nvme import NvmeDevice
 from repro.sim import Environment
 
@@ -26,18 +26,13 @@ def device(env):
 
 
 @pytest.fixture
-def costs():
-    return KernelCosts()
+def block(env, device):
+    return BlockLayer(env, device)
 
 
 @pytest.fixture
-def block(env, device, costs):
-    return BlockLayer(env, device, costs)
-
-
-@pytest.fixture
-def cache(env, block, costs):
-    return PageCache(env, block, costs, dirty_limit_bytes=64 * 4096)
+def cache(env, block):
+    return PageCache(env, block, dirty_limit_bytes=64 * 4096)
 
 
 @pytest.fixture

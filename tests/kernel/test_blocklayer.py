@@ -29,8 +29,8 @@ def test_sync_flag_counted(env, block, device):
     assert block.obs.total("block_cmds_total", sync="true") == 1
 
 
-def test_inflight_limit_queues(env, device, costs):
-    blk = BlockLayer(env, device, costs, inflight_limit=1)
+def test_inflight_limit_queues(env, device):
+    blk = BlockLayer(env, device, inflight_limit=1)
     page = device.lba_size
     done = []
 
@@ -48,8 +48,8 @@ def test_inflight_limit_queues(env, device, costs):
     assert blk.obs.histogram("block_queue_wait_seconds").count == 3
 
 
-def test_dispatch_is_fifo(env, device, costs):
-    blk = BlockLayer(env, device, costs, inflight_limit=1)
+def test_dispatch_is_fifo(env, device):
+    blk = BlockLayer(env, device, inflight_limit=1)
     page = device.lba_size
     order = []
 
@@ -66,6 +66,6 @@ def test_dispatch_is_fifo(env, device, costs):
     assert order == ["a", "b", "c"]
 
 
-def test_invalid_config(env, device, costs):
+def test_invalid_config(env, device):
     with pytest.raises(ValueError):
-        BlockLayer(env, device, costs, inflight_limit=0)
+        BlockLayer(env, device, inflight_limit=0)

@@ -1,8 +1,12 @@
-"""KernelCosts + CpuAccount tests."""
+"""Kernel cost constants + CpuAccount tests."""
+
+import math
 
 import pytest
 
-from repro.kernel import CpuAccount, KernelCosts
+from repro.kernel import CpuAccount
+from repro.kernel import costs
+from repro.kernel.costs import COPY_BANDWIDTH, copy_time
 from repro.sim import Environment
 
 
@@ -15,16 +19,19 @@ def _spend(acct, component, dt):
 
 
 def test_copy_time_scales_linearly():
-    c = KernelCosts()
-    assert c.copy_time(0) == 0.0
-    assert c.copy_time(2 * 1024**3) == pytest.approx(2 * 1024**3 / c.copy_bandwidth)
+    assert copy_time(0) == 0.0
+    assert copy_time(2 * 1024**3) == pytest.approx(2 * 1024**3 / COPY_BANDWIDTH)
 
 
 def test_costs_validation():
-    with pytest.raises(ValueError):
-        KernelCosts(copy_bandwidth=0)
-    with pytest.raises(ValueError):
-        KernelCosts(syscall_overhead=-1)
+    """Every kernel cost constant is a finite charge >= 0 (a negative or
+    NaN one would stop a run with ``negative charge``), and the copy
+    bandwidth divides."""
+    values = [getattr(costs, name) for name in costs.__all__
+              if name.isupper()]
+    assert len(values) == 8
+    assert all(math.isfinite(v) and v >= 0 for v in values)
+    assert COPY_BANDWIDTH > 0
 
 
 def test_account_charge_consumes_sim_time():

@@ -183,7 +183,7 @@ def test_journal_contention_between_two_processes(env, block, cache):
     assert fs.commit_lock.contended_time > 0
 
 
-def test_f2fs_contends_less_than_ext4(env, device, costs):
+def test_f2fs_contends_less_than_ext4(env, device):
     """Same concurrent workload: F2FS commit lock is held for less time."""
     from repro.kernel import BlockLayer, PageCache
 
@@ -198,8 +198,8 @@ def test_f2fs_contends_less_than_ext4(env, device, costs):
         g = FlashGeometry(channels=1, dies_per_channel=2, blocks_per_die=24,
                           pages_per_block=16)
         dev = NvmeDevice(env2, g, FAST_NAND, SMALL_FTL)
-        blk = BlockLayer(env2, dev, costs)
-        cache = PageCache(env2, blk, costs, dirty_limit_bytes=64 * 4096)
+        blk = BlockLayer(env2, dev)
+        cache = PageCache(env2, blk, dirty_limit_bytes=64 * 4096)
         fs = fs_cls(env2, blk, cache, extent_pages=8)
         a1, a2 = CpuAccount(env2, "a"), CpuAccount(env2, "b")
         f1, f2 = fs.create("one"), fs.create("two")

@@ -66,7 +66,7 @@ def test_journal_area_excluded_from_allocation(env, fs, account):
         assert lba + n <= fs._journal_base
 
 
-def test_ext4_journal_writes_more_than_f2fs(env, device, costs):
+def test_ext4_journal_writes_more_than_f2fs(env, device):
     from repro.kernel import BlockLayer, PageCache
     from repro.flash import FlashGeometry
     from repro.nvme import NvmeDevice
@@ -78,8 +78,8 @@ def test_ext4_journal_writes_more_than_f2fs(env, device, costs):
         g = FlashGeometry(channels=1, dies_per_channel=2, blocks_per_die=24,
                           pages_per_block=16)
         dev = NvmeDevice(env2, g, FAST_NAND, SMALL_FTL)
-        blk = BlockLayer(env2, dev, costs)
-        cache = PageCache(env2, blk, costs, dirty_limit_bytes=64 * 4096)
+        blk = BlockLayer(env2, dev)
+        cache = PageCache(env2, blk, dirty_limit_bytes=64 * 4096)
         fs = fs_cls(env2, blk, cache, extent_pages=8)
         acct = CpuAccount(env2, "w")
         f = fs.create("f")

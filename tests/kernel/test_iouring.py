@@ -13,8 +13,8 @@ def _completed(ring) -> int:
                               ring=ring.name).count
 
 
-def test_submit_and_wait_roundtrip(env, device, costs, account):
-    ring = PassthruQueuePair(env, device, costs)
+def test_submit_and_wait_roundtrip(env, device, account):
+    ring = PassthruQueuePair(env, device)
     page = device.lba_size
     payload = b"Q" * page
 
@@ -29,8 +29,8 @@ def test_submit_and_wait_roundtrip(env, device, costs, account):
     assert _completed(ring) == 2
 
 
-def test_sqpoll_mode_no_syscalls(env, device, costs, account):
-    ring = IoUringRing(env, device, costs, sqpoll=True)
+def test_sqpoll_mode_no_syscalls(env, device, account):
+    ring = IoUringRing(env, device, sqpoll=True)
 
     def proc():
         yield from ring.submit_and_wait(
@@ -41,8 +41,8 @@ def test_sqpoll_mode_no_syscalls(env, device, costs, account):
     assert account.time_in("syscall") == 0
 
 
-def test_non_sqpoll_pays_enter_syscall(env, device, costs, account):
-    ring = IoUringRing(env, device, costs, sqpoll=False)
+def test_non_sqpoll_pays_enter_syscall(env, device, account):
+    ring = IoUringRing(env, device, sqpoll=False)
 
     def proc():
         yield from ring.submit_and_wait(
@@ -53,9 +53,9 @@ def test_non_sqpoll_pays_enter_syscall(env, device, costs, account):
     assert account.time_in("syscall") > 0
 
 
-def test_async_submission_overlaps_with_compute(env, device, costs, account):
+def test_async_submission_overlaps_with_compute(env, device, account):
     """Submit, compute, then reap: I/O and CPU overlap."""
-    ring = PassthruQueuePair(env, device, costs)
+    ring = PassthruQueuePair(env, device)
     page = device.lba_size
 
     def proc():
@@ -70,8 +70,8 @@ def test_async_submission_overlaps_with_compute(env, device, costs, account):
     assert elapsed == pytest.approx(50e-6, rel=0.2)
 
 
-def test_ring_depth_backpressure(env, device, costs, account):
-    ring = IoUringRing(env, device, costs, depth=1)
+def test_ring_depth_backpressure(env, device, account):
+    ring = IoUringRing(env, device, depth=1)
     page = device.lba_size
     events = []
 
@@ -87,8 +87,8 @@ def test_ring_depth_backpressure(env, device, costs, account):
     assert _completed(ring) == 3
 
 
-def test_write_pages_requires_alignment(env, device, costs, account):
-    ring = PassthruQueuePair(env, device, costs)
+def test_write_pages_requires_alignment(env, device, account):
+    ring = PassthruQueuePair(env, device)
 
     def proc():
         yield from ring.write_pages(0, b"unaligned", account)
@@ -98,7 +98,7 @@ def test_write_pages_requires_alignment(env, device, costs, account):
         env.run()
 
 
-def test_pid_flows_to_fdp_device(env, costs, account):
+def test_pid_flows_to_fdp_device(env, account):
     from repro.flash import FlashGeometry
     from repro.nvme import NvmeDevice
     from tests.kernel.conftest import FAST_NAND, SMALL_FTL
@@ -106,7 +106,7 @@ def test_pid_flows_to_fdp_device(env, costs, account):
     g = FlashGeometry(channels=1, dies_per_channel=2, blocks_per_die=24,
                       pages_per_block=16)
     dev = NvmeDevice(env, g, FAST_NAND, SMALL_FTL, fdp=True)
-    ring = PassthruQueuePair(env, dev, costs)
+    ring = PassthruQueuePair(env, dev)
     page = dev.lba_size
 
     # arbitrary in-range PID: the test is the PID→stream plumbing itself
@@ -119,8 +119,8 @@ def test_pid_flows_to_fdp_device(env, costs, account):
     assert dev.ftl.segment_stream(dev.geometry.segment_of_page(ppn)) == 2  # slimlint: ignore[SLIM006]
 
 
-def test_deallocate_verb(env, device, costs, account):
-    ring = PassthruQueuePair(env, device, costs)
+def test_deallocate_verb(env, device, account):
+    ring = PassthruQueuePair(env, device)
     page = device.lba_size
 
     def proc():
@@ -133,8 +133,8 @@ def test_deallocate_verb(env, device, costs, account):
     assert device.ftl.mapped_ppn(4) == -1  # slimlint: ignore[SLIM006]
 
 
-def test_device_error_surfaces_as_cqe_failure(env, device, costs, account):
-    ring = PassthruQueuePair(env, device, costs)
+def test_device_error_surfaces_as_cqe_failure(env, device, account):
+    ring = PassthruQueuePair(env, device)
 
     def proc():
         ev = yield from ring.submit(ReadCmd(lba=device.num_lbas, nlb=1), account)
@@ -145,10 +145,10 @@ def test_device_error_surfaces_as_cqe_failure(env, device, costs, account):
     env.run(until=p)
 
 
-def test_separate_rings_have_independent_depth(env, device, costs):
+def test_separate_rings_have_independent_depth(env, device):
     a1, a2 = CpuAccount(env, "p1"), CpuAccount(env, "p2")
-    ring1 = IoUringRing(env, device, costs, depth=1, name="r1")
-    ring2 = IoUringRing(env, device, costs, depth=1, name="r2")
+    ring1 = IoUringRing(env, device, depth=1, name="r1")
+    ring2 = IoUringRing(env, device, depth=1, name="r2")
     page = device.lba_size
     done = []
 
@@ -163,6 +163,6 @@ def test_separate_rings_have_independent_depth(env, device, costs):
     assert sorted(done) == ["r1", "r2"]
 
 
-def test_invalid_depth(env, device, costs):
+def test_invalid_depth(env, device):
     with pytest.raises(ValueError):
-        IoUringRing(env, device, costs, depth=0)
+        IoUringRing(env, device, depth=0)

@@ -71,8 +71,8 @@ def test_background_writeback_eventually_flushes(env, cache, account, device):
     assert cache.dirty_bytes == 0
 
 
-def test_dirty_throttle_blocks_writer(env, block, costs, device):
-    cache = PageCache(env, block, costs, dirty_limit_bytes=4 * 4096,
+def test_dirty_throttle_blocks_writer(env, block, device):
+    cache = PageCache(env, block, dirty_limit_bytes=4 * 4096,
                       writeback_interval=0.001)
     cache.register_file(1, linear_resolver(0))
     account = CpuAccount(env, "writer")
@@ -175,8 +175,8 @@ def test_fsync_on_clean_file_is_cheap(env, cache, account):
     assert cache.obs.total("pagecache_fsyncs_total") == 1
 
 
-def test_invalid_configs(env, block, costs):
+def test_invalid_configs(env, block):
     with pytest.raises(ValueError):
-        PageCache(env, block, costs, dirty_limit_bytes=100)
+        PageCache(env, block, dirty_limit_bytes=100)
     with pytest.raises(ValueError):
-        PageCache(env, block, costs, background_ratio=0.0)
+        PageCache(env, block, background_ratio=0.0)

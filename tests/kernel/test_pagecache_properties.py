@@ -4,7 +4,7 @@ sequences, including crash points."""
 from hypothesis import given, settings, strategies as st
 
 from repro.flash import FlashGeometry, FtlConfig, NandTiming
-from repro.kernel import BlockLayer, CpuAccount, KernelCosts, PageCache
+from repro.kernel import BlockLayer, CpuAccount, PageCache
 from repro.nvme import NvmeDevice
 from repro.sim import Environment
 
@@ -22,8 +22,8 @@ def world():
     g = FlashGeometry(channels=1, dies_per_channel=2, blocks_per_die=24,
                       pages_per_block=16)
     dev = NvmeDevice(env, g, FAST, CFG)
-    blk = BlockLayer(env, dev, KernelCosts())
-    cache = PageCache(env, blk, KernelCosts(),
+    blk = BlockLayer(env, dev)
+    cache = PageCache(env, blk,
                       dirty_limit_bytes=4 * 1024 * 1024)
     cache.register_file(1, lambda idx: 10 + idx)
     return env, dev, cache

@@ -91,9 +91,9 @@ def test_write_copies_a_shared_page_and_leaves_the_device_alone(
 
 
 def test_redirtying_mid_writeback_never_touches_the_inflight_payload(
-        env, device, costs, account):
+        env, device, account):
     spy = _Spy(device, env)
-    cache = PageCache(env, BlockLayer(env, spy, costs), costs,
+    cache = PageCache(env, BlockLayer(env, spy),
                       dirty_limit_bytes=64 * PAGE)
     cache.register_file(1, linear_resolver(0))
     drive(env, cache.write(1, 0, b"A" * PAGE, account))
@@ -112,7 +112,7 @@ def test_redirtying_mid_writeback_never_touches_the_inflight_payload(
     assert got == b"C" * 8 + b"A" * (PAGE - 8)
 
 
-def test_power_cut_during_writeback_tears_whole_pages(env, device, costs,
+def test_power_cut_during_writeback_tears_whole_pages(env, device,
                                                       account):
     """Pages a torn command did not persist come back as the page
     objects the device held before it; copy-on-write kept those
@@ -122,7 +122,7 @@ def test_power_cut_during_writeback_tears_whole_pages(env, device, costs,
     assert 0 < keep < n
     faulty = FaultyDevice(device, power=PowerCutSpec(at_time=1.0, seed=seed))
     spy = _Spy(faulty, env)
-    cache = PageCache(env, BlockLayer(env, spy, costs), costs,
+    cache = PageCache(env, BlockLayer(env, spy),
                       dirty_limit_bytes=64 * PAGE)
     cache.register_file(1, linear_resolver(40))
     old = b"".join(bytes([0x10 + i]) * PAGE for i in range(n))

@@ -6,10 +6,11 @@ from dataclasses import replace
 
 import pytest
 
-from repro import LoggingPolicy, SystemConfig, build_slimio
+from repro import LoggingPolicy, SlimIOSystem, SystemConfig, build_slimio
 from repro.cluster import ClusterConfig, build_cluster
-from repro.faults import ErrorSpec
-from repro.obs import SpanRecord, attach_tracer
+from repro.faults import ErrorSpec, FaultyDevice
+from repro.nvme import NvmeDevice
+from repro.obs import MetricsRegistry, SpanRecord, attach_tracer
 from repro.obs.trace import (
     Attribution,
     RequestTracer,
@@ -220,12 +221,19 @@ def _slimio_run(traced: bool, policy=LoggingPolicy.PERIODICAL,
                 error_rate=0.0):
     """A SlimIO run whose Periodical flusher syncs every 0.5 ms; with
     ``error_rate``, seeded NVMe write errors make the ring retry."""
-    system = build_slimio(config=SystemConfig(
-        policy=policy, wal_flush_interval=5e-4, faults=error_rate > 0,
-        fault_seed=7))
+    cfg = SystemConfig(policy=policy, wal_flush_interval=5e-4)
     if error_rate:
-        system.fault_injector.errors = ErrorSpec(
-            seed=7, write_error_rate=error_rate)
+        # device and injector book into the system's registry, as a
+        # device the system builds does
+        env = Environment()
+        obs = MetricsRegistry(env, name="slimio")
+        device = NvmeDevice(env, cfg.geometry, cfg.nand, cfg.ftl, fdp=True,
+                            obs=obs)
+        faulty = FaultyDevice(device, obs=obs, errors=ErrorSpec(
+            seed=7, write_error_rate=error_rate))
+        system = SlimIOSystem(env, cfg, device=faulty, obs=obs)
+    else:
+        system = build_slimio(config=cfg)
     tracer = attach_tracer(system, sample_every=4) if traced else None
     RedisBenchWorkload(clients=4, total_ops=2000, key_count=128,
                        value_size=2048).run(system)

@@ -1,4 +1,4 @@
-"""Compression model and codec tests."""
+"""Compression cost model and codec tests."""
 
 import gc
 import random
@@ -10,9 +10,9 @@ import zlib
 
 import pytest
 
-from repro.persist import CompressionModel, Compressor
+from repro.persist import Compressor
 from repro.persist import compress as compress_mod
-from repro.persist.compress import _MEMOS
+from repro.persist.compress import _MEMOS, compress_time, decompress_time
 from repro.persist.encoding import RdbWriter
 
 
@@ -20,14 +20,6 @@ def test_roundtrip():
     c = Compressor()
     raw = b"abcabcabc" * 100
     assert c.decompress(c.compress(raw)) == raw
-
-
-def test_disabled_passthrough():
-    c = Compressor(enabled=False)
-    raw = b"data"
-    assert c.compress(raw) == raw
-    assert c.decompress(raw) == raw
-    assert c.ratio(raw) == 1.0
 
 
 def test_repetitive_data_compresses():
@@ -49,31 +41,24 @@ def test_empty_ratio_is_one():
     assert Compressor().ratio(b"") == 1.0
 
 
-def test_level_validation():
-    with pytest.raises(ValueError):
-        Compressor(level=10)
-
-
 def test_model_cost_scaling():
-    m = CompressionModel()
-    one_mb = m.compress_time(1024 * 1024, 1)
-    two_mb = m.compress_time(2 * 1024 * 1024, 1)
+    one_mb = compress_time(1024 * 1024, 1)
+    two_mb = compress_time(2 * 1024 * 1024, 1)
     assert two_mb > one_mb
     # per-object overhead: many small objects cost more than one big one
-    assert m.compress_time(1024 * 1024, 1000) > m.compress_time(1024 * 1024, 1)
+    assert compress_time(1024 * 1024, 1000) > compress_time(1024 * 1024, 1)
 
 
 def test_model_decompress_faster_than_compress():
-    m = CompressionModel()
     n = 10 * 1024 * 1024
-    assert m.decompress_time(n, 1) < m.compress_time(n, 1)
+    assert decompress_time(n, 1) < compress_time(n, 1)
 
 
 def test_model_validation():
-    with pytest.raises(ValueError):
-        CompressionModel(compress_bandwidth=0)
-    with pytest.raises(ValueError):
-        CompressionModel(per_object_overhead=-1)
+    """The cost constants divide and charge >= 0."""
+    assert compress_mod.COMPRESS_BANDWIDTH > 0
+    assert compress_mod.DECOMPRESS_BANDWIDTH > 0
+    assert compress_mod.PER_OBJECT_OVERHEAD >= 0
 
 
 # --- the shared chunk memo: one zlib call per distinct batch per process
@@ -110,6 +95,14 @@ def batch(tag: int) -> list[tuple[bytes, bytes]]:
     return [(b"key-%d" % tag, chunk(tag)), (b"k2-%d" % tag, chunk(tag + 1))]
 
 
+def fresh() -> Compressor:
+    """A codec with a private, empty chunk memo, whatever else is
+    alive."""
+    codec = Compressor()
+    codec.chunk_memo = compress_mod._Memo()
+    return codec
+
+
 def write_chunk(codec: Compressor, entries) -> bytes:
     writer = RdbWriter(codec)
     writer.header()
@@ -128,7 +121,7 @@ def test_codecs_alive_together_compress_equal_bytes_once(zlib_calls):
 
 
 def test_memo_holds_the_entries_not_a_raw_copy():
-    c = Compressor(level=4)
+    c = fresh()
     entries = batch(3)
     write_chunk(c, entries)
     [(key, (raw_len, blob))] = c.chunk_memo.items()
@@ -138,14 +131,14 @@ def test_memo_holds_the_entries_not_a_raw_copy():
 
 
 def test_compress_itself_keeps_no_memo(zlib_calls):
-    c = Compressor(level=7)
+    c = fresh()
     assert c.compress(chunk(1)) == c.compress(chunk(1))
     assert zlib_calls["compress"] == 2
     assert c.chunk_memo == {}
 
 
 def test_unhashable_batch_skips_the_memo(zlib_calls):
-    c = Compressor(level=5)
+    c = fresh()
     mutable = [(b"k", bytearray(chunk(8)))]
     assert write_chunk(c, mutable) == write_chunk(c, [(b"k", chunk(8))])
     assert write_chunk(c, mutable) == write_chunk(c, [(b"k", chunk(8))])
@@ -155,28 +148,16 @@ def test_unhashable_batch_skips_the_memo(zlib_calls):
 
 
 def test_levels_never_exchange_blobs(zlib_calls):
-    fast, small = Compressor(level=1), Compressor(level=6)
+    """The writer deflates at zlib level 1, and the memo holds only what
+    it deflated: another level's blob of the same batch is no hit."""
+    c = fresh()
     raw = bytes(range(256)) * 40
     entries = [(b"", raw)]
     encoded = struct.pack("<II", 0, len(raw)) + raw
-    assert zlib.compress(encoded, 1) in write_chunk(fast, entries)
-    assert zlib.compress(encoded, 6) in write_chunk(small, entries)
-    assert write_chunk(fast, entries) != write_chunk(small, entries)
-    assert zlib_calls["compress"] == 2
-
-
-def test_disabled_codec_stores_and_reads_nothing(zlib_calls):
-    live = Compressor()
-    off = Compressor(enabled=False)
-    write_chunk(live, batch(2))
-    before = dict(live.chunk_memo)
-    assert off.chunk_memo is None
-    write_chunk(off, batch(2))
-    assert off.compress(chunk(2)) == chunk(2)
-    blob = zlib.compress(chunk(2), 1)
-    assert off.decompress(blob) is blob
-    assert live.chunk_memo == before
-    assert zlib_calls == {"compress": 1, "inflate": 0}
+    assert zlib.compress(encoded, 1) in write_chunk(c, entries)
+    assert zlib_calls["compress"] == 1
+    assert list(c.chunk_memo.by_blob) == [zlib.compress(encoded, 1)]
+    assert zlib.compress(encoded, 6) not in c.chunk_memo.by_blob
 
 
 def test_every_decompress_goes_through_zlib(zlib_calls):
@@ -194,22 +175,24 @@ def test_every_decompress_goes_through_zlib(zlib_calls):
 
 def test_memo_dies_with_the_last_codec():
     """The RSS guard: nothing in the process pins chunks once no codec
-    of the level is left (slimbench collects between replications)."""
-    a, b = Compressor(level=3), Compressor(level=3)
+    is left (slimbench collects between replications)."""
+    gc.collect()
+    assert not _MEMOS
+    a, b = Compressor(), Compressor()
     write_chunk(a, batch(5))
     memo = weakref.ref(a.chunk_memo)
     assert b.chunk_memo is a.chunk_memo
     del a
     gc.collect()
-    assert memo() is not None and 3 in _MEMOS     # b still holds it
+    assert memo() is not None and _MEMOS[1] is memo()  # b still holds it
     del b
     gc.collect()
-    assert memo() is None and 3 not in _MEMOS
-    assert Compressor(level=3).chunk_memo == {}
+    assert memo() is None and not _MEMOS
+    assert Compressor().chunk_memo == {}
 
 
 def test_reverse_map_mirrors_the_memo():
-    c = Compressor(level=8)
+    c = fresh()
     for tag in range(3):
         write_chunk(c, batch(tag))
     memo = c.chunk_memo
@@ -220,7 +203,7 @@ def test_reverse_map_mirrors_the_memo():
 
 
 def test_memo_backstop_clears_when_full(monkeypatch):
-    c = Compressor(level=2)
+    c = fresh()
     for tag in range(3):
         write_chunk(c, batch(tag))
     held = c.chunk_memo.nbytes
@@ -239,7 +222,7 @@ def test_memo_backstop_clears_when_full(monkeypatch):
 def test_memo_never_holds_more_than_its_bound(monkeypatch):
     """A blob larger than the bound alone is not stored (it used to
     clear the memo and then sit in it, over the bound)."""
-    c = Compressor(level=9)
+    c = fresh()
     write_chunk(c, batch(1))
     small = c.chunk_memo.nbytes
     monkeypatch.setattr(c.chunk_memo, "bound", small + 10)

@@ -70,8 +70,8 @@ def test_aof_empty_value_allowed():
     assert list(AofCodec.decode_stream(AofCodec.encode(rec))) == [rec]
 
 
-def rdb_roundtrip(entries, compressor=None):
-    comp = compressor or Compressor()
+def rdb_roundtrip(entries):
+    comp = Compressor()
     w = RdbWriter(comp)
     stream = w.header()
     for i in range(0, len(entries), 3):
@@ -92,19 +92,15 @@ def test_rdb_empty_snapshot():
     assert decoded == []
 
 
-def test_rdb_uncompressed_mode():
-    comp = Compressor(enabled=False)
-    entries = [(b"k", b"v" * 100)]
-    decoded, stream = rdb_roundtrip(entries, comp)
-    assert decoded == entries
-    assert b"v" * 50 in stream  # payload is literally in the stream
-
-
 def test_rdb_compression_flag_mismatch_detected():
-    entries = [(b"k", b"v")]
-    _, stream = rdb_roundtrip(entries, Compressor(enabled=True))
+    """A header whose compression flag is 0 (no writer emits one) is
+    hostile input, whatever follows it."""
+    header = struct.Struct("<10sHI")  # magic, flags, reserved
+    _, stream = rdb_roundtrip([(b"k", b"v")])
+    assert stream[:header.size] == header.pack(b"REPRO-RDB1", 1, 0)
+    forged = header.pack(b"REPRO-RDB1", 0, 0) + stream[header.size:]
     with pytest.raises(CorruptRecord, match="compression flag"):
-        RdbReader(Compressor(enabled=False)).read_all(stream)
+        RdbReader().read_all(forged)
 
 
 def test_rdb_truncated_stream_rejected():

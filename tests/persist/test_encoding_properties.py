@@ -41,11 +41,10 @@ def test_aof_arbitrary_truncation_is_prefix(pairs, cut):
 
 
 @given(st.lists(st.tuples(keys, values), max_size=30),
-       st.integers(min_value=1, max_value=7),
-       st.booleans())
+       st.integers(min_value=1, max_value=7))
 @settings(max_examples=60, deadline=None)
-def test_rdb_roundtrip_any_chunking(pairs, chunk, compressed):
-    comp = Compressor(enabled=compressed)
+def test_rdb_roundtrip_any_chunking(pairs, chunk):
+    comp = Compressor()
     w = RdbWriter(comp)
     stream = w.header()
     for i in range(0, len(pairs), chunk):

@@ -2,7 +2,7 @@
 
 
 from repro.flash import FlashGeometry, FtlConfig, NandTiming
-from repro.kernel import BlockLayer, CpuAccount, F2fs, KernelCosts, PageCache
+from repro.kernel import BlockLayer, CpuAccount, F2fs, PageCache
 from repro.nvme import NvmeDevice
 from repro.persist import AofRecord, LoggingPolicy, OP_SET, WalManager
 from repro.persist.file_backends import FileAppendSink
@@ -19,9 +19,8 @@ def world(policy, **wal_kw):
     g = FlashGeometry(channels=1, dies_per_channel=2, blocks_per_die=48,
                       pages_per_block=16)
     dev = NvmeDevice(env, g, FAST, CFG)
-    costs = KernelCosts()
-    blk = BlockLayer(env, dev, costs)
-    cache = PageCache(env, blk, costs, dirty_limit_bytes=128 * 4096)
+    blk = BlockLayer(env, dev)
+    cache = PageCache(env, blk, dirty_limit_bytes=128 * 4096)
     fs = F2fs(env, blk, cache, extent_pages=16)
     acct = CpuAccount(env, "main")
     wal = WalManager(env, FileAppendSink(fs), acct, policy=policy, **wal_kw)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.flash import FlashGeometry, FtlConfig, NandTiming
-from repro.kernel import BlockLayer, CpuAccount, Ext4, KernelCosts, PageCache
+from repro.kernel import BlockLayer, CpuAccount, Ext4, PageCache
 from repro.nvme import NvmeDevice
 from repro.persist import (
     AofRecord,
@@ -33,9 +33,8 @@ def world():
     g = FlashGeometry(channels=1, dies_per_channel=2, blocks_per_die=48,
                       pages_per_block=16)
     dev = NvmeDevice(env, g, FAST_NAND, FTL_CFG)
-    costs = KernelCosts()
-    blk = BlockLayer(env, dev, costs)
-    cache = PageCache(env, blk, costs, dirty_limit_bytes=128 * 4096)
+    blk = BlockLayer(env, dev)
+    cache = PageCache(env, blk, dirty_limit_bytes=128 * 4096)
     fs = Ext4(env, blk, cache, extent_pages=16)
     return env, fs, dev
 
