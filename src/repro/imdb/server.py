@@ -123,23 +123,31 @@ class ServerMetrics:
             [s.times(self._start[op]) for op, s in self._series.items()]
         ))
 
-    def phase_rps(self, t_end: float | None = None) -> dict[str, float]:
-        """Mean RPS inside vs outside snapshot windows."""
+    def span(self) -> tuple[float, float]:
+        """The measured span: first to last completion in the window.
+
+        A run's tail after its last op (a snapshot outliving the load,
+        the driver's settle wait) is not measured time.
+        """
+        arr = self.op_times
+        return (float(arr[0]), float(arr[-1])) if len(arr) else (0.0, 0.0)
+
+    def phase_rps(self) -> dict[str, float]:
+        """Mean RPS inside vs outside snapshot windows, over the span."""
         arr = self.op_times
         if len(arr) == 0:
             return {"wal_only": 0.0, "wal_snapshot": 0.0, "average": 0.0}
-        hi = t_end if t_end is not None else arr[-1]
-        lo = arr[0]
+        lo, hi = self.span()
         in_snap = np.zeros(len(arr), dtype=bool)
         snap_time = 0.0
         for t0, t1 in self.snapshot_windows:
             # clamp to the measured span (a snapshot may straddle the
-            # metrics-reset boundary or the end of the run)
+            # metrics-reset boundary or outlive the load)
             t0c, t1c = max(t0, lo), min(t1, hi)
             if t1c > t0c:
                 in_snap |= (arr >= t0c) & (arr <= t1c)
                 snap_time += t1c - t0c
-        total_time = hi - arr[0] if hi > arr[0] else 1e-12
+        total_time = hi - lo if hi > lo else 1e-12
         out_time = max(total_time - snap_time, 1e-12)
         n_in = int(in_snap.sum())
         n_out = len(arr) - n_in

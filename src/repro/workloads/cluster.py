@@ -62,18 +62,17 @@ class ClusterWorkload:
         after every shard's snapshots finish.
         """
         ftl = cluster.device.ftl
-        t0, (writes, routed0) = self.shape.drive(
+        writes, routed0 = self.shape.drive(
             cluster, warmup_ops,
             lambda: (ftl.window(), list(cluster.router.routed)),
         )
-        now = cluster.env.now
         out = ClusterReport()
         out.shard_names = [s.name for s in cluster.shards]
         out.pid_allocation = cluster.pid_report()
         out.routed = [n - n0 for n, n0 in zip(cluster.router.routed, routed0)]
         windows = [s.server.metrics for s in cluster.shards]
         for shard, window in zip(cluster.shards, windows):
-            rep = server_report(window, shard.server.store, t0, now)
+            rep = server_report(window, shard.server.store)
             # a SlimIO shard is attributed its Placement IDs (shared
             # streams count in full for every sharer); baseline shards
             # all share stream 0 — device-global WAF
@@ -84,7 +83,11 @@ class ClusterWorkload:
 
         agg = out.aggregate
         agg.ops = sum(r.ops for r in out.per_shard)
-        agg.duration = now - t0
+        # the cluster's measured span covers every shard's
+        spans = [w.span() for w in windows if len(w.op_times)]
+        if spans:
+            agg.duration = (max(hi for _, hi in spans)
+                            - min(lo for lo, _ in spans))
         agg.rps = agg.ops / agg.duration if agg.duration > 0 else 0.0
         # shards serve concurrently: cluster phase throughput is the
         # sum of the per-shard phase rates

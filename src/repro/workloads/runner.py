@@ -66,24 +66,23 @@ def closed_loop(target, total: int, op_at: Callable[[int], ClientOp], *,
     On-Demand snapshot until it has taken one. Returns after every
     client is done and no server is snapshotting.
 
-    Returns ``(t0, base)``: when the window opened and what
-    ``baseline()`` returned then.
+    Returns what ``baseline()`` returned when the window opened.
     """
     if not 0 <= warmup_ops < total:
         raise ValueError("warmup_ops must be in [0, total ops)")
     env = target.env
     servers = target.servers
     cursor = 0
-    t0 = base = None
+    opened, base = False, None
     unsnapshotted = list(servers) if snapshot_at is not None else []
 
     def client():
-        nonlocal cursor, t0, base
+        nonlocal cursor, opened, base
         while cursor < total:
             i = cursor
             cursor += 1
-            if t0 is None and i >= warmup_ops:
-                t0 = env.now
+            if not opened and i >= warmup_ops:
+                opened = True
                 for server in servers:
                     server.reset_metrics()
                 base = baseline()
@@ -108,7 +107,7 @@ def closed_loop(target, total: int, op_at: Callable[[int], ClientOp], *,
             yield env.idle_wait(1e-3)
 
     env.run(until=env.process(settle(), name="settle"))
-    return t0, base
+    return base
 
 
 def _rate_timeline(t: np.ndarray, bin_width: float
@@ -131,8 +130,11 @@ def _rate_timeline(t: np.ndarray, bin_width: float
     return (edges[:-1] + edges[1:]) / 2.0, counts / bin_width
 
 
-def server_report(window, store, t0: float, now: float) -> WorkloadReport:
+def server_report(window, store) -> WorkloadReport:
     """Fill a report from one server's metrics window and store.
+
+    Every rate is over the window's measured span
+    (``window.span()``), which ends at the last op, not at ``settle()``.
 
     WAF and erase counts are device-side and depend on which streams
     the caller attributes to this server, so the caller adds them.
@@ -140,8 +142,9 @@ def server_report(window, store, t0: float, now: float) -> WorkloadReport:
     rep = WorkloadReport()
     t = window.op_times
     rep.ops = len(t)
-    rep.duration = now - t0
-    phases = window.phase_rps(t_end=now)
+    lo, hi = window.span()
+    rep.duration = hi - lo
+    phases = window.phase_rps()
     rep.rps = phases["average"]
     rep.rps_wal_only = phases["wal_only"]
     rep.rps_wal_snapshot = phases["wal_snapshot"]
@@ -240,9 +243,8 @@ class ClosedLoopWorkload:
         ``warmup_ops``: leading operations excluded from metrics (used
         to build GC pressure before measuring).
         """
-        t0, writes = self.drive(system, warmup_ops, system.device.ftl.window)
-        rep = server_report(system.metrics, system.server.store, t0,
-                            system.env.now)
+        writes = self.drive(system, warmup_ops, system.device.ftl.window)
+        rep = server_report(system.metrics, system.server.store)
         rep.waf = writes.waf()
         rep.gc_pages_copied = writes.copied
         rep.gc_segments_erased = writes.erased
