@@ -56,8 +56,6 @@ _OUTSIDE_GC_REGIME = ("TINY is outside the GC regime (ROADMAP item 3); "
 
 #: (experiment, text of the [MISS] line) -> why it misses at TINY
 ALLOWED_MISSES = {
-    ("table1", "f2fs: snapshot phase RPS at least 10% below WAL-only"):
-        _OUTSIDE_GC_REGIME,
     ("table3", "periodical: baseline WAF > 1.00"): _OUTSIDE_GC_REGIME,
     ("cluster", "slimio 4-shard (collapse): shared PIDs measurably "
                 "degrade WAF (> 1.0) but stay bounded (< 2.0)"):
