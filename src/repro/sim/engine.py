@@ -73,7 +73,6 @@ from typing import Any
 __all__ = [
     "SimulationError",
     "Interrupt",
-    "StopProcess",
     "Event",
     "Timeout",
     "Process",
@@ -136,14 +135,6 @@ class Interrupt(Exception):
         self.cause = cause
 
 
-class StopProcess(Exception):
-    """Raised internally to stop a process early with a return value."""
-
-    def __init__(self, value: Any = None):
-        super().__init__(value)
-        self.value = value
-
-
 # Event states
 _PENDING = 0
 _TRIGGERED = 1  # scheduled on the heap, callbacks not yet run
@@ -178,11 +169,6 @@ class Event:
     def processed(self) -> bool:
         """True once the event's callbacks have run."""
         return self._state == _PROCESSED
-
-    @property
-    def ok(self) -> bool:
-        """True if the event fired successfully (valid once triggered)."""
-        return self.triggered and self._exc is None
 
     @property
     def value(self) -> Any:
@@ -342,11 +328,6 @@ class Process(Event):
                 env._active = None
                 self.succeed(stop.value)
                 return
-            except StopProcess as stop:
-                env._active = None
-                self._generator.close()
-                self.succeed(stop.value)
-                return
             except BaseException as exc:
                 env._active = None
                 self.fail(exc)
@@ -400,12 +381,6 @@ class ConditionValue:
         if event not in self.events:
             raise KeyError(event)
         return event._value
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def todict(self) -> dict[Event, Any]:
-        return {ev: ev._value for ev in self.events}
 
 
 class _Condition(Event):

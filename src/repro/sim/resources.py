@@ -52,11 +52,6 @@ class Request(Event):
         else:
             resource._queue.append(self)
 
-    def cancel(self) -> None:
-        """Withdraw an ungranted request (e.g. after an Interrupt)."""
-        if not self.triggered:
-            self.resource._remove(self)
-
 
 class Release(Event):
     """Immediate event confirming a release.
@@ -84,12 +79,6 @@ class Resource:
         self.users: list[Request] = []
         self._queue: deque[Request] = deque()
         self._release_ev: Release | None = None
-
-    def _remove(self, request: Request) -> None:
-        try:
-            self._queue.remove(request)
-        except ValueError:
-            pass
 
     # public API --------------------------------------------------------------
     @property
@@ -154,10 +143,6 @@ class Lock(Resource):
         else:
             req.callbacks.append(_on_grant)  # type: ignore[union-attr]
         return req
-
-    def _remove(self, request: Request) -> None:
-        super()._remove(request)
-        self._requested_at.pop(request, None)
 
     def release(self, request: Request) -> Release:
         t0 = self._acquired_at.pop(request, None)
@@ -231,14 +216,6 @@ class Store:
 
     def get(self) -> StoreGet:
         return StoreGet(self)
-
-    def try_get(self) -> Any:
-        """Non-blocking pop; returns the item or None if empty."""
-        if self.items:
-            item = self.items.popleft()
-            self._trigger()
-            return item
-        return None
 
     def _trigger(self) -> None:
         progressed = True

@@ -62,17 +62,6 @@ def test_resource_capacity_validation():
         Resource(env, capacity=0)
 
 
-def test_request_cancel_removes_from_queue():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    r1 = res.request()
-    r2 = res.request()
-    r2.cancel()
-    assert res.queue_len == 0
-    res.release(r1)
-    assert not r2.triggered
-
-
 def test_lock_accounting_held_and_contended():
     env = Environment()
     lock = Lock(env)
@@ -114,19 +103,6 @@ def test_lock_uncontended_has_zero_wait():
     assert lock.held_time == pytest.approx(1.0)
 
 
-def test_lock_forgets_a_cancelled_waiter():
-    """Regression: a cancelled waiter stayed in the lock's request-time
-    map (with its grant closure) for as long as the lock lived."""
-    env = Environment()
-    lock = Lock(env)
-    a = lock.request()
-    b = lock.request()
-    b.cancel()
-    assert b not in lock._requested_at
-    lock.release(a)
-    env.run()
-    assert not b.triggered
-    assert lock._requested_at == {} and lock.contended_time == 0.0
 
 
 def test_store_put_get_fifo():
@@ -190,16 +166,6 @@ def test_store_capacity_blocks_put():
     env.run()
     assert ("a-in", 0) in events
     assert ("b-in", 3) in events  # b only enters once a leaves
-
-
-def test_store_try_get():
-    env = Environment()
-    store = Store(env)
-    assert store.try_get() is None
-    store.put("x")
-    env.run()
-    assert store.try_get() == "x"
-    assert store.try_get() is None
 
 
 def test_store_invalid_capacity():
