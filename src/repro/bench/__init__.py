@@ -12,7 +12,7 @@ CLI::
     python -m repro.bench all
 """
 
-from repro.bench.plots import spark, timeline_chart
+from repro.bench.plots import timeline_chart
 from repro.bench.report import ExperimentResult, format_table
 from repro.bench.sweep import SweepResult, sweep, write_csv
 from repro.bench.scales import Scale, TEST_SCALE, BENCH_SCALE
@@ -33,7 +33,6 @@ from repro.bench.experiments import (
 __all__ = [
     "ExperimentResult",
     "format_table",
-    "spark",
     "timeline_chart",
     "SweepResult",
     "sweep",

@@ -8,27 +8,11 @@ nosedives, the snapshot windows — directly in the report.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
-__all__ = ["spark", "timeline_chart", "grid_heatmap", "sweep_panels"]
+__all__ = ["timeline_chart", "grid_heatmap", "sweep_panels"]
 
 _BLOCKS = " ▁▂▃▄▅▆▇█"
-
-
-def spark(values: Sequence[float], vmax: float | None = None) -> str:
-    """One-line sparkline of ``values`` (zeros render as spaces)."""
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0:
-        return ""
-    top = float(np.max(arr)) if vmax is None else vmax
-    if top <= 0:
-        return _BLOCKS[0] * arr.size
-    idx = np.clip(
-        np.ceil(arr / top * (len(_BLOCKS) - 1)), 0, len(_BLOCKS) - 1
-    ).astype(int)
-    return "".join(_BLOCKS[i] for i in idx)
 
 
 def timeline_chart(

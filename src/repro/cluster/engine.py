@@ -73,10 +73,6 @@ class ShardHandle:
     def server(self):
         return self.system.server
 
-    @property
-    def env(self):
-        return self.system.env
-
 
 class SlimIOCluster:
     """N shard stacks over one shared device, plus the slot map.
@@ -166,11 +162,6 @@ class SlimIOCluster:
         return self.allocator.describe(self.config.num_shards)
 
     # ------------------------------------------------------------ telemetry
-    def attach_obs(self) -> MetricsRegistry:
-        """The cluster's base registry (wired at construction; this
-        spelling survives for callers of the old two-phase API)."""
-        return self.obs
-
     def attach_tracer(self, tracer=None, **tracer_kw):
         """One shared request tracer across every shard (traces carry
         the shard name as tenant) plus the shared FTL, so a slow

@@ -17,7 +17,6 @@ from __future__ import annotations
 from collections.abc import Generator
 from typing import TYPE_CHECKING
 
-from repro.cluster.slots import key_hash_slot
 from repro.imdb import ClientOp
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -42,9 +41,6 @@ class ClusterRouter:
     def shard_for_key(self, key: bytes | str) -> ShardHandle:
         return self.shards[self.slot_map.shard_for_key(key)]
 
-    def shard_for_slot(self, slot: int) -> ShardHandle:
-        return self.shards[self.slot_map.shard_for_slot(slot)]
-
     def execute(self, op: ClientOp) -> Generator:
         """Serve one request on the owning shard (a generator, like
         ``Server.execute``; clients ``yield from`` it)."""
@@ -52,6 +48,3 @@ class ClusterRouter:
         self.routed[index] += 1
         result = yield from self.shards[index].server.execute(op)
         return result
-
-    def slot_of(self, key: bytes | str) -> int:
-        return key_hash_slot(key)

@@ -63,10 +63,6 @@ class SyncReport:
     duration: float = 0.0
     transfer_time: float = 0.0
 
-    @property
-    def effective_throughput(self) -> float:
-        return self.snapshot_bytes / self.duration if self.duration else 0.0
-
 
 def full_sync(
     master,

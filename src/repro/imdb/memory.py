@@ -90,11 +90,6 @@ class CowMemory:
         if _cpu_ev is not None:
             yield _cpu_ev
 
-    def fork(self, heap_pages: int, account: CpuAccount) -> Generator:
-        """Fork with ``heap_pages`` mapped; stalls for the PT copy."""
-        self.arm(heap_pages)
-        yield from self.pt_copy_stall(account)
-
     def touch(self, first_page: int, n_pages: int,
               account: CpuAccount) -> Generator:
         """Parent write to a page range; returns pages actually copied."""

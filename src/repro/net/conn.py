@@ -207,10 +207,6 @@ class Connection:
         if not self.closed:
             yield self.inbox.put(_CLOSE)
 
-    @property
-    def can_send(self) -> bool:
-        return not self.closed
-
     # ------------------------------------------------------------ internals
     def _bandwidth(self, bw: float) -> float:
         return bw * self.cfg.slow_factor if self.slow else bw

@@ -68,15 +68,6 @@ class LbaPartition:
     def ftl(self):
         return self.device.ftl
 
-    @property
-    def stats(self):
-        return self.device.stats
-
-    @property
-    def waf(self) -> float:
-        """Device-global WAF (per-shard WAF comes from per-stream stats)."""
-        return self.device.waf
-
     # ------------------------------------------------------------------ service
     def _check(self, lba: int, nlb: int) -> None:
         if lba < 0 or lba + nlb > self._num_lbas:

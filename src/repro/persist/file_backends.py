@@ -35,10 +35,6 @@ class FileAppendSink(AppendSink):
     def size(self) -> int:
         return self._file.size
 
-    @property
-    def current_name(self) -> str:
-        return self._gen_name()
-
     def append(self, data: bytes, account: CpuAccount) -> Generator:
         yield from self._file.write(data, account)
 

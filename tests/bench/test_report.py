@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.bench import ExperimentResult, format_table
-from repro.bench.plots import spark, timeline_chart
+from repro.bench.plots import timeline_chart
 
 
 def test_format_table_alignment():
@@ -38,18 +38,6 @@ def test_experiment_result_all_pass():
     r = ExperimentResult("T", "t", ["c"])
     r.check("a", True)
     assert r.shapes_hold
-
-
-def test_spark_shapes():
-    assert spark([]) == ""
-    s = spark([0, 1, 2, 4])
-    assert len(s) == 4
-    assert s[0] == " "  # zero renders empty
-    assert s[-1] == "█"
-
-
-def test_spark_all_zero():
-    assert spark([0, 0]) == "  "
 
 
 def test_timeline_chart_renders_bands():

@@ -56,8 +56,7 @@ def test_shard_waf_starts_clean(four_shards):
 
 
 def test_attach_obs_labels_shards(four_shards):
-    registry = four_shards.attach_obs()
-    assert four_shards.obs is registry
+    registry = four_shards.obs
     shards = {
         m.labels["shard"]
         for m in registry.instruments()

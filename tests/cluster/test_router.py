@@ -11,7 +11,7 @@ def test_routing_agrees_with_slot_map(four_shards):
     for key in (b"alpha", b"user:42", b"{tag}suffix", b"x" * 40):
         shard = cl.router.shard_for_key(key)
         assert shard.index == cl.slot_map.shard_for_key(key)
-        assert cl.router.slot_of(key) == key_hash_slot(key)
+        assert shard.index == cl.slot_map.shard_for_slot(key_hash_slot(key))
 
 
 def test_execute_round_trip(four_shards):

@@ -25,11 +25,17 @@ def drive(env, gen):
     return env.run(until=p)
 
 
+def fork(cow, heap_pages, acct):
+    """The server's fork: arm at the fork instant, then the PT copy."""
+    cow.arm(heap_pages)
+    yield from cow.pt_copy_stall(acct)
+
+
 def test_fork_charges_pt_copy(env, acct):
     cow = CowMemory(env)
 
     def proc():
-        yield from cow.fork(1000, acct)
+        yield from fork(cow, 1000, acct)
 
     drive(env, proc())
     assert env.now == pytest.approx(1000 * PT_COPY_PER_PAGE)
@@ -41,7 +47,7 @@ def test_touch_copies_shared_pages_once(env, acct):
     cow = CowMemory(env, page_size=4096)
 
     def proc():
-        yield from cow.fork(10, acct)
+        yield from fork(cow, 10, acct)
         n1 = yield from cow.touch(2, 3, acct)
         n2 = yield from cow.touch(2, 3, acct)  # already copied
         return n1, n2
@@ -69,7 +75,7 @@ def test_pages_allocated_after_fork_not_shared(env, acct):
     cow = CowMemory(env)
 
     def proc():
-        yield from cow.fork(10, acct)
+        yield from fork(cow, 10, acct)
         n = yield from cow.touch(50, 2, acct)  # beyond fork-point heap
         return n
 
@@ -80,7 +86,7 @@ def test_reap_frees_extra_memory(env, acct):
     cow = CowMemory(env, page_size=4096)
 
     def proc():
-        yield from cow.fork(10, acct)
+        yield from fork(cow, 10, acct)
         yield from cow.touch(0, 10, acct)
         assert cow.extra_bytes == 10 * 4096
         cow.reap()
@@ -94,8 +100,8 @@ def test_double_fork_rejected(env, acct):
     cow = CowMemory(env)
 
     def proc():
-        yield from cow.fork(5, acct)
-        yield from cow.fork(5, acct)
+        yield from fork(cow, 5, acct)
+        yield from fork(cow, 5, acct)
 
     env.process(proc())
     with pytest.raises(RuntimeError):
@@ -112,10 +118,10 @@ def test_second_fork_generation_after_reap(env, acct):
     cow = CowMemory(env)
 
     def proc():
-        yield from cow.fork(5, acct)
+        yield from fork(cow, 5, acct)
         yield from cow.touch(0, 5, acct)
         cow.reap()
-        yield from cow.fork(8, acct)
+        yield from fork(cow, 8, acct)
         n = yield from cow.touch(0, 5, acct)  # shared again
         return n
 
@@ -127,7 +133,7 @@ def test_cow_cost_scales_with_pages(env, acct):
     cow = CowMemory(env)
 
     def proc():
-        yield from cow.fork(100, acct)
+        yield from fork(cow, 100, acct)
         t0 = env.now
         yield from cow.touch(0, 10, acct)
         return env.now - t0
