@@ -23,5 +23,7 @@ def test_example_runs(script):
 
 def test_examples_exist():
     names = {p.name for p in EXAMPLES}
-    assert {"quickstart.py", "cfd_checkpoint.py",
-            "ml_feature_store.py", "design_space.py"} <= names
+    assert names == {
+        "analysis_tour.py", "cluster_tour.py", "faults_tour.py",
+        "flowcheck_tour.py", "quickstart.py", "replica_bootstrap.py",
+        "telemetry_tour.py"}
