@@ -108,9 +108,6 @@ class ObsGauge:
         if value > self.high_water:
             self.high_water = value
 
-    def add(self, delta: float) -> None:
-        self.set(self._value + delta)
-
     def summary(self) -> dict:
         out = {"value": self.value}
         if self.low_water != float("inf"):
