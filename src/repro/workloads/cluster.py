@@ -84,7 +84,7 @@ class ClusterWorkload:
         agg = out.aggregate
         agg.ops = sum(r.ops for r in out.per_shard)
         # the cluster's measured span covers every shard's
-        spans = [w.span() for w in windows if len(w.op_times)]
+        spans = [w.span() for w, r in zip(windows, out.per_shard) if r.ops]
         if spans:
             agg.duration = (max(hi for _, hi in spans)
                             - min(lo for lo, _ in spans))
