@@ -12,9 +12,9 @@ defines (``ast`` walk, keyed the way ``co_qualname`` is)::
 
     python census.py --report <tree> OUT1.json OUT2.json ...
 
-Or run every entry point of the census (``ENTRY_POINTS``), each in its
-own process from a scratch working directory under OUTDIR, two at a
-time, and print the report (about 7 minutes on 2 CPUs)::
+Or run every entry point of the census (:func:`entry_points`), each in
+its own process from a scratch working directory under OUTDIR, two at a
+time, and print the report (about 5 minutes on 2 CPUs)::
 
     python census.py --all <tree> <outdir>
 """
@@ -33,8 +33,10 @@ WORKLOADS = ("redis_set_gc", "ycsb_a_always", "snap_recover", "openloop_net")
 
 
 def entry_points(tree: Path, tmp: Path) -> list[tuple[str, list[str], dict]]:
-    """``(name, argv after OUT.json, extra env)`` for every entry point,
-    in run order: the last three read files that earlier ones write."""
+    """``(name, argv after OUT.json, env overrides)`` for every entry
+    point, in run order: the last three read files that earlier ones
+    write. An entry whose overrides set ``PYTHONPATH`` runs from the
+    tree, the others from the scratch working directory."""
     bench = ["-m", "repro.bench"]
     eps = [("bench_all", bench + ["all", "--scale", "test", "--out", "-"], {})]
     for w in WORKLOADS:
@@ -75,10 +77,11 @@ def entry_points(tree: Path, tmp: Path) -> list[tuple[str, list[str], dict]]:
         ("perf_compare", bench + ["perf", "--compare",
                                   str(tree / "BENCH_perf.json"),
                                   str(tree / "BENCH_perf.json")], {}),
-        # as CI runs it: from the tree, with a relative PYTHONPATH
+        # as CI runs it: from the tree, with a relative PYTHONPATH (with
+        # the tree root on it, test_bare_checkout_fails_without_a_result
+        # imports the tree's benchmarks package instead of its copy's)
         ("slimbench_pytest", ["-m", "pytest", "-q", "-p", "no:cacheprovider",
-                              "benchmarks/slimbench"],
-         {"PYTHONPATH": "src", "cwd": str(tree)}),
+                              "benchmarks/slimbench"], {"PYTHONPATH": "src"}),
     ]
     for script in sorted((tree / "examples").glob("*.py")):
         eps.append((f"example_{script.stem}",
@@ -104,11 +107,9 @@ def run_all(tree: Path, outdir: Path) -> list[str]:
 
     def one(ep):
         name, argv, extra = ep
-        extra = dict(extra)
-        env = dict(os.environ, PYTHONHASHSEED="0",
-                   PYTHONPATH=f"{tree}{os.pathsep}{tree / 'src'}")
-        cwd = extra.pop("cwd", str(work))
-        env.update(extra)
+        env = {**os.environ, "PYTHONHASHSEED": "0",
+               "PYTHONPATH": f"{tree}{os.pathsep}{tree / 'src'}", **extra}
+        cwd = tree if "PYTHONPATH" in extra else work
         out = dumps / f"{name}.json"
         with open(outdir / f"{name}.log", "w") as log:
             rc = subprocess.run(
