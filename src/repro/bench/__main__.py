@@ -8,7 +8,6 @@ Usage::
     python -m repro.bench table1 --profile 25   # cProfile hotspots
     python -m repro.bench perf [--out BENCH_perf.json]
     python -m repro.bench sweep --comprehensive --scale tiny --jobs 4
-    python -m repro.bench tune --workload cluster --scale tiny
 
 Reports are deterministic: the same tree, scale, and experiment set
 produce a byte-identical report file whatever ``--jobs`` is (wall-clock
@@ -111,8 +110,7 @@ def _sweep_main(argv) -> int:
             f"({grid.size} points) ==",
             grid.description, "",
             result.format(), "",
-            format_top_tables(result, grid.objective,
-                              maximize=grid.maximize), "",
+            format_top_tables(result), "",
             "Knife edges (adjacent points, metric jump >= factor):",
             format_knife_edges(edges), "",
             sweep_panels(result, grid.panels), "",
@@ -135,10 +133,6 @@ def main(argv=None) -> int:
         return perf_main(argv[1:])
     if argv and argv[0] == "sweep":
         return _sweep_main(argv[1:])
-    if argv and argv[0] == "tune":
-        from repro.bench.tune import main as tune_main
-
-        return tune_main(argv[1:])
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
@@ -146,7 +140,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("experiments", nargs="+", metavar="experiment",
                         help="experiment ids (e.g. table3 figure4), "
-                             "'all', 'list', 'perf', 'sweep', or 'tune'")
+                             "'all', 'list', 'perf', or 'sweep'")
     add_run_options(parser, "bench")
     parser.add_argument("--out", default=None,
                         help="also write the report to this file "

@@ -1286,7 +1286,8 @@ def openloop(scale: Scale = BENCH_SCALE) -> ExperimentResult:
 # rows cache, CSV, and render deterministically.
 
 def _sweep_score(rps: float, waf: float, p999_us: float) -> float:
-    """The tuner's default objective, higher = better.
+    """A grid point's ``score``, the sweep report's ranking, higher =
+    better.
 
     Throughput per unit of device wear, discounted by tail latency:
     ``rps / (waf^2 * (1 + p999_ms))``. WAF enters squared because
@@ -1388,8 +1389,8 @@ def cluster_sweep_point(params: dict, scale_name: str = "tiny") -> dict:
 def sweep_grids(scale_name: str = "tiny") -> dict:
     """The named design-space grids at one scale.
 
-    ``comprehensive`` mode runs all of them; the auto-tuner searches
-    one. Axis *order* matters: knife-edge adjacency follows it.
+    ``comprehensive`` mode runs all of them. Axis *order* matters:
+    knife-edge adjacency follows it.
     """
     import functools
 
@@ -1418,7 +1419,6 @@ def sweep_grids(scale_name: str = "tiny") -> dict:
             ("gc_stop_segments", "ru_pages", "waf"),
             ("value_size", "wal_policy", "rps"),
         ),
-        config_builder=single_sweep_config,
     )
     cluster_grid = GridSpec(
         name="cluster",
@@ -1447,7 +1447,6 @@ def sweep_grids(scale_name: str = "tiny") -> dict:
             ("shards", "pid_policy", "rps"),
             ("value_size", "ru_pages", "gc_copied"),
         ),
-        config_builder=cluster_sweep_config,
     )
     return {"single": single, "cluster": cluster_grid}
 

@@ -4,8 +4,8 @@ A *unit* is one picklable call ``fn(arg)`` that returns a picklable
 dict: a paper experiment (``arg`` is its name, the payload its report
 text and shape verdict) or a design-space grid point (``arg`` is its
 parameter dict, the payload its measurements). :func:`run_units` is
-the only place units execute — the experiment CLI, ``sweep``/
-``run_grid`` and the tuner all call it. It computes every unit,
+the only place units execute — the experiment CLI and ``sweep``/
+``run_grid`` call it. It computes every unit,
 serially or over the ``--jobs`` process pool, and returns one
 :class:`Outcome` per unit in input order, so output is identical
 whatever ``jobs`` is. Nothing is stored between runs: every report is
@@ -102,14 +102,11 @@ def run_experiment(name: str, scale) -> dict[str, Any]:
     }
 
 
-def add_run_options(parser, default_scale: str, *,
-                    jobs: bool = True) -> None:
+def add_run_options(parser, default_scale: str) -> None:
     """The options of every bench subcommand that runs units:
-    ``--scale`` and ``--jobs`` (unless the command runs one unit at a
-    time)."""
+    ``--scale`` and ``--jobs``."""
     parser.add_argument("--scale", default=default_scale, choices=SCALES,
                         help=f"scale preset (default: {default_scale})")
-    if jobs:
-        parser.add_argument("--jobs", type=int, default=1,
-                            help="run in N parallel processes (output "
-                                 "is identical whatever N)")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="run in N parallel processes (output "
+                             "is identical whatever N)")

@@ -46,9 +46,9 @@ def format_dict_rows(headers: Sequence[str],
                                   for r in rows])
 
 
-def format_top_tables(result, metric: str, n: int = 5,
-                      maximize: bool = True) -> str:
-    """Best-N and worst-N slices of a sweep, ranked by ``metric``.
+def format_top_tables(result, n: int = 5) -> str:
+    """Best-N and worst-N slices of a sweep, ranked by its ``score``
+    (higher is better).
 
     ``result`` is a :class:`repro.bench.sweep.SweepResult`. Only
     successful rows rank; the infeasible-corner count is reported in
@@ -56,14 +56,13 @@ def format_top_tables(result, metric: str, n: int = 5,
     cannot read as full coverage.
     """
     headers = result.headers()
-    best = result.top(metric, n=n, maximize=maximize)
-    worst = result.top(metric, n=n, maximize=not maximize)
+    best = result.top("score", n=n)
+    worst = result.top("score", n=n, maximize=False)
     ok = len(result.ok_rows())
     err = len(result.rows) - ok
-    out = [f"Top {len(best)} by {metric} "
-           f"({'max' if maximize else 'min'} first):",
+    out = [f"Top {len(best)} by score (max first):",
            format_dict_rows(headers, best), "",
-           f"Bottom {len(worst)} by {metric}:",
+           f"Bottom {len(worst)} by score:",
            format_dict_rows(headers, worst), "",
            f"({ok} feasible points, {err} infeasible)"]
     return "\n".join(out)

@@ -20,9 +20,9 @@ exploration subsystem (``python -m repro.bench sweep``):
 
 A sweep that mixes successful rows with ``on_error="skip"`` failure
 rows (infeasible corners record an ``error`` column and *no*
-measurement keys) stays fully renderable: ``format()``, ``column()``,
-``write_csv()`` and ``best()`` all union headers across rows and treat
-missing cells as blank.
+measurement keys) stays fully renderable: ``format()`` and
+``write_csv()`` union headers across rows and treat missing cells as
+blank, and ``top()`` ranks the successful rows alone.
 """
 
 from __future__ import annotations
@@ -66,11 +66,6 @@ class SweepResult:
                     headers.append(key)
         return headers
 
-    def column(self, name: str) -> list[Any]:
-        """One column across all rows; ``None`` where a row (e.g. an
-        error row) has no such cell."""
-        return [r.get(name) for r in self.rows]
-
     def ok_rows(self) -> list[dict[str, Any]]:
         """The successful rows (no ``error`` column)."""
         return [r for r in self.rows if "error" not in r]
@@ -82,19 +77,6 @@ class SweepResult:
             if name in row and row[name] not in seen:
                 seen.append(row[name])
         return seen
-
-    def best(self, metric: str, maximize: bool = True) -> dict[str, Any]:
-        # rows recorded by on_error="skip" carry an "error" column and
-        # no measurements; they can never be the best point
-        candidates = [r for r in self.rows
-                      if "error" not in r and metric in r]
-        if not candidates:
-            raise ValueError(
-                f"no successful rows with metric {metric!r} "
-                f"({len(self.rows)} rows total)"
-            )
-        pick = max if maximize else min
-        return pick(candidates, key=lambda r: r[metric])
 
     def top(self, metric: str, n: int = 5,
             maximize: bool = True) -> list[dict[str, Any]]:
@@ -206,18 +188,11 @@ class GridSpec:
     #: follows this order)
     axes: dict[str, Sequence[Any]]
     runner: Runner
-    #: metric the tuner and the top-N tables rank by, + direction
-    objective: str = "score"
-    maximize: bool = True
     #: cliff detectors evaluated over every axis
     edges: tuple[EdgeSpec, ...] = ()
     #: heatmap panels rendered into the report: (x axis, y axis, metric)
     panels: tuple[tuple[str, str, str], ...] = ()
     description: str = ""
-    #: rebuilds one point's config object — ``(scale, params) ->
-    #: SystemConfig | ClusterConfig`` — for the tuner's recommendation
-    #: export; None = the grid cannot emit a recommended config
-    config_builder: Callable[[Any, dict[str, Any]], Any] | None = None
 
     @property
     def size(self) -> int:

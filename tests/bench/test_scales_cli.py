@@ -64,7 +64,7 @@ def test_cli_unknown_experiment(capsys):
 @pytest.mark.parametrize("argv", [
     ["table1"],
     ["sweep", "--grid", "single"],
-    ["tune", "--workload", "single"],
+    ["tune"],
     ["perf"],
 ], ids=["experiment", "sweep", "tune", "perf"])
 def test_cli_unknown_scale_is_a_usage_error(argv, capsys):

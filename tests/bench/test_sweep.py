@@ -22,13 +22,14 @@ def fake_runner(params):
 def test_grid_cartesian_product():
     res = sweep({"a": [1, 2], "b": [0, 5]}, fake_runner)
     assert len(res.rows) == 4
-    assert res.column("score") == [10, 15, 20, 25]
+    assert [r["score"] for r in res.rows] == [10, 15, 20, 25]
 
 
 def test_best_row():
     res = sweep({"a": [1, 3, 2]}, fake_runner)
-    assert res.best("score")["a"] == 3
-    assert res.best("score", maximize=False)["a"] == 1
+    assert [r["a"] for r in res.top("score", n=1)] == [3]
+    assert [r["a"] for r in res.top("score", n=1, maximize=False)] == [1]
+    assert [r["a"] for r in res.top("score")] == [3, 2, 1]
 
 
 def test_error_skip_records_failure():
@@ -47,16 +48,17 @@ def test_error_raise_propagates():
 def test_best_skips_error_rows():
     res = sweep({"a": [1, 3], "explode": [False, True]}, fake_runner,
                 on_error="skip")
-    # errored rows (a=1/3 with explode=True) may not win even though
+    # errored rows (a=1/3 with explode=True) may not rank even though
     # max() over a mixed dict would have raised KeyError before
-    assert res.best("score")["a"] == 3
-    assert res.best("score")["explode"] is False
+    (best,) = res.top("score", n=1)
+    assert best["a"] == 3 and best["explode"] is False
+    assert all(r["explode"] is False for r in res.top("score", n=10))
 
 
 def test_best_all_rows_errored():
     res = sweep({"explode": [True, True]}, fake_runner, on_error="skip")
-    with pytest.raises(ValueError, match="no successful rows"):
-        res.best("score")
+    assert res.top("score") == []
+    assert res.ok_rows() == []
 
 
 def test_parallel_jobs_match_serial():
@@ -86,8 +88,7 @@ def test_format_and_empty():
     assert "score" in res.format()
     empty = SweepResult(param_names=[])
     assert empty.format() == "(empty sweep)"
-    with pytest.raises(ValueError):
-        empty.best("score")
+    assert empty.top("score") == []
 
 
 def test_write_csv(tmp_path):
@@ -140,12 +141,10 @@ def test_mixed_rows_headers_union():
 
 
 def test_mixed_rows_column_blanks():
-    # regression: column() indexed r[name] and raised KeyError on the
-    # first row missing the metric
+    # an error row carries no measurement and a success row no error
     res = mixed_result()
-    scores = res.column("score")
-    assert scores == [10, None, 20, None]
-    errors = res.column("error")
+    assert [r.get("score") for r in res.rows] == [10, None, 20, None]
+    errors = [r.get("error") for r in res.rows]
     assert errors[0] is None and "boom" in errors[1]
 
 
@@ -164,7 +163,7 @@ def test_mixed_rows_write_csv(tmp_path):
 
 def test_mixed_rows_best_and_top():
     res = mixed_result()
-    assert res.best("score")["a"] == 2
+    assert res.top("score", n=1)[0]["a"] == 2
     top = res.top("score", n=10)
     assert [r["a"] for r in top] == [2, 1]
     assert res.ok_rows() == [res.rows[0], res.rows[2]]

@@ -93,9 +93,9 @@ def test_main_routes_sweep_and_tune(tmp_path, capsys, monkeypatch):
     # `python -m repro.bench sweep ...` must reach _sweep_main
     assert main(["sweep", "--list"]) == 0
     assert "toy" in capsys.readouterr().out
-    # and `tune` reaches the tuner CLI (unknown workload -> exit 2,
-    # proving the subcommand routed rather than argparse-failed)
-    assert main(["tune", "--workload", "nope", "--scale", "test"]) == 2
+    # there is no `tune` subcommand: the name is an unknown experiment
+    assert main(["tune", "--scale", "test"]) == 2
+    assert "unknown experiment 'tune'" in capsys.readouterr().err
 
 
 def test_report_file_is_byte_equal_to_stdout(tmp_path, capsys):

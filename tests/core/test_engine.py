@@ -1,6 +1,6 @@
 """End-to-end system tests: build, run, snapshot, crash, recover."""
 
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
@@ -193,6 +193,41 @@ def test_config_validation():
         SystemConfig(fs="zfs")
 
 
+def _float_fields(obj):
+    """(dataclass, field name) for every float field of a config,
+    nested configs included."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _float_fields(value)
+        elif isinstance(value, float):
+            yield type(obj), f.name
+
+
+FLOAT_FIELDS = list(_float_fields(SystemConfig()))
+
+
+def test_every_float_field_is_listed():
+    assert [f"{cls.__name__}.{name}" for cls, name in FLOAT_FIELDS] == [
+        "NandTiming.page_read", "NandTiming.page_program",
+        "NandTiming.block_erase", "NandTiming.channel_transfer",
+        "FtlConfig.op_ratio", "ServerConfig.set_cpu",
+        "ServerConfig.get_cpu", "SystemConfig.wal_flush_interval",
+        "SystemConfig.snapshot_fraction",
+    ]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -1.0], ids=["nan", "neg"])
+@pytest.mark.parametrize("cls,name", FLOAT_FIELDS,
+                         ids=[f"{c.__name__}.{n}" for c, n in FLOAT_FIELDS])
+def test_a_bad_float_field_is_refused(cls, name, bad):
+    """NaN or -1 in any float field fails when the config is built,
+    naming the field, not when (or after) a system is built from it:
+    slimbench builds its configs from ``params.json``."""
+    with pytest.raises(ValueError, match=name):
+        cls(**{name: bad})
+
+
 def test_builder_overrides():
     system = build_slimio(config=SMALL, fdp=False, sqpoll=False)
     assert system.config.fdp is False
@@ -202,7 +237,7 @@ def test_builder_overrides():
 
 @pytest.mark.parametrize("interval", [float("nan"), 0.0, -1.0])
 def test_non_positive_wal_flush_interval_is_rejected(interval):
-    # a NaN interval (e.g. from a tuned JSON) once built a system whose
+    # a NaN interval (e.g. from a config file) once built a system whose
     # flusher scheduled its ticks at NaN instants
     with pytest.raises(ValueError, match="flush_interval"):
         build_slimio(config=replace(SMALL, wal_flush_interval=interval))

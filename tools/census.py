@@ -50,8 +50,6 @@ def entry_points(tree: Path, tmp: Path) -> list[tuple[str, list[str], dict]]:
             "--out-dir", str(tmp / "slimbench_traced")], {}),
         ("sweep", bench + ["sweep", "--grid", "single", "--scale", "tiny",
                            "--out-dir", str(tmp / "sweep")], {}),
-        ("tune", bench + ["tune", "--workload", "single", "--scale", "tiny",
-                          "--out", str(tmp / "tune.json")], {}),
         ("faults", ["-m", "repro.faults"], {}),
         ("faults_sanitized", ["-m", "repro.faults", "--ops", "24",
                               "--cuts", "16", "--sanitize"], {}),
