@@ -25,7 +25,7 @@ Durability/ordering contracts:
 
 from __future__ import annotations
 
-from collections.abc import Generator
+from collections.abc import Callable, Generator
 
 from repro.core.lba import LbaSpaceManager, SlotRole
 from repro.core.metadata import Metadata, MetadataStore
@@ -35,8 +35,13 @@ from repro.kernel.accounting import CpuAccount
 from repro.kernel.iouring import PassthruQueuePair
 from repro.nvme import ReadCmd, WriteCmd, split_pages
 from repro.obs.registry import MetricsRegistry
-from repro.persist.encoding import AofCodec
-from repro.persist.interfaces import AppendSink, SnapshotSink, SnapshotSource
+from repro.persist.encoding import AofReader
+from repro.persist.interfaces import (
+    READ_WINDOW_PAGES,
+    AppendSink,
+    SnapshotSink,
+    SnapshotSource,
+)
 from repro.persist.snapshot import SnapshotKind
 from repro.sim import Environment, Event, Resource
 
@@ -289,19 +294,25 @@ class WalPath(AppendSink):
                 yield from self.ring.wait(ev, account)
         self._wake_room()
 
-    def read_all(self, account: CpuAccount) -> Generator:
-        """Read every live generation (recovery; CRC-delimited tail).
+    def read_all(self, account: CpuAccount, reader: AofReader) -> Generator:
+        """Feed every live generation to ``reader`` (recovery;
+        CRC-delimited tail), one read window at a time.
 
         Reads from the oldest live generation through the metadata head
         hint, then keeps scanning forward — the head hint may lag the
         last durable flush. Adoption beyond the hint is *decode-driven*:
         a page joins the live head only while the CRC-validated record
-        stream extends into it. Any nonzero-but-invalid page past the
-        stream (a torn flush, or stale pages of a retired generation
-        whose TRIM a crash interrupted) is left outside the head rather
-        than adopted — adopting it would park the append cursor after
-        garbage and strand every post-recovery record behind an
-        undecodable gap on the *next* recovery.
+        stream extends into it, and only adopted pages are fed. Any
+        nonzero-but-invalid page past the stream (a torn flush, or
+        stale pages of a retired generation whose TRIM a crash
+        interrupted) is left outside the head rather than adopted —
+        adopting it would park the append cursor after garbage and
+        strand every post-recovery record behind an undecodable gap on
+        the *next* recovery.
+
+        The previous generation is all-or-nothing, so it is the one
+        part held whole: it is fed only once it decodes to its recorded
+        length.
 
         Also restores the append cursor (tail page staging) to the true
         durable tail, so post-recovery appends continue the record
@@ -311,15 +322,15 @@ class WalPath(AppendSink):
         yield from self.flush(account)  # no-op post-crash; convenience live
         wal = self.space.wal
         page = self.ring.device.lba_size
-        blob = bytearray()
-        # previous generation first, trimmed to its logical length so the
-        # page padding at its tail doesn't break the record stream
+        gen_off = 0  # stream offset where the current gen starts
         if wal.prev_start is not None:
-            yield from self._read_range(
-                wal.prev_start, wal.gen_start, blob, account
-            )
-            del blob[self._prev_gen_bytes:]
-            if AofCodec.walk(blob)[0] != len(blob):
+            prev = bytearray()
+            yield from self._read_range(wal.prev_start, wal.gen_start,
+                                        account, prev.extend)
+            # trimmed to its logical length so the page padding at its
+            # tail doesn't break the record stream
+            del prev[self._prev_gen_bytes:]
+            if AofReader().reach(prev) != len(prev):
                 # The prev region does not decode to its recorded length:
                 # retire_previous TRIMmed it (fully or partially) before a
                 # later metadata write could clear wal_prev_start. A TRIM
@@ -327,47 +338,56 @@ class WalPath(AppendSink):
                 # so these records are safe to drop — replaying a damaged
                 # fragment would instead poison the scan and discard the
                 # *current* generation's acked records after it.
-                blob.clear()
                 wal.prev_start = None
                 self._prev_gen_bytes = 0
-        gen_off = len(blob)  # byte offset where the current gen starts
+            else:
+                reader.feed(prev)
+                gen_off = len(prev)
+            del prev
+        fed = gen_off
+        # the window the valid stream last advanced in, and its offset
+        end_window, end_at = b"", 0
+
+        def feed(window: bytes) -> None:
+            nonlocal fed, end_window, end_at
+            before = reader.consumed
+            reader.feed(window)
+            if reader.consumed != before:
+                end_window, end_at = window, fed
+            fed += len(window)
+
         # current generation through the metadata head hint
-        yield from self._read_range(wal.gen_start, wal.head, blob, account)
-        consumed, _ = AofCodec.walk(blob)
+        yield from self._read_range(wal.gen_start, wal.head, account, feed)
         # scan beyond the hint (bounded by region capacity)
         vpn = wal.head
         oldest = wal.prev_start if wal.prev_start is not None else wal.gen_start
         limit = oldest + wal.wal_pages
         while vpn < limit:
             n = min(16, limit - vpn)
-            base = len(blob)
-            yield from self._read_range(vpn, vpn + n, blob, account)
-            if blob.count(0, base) == len(blob) - base:
-                del blob[base:]  # blank pages: the log ends here
-                break
-            new_consumed, _ = AofCodec.walk(blob, consumed)
-            if new_consumed <= base:
-                # no valid record reaches into this chunk: stale/torn
-                del blob[base:]
-                break
-            consumed = new_consumed
-            adopted = -(-(consumed - base) // page)  # pages the stream reaches
-            if adopted < n:
-                del blob[base + adopted * page:]
-                vpn += adopted
-                wal.head = vpn
-                break
-            vpn += n
+            chunk = bytearray()
+            yield from self._read_range(vpn, vpn + n, account, chunk.extend)
+            if chunk.count(0) == len(chunk):
+                break  # blank pages: the log ends here
+            reach = reader.reach(chunk)
+            if reach <= fed:
+                break  # no valid record reaches into this chunk: stale/torn
+            adopted = -(-(reach - fed) // page)  # pages the stream reaches
+            feed(bytes(chunk[:adopted * page]))
+            vpn += adopted
             wal.head = vpn  # adopt validated pages into the live head
-        self._restore_cursor(blob, consumed, gen_off, page)
-        return blob
+            if adopted < n:
+                break
+        self._restore_cursor(reader.consumed, gen_off, page,
+                             end_window, end_at)
 
-    def _restore_cursor(self, blob: bytearray, consumed: int, gen_off: int,
-                        page: int) -> None:
+    def _restore_cursor(self, consumed: int, gen_off: int, page: int,
+                        end_window: bytes, end_at: int) -> None:
         """Re-stage the partial tail page of the recovered stream.
 
-        ``consumed`` is the end of the valid record stream within
-        ``blob``; everything after it in the same page is a torn
+        ``consumed`` is the stream offset where the valid records end,
+        and ``end_window`` the read window (at stream offset ``end_at``,
+        whole pages of the current generation) that holds their last
+        byte; everything after ``consumed`` in the same page is a torn
         fragment or padding that the next flush must overwrite in place
         — otherwise the record stream acquires an interior zero gap and
         every record appended after recovery is silently unreachable by
@@ -387,7 +407,8 @@ class WalPath(AppendSink):
         wal.head = wal.gen_start + full + (1 if rem else 0)
         self._gen_bytes = rel
         if rem:
-            self._tail = bytes(blob[gen_off + full * page: gen_off + rel])
+            at = gen_off + full * page - end_at
+            self._tail = bytes(end_window[at:at + rem])
             self._tail_vpn = wal.gen_start + full
         else:
             self._tail = b""
@@ -413,19 +434,20 @@ class WalPath(AppendSink):
                 ev = yield from self.ring.deallocate(lba, n, account)
                 yield from self.ring.wait(ev, account)
 
-    def _read_range(self, vpn_start: int, vpn_end: int, out: bytearray,
-                    account: CpuAccount) -> Generator:
-        """Append WAL pages ``[vpn_start, vpn_end)`` to ``out``, one
-        read (and one copy) per contiguous page run."""
+    def _read_range(self, vpn_start: int, vpn_end: int, account: CpuAccount,
+                    take: Callable[[bytes], None]) -> Generator:
+        """Read WAL pages ``[vpn_start, vpn_end)``, one read per
+        contiguous run of at most :data:`READ_WINDOW_PAGES`, handing
+        each run to ``take`` as one window (the join of its pages)."""
         wal = self.space.wal
         vpn = vpn_start
         while vpn < vpn_end:
-            for lba, n in wal.contiguous_run(vpn, min(vpn_end - vpn, 64)):
+            for lba, n in wal.contiguous_run(
+                    vpn, min(vpn_end - vpn, READ_WINDOW_PAGES)):
                 pages = yield from self.ring.submit_and_wait(
                     ReadCmd(lba=lba, nlb=n), account
                 )
-                for data in pages:
-                    out += data
+                take(b"".join(pages))
                 vpn += n
 
 

@@ -123,14 +123,15 @@ def full_sync(
         acct = CpuAccount(env, "repl-sender")
         source = master.snapshot_source(SnapshotKind.ON_DEMAND)
         total = source.size
-        blob = bytearray()
+        reader = RdbReader()
+        entries = []
         offset = 0
         t_wire = 0.0
         yield env.timeout(link.rtt)  # PSYNC handshake
         while offset < total:
             n = min(link.mtu_payload, total - offset)
             piece = yield from source.read(offset, n, acct)
-            blob.extend(piece)
+            entries.extend(reader.feed(piece))
             wire = link.transfer_time(n)
             t_wire += wire
             yield env.timeout(wire)
@@ -138,8 +139,8 @@ def full_sync(
         report.snapshot_bytes = total
         report.transfer_time = t_wire
 
-        # 3) replica loads the image
-        entries = RdbReader().read_all(blob)
+        # 3) replica loads the image (decoded as it arrived)
+        reader.finish()
         if key_filter is not None:
             entries = [(k, v) for k, v in entries if key_filter(k)]
         report.snapshot_entries = len(entries)

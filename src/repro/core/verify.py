@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 from repro.core.lba import LbaLayout, SlotRole
 from repro.core.metadata import Metadata, MetadataCodec
 from repro.nvme import NvmeDevice
-from repro.persist.encoding import AofCodec, CorruptRecord, RdbReader
+from repro.persist.encoding import AofReader, CorruptRecord, RdbReader
+from repro.persist.interfaces import READ_WINDOW_PAGES
 
 __all__ = ["VerifyReport", "verify_lba_space"]
 
@@ -50,7 +51,7 @@ class VerifyReport:
 
 
 def _read(device: NvmeDevice, lba: int, n: int) -> bytes:
-    """Zero-time raw read (offline inspection)."""
+    """Zero-time raw read of ``n`` stored pages (offline inspection)."""
     # the verifier is the offline fsck: raw access is its whole job
     return device.peek(lba, n)  # slimlint: ignore[SLIM001]
 
@@ -106,13 +107,13 @@ def verify_lba_space(
         # records (and possibly a garbage metadata page) while both
         # A/B copies are invalid. Recovery replays the WAL from vpn 0
         # by forward scan; mirror that instead of flagging it.
-        blob = bytearray()
+        wal = AofReader()
         for vpn in range(lay.wal_lbas):
             page = _read(device, lay.wal_base + vpn, 1)
             if not any(page):
                 break
-            blob.extend(page)
-        report.wal_records = AofCodec.walk(blob)[1]
+            wal.feed(page)
+        report.wal_records = wal.count
         return report
     report.metadata = best
 
@@ -123,15 +124,19 @@ def verify_lba_space(
         if role not in (SlotRole.WAL_SNAPSHOT, SlotRole.ONDEMAND_SNAPSHOT):
             continue
         length = best.slot_lengths[idx]
-        npages = -(-length // device.lba_size) if length else 0
-        blob = memoryview(_read(device, lay.slot_base(idx),
-                                max(npages, 1)))[:length]
+        base = lay.slot_base(idx)
+        npages = -(-length // device.lba_size)
+        reader = RdbReader()
+        for first in range(0, npages, READ_WINDOW_PAGES):
+            run = min(READ_WINDOW_PAGES, npages - first)
+            window = _read(device, base + first, run)
+            reader.feed(window[:length - first * device.lba_size])
         try:
-            entries = RdbReader().read_all(blob)
+            reader.finish()
         except CorruptRecord as exc:
             report.problem(f"slot {idx} ({role.name}) snapshot corrupt: {exc}")
             continue
-        report.snapshot_entries[role.name] = len(entries)
+        report.snapshot_entries[role.name] = reader.entries
 
     # WAL chain decodes from the oldest live generation
     wal_pages = lay.wal_lbas
@@ -140,19 +145,26 @@ def verify_lba_space(
         else best.wal_gen_start
     )
 
-    blob = bytearray()
+    wal = AofReader()
 
-    def read_vpns(start: int, end: int) -> None:
-        """Append WAL pages ``[start, end)`` to ``blob``: a one-page
-        peek hands back the stored page, so each byte is copied once."""
-        for vpn in range(start, end):
-            blob.extend(_read(device, lay.wal_base + vpn % wal_pages, 1))
+    def read_vpns(start: int, end: int, nbytes: int | None = None) -> None:
+        """Feed WAL pages ``[start, end)`` to ``wal``, the first
+        ``nbytes`` of them when given, one page run at a time."""
+        vpn = start
+        while vpn < end:
+            lba = vpn % wal_pages
+            run = min(end - vpn, wal_pages - lba, READ_WINDOW_PAGES)
+            window = _read(device, lay.wal_base + lba, run)
+            if nbytes is not None:
+                window = window[:max(nbytes, 0)]
+                nbytes -= len(window)
+            wal.feed(window)
+            vpn += run
 
     if best.wal_prev_start is not None:
-        read_vpns(best.wal_prev_start, best.wal_gen_start)
-        del blob[best.wal_prev_bytes:]
-        decoded_len, _ = AofCodec.walk(blob)
-        if decoded_len != best.wal_prev_bytes:
+        read_vpns(best.wal_prev_start, best.wal_gen_start,
+                  best.wal_prev_bytes)
+        if wal.consumed != best.wal_prev_bytes:
             report.problem(
                 "previous WAL generation does not end on a record boundary"
             )
@@ -164,7 +176,7 @@ def verify_lba_space(
         page = _read(device, lay.wal_base + vpn % wal_pages, 1)
         if not any(page):
             break
-        blob.extend(page)
+        wal.feed(page)
         vpn += 1
-    report.wal_records = AofCodec.walk(blob)[1]
+    report.wal_records = wal.count
     return report

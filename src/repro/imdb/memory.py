@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from collections.abc import Generator
 
-import numpy as np
-
 from repro.kernel.accounting import CpuAccount
 from repro.sim import Environment
 
@@ -52,7 +50,8 @@ class CowMemory:
     def __init__(self, env: Environment, page_size: int = 4096):
         self.env = env
         self.page_size = page_size
-        self._shared = np.zeros(0, dtype=bool)
+        #: one byte per heap page, 1 while the page is shared
+        self._shared = bytearray()
         self._snapshot_active = False
         self._armed_pages = 0
         self.copied_pages = 0
@@ -78,9 +77,9 @@ class CowMemory:
         self._snapshot_active = True
         self._armed_pages = heap_pages
         if len(self._shared) < heap_pages:
-            self._shared = np.zeros(max(heap_pages, 1), dtype=bool)
-        self._shared[:heap_pages] = True
-        self._shared[heap_pages:] = False
+            self._shared = bytearray(max(heap_pages, 1))
+        self._shared[:heap_pages] = b"\x01" * heap_pages
+        self._shared[heap_pages:] = bytes(len(self._shared) - heap_pages)
 
     def pt_copy_stall(self, account: CpuAccount) -> Generator:
         """The synchronous page-table copy cost of the armed fork."""
@@ -98,11 +97,10 @@ class CowMemory:
         end = min(first_page + n_pages, len(self._shared))
         if first_page >= end:
             return 0  # pages allocated after the fork are never shared
-        window = self._shared[first_page:end]
-        to_copy = int(window.sum())
+        to_copy = self._shared.count(1, first_page, end)
         if to_copy == 0:
             return 0
-        window[:] = False
+        self._shared[first_page:end] = bytes(end - first_page)
         self.cow_faults += 1
         self.copied_pages += to_copy
         _cpu_ev = account.charge(
@@ -119,5 +117,5 @@ class CowMemory:
         if not self._snapshot_active:
             raise RuntimeError("no active snapshot fork")
         self._snapshot_active = False
-        self._shared[:] = False
+        self._shared = bytearray(len(self._shared))
         self.extra_bytes = 0.0

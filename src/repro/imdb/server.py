@@ -317,7 +317,8 @@ class Server:
                     AofRecord(op=OP_SET, key=op.key, value=op.value)
                 )
             first, n = self.store.set(op.key, op.value)
-            yield from self.cow.touch(first, n, acct)
+            if self.cow.snapshot_active:
+                yield from self.cow.touch(first, n, acct)
             return None, wal_seq
         # DEL
         _cpu_ev = acct.charge("query_cpu", DEL_CPU)
@@ -327,7 +328,7 @@ class Server:
             wal_seq = self.wal.stage(AofRecord(op=OP_DEL, key=op.key))
         pages = self.store.pages_of(op.key)
         existed = self.store.delete(op.key)
-        if existed and pages is not None:
+        if existed and pages is not None and self.cow.snapshot_active:
             yield from self.cow.touch(pages[0], pages[1], acct)
         return existed, wal_seq
 

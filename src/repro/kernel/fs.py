@@ -374,6 +374,20 @@ class PosixFile:
         account: CpuAccount,
         readahead: int | None = None,
     ) -> Generator:
+        pages = yield from self.read_pages(offset, length, account,
+                                           readahead=readahead)
+        return b"".join(pages)
+
+    def read_pages(
+        self,
+        offset: int,
+        length: int,
+        account: CpuAccount,
+        readahead: int | None = None,
+    ) -> Generator:
+        """One ``read()``, charged as :meth:`read` is, that returns the
+        cached pages it spans (see :meth:`PageCache.read_pages`)
+        instead of joining them."""
         fs = self.fs
         _cpu_ev = account.charge("syscall", SYSCALL_OVERHEAD)
         if _cpu_ev is not None:
@@ -383,12 +397,12 @@ class PosixFile:
             yield _cpu_ev
         length = max(0, min(length, self.inode.size - offset))
         if length == 0:
-            return b""
-        data = yield from fs.cache.read(
+            return []
+        pages = yield from fs.cache.read_pages(
             self.inode.file_id, offset, length, account, readahead=readahead
         )
         fs._obs_read_calls.inc()
-        return data
+        return pages
 
     def fsync(self, account: CpuAccount) -> Generator:
         fs = self.fs

@@ -29,27 +29,32 @@ from repro.nvme import PageMap, ReadCmd, WriteCmd
 from repro.obs.registry import MetricsRegistry
 from repro.sim import Environment, Event
 
-__all__ = ["PageCache", "join_pages"]
+__all__ = ["PageCache", "join_pages", "trim_pages"]
 
 # resolver(page_idx) -> lba of that file page (must exist once dirty)
 Resolver = Callable[[int], int]
+
+
+def trim_pages(pages: list, head: int, end: int) -> list:
+    """``pages`` from byte ``head`` of the first page to byte ``end`` of
+    the last: whole pages stay as they are, and only a partial first or
+    last page is replaced by a ``memoryview`` slice of it (in
+    ``pages``, a list the caller builds for the call)."""
+    if end < len(pages[-1]):
+        pages[-1] = memoryview(pages[-1])[:end]
+    if head:
+        pages[0] = memoryview(pages[0])[head:]
+    return pages
 
 
 def join_pages(pages: list, head: int, end: int) -> bytes:
     """``pages`` joined into one ``bytes``, from byte ``head`` of the
     first page to byte ``end`` of the last.
 
-    Each byte is copied once, by the join: whole pages go in as they
-    are, and only a partial first or last page goes in as a
-    ``memoryview`` slice (put in place of that page in ``pages``, a
-    list the caller builds for the call). The result never aliases a
-    mutable page.
+    Each byte is copied once, by the join of :func:`trim_pages`. The
+    result never aliases a mutable page.
     """
-    if end < len(pages[-1]):
-        pages[-1] = memoryview(pages[-1])[:end]
-    if head:
-        pages[0] = memoryview(pages[0])[head:]
-    return b"".join(pages)
+    return b"".join(trim_pages(pages, head, end))
 
 
 class PageCache:
@@ -243,7 +248,7 @@ class PageCache:
                         self.env.now, nbytes=len(data))
 
     # ------------------------------------------------------------------ read
-    def read(
+    def read_pages(
         self,
         file_id: int,
         offset: int,
@@ -251,7 +256,14 @@ class PageCache:
         account: CpuAccount,
         readahead: int | None = None,
     ) -> Generator:
-        """Read through the cache; misses fetch with readahead."""
+        """Read through the cache; misses fetch with readahead.
+
+        Returns the cached page objects the extent spans
+        (:func:`trim_pages`), charged for the copy to user space that
+        ``read()`` makes; joining them is that copy. A page is a cached
+        ``bytes`` or a ``bytearray`` the cache writes in place, so the
+        caller must be done with the list before the cache is written
+        again."""
         self._pages.check()
         resolver = self._resolvers.get(file_id)
         if resolver is None:
@@ -305,9 +317,9 @@ class PageCache:
         if _cpu_ev is not None:
             yield _cpu_ev
         if not length:
-            return b""
+            return []
         pages = self._pages
-        return join_pages(
+        return trim_pages(
             [pages[(file_id, idx)] for idx in range(first, last + 1)],
             offset - first * ps, offset + length - last * ps,
         )

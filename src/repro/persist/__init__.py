@@ -20,6 +20,7 @@ old WAL is retired only after a successful WAL-Snapshot.
 from repro.persist.compress import Compressor
 from repro.persist.encoding import (
     AofCodec,
+    AofReader,
     AofRecord,
     AofScanResult,
     CorruptionError,
@@ -37,6 +38,7 @@ from repro.persist.recovery import RecoveryResult, recover_store
 __all__ = [
     "Compressor",
     "AofCodec",
+    "AofReader",
     "AofRecord",
     "AofScanResult",
     "CorruptRecord",

@@ -62,7 +62,7 @@ class _Memo(BoundedMemo):
     raw chunk. ``by_blob`` maps each stored blob back to ``(raw_len,
     batch)``: inflating is a function of the blob alone, so a chunk
     whose blob is byte-equal to one held here decodes to that batch
-    (:meth:`RdbReader.read_all <repro.persist.encoding.RdbReader.read_all>`).
+    (:meth:`RdbReader.feed <repro.persist.encoding.RdbReader.feed>`).
     Held weakly by :data:`_MEMOS` and strongly by every
     :class:`Compressor`, so what it holds is freed when the last codec
     is.
@@ -103,8 +103,8 @@ class Compressor:
     codecs share one :attr:`chunk_memo` for as long as any of them is
     alive, and :meth:`RdbWriter.chunk
     <repro.persist.encoding.RdbWriter.chunk>` deflates a batch once,
-    however many systems snapshot it, and :meth:`RdbReader.read_all
-    <repro.persist.encoding.RdbReader.read_all>` inflates only blobs it
+    however many systems snapshot it, and :meth:`RdbReader.feed
+    <repro.persist.encoding.RdbReader.feed>` inflates only blobs it
     does not hold. Only the data plane is shared; what a call costs on
     the simulated clock is charged by the caller from
     :func:`compress_time` / :func:`decompress_time`.

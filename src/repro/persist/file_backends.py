@@ -13,7 +13,13 @@ from collections.abc import Generator
 
 from repro.kernel.accounting import CpuAccount
 from repro.kernel.fs import Filesystem, PosixFile
-from repro.persist.interfaces import AppendSink, SnapshotSink, SnapshotSource
+from repro.persist.encoding import AofReader
+from repro.persist.interfaces import (
+    READ_WINDOW_PAGES,
+    AppendSink,
+    SnapshotSink,
+    SnapshotSource,
+)
 
 __all__ = ["FileAppendSink", "FileSnapshotSink", "FileSnapshotSource"]
 
@@ -46,7 +52,7 @@ class FileAppendSink(AppendSink):
 
         More than one previous generation only accumulates after failed
         WAL-snapshots (their retire never came) — replay still works
-        because ``read_all`` concatenates oldest-first.
+        because ``read_all`` feeds them oldest-first.
         """
         self._prev_files.append(self._file)
         self._generation += 1
@@ -61,15 +67,15 @@ class FileAppendSink(AppendSink):
             self._prev_files.clear()
             yield from self.fs._commit(account)
 
-    def read_all(self, account: CpuAccount) -> Generator:
-        parts = []
-        for f in self._prev_files:
-            data = yield from f.read(0, f.size, account)
-            parts.append(data)
-        data = yield from self._file.read(0, self._file.size, account)
-        parts.append(data)
-        # one generation (the usual case) comes back as read, uncopied
-        return b"".join(parts)
+    def read_all(self, account: CpuAccount, reader: AofReader) -> Generator:
+        """One ``read()`` per generation file, oldest first. The read
+        hands back the cached pages, and the reader is fed them
+        :data:`READ_WINDOW_PAGES` at a time, so no copy of a whole file
+        is made."""
+        for f in (*self._prev_files, self._file):
+            pages = yield from f.read_pages(0, f.size, account)
+            for i in range(0, len(pages), READ_WINDOW_PAGES):
+                reader.feed(b"".join(pages[i:i + READ_WINDOW_PAGES]))
 
 
 #: Redis's rio buffer: one ``write()`` syscall per this many snapshot bytes

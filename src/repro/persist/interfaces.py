@@ -13,8 +13,13 @@ from abc import ABC, abstractmethod
 from collections.abc import Generator
 
 from repro.kernel.accounting import CpuAccount
+from repro.persist.encoding import AofReader
 
-__all__ = ["AppendSink", "SnapshotSink", "SnapshotSource"]
+__all__ = ["AppendSink", "SnapshotSink", "SnapshotSource", "READ_WINDOW_PAGES"]
+
+#: pages a reader is fed at a time when a log or slot is read back: the
+#: read window recovery and fsck hold of a file, whatever its size
+READ_WINDOW_PAGES = 64
 
 
 class AppendSink(ABC):
@@ -63,8 +68,10 @@ class AppendSink(ABC):
         return False
 
     @abstractmethod
-    def read_all(self, account: CpuAccount) -> Generator:
-        """Read every live generation, oldest first (recovery replay)."""
+    def read_all(self, account: CpuAccount, reader: AofReader) -> Generator:
+        """Feed every live generation, oldest first, to a fresh
+        ``reader`` (recovery replay), at most :data:`READ_WINDOW_PAGES`
+        pages at a time."""
 
 
 class SnapshotSink(ABC):

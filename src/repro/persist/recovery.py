@@ -3,7 +3,11 @@
 The procedure is Redis's: read the metadata (done by the caller's
 engine, which hands us a :class:`SnapshotSource` and an
 :class:`AppendSink`), stream the snapshot into memory, rebuild the
-keyspace, then replay any WAL records logged after the snapshot.
+keyspace, then replay any WAL records logged after the snapshot. Both
+files stream through the incremental decoders of
+:mod:`repro.persist.encoding`: the snapshot one read at a time, the WAL
+one window at a time as the sink reads it, so what recovery holds
+besides the keyspace is one read, not either whole file.
 
 The streaming read is where baseline and SlimIO diverge: the baseline
 pays a syscall per ``read()`` through the page cache, SlimIO reads
@@ -18,7 +22,7 @@ from collections.abc import Generator
 from repro.kernel.accounting import CpuAccount
 from repro.obs.registry import MetricsRegistry
 from repro.persist.compress import decompress_time
-from repro.persist.encoding import AofCodec, RdbReader
+from repro.persist.encoding import AofReader, RdbReader
 from repro.persist.interfaces import AppendSink, SnapshotSource
 from repro.sim import Environment
 
@@ -86,47 +90,45 @@ def recover_store(
 
     if source is not None and source.size > 0:
         with obs.span("snapshot_load", "recovery"):
-            blob = bytearray()
+            reader = RdbReader()
             offset = 0
             total = source.size
             while offset < total:
                 n = min(READ_CHUNK_BYTES, total - offset)
                 piece = yield from source.read(offset, n, account)
-                blob.extend(piece)
+                result.data.update(reader.feed(piece))
                 offset += n
                 obs.event("recovery_progress", phase="snapshot",
                           read=offset, total=total)
-            entries = RdbReader().read_all(blob)
-            del blob, piece  # decoded: the replay need not hold it
-            raw_bytes = sum(len(k) + len(v) for k, v in entries)
+            del piece  # decoded: the replay need not hold it
+            reader.finish()
             _cpu_ev = account.charge(
                 "decompress",
-                decompress_time(raw_bytes, max(1, len(entries) // 64)),
+                decompress_time(reader.raw_bytes,
+                                max(1, reader.entries // 64)),
             )
             if _cpu_ev is not None:
                 yield _cpu_ev
             _cpu_ev = account.charge(
-                "rebuild", len(entries) * REBUILD_PER_ENTRY
+                "rebuild", reader.entries * REBUILD_PER_ENTRY
             )
             if _cpu_ev is not None:
                 yield _cpu_ev
-            for k, v in entries:
-                result.data[k] = v
-            result.snapshot_entries = len(entries)
+            result.snapshot_entries = reader.entries
             result.snapshot_bytes = total
         obs.counter("recovery_snapshot_bytes_total").inc(total)
-        obs.counter("recovery_snapshot_entries_total").inc(len(entries))
+        obs.counter("recovery_snapshot_entries_total").inc(reader.entries)
 
     if wal_sink is not None:
         with obs.span("recovery_replay", "recovery"):
-            raw = yield from wal_sink.read_all(account)
-            scan = AofCodec.scan(raw, strict=strict_wal)
+            wal = AofReader(result.data)
+            yield from wal_sink.read_all(account, wal)
+            scan = wal.finish(strict=strict_wal)
             _cpu_ev = account.charge(
                 "rebuild", scan.count * REBUILD_PER_ENTRY
             )
             if _cpu_ev is not None:
                 yield _cpu_ev
-            AofCodec.replay(raw, result.data, 0, scan.consumed)
             result.wal_records_applied = scan.count
             result.wal_truncated_at = scan.truncated_at
             result.wal_tail = scan.tail_kind

@@ -379,9 +379,3 @@ class WalManager:
         finally:
             self._sink_lock.release(req)
         self._obs_retirements.inc()
-
-    # ------------------------------------------------------------------ recovery
-    def read_records(self, account: CpuAccount) -> Generator:
-        """Read and decode all live generations (replay)."""
-        raw = yield from self.sink.read_all(account)
-        return list(AofCodec.decode_stream(raw))

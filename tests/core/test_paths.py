@@ -17,6 +17,8 @@ from repro.persist import (
 )
 from repro.sim import Environment
 
+from tests.persist.records import read_records
+
 FAST = NandTiming(page_read=1e-6, page_program=2e-6, block_erase=10e-6,
                   channel_transfer=0.0)
 CFG = FtlConfig(op_ratio=0.2, gc_trigger_segments=3, gc_stop_segments=4,
@@ -55,11 +57,11 @@ def test_wal_append_flush_readback(world):
         for r in recs:
             yield from wal.append(AofCodec.encode(r), acct)
         yield from wal.flush(acct)
-        data = yield from wal.read_all(acct)
+        data = yield from read_records(wal, acct)
         return data
 
     data = drive(env, proc())
-    assert list(AofCodec.decode_stream(data)) == recs
+    assert data == recs
     assert wal.size == sum(len(AofCodec.encode(r)) for r in recs)
 
 
@@ -74,11 +76,11 @@ def test_wal_tail_page_rewritten_across_flushes(world):
         yield from wal.flush(acct)
         yield from wal.append(AofCodec.encode(r2), acct)
         yield from wal.flush(acct)
-        data = yield from wal.read_all(acct)
+        data = yield from read_records(wal, acct)
         return data
 
     data = drive(env, proc())
-    assert list(AofCodec.decode_stream(data)) == [r1, r2]
+    assert data == [r1, r2]
     # both records share the first WAL page
     assert space.wal.head == 1
 
@@ -101,11 +103,44 @@ def test_wal_records_durable_without_metadata_update(world):
     space.wal.head = 1  # pretend metadata only saw the first page
 
     def read():
-        data = yield from wal2.read_all(acct)
+        data = yield from read_records(wal2, acct)
         return data
 
     data = drive(env, read())
-    assert list(AofCodec.decode_stream(data)) == recs
+    assert data == recs
+
+
+def test_head_hint_past_the_log_restores_the_tail_page(world):
+    """The valid records end in one read run and the head hint reaches
+    a later run of blank pages: the cursor is restored from the page
+    that holds the last record's end, so a record appended after
+    recovery continues the stream and the next recovery replays all."""
+    env, dev, ring, space, meta, acct = world
+    wal = make_wal(env, ring, space, meta, acct)
+    recs = [AofRecord(op=OP_SET, key=b"k%03d" % i, value=b"v" * 3000)
+            for i in range(80)]  # ~60 pages: inside the first read run
+
+    def write():
+        for r in recs:
+            yield from wal.append(AofCodec.encode(r), acct)
+        yield from wal.flush(acct)
+
+    drive(env, write())
+    pages = -(-wal.size // dev.lba_size)
+    assert wal.size % dev.lba_size and pages < 64
+    # power cut; the hint reaches into a second read run of blank pages
+    wal2 = make_wal(env, ring, space, meta, acct)
+    space.wal.head = space.wal.gen_start + 70
+    assert drive(env, read_records(wal2, acct)) == recs
+    late = AofRecord(op=OP_SET, key=b"late", value=b"x" * 100)
+
+    def append_late():
+        yield from wal2.append(AofCodec.encode(late), acct)
+        yield from wal2.flush(acct)
+
+    drive(env, append_late())
+    wal3 = make_wal(env, ring, space, meta, acct)
+    assert drive(env, read_records(wal3, acct)) == recs + [late]
 
 
 def test_wal_generation_switch_and_retire(world):
@@ -123,14 +158,13 @@ def test_wal_generation_switch_and_retire(world):
             AofCodec.encode(AofRecord(op=OP_SET, key=b"new", value=b"y")), acct)
         yield from wal.flush(acct)
         # both generations replay before retirement
-        data = yield from wal.read_all(acct)
-        assert [r.key for r in AofCodec.decode_stream(data)] == [b"old", b"new"]
+        data = yield from read_records(wal, acct)
+        assert [r.key for r in data] == [b"old", b"new"]
         yield from wal.retire_previous(acct)
-        data = yield from wal.read_all(acct)
+        data = yield from read_records(wal, acct)
         return data
 
-    data = drive(env, proc())
-    recs = list(AofCodec.decode_stream(data))
+    recs = drive(env, proc())
     assert [r.key for r in recs] == [b"new"]
     assert wal.size > 0
     # old generation pages were TRIMmed (white-box FTL assertion)

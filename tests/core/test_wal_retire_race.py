@@ -15,9 +15,11 @@ from repro.core.paths import WalPath
 from repro.flash import FlashGeometry, FtlConfig, NandTiming
 from repro.kernel import BlockLayer, CpuAccount, Ext4, PageCache, PassthruQueuePair
 from repro.nvme import NvmeDevice
-from repro.persist import AofCodec, AofRecord, LoggingPolicy, OP_SET, WalManager
+from repro.persist import AofRecord, LoggingPolicy, OP_SET, WalManager
 from repro.persist.file_backends import FileAppendSink
 from repro.sim import Environment
+
+from tests.persist.records import read_records
 
 FAST = NandTiming(page_read=1e-6, page_program=2e-6, block_erase=10e-6,
                   channel_transfer=0.0)
@@ -45,7 +47,7 @@ def _walpath(env, acct):
         space2.wal.prev_start = meta.wal_prev_start
         wal2 = WalPath(env, ring, space2, meta_store, acct)
         wal2._prev_gen_bytes = meta.wal_prev_bytes
-        return (yield from wal2.read_all(acct))
+        return (yield from read_records(wal2, acct))
 
     return sink, after_power_cut
 
@@ -59,7 +61,7 @@ def _file(env, acct):
 
     def after_power_cut():
         fs.cache.crash()
-        return (yield from sink.read_all(acct))
+        return (yield from read_records(sink, acct))
 
     return sink, after_power_cut
 
@@ -107,7 +109,7 @@ def test_fork_while_retire_waits_keeps_the_new_generation(make_sink):
         return (yield from after_power_cut())
 
     p = env.process(run())
-    data = env.run(until=p)
+    records = env.run(until=p)
     wal.close()
-    recovered = {r.key for r in AofCodec.decode_stream(data)}
+    recovered = {r.key for r in records}
     assert {r.key for r in new + late} <= recovered

@@ -15,6 +15,8 @@ from repro.persist import AofCodec, AofRecord, LoggingPolicy, OP_SET, WalManager
 
 from tests.core.test_paths import drive, world  # noqa: F401  (fixture)
 
+from tests.persist.records import read_records
+
 
 def _records(prefix: bytes, nbytes: int) -> list[AofRecord]:
     value = b"v" * 1000
@@ -64,8 +66,7 @@ def test_flush_waits_for_the_covering_snapshot_then_retires(world):
     assert space.wal.prev_start is None  # retired by the waiting flush
     assert space.wal.live_pages() <= space.wal.wal_pages
 
-    data = drive(env, wal.read_all(acct))
-    assert list(AofCodec.decode_stream(data)) == new
+    assert drive(env, read_records(wal, acct)) == new
 
 
 def test_flush_with_no_previous_generation_to_wait_for_still_fails(world):
@@ -111,8 +112,7 @@ def test_manager_retirement_releases_a_parked_flush(world, policy):
     env.run(until=retire)
     mgr.close()
     assert space.wal.prev_start is None
-    data = drive(env, wal.read_all(acct))
-    assert list(AofCodec.decode_stream(data)) == new
+    assert drive(env, read_records(wal, acct)) == new
 
 
 def test_pinned_eight_shard_cluster_at_bench_volume_completes():

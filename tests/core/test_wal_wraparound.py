@@ -10,6 +10,8 @@ from repro.nvme import NvmeDevice
 from repro.persist import AofCodec, AofRecord, OP_SET
 from repro.sim import Environment
 
+from tests.persist.records import read_records
+
 FAST = NandTiming(page_read=1e-6, page_program=2e-6, block_erase=10e-6,
                   channel_transfer=0.0)
 CFG = FtlConfig(op_ratio=0.2, gc_trigger_segments=3, gc_stop_segments=4,
@@ -68,12 +70,7 @@ def test_many_generations_wrap_the_region():
     # one more live generation across the wrap point, then read back
     recs = generation(env, wal, acct, b"live")
 
-    def read():
-        data = yield from wal.read_all(acct)
-        return data
-
-    data = drive(env, read())
-    decoded = list(AofCodec.decode_stream(data))
+    decoded = drive(env, read_records(wal, acct))
     assert [r.key for r in decoded] == [r.key for r in recs]
     assert [r.value for r in decoded] == [r.value for r in recs]
 
@@ -99,11 +96,7 @@ def test_wrapped_generation_with_unretired_previous():
     drive(env, begin_only())
     new = generation(env, wal, acct, b"new", nbytes_per_rec=4000, nrecs=4)
 
-    def read():
-        data = yield from wal.read_all(acct)
-        return data
-
-    decoded = list(AofCodec.decode_stream(drive(env, read())))
+    decoded = drive(env, read_records(wal, acct))
     assert [r.key for r in decoded] == [r.key for r in old + new]
 
 

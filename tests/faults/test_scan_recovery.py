@@ -1,9 +1,10 @@
 """AOF tail classification and its surfacing through RecoveryResult.
 
-``AofCodec.scan`` must tell a *torn* tail (crash fragment — truncate
-and carry on, Redis's ``aof-load-truncated``) from *interior*
-corruption (CRC-valid records resume after the failure — damaged
-media, where silent truncation would drop acknowledged writes).
+``AofReader.finish`` (and ``AofCodec.scan``, one window of it) must
+tell a *torn* tail (crash fragment — truncate and carry on, Redis's
+``aof-load-truncated``) from *interior* corruption (CRC-valid records
+resume after the failure — damaged media, where silent truncation
+would drop acknowledged writes).
 """
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from repro.kernel import CpuAccount
 from repro.persist.encoding import (
     AofCodec,
+    AofReader,
     AofRecord,
     CorruptionError,
     OP_DEL,
@@ -20,6 +22,7 @@ from repro.persist.recovery import recover_store
 from repro.sim import Environment
 
 from tests.faults.conftest import drive
+from tests.persist.records import decode
 
 
 def rec(key, value):
@@ -28,7 +31,7 @@ def rec(key, value):
 
 def keys(blob, result, start=0):
     """Keys of the records a scan validated (it builds none itself)."""
-    keys = [key for _, key, _ in AofCodec.items(blob, start, result.consumed)]
+    keys = [r.key for r in decode(blob[start:result.consumed])]
     assert len(keys) == result.count
     return keys
 
@@ -93,13 +96,18 @@ def test_scan_resumes_from_start_offset():
     assert resumed.consumed == len(blob)
 
 
-def test_decode_stream_stops_silently_at_damage():
+def test_reader_applies_nothing_past_damage():
     r1 = rec(b"a", b"x" * 30)
     r2 = bytearray(rec(b"b", b"y" * 30))
     r2[15] ^= 0xFF
     r3 = rec(b"c", b"z" * 30)
-    decoded = list(AofCodec.decode_stream(r1 + bytes(r2) + r3))
-    assert [r.key for r in decoded] == [b"a"]
+    keyspace = {}
+    reader = AofReader(keyspace)
+    for window in (r1[:7], r1[7:] + bytes(r2[:20]), bytes(r2[20:]) + r3):
+        reader.feed(window)
+    assert keyspace == {b"a": b"x" * 30}
+    assert (reader.consumed, reader.count) == (len(r1), 1)
+    assert reader.finish().tail_kind == "interior"
 
 
 class _BlobSink:
@@ -108,8 +116,9 @@ class _BlobSink:
     def __init__(self, blob):
         self._blob = blob
 
-    def read_all(self, account):
-        return self._blob
+    def read_all(self, account, reader):
+        reader.feed(self._blob)
+        return
         yield  # generator form for interface parity
 
 

@@ -28,6 +28,8 @@ from repro.sim import Environment
 from repro.workloads import ClosedLoopWorkload
 from repro.workloads.cluster import ClusterWorkload
 
+from tests.kernel.conftest import joined
+
 CFG = TEST_SCALE.system_config(gc_pressure=False)
 
 
@@ -182,11 +184,12 @@ def test_io_against_a_released_page_cache_raises():
     cache, env = system.cache, system.env
     fid = next(iter(cache._resolvers))
     acct = CpuAccount(env, "reader")
-    data = env.run(until=env.process(cache.read(fid, 0, 64, acct)))
+    data = env.run(until=env.process(
+        joined(cache.read_pages(fid, 0, 64, acct))))
     assert any(data)
     del system
     with pytest.raises(ReleasedError):
-        next(cache.read(fid, 0, 64, acct))
+        next(cache.read_pages(fid, 0, 64, acct))
     with pytest.raises(ReleasedError):
         next(cache.write(fid, 0, b"x" * 64, acct))
     with pytest.raises(ReleasedError):

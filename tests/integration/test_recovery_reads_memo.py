@@ -3,7 +3,7 @@
 Each system snapshots through its own codecs, and the enabled codecs
 of one zlib level share one chunk memo, so every chunk an On-Demand
 snapshot wrote is still held when the same process recovers it.
-``RdbReader.read_all`` must then decode every chunk from the memo:
+``RdbReader`` must then decode every chunk from the memo:
 a change that breaks the memo's keying (or its lifetime) shows up
 here as inflates, not only as host time in the benchmark.
 """

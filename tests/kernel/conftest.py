@@ -13,6 +13,12 @@ SMALL_FTL = FtlConfig(op_ratio=0.2, gc_trigger_segments=3, gc_stop_segments=4,
                       gc_reserve_segments=2)
 
 
+def joined(read_pages):
+    """What a ``read()`` returns: the join of the pages a
+    ``PageCache.read_pages`` generator hands back."""
+    return b"".join((yield from read_pages))
+
+
 @pytest.fixture
 def env():
     return Environment()

@@ -5,7 +5,7 @@ import pytest
 from repro.kernel import CpuAccount, PageCache
 from repro.nvme import WriteCmd, split_pages
 
-from tests.kernel.conftest import drive
+from tests.kernel.conftest import drive, joined
 
 
 def linear_resolver(base):
@@ -17,7 +17,7 @@ def test_write_read_through_cache(env, cache, account):
 
     def proc():
         yield from cache.write(1, 0, b"hello world", account)
-        data = yield from cache.read(1, 0, 11, account)
+        data = yield from joined(cache.read_pages(1, 0, 11, account))
         return data
 
     assert drive(env, proc()) == b"hello world"
@@ -92,7 +92,7 @@ def test_partial_page_writes_compose(env, cache, account):
     def proc():
         yield from cache.write(1, 0, b"aaaa", account)
         yield from cache.write(1, 2, b"BB", account)
-        data = yield from cache.read(1, 0, 4, account)
+        data = yield from joined(cache.read_pages(1, 0, 4, account))
         return data
 
     assert drive(env, proc()) == b"aaBB"
@@ -104,7 +104,7 @@ def test_write_spanning_pages(env, cache, account):
 
     def proc():
         yield from cache.write(1, 100, payload, account)
-        data = yield from cache.read(1, 100, len(payload), account)
+        data = yield from joined(cache.read_pages(1, 100, len(payload), account))
         return data
 
     assert drive(env, proc()) == payload
@@ -121,7 +121,7 @@ def test_read_miss_fetches_from_device(env, cache, account, device, block):
     cache.register_file(2, linear_resolver(5))
 
     def proc():
-        data = yield from cache.read(2, 0, 4096, account)
+        data = yield from joined(cache.read_pages(2, 0, 4096, account))
         return data
 
     assert drive(env, proc()) == payload
@@ -140,7 +140,8 @@ def test_readahead_prefetches_beyond_request(env, cache, account, device):
     cache.register_file(3, linear_resolver(10))
 
     def proc():
-        yield from cache.read(3, 0, 4096, account, readahead=8)
+        yield from joined(cache.read_pages(3, 0, 4096, account,
+                                           readahead=8))
 
     drive(env, proc())
     # pages beyond the first are already cached

@@ -8,6 +8,8 @@ from repro.kernel import BlockLayer, CpuAccount, PageCache
 from repro.nvme import NvmeDevice
 from repro.sim import Environment
 
+from tests.kernel.conftest import joined
+
 FAST = NandTiming(page_read=1e-6, page_program=2e-6, block_erase=10e-6,
                   channel_transfer=0.0)
 CFG = FtlConfig(op_ratio=0.2, gc_trigger_segments=3, gc_stop_segments=4,
@@ -66,7 +68,7 @@ def test_cache_reads_match_reference(sequence):
                 yield from cache.write(1, off, data, acct)
             elif op[0] == "read":
                 _, off, size = op
-                got = yield from cache.read(1, off, size, acct)
+                got = yield from joined(cache.read_pages(1, off, size, acct))
                 assert got == bytes(reference[off:off + size])
             else:
                 yield from cache.fsync(1, acct)

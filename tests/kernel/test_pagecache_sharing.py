@@ -17,7 +17,7 @@ from repro.kernel import BlockLayer, PageCache
 from repro.nvme import WriteCmd, split_pages
 from repro.workloads import ClosedLoopWorkload
 
-from tests.kernel.conftest import drive
+from tests.kernel.conftest import drive, joined
 from tests.kernel.test_pagecache import linear_resolver
 
 PAGE = 4096
@@ -61,7 +61,8 @@ def test_clean_page_is_the_device_page_after_a_read_miss(env, cache, account,
     drive(env, device.submit(WriteCmd(lba=20, nlb=4, data=payload)))
     cache.register_file(2, linear_resolver(20))
 
-    data = drive(env, cache.read(2, 0, 4 * PAGE, account, readahead=0))
+    data = drive(env, joined(cache.read_pages(2, 0, 4 * PAGE, account,
+                                              readahead=0)))
     assert data == b"".join(payload)
     for i in range(4):
         assert cache._pages[(2, i)] is payload[i] is device.pages(20 + i)[0]
@@ -80,7 +81,7 @@ def test_write_copies_a_shared_page_and_leaves_the_device_alone(
 
     def second():
         yield from cache.write(1, 10, b"B" * 5, account)
-        data = yield from cache.read(1, 0, PAGE, account)
+        data = yield from joined(cache.read_pages(1, 0, PAGE, account))
         return data
 
     data = drive(env, second())
@@ -108,7 +109,7 @@ def test_redirtying_mid_writeback_never_touches_the_inflight_payload(
     env.run(until=sync)  # fsync flushes the re-dirtied page too
     assert payload[0] == b"A" * PAGE
     assert device.peek(0) == b"C" * 8 + b"A" * (PAGE - 8)
-    got = drive(env, cache.read(1, 0, PAGE, account))
+    got = drive(env, joined(cache.read_pages(1, 0, PAGE, account)))
     assert got == b"C" * 8 + b"A" * (PAGE - 8)
 
 

@@ -1,9 +1,9 @@
 """The page readers' result assembly against the copy-out loop it replaced.
 
-``PageCache.read`` and ``ReadAheadBuffer.read`` build what they return
-with one ``b"".join`` over the pages (``join_pages``): whole pages go in
-as they are and a partial first or last page as a ``memoryview``
-slice. ``copy_out`` below is the assembly they had before — a
+A page-cache read (the join of ``PageCache.read_pages``) and
+``ReadAheadBuffer.read`` build what they return with one ``b"".join``
+over the pages (``join_pages``): whole pages go in as they are and a
+partial first or last page as a ``memoryview`` slice. ``copy_out`` below is the assembly they had before — a
 ``bytearray`` filled by per-page slice assigns, then copied to
 ``bytes`` — kept as the reference. On any page contents and any
 page-unaligned offset and length, both readers must return exactly
@@ -18,6 +18,7 @@ from repro.kernel import CpuAccount
 from repro.kernel.pagecache import join_pages
 
 from tests.core.test_readahead_property import NPAGES, seeded_world
+from tests.kernel.conftest import joined
 from tests.kernel.test_pagecache_properties import FILE_BYTES, world
 
 
@@ -96,7 +97,7 @@ def test_pagecache_read_matches_copy_out(case):
             cache.drop_all_clean()
         for off, length in reads:
             length = min(length, FILE_BYTES - off)
-            got = yield from cache.read(1, off, length, acct)
+            got = yield from joined(cache.read_pages(1, off, length, acct))
             pages = {idx: page for (fid, idx), page in cache._pages.items()
                      if fid == 1}
             assert type(got) is bytes

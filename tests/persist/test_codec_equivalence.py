@@ -1,24 +1,35 @@
-"""Reference twins for the copy-free codecs.
+"""Reference twins for the streaming codecs.
 
-``repro.persist.encoding`` CRCs over one memoryview per call and slices
-keys, values and blobs straight out of the input; the AOF scan builds
-no records (a walk validates, :meth:`AofCodec.items` decodes the
-validated range), and the RDB reader answers a blob held in the chunk
-memo without inflating it. The bodies below are the per-copy,
-record-building, always-inflating versions they replaced, kept as the
-reference: on any stream — valid, truncated at every offset, one byte
-flipped, zero padded, torn and then resumed — both must produce the
-same writer bytes, the same records and replayed keyspace, the same
-scan verdict and the same exception type, whether the input is
-``bytes``, ``bytearray`` or ``memoryview`` and whether the reader's
-memo is warm or cold.
+``repro.persist.encoding`` decodes incrementally: :class:`AofReader`
+walks and replays a log and :class:`RdbReader` decodes a snapshot from
+windows fed in order, split anywhere, keeping only the record or chunk
+a window left unfinished. Two generations of what they replaced are
+kept here as the reference:
 
-The one intended divergence is the bugfix that rides with the change: a
-CRC-valid chunk whose blob zlib rejects escaped the reference as
-``zlib.error``; the reader now reports it as :class:`CorruptRecord`.
+* the one-buffer codecs (``OneBufferAof.scan`` + ``replay`` and
+  ``OneBufferRdbReader.read_all``): the same walk, resync, in-place
+  replay and chunk memo, over the whole stream as one buffer;
+* the per-copy, record-building, always-inflating codecs before them
+  (``RefAofCodec``, ``RefRdbWriter``, ``RefRdbReader``).
+
+On any stream — valid, truncated at every offset, one byte flipped,
+zero padded, torn and then resumed, corrupt inside, hostile — and
+however it is cut into windows (mid-header, mid-CRC, mid-blob, one byte
+at a time, as ``bytes``, ``bytearray`` or ``memoryview``), the readers
+must report what the references do: the same writer bytes, records,
+entries and replayed keyspace (a held value's identity included), the
+same ``consumed``, ``count``, tail kind and ``trailing_records``, and
+the same exception type and message, with the reader's memo warm or
+cold.
+
+The one intended divergence from the per-copy reference is the bugfix
+that rode with the copy-free codecs: a CRC-valid chunk whose blob zlib
+rejects escaped it as ``zlib.error``; the readers report it as
+:class:`CorruptRecord`.
 """
 
 import random
+import struct
 import zlib
 from dataclasses import dataclass
 
@@ -28,7 +39,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.persist import (
     AofCodec,
+    AofReader,
     AofRecord,
+    AofScanResult,
     CorruptRecord,
     CorruptionError,
     OP_DEL,
@@ -44,13 +57,181 @@ from repro.persist.encoding import (
     _CHUNK_MAGIC,
     _CRC,
     _ENTRY_HDR,
+    _FOOTER,
     _FOOTER_MAGIC,
     _RDB_HDR,
+    _RDB_MAGIC,
     _crc,
 )
 
+from tests.persist.records import RecordLog
 
-# --- the reference: one copy per step, as the codecs were -------------
+
+# --- the one-buffer codecs the incremental readers replaced -----------
+
+
+class OneBufferAof:
+    """``AofCodec.scan``/``walk``/``replay`` as they were: one buffer."""
+
+    @staticmethod
+    def scan(data, start=0, strict=False):
+        view = memoryview(data)
+        n = len(view)
+        pos, count = OneBufferAof._walk(view, start, n)
+        clean = pos >= n
+        if not clean:
+            flat = view.tobytes() if isinstance(data, memoryview) else data
+            clean = flat.count(0, pos) == n - pos
+        if clean:
+            return AofScanResult(count=count, consumed=pos,
+                                 truncated_at=None, tail_kind="clean",
+                                 resync_at=None, trailing_records=0)
+        resync_at, trailing = OneBufferAof._resync(flat, view, pos, n)
+        if resync_at is None:
+            return AofScanResult(count=count, consumed=pos,
+                                 truncated_at=pos, tail_kind="torn",
+                                 resync_at=None, trailing_records=0)
+        if strict:
+            raise CorruptionError(pos, resync_at, trailing)
+        return AofScanResult(count=count, consumed=pos,
+                             truncated_at=pos, tail_kind="interior",
+                             resync_at=resync_at, trailing_records=trailing)
+
+    @staticmethod
+    def replay(data, keyspace, start, end):
+        flat = data.tobytes() if isinstance(data, memoryview) else data
+        held_value = keyspace.get
+        with memoryview(flat) as view:
+            pos = start
+            while pos < end:
+                _, op, klen, vlen = _AOF_HDR.unpack_from(view, pos)
+                key_at = pos + _AOF_HDR.size
+                value_at = key_at + klen
+                pos = value_at + vlen
+                key = bytes(view[key_at:value_at])
+                if op == OP_SET:
+                    held = held_value(key)
+                    if (held is None or len(held) != vlen
+                            or not flat.startswith(held, value_at)):
+                        keyspace[key] = bytes(view[value_at:pos])
+                else:
+                    keyspace.pop(key, None)
+                pos += _CRC.size
+
+    @staticmethod
+    def _walk(view, pos, n):
+        count = 0
+        while pos + _AOF_HDR.size <= n:
+            end = OneBufferAof._record_end(view, pos, n)
+            if end == pos:
+                break
+            count += 1
+            pos = end
+        return pos, count
+
+    @staticmethod
+    def _record_end(view, pos, n):
+        magic, op, klen, vlen = _AOF_HDR.unpack_from(view, pos)
+        if (magic != _AOF_MAGIC or op not in (OP_SET, OP_DEL)
+                or (op == OP_DEL and vlen)):
+            return pos
+        crc_at = pos + _AOF_HDR.size + klen + vlen
+        end = crc_at + _CRC.size
+        if end > n:
+            return pos
+        (crc,) = _CRC.unpack_from(view, crc_at)
+        return end if crc == _crc(view[pos:crc_at]) else pos
+
+    @staticmethod
+    def _resync(flat, view, pos, n):
+        q = pos + 1
+        min_size = _AOF_HDR.size + _CRC.size
+        while q + min_size <= n:
+            q = flat.find(_AOF_MAGIC, q, n - min_size + 1)
+            if q < 0:
+                return None, 0
+            end = OneBufferAof._record_end(view, q, n)
+            if end != q:
+                _, trailing = OneBufferAof._walk(view, end, n)
+                return q, 1 + trailing
+            q += 1
+        return None, 0
+
+
+class OneBufferRdbReader(RdbReader):
+    """``RdbReader.read_all`` as it was: the memo, over one buffer."""
+
+    def read_all(self, data):
+        memo = self.compressor.chunk_memo.by_blob
+        out = []
+        view = memoryview(data)
+        pos = self._check_header(view)
+        entries = 0
+        chunks = 0
+        n = len(view)
+        while True:
+            if pos >= n:
+                raise CorruptRecord("snapshot ended before footer")
+            magic = view[pos]
+            if magic == _FOOTER_MAGIC:
+                self._check_footer(view, pos, entries, chunks)
+                return out
+            if magic != _CHUNK_MAGIC:
+                raise CorruptRecord(f"bad chunk magic {magic:#x} at {pos}")
+            if pos + _CHUNK_HDR.size > n:
+                raise CorruptRecord("truncated chunk header")
+            _, count, raw_len, comp_len = _CHUNK_HDR.unpack_from(view, pos)
+            crc_at = pos + _CHUNK_HDR.size + comp_len
+            end = crc_at + _CRC.size
+            if end > n:
+                raise CorruptRecord("truncated chunk body")
+            (crc,) = _CRC.unpack_from(view, crc_at)
+            if crc != _crc(view[pos:crc_at]):
+                raise CorruptRecord(f"chunk CRC mismatch at {pos}")
+            blob = view[pos + _CHUNK_HDR.size:crc_at]
+            hit = memo.get(bytes(blob))
+            if (hit is not None and hit[0] == raw_len
+                    and len(hit[1]) == count):
+                out.extend(hit[1])
+            else:
+                try:
+                    raw = self.compressor.decompress(blob, raw_len)
+                except zlib.error as exc:
+                    raise CorruptRecord(
+                        f"chunk blob at {pos}: {exc}") from exc
+                if len(raw) != raw_len:
+                    raise CorruptRecord("decompressed length mismatch")
+                out.extend(self._decode_entries(raw, count))
+            entries += count
+            chunks += 1
+            pos = end
+
+    def _check_header(self, data):
+        if len(data) < _RDB_HDR.size:
+            raise CorruptRecord("truncated header")
+        magic, flags, _ = _RDB_HDR.unpack_from(data, 0)
+        if magic != _RDB_MAGIC:
+            raise CorruptRecord("bad RDB magic")
+        if not flags & 1:
+            raise CorruptRecord("compression flag mismatch")
+        return _RDB_HDR.size
+
+    def _check_footer(self, data, pos, entries, chunks):
+        if pos + _FOOTER.size > len(data):
+            raise CorruptRecord("truncated footer")
+        _, total_entries, total_chunks, _pad = _FOOTER.unpack_from(data, pos)
+        body = data[pos : pos + _FOOTER.size - _CRC.size]
+        (crc,) = _CRC.unpack_from(data, pos + _FOOTER.size - _CRC.size)
+        if crc != _crc(body):
+            raise CorruptRecord("footer CRC mismatch")
+        if total_entries != entries or total_chunks != chunks:
+            raise CorruptRecord(
+                f"footer counts ({total_entries}/{total_chunks}) != "
+                f"observed ({entries}/{chunks})"
+            )
+
+
+# --- the per-copy reference before them ---------------------------------
 
 
 class PlainZlib:
@@ -179,7 +360,7 @@ class RefRdbWriter(RdbWriter):
         return body + _CRC.pack(_crc(body))
 
 
-class RefRdbReader(RdbReader):
+class RefRdbReader(OneBufferRdbReader):
     def read_all(self, data):
         out = []
         pos = self._check_header(data)
@@ -215,9 +396,28 @@ class RefRdbReader(RdbReader):
             pos = end
 
 
-# --- comparing the two ------------------------------------------------
+# --- windows ----------------------------------------------------------
 
 FORMS = (bytes, bytearray, memoryview)
+
+
+def split(data: bytes, cuts, form_at: int = 0) -> list:
+    """``data`` cut at ``cuts`` (stream offsets, any order; a repeated
+    cut gives an empty window), window ``i`` in form
+    ``FORMS[(form_at + i) % 3]``."""
+    bounds = [0, *sorted(c for c in cuts if 0 <= c <= len(data)), len(data)]
+    return [FORMS[(form_at + i) % 3](data[a:b])
+            for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+
+
+def splittings(data: bytes) -> list[list]:
+    """The fixed cuts the legacy cases run: the whole stream in each
+    form, and 5-byte windows."""
+    return ([[form(data)] for form in FORMS]
+            + [split(data, range(5, len(data), 5))])
+
+
+# --- comparing them ---------------------------------------------------
 
 
 def outcome(fn, *args, **kwargs):
@@ -248,30 +448,41 @@ def ref_scan(stream, start, strict):
             replayed(scan.records))
 
 
-def walk_scan(data, start, strict):
-    """The same verdict from the walk, records decoded only over the
-    validated range, keyspace from :meth:`AofCodec.replay`."""
-    scan = AofCodec.scan(data, start, strict)
-    records = [AofRecord(op=op, key=key, value=value)
-               for op, key, value in AofCodec.items(data, start,
-                                                    scan.consumed)]
-    assert scan.count == len(records)
-    assert AofCodec.walk(data, start) == (scan.consumed, scan.count)
+def stream_scan(windows, start, strict):
+    """The same verdict from readers fed ``windows`` (the stream from
+    ``start``): the records one logs, the keyspace another replays."""
+    log = RecordLog()
+    logged = AofReader(log, offset=start)
     keyspace = {}
-    AofCodec.replay(data, keyspace, start, scan.consumed)
+    replaying = AofReader(keyspace, offset=start)
+    for window in windows:
+        logged.feed(window)
+        replaying.feed(window)
+    scan = replaying.finish(strict)
+    assert logged.finish(strict) == scan
+    assert scan.count == len(log.records)
     return (scan.consumed, scan.truncated_at, scan.tail_kind,
-            scan.resync_at, scan.trailing_records, records, keyspace)
+            scan.resync_at, scan.trailing_records, log.records, keyspace)
 
 
 def assert_aof_equivalent(stream: bytes, start: int = 0) -> None:
     for strict in (False, True):
         want = outcome(ref_scan, stream, start, strict)
+        for windows in splittings(stream[start:]):
+            got = outcome(stream_scan, windows, start, strict)
+            assert got == want, ([type(w).__name__ for w in windows], strict)
         for form in FORMS:
-            got = outcome(walk_scan, form(stream), start, strict)
-            assert got == want, (form.__name__, strict)
-    want = list(RefAofCodec.decode_stream(stream))
-    for form in FORMS:
-        assert list(AofCodec.decode_stream(form(stream))) == want
+            got = outcome(AofCodec.scan, form(stream), start, strict)
+            if got[0] == "ok":
+                scan = got[1]
+                got = ("ok", (scan.consumed, scan.truncated_at,
+                              scan.tail_kind, scan.resync_at,
+                              scan.trailing_records))
+                assert scan.count == len(want[1][5])
+                want_scan = ("ok", want[1][:5])
+            else:
+                want_scan = want
+            assert got == want_scan, form.__name__
 
 
 def cold() -> Compressor:
@@ -281,12 +492,29 @@ def cold() -> Compressor:
     return codec
 
 
-def read_outcome(codec, data):
-    """``("ok", entries)`` or ``("raised", type, message)``."""
+def stream_rdb(codec, windows):
+    """The entries a reader decodes from ``windows``, then
+    :meth:`RdbReader.finish`."""
+    reader = RdbReader(codec)
+    entries = []
+    for window in windows:
+        entries += reader.feed(window)
+    reader.finish()
+    assert reader.entries == len(entries)
+    assert reader.raw_bytes == sum(len(k) + len(v) for k, v in entries)
+    return entries
+
+
+def message_outcome(fn, *args):
+    """``("ok", value)`` or ``("raised", type, message)``."""
     try:
-        return ("ok", RdbReader(codec).read_all(data))
+        return ("ok", fn(*args))
     except Exception as exc:  # the type and message are what is compared
         return ("raised", type(exc), str(exc))
+
+
+def read_outcome(codec, windows):
+    return message_outcome(stream_rdb, codec, windows)
 
 
 def assert_rdb_equivalent(stream: bytes, *warm: Compressor) -> None:
@@ -300,11 +528,14 @@ def assert_rdb_equivalent(stream: bytes, *warm: Compressor) -> None:
     codecs = [Compressor(), *warm, cold()]
     messages = set()
     for i, codec in enumerate(codecs):
-        for form in FORMS:
-            got = read_outcome(codec, form(stream))
-            assert got[:2] == want[:2], (i, form.__name__)
+        one_buffer = message_outcome(OneBufferRdbReader(codec).read_all,
+                                     stream)
+        for windows in splittings(stream):
+            got = read_outcome(codec, windows)
+            assert got[:2] == want[:2], (i, len(windows))
+            assert got == one_buffer, (i, len(windows))
             if got[0] == "ok":
-                assert got == want, (i, form.__name__)
+                assert got == want, (i, len(windows))
             else:
                 messages.add(got[2])
     assert len(messages) <= 1, messages
@@ -460,8 +691,8 @@ def test_memo_hit_stream_decodes_without_inflating(monkeypatch):
         raise AssertionError("inflated a blob the memo holds")
 
     monkeypatch.setattr(Compressor, "decompress", no_inflate)
-    for form in FORMS:
-        assert RdbReader(warm).read_all(form(stream)) == want
+    for windows in [*splittings(stream), split(stream, range(len(stream)))]:
+        assert stream_rdb(warm, windows) == want
 
 
 @pytest.mark.parametrize("forge", [
@@ -476,14 +707,14 @@ def test_hostile_chunk_over_a_memo_hit_raises_as_inflate_does(forge):
         bad = stream[:FIRST_CHUNK + _CHUNK_HDR.size + len(blob) // 2]
     else:
         bad = reforge(stream, **forge)
-    got = {read_outcome(codec, form(bad))
-           for codec in (warm, cold()) for form in FORMS}
+    got = {read_outcome(codec, windows)
+           for codec in (warm, cold()) for windows in splittings(bad)}
     [(kind, exc_type, _message)] = got
     assert (kind, exc_type) == ("raised", CorruptRecord)
     assert_rdb_equivalent(bad, warm)
 
 
-# --- the walk + replay against the record-building scan, seeded -----------
+# --- the reader against the record-building scan, seeded -----------------
 
 
 def seeded_stream(rng: random.Random) -> tuple[bytes, int]:
@@ -529,14 +760,14 @@ def test_seeded_streams_walk_and_replay_match_reference(seed):
 # --- replay over a held keyspace against the copy-out replay ---------------
 
 
-def ref_replay(data, keyspace, start=0, end=None):
-    """The copy-out replay :meth:`AofCodec.replay` replaced: every SET's
-    value is copied out of the stream, whatever the keyspace holds."""
-    for op, key, value in AofCodec.items(data, start, end):
-        if op == OP_SET:
-            keyspace[key] = value
+def ref_replay(data, keyspace, end):
+    """The copy-out replay: every SET's value is copied out of the
+    stream, whatever the keyspace holds."""
+    for r in RefAofCodec.decode_stream(data[:end]):
+        if r.op == OP_SET:
+            keyspace[r.key] = r.value
         else:
-            keyspace.pop(key, None)
+            keyspace.pop(r.key, None)
 
 
 HELD = ("missing", "equal", "different", "resized")
@@ -578,15 +809,16 @@ def held_replay(draw):
 def test_replay_over_a_held_keyspace_matches_copy_out(case, tail):
     held, recs, form = case
     stream = encode(recs) + tail  # a torn or garbage tail is not replayed
-    end = AofCodec.scan(stream).consumed
+    end = RefAofCodec.scan(stream).consumed
     want = dict(held)
-    ref_replay(stream, want, 0, end)
-    got = dict(held)
-    AofCodec.replay(form(stream), got, 0, end)
-    assert list(got.items()) == list(want.items())
-    walked = dict(held)
-    AofCodec.replay(form(stream), walked)  # end=None walks the range first
-    assert list(walked.items()) == list(want.items())
+    ref_replay(stream, want, end)
+    for windows in ([form(stream)], split(stream, range(len(stream)))):
+        got = dict(held)
+        reader = AofReader(got)
+        for window in windows:
+            reader.feed(window)
+        assert reader.consumed == end
+        assert list(got.items()) == list(want.items())
     # a key every replayed SET gave its held value keeps the held object
     touched = {}
     for r in recs:
@@ -595,3 +827,180 @@ def test_replay_over_a_held_keyspace_matches_copy_out(case, tail):
         rs = touched.get(key, [])
         if all(r.op == OP_SET and r.value == value for r in rs):
             assert got[key] is value
+
+
+# --- streaming equals one buffer, under any windows ---------------------
+
+
+@st.composite
+def cuts_of(draw, data: bytes, anchors: list[int]):
+    """Where to cut ``data``: anywhere, one byte at a time, or inside
+    the units at ``anchors`` (offsets mid-header, mid-CRC, mid-blob)."""
+    mode = draw(st.sampled_from(["arbitrary", "bytewise", "structured"]))
+    if mode == "bytewise":
+        return list(range(len(data) + 1))
+    if mode == "structured" and anchors:
+        return draw(st.lists(st.sampled_from(anchors), max_size=12))
+    return draw(st.lists(st.integers(0, len(data)), max_size=12))
+
+
+def aof_anchors(recs) -> list[int]:
+    """Offsets inside each record's header, value and CRC."""
+    out, pos = [], 0
+    for r in recs:
+        size = len(AofCodec.encode(r))
+        crc_at = pos + size - _CRC.size
+        out += range(pos + 1, pos + _AOF_HDR.size)
+        out += range(pos + _AOF_HDR.size + 1, crc_at)
+        out += range(crc_at + 1, pos + size)
+        pos += size
+    return out
+
+
+AOF_DAMAGE = ("valid", "truncated", "torn", "flipped", "padded",
+              "interior", "decoy", "hostile")
+
+
+@st.composite
+def aof_case(draw):
+    """A held keyspace, a stream damaged one of the ways a log can be,
+    and the cuts to feed it with."""
+    held, recs, _ = draw(held_replay())
+    stream = encode(recs)
+    damage = draw(st.sampled_from(AOF_DAMAGE))
+    if damage == "truncated" and stream:
+        stream = stream[:draw(st.integers(0, len(stream) - 1))]
+    elif damage == "torn":
+        tail = AofCodec.encode(draw(records.filter(bool))[0])
+        stream += tail[:draw(st.integers(1, len(tail) - 1))]
+    elif damage == "flipped" and stream:
+        flip = bytearray(stream)
+        flip[draw(st.integers(0, len(stream) - 1))] ^= draw(st.integers(1, 255))
+        stream = bytes(flip)
+    elif damage == "padded":
+        stream += bytes(draw(st.integers(1, 64)))
+    elif damage == "interior" and stream:
+        flip = bytearray(stream)
+        flip[draw(st.integers(0, len(stream) - 1))] ^= draw(st.integers(1, 255))
+        stream = bytes(flip) + bytes(draw(st.integers(0, 8))) + encode(
+            draw(records.filter(bool)))
+    elif damage == "decoy":
+        # after an invalid byte, a record header whose length runs past
+        # the end of the stream, then a valid chain: resync must look
+        # past the decoy
+        decoy = _AOF_HDR.pack(_AOF_MAGIC, OP_SET, draw(st.integers(0, 64)),
+                              draw(st.integers(1 << 10, 1 << 31)))
+        stream += b"\x07" + decoy + encode(draw(records.filter(bool)))
+    elif damage == "hostile":
+        stream += draw(st.binary(min_size=1, max_size=60))
+    cuts = draw(cuts_of(stream, aof_anchors(recs)))
+    return held, stream, cuts, draw(st.integers(0, 2))
+
+
+def one_buffer_replay(stream, held, strict):
+    keyspace = dict(held)
+    scan = OneBufferAof.scan(stream, strict=strict)
+    OneBufferAof.replay(stream, keyspace, 0, scan.consumed)
+    return scan, keyspace
+
+
+def streamed_replay(windows, held, strict):
+    keyspace = dict(held)
+    reader = AofReader(keyspace)
+    for window in windows:
+        reader.feed(window)
+    return reader.finish(strict), keyspace
+
+
+def replay_outcome(fn, *args):
+    """``("ok", scan, items, held identity)`` or ``("raised", type,
+    message)``."""
+    held = args[1]
+    try:
+        scan, keyspace = fn(*args)
+    except Exception as exc:  # the type and message are what is compared
+        return ("raised", type(exc), str(exc))
+    identity = [value is held.get(key) for key, value in keyspace.items()]
+    return ("ok", scan, list(keyspace.items()), identity)
+
+
+@given(aof_case())
+@settings(max_examples=400, deadline=None)
+def test_streamed_aof_equals_one_buffer(case):
+    held, stream, cuts, form_at = case
+    windows = split(stream, cuts, form_at)
+    for strict in (False, True):
+        want = replay_outcome(one_buffer_replay, stream, held, strict)
+        got = replay_outcome(streamed_replay, windows, held, strict)
+        assert got == want, strict
+
+
+def rdb_anchors(stream: bytes) -> list[int]:
+    """Offsets inside the header, each chunk's header, blob and CRC, and
+    the footer of a valid stream."""
+    out = list(range(1, _RDB_HDR.size))
+    pos = _RDB_HDR.size
+    while pos < len(stream) and stream[pos] == _CHUNK_MAGIC:
+        comp_len = _CHUNK_HDR.unpack_from(stream, pos)[3]
+        crc_at = pos + _CHUNK_HDR.size + comp_len
+        out += range(pos + 1, pos + _CHUNK_HDR.size)
+        out += range(pos + _CHUNK_HDR.size + 1, crc_at)
+        out += range(crc_at + 1, crc_at + _CRC.size)
+        pos = crc_at + _CRC.size
+    out += range(pos + 1, pos + _FOOTER.size)
+    return out
+
+
+RDB_DAMAGE = ("valid", "truncated", "flipped", "padded", "forged",
+              "hostile")
+
+
+@st.composite
+def rdb_case(draw):
+    """A stream one warm codec wrote, damaged one of the ways a slot
+    can be, and the cuts to feed it with."""
+    warm = Compressor()
+    entries = draw(pairs)
+    stream = rdb_stream(RdbWriter(warm), entries, draw(st.integers(1, 5)))
+    anchors = rdb_anchors(stream)
+    damage = draw(st.sampled_from(RDB_DAMAGE))
+    if damage == "truncated":
+        stream = stream[:draw(st.integers(0, len(stream) - 1))]
+    elif damage == "flipped":
+        flip = bytearray(stream)
+        flip[draw(st.integers(0, len(stream) - 1))] ^= draw(st.integers(1, 255))
+        stream = bytes(flip)
+    elif damage == "padded":
+        stream += bytes(draw(st.integers(1, 64)))
+    elif damage == "forged" and entries:
+        field = draw(st.sampled_from([1, 5, 9]))  # count, raw_len, comp_len
+        forged = bytearray(stream)
+        struct.pack_into("<I", forged, FIRST_CHUNK + field,
+                         draw(st.integers(0, 2**32 - 1)))
+        crc_at = FIRST_CHUNK + _CHUNK_HDR.size + _CHUNK_HDR.unpack_from(
+            stream, FIRST_CHUNK)[3]
+        struct.pack_into("<I", forged, crc_at,
+                         _crc(bytes(forged[FIRST_CHUNK:crc_at])))
+        stream = bytes(forged)
+    elif damage == "hostile":
+        cut = draw(st.sampled_from([0, _RDB_HDR.size, len(stream)]))
+        stream = stream[:cut] + draw(st.binary(min_size=1, max_size=60))
+    cuts = draw(cuts_of(stream, anchors))
+    return warm, stream, cuts, draw(st.integers(0, 2))
+
+
+@given(rdb_case())
+@settings(max_examples=400, deadline=None)
+def test_streamed_rdb_equals_one_buffer(case):
+    warm, stream, cuts, form_at = case
+    windows = split(stream, cuts, form_at)
+    for codec in (warm, cold()):
+        want = message_outcome(OneBufferRdbReader(codec).read_all, stream)
+        got = read_outcome(codec, windows)
+        assert got == want
+        if got[0] == "ok":
+            # a memo hit hands out the memo's own entries, as before
+            memo = {id(entry) for _, batch in codec.chunk_memo.by_blob.values()
+                    for entry in batch}
+            assert [g is w for g, w in zip(got[1], want[1])] == [
+                id(w) in memo for w in want[1]]

@@ -12,22 +12,23 @@ from repro.persist import (
     CorruptRecord,
     OP_DEL,
     OP_SET,
-    RdbReader,
     RdbWriter,
 )
 from repro.persist.compress import Compressor
+
+from tests.persist.records import decode, read_rdb
 
 
 def test_aof_record_roundtrip():
     rec = AofRecord(op=OP_SET, key=b"key1", value=b"value1")
     encoded = AofCodec.encode(rec)
-    decoded = list(AofCodec.decode_stream(encoded))
+    decoded = decode(encoded)
     assert decoded == [rec]
 
 
 def test_aof_del_record():
     rec = AofRecord(op=OP_DEL, key=b"gone")
-    assert list(AofCodec.decode_stream(AofCodec.encode(rec))) == [rec]
+    assert decode(AofCodec.encode(rec)) == [rec]
 
 
 def test_aof_del_with_value_rejected():
@@ -44,7 +45,7 @@ def test_aof_stream_of_many_records():
     recs = [AofRecord(op=OP_SET, key=f"k{i}".encode(), value=b"v" * i)
             for i in range(50)]
     stream = b"".join(AofCodec.encode(r) for r in recs)
-    assert list(AofCodec.decode_stream(stream)) == recs
+    assert decode(stream) == recs
 
 
 def test_aof_torn_tail_stops_cleanly():
@@ -52,22 +53,22 @@ def test_aof_torn_tail_stops_cleanly():
             AofRecord(op=OP_SET, key=b"b", value=b"2")]
     stream = b"".join(AofCodec.encode(r) for r in recs)
     torn = stream[:-3]  # crash mid-append of the second record
-    assert list(AofCodec.decode_stream(torn)) == recs[:1]
+    assert decode(torn) == recs[:1]
 
 
 def test_aof_corrupt_crc_stops_replay():
     stream = bytearray(AofCodec.encode(AofRecord(op=OP_SET, key=b"a", value=b"1")))
     stream[-1] ^= 0xFF
-    assert list(AofCodec.decode_stream(bytes(stream))) == []
+    assert decode(bytes(stream)) == []
 
 
 def test_aof_garbage_prefix_yields_nothing():
-    assert list(AofCodec.decode_stream(b"\x00" * 64)) == []
+    assert decode(b"\x00" * 64) == []
 
 
 def test_aof_empty_value_allowed():
     rec = AofRecord(op=OP_SET, key=b"k", value=b"")
-    assert list(AofCodec.decode_stream(AofCodec.encode(rec))) == [rec]
+    assert decode(AofCodec.encode(rec)) == [rec]
 
 
 def rdb_roundtrip(entries):
@@ -77,7 +78,7 @@ def rdb_roundtrip(entries):
     for i in range(0, len(entries), 3):
         stream += w.chunk(entries[i : i + 3])
     stream += w.footer()
-    return RdbReader(comp).read_all(stream), stream
+    return read_rdb(stream, comp), stream
 
 
 def test_rdb_roundtrip_basic():
@@ -100,14 +101,14 @@ def test_rdb_compression_flag_mismatch_detected():
     assert stream[:header.size] == header.pack(b"REPRO-RDB1", 1, 0)
     forged = header.pack(b"REPRO-RDB1", 0, 0) + stream[header.size:]
     with pytest.raises(CorruptRecord, match="compression flag"):
-        RdbReader().read_all(forged)
+        read_rdb(forged)
 
 
 def test_rdb_truncated_stream_rejected():
     entries = [(b"k" * 10, b"v" * 1000)]
     _, stream = rdb_roundtrip(entries)
     with pytest.raises(CorruptRecord):
-        RdbReader().read_all(stream[: len(stream) // 2])
+        read_rdb(stream[: len(stream) // 2])
 
 
 def test_rdb_missing_footer_rejected():
@@ -115,7 +116,7 @@ def test_rdb_missing_footer_rejected():
     w = RdbWriter(comp)
     stream = w.header() + w.chunk([(b"k", b"v")])
     with pytest.raises(CorruptRecord, match="footer"):
-        RdbReader(comp).read_all(stream)
+        read_rdb(stream, comp)
 
 
 def test_rdb_flipped_bit_in_chunk_rejected():
@@ -124,12 +125,12 @@ def test_rdb_flipped_bit_in_chunk_rejected():
     corrupted = bytearray(stream)
     corrupted[len(stream) // 2] ^= 0x01
     with pytest.raises(CorruptRecord):
-        RdbReader().read_all(bytes(corrupted))
+        read_rdb(bytes(corrupted))
 
 
 def test_rdb_bad_magic_rejected():
     with pytest.raises(CorruptRecord, match="magic"):
-        RdbReader().read_all(b"NOT-AN-RDB" + bytes(64))
+        read_rdb(b"NOT-AN-RDB" + bytes(64))
 
 
 def test_rdb_writer_state_machine():
@@ -174,7 +175,7 @@ def test_rdb_valid_crc_over_a_blob_that_is_not_zlib_is_corrupt_record():
     """zlib.error must not escape: core.verify catches CorruptRecord."""
     stream = sealed_rdb(1, 15, b"not zlib at all")
     with pytest.raises(CorruptRecord, match="chunk blob"):
-        RdbReader().read_all(stream)
+        read_rdb(stream)
 
 
 def test_rdb_declared_raw_len_bounds_the_inflation():
@@ -184,7 +185,7 @@ def test_rdb_declared_raw_len_bounds_the_inflation():
     tracemalloc.start()
     try:
         with pytest.raises(CorruptRecord):
-            RdbReader().read_all(stream)
+            read_rdb(stream)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -197,7 +198,7 @@ def test_aof_crc_valid_del_carrying_a_value_is_not_a_record():
     good = AofCodec.encode(AofRecord(op=OP_SET, key=b"a", value=b"1"))
     body = struct.pack("<BBII", 0xA5, OP_DEL, 1, 1) + b"kv"
     bad = body + struct.pack("<I", zlib.crc32(body))
-    assert list(AofCodec.decode_stream(good + bad)) == [
+    assert decode(good + bad) == [
         AofRecord(op=OP_SET, key=b"a", value=b"1")]
     scan = AofCodec.scan(good + bad + good)
     assert (scan.consumed, scan.tail_kind, scan.trailing_records) == (

@@ -11,10 +11,11 @@ from repro.persist import (
     CorruptRecord,
     CorruptionError,
     OP_SET,
-    RdbReader,
     RdbWriter,
 )
 from repro.persist.compress import Compressor
+
+from tests.persist.records import decode, read_rdb
 
 keys = st.binary(min_size=0, max_size=64)
 values = st.binary(min_size=0, max_size=512)
@@ -25,7 +26,7 @@ values = st.binary(min_size=0, max_size=512)
 def test_aof_stream_roundtrip(pairs):
     recs = [AofRecord(op=OP_SET, key=k, value=v) for k, v in pairs]
     stream = b"".join(AofCodec.encode(r) for r in recs)
-    assert list(AofCodec.decode_stream(stream)) == recs
+    assert decode(stream) == recs
 
 
 @given(st.lists(st.tuples(keys, values), max_size=40),
@@ -36,7 +37,7 @@ def test_aof_arbitrary_truncation_is_prefix(pairs, cut):
     recs = [AofRecord(op=OP_SET, key=k, value=v) for k, v in pairs]
     stream = b"".join(AofCodec.encode(r) for r in recs)
     cut = min(cut, len(stream))
-    decoded = list(AofCodec.decode_stream(stream[:cut]))
+    decoded = decode(stream[:cut])
     assert decoded == recs[: len(decoded)]
 
 
@@ -50,7 +51,7 @@ def test_rdb_roundtrip_any_chunking(pairs, chunk):
     for i in range(0, len(pairs), chunk):
         stream += w.chunk(pairs[i : i + chunk])
     stream += w.footer()
-    assert RdbReader(comp).read_all(stream) == pairs
+    assert read_rdb(stream, comp) == pairs
 
 
 @given(st.lists(st.tuples(keys, values), min_size=1, max_size=20),
@@ -71,7 +72,7 @@ def test_rdb_single_byte_corruption_never_passes_silently(pairs, pos, xor):
     corrupted = bytearray(stream)
     corrupted[pos] ^= xor
     try:
-        decoded = RdbReader(comp).read_all(bytes(corrupted))
+        decoded = read_rdb(bytes(corrupted), comp)
     except CorruptRecord:
         return
     assert decoded == pairs
@@ -85,9 +86,9 @@ _PREFIXES = st.sampled_from([b"", _RDB_HEADER, _RDB_HEADER + b"\xc7",
                              _RDB_HEADER + b"\xf0", b"\xa5\x01", b"\xa5\x02"])
 
 
-def read_rdb(stream) -> None:
+def read_hostile_rdb(stream) -> None:
     try:
-        RdbReader(Compressor()).read_all(stream)
+        read_rdb(stream, Compressor())
     except CorruptRecord:
         pass
 
@@ -107,7 +108,7 @@ def scan_aof(stream) -> None:
 @given(_PREFIXES, st.binary(max_size=300))
 @settings(max_examples=300, deadline=None)
 def test_arbitrary_bytes_raise_only_typed_errors(prefix, junk):
-    read_rdb(prefix + junk)
+    read_hostile_rdb(prefix + junk)
     scan_aof(prefix + junk)
     scan_aof(bytearray(prefix + junk))
 
@@ -124,7 +125,7 @@ def test_rdb_mutated_length_field(pairs, field_at, lie, reseal):
     struct.pack_into("<I", chunk, field_at, lie)
     if reseal:
         struct.pack_into("<I", chunk, len(chunk) - 4, zlib.crc32(chunk[:-4]))
-    read_rdb(header + bytes(chunk) + footer)
+    read_hostile_rdb(header + bytes(chunk) + footer)
 
 
 @given(st.lists(st.tuples(keys, values), min_size=1, max_size=10),

@@ -8,6 +8,8 @@ from repro.persist import AofRecord, LoggingPolicy, OP_SET, WalManager
 from repro.persist.file_backends import FileAppendSink
 from repro.sim import Environment
 
+from tests.persist.records import read_records
+
 FAST = NandTiming(page_read=2e-6, page_program=5e-6, block_erase=20e-6,
                   channel_transfer=0.0)
 CFG = FtlConfig(op_ratio=0.2, gc_trigger_segments=3, gc_stop_segments=4,
@@ -54,7 +56,7 @@ def test_record_order_preserved_across_concurrent_always_writers():
     procs = [env.process(writer(b)) for b in range(4)]
     for p in procs:
         env.run(until=p)
-    records = env.run(until=env.process(wal.read_records(acct)))
+    records = env.run(until=env.process(read_records(wal.sink, acct)))
     # durable order equals staging order
     staged.sort()
     assert [r.key for r in records] == [r.key for _, r in staged]

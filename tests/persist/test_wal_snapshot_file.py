@@ -21,6 +21,8 @@ from repro.persist.file_backends import (
 )
 from repro.sim import Environment
 
+from tests.persist.records import read_records
+
 FAST_NAND = NandTiming(page_read=2e-6, page_program=5e-6, block_erase=20e-6,
                        channel_transfer=0.0)
 FTL_CFG = FtlConfig(op_ratio=0.2, gc_trigger_segments=3, gc_stop_segments=4,
@@ -65,7 +67,7 @@ def test_always_log_each_record_durable(world):
     drive(env, proc())
     # crash: everything must already be on the device
     fs.cache.crash()
-    records = drive(env, wal.read_records(acct))
+    records = drive(env, read_records(wal.sink, acct))
     # read after crash misses cache but hits device
     assert [(r.key, r.value) for r in records] == [(b"k1", b"v1"), (b"k2", b"v2")]
     assert wal.obs.total("wal_sync_flushes_total") == 2
@@ -88,7 +90,7 @@ def test_periodical_log_buffers_then_flushes(world):
     drive(env, proc())
     assert wal.buffered_bytes == 0
     assert wal.obs.total("wal_periodic_flushes_total") >= 1
-    records = drive(env, wal.read_records(acct))
+    records = drive(env, read_records(wal.sink, acct))
     assert len(records) == 10
     wal.close()
 
@@ -140,12 +142,12 @@ def test_wal_rotation_keeps_old_until_retired(world):
     assert wal.size == len(
         AofCodec.encode(AofRecord(op=OP_SET, key=b"new", value=b"2")))
     # both generations replay until the old one is retired
-    records = drive(env, wal.read_records(acct))
+    records = drive(env, read_records(wal.sink, acct))
     assert [r.key for r in records] == [b"old", b"new"]
     assert fs.exists("appendonly.aof.0")
 
     drive(env, wal.retire_previous())
-    records = drive(env, wal.read_records(acct))
+    records = drive(env, read_records(wal.sink, acct))
     assert [r.key for r in records] == [b"new"]
     assert not fs.exists("appendonly.aof.0")
 
@@ -166,7 +168,7 @@ def test_wal_records_between_fork_and_retire_survive(world):
         yield from wal.retire_previous()  # snapshot durable
 
     drive(env, proc())
-    records = drive(env, wal.read_records(acct))
+    records = drive(env, read_records(wal.sink, acct))
     assert [r.key for r in records] == [b"during"]
 
 
