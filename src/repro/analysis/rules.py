@@ -11,7 +11,7 @@ exercise its internals without ceremony). Rules yield
 The rules (see docs/ANALYSIS.md for the full rationale):
 
 * **SLIM001** — no direct device data-plane access (``device.submit``,
-  ``device.peek``) outside the kernel/NVMe layers. All I/O must go
+  ``device.peek``, ``device.pages``) outside the kernel/NVMe layers. All I/O must go
   through a ring (:class:`~repro.kernel.iouring.IoUringRing`) or the
   file-system path, so placement tags and timing are never bypassed.
 * **SLIM002** — no integer Placement-ID literals at call sites outside
@@ -174,7 +174,7 @@ def _check_device_access(tree: ast.AST, ctx: ModuleContext) -> Iterator[Finding]
         if not (isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)):
             continue
-        if node.func.attr not in ("submit", "peek"):
+        if node.func.attr not in ("submit", "peek", "pages"):
             continue
         if _mentions_device(node.func.value):
             yield _find(
@@ -536,7 +536,8 @@ def _check_net_purity(tree: ast.AST, ctx: ModuleContext) -> Iterator[Finding]:
 
 RULES: tuple[Rule, ...] = (
     Rule("SLIM001", "direct-device-access",
-         "no device.submit/peek outside kernel+nvme", _check_device_access),
+         "no device.submit/peek/pages outside kernel+nvme",
+         _check_device_access),
     Rule("SLIM002", "pid-literal",
          "no integer PID literals outside placement.py/pids.py",
          _check_pid_literals),

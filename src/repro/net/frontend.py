@@ -19,9 +19,9 @@ anything with an ``execute(op)`` generator).  It owns:
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Generator
+from collections.abc import Callable, Generator
 
-from repro.net.conn import MEMO_FRAME_BYTES, Connection, NetConfig
+from repro.net.conn import MEMO_FRAME_BYTES, Connection, NetConfig, _Step
 from repro.persist.memo import BoundedMemo
 from repro.sim import Environment, Event, Store
 
@@ -50,12 +50,12 @@ class AdmissionController:
         self.rejections += 1
         return False
 
-    def acquire(self) -> Generator:
-        """Block until a slot is granted (BLOCK policy readers)."""
-        while not self.try_acquire():
-            ev = Event(self.env)
-            self._waiters.append(ev)
-            yield ev
+    def wait(self) -> Event:
+        """An event that fires at the next release; a BLOCK reader that
+        :meth:`try_acquire` refused waits on it, then tries again."""
+        ev = Event(self.env)
+        self._waiters.append(ev)
+        return ev
 
     def release(self) -> None:
         self.inflight -= 1
@@ -79,19 +79,20 @@ class Listener:
         self.refused = 0
         self._proc = env.process(self._accept_loop(), name="listener")
 
-    def connect(self) -> Generator:
-        """Client side: attempt a connection (generator).
+    def connect(self, then: Callable[[Connection], None]) -> bool:
+        """Client side: attempt a connection.
 
-        Returns the :class:`Connection`, or ``None`` when the backlog
-        is full (ECONNREFUSED — the caller should back off and retry).
+        ``False`` when the backlog is full (ECONNREFUSED — the caller
+        should back off and retry); otherwise ``then(conn)`` runs as a
+        client step once the connection is accepted.
         """
         if len(self.backlog.items) >= self.backlog.capacity:
             self.refused += 1
-            return None
-        ev = Event(self.env)
-        yield self.backlog.put(ev)  # room verified: accepted at birth
-        conn = yield ev
-        return conn
+            return False
+        ev = _Step(self.fe)
+        ev.on(ev, then)
+        self.backlog.put(ev)  # room verified: accepted at birth
+        return True
 
     def close(self) -> None:
         self.backlog.put(_STOP)
@@ -117,6 +118,10 @@ class NetFrontend:
         self.cfg = cfg or NetConfig()
         #: request tracer shared with the backend (may be None)
         self.rtrace = rtrace
+        #: client and reader steps owed at the current instant, run in
+        #: order before the step that owes them returns (conn._later)
+        self._owed: deque = deque()
+        self._active = False
         self.admission = AdmissionController(env, self.cfg.max_inflight)
         self.listener = Listener(env, self, self.cfg.accept_queue,
                                  self.cfg.accept_cost)
@@ -174,7 +179,7 @@ class NetFrontend:
 
     def close(self) -> None:
         """End of run: stop accepting and drop the decode memo; leave
-        idle connection processes parked (they hold no events and cost
+        idle connections parked (they hold no events and cost
         nothing)."""
         self.listener.close()
         self.decode_memo.clear()

@@ -25,7 +25,7 @@ from collections.abc import Generator, Sequence
 
 import numpy as np
 
-from repro.net.conn import Connection
+from repro.net.conn import Connection, _Step
 from repro.net.frontend import NetFrontend
 from repro.net.ops import OpStream
 from repro.persist.snapshot import SnapshotKind
@@ -68,29 +68,86 @@ class OpenLoopPoint:
     max_conn_queue: int
 
 
-def _session(env: Environment, fe: NetFrontend, stream: OpStream,
-             times: np.ndarray, indices: Sequence[int],
-             conn_lifetime: int | None) -> Generator:
-    conn: Connection | None = None
-    groups_on_conn = 0
-    for i in indices:
-        t_int = float(times[i])
-        if env.now < t_int:
-            yield env.timeout(t_int - env.now)
-        while conn is None or conn.closed:
-            conn = yield from fe.listener.connect()
-            if conn is None:
-                yield env.timeout(RECONNECT_BACKOFF)
-            groups_on_conn = 0
-        yield from conn.send(stream.group(i), t_int)
-        groups_on_conn += 1
-        if conn_lifetime is not None and groups_on_conn >= conn_lifetime:
+class _Session:
+    """One client session as a chain of steps (see :mod:`repro.net.conn`).
+
+    It sleeps until each arrival's intended instant, (re)connects when
+    it has no open connection — backing off ``RECONNECT_BACKOFF`` after
+    a refusal — and sends the arrival's group; with ``conn_lifetime``
+    it drains and closes the connection every that many groups.  At
+    the end of its arrivals it drains and closes.  It starts where a
+    process would: at this instant, ahead of ordinary entries.
+    """
+
+    def __init__(self, fe: NetFrontend, stream: OpStream,
+                 times: np.ndarray, indices: Sequence[int],
+                 conn_lifetime: int | None):
+        self.env = fe.env
+        self.fe = fe
+        self.stream = stream
+        self.times = times
+        self.conn_lifetime = conn_lifetime
+        self.conn: Connection | None = None
+        self._todo = iter(indices)
+        self._i = 0
+        self._t_int = 0.0
+        self._groups_on_conn = 0
+        self._step = _Step(fe)
+        self._step.first(self._next)
+
+    def _next(self, _) -> None:
+        i = next(self._todo, None)
+        if i is None:
+            # done with the schedule: let it go with the process this
+            # session replaces, not when the cycle collector finds it
+            self.stream = self.times = self._todo = None
+            conn = self.conn
+            if conn is not None and not conn.closed:
+                conn.drain(self._close_last)
+            return
+        self._i = i
+        t_int = self._t_int = float(self.times[i])
+        now = self.env.now
+        if now < t_int:
+            self._step.at(now + (t_int - now), self._arrived)
+        else:
+            self._arrived(None)
+
+    def _arrived(self, _) -> None:
+        conn = self.conn
+        if conn is not None and not conn.closed:
+            conn.send(self.stream.group(self._i), self._t_int, self._sent)
+        elif not self.fe.listener.connect(self._connected):
+            self.conn = None
+            self._step.at(self.env.now + RECONNECT_BACKOFF, self._backoff)
+
+    def _backoff(self, _) -> None:
+        self._groups_on_conn = 0
+        self._arrived(None)
+
+    def _connected(self, conn: Connection) -> None:
+        self.conn = conn
+        self._groups_on_conn = 0
+        self._arrived(None)
+
+    def _sent(self, _) -> None:
+        self._groups_on_conn += 1
+        if self.conn_lifetime is not None \
+                and self._groups_on_conn >= self.conn_lifetime:
             # connection churn: drain replies, close, reconnect lazily
-            yield from conn.drain()
-            yield from conn.close()
-    if conn is not None and not conn.closed:
-        yield from conn.drain()
-        yield from conn.close()
+            self.conn.drain(self._close)
+        else:
+            self._next(None)
+
+    def _close(self, _) -> None:
+        self.conn.close(self._next)
+
+    def _close_last(self, _) -> None:
+        self.conn.close(_done)
+
+
+def _done(_) -> None:
+    pass
 
 
 def run_open_loop(env: Environment, fe: NetFrontend, stream: OpStream,
@@ -104,10 +161,8 @@ def run_open_loop(env: Environment, fe: NetFrontend, stream: OpStream,
     if clients < 1:
         raise ValueError("clients must be >= 1")
     for k in range(clients):
-        idx = range(k, len(times), clients)
-        env.process(
-            _session(env, fe, stream, times, idx, conn_lifetime),
-            name=f"openloop-client{k}")
+        _Session(fe, stream, times, range(k, len(times), clients),
+                 conn_lifetime)
     if snapshot_at is not None and servers:
         def _snap() -> Generator:
             yield env.timeout(snapshot_at)

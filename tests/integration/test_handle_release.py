@@ -137,7 +137,8 @@ def test_a_passed_in_device_is_never_released(system_cls, wrap):
     assert not device._data.released
     assert device.image() == image
     lba = min(image)
-    assert device.pages(lba) == [image[lba]]
+    # the stored pages themselves are under test: read them raw
+    assert device.pages(lba) == [image[lba]]  # slimlint: ignore[SLIM001]
     if cache is not None:  # the handle built its cache, so that goes
         assert cache._pages.released
 
@@ -158,7 +159,8 @@ def test_io_against_a_released_device_raises():
         return env.run(until=env.process(io(ring.read_pages(lba, 1, acct))))
 
     (page,) = read()
-    assert any(page) and [page] == device.pages(lba)  # not the zero page
+    # not the zero page: the ring read returns what the device stores
+    assert any(page) and [page] == device.pages(lba)  # slimlint: ignore[SLIM001]
     del system
     with pytest.raises(ReleasedError):
         read()
@@ -166,7 +168,8 @@ def test_io_against_a_released_device_raises():
         env.run(until=env.process(io(ring.write_pages(
             lba, bytes(device.lba_size), acct, pid=pid))))
     with pytest.raises(ReleasedError):
-        device.pages(lba)
+        # the raw accessor must refuse a released device too
+        device.pages(lba)  # slimlint: ignore[SLIM001]
     with pytest.raises(ReleasedError):
         device.poke(lba, [page])
     with pytest.raises(ReleasedError):

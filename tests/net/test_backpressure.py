@@ -12,6 +12,7 @@ from repro.imdb import ClientOp
 from repro.imdb.resp import RespError, decode
 from repro.net import BackpressurePolicy, NetConfig, NetFrontend
 from repro.sim import Environment
+from tests.net import client as tcl
 
 BURST = 64
 QUEUE = 4
@@ -45,17 +46,17 @@ def _burst(policy, clients=4):
 
     def opener():
         for _ in range(clients):
-            c = yield from fe.listener.connect()
+            c = yield from tcl.connect(fe.listener)
             conns.append(c)
 
     env.run(until=env.process(opener(), name="opener"))
 
     def client(c, base):
         for i in range(BURST // clients):
-            yield from c.send(
+            yield from tcl.send(c, 
                 (ClientOp("SET", b"%03d" % (base + i), b"v" * 64),),
                 env.now)
-        yield from c.drain()
+        yield from tcl.drain(c)
 
     for n, c in enumerate(conns):
         env.process(client(c, n * (BURST // clients)), name=f"cl{n}")
@@ -113,10 +114,10 @@ def test_block_stalls_the_reader_not_the_server():
     fe = NetFrontend(env, be, cfg)
 
     def run():
-        c = yield from fe.listener.connect()
+        c = yield from tcl.connect(fe.listener)
         for i in range(32):
-            yield from c.send((ClientOp("SET", b"%d" % i, b"v"),), env.now)
-        yield from c.drain()
+            yield from tcl.send(c, (ClientOp("SET", b"%d" % i, b"v"),), env.now)
+        yield from tcl.drain(c)
 
     env.run(until=env.process(run(), name="run"))
     assert be.peak_concurrent <= INFLIGHT

@@ -4,6 +4,7 @@ from repro.imdb import ClientOp
 from repro.net import NetConfig, NetFrontend
 from repro.net.frontend import AdmissionController
 from repro.sim import Environment
+from tests.net import client as tcl, twins
 
 
 class NullBackend:
@@ -27,18 +28,20 @@ def test_admission_try_acquire_bounds_inflight():
 
 
 def test_admission_blocking_acquire_wakes_in_turn():
+    """A refused acquirer waits on ``wait()`` and tries again: waiters
+    get the released slots in the order they came."""
     env = Environment()
     a = AdmissionController(env, limit=1)
     order = []
 
     def holder():
-        yield from a.acquire()
+        yield from twins.acquire(a)
         order.append("holder")
         yield env.timeout(1e-3)
         a.release()
 
     def waiter(name):
-        yield from a.acquire()
+        yield from twins.acquire(a)
         order.append(name)
         yield env.timeout(1e-3)
         a.release()
@@ -59,7 +62,7 @@ def test_backlog_refuses_when_full():
     got = []
 
     def one():
-        c = yield from fe.listener.connect()
+        c = yield from tcl.connect(fe.listener)
         got.append(c)
 
     for i in range(8):  # concurrent storm: all hit the backlog at t=0
@@ -78,7 +81,7 @@ def test_accepts_are_serialized_by_accept_cost():
     stamps = []
 
     def one():
-        c = yield from fe.listener.connect()
+        c = yield from tcl.connect(fe.listener)
         stamps.append((env.now, c))
 
     for i in range(3):
@@ -97,7 +100,7 @@ def test_slow_every_marks_every_nth_connection():
 
     def opener():
         for _ in range(6):
-            conns.append((yield from fe.listener.connect()))
+            conns.append((yield from tcl.connect(fe.listener)))
 
     env.run(until=env.process(opener(), name="opener"))
     assert [c.slow for c in conns] == [False, False, True,
@@ -120,9 +123,9 @@ def test_close_stops_accepting():
     fe = NetFrontend(env, be, NetConfig())
 
     def run():
-        c = yield from fe.listener.connect()
-        yield from c.send((ClientOp("SET", b"k", b"v"),), env.now)
-        yield from c.drain()
+        c = yield from tcl.connect(fe.listener)
+        yield from tcl.send(c, (ClientOp("SET", b"k", b"v"),), env.now)
+        yield from tcl.drain(c)
 
     env.run(until=env.process(run(), name="run"))
     fe.close()

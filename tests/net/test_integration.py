@@ -25,6 +25,7 @@ from repro.net import (
 from repro.nvme import NvmeDevice
 from repro.sim import Environment
 from repro.workloads import make_key, make_value
+from tests.net import client as tcl
 
 SMALL_SYSTEM = SystemConfig(
     geometry=FlashGeometry(channels=1, dies_per_channel=2,
@@ -97,16 +98,16 @@ def test_power_cut_with_queued_connections_keeps_acked_prefix():
 
     def opener():
         for _ in range(4):
-            conns.append((yield from fe.listener.connect()))
+            conns.append((yield from tcl.connect(fe.listener)))
 
     env.run(until=env.process(opener(), name="opener"))
 
     def client(conn, base):
         for i in range(24):
             key = make_key(base + i)
-            yield from conn.send(
+            yield from tcl.send(conn, 
                 (ClientOp("SET", key, make_value(key, 256)),), env.now)
-        yield from conn.drain()
+        yield from tcl.drain(conn)
 
     for n, conn in enumerate(conns):
         env.process(client(conn, n * 24), name=f"cl{n}")

@@ -1,17 +1,22 @@
 """Differential oracles for the closed-form wire and the memoized reader.
 
-``Connection.send`` delivers a command with one event at the instant
+``Connection.send`` delivers a command with one entry at the instant
 its last fragment would have arrived.  The reference below is the
 per-fragment sender it replaced — one timeout, one closed check and
 one inbox put per ``fragment_bytes`` slice — kept here, and only here,
-as the obviously-correct twin.  Both drive the same sessions against
-the same front end; everything a client or a report can observe must
-come out identical.  The second half does the same for the reader:
-``Connection._read_loop`` against the always-parse reader it replaced.
+as the obviously-correct twin.  It runs as a process on the process
+twin (``tests/net/twins.py``); so does that twin's own closed-form
+sender, and the step-driven client of ``repro.net`` runs the same
+schedule through ``run_open_loop``'s sessions.  Everything a client or
+a report can observe must come out identical, and the twin and the
+steps must move the clock through the same instants.  The second half
+does the same for the reader: the step reader of ``repro.net`` against
+the always-parse process reader it replaced.
 """
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,8 +32,12 @@ from repro.imdb.resp import (
 )
 from repro.net import BackpressurePolicy, NetConfig, NetFrontend
 from repro.net.conn import _CLOSE, Connection
+from repro.net.openloop import _Session
 from repro.persist.memo import BoundedMemo
 from repro.sim import Environment, Event
+from tests.net import client as tcl
+from tests.net import twins
+from tests.net.twins import InstantLog, ProcessConnection, ProcessFrontend
 
 SESSIONS = 4
 GROUPS = 12          # per session
@@ -66,7 +75,7 @@ def reference_send(conn, group, t_intended):
         conn._outstanding += 1
         conn._meta.append(t_intended)
         conn.fe.issued += 1
-        bw = conn._bandwidth(conn.cfg.client_bandwidth)
+        bw = conn.client_bw
         frag = conn.cfg.fragment_bytes
         for i in range(0, len(data), frag):
             chunk = data[i:i + frag]
@@ -79,7 +88,7 @@ def reference_send(conn, group, t_intended):
     return sent
 
 
-closed_form_send = Connection.send
+closed_form_send = ProcessConnection.send
 
 
 def _group(session, i, value_bytes):
@@ -93,23 +102,43 @@ def _group(session, i, value_bytes):
 def drive(send, policy, slow_every, depth, value_bytes, parse_cpu):
     """SESSIONS reconnecting sessions, the last one behind schedule, into
     a backend a third as fast as the offered load: windows fill, queues
-    overflow, and under DROP connections close under the senders."""
-    env = Environment()
-    cfg = NetConfig(policy=BackpressurePolicy(policy), conn_queue=4,
-                    max_inflight=8, pipeline_depth=depth,
-                    slow_every=slow_every, slow_factor=0.25,
-                    parse_cpu=parse_cpu)
-    fe = NetFrontend(env, FixedBackend(env), cfg)
-    sends = run_sessions(env, fe, send,
-                         lambda s, i: _group(s, i, value_bytes))
-    return fe, sends, env.events_processed
+    overflow, and under DROP connections close under the senders.
+    ``send`` is a process sender on the process twin, or ``None`` for
+    the step-driven client of ``repro.net``."""
+    with twins.logging_dispatches():
+        env = InstantLog()
+        cfg = NetConfig(policy=BackpressurePolicy(policy), conn_queue=4,
+                        max_inflight=8, pipeline_depth=depth,
+                        slow_every=slow_every, slow_factor=0.25,
+                        parse_cpu=parse_cpu)
+        fe = (NetFrontend if send is None else ProcessFrontend)(
+            env, FixedBackend(env), cfg)
+        sends = run_sessions(env, fe, send,
+                             lambda s, i: _group(s, i, value_bytes))
+    return fe, sends, env
+
+
+class _Slots:
+    """Schedule index ``i * SESSIONS + s`` is session ``s``'s slot ``i``:
+    the open-loop sessions' round robin."""
+
+    def __init__(self, group):
+        self._group = group
+
+    def group(self, j):
+        return self._group(j % SESSIONS, j // SESSIONS)
 
 
 def run_sessions(env, fe, send, group):
     """Drive ``group(session, slot)`` from SESSIONS reconnecting
-    sessions for 50 ms; returns (session, slot, commands sent, return
-    instant) per send."""
+    sessions for 50 ms, the last one starting LATE_BY behind; returns
+    (session, slot, commands sent, return instant) per send.
+
+    With ``send`` these are processes; without, they are
+    ``run_open_loop``'s sessions (the late one built LATE_BY in)."""
     sends = []
+    if send is None:
+        return run_step_sessions(env, fe, group, sends)
 
     def session(s):
         if s == SESSIONS - 1:
@@ -120,7 +149,7 @@ def run_sessions(env, fe, send, group):
             if env.now < t_int:
                 yield env.timeout(t_int - env.now)
             while conn is None or conn.closed:
-                conn = yield from fe.listener.connect()
+                conn = yield from twins.connect(fe.listener)
             sent = yield from send(conn, group(s, i), t_int)
             sends.append((s, i, sent, env.now))
         if not conn.closed:
@@ -133,6 +162,33 @@ def run_sessions(env, fe, send, group):
     return sends
 
 
+def run_step_sessions(env, fe, group, sends):
+    """``run_sessions`` on ``run_open_loop``'s sessions, each send
+    logged where the session goes on after its group."""
+    times = np.repeat(np.arange(GROUPS) * SPACING, SESSIONS)
+    stream = _Slots(group)
+    done = _Session._sent
+
+    def logged(session, n):
+        sends.append((session._i % SESSIONS, session._i // SESSIONS, n,
+                      env.now))
+        done(session, n)
+
+    def late():
+        yield env.timeout(LATE_BY)
+        _Session(fe, stream, times, range(SESSIONS - 1, len(times),
+                                           SESSIONS), None)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Session, "_sent", logged)
+        for s in range(SESSIONS - 1):
+            _Session(fe, stream, times, range(s, len(times), SESSIONS),
+                     None)
+        env.process(late(), name="late")
+        env.run(until=0.05)
+    return sends
+
+
 @pytest.mark.parametrize(
     "policy,slow_every,depth,value_bytes,parse_cpu",
     list(itertools.product(("block", "shed", "drop"), (0, 1, 2),
@@ -141,20 +197,26 @@ def run_sessions(env, fe, send, group):
 def test_closed_form_matches_per_fragment(policy, slow_every, depth,
                                           value_bytes, parse_cpu):
     cell = (policy, slow_every, depth, value_bytes, parse_cpu)
-    ref_fe, ref_sends, ref_events = drive(reference_send, *cell)
-    fe, sends, events = drive(closed_form_send, *cell)
-    assert sends == ref_sends          # return values and instants
-    assert fe.completions == ref_fe.completions
-    assert fe.stats() == ref_fe.stats()
+    ref_fe, ref_sends, ref_env = drive(reference_send, *cell)
+    twin_fe, twin_sends, twin_env = drive(closed_form_send, *cell)
+    fe, sends, env = drive(None, *cell)
+    for f, got in ((twin_fe, twin_sends), (fe, sends)):
+        assert got == ref_sends          # return values and instants
+        assert f.completions == ref_fe.completions
+        assert f.stats() == ref_fe.stats()
+    # the steps move the clock exactly as the process twin does
+    assert env.instants == twin_env.instants
     st = fe.stats()
     assert st["completed"] + st["shed"] + st["dropped_cmds"] \
         == st["issued"]
     assert st["issued"] > 0
-    # the saving is dispatches: never more, and on multi-fragment
-    # commands strictly fewer
-    assert events <= ref_events
+    # the saving is dispatches: the closed form never takes more than
+    # the per-fragment train, and on multi-fragment commands strictly
+    # fewer; the steps fewer than the processes
+    assert twin_env.events_processed <= ref_env.events_processed
     if value_bytes == FIVE_FRAGMENTS:
-        assert events < ref_events
+        assert twin_env.events_processed < ref_env.events_processed
+    assert env.events_processed < twin_env.events_processed
 
 
 def test_the_grid_reaches_mid_train_closes(monkeypatch):
@@ -166,37 +228,41 @@ def test_the_grid_reaches_mid_train_closes(monkeypatch):
     mark = Connection._mark_closed
 
     def spy(conn):
-        if conn._train is not None:
-            _sender, bounds = conn._train
+        bounds = conn._train
+        if bounds is not None:
             landed.add(sum(b < conn.env.now for b in bounds))
         mark(conn)
 
     monkeypatch.setattr(Connection, "_mark_closed", spy)
-    fe, sends, _ = drive(closed_form_send, "drop", 0, 8, FIVE_FRAGMENTS,
-                         SLOW_PARSE)
+    fe, sends, _ = drive(None, "drop", 0, 8, FIVE_FRAGMENTS, SLOW_PARSE)
     assert fe.dropped_conns > 0
     assert {0, 1, 2} <= landed
     assert any(sent < len(_group(s, i, 1)) for s, i, sent, _ in sends)
 
 
-@pytest.mark.parametrize("send", [reference_send, closed_form_send])
+@pytest.mark.parametrize("send", [reference_send, tcl.send])
 def test_drop_mid_train_wakes_sender_at_next_boundary(send):
     """Three pipelined GETs overflow a one-slot queue behind a slow
     backend, and the reader (15 us per frame) drops the connection while
     the sender is two fragments into a five-fragment SET.  The sender
     must learn of the close at the first fragment boundary at or after
     that instant (the third), not at the end of the train and not at
-    the close instant itself."""
+    the close instant itself.  The per-fragment sender runs on the
+    process twin, the step client (through test-process wrappers) on
+    ``repro.net``."""
     env = Environment()
     cfg = NetConfig(policy=BackpressurePolicy.DROP, conn_queue=1,
                     pipeline_depth=8, parse_cpu=15e-6,
                     client_bandwidth=25e6)
-    fe = NetFrontend(env, FixedBackend(env, service=1e-3), cfg)
+    twin = send is reference_send
+    fe = (ProcessFrontend if twin else NetFrontend)(
+        env, FixedBackend(env, service=1e-3), cfg)
+    connect = twins.connect if twin else tcl.connect
     big = ClientOp("SET", b"big", b"x" * FIVE_FRAGMENTS)
     box = {}
 
     def client():
-        conn = yield from fe.listener.connect()
+        conn = yield from connect(fe.listener)
         delivered = []
         for k in (b"a", b"b", b"c"):
             assert (yield from send(conn, (ClientOp("GET", k),), 0.0)) == 1
@@ -229,14 +295,16 @@ def test_drop_mid_train_wakes_sender_at_next_boundary(send):
 # ---------------------------------------------------------------------------
 # The reader: decode memo vs always-parse
 #
-# ``Connection._read_loop`` takes a chunk that is byte-equal to a frame
-# the front end already decoded, arriving into an empty parser, from
-# the front end's ``decode_memo``.  The reference below is the reader it
-# replaced, which feeds and parses every chunk, kept here as the twin.
+# The reader of ``repro.net`` takes a chunk that is byte-equal to a
+# frame the front end already decoded, arriving into an empty parser,
+# from the front end's ``decode_memo``.  The reference below is the
+# reader it replaced, which feeds and parses every chunk, kept here as
+# the twin: a process on the process twin's connections.  ``None``
+# stands for the step reader of ``repro.net``.
 # ---------------------------------------------------------------------------
 
 def reference_read_loop(self):
-    """The always-parse reader (the parent of the decode memo)."""
+    """The always-parse reader process (the parent of the decode memo)."""
     env = self.env
     cfg = self.cfg
     while True:
@@ -266,12 +334,12 @@ def reference_read_loop(self):
                 self._drop_close()
                 return
             t_int = self._meta.popleft() if self._meta else env.now
-            yield from self._admit(op, t_int)
+            yield from self._admit_process(op, t_int)
             if self.dropped:
                 return
 
 
-memo_read_loop = Connection._read_loop
+memo_read_loop = None  # the step reader of repro.net
 
 
 class RecordingBackend(FixedBackend):
@@ -305,8 +373,7 @@ def _observe(fe, be, env, parses):
         "replies": [c.replies for c in fe.connections],
         "dropped": [c.dropped for c in fe.connections],
         "executed": be.executed,
-        "dispatches": env.events_processed,
-        "absorbed": env.events_absorbed,
+        "instants": env.instants,
         "parses": parses[0],
     }
 
@@ -323,19 +390,29 @@ def _counting_parses(mp):
     return parses
 
 
+def _reader_frontend(mp, reader, env, be, cfg):
+    """The step reader's front end, or the process twin's with
+    ``reader`` as its reader process."""
+    if reader is None:
+        return NetFrontend(env, be, cfg)
+    mp.setattr(ProcessConnection, "_read_loop", reader)
+    return ProcessFrontend(env, be, cfg)
+
+
 def drive_reader(reader, policy, slow_every, depth, parse_cpu, fresh):
-    """``drive``'s sessions with repeating frames, through ``reader``."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Connection, "_read_loop", reader)
+    """``drive``'s sessions with repeating frames, through ``reader``
+    (``None``: the step client and reader)."""
+    with pytest.MonkeyPatch.context() as mp, twins.logging_dispatches():
         parses = _counting_parses(mp)
-        env = Environment()
+        env = InstantLog()
         cfg = NetConfig(policy=BackpressurePolicy(policy), conn_queue=4,
                         max_inflight=8, pipeline_depth=depth,
                         slow_every=slow_every, slow_factor=0.25,
                         parse_cpu=parse_cpu, capture_replies=True)
         be = RecordingBackend(env)
-        fe = NetFrontend(env, be, cfg)
-        sends = run_sessions(env, fe, closed_form_send,
+        fe = _reader_frontend(mp, reader, env, be, cfg)
+        sends = run_sessions(env, fe,
+                             None if reader is None else closed_form_send,
                              lambda s, i: _repeating_group(s, i, fresh))
         out = _observe(fe, be, env, parses)
         out["sends"] = sends
@@ -409,21 +486,25 @@ RAW_CASES = {
 def drive_chunks(reader, chunks, gap, parse_cpu):
     """Put raw chunks into one connection's inbox, ``gap`` apart (0:
     back to back, so they queue behind a busy reader)."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Connection, "_read_loop", reader)
+    with pytest.MonkeyPatch.context() as mp, twins.logging_dispatches():
         parses = _counting_parses(mp)
-        env = Environment()
+        env = InstantLog()
         be = RecordingBackend(env)
-        fe = NetFrontend(env, be, NetConfig(capture_replies=True,
-                                            pipeline_depth=64,
-                                            parse_cpu=parse_cpu))
+        fe = _reader_frontend(mp, reader, env, be,
+                              NetConfig(capture_replies=True,
+                                        pipeline_depth=64,
+                                        parse_cpu=parse_cpu))
+        connect = tcl.connect if reader is None else twins.connect
 
         def client():
-            conn = yield from fe.listener.connect()
+            conn = yield from connect(fe.listener)
             for chunk in chunks:
                 if gap:
                     yield env.timeout(gap)
-                yield conn.inbox.put(chunk)
+                if reader is None:
+                    yield tcl.put(conn, chunk)
+                else:
+                    yield conn.inbox.put(chunk)
 
         env.process(client(), name="client")
         env.run(until=0.01)
