@@ -246,13 +246,14 @@ class Timeout(Event):
 
 
 class Initialize(Event):
-    """Internal: starts a freshly created process."""
+    """Internal: calls ``callback`` at this instant ahead of ordinary
+    entries — where a freshly created process takes its first step."""
 
     __slots__ = ()
 
-    def __init__(self, env: Environment, process: Process):
+    def __init__(self, env: Environment, callback: Callable[[Event], None]):
         super().__init__(env)
-        self.callbacks.append(process._resume)  # type: ignore[union-attr]
+        self.callbacks.append(callback)  # type: ignore[union-attr]
         self._value = None
         self._state = _TRIGGERED
         env._schedule(self, priority=0)
@@ -281,7 +282,7 @@ class Process(Event):
         self._generator = generator
         self._target: Event | None = None
         self.name = name or getattr(generator, "__name__", "process")
-        Initialize(env, self)
+        Initialize(env, self._resume)
 
     @property
     def is_alive(self) -> bool:
@@ -346,11 +347,8 @@ class Process(Event):
                 # Already processed. Continuing the generator inline is
                 # order-identical to the classic synthetic wake-up event
                 # only when that wake-up would have been the very next
-                # thing to run: we are the firing event's last callback
-                # and nothing else is scheduled at this instant.
-                if env._cb_last and (
-                    not env._heap or env._heap[0][0] > env._now
-                ):
+                # thing to run (see _may_continue_inline).
+                if env._may_continue_inline():
                     event = next_ev
                     continue
                 # Fallback: resume via the heap at the current time.
@@ -545,6 +543,16 @@ class Environment:
         seq = self._seq
         self._seq = seq + 1
         heapq.heappush(self._heap, (when, seq, event))
+
+    def _may_continue_inline(self) -> bool:
+        """True when a zero-delay wake-up pushed now would be the very
+        next dispatch, so running it inline is order-identical to the
+        heap round-trip: the current callback is the firing event's
+        last and nothing else is scheduled at this instant."""
+        if not self._cb_last:
+            return False
+        heap = self._heap
+        return not heap or heap[0][0] > self._now
 
     # -- quiescence fast-forward --------------------------------------------
     def ff_advance(self, dt: float) -> bool:

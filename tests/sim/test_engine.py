@@ -9,6 +9,7 @@ from repro.sim import (
     Interrupt,
     SimulationError,
 )
+from repro.sim.engine import Initialize
 
 
 def test_clock_starts_at_zero():
@@ -508,6 +509,19 @@ def test_resume_yields_to_another_event_due_at_the_same_instant():
     # rival's timeout was scheduled before proc's wake-up could be:
     # FIFO at one instant puts it first
     assert order == ["woke", "rival", "continued"]
+
+
+def test_initialize_runs_ahead_of_entries_due_at_the_same_instant():
+    # the start of a process, and of anything else that must begin
+    # where a process would (repro.net's sessions), is one rule
+    env = Environment()
+    order = []
+    ev = env.event()
+    ev.callbacks.append(lambda _ev: order.append("ordinary"))
+    ev.succeed()
+    Initialize(env, lambda _ev: order.append("first"))
+    env.run()
+    assert order == ["first", "ordinary"]
 
 
 @pytest.mark.parametrize("until", ["exhaust", "event", "time", "step"])
