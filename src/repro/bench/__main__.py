@@ -7,7 +7,7 @@ Usage::
     python -m repro.bench all [--scale test|bench|prod] [--jobs N]
     python -m repro.bench table1 --profile 25   # cProfile hotspots
     python -m repro.bench perf [--out BENCH_perf.json]
-    python -m repro.bench sweep --comprehensive --scale tiny --jobs 4
+    python -m repro.bench sweep --scale tiny --jobs 4
 
 Reports are deterministic: the same tree, scale, and experiment set
 produce a byte-identical report file whatever ``--jobs`` is (wall-clock
@@ -29,6 +29,14 @@ from repro.bench.harness import add_run_options, run_experiment, run_units
 from repro.bench.scales import get_scale
 
 
+def _write_report(path: Path, chunks) -> None:
+    """The report file: each printed chunk, newline-terminated, so the
+    file is byte-equal to stdout."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("".join(f"{text}\n" for text in chunks))
+    print(f"(report written to {path})", file=sys.stderr)
+
+
 def _sweep_main(argv) -> int:
     """The ``sweep`` subcommand: map the design space, flag its cliffs.
 
@@ -43,7 +51,7 @@ def _sweep_main(argv) -> int:
     from repro.bench.sweep import (
         detect_knife_edges,
         format_knife_edges,
-        run_grid,
+        sweep,
         write_csv,
     )
 
@@ -53,12 +61,10 @@ def _sweep_main(argv) -> int:
                     "size, PID policy, GC watermarks, WAL policy, shard "
                     "count, and value size.",
     )
-    parser.add_argument("--comprehensive", action="store_true",
-                        help="run every registered grid")
     parser.add_argument("--grid", action="append", default=None,
                         metavar="NAME",
-                        help="run one named grid (repeatable); "
-                             "see --list")
+                        help="run this grid (repeatable; default: every "
+                             "grid, see --list)")
     parser.add_argument("--list", action="store_true",
                         help="list registered grids and exit")
     add_run_options(parser, "tiny")
@@ -74,19 +80,11 @@ def _sweep_main(argv) -> int:
                   f"{'x'.join(str(len(v)) for v in grid.axes.values())} "
                   f"({', '.join(grid.axes)})")
         return 0
-    if args.comprehensive:
-        names = list(grids)
-    elif args.grid:
-        names = list(dict.fromkeys(args.grid))
-        for name in names:
-            if name not in grids:
-                print(f"unknown grid {name!r}; try --list",
-                      file=sys.stderr)
-                return 2
-    else:
-        print("choose --comprehensive or --grid NAME (see --list)",
-              file=sys.stderr)
-        return 2
+    names = list(dict.fromkeys(args.grid or grids))
+    for name in names:
+        if name not in grids:
+            print(f"unknown grid {name!r}; try --list", file=sys.stderr)
+            return 2
     if args.jobs < 1:
         print("--jobs must be >= 1", file=sys.stderr)
         return 2
@@ -97,14 +95,13 @@ def _sweep_main(argv) -> int:
     for name in names:
         grid = grids[name]
         t0 = time.perf_counter()
-        result = run_grid(grid, jobs=args.jobs)
+        result = sweep(grid.axes, grid.runner, jobs=args.jobs)
         elapsed = time.perf_counter() - t0
         print(f"({name}: {grid.size} points, {elapsed:.1f}s wall)",
               file=sys.stderr)
         csv_path = out_dir / f"{name}_{scale.name}.csv"
         write_csv(result, csv_path)
-        edges = detect_knife_edges(result, grid.edges,
-                                   axes=dict(grid.axes))
+        edges = detect_knife_edges(result, grid.edges)
         text = "\n".join([
             f"== Sweep: {name} @ {scale.name} "
             f"({grid.size} points) ==",
@@ -118,9 +115,7 @@ def _sweep_main(argv) -> int:
         ])
         chunks.append(text)
         print(text)
-    report_path = out_dir / f"sweep_{scale.name}_report.txt"
-    report_path.write_text("".join(f"{text}\n" for text in chunks))
-    print(f"(report written to {report_path})", file=sys.stderr)
+    _write_report(out_dir / f"sweep_{scale.name}_report.txt", chunks)
     return 0
 
 
@@ -229,10 +224,7 @@ def main(argv=None) -> int:
         if not outcome.value["shapes_hold"]:
             exit_code = 1
     if out_path != "-":
-        path = Path(out_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("".join(f"{text}\n" for text in chunks))
-        print(f"(report written to {path})", file=sys.stderr)
+        _write_report(Path(out_path), chunks)
     return exit_code
 
 

@@ -4,12 +4,11 @@ A *unit* is one picklable call ``fn(arg)`` that returns a picklable
 dict: a paper experiment (``arg`` is its name, the payload its report
 text and shape verdict) or a design-space grid point (``arg`` is its
 parameter dict, the payload its measurements). :func:`run_units` is
-the only place units execute — the experiment CLI and ``sweep``/
-``run_grid`` call it. It computes every unit,
-serially or over the ``--jobs`` process pool, and returns one
-:class:`Outcome` per unit in input order, so output is identical
-whatever ``jobs`` is. Nothing is stored between runs: every report is
-computed from the tree it describes.
+the only place units execute — the experiment CLI and ``sweep`` call
+it. It computes every unit, serially or over the ``--jobs`` process
+pool, and returns one :class:`Outcome` per unit in input order, so
+output is identical whatever ``jobs`` is. Nothing is stored between
+runs: every report is computed from the tree it describes.
 """
 
 from __future__ import annotations

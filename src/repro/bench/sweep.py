@@ -11,18 +11,18 @@ exploration subsystem (``python -m repro.bench sweep``):
 * :class:`GridSpec` names a cartesian grid plus the module-level runner
   that measures one point (picklable, so grids parallelize over the
   ``--jobs`` process pool);
-* :func:`run_grid` runs a grid through the experiments' run path
+* :func:`sweep` runs a grid's axes through the experiments' run path
   (:func:`repro.bench.harness.run_units`), computing every point;
 * :func:`detect_knife_edges` flags adjacent grid points whose metric
   jumps by more than a factor — the ``gc_stop_segments`` 6→5 cliff
   found in PR 4 is the motivating example: point estimates hide these
   edges, grids expose them.
 
-A sweep that mixes successful rows with ``on_error="skip"`` failure
-rows (infeasible corners record an ``error`` column and *no*
-measurement keys) stays fully renderable: ``format()`` and
-``write_csv()`` union headers across rows and treat missing cells as
-blank, and ``top()`` ranks the successful rows alone.
+A point whose runner raises is an error row (an infeasible corner
+records an ``error`` column and *no* measurement keys), so a sweep
+mixes success and error rows and stays fully renderable: ``format()``
+and ``write_csv()`` union headers across rows and treat missing cells
+as blank, and ``top()`` ranks the successful rows alone.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from repro.bench.harness import run_units
 
 __all__ = [
     "SweepResult", "sweep", "write_csv", "GridSpec", "EdgeSpec",
-    "KnifeEdge", "run_grid", "detect_knife_edges",
+    "KnifeEdge", "detect_knife_edges",
     "format_knife_edges",
 ]
 
@@ -56,8 +56,8 @@ class SweepResult:
     def headers(self) -> list[str]:
         """Union of every row's keys, first-seen order.
 
-        Success rows and ``on_error="skip"`` error rows carry different
-        key sets; a single row can never be trusted to name them all.
+        Success rows and error rows carry different key sets; a
+        single row can never be trusted to name them all.
         """
         headers: list[str] = []
         for row in self.rows:
@@ -87,27 +87,23 @@ class SweepResult:
                       reverse=maximize)[:n]
 
     def format(self) -> str:
-        from repro.bench.report import format_table
+        from repro.bench.report import format_dict_rows
 
         if not self.rows:
             return "(empty sweep)"
-        # union the headers: indexing every row with rows[0]'s keys
-        # raises KeyError the moment a sweep mixes success and error
-        # rows, and drops the "error" column when rows[0] succeeded
-        headers = self.headers()
-        return format_table(headers, [[r.get(h, "") for h in headers]
-                                      for r in self.rows])
+        return format_dict_rows(self.headers(), self.rows)
 
 
 def sweep(grid: dict[str, Iterable[Any]], runner: Runner,
-          on_error: str = "raise", jobs: int = 1) -> SweepResult:
-    """Run ``runner`` for every point of the cartesian ``grid``.
+          jobs: int = 1) -> SweepResult:
+    """Run ``runner`` for every point of the cartesian ``grid`` (a
+    :class:`GridSpec`'s ``axes``, or any axis -> values dict).
 
-    ``on_error``: "raise" (default) or "skip" (record the failure in an
-    ``error`` column and continue — useful for grids that include
-    infeasible corners, e.g. WAL regions too small for the trigger).
-    "raise" raises a :class:`RuntimeError` naming the first failed
-    point, whatever ``jobs`` is.
+    A point whose runner raises becomes an error row (its message in
+    an ``error`` column, no measurements): a design-space sweep's job
+    is to map the feasible region, so an infeasible corner (e.g.
+    ``dedicated`` PIDs on a shard count that does not fit the device)
+    is a result, not a failure.
 
     ``jobs``: process-level parallelism. Row order is the grid's
     cartesian order whatever ``jobs`` is, so sweep output is
@@ -115,8 +111,6 @@ def sweep(grid: dict[str, Iterable[Any]], runner: Runner,
     function) when ``jobs > 1``. Points run through
     :func:`repro.bench.harness.run_units`, the experiments' run path.
     """
-    if on_error not in ("raise", "skip"):
-        raise ValueError("on_error must be 'raise' or 'skip'")
     names = list(grid.keys())
     result = SweepResult(param_names=names)
     points = [dict(zip(names, values))
@@ -127,10 +121,6 @@ def sweep(grid: dict[str, Iterable[Any]], runner: Runner,
         row: dict[str, Any] = dict(params)
         if outcome.error is None:
             row.update(outcome.value)
-        elif on_error == "raise":
-            raise RuntimeError(
-                f"sweep point {params} failed: {outcome.error}\n"
-                f"{outcome.trace}")
         else:
             row["error"] = outcome.error
         result.rows.append(row)
@@ -140,10 +130,10 @@ def sweep(grid: dict[str, Iterable[Any]], runner: Runner,
 def write_csv(result: SweepResult, path: str | Path) -> None:
     """Dump a sweep to CSV (union of all row keys, stable order).
 
-    Heterogeneous rows are expected — an ``on_error="skip"`` sweep
-    mixes measurement rows with error rows — so the writer takes the
-    union of keys and renders every missing cell as an empty string
-    (``restval=""``) rather than dropping or shifting columns.
+    Heterogeneous rows are expected — a sweep mixes measurement rows
+    with error rows — so the writer takes the union of keys and renders
+    every missing cell as an empty string (``restval=""``) rather than
+    dropping or shifting columns.
     """
     if not result.rows:
         raise ValueError("empty sweep")
@@ -202,18 +192,6 @@ class GridSpec:
         return out
 
 
-def run_grid(grid: GridSpec, jobs: int = 1) -> SweepResult:
-    """Run one :class:`GridSpec` through the ``--jobs`` pool.
-
-    Infeasible corners (e.g. ``dedicated`` PIDs on a shard count that
-    does not fit the device) are recorded as error rows, not raised:
-    a design-space sweep's job is to map the feasible region, and the
-    mixed result exercises exactly the heterogeneous-row rendering
-    this module guarantees.
-    """
-    return sweep(dict(grid.axes), grid.runner, on_error="skip", jobs=jobs)
-
-
 # --------------------------------------------------------------------------
 # knife-edge detection
 # --------------------------------------------------------------------------
@@ -242,22 +220,18 @@ class KnifeEdge:
 
 
 def detect_knife_edges(result: SweepResult,
-                       edges: Sequence[EdgeSpec],
-                       axes: dict[str, Sequence[Any]] | None = None,
-                       ) -> list[KnifeEdge]:
+                       edges: Sequence[EdgeSpec]) -> list[KnifeEdge]:
     """Flag adjacent grid points whose metric jumps by > ``factor``.
 
-    Adjacency is along one axis at a time (the axis order given by
-    ``axes`` or recovered from the sweep's cartesian row order), with
-    every other parameter identical — the discrete analogue of a large
-    partial derivative. Error rows and rows missing the metric are
-    skipped; a jump from exactly zero to anything above ``min_jump``
-    is an infinite-ratio edge (the 6→5 ``gc_stop_segments`` cliff is
-    literally "copy-free vs copying").
+    Adjacency is along one axis at a time (the axis order recovered
+    from the sweep's cartesian row order, which is the grid's: error
+    rows keep their parameters), with every other parameter identical
+    — the discrete analogue of a large partial derivative. Error rows and
+    rows missing the metric are skipped; a jump from exactly zero to
+    anything above ``min_jump`` is an infinite-ratio edge (the 6→5
+    ``gc_stop_segments`` cliff is literally "copy-free vs copying").
     """
     names = result.param_names
-    if axes is None:
-        axes = {n: result.axis_values(n) for n in names}
     index = {}
     for row in result.rows:
         if "error" in row:
@@ -267,7 +241,7 @@ def detect_knife_edges(result: SweepResult,
     found: list[KnifeEdge] = []
     for spec in edges:
         for ai, axis in enumerate(names):
-            values = list(axes.get(axis, ()))
+            values = result.axis_values(axis)
             for lo_v, hi_v in zip(values, values[1:]):
                 for point, row in index.items():
                     if point[ai] != lo_v:

@@ -139,6 +139,10 @@ class _Step(Event):
     in the front end's step context, then runs the wake-ups that step
     owes at this instant (see :func:`_later`).  One actor waits on one
     thing at a time, so one step object serves all its waits.
+
+    An idle step refers to nothing of its actor: ``fn`` is dropped as
+    it is called and the heap callback is the plain function, so an
+    actor and its step never hold each other in a reference cycle.
     """
 
     __slots__ = ("fe", "fn", "_cbl")
@@ -147,7 +151,7 @@ class _Step(Event):
         super().__init__(fe.env)
         self.fe = fe
         self.fn: Callable[[Any], None] | None = None
-        self._cbl = [self._fire]
+        self._cbl = [_Step._fire]
 
     def at(self, when: float, fn: Callable[[Any], None],
            value: Any = None) -> None:
@@ -165,10 +169,13 @@ class _Step(Event):
         self.fn = fn
         ev.callbacks.append(self._fire)  # type: ignore[union-attr]
 
-    def _fire(self, ev: Event) -> None:
+    def _fire(self, ev: Event | None = None) -> None:
+        # ``ev`` is the event the step is hooked on, or None when the
+        # step itself is dispatched (the engine passes it as ``self``)
         fe = self.fe
         fe._active = True
-        self.fn(ev._value)
+        fn, self.fn = self.fn, None
+        fn((self if ev is None else ev)._value)
         owed = fe._owed
         while owed:
             fn, value = owed.popleft()
@@ -361,6 +368,17 @@ class Connection:
 
     def _interrupted(self, _) -> None:
         _later(self._cl, self._delivered)
+
+    def _release(self) -> None:
+        """At the front end's close: once nothing can run this
+        connection again (closed, dispatcher gone, no fragment train
+        left), drop what refers back to the front end and the client
+        session, so neither is held in a reference cycle through it.
+        Its counters and captured replies stay."""
+        if self.closed and not self._dispatcher.is_alive \
+                and self._train is None:
+            self.fe = self._cl = self._rd = None
+            self._then = self._waiter = None
 
     # ------------------------------------------------------------ reader
     def _read(self, chunk) -> None:

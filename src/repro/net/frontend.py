@@ -77,16 +77,21 @@ class Listener:
         self.backlog = Store(env, capacity=backlog)
         self.accepted = 0
         self.refused = 0
-        self._proc = env.process(self._accept_loop(), name="listener")
+        self._closed = False
+        #: the accept loop and the backlog get it last waited on
+        self._loop = self._accept_loop()
+        self._get: Event | None = None
+        env.process(self._loop, name="listener")
 
     def connect(self, then: Callable[[Connection], None]) -> bool:
         """Client side: attempt a connection.
 
-        ``False`` when the backlog is full (ECONNREFUSED — the caller
-        should back off and retry); otherwise ``then(conn)`` runs as a
-        client step once the connection is accepted.
+        ``False`` when the listener is closed or the backlog is full
+        (ECONNREFUSED — the caller should back off and retry);
+        otherwise ``then(conn)`` runs as a client step once the
+        connection is accepted.
         """
-        if len(self.backlog.items) >= self.backlog.capacity:
+        if self._closed or len(self.backlog.items) >= self.backlog.capacity:
             self.refused += 1
             return False
         ev = _Step(self.fe)
@@ -95,11 +100,22 @@ class Listener:
         return True
 
     def close(self) -> None:
-        self.backlog.put(_STOP)
+        """Stop accepting: every later connect is refused, whatever
+        state the accept loop is in.  A loop parked on an empty backlog
+        ends here, leaving nothing on the heap and no reference back to
+        the front end; one in the middle of an accept finishes the
+        connects queued before the close and ends at the stop marker."""
+        self._closed = True
+        if self._get is not None and not self._get.triggered:
+            self._loop.close()
+            self.fe = None
+        else:
+            self.backlog.put(_STOP)
 
     def _accept_loop(self) -> Generator:
         while True:
-            ev = yield self.backlog.get()
+            self._get = self.backlog.get()
+            ev = yield self._get
             if ev is _STOP:
                 return
             if self.accept_cost:
@@ -178,8 +194,12 @@ class NetFrontend:
         }
 
     def close(self) -> None:
-        """End of run: stop accepting and drop the decode memo; leave
-        idle connections parked (they hold no events and cost
-        nothing)."""
+        """End of run: stop accepting, drop the decode memo, and let go
+        of every connection nothing can run again, so a front end whose
+        run finished is freed by reference counting, without the cycle
+        collector.  Completions, :meth:`stats` and ``connections``
+        still read afterwards."""
         self.listener.close()
         self.decode_memo.clear()
+        for conn in self.connections:
+            conn._release()

@@ -54,17 +54,16 @@ def test_smooth_metric_flags_nothing(planted):
 
 
 def test_non_adjacent_points_not_compared():
-    # x=1 vs x=3 jump 4x, but they are two steps apart; only the
-    # adjacent pair (2, 3) may flag
+    # adjacency follows the grid's own axis order: on the full x axis
+    # the 4x jump from x=1 to x=3 is two steps apart and only the
+    # adjacent (2, 3) pair flags; on an x axis of [1, 3] the same two
+    # points are neighbours
+    res = sweep({"x": [1, 2, 3], "y": [1]}, planted_runner)
+    edges = detect_knife_edges(res, [EdgeSpec("waf", factor=2.0)])
+    assert [(e.low_value, e.high_value) for e in edges] == [(2, 3)]
     res = sweep({"x": [1, 3], "y": [1]}, planted_runner)
     edges = detect_knife_edges(res, [EdgeSpec("waf", factor=2.0)])
     assert [(e.low_value, e.high_value) for e in edges] == [(1, 3)]
-    # ...unless the axis order says they *are* adjacent, as above; with
-    # the full axis declared, the 1->3 pair is not adjacent and stays
-    # silent even though both points exist in the result
-    edges = detect_knife_edges(res, [EdgeSpec("waf", factor=2.0)],
-                               axes={"x": [1, 2, 3], "y": [1]})
-    assert edges == []
 
 
 def test_min_jump_suppresses_noise_floor():
@@ -95,7 +94,7 @@ def test_error_rows_are_skipped():
             raise RuntimeError("infeasible")
         return {"waf": 1.0 if params["x"] == 1 else 4.0}
 
-    res = sweep({"x": [1, 2, 3]}, flaky, on_error="skip")
+    res = sweep({"x": [1, 2, 3]}, flaky)
     # the cliff's neighbour (x=2) errored, so the 1->2 and 2->3 pairs
     # have no mate; nothing to compare, nothing flagged, no crash
     assert detect_knife_edges(res, [EdgeSpec("waf", factor=2.0)]) == []
@@ -118,7 +117,7 @@ def test_cluster_grid_refinds_the_gc_stop_cliff():
 
     On the pinned 22MB/8-PID cluster device, ``gc_stop_segments=6``
     makes the collapsed-PID GC copy live pages while ``5`` stays
-    copy-free; the comprehensive cluster grid must re-find that edge
+    copy-free; the full cluster grid must re-find that edge
     from measurements, not folklore. Run the two points of the real
     grid that straddle it and assert the detector flags the step.
     """

@@ -123,10 +123,7 @@ def test_cluster_grid_contains_the_experiments_cell():
     coordinates (4 SlimIO shards, whose PID allocator picks
     ``collapse``) measures exactly the experiment's 4-shard run."""
     scale = get_scale("tiny")
-    from repro.cluster import build_cluster
-
-    _, rep = ex._run(build_cluster, ex.pinned_cluster_config(scale, 4),
-                     ex._pinned_workload(scale), scale.warmup_ops)
+    _, rep, _ = ex._pinned_run(scale, ex.pinned_cluster_config(scale, 4))
     point = ex.cluster_sweep_point(
         {"ru_pages": 8, "pid_policy": "collapse", "gc_stop_segments": 5,
          "wal_policy": "periodical", "shards": 4,

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.bench import ExperimentResult, format_table
+from repro.bench.report import ExperimentResult, format_table
 from repro.bench.plots import timeline_chart
 
 

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.bench import BENCH_SCALE, TEST_SCALE
 from repro.bench.__main__ import main as bench_main
-from repro.bench.scales import get_scale
+from repro.bench.scales import BENCH_SCALE, TEST_SCALE, get_scale
 
 
 def test_scale_registry():

@@ -7,7 +7,6 @@ import pytest
 from repro.bench.sweep import (
     GridSpec,
     SweepResult,
-    run_grid,
     sweep,
     write_csv,
 )
@@ -33,21 +32,14 @@ def test_best_row():
 
 
 def test_error_skip_records_failure():
-    res = sweep({"a": [1], "explode": [False, True]}, fake_runner,
-                on_error="skip")
+    res = sweep({"a": [1], "explode": [False, True]}, fake_runner)
     assert len(res.rows) == 2
     assert "error" in res.rows[1]
     assert "score" not in res.rows[1]
 
 
-def test_error_raise_propagates():
-    with pytest.raises(RuntimeError):
-        sweep({"a": [1], "explode": [True]}, fake_runner)
-
-
 def test_best_skips_error_rows():
-    res = sweep({"a": [1, 3], "explode": [False, True]}, fake_runner,
-                on_error="skip")
+    res = sweep({"a": [1, 3], "explode": [False, True]}, fake_runner)
     # errored rows (a=1/3 with explode=True) may not rank even though
     # max() over a mixed dict would have raised KeyError before
     (best,) = res.top("score", n=1)
@@ -56,31 +48,21 @@ def test_best_skips_error_rows():
 
 
 def test_best_all_rows_errored():
-    res = sweep({"explode": [True, True]}, fake_runner, on_error="skip")
+    res = sweep({"explode": [True, True]}, fake_runner)
     assert res.top("score") == []
     assert res.ok_rows() == []
 
 
 def test_parallel_jobs_match_serial():
     grid = {"a": [1, 2, 3], "b": [0, 5], "explode": [False, True]}
-    serial = sweep(grid, fake_runner, on_error="skip")
-    parallel = sweep(grid, fake_runner, on_error="skip", jobs=3)
+    serial = sweep(grid, fake_runner)
+    parallel = sweep(grid, fake_runner, jobs=3)
     assert parallel.rows == serial.rows  # same content, same order
-
-
-def test_parallel_raise_names_failed_point():
-    with pytest.raises(RuntimeError, match="explode"):
-        sweep({"a": [1, 2], "explode": [True]}, fake_runner, jobs=2)
 
 
 def test_invalid_jobs():
     with pytest.raises(ValueError):
         sweep({"a": [1]}, fake_runner, jobs=0)
-
-
-def test_invalid_on_error():
-    with pytest.raises(ValueError):
-        sweep({"a": [1]}, fake_runner, on_error="ignore")
 
 
 def test_format_and_empty():
@@ -92,8 +74,7 @@ def test_format_and_empty():
 
 
 def test_write_csv(tmp_path):
-    res = sweep({"a": [1, 2], "explode": [False]}, fake_runner,
-                on_error="skip")
+    res = sweep({"a": [1, 2], "explode": [False]}, fake_runner)
     p = tmp_path / "out.csv"
     write_csv(res, p)
     text = p.read_text()
@@ -109,8 +90,7 @@ def test_write_csv(tmp_path):
 
 def mixed_result() -> SweepResult:
     """A sweep whose grid deliberately includes a failing point."""
-    return sweep({"a": [1, 2], "explode": [False, True]}, fake_runner,
-                 on_error="skip")
+    return sweep({"a": [1, 2], "explode": [False, True]}, fake_runner)
 
 
 def test_mixed_rows_format_does_not_raise():
@@ -126,8 +106,7 @@ def test_mixed_rows_format_does_not_raise():
 def test_mixed_rows_format_error_row_first():
     # worst case of the old bug: rows[0] is the error row, so the old
     # header scrape lost the measurement columns entirely
-    res = sweep({"explode": [True, False], "a": [1]}, fake_runner,
-                on_error="skip")
+    res = sweep({"explode": [True, False], "a": [1]}, fake_runner)
     assert "error" in res.rows[0]
     text = res.format()
     assert "score" in text.splitlines()[0]
@@ -177,7 +156,7 @@ def test_run_grid_skips_infeasible_corners():
     grid = GridSpec(name="g", axes={"a": [1, 2], "explode": [False, True]},
                     runner=fake_runner)
     assert grid.size == 4
-    res = run_grid(grid)
+    res = sweep(grid.axes, grid.runner)
     assert len(res.rows) == 4
     assert len(res.ok_rows()) == 2
 

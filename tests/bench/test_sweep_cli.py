@@ -45,8 +45,7 @@ def toy_grids(monkeypatch):
 
 def _run(tmp_path, tag, jobs):
     out = tmp_path / tag
-    argv = ["--comprehensive", "--scale", "test", "--jobs", str(jobs),
-            "--out-dir", str(out)]
+    argv = ["--scale", "test", "--jobs", str(jobs), "--out-dir", str(out)]
     assert _sweep_main(argv) == 0
     # the report names its own CSV path; normalize the per-run out-dir
     # so runs stay comparable byte-for-byte
@@ -84,9 +83,7 @@ def test_sweep_list_and_errors(tmp_path, capsys):
     assert "toy: 6 points" in capsys.readouterr().out
     assert _sweep_main(["--grid", "nope", "--out-dir",
                         str(tmp_path)]) == 2
-    assert _sweep_main(["--out-dir", str(tmp_path)]) == 2  # no grid
-    assert _sweep_main(["--comprehensive", "--jobs", "0",
-                        "--out-dir", str(tmp_path)]) == 2
+    assert _sweep_main(["--jobs", "0", "--out-dir", str(tmp_path)]) == 2
 
 
 def test_main_routes_sweep_and_tune(tmp_path, capsys, monkeypatch):
@@ -104,3 +101,18 @@ def test_report_file_is_byte_equal_to_stdout(tmp_path, capsys):
     assert _sweep_main(argv) == 0
     assert (out / "sweep_test_report.txt").read_text() == \
         capsys.readouterr().out
+
+
+def test_grid_defaults_to_every_grid(tmp_path, capsys):
+    """No ``--grid``: every registered grid runs, and the report is the
+    one ``--grid`` naming each of them writes."""
+    runs = {}
+    for tag, argv in (("all", []), ("named", ["--grid", "toy"])):
+        out = tmp_path / tag
+        assert _sweep_main([*argv, "--scale", "test",
+                            "--out-dir", str(out)]) == 0
+        runs[tag] = (out / "sweep_test_report.txt").read_text().replace(
+            str(out), "<out>")
+    assert runs["all"] == runs["named"]
+    assert "== Sweep: toy @ test" in runs["all"]
+    capsys.readouterr()

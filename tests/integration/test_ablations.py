@@ -11,11 +11,10 @@ import pytest
 
 from repro import (
     LoggingPolicy,
-    SnapshotKind,
     build_baseline,
     build_slimio,
 )
-from repro.bench.experiments import _fill_store, _quiesce
+from repro.bench.experiments import _cell, _recovered
 from repro.bench.scales import TEST_SCALE as SCALE
 from repro.bench.sweep import sweep
 from repro.workloads import ClosedLoopWorkload, RedisBenchWorkload
@@ -87,15 +86,7 @@ def test_ablation_recovery_readahead():
             SCALE.system_config(gc_pressure=False, trigger=False),
             recovery_readahead_pages=window,
         )
-        system = build_slimio(config=cfg)
-        _fill_store(system, SCALE.redis_keys, SCALE.redis_value)
-        _quiesce(system)
-        proc = system.server.start_snapshot(SnapshotKind.ON_DEMAND)
-        system.env.run(until=proc)
-        system.crash()
-        rec = system.env.run(until=system.env.process(
-            system.recover(SnapshotKind.ON_DEMAND)))
-        system.stop()
+        _, rec = _cell(build_slimio, cfg, _recovered, loaded=SCALE)
         assert len(rec.data) == SCALE.redis_keys
         results[window] = rec
     # deeper windows overlap more device time with decode CPU
@@ -125,4 +116,6 @@ def test_value_size_sensitivity():
         return {"gain": out["slimio"] / out["baseline"]}
 
     result = sweep({"value_size": [512, 2048, 4096]}, runner)
+    # a raising runner is an error row, not an exception
+    assert [r.get("error") for r in result.rows] == [None] * 3
     assert all(r["gain"] > 1.0 for r in result.rows)

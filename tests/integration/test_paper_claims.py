@@ -7,7 +7,7 @@ reproduction's core results.
 
 import pytest
 
-from repro import LoggingPolicy, SnapshotKind, build_baseline, build_slimio
+from repro import LoggingPolicy, build_baseline, build_slimio
 from repro.bench.scales import TEST_SCALE
 
 
@@ -84,22 +84,13 @@ def test_memory_footprints_comparable(overall_runs):
 
 def test_recovery_faster_with_readahead():
     """Table 5's claim, as a plain test."""
-    from repro.bench.experiments import _fill_store, _quiesce
+    from repro.bench.experiments import _cell, _recovered
 
     times = {}
     for name, builder in (("baseline", build_baseline),
                           ("slimio", build_slimio)):
-        system = builder(
-            config=TEST_SCALE.system_config(gc_pressure=False,
-                                            trigger=False))
-        _fill_store(system, TEST_SCALE.redis_keys, TEST_SCALE.redis_value)
-        _quiesce(system)
-        proc = system.server.start_snapshot(SnapshotKind.ON_DEMAND)
-        system.env.run(until=proc)
-        system.crash()
-        rec = system.env.run(until=system.env.process(
-            system.recover(SnapshotKind.ON_DEMAND)))
-        system.stop()
+        _, rec = _cell(builder, TEST_SCALE.system_config(
+            gc_pressure=False, trigger=False), _recovered, loaded=TEST_SCALE)
         assert rec.snapshot_entries == TEST_SCALE.redis_keys
         times[name] = rec.duration
     assert times["slimio"] < times["baseline"]

@@ -1,19 +1,33 @@
 """Listener and admission-controller tests."""
 
+import gc
+import weakref
+
+import pytest
+
 from repro.imdb import ClientOp
-from repro.net import NetConfig, NetFrontend
+from repro.net import (
+    MIXES,
+    BackpressurePolicy,
+    NetConfig,
+    NetFrontend,
+    OpStream,
+    PoissonArrivals,
+    run_open_loop,
+)
 from repro.net.frontend import AdmissionController
 from repro.sim import Environment
 from tests.net import client as tcl, twins
 
 
 class NullBackend:
-    def __init__(self, env):
+    def __init__(self, env, service=1e-6):
         self.env = env
+        self.service = service
 
     def execute(self, op):
-        yield self.env.timeout(1e-6)
-        return True
+        yield self.env.timeout(self.service)
+        return b"v" if op.op == "GET" else True
 
 
 def test_admission_try_acquire_bounds_inflight():
@@ -128,6 +142,85 @@ def test_close_stops_accepting():
         yield from tcl.drain(c)
 
     env.run(until=env.process(run(), name="run"))
-    fe.close()
+    accepted = []
+    fe.close()  # idle: the accept loop is parked on an empty backlog
+    assert not fe.listener.connect(accepted.append)
     env.run(until=env.now + 0.01)
     assert fe.completed == 1
+    assert accepted == []
+    assert (fe.listener.accepted, fe.listener.refused) == (1, 1)
+
+    # busy: closed while the accept loop is in the middle of an accept;
+    # the connect queued before the close is accepted, the later one is
+    # refused, as after an idle close
+    fe = NetFrontend(env, be, NetConfig(accept_cost=1e-3))
+    assert fe.listener.connect(accepted.append)
+    env.run(until=env.now + 1e-4)
+    fe.close()
+    assert not fe.listener.connect(accepted.append)
+    env.run(until=env.now + 0.01)
+    assert len(accepted) == 1
+    assert (fe.listener.accepted, fe.listener.refused) == (1, 1)
+
+
+@pytest.fixture
+def collector_off():
+    """Reference counting alone: whatever a cycle holds stays alive."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def _finished_run(env, backend, cfg):
+    """One open-loop run that completes (every session sends, drains
+    and closes); returns a weak reference to its front end and what
+    the run reported, read after ``run_open_loop`` closed it."""
+    fe = NetFrontend(env, backend, cfg)
+    times = PoissonArrivals(60_000, seed=3).times(0.01, t0=env.now)
+    stream = OpStream(MIXES["ycsb_a"], len(times), 100, value_size=256,
+                      seed=5)
+    run_open_loop(env, fe, stream, times, clients=6, horizon=1.0,
+                  conn_lifetime=20)
+    read = (len(fe.completions), fe.stats(), fe.max_conn_queue,
+            [c.replies for c in fe.connections])
+    return weakref.ref(fe), read
+
+
+@pytest.mark.parametrize("policy", ["block", "shed", "drop"])
+@pytest.mark.parametrize("slow_every", [0, 3])
+def test_a_finished_front_end_needs_no_cycle_collector(collector_off,
+                                                      policy, slow_every):
+    """Once its run is over and it is closed, the front end, its
+    listener, connections and sessions are freed by reference counting
+    (connection churn and, with DROP, server closes included), and
+    everything its callers read after the run still reads."""
+    env = Environment()
+    # a slow backend behind small queues: SHED sheds, DROP drops
+    cfg = NetConfig(pipeline_depth=4, conn_queue=2, max_inflight=8,
+                    policy=BackpressurePolicy(policy),
+                    slow_every=slow_every, capture_replies=True)
+    ref, (completed, stats, max_q, replies) = _finished_run(
+        env, NullBackend(env, service=400e-6), cfg)
+    assert ref() is None
+    assert completed == stats["completed"] > 0
+    assert stats["max_conn_queue"] == max_q >= 1
+    assert sum(map(len, replies)) == completed + stats["shed"]
+    assert (stats["shed"] > 0) == (policy == "shed")
+    assert (stats["dropped_conns"] > 0) == (policy == "drop")
+
+
+def test_a_finished_front_end_on_a_real_server_is_freed(collector_off):
+    """The same over a SlimIO server, whatever the stopped system
+    itself leaves for the collector."""
+    from repro.bench.scales import TINY_SCALE
+    from repro.core import build_slimio
+
+    system = build_slimio(config=TINY_SCALE.system_config(
+        gc_pressure=False, trigger=False))
+    ref, (completed, *_) = _finished_run(
+        system.env, system.server, NetConfig(pipeline_depth=8))
+    system.stop()
+    assert completed > 0 and ref() is None
