@@ -15,7 +15,10 @@ built system books into (``system.obs``) three ways:
 
 and the script closes with a side-by-side comparison of the metrics
 the paper's argument hangs on: write amplification, WAL-buffer stalls,
-and how many submissions needed a syscall.
+and how many submissions needed a syscall. Its last line is the one
+tally no registry holds: the zlib work of the whole process
+(:func:`repro.persist.compress.tallies`), which the two systems share
+through the chunk memo.
 
     PYTHONPATH=src python examples/telemetry_tour.py [output_dir]
 """
@@ -27,6 +30,7 @@ from pathlib import Path
 from repro import SnapshotKind, build_baseline, build_slimio
 from repro.bench.scales import TEST_SCALE
 from repro.obs import perfetto_trace, prometheus_text, write_jsonl
+from repro.persist.compress import tallies
 from repro.workloads import RedisBenchWorkload
 
 
@@ -105,6 +109,15 @@ def main():
     for label, fmt in rows:
         base, slim = fmt(*runs["baseline"]), fmt(*runs["slimio"])
         print(f"{label:28s} {base:>12s} {slim:>12s}")
+
+    # process-wide, so in no registry: what one system deflates depends
+    # on what else the process ran
+    z = tallies()
+    print(f"\nzlib, both runs: {z['deflate_calls']} chunks deflated "
+          f"({z['deflate_in_bytes'] / 2**20:.1f} MiB in), "
+          f"{z['writer_hits']} taken from the chunk memo; "
+          f"{z['inflate_calls']} inflated, {z['reader_hits']} read back "
+          "from the memo")
 
     print(f"\nNext: python -m repro.obs summarize {outdir}/slimio.jsonl")
     print(f"      python -m repro.obs trace {outdir}/slimio.jsonl")

@@ -112,13 +112,11 @@ class ExperimentResult:
                 out.append(f"  [{'ok' if ok else 'MISS'}] {desc}")
         if self.notes:
             out += ["", self.notes]
-        if self.telemetry:
-            out.append("")
-            out.append("Telemetry (key counters per run):")
-            for label, snap in self.telemetry.items():
-                picks = _telemetry_highlights(snap)
-                if picks:
-                    out.append(f"  {label}: " + "  ".join(picks))
+        lines = [f"  {label}: " + "  ".join(picks)
+                 for label, snap in self.telemetry.items()
+                 if (picks := _telemetry_highlights(snap))]
+        if lines:
+            out += ["", "Telemetry (key counters per run):", *lines]
         return "\n".join(out)
 
 

@@ -176,7 +176,8 @@ class Server:
         self.wal = wal
         self.sink_factory = snapshot_sink_factory
         self.config = config or ServerConfig()
-        #: holds the shared chunk memo for the server's lifetime
+        #: owns the server's snapshot generations (one per kind) in the
+        #: shared chunk memo
         self.compressor = Compressor()
         self.name = name
         self.cpu = Resource(env, capacity=1)

@@ -32,7 +32,7 @@ import zlib
 from dataclasses import dataclass
 from collections.abc import Iterable, MutableMapping
 
-from repro.persist.compress import Compressor
+from repro.persist.compress import _TALLY, Compressor
 
 __all__ = [
     "OP_SET",
@@ -352,10 +352,18 @@ class _Tail:
 
 
 class RdbWriter:
-    """Incremental snapshot encoder: header, chunks, footer."""
+    """Incremental snapshot encoder: header, chunks, footer.
 
-    def __init__(self, compressor: Compressor | None = None):
+    With an ``owner``, every chunk's batch the memo holds, hit or miss,
+    is counted in that owner's generation being written
+    (:meth:`Compressor.hold <repro.persist.compress.Compressor.hold>`);
+    publishing or discarding it is the caller's.
+    """
+
+    def __init__(self, compressor: Compressor | None = None,
+                 owner: object = None):
         self.compressor = compressor or Compressor()
+        self.owner = owner
         self._entries = 0
         self._chunks = 0
         self._finished = False
@@ -371,8 +379,9 @@ class RdbWriter:
         """Encode one batch of (key, value) pairs.
 
         The blob comes from the compressor's shared chunk memo when an
-        equal batch was deflated before; a batch that
-        cannot be a dict key (a ``bytearray`` in it) skips the memo.
+        equal batch a live generation holds was deflated before; a
+        batch that cannot be a dict key (a ``bytearray`` in it) skips
+        the memo.
         """
         if not self._header_emitted:
             raise RuntimeError("emit header first")
@@ -397,6 +406,9 @@ class RdbWriter:
                 memo.store(batch, (raw_len, blob), len(blob))
         else:
             raw_len, blob = hit
+            _TALLY["writer_hits"] += 1
+        if memo is not None and self.owner is not None:
+            self.compressor.hold(self.owner, batch)
         count = len(batch)
         hdr = _CHUNK_HDR.pack(_CHUNK_MAGIC, count, raw_len, len(blob))
         self._entries += count
@@ -562,6 +574,7 @@ class RdbReader:
             if (hit is not None and hit[0] == raw_len
                     and len(hit[1]) == count):
                 out.extend(hit[1])
+                _TALLY["reader_hits"] += 1
             else:
                 try:
                     raw = self.compressor.decompress(blob, raw_len)

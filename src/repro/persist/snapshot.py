@@ -121,10 +121,15 @@ class SnapshotWriterProcess:
 
         On any I/O failure the partial snapshot is aborted and the
         stats record ``ok=False`` — the previous snapshot generation
-        stays authoritative.
+        stays authoritative, and so do its chunks in the codec's memo:
+        only the aborted generation's are released. A durable snapshot
+        releases the chunks of the one it supersedes.
         """
         acct = self.account
-        writer = RdbWriter(self.compressor)
+        codec = self.compressor
+        # chunks a child cut by a power loss held for this sink go first
+        codec.discard(self.kind)
+        writer = RdbWriter(codec, owner=self.kind)
         try:
             with self.obs.span("snapshot_write", "snapshot",
                                kind=self.kind.value):
@@ -150,11 +155,13 @@ class SnapshotWriterProcess:
                 yield from self.sink.write(writer.footer(), acct)
                 yield from self.sink.finalize(acct)
         except Exception:
+            codec.discard(self.kind)
             self.sink.abort()
             self.stats.finished_at = self.env.now
             self.stats.breakdown = acct.breakdown()
             self.stats.written_bytes = self.sink.bytes_written
             raise
+        codec.publish(self.kind)
         self.stats.ok = True
         self.stats.finished_at = self.env.now
         self.stats.breakdown = acct.breakdown()
