@@ -15,8 +15,10 @@ built system books into (``system.obs``) three ways:
 
 and the script closes with a side-by-side comparison of the metrics
 the paper's argument hangs on: write amplification, WAL-buffer stalls,
-and how many submissions needed a syscall. Its last line is the one
-tally no registry holds: the zlib work of the whole process
+and how many submissions needed a syscall. Its last lines are the
+tallies no registry holds: the bytes each system's WAL and snapshot
+data planes copied on the host (:func:`repro.nvme.copies.copy_tallies`),
+and the zlib work of the whole process
 (:func:`repro.persist.compress.tallies`), which the two systems share
 through the chunk memo.
 
@@ -29,6 +31,7 @@ from pathlib import Path
 
 from repro import SnapshotKind, build_baseline, build_slimio
 from repro.bench.scales import TEST_SCALE
+from repro.nvme.copies import STAGES, copy_tallies
 from repro.obs import perfetto_trace, prometheus_text, write_jsonl
 from repro.persist.compress import tallies
 from repro.workloads import RedisBenchWorkload
@@ -85,9 +88,12 @@ def main():
           "every layer recorded\n")
 
     runs = {}
+    copies = {}
     for name, builder in (("baseline", build_baseline),
                           ("slimio", build_slimio)):
+        before = copy_tallies()
         runs[name] = run(name, builder, scale, outdir)
+        copies[name] = {k: v - before[k] for k, v in copy_tallies().items()}
 
     print(f"\n{'metric':28s} {'baseline':>12s} {'slimio':>12s}")
     rows = [
@@ -109,6 +115,13 @@ def main():
     for label, fmt in rows:
         base, slim = fmt(*runs["baseline"]), fmt(*runs["slimio"])
         print(f"{label:28s} {base:>12s} {slim:>12s}")
+
+    # process-wide, so in no registry: each run's share is a difference
+    print("\nhost copies, WAL + snapshot data planes (MiB):")
+    for stage in STAGES:
+        base, slim = (copies[n][stage] / 2**20 for n in ("baseline",
+                                                          "slimio"))
+        print(f"  {stage:26s} {base:>12.1f} {slim:>12.1f}")
 
     # process-wide, so in no registry: what one system deflates depends
     # on what else the process ran

@@ -33,7 +33,8 @@ from repro.core.placement import PlacementPolicy
 from repro.core.readahead import ReadAheadBuffer
 from repro.kernel.accounting import CpuAccount
 from repro.kernel.iouring import PassthruQueuePair
-from repro.nvme import ReadCmd, WriteCmd, split_pages
+from repro.nvme import ReadCmd, WriteCmd
+from repro.nvme.copies import _COPIED, cut_runs
 from repro.obs.registry import MetricsRegistry
 from repro.persist.encoding import AofReader
 from repro.persist.interfaces import (
@@ -49,9 +50,15 @@ __all__ = ["WalPath", "SnapshotPath", "SlimIOSnapshotSource",
            "current_metadata"]
 
 
-def _pad_to_page(data: bytes, page: int) -> bytes:
-    rem = len(data) % page
-    return data if rem == 0 else data + bytes(page - rem)
+def _padded_pages(parts: list, page: int) -> list[bytes]:
+    """``parts`` laid end to end as a write payload, the last page
+    zero-padded: each byte copied once, into its page."""
+    pages, rest = cut_runs(parts, page)
+    if rest:
+        rest.append(bytes(page - sum(map(len, rest))))
+        pages.append(b"".join(rest))
+    _COPIED["page_build"] += len(pages) * page
+    return pages
 
 
 def current_metadata(space: LbaSpaceManager) -> Metadata:
@@ -94,7 +101,9 @@ class WalPath(AppendSink):
         self.placement = placement or PlacementPolicy()
         self._staged: list[bytes] = []
         self._staged_bytes = 0
-        self._tail: bytes = b""  # bytes already flushed into a partial page
+        #: bytes already flushed into a partial page (a view of that
+        #: page, or what recovery re-staged)
+        self._tail: bytes | memoryview = b""
         self._tail_vpn: int | None = None
         # the circular-log cursor is single-writer: WalManager's everysec
         # fsync runs outside its sink lock (safe for a file sink, whose
@@ -134,11 +143,12 @@ class WalPath(AppendSink):
         before even taking the flush lock — zero events, zero time."""
         return not self._staged and self._tail_vpn is None
 
-    def append(self, data: bytes, account: CpuAccount) -> Generator:
+    def append(self, records: list[bytes], account: CpuAccount) -> Generator:
         """Stage at the tail (user-space; no device I/O yet)."""
-        self._staged.append(data)
-        self._staged_bytes += len(data)
-        self._gen_bytes += len(data)
+        nbytes = sum(map(len, records))
+        self._staged += records
+        self._staged_bytes += nbytes
+        self._gen_bytes += nbytes
         return
         yield  # pragma: no cover - generator form for interface parity
 
@@ -157,7 +167,8 @@ class WalPath(AppendSink):
         if not self._staged:
             return  # tail already durable (or a rival flush drained us)
         page = self.ring.device.lba_size
-        data = self._tail + b"".join(self._staged)
+        nbytes = len(self._tail) + self._staged_bytes
+        payload = _padded_pages([self._tail, *self._staged], page)
         self._staged.clear()
         self._staged_bytes = 0
 
@@ -166,15 +177,13 @@ class WalPath(AppendSink):
             if self._tail_vpn is not None
             else self.space.wal.alloc(0)
         )
-        full_pages = len(data) // page
-        rem = len(data) % page
+        full_pages, rem = divmod(nbytes, page)
         needed = full_pages + (1 if rem else 0)
         already = 1 if self._tail_vpn is not None else 0
         if needed > already:
             yield from self._make_room(needed - already, account)
             self.space.wal.alloc(needed - already)
 
-        payload = split_pages(_pad_to_page(data, page), page)
         events = []
         vpn = start_vpn
         for lba, n in self.space.wal.contiguous_run(start_vpn, needed):
@@ -187,11 +196,13 @@ class WalPath(AppendSink):
             vpn += n
         for ev in events:
             yield from self.ring.wait(ev, account)
-        self._obs_flush_bytes.observe(float(len(data)))
+        self._obs_flush_bytes.observe(float(nbytes))
         self._obs_flush_pages.inc(needed)
 
         if rem:
-            self._tail = data[full_pages * page :]
+            # the last page is immutable: the next flush re-reads its
+            # head through a view
+            self._tail = memoryview(payload[-1])[:rem]
             self._tail_vpn = start_vpn + full_pages
         else:
             self._tail = b""
@@ -476,7 +487,10 @@ class SnapshotPath(SnapshotSink):
         self.placement = placement or PlacementPolicy()
         self.batch_pages = write_batch_pages
         self.max_inflight = max_inflight_batches
-        self._buffer = bytearray()
+        #: stream bytes short of a page, uncopied, and pages cut but
+        #: short of a batch
+        self._rest: list = []
+        self._pages: list[bytes] = []
         self._slot: int | None = None
         self._pages_written = 0
         self._bytes = 0
@@ -501,20 +515,22 @@ class SnapshotPath(SnapshotSink):
             self._slot = self.space.slots.reserve_slot
             self._pages_written = 0
             self._bytes = 0
-            self._buffer.clear()
+            self._rest = []
+            self._pages = []
             self._inflight.clear()
         return self._slot
 
     def write(self, data: bytes, account: CpuAccount) -> Generator:
         slot = self._ensure_slot()
-        self._buffer.extend(data)
         self._bytes += len(data)
         page = self.ring.device.lba_size
-        batch_bytes = self.batch_pages * page
-        while len(self._buffer) >= batch_bytes:
-            with memoryview(self._buffer) as view:
-                chunk = split_pages(view[:batch_bytes], page)
-            del self._buffer[:batch_bytes]
+        pages, self._rest = cut_runs([*self._rest, data], page)
+        _COPIED["page_build"] += len(pages) * page
+        self._pages += pages
+        batch = self.batch_pages
+        while len(self._pages) >= batch:
+            chunk = self._pages[:batch]
+            del self._pages[:batch]
             yield from self._submit_pages(slot, chunk, account)
 
     def _submit_pages(self, slot: int, chunk: list[bytes],
@@ -545,10 +561,11 @@ class SnapshotPath(SnapshotSink):
 
     def finalize(self, account: CpuAccount) -> Generator:
         slot = self._ensure_slot()
-        page = self.ring.device.lba_size
-        if self._buffer:
-            chunk = split_pages(_pad_to_page(bytes(self._buffer), page), page)
-            self._buffer.clear()
+        chunk = self._pages + _padded_pages(self._rest,
+                                            self.ring.device.lba_size)
+        self._rest = []
+        self._pages = []
+        if chunk:
             yield from self._submit_pages(slot, chunk, account)
         # 1) all data durable
         while self._inflight:
@@ -586,7 +603,8 @@ class SnapshotPath(SnapshotSink):
         (writes simply overwrite); bookkeeping is reset immediately.
         """
         self._slot = None
-        self._buffer.clear()
+        self._rest = []
+        self._pages = []
         self._inflight.clear()
         self._pages_written = 0
         self._bytes = 0

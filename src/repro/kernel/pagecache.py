@@ -8,11 +8,14 @@ throttled at the dirty limit, which is how device-side GC pressure
 propagates back into baseline Redis's WAL fsyncs and snapshot writes.
 
 A clean page is held by reference: a read miss caches the device's own
-immutable page object, and writeback caches the ``bytes`` snapshot it
-hands the device as the command payload. ``write()`` copies a shared
-page into a private ``bytearray`` before changing it (copy-on-write),
-so neither the device's stored page nor an in-flight payload is ever
-mutated, and each page the cache and the device both hold is held once.
+immutable page object, and writeback caches the ``bytes`` it hands the
+device as the command payload. A page ``write()`` covers whole is
+stored as its own ``bytes``, one copy of the user buffer, which
+writeback then hands on as it is. A page it changes in part is copied
+into a private ``bytearray`` first when it is shared (copy-on-write),
+and writeback snapshots that into ``bytes``. So neither the device's
+stored page nor an in-flight payload is ever mutated, and each page the
+cache and the device both hold is held once.
 
 File→LBA translation is delegated to the owning file system through a
 resolver callback registered per file.
@@ -26,6 +29,7 @@ from repro.kernel.accounting import CpuAccount
 from repro.kernel.blocklayer import BlockLayer
 from repro.kernel.costs import BIO_SUBMIT_COST, PAGECACHE_PAGE_OP, copy_time
 from repro.nvme import PageMap, ReadCmd, WriteCmd
+from repro.nvme.copies import _COPIED
 from repro.obs.registry import MetricsRegistry
 from repro.sim import Environment, Event
 
@@ -90,9 +94,10 @@ class PageCache:
         self.max_throttle_pause = 2e-3
 
         #: clean pages are ``bytes`` shared with the device; a page
-        #: ``write()`` changed is a private ``bytearray`` until
-        #: writeback snapshots it; released with the system handle that
-        #: built this cache (see :mod:`repro.nvme.pagemap`)
+        #: ``write()`` covered whole is ``bytes`` too, one it changed in
+        #: part a private ``bytearray`` until writeback snapshots it;
+        #: released with the system handle that built this cache (see
+        #: :mod:`repro.nvme.pagemap`)
         self._pages: PageMap = PageMap()
         self._dirty: set[tuple[int, int]] = set()
         self._resolvers: dict[int, Resolver] = {}
@@ -161,16 +166,6 @@ class PageCache:
     def is_cached(self, file_id: int, page_idx: int) -> bool:
         return (file_id, page_idx) in self._pages
 
-    def _writable(self, file_id: int, page_idx: int) -> bytearray:
-        """The page as a private ``bytearray`` (copy-on-write: a shared
-        ``bytes`` page is copied, a missing one is zero-filled)."""
-        key = (file_id, page_idx)
-        buf = self._pages.get(key)
-        if type(buf) is not bytearray:
-            buf = bytearray(self.page_size) if buf is None else bytearray(buf)
-            self._pages[key] = buf
-        return buf
-
     # ------------------------------------------------------------------ write
     def write(
         self, file_id: int, offset: int, data: bytes, account: CpuAccount
@@ -196,21 +191,41 @@ class PageCache:
         if _cpu_ev is not None:
             yield _cpu_ev
         ps = self.page_size
+        pages = self._pages
+        size = len(data)
         pos = 0
         n_ops = 0
         newly_dirty = 0
-        while pos < len(data):
-            abs_off = offset + pos
-            page_idx, in_page = divmod(abs_off, ps)
-            n = min(ps - in_page, len(data) - pos)
-            buf = self._writable(file_id, page_idx)
-            buf[in_page : in_page + n] = data[pos : pos + n]
-            key = (file_id, page_idx)
-            if key not in self._dirty:
-                self._dirty.add(key)
-                newly_dirty += 1
-            pos += n
-            n_ops += 1
+        copied = 0
+        with memoryview(data) as view:
+            while pos < size:
+                page_idx, in_page = divmod(offset + pos, ps)
+                n = min(ps - in_page, size - pos)
+                key = (file_id, page_idx)
+                if n == ps:
+                    # written whole: its own immutable page, which
+                    # writeback hands on as it is
+                    pages[key] = view[pos : pos + ps].tobytes()
+                    copied += ps
+                else:
+                    buf = pages.get(key)
+                    if type(buf) is not bytearray:
+                        # copy-on-write: a shared page is copied, a
+                        # missing one zero-filled
+                        if buf is None:
+                            buf = bytearray(ps)
+                        else:
+                            buf = bytearray(buf)
+                            copied += ps
+                        pages[key] = buf
+                    buf[in_page : in_page + n] = view[pos : pos + n]
+                    copied += n
+                if key not in self._dirty:
+                    self._dirty.add(key)
+                    newly_dirty += 1
+                pos += n
+                n_ops += 1
+        _COPIED["pagecache_copy_in"] += copied
         _cpu_ev = account.charge("pagecache", n_ops * PAGECACHE_PAGE_OP)
         if _cpu_ev is not None:
             yield _cpu_ev
@@ -440,10 +455,14 @@ class PageCache:
     def _snapshot(self, fid: int, idx: int) -> bytes:
         """Writeback's immutable copy of a page: the command payload and,
         from now on, the clean cached page (a ``bytes`` page is its own
-        snapshot). A writer that re-dirties the page mid-I/O copies it,
-        so the payload is never touched."""
+        snapshot). A writer that re-dirties the page mid-I/O replaces or
+        copies it, so the payload is never touched."""
         key = (fid, idx)
-        snap = bytes(self._pages[key])
+        page = self._pages[key]
+        if type(page) is bytes:
+            return page
+        snap = bytes(page)
+        _COPIED["writeback_snapshot"] += len(snap)
         self._pages[key] = snap
         return snap
 

@@ -145,6 +145,15 @@ _MEMOS: weakref.WeakValueDictionary[int, _Memo] = (
     weakref.WeakValueDictionary())
 
 
+def _release_writing(codec_vars: dict) -> None:
+    """Release every generation a dropped :class:`Compressor` (given
+    by its ``vars()``) was writing."""
+    writing = codec_vars["_writing"]
+    for batches in writing.values():
+        codec_vars["chunk_memo"].release(batches)
+    writing.clear()
+
+
 class Compressor:
     """zlib-backed codec at :data:`LEVEL`.
 
@@ -167,7 +176,8 @@ class Compressor:
     generation a durable snapshot supersedes, :meth:`discard` the one
     being written. A codec's last published generations outlive it, so
     a finished system's latest snapshot still hits for its pair
-    partner; the backstop bounds what finished systems leave.
+    partner; the backstop bounds what finished systems leave. Its
+    generations being written die with it.
     """
 
     def __init__(self) -> None:
@@ -177,6 +187,10 @@ class Compressor:
         self._published: dict[object, list[tuple]] = {}
         #: owner -> batches of its generation being written
         self._writing: dict[object, list[tuple]] = {}
+        # nothing finishes a dropped codec's snapshots being written
+        # (a child cut by a power loss): they go with it, from the memo
+        # it holds when it dies
+        weakref.finalize(self, _release_writing, vars(self))
 
     def hold(self, owner: object, batch: tuple) -> None:
         """Count ``batch`` in ``owner``'s generation being written, if

@@ -32,6 +32,7 @@ import zlib
 from dataclasses import dataclass
 from collections.abc import Iterable, MutableMapping
 
+from repro.nvme.copies import _COPIED
 from repro.persist.compress import _TALLY, Compressor
 
 __all__ = [
@@ -133,10 +134,14 @@ class AofCodec:
 
     @staticmethod
     def encode(record: AofRecord) -> bytes:
-        hdr = _AOF_HDR.pack(_AOF_MAGIC, record.op, len(record.key),
-                            len(record.value))
-        body = hdr + record.key + record.value
-        return body + _CRC.pack(_crc(body))
+        """``record`` framed in one join, its CRC chained over the
+        pieces (the value is copied once)."""
+        key, value = record.key, record.value
+        hdr = _AOF_HDR.pack(_AOF_MAGIC, record.op, len(key), len(value))
+        crc = _crc(value, _crc(key, _crc(hdr)))
+        data = b"".join((hdr, key, value, _CRC.pack(crc)))
+        _COPIED["record_encode"] += len(data)
+        return data
 
     @staticmethod
     def scan(data: Buffer, start: int = 0,
@@ -414,7 +419,9 @@ class RdbWriter:
         self._entries += count
         self._chunks += 1
         crc = _crc(blob, _crc(hdr))
-        return b"".join((hdr, blob, _CRC.pack(crc)))
+        data = b"".join((hdr, blob, _CRC.pack(crc)))
+        _COPIED["record_encode"] += len(data)
+        return data
 
     def footer(self) -> bytes:
         if self._finished:

@@ -26,8 +26,9 @@ class AppendSink(ABC):
     """Durable append log (the WAL's storage end)."""
 
     @abstractmethod
-    def append(self, data: bytes, account: CpuAccount) -> Generator:
-        """Stage ``data`` at the log tail (buffered; cheap)."""
+    def append(self, records: list[bytes], account: CpuAccount) -> Generator:
+        """Stage ``records``, laid end to end, at the log tail
+        (buffered; cheap). The sink owns the list from now on."""
 
     @abstractmethod
     def flush(self, account: CpuAccount) -> Generator:
@@ -79,7 +80,8 @@ class SnapshotSink(ABC):
 
     @abstractmethod
     def write(self, data: bytes, account: CpuAccount) -> Generator:
-        """Append the next piece of the snapshot stream."""
+        """Append the next piece of the snapshot stream (held as it is
+        until it is cut into pages or buffers)."""
 
     @abstractmethod
     def finalize(self, account: CpuAccount) -> Generator:

@@ -243,7 +243,7 @@ class WalManager:
             self._old_buffer = []
             self._boundary_pending -= 1
             if old:
-                yield from self.sink.append(b"".join(old), self.account)
+                yield from self.sink.append(old, self.account)
                 yield from self.sink.flush(self.account)
             yield from self.sink.begin_generation(self.account)
 
@@ -259,17 +259,19 @@ class WalManager:
             bg = rt.begin_background("wal-drain")
         try:
             if self._buffer:
-                data = b"".join(self._buffer)
-                self._buffer.clear()
+                # the sink takes the records as they are: the one join
+                # is the sink's own
+                records, nbytes = self._buffer, self._buffer_bytes
+                self._buffer = []
                 self._buffer_bytes = 0
                 # the links are the causal join of group commit: every
                 # request whose record this flush retires
                 links = rt.take_staged(self, top) if rt is not None else ()
                 with self.obs.span("wal_flush", "wal", links=links,
                                    policy=self.policy.value,
-                                   nbytes=len(data)):
-                    yield from self.sink.append(data, self.account)
-                self._obs_flush_bytes.observe(float(len(data)))
+                                   nbytes=nbytes):
+                    yield from self.sink.append(records, self.account)
+                self._obs_flush_bytes.observe(float(nbytes))
                 self._obs_buffered.set(float(self._buffer_bytes))
                 if self._capacity_waiters and self._buffer_bytes < self.buffer_limit:
                     waiters, self._capacity_waiters = self._capacity_waiters, []

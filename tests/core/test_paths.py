@@ -55,7 +55,7 @@ def test_wal_append_flush_readback(world):
 
     def proc():
         for r in recs:
-            yield from wal.append(AofCodec.encode(r), acct)
+            yield from wal.append([AofCodec.encode(r)], acct)
         yield from wal.flush(acct)
         data = yield from read_records(wal, acct)
         return data
@@ -72,9 +72,9 @@ def test_wal_tail_page_rewritten_across_flushes(world):
     r2 = AofRecord(op=OP_SET, key=b"b", value=b"2" * 10)
 
     def proc():
-        yield from wal.append(AofCodec.encode(r1), acct)
+        yield from wal.append([AofCodec.encode(r1)], acct)
         yield from wal.flush(acct)
-        yield from wal.append(AofCodec.encode(r2), acct)
+        yield from wal.append([AofCodec.encode(r2)], acct)
         yield from wal.flush(acct)
         data = yield from read_records(wal, acct)
         return data
@@ -94,7 +94,7 @@ def test_wal_records_durable_without_metadata_update(world):
 
     def write():
         for r in recs:
-            yield from wal.append(AofCodec.encode(r), acct)
+            yield from wal.append([AofCodec.encode(r)], acct)
         yield from wal.flush(acct)
 
     drive(env, write())
@@ -122,7 +122,7 @@ def test_head_hint_past_the_log_restores_the_tail_page(world):
 
     def write():
         for r in recs:
-            yield from wal.append(AofCodec.encode(r), acct)
+            yield from wal.append([AofCodec.encode(r)], acct)
         yield from wal.flush(acct)
 
     drive(env, write())
@@ -135,7 +135,7 @@ def test_head_hint_past_the_log_restores_the_tail_page(world):
     late = AofRecord(op=OP_SET, key=b"late", value=b"x" * 100)
 
     def append_late():
-        yield from wal2.append(AofCodec.encode(late), acct)
+        yield from wal2.append([AofCodec.encode(late)], acct)
         yield from wal2.flush(acct)
 
     drive(env, append_late())
@@ -149,13 +149,14 @@ def test_wal_generation_switch_and_retire(world):
     rec = AofRecord(op=OP_SET, key=b"old", value=b"x" * 5000)
 
     def proc():
-        yield from wal.append(AofCodec.encode(rec), acct)
+        yield from wal.append([AofCodec.encode(rec)], acct)
         yield from wal.flush(acct)
         old_head = space.wal.head
         yield from wal.begin_generation(acct)
         assert space.wal.gen_start == old_head
         yield from wal.append(
-            AofCodec.encode(AofRecord(op=OP_SET, key=b"new", value=b"y")), acct)
+            [AofCodec.encode(AofRecord(op=OP_SET, key=b"new", value=b"y"))],
+            acct)
         yield from wal.flush(acct)
         # both generations replay before retirement
         data = yield from read_records(wal, acct)
@@ -176,7 +177,7 @@ def test_wal_writes_carry_wal_pid(world):
     wal = make_wal(env, ring, space, meta, acct)
 
     def proc():
-        yield from wal.append(b"x" * 5000, acct)
+        yield from wal.append([b"x" * 5000], acct)
         yield from wal.flush(acct)
 
     drive(env, proc())

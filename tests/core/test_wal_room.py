@@ -34,7 +34,7 @@ def _fill_previous_generation(env, wal, space, acct, dev):
 
     def proc():
         for r in old:
-            yield from wal.append(AofCodec.encode(r), acct)
+            yield from wal.append([AofCodec.encode(r)], acct)
         yield from wal.flush(acct)
         yield from wal.begin_generation(acct)
 
@@ -51,7 +51,7 @@ def test_flush_waits_for_the_covering_snapshot_then_retires(world):
 
     def flush_new():
         for r in new:
-            yield from wal.append(AofCodec.encode(r), acct)
+            yield from wal.append([AofCodec.encode(r)], acct)
         yield from wal.flush(acct)
 
     head = space.wal.head
@@ -77,7 +77,7 @@ def test_flush_with_no_previous_generation_to_wait_for_still_fails(world):
 
     def proc():
         for r in huge:
-            yield from wal.append(AofCodec.encode(r), acct)
+            yield from wal.append([AofCodec.encode(r)], acct)
         yield from wal.flush(acct)
 
     with pytest.raises(OSError, match="WAL region full"):

@@ -43,7 +43,7 @@ def generation(env, wal, acct, tag, nbytes_per_rec=3000, nrecs=20):
 
     def proc():
         for r in recs:
-            yield from wal.append(AofCodec.encode(r), acct)
+            yield from wal.append([AofCodec.encode(r)], acct)
         yield from wal.flush(acct)
 
     drive(env, proc())
@@ -105,7 +105,7 @@ def test_region_overflow_raises_cleanly():
     region_bytes = space.wal.wal_pages * dev.lba_size
 
     def proc():
-        yield from wal.append(b"x" * (region_bytes + 8192), acct)
+        yield from wal.append([b"x" * (region_bytes + 8192)], acct)
         yield from wal.flush(acct)
 
     env.process(proc())

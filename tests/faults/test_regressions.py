@@ -66,8 +66,8 @@ def test_async_head_hint_builds_metadata_at_write_time():
     acct = wp.account
 
     def setup():
-        yield from wp.append(AofCodec.encode(
-            AofRecord(OP_SET, b"a", b"x" * 64)), acct)
+        yield from wp.append([AofCodec.encode(
+            AofRecord(OP_SET, b"a", b"x" * 64))], acct)
         yield from wp.flush(acct)  # schedules the async head-hint write
         # rotate before the async writer has had a chance to run (no
         # yield between the flush return and this call)
@@ -212,13 +212,13 @@ def test_stale_retired_pages_not_adopted_and_wiped():
 
     def setup():
         for i in range(3):
-            yield from wp.append(AofCodec.encode(
-                AofRecord(OP_SET, b"old%d" % i, b"A" * 150)), acct)
+            yield from wp.append([AofCodec.encode(
+                AofRecord(OP_SET, b"old%d" % i, b"A" * 150))], acct)
         yield from wp.flush(acct)
         yield from wp.begin_generation(acct)
         for i in range(2):
-            yield from wp.append(AofCodec.encode(
-                AofRecord(OP_SET, b"new%d" % i, b"B" * 150)), acct)
+            yield from wp.append([AofCodec.encode(
+                AofRecord(OP_SET, b"new%d" % i, b"B" * 150))], acct)
         yield from wp.flush(acct)
         # retire's first half only: metadata stops naming the old
         # generation; the crash lands before any TRIM is issued
@@ -248,13 +248,13 @@ def test_stale_prev_start_does_not_poison_replay():
     acct = wp.account
 
     def setup():
-        yield from wp.append(AofCodec.encode(
-            AofRecord(OP_SET, b"old", b"A" * 200)), acct)
+        yield from wp.append([AofCodec.encode(
+            AofRecord(OP_SET, b"old", b"A" * 200))], acct)
         yield from wp.flush(acct)
         yield from wp.begin_generation(acct)
         for i in range(2):
-            yield from wp.append(AofCodec.encode(
-                AofRecord(OP_SET, b"new%d" % i, b"B" * 200)), acct)
+            yield from wp.append([AofCodec.encode(
+                AofRecord(OP_SET, b"new%d" % i, b"B" * 200))], acct)
         yield from wp.flush(acct)
         # the crash window: the TRIM ran, but the durable metadata
         # still names the previous generation

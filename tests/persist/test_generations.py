@@ -194,6 +194,23 @@ def test_repeated_power_cuts_do_not_grow_the_memo():
     assert held(codec) == set(blobs(latest))
 
 
+def test_a_dropped_codec_releases_the_generation_it_was_writing():
+    """A system cut mid-snapshot and dropped leaves its child's chunks
+    to nobody: they go with its codec. Its published generation stays,
+    for a second system over the same inputs."""
+    codec = fresh()
+    memo = codec.chunk_memo
+    published = set(blobs(snapshot(codec, items(1)).durable))
+    cut = set(blobs(b"".join(snapshot(codec, items(2), cut_after=2).parts)))
+    assert len(cut - published) == 2
+    assert held(codec) == published | cut
+    del codec
+    gc.collect()  # the abandoned child's clock still points at it
+    assert set(memo.by_blob) == published
+    assert set(memo.refs.values()) == {1}
+    check_consistent(memo)
+
+
 def test_a_chunk_another_owners_generation_uses_stays():
     a, b = fresh(), Compressor()
     b.chunk_memo = a.chunk_memo
